@@ -5,11 +5,18 @@
 //! be thread-count invariant on its own. Bit-identity between the two
 //! algorithms is what lets `SCNN_CONV_ALGO` switch engines without
 //! perturbing seeded training goldens.
+//!
+//! Both algorithms' backward passes run on the same `gemm_acc`
+//! micro-kernel, so agreeing with each other cannot catch a mistake they
+//! share. The second half of this file therefore replays the loops the
+//! backward ran *before* the micro-kernel — plain `p`-outer scalar
+//! mul-add rows with the zero-skip, over `im2col`/`col2im` — and demands
+//! the engine's `dw`/`dx` bits from them.
 
 use scnn_nn::kernels::{conv2d_backward_with, conv2d_forward_with, ConvAlgo, ConvAttrs};
 use scnn_rng::prop::{check, Case};
 use scnn_rng::Rng;
-use scnn_tensor::{uniform, Padding2d, Tensor};
+use scnn_tensor::{col2im_into, im2col, uniform, Conv2dGeometry, KernelPlan, Padding2d, Tensor};
 
 /// Bitwise comparison; returns a description of the first mismatch.
 fn bits_match(what: &str, a: &Tensor, b: &Tensor) -> Result<(), String> {
@@ -155,4 +162,158 @@ fn tiled_is_thread_count_invariant() {
             vec![y, g.dx, g.dw, g.db.expect("bias grad")]
         })
     });
+}
+
+/// `dw` and `dx` as the pre-`gemm_acc` backward computed them, written
+/// out in scalar Rust: the weight gradient as `KC`-blocked `p`-outer
+/// mul-add rows over the `im2col` matrix (zero `dy` factors skipped,
+/// block 0 copied and later blocks added in order), the input gradient
+/// as one patch row per output position reduced over output channels in
+/// ascending order (same skip) and scattered by `col2im_into` at the crop
+/// offset. Shares no arithmetic code with the engine.
+fn old_loop_backward(x: &Tensor, w: &Tensor, dy: &Tensor, attrs: &ConvAttrs) -> (Tensor, Tensor) {
+    let p = attrs.pad;
+    let crop = Padding2d::new(p.h_begin.min(0), p.h_end.min(0), p.w_begin.min(0), p.w_end.min(0));
+    let pos = Padding2d::new(p.h_begin.max(0), p.h_end.max(0), p.w_begin.max(0), p.w_end.max(0));
+    let xc = x.pad2d(crop);
+    let g = Conv2dGeometry::new(xc.dim(1), xc.dim(2), xc.dim(3), attrs.kh, attrs.kw, attrs.sh, attrs.sw, pos);
+    let (n, oc) = (x.dim(0), w.dim(0));
+    let (hw, plen) = (g.patch_count(), g.patch_len());
+    let cols = im2col(&xc, &g);
+    let (cols, dyv, wv) = (cols.as_slice(), dy.as_slice(), w.as_slice());
+    let dy_at = |q: usize, c: usize| dyv[((q / hw) * oc + c) * hw + q % hw];
+
+    let kc = KernelPlan::reduction_kc();
+    let mut dw = vec![0.0f32; oc * plen];
+    for (bi, q0) in (0..n * hw).step_by(kc).enumerate() {
+        let mut part = vec![0.0f32; oc * plen];
+        for q in q0..(q0 + kc).min(n * hw) {
+            for c in 0..oc {
+                let aa = dy_at(q, c);
+                if aa == 0.0 {
+                    continue;
+                }
+                for j in 0..plen {
+                    part[c * plen + j] += aa * cols[q * plen + j];
+                }
+            }
+        }
+        for (d, v) in dw.iter_mut().zip(&part) {
+            *d = if bi == 0 { *v } else { *d + *v };
+        }
+    }
+
+    let mut dcols = vec![0.0f32; n * hw * plen];
+    for q in 0..n * hw {
+        for c in 0..oc {
+            let aa = dy_at(q, c);
+            if aa == 0.0 {
+                continue;
+            }
+            for j in 0..plen {
+                dcols[q * plen + j] += aa * wv[c * plen + j];
+            }
+        }
+    }
+    let mut dx = Tensor::zeros(x.shape().dims());
+    let dcols = Tensor::from_vec(dcols, &[n * hw, plen]);
+    col2im_into(&dcols, n, &g, &mut dx, (-crop.h_begin) as usize, (-crop.w_begin) as usize);
+    (dx, Tensor::from_vec(dw, w.shape().dims()))
+}
+
+/// Both engines' `dx`/`dw` against [`old_loop_backward`], bit for bit.
+fn backward_matches_old_loops(x: &Tensor, w: &Tensor, dy: &Tensor, attrs: &ConvAttrs) -> Case {
+    let (dx_old, dw_old) = old_loop_backward(x, w, dy, attrs);
+    for algo in [ConvAlgo::Tiled, ConvAlgo::Materialized] {
+        let g = conv2d_backward_with(x, w, false, dy, attrs, Some(algo));
+        for (what, got, want) in [("dx", &g.dx, &dx_old), ("dw", &g.dw, &dw_old)] {
+            if let Err(e) = bits_match(&format!("{algo:?} {what} vs old loop"), got, want) {
+                return Case::Fail(e);
+            }
+        }
+    }
+    Case::Pass
+}
+
+/// A `dy` the way a ReLU hands it back: about half the entries zero (of
+/// either sign), a sprinkling of subnormals, the rest ordinary values.
+fn relu_style_dy(rng: &mut scnn_rng::SplitRng, dims: &[usize]) -> Tensor {
+    let mut dy = uniform(rng, dims, -1.0, 1.0);
+    for v in dy.as_mut_slice() {
+        match rng.gen_range(0..8usize) {
+            0..=2 => *v = 0.0,
+            3 => *v = -0.0,
+            4 => *v = f32::from_bits(rng.gen_range(1..64usize) as u32), // subnormal
+            _ => {}
+        }
+    }
+    dy
+}
+
+#[test]
+fn backward_matches_the_pre_gemm_acc_loops_on_random_geometries() {
+    check("conv backward vs old axpy loops", 24, |rng| {
+        let n = rng.gen_range(1..4usize);
+        let ic = rng.gen_range(1..6usize);
+        let oc = rng.gen_range(1..19usize); // 4-row tile edges, > 16 rows
+        let h = rng.gen_range(4..14usize);
+        let w = rng.gen_range(4..14usize);
+        let kh = rng.gen_range(1..4usize);
+        let kw = rng.gen_range(1..4usize);
+        let sh = rng.gen_range(1..4usize);
+        let sw = rng.gen_range(1..4usize);
+        let pad = Padding2d::new(
+            rng.gen_range(-2..3i64),
+            rng.gen_range(-2..3i64),
+            rng.gen_range(-2..3i64),
+            rng.gen_range(-2..3i64),
+        );
+        let full_h = h as i64 + pad.h_begin + pad.h_end;
+        let full_w = w as i64 + pad.w_begin + pad.w_end;
+        let (ch, cw) = (h as i64 + pad.h_begin.min(0) + pad.h_end.min(0), w as i64 + pad.w_begin.min(0) + pad.w_end.min(0));
+        if full_h < kh as i64 || full_w < kw as i64 || ch < 1 || cw < 1 {
+            return Case::Discard;
+        }
+        let attrs = ConvAttrs { kh, kw, sh, sw, pad };
+        let x = uniform(rng, &[n, ic, h, w], -1.0, 1.0);
+        let wt = uniform(rng, &[oc, ic, kh, kw], -0.7, 0.7);
+        let (oh, ow) = ((full_h as usize - kh) / sh + 1, (full_w as usize - kw) / sw + 1);
+        let dy = relu_style_dy(rng, &[n, oc, oh, ow]);
+        backward_matches_old_loops(&x, &wt, &dy, &attrs)
+    });
+}
+
+#[test]
+fn backward_matches_the_pre_gemm_acc_loops_on_edge_geometries() {
+    // Corners the random sweep may miss: 1×1 kernels (plen < 8: scalar
+    // columns only), ow < 4 (a dx tile spans several output rows and the
+    // dw panel several images), a reduction spanning three KC blocks,
+    // crops on every side (dx lands at an offset), a wide patch (64·9
+    // columns: many 16-wide strips), and a stride larger than the kernel.
+    #[allow(clippy::type_complexity)] // a literal table, not an API
+    let cases: &[(usize, usize, usize, usize, usize, (usize, usize), (usize, usize), Padding2d)] = &[
+        // (n, ic, oc, h, w, (kh, kw), (sh, sw), pad)
+        (2, 5, 9, 7, 9, (1, 1), (1, 1), Padding2d::default()),
+        (3, 4, 7, 6, 3, (3, 3), (1, 1), Padding2d::symmetric(1)),
+        (2, 3, 5, 9, 2, (2, 1), (2, 1), Padding2d::new(1, 0, 0, 0)),
+        (3, 2, 6, 16, 16, (3, 3), (1, 1), Padding2d::symmetric(1)),
+        (2, 4, 6, 9, 10, (3, 3), (1, 2), Padding2d::new(-1, -2, -2, -1)),
+        (1, 3, 4, 8, 8, (2, 2), (1, 1), Padding2d::new(-1, 2, 1, -1)),
+        (1, 64, 20, 6, 6, (3, 3), (1, 1), Padding2d::symmetric(1)),
+        (2, 2, 17, 11, 11, (2, 2), (3, 3), Padding2d::default()),
+    ];
+    let mut rng = scnn_rng::SplitRng::seed_from_u64(43);
+    for &(n, ic, oc, h, w, (kh, kw), (sh, sw), pad) in cases {
+        let attrs = ConvAttrs { kh, kw, sh, sw, pad };
+        let x = uniform(&mut rng, &[n, ic, h, w], -1.0, 1.0);
+        let wt = uniform(&mut rng, &[oc, ic, kh, kw], -0.7, 0.7);
+        let oh = ((h as i64 + pad.h_begin + pad.h_end) as usize - kh) / sh + 1;
+        let ow = ((w as i64 + pad.w_begin + pad.w_end) as usize - kw) / sw + 1;
+        let dy = relu_style_dy(&mut rng, &[n, oc, oh, ow]);
+        match backward_matches_old_loops(&x, &wt, &dy, &attrs) {
+            Case::Pass => {}
+            Case::Fail(e) => panic!("case {n}x{ic}x{h}x{w} oc{oc} k{kh}x{kw} s{sh}x{sw}: {e}"),
+            Case::Discard => unreachable!(),
+        }
+    }
 }

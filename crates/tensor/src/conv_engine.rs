@@ -5,9 +5,9 @@
 //! the largest transient buffer in a training step and invisible to the
 //! HMMS planner. The kernels here never build that matrix: they pack one
 //! small tile of patch rows at a time into a per-thread scratch panel
-//! (`scnn_par::scratch`), run the same `dot8`/`dot8_x4` micro-kernels the
-//! GEMMs use against the weight matrix, and write results straight to
-//! their destination.
+//! (`scnn_par::scratch`), run the same micro-kernels the GEMMs use
+//! (`dot8` family forward, `gemm_acc` backward) against the weight matrix,
+//! and write results straight to their destination.
 //!
 //! **Bit-identity with the materialized path is a hard invariant**, not an
 //! approximation — it is what keeps seeded training goldens and the
@@ -19,13 +19,13 @@
 //!   on the shared dimension, exactly as in [`matmul_a_bt`](crate::matmul_a_bt).
 //! - `dw`: partial sums are blocked on the same `KC` boundaries as
 //!   [`matmul_at_b`](crate::matmul_at_b), accumulate with `p` ascending
-//!   (zero-skip on the `dy` factor included) inside each block, and fold
-//!   in ascending block order.
+//!   inside each block (one `gemm_acc` per packed sub-tile, `dy` read in
+//!   place), and fold in ascending block order.
 //! - `dx`: each patch-row gradient reduces over output channels in
-//!   ascending order with the same zero-skip as [`matmul`](crate::matmul),
-//!   then scatters in [`col2im_into`](crate::col2im_into)'s `(oy, ox, ky,
-//!   kx)` order, parallel per batch image only (`oy` windows overlap
-//!   inside an image).
+//!   ascending order exactly as [`matmul`](crate::matmul) does (one
+//!   `gemm_acc` per tile of positions), then scatters in
+//!   [`col2im_into`](crate::col2im_into)'s `(oy, ox, ky, kx)` order,
+//!   parallel per batch image only (`oy` windows overlap inside an image).
 //!
 //! The weight tensor `[oc, ic, kh, kw]` is row-major contiguous, so its
 //! natural layout *is* the `[oc, plen]` panel the micro-kernel wants —
@@ -34,7 +34,7 @@
 
 use crate::im2col::Conv2dGeometry;
 use crate::plan::{self, KernelPlan};
-use crate::simd::{add_assign, axpy, dot8, dot8_x4, dot8_x8};
+use crate::simd::{add_assign, dot8, dot8_x4, dot8_x8, gemm_acc};
 use crate::Tensor;
 use scnn_par::{scratch, DisjointMut};
 
@@ -129,6 +129,23 @@ pub fn min_micro_batch(g: &Conv2dGeometry, n: usize) -> usize {
 /// which is what makes `panel_bytes` a legal tuning knob.
 fn tile_rows(panel_bytes: usize, plen: usize, cap: usize) -> usize {
     (panel_bytes / 4 / plen.max(1)).clamp(1, cap.max(1))
+}
+
+/// Minimum output-channel rows per parallel range of a single-block `dw`
+/// fold (amortizes task-claim overhead; same role as the GEMMs' grain).
+const MIN_ROWS: usize = 8;
+
+/// Per-thread byte budget of the `dx` patch-gradient tile.
+const DX_TILE_BYTES: usize = 64 * 1024;
+
+/// Output positions per `dx` scratch tile: as many `plen`-float rows as
+/// [`DX_TILE_BYTES`] holds — rounded down to whole 4-row register tiles
+/// when at least one fits — at least 1, at most the image's `hw`. Tiles
+/// only batch independent patch rows; the scatter stays in position order.
+fn dx_tile_rows(plen: usize, hw: usize) -> usize {
+    let t = DX_TILE_BYTES / 4 / plen.max(1);
+    let t = if t >= 4 { t - t % 4 } else { t };
+    t.clamp(1, hw.max(1))
 }
 
 /// Packs the `im2col` row of output position `(b, oy, ox)` into `row`
@@ -332,10 +349,10 @@ pub(crate) fn conv2d_fwd_tiled_plan(
 /// Writes `[oc, plen]` into `dw`, overwriting every element. The shared
 /// dimension `k = n·oh·ow` is split on the same `KC` boundaries as
 /// [`matmul_at_b`](crate::matmul_at_b); each block packs sub-tiles of
-/// patch rows and `dy` rows into per-thread panels, accumulates its
-/// partial with `p` ascending (skipping zero `dy` factors, as the GEMM
-/// does), and the flat partial buffer folds in ascending block order —
-/// bit-identical to the materialized pipeline at every thread count.
+/// patch rows into a per-thread panel, accumulates its partial with `p`
+/// ascending (as the GEMM does), and the flat partial buffer folds in
+/// ascending block order — bit-identical to the materialized pipeline at
+/// every thread count.
 ///
 /// # Panics
 ///
@@ -409,7 +426,7 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
     let base = b0 * hw;
     let k = bn * hw;
     let kc = KernelPlan::reduction_kc();
-    let st = tile_rows(kp.panel_bytes, plen + oc, kc);
+    let st = tile_rows(kp.panel_bytes, plen, kc);
     if conv2d_dw_single_block(g, n) {
         // The whole batch is one sequential fold: accumulate straight into
         // `dw` (zeroed on `init`), with no partial-block scratch. The add
@@ -417,10 +434,13 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
         // full-batch bits are unchanged — and any chunk boundary continues
         // the fold exactly, which is what unlocks micro-batching the deep
         // small-map layers whose `oc·plen` partials dominate workspace.
+        // With no block axis to spread over threads, the fold runs over
+        // size-derived ranges of (independent) output channels instead.
         if init {
             dw.fill(0.0);
         }
-        fold_patch_rows(src, dyv, g, oc, st, base, base + k, dw);
+        let row_grain = scnn_par::grain(oc, MIN_ROWS);
+        fold_patch_rows(src, dyv, g, oc, st, base, base + k, dw, row_grain);
         return;
     }
     let nblocks = k.div_ceil(kc).max(1);
@@ -431,7 +451,7 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
             let part = unsafe { slots.range(bi * oc * plen, (bi + 1) * oc * plen) };
             let p0 = base + bi * kc;
             let p1 = (p0 + kc).min(base + k);
-            fold_patch_rows(src, dyv, g, oc, st, p0, p1, part);
+            fold_patch_rows(src, dyv, g, oc, st, p0, p1, part, oc);
         });
         let start = if init {
             dw.copy_from_slice(&partials[..oc * plen]);
@@ -449,6 +469,14 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
 /// `acc` (`[oc·plen]`), packing `st`-row panels: the strictly `p`-ascending
 /// add order shared by the blocked partials and the single-block direct
 /// path — panel boundaries affect only packing, never the fold sequence.
+///
+/// Each packed panel is one rank-`st` update `acc += dyᵀ · panel`. `dy` is
+/// read in place: inside one NCHW image, channel `r` at position `p` sits
+/// at `r·hw + p`, which is [`gemm_acc`]'s `(a_rs, a_ps) = (hw, 1)`; a panel
+/// spanning images splits into one call per image, which continues every
+/// element's chain unchanged. Output channels are independent, so the
+/// update runs over `row_grain`-channel ranges of `acc` — pass `oc` for a
+/// single inline range when the caller already parallelises over blocks.
 #[allow(clippy::too_many_arguments)]
 fn fold_patch_rows(
     src: &[f32],
@@ -459,35 +487,41 @@ fn fold_patch_rows(
     p0: usize,
     p1: usize,
     acc: &mut [f32],
+    row_grain: usize,
 ) {
     let (oh, ow) = (g.out_h(), g.out_w());
     let hw = oh * ow;
     let plen = g.patch_len();
     scratch::with_scratch(st * plen, |colpanel| {
-        scratch::with_scratch(st * oc, |dypanel| {
-            for q0 in (p0..p1).step_by(st) {
-                let q1 = (q0 + st).min(p1);
-                for (t, p) in (q0..q1).enumerate() {
-                    let (b, rem) = (p / hw, p % hw);
-                    let (oy, ox) = (rem / ow, rem % ow);
-                    pack_patch(src, g, b, oy, ox, &mut colpanel[t * plen..(t + 1) * plen]);
-                    let drow = &mut dypanel[t * oc..(t + 1) * oc];
-                    for (c, d) in drow.iter_mut().enumerate() {
-                        *d = dyv[((b * oc + c) * oh + oy) * ow + ox];
-                    }
-                }
-                for t in 0..q1 - q0 {
-                    let arow = &dypanel[t * oc..(t + 1) * oc];
-                    let crow = &colpanel[t * plen..(t + 1) * plen];
-                    for (i, &aa) in arow.iter().enumerate() {
-                        if aa == 0.0 {
-                            continue;
-                        }
-                        axpy(aa, crow, &mut acc[i * plen..(i + 1) * plen]);
-                    }
-                }
+        for q0 in (p0..p1).step_by(st) {
+            let q1 = (q0 + st).min(p1);
+            for (t, p) in (q0..q1).enumerate() {
+                let (b, rem) = (p / hw, p % hw);
+                pack_patch(src, g, b, rem / ow, rem % ow, &mut colpanel[t * plen..(t + 1) * plen]);
             }
-        });
+            let colpanel = &*colpanel;
+            scnn_par::par_chunks_mut(acc, row_grain * plen, |ci, rows| {
+                let c0 = ci * row_grain;
+                let mut q = q0;
+                while q < q1 {
+                    let (b, rem) = (q / hw, q % hw);
+                    let seg = (hw - rem).min(q1 - q);
+                    gemm_acc(
+                        rows.len() / plen,
+                        plen,
+                        seg,
+                        &dyv[(b * oc + c0) * hw + rem..],
+                        hw,
+                        1,
+                        &colpanel[(q - q0) * plen..],
+                        plen,
+                        rows,
+                        plen,
+                    );
+                    q += seg;
+                }
+            });
+        }
     });
 }
 
@@ -497,12 +531,13 @@ fn fold_patch_rows(
 /// Accumulates into `dst: [n, ic, full_h, full_w]` (zeroed by the caller),
 /// with the geometry's `in_h × in_w` window placed at `(off_h, off_w)` —
 /// the crop-offset contract of [`col2im_into`](crate::col2im_into). For
-/// each output position the patch-row gradient reduces over output
-/// channels in ascending order (zero-skip on the `dy` factor, as
-/// [`matmul`](crate::matmul) does) into a `plen` scratch row, then
-/// scatters in `(oy, ox, ky, kx)` order. Parallel over whole batch images
-/// only, so every destination element sees its contributions in the same
-/// order at every thread count.
+/// each tile of output positions the patch-row gradients reduce over
+/// output channels in ascending order (as [`matmul`](crate::matmul) does)
+/// into a zeroed `[positions, plen]` scratch tile — one [`gemm_acc`] with
+/// `dy` read in place, positions contiguous and channels `oh·ow` apart —
+/// then the rows scatter in `(oy, ox, ky, kx)` order. Parallel over whole
+/// batch images only, so every destination element sees its contributions
+/// in the same order at every thread count.
 ///
 /// # Panics
 ///
@@ -541,20 +576,29 @@ pub fn conv2d_dx_tiled(
     let dyv = dy.as_slice();
     let wv = w.as_slice();
     let plane = full_h * full_w;
+    let hw = oh * ow;
+    let tile = dx_tile_rows(plen, hw);
     scnn_par::par_chunks_mut(dst.as_mut_slice(), g.in_c * plane, |b, img| {
-        scratch::with_scratch(plen, |drow| {
-            for oy in 0..oh {
-                let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
-                for ox in 0..ow {
+        scratch::with_scratch(tile * plen, |drows| {
+            for t0 in (0..hw).step_by(tile) {
+                let drows = &mut drows[..tile.min(hw - t0) * plen];
+                drows.fill(0.0);
+                gemm_acc(
+                    drows.len() / plen,
+                    plen,
+                    oc,
+                    &dyv[b * oc * hw + t0..],
+                    1,
+                    hw,
+                    wv,
+                    plen,
+                    drows,
+                    plen,
+                );
+                for (t, drow) in drows.chunks_exact(plen).enumerate() {
+                    let (oy, ox) = ((t0 + t) / ow, (t0 + t) % ow);
+                    let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
                     let ix0 = ox as i64 * g.sw as i64 - g.pad.w_begin;
-                    drow.fill(0.0);
-                    for c in 0..oc {
-                        let aa = dyv[((b * oc + c) * oh + oy) * ow + ox];
-                        if aa == 0.0 {
-                            continue;
-                        }
-                        axpy(aa, &wv[c * plen..(c + 1) * plen], drow);
-                    }
                     // Interior positions add each kernel row as one
                     // contiguous run (same fast path as the pack).
                     let x_full = ix0 >= 0 && ix0 + g.kw as i64 <= w_in as i64;
@@ -569,7 +613,11 @@ pub fn conv2d_dx_tiled(
                             let q = (c * g.kh + ky) * g.kw;
                             if x_full {
                                 let d0 = cbase + iy * full_w + (ix0 as usize + off_w);
-                                add_assign(&mut img[d0..d0 + g.kw], &drow[q..q + g.kw]);
+                                // `kw` elements: too short a run to pay
+                                // for a dispatched `add_assign`.
+                                for (d, &v) in img[d0..d0 + g.kw].iter_mut().zip(&drow[q..q + g.kw]) {
+                                    *d += v;
+                                }
                                 continue;
                             }
                             for kx in 0..g.kw {
@@ -593,10 +641,11 @@ pub fn conv2d_dx_tiled(
 /// [`KernelPlan::reduction_kc`] — the same accessor the kernels block on,
 /// so the planner's model can never drift from the executed grid). A
 /// tuned plan cannot change this number: plans carrying any other `kc`
-/// are rejected at install. Per-thread pack panels are bounded by the
-/// plan's `panel_bytes` each and scale with the host's thread count, so
-/// the planner leaves them out of the per-layer term — this is the number
-/// `scnn-hmms` carries per conv node in its layouts.
+/// are rejected at install. Per-thread pack panels (bounded by the plan's
+/// `panel_bytes` each) and the `dx` gradient tile ([`DX_TILE_BYTES`] or
+/// one patch row) scale with the host's thread count, so the planner
+/// leaves them out of the per-layer term — this is the number `scnn-hmms`
+/// carries per conv node in its layouts.
 pub fn conv2d_workspace_bytes(g: &Conv2dGeometry, n: usize, oc: usize) -> usize {
     let k = n * g.patch_count();
     k.div_ceil(KernelPlan::reduction_kc()).max(1) * oc * g.patch_len() * 4

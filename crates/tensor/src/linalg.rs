@@ -18,7 +18,7 @@
 //!   the paper's split-vs-unsplit exactness argument (both graphs reduce
 //!   identical `k = c·kh·kw` patch rows).
 //!
-//! The floating-point inner loops themselves (`dot8` family, `axpy`,
+//! The floating-point inner loops themselves (`dot8` family, `gemm_acc`,
 //! `add_assign`) live in [`crate::simd`] and dispatch at runtime between
 //! scalar and AVX2 bodies with identical reduction order. Blocking
 //! parameters come from [`crate::plan`]: the shared-dimension block is
@@ -27,7 +27,7 @@
 //! column tile `nc` is a bit-free, per-shape tunable.
 
 use crate::plan::{self, KernelPlan};
-use crate::simd::{add_assign, axpy, dot8, dot8_x4, dot8_x8};
+use crate::simd::{add_assign, dot8, dot8_x4, dot8_x8, gemm_acc};
 use crate::Tensor;
 
 /// Minimum rows per parallel chunk (amortizes task-claim overhead).
@@ -88,28 +88,29 @@ pub(crate) fn matmul_into_plan(
         let i0 = ci * row_grain;
         let rows = ochunk.len() / n.max(1);
         // p ascends globally per output element (KC blocks in order, p in
-        // order within each), matching the naive ikj loop bit-for-bit.
-        // Skip column blocking when n barely exceeds the tile: a lone
-        // narrow tail block re-streams the A rows for little locality
-        // benefit. Block boundaries partition independent output elements,
-        // so the choice (a function of n and the plan only) cannot affect
-        // any element's value.
+        // order within each `gemm_acc`), matching the naive ikj loop
+        // bit-for-bit. Skip column blocking when n barely exceeds the
+        // tile: a lone narrow tail block re-streams the A rows for little
+        // locality benefit. Block boundaries partition independent output
+        // elements, so the choice (a function of n and the plan only)
+        // cannot affect any element's value.
         let nc = if n <= kp.nc + kp.nc / 2 { n.max(1) } else { kp.nc };
         for p0 in (0..k).step_by(kc) {
             let p1 = (p0 + kc).min(k);
             for j0 in (0..n).step_by(nc) {
                 let j1 = (j0 + nc).min(n);
-                for r in 0..rows {
-                    let arow = &av[(i0 + r) * k..(i0 + r) * k + k];
-                    let orow = &mut ochunk[r * n + j0..r * n + j1];
-                    for p in p0..p1 {
-                        let aip = arow[p];
-                        if aip == 0.0 {
-                            continue;
-                        }
-                        axpy(aip, &bv[p * n + j0..p * n + j1], orow);
-                    }
-                }
+                gemm_acc(
+                    rows,
+                    j1 - j0,
+                    p1 - p0,
+                    &av[i0 * k + p0..],
+                    k,
+                    1,
+                    &bv[p0 * n + j0..],
+                    n,
+                    &mut ochunk[j0..],
+                    n,
+                );
             }
         }
     });
@@ -182,16 +183,7 @@ pub fn matmul_at_b_acc_into(
             let part = unsafe { slots.range(bi * m * n, (bi + 1) * m * n) };
             let p0 = bi * kc;
             let p1 = (p0 + kc).min(k);
-            for p in p0..p1 {
-                let arow = &av[p * m..(p + 1) * m];
-                let brow = &bv[p * n..(p + 1) * n];
-                for (i, &aa) in arow.iter().enumerate() {
-                    if aa == 0.0 {
-                        continue;
-                    }
-                    axpy(aa, brow, &mut part[i * n..(i + 1) * n]);
-                }
-            }
+            gemm_acc(m, n, p1 - p0, &av[p0 * m..], 1, m, &bv[p0 * n..], n, part, n);
         });
         let start = if init {
             out.copy_from_slice(&partials[..m * n]);
@@ -213,7 +205,9 @@ pub fn matmul_at_b_acc_into(
 /// larger reductions get a plain sequential fold whose bits differ from
 /// the blocked kernels. Callers pick this form exactly when the logical
 /// total fits one block (see
-/// [`conv2d_dw_single_block`](crate::conv2d_dw_single_block)).
+/// [`conv2d_dw_single_block`](crate::conv2d_dw_single_block)). "Sequential"
+/// is the order along `k`: output rows are independent chains and fold
+/// in parallel over size-derived row ranges.
 ///
 /// # Panics
 ///
@@ -233,16 +227,11 @@ pub fn matmul_at_b_seq_into(
     if init {
         out.fill(0.0);
     }
-    for p in 0..k {
-        let arow = &av[p * m..(p + 1) * m];
-        let brow = &bv[p * n..(p + 1) * n];
-        for (i, &aa) in arow.iter().enumerate() {
-            if aa == 0.0 {
-                continue;
-            }
-            axpy(aa, brow, &mut out[i * n..(i + 1) * n]);
-        }
-    }
+    let row_grain = scnn_par::grain(m, MIN_ROWS);
+    scnn_par::par_chunks_mut(out, row_grain * n, |ci, ochunk| {
+        let rows = ochunk.len() / n.max(1);
+        gemm_acc(rows, n, k, &av[ci * row_grain..], 1, m, bv, n, ochunk, n);
+    });
 }
 
 /// `C = A · Bᵀ` for `A: [m, k]`, `B: [n, k]` — the `im2col`-GEMM used by

@@ -3,10 +3,11 @@
 //! Every floating-point inner loop in this crate funnels through the
 //! handful of primitives defined here: the blocked dot products
 //! ([`dot8`], [`dot8_x4`], [`dot8_x8`]) behind `matmul_a_bt` and the
-//! tiled conv engine's packed-panel sweep, and the elementwise
-//! accumulators ([`axpy`], [`add_assign`]) behind `matmul`,
-//! `matmul_at_b`, the `dw` fold and the `dx` scatter. Each primitive has
-//! two implementations:
+//! tiled conv engine's packed-panel sweep, the register-blocked rank-k
+//! update ([`gemm_acc`]) behind `matmul`, `matmul_at_b`, the conv `dw`
+//! fold and the `dx` channel reduction, and the elementwise accumulators
+//! ([`add_assign`] for block folds, [`axpy`]/[`axpy4`] for the Winograd
+//! transform domain). Each primitive has two implementations:
 //!
 //! - a **portable scalar** body, compiled for the baseline target — the
 //!   reference semantics; and
@@ -31,6 +32,10 @@
 //!   same fixed [`lane_sum`] tree.
 //! - [`axpy`]/[`add_assign`] are elementwise: each output element is one
 //!   mul-add (resp. one add) regardless of vector width.
+//! - [`gemm_acc`] is elementwise *per output element* too: element
+//!   `(r, j)` sees the chain `acc = acc + a[p, r]·b[p, j]` for `p`
+//!   ascending, whatever tile — 4×16 registers, a row/column edge, a
+//!   scalar array — happens to hold its accumulator.
 //! - **FMA contraction is deliberately not used.** `_mm256_fmadd_ps`
 //!   rounds once where `mul` + `add` round twice, which would break
 //!   bit-identity with the scalar body; the AVX2 kernels therefore issue
@@ -345,11 +350,11 @@ fn dot8_x8_scalar(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8] {
     out
 }
 
-/// `y[i] += alpha * x[i]` — the accumulation row of `matmul`,
-/// `matmul_at_b`, the conv `dw` fold and the `dx` weight reduction.
-/// Elementwise (each output element is exactly one mul and one add in
-/// both bodies), so any vector width produces identical bits; callers
-/// keep their zero-skip (`alpha == 0.0`) outside.
+/// `y[i] += alpha * x[i]` — the Winograd transform-domain channel tails
+/// and `dw` outer products (the direct GEMM/conv backward moved to
+/// [`gemm_acc`]). Elementwise (each output element is exactly one mul and
+/// one add in both bodies), so any vector width produces identical bits;
+/// callers keep their zero-skip (`alpha == 0.0`) outside.
 ///
 /// # Panics
 ///
@@ -368,8 +373,8 @@ pub(crate) fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// `y[i] += x[i]` — partial-block folds and the contiguous `dx` scatter
-/// runs. Elementwise, hence width-independent bits.
+/// `y[i] += x[i]` — the partial-block folds of `matmul_at_b` and the conv
+/// `dw`. Elementwise, hence width-independent bits.
 ///
 /// # Panics
 ///
@@ -475,13 +480,200 @@ fn axpy4_scalar(a: [f32; 4], xs: [&[f32]; 4], y: &mut [f32]) {
     }
 }
 
+/// Register tile of [`gemm_acc`]: `MR` output rows by `NR` columns, `NR`
+/// two AVX2 registers wide. 4×16 keeps eight accumulator registers live
+/// across the whole `p` loop and leaves room for the two `b` vectors and
+/// the `a` broadcast inside AVX2's sixteen.
+const MR: usize = 4;
+const NR: usize = 2 * LANES;
+
+/// Register-blocked rank-`k` update, the one inner loop of every direct
+/// backward kernel (`matmul`, `matmul_at_b`, the conv `dw` fold, the conv
+/// `dx` channel reduction):
+///
+/// `c[r·ldc + j] += Σ_p a[p·a_ps + r·a_rs] · b[p·ldb + j]` for `r < m`,
+/// `j < n`, `p < k`.
+///
+/// Each output element evaluates `acc = acc + a·b` with `p` strictly
+/// ascending and separate mul and add (never `fmadd`), starting from the
+/// value already in `c` — exactly the chain a `p`-outer sequence of
+/// [`axpy`] rows produced, so splitting `k` across consecutive calls, or
+/// `m`/`n` across callers, cannot change a bit. What the blocking buys is
+/// that a 4×16 tile of `c` stays in registers for all `k` steps instead
+/// of crossing L1 once per step. Edges run 4×8, 1×16 and 1×8 tiles and
+/// a scalar-column remainder; the tile an element lands in never alters
+/// its chain.
+///
+/// The `(a_rs, a_ps)` stride pair addresses `a` as stored — row-major
+/// (`k`, 1), transposed (1, `m`), or an NCHW gradient read in place
+/// (`oh·ow`, 1) / (1, `oh·ow`) — so no caller packs the left operand.
+///
+/// There is **no zero-skip**: a `0.0` factor is multiplied and added like
+/// any other. For finite operands that is the identity on bits — an
+/// accumulator that starts at `+0.0` (or at any sum of such chains) can
+/// never be `-0.0` under round-to-nearest, and `x + ±0.0 == x` — but a
+/// `0·inf` term now yields NaN where a skipping loop ignored it
+/// (DESIGN.md §14).
+///
+/// # Panics
+///
+/// Panics if `ldb < n`, `ldc < n`, or an operand is too short for the
+/// addressed extent (checked once, up front).
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_acc(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ps: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    assert!(ldb >= n && ldc >= n, "gemm_acc leading dimension below n");
+    assert!(
+        (k - 1) * a_ps + (m - 1) * a_rs < a.len(),
+        "gemm_acc lhs too short"
+    );
+    assert!((k - 1) * ldb + n <= b.len(), "gemm_acc rhs too short");
+    assert!((m - 1) * ldc + n <= c.len(), "gemm_acc out too short");
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2() {
+        // Safety: AVX2+FMA presence established; the asserts above bound
+        // every address the tiles form.
+        unsafe { avx2::gemm_acc(m, n, k, a, a_rs, a_ps, b, ldb, c, ldc) };
+        return;
+    }
+    gemm_acc_scalar(m, n, k, a, a_rs, a_ps, b, ldb, c, ldc);
+}
+
+/// Portable body of [`gemm_acc`]: the same tile walk over arrays of
+/// accumulators. Standalone (like [`dot8_x8_scalar`]) so the tiles keep
+/// their autovectorization out of the large conv closures.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_acc_scalar(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ps: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let mut j = 0;
+    while j + NR <= n {
+        strip_scalar::<NR>(m, k, a, a_rs, a_ps, &b[j..], ldb, &mut c[j..], ldc);
+        j += NR;
+    }
+    if j + LANES <= n {
+        strip_scalar::<LANES>(m, k, a, a_rs, a_ps, &b[j..], ldb, &mut c[j..], ldc);
+        j += LANES;
+    }
+    gemm_acc_cols(m, j, n, k, a, a_rs, a_ps, b, ldb, c, ldc);
+}
+
+/// One `W`-column strip of [`gemm_acc_scalar`] (`b` and `c` start at the
+/// strip's first column): 4-row tiles, then single rows.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn strip_scalar<const W: usize>(
+    m: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ps: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let mut r = 0;
+    while r + MR <= m {
+        tile_scalar::<MR, W>(k, &a[r * a_rs..], a_rs, a_ps, b, ldb, &mut c[r * ldc..], ldc);
+        r += MR;
+    }
+    while r < m {
+        tile_scalar::<1, W>(k, &a[r * a_rs..], a_rs, a_ps, b, ldb, &mut c[r * ldc..], ldc);
+        r += 1;
+    }
+}
+
+/// One `R`×`W` tile: the accumulators load from `c` once, take all `k`
+/// mul+add steps in the array, and store once. `a`, `b` and `c` start at
+/// the tile's first row / column / element.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile_scalar<const R: usize, const W: usize>(
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ps: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&c[r * ldc..r * ldc + W]);
+    }
+    for p in 0..k {
+        let bp = &b[p * ldb..p * ldb + W];
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = a[p * a_ps + r * a_rs];
+            for l in 0..W {
+                row[l] += av * bp[l];
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        c[r * ldc..r * ldc + W].copy_from_slice(row);
+    }
+}
+
+/// Columns `j0..n` of [`gemm_acc`] one element at a time — the `n mod 8`
+/// remainder both bodies share.
+#[allow(clippy::too_many_arguments)]
+fn gemm_acc_cols(
+    m: usize,
+    j0: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ps: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    for r in 0..m {
+        for j in j0..n {
+            let mut acc = c[r * ldc + j];
+            for p in 0..k {
+                acc += a[p * a_ps + r * a_rs] * b[p * ldb + j];
+            }
+            c[r * ldc + j] = acc;
+        }
+    }
+}
+
 /// The AVX2+FMA bodies. Every function here is `unsafe` with the same
 /// contract: the caller has verified AVX2+FMA support and equal slice
 /// lengths. Arithmetic is `mul` + `add` (never `fmadd`) — see the module
 /// docs for why FMA contraction would break the bit-identity contract.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{lane_sum, LANES};
+    use super::{gemm_acc_cols, lane_sum, LANES, MR, NR};
     use core::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps, _mm256_sub_ps,
@@ -665,6 +857,112 @@ mod avx2 {
         }
     }
 
+    /// AVX2 body of [`super::gemm_acc`]. The caller has bounds-checked
+    /// every `(r, p)` of `a`, `(p, j)` of `b` and `(r, j)` of `c`.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn gemm_acc(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        a_rs: usize,
+        a_ps: usize,
+        b: &[f32],
+        ldb: usize,
+        c: &mut [f32],
+        ldc: usize,
+    ) {
+        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        let mut j = 0;
+        // Column strip outer, row tile inner: the strip's `k`×16 slice of
+        // `b` stays in L1 while the rows of `a` stream past it.
+        unsafe {
+            while j + NR <= n {
+                strip::<2>(m, k, ap, a_rs, a_ps, bp.add(j), ldb, cp.add(j), ldc);
+                j += NR;
+            }
+            if j + LANES <= n {
+                strip::<1>(m, k, ap, a_rs, a_ps, bp.add(j), ldb, cp.add(j), ldc);
+                j += LANES;
+            }
+        }
+        gemm_acc_cols(m, j, n, k, a, a_rs, a_ps, b, ldb, c, ldc);
+    }
+
+    /// One `V`-register-wide column strip (`b` and `c` point at its first
+    /// column): 4-row tiles, then single rows.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn strip<const V: usize>(
+        m: usize,
+        k: usize,
+        a: *const f32,
+        a_rs: usize,
+        a_ps: usize,
+        b: *const f32,
+        ldb: usize,
+        c: *mut f32,
+        ldc: usize,
+    ) {
+        let mut r = 0;
+        unsafe {
+            while r + MR <= m {
+                tile::<MR, V>(k, a.add(r * a_rs), a_rs, a_ps, b, ldb, c.add(r * ldc), ldc);
+                r += MR;
+            }
+            while r < m {
+                tile::<1, V>(k, a.add(r * a_rs), a_rs, a_ps, b, ldb, c.add(r * ldc), ldc);
+                r += 1;
+            }
+        }
+    }
+
+    /// One `R`-row × `V`-register tile: the accumulators load from `c`
+    /// once, take all `k` mul+add steps in registers, and store once.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tile<const R: usize, const V: usize>(
+        k: usize,
+        a: *const f32,
+        a_rs: usize,
+        a_ps: usize,
+        b: *const f32,
+        ldb: usize,
+        c: *mut f32,
+        ldc: usize,
+    ) {
+        unsafe {
+            let mut acc = [[_mm256_setzero_ps(); V]; R];
+            for (r, row) in acc.iter_mut().enumerate() {
+                for (v, x) in row.iter_mut().enumerate() {
+                    *x = _mm256_loadu_ps(c.add(r * ldc + v * LANES));
+                }
+            }
+            for p in 0..k {
+                let brow = b.add(p * ldb);
+                let mut vb = [_mm256_setzero_ps(); V];
+                for (v, x) in vb.iter_mut().enumerate() {
+                    *x = _mm256_loadu_ps(brow.add(v * LANES));
+                }
+                let acol = a.add(p * a_ps);
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let va = _mm256_set1_ps(*acol.add(r * a_rs));
+                    for (x, &bv) in row.iter_mut().zip(&vb) {
+                        *x = _mm256_add_ps(*x, _mm256_mul_ps(va, bv));
+                    }
+                }
+            }
+            for (r, row) in acc.iter().enumerate() {
+                for (v, &x) in row.iter().enumerate() {
+                    _mm256_storeu_ps(c.add(r * ldc + v * LANES), x);
+                }
+            }
+        }
+    }
+
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn axpy4(a: [f32; 4], xs: [&[f32]; 4], y: &mut [f32]) {
         let n = y.len();
@@ -768,6 +1066,132 @@ mod tests {
                 y.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             });
         }
+    }
+
+    /// The loop [`gemm_acc`] replaced, kept as its oracle: `p`-outer rows
+    /// of [`axpy`], with the zero-skip the backward kernels carried.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_acc_axpy_oracle(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        a_rs: usize,
+        a_ps: usize,
+        b: &[f32],
+        ldb: usize,
+        c: &mut [f32],
+        ldc: usize,
+    ) {
+        for p in 0..k {
+            for r in 0..m {
+                let aa = a[p * a_ps + r * a_rs];
+                if aa == 0.0 {
+                    continue;
+                }
+                axpy(aa, &b[p * ldb..p * ldb + n], &mut c[r * ldc..r * ldc + n]);
+            }
+        }
+    }
+
+    /// Runs [`gemm_acc`] under every level and the oracle once; all bits
+    /// must agree. `a` is `[m, k]` laid out row-strided (`a_rs = k + 1`,
+    /// `a_ps = 1`) or column-strided (`a_rs = 1`, `a_ps = m + 2`).
+    fn assert_gemm_acc_matches_oracle(
+        (m, n, k): (usize, usize, usize),
+        row_major_a: bool,
+        a_of: impl Fn(usize, usize) -> f32,
+        c0: &[f32],
+        ldc: usize,
+    ) {
+        let (a_rs, a_ps) = if row_major_a { (k + 1, 1) } else { (1, m + 2) };
+        let mut a = vec![f32::NAN; m * a_rs + k * a_ps + 1];
+        for r in 0..m {
+            for p in 0..k {
+                a[p * a_ps + r * a_rs] = a_of(r, p);
+            }
+        }
+        let ldb = n + 5;
+        let b = fill(k * ldb + n, (m * 31 + n * 7 + k) as u32);
+        let mut want = c0.to_vec();
+        gemm_acc_axpy_oracle(m, n, k, &a, a_rs, a_ps, &b, ldb, &mut want, ldc);
+        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+        assert_levels_agree(|| {
+            let mut c = c0.to_vec();
+            gemm_acc(m, n, k, &a, a_rs, a_ps, &b, ldb, &mut c, ldc);
+            let got: Vec<u32> = c.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "m={m} n={n} k={k} row_major_a={row_major_a} ldc={ldc}");
+            got
+        });
+    }
+
+    #[test]
+    fn gemm_acc_matches_axpy_oracle_on_every_tile_edge() {
+        // Every m mod 4 and n mod 16 / mod 8 residue (with and without a
+        // full tile before the edge), k around the KC block, both `a`
+        // layouts, ldc == n and ldc > n. Elements of `c` between rows
+        // (ldc > n) must come back untouched — the bit compare covers
+        // them too.
+        for m in 1..=8 {
+            for n in 1..=33 {
+                for k in [0usize, 1, 255, 256, 257] {
+                    let ldc = if (m + n) % 3 == 0 { n } else { n + 3 };
+                    let av = fill(m * k, (m + 10 * n) as u32);
+                    let c0 = fill(m * ldc, (n + 100 * m) as u32);
+                    for row_major_a in [true, false] {
+                        assert_gemm_acc_matches_oracle((m, n, k), row_major_a, |r, p| av[r * k + p], &c0, ldc);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_acc_dropping_the_zero_skip_is_bit_neutral_for_finite_factors() {
+        // ReLU-style gradients: half the factors are zero (of either
+        // sign), the rest mix subnormals with ordinary values. Starting
+        // from `+0.0` the accumulator can never become `-0.0`, so adding
+        // the `±0.0` products the oracle skips changes no bit.
+        let sub = f32::from_bits(1); // smallest positive subnormal
+        let special = [0.0f32, -0.0, sub, -sub, f32::MIN_POSITIVE / 2.0, 0.0, -0.0, 0.0];
+        for (m, n, k) in [(4, 16, 64), (5, 27, 33), (9, 40, 130)] {
+            let av = fill(m * k, 77);
+            let a_of = |r: usize, p: usize| {
+                let i = r * k + p;
+                if i.is_multiple_of(2) {
+                    special[(i / 2) % special.len()]
+                } else {
+                    av[i]
+                }
+            };
+            let c0 = vec![0.0f32; m * n];
+            for row_major_a in [true, false] {
+                assert_gemm_acc_matches_oracle((m, n, k), row_major_a, a_of, &c0, n);
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_acc_multiplies_zero_by_non_finite() {
+        // The one observable change of dropping the skip: `0·inf` is NaN,
+        // where the skipping loop never looked at the `inf`.
+        assert_levels_agree(|| {
+            let mut c = [0.0f32; 1];
+            gemm_acc(1, 1, 1, &[0.0], 1, 1, &[f32::INFINITY], 1, &mut c, 1);
+            assert!(c[0].is_nan());
+            let mut skipped = [0.0f32; 1];
+            gemm_acc_axpy_oracle(1, 1, 1, &[0.0], 1, 1, &[f32::INFINITY], 1, &mut skipped, 1);
+            assert_eq!(skipped[0].to_bits(), 0);
+            c[0].is_nan()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_acc lhs too short")]
+    fn gemm_acc_checks_the_strided_extent_up_front() {
+        let mut c = [0.0f32; 8];
+        // a needs (k-1)·a_ps + (m-1)·a_rs + 1 = 2·4 + 1·1 + 1 = 10 floats.
+        gemm_acc(2, 4, 3, &[0.0; 9], 1, 4, &[0.0; 12], 4, &mut c, 4);
     }
 
     #[test]

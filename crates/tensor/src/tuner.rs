@@ -127,10 +127,11 @@ fn panel_candidates() -> Vec<KernelPlan> {
 /// [`panel_candidates`] widened downward with a {16, 32, 48} KiB slice.
 ///
 /// The small budgets exercise the dw pack *sub-tile height*: below
-/// ~64 KiB the per-block patch panel no longer covers a whole `KC` row
-/// block, so the pack height `st = panel/(4·(plen+oc))` becomes the
-/// active blocking knob (at the reference bench shape the full grid
-/// spans `st ∈ {23, 46, 69, 93, 186, KC, KC, KC}`). The axis is
+/// ~128 KiB the per-block patch panel no longer covers a whole `KC` row
+/// block, so the pack height `st = panel/(4·plen)` — the `k` of each
+/// `gemm_acc` update — becomes the active blocking knob (at the
+/// reference bench shape the full grid spans `st ∈ {28, 56, 85, 113,
+/// 227, KC, KC, KC}`). The axis is
 /// *grid-only*: candidates still differ in `panel_bytes` alone — no new
 /// plan field, every candidate bit-identical. The winograd forward uses
 /// the same grid to size its tile-batch staging, where small budgets map

@@ -10,6 +10,7 @@
 //! that installed `KernelPlan`s — which may only vary bit-free blocking —
 //! cannot change any output bit.
 
+use scnn_tensor::simd::gemm_acc;
 use scnn_tensor::{
     conv2d_dw_tiled, conv2d_dx_tiled, conv2d_fwd_tiled, detected_level, force_level, install_plan,
     matmul_a_bt_into, matmul_at_b_acc_into, matmul_at_b_seq_into, matmul_into, Conv2dGeometry,
@@ -29,8 +30,8 @@ fn fill(dims: &[usize], seed: u32) -> Tensor {
 }
 
 /// Runs `f` under forced scalar and (when the host has it) forced AVX2,
-/// at `SCNN_THREADS` 1 and 4, and asserts every result's bits agree with
-/// the scalar single-thread reference. Restores auto dispatch afterwards.
+/// at `SCNN_THREADS` 1, 2, 4 and 7, and asserts every result's bits agree
+/// with the scalar single-thread reference. Restores auto dispatch afterwards.
 fn assert_bit_identical_across_levels_and_threads(label: &str, f: impl Fn() -> Vec<f32>) {
     force_level(Some(SimdLevel::Scalar));
     let reference: Vec<u32> = scnn_par::with_threads(1, &f)
@@ -43,7 +44,7 @@ fn assert_bit_identical_across_levels_and_threads(label: &str, f: impl Fn() -> V
     }
     for level in levels {
         force_level(Some(level));
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 4, 7] {
             let got: Vec<u32> = scnn_par::with_threads(threads, &f)
                 .iter()
                 .map(|v| v.to_bits())
@@ -89,6 +90,42 @@ fn gemm_variants_are_bit_identical_across_isa_and_threads() {
             matmul_a_bt_into(a.as_slice(), bnk.as_slice(), m, k, n, &mut out);
             out
         });
+    }
+}
+
+#[test]
+fn gemm_acc_is_bit_identical_across_isa_for_both_lhs_layouts() {
+    // The rank-k update behind every backward kernel, called directly:
+    // register-tile edges in both dimensions (m mod 4, n mod 16 / mod 8),
+    // a reduction longer than one KC block, `a` row-strided and
+    // column-strided, and an output wider than the update (ldc > n) whose
+    // padding must come back untouched. The naive chain — `p` ascending,
+    // one mul and one add per step — is the reference.
+    for &(m, n, k) in &[(1, 1, 1), (4, 16, 8), (7, 29, 40), (13, 43, 300), (9, 64, 257)] {
+        for a_row_strided in [true, false] {
+            let (a_rs, a_ps) = if a_row_strided { (k + 3, 1) } else { (1, m + 1) };
+            let a = fill(&[m * a_rs + k * a_ps], (m * 100 + k) as u32);
+            let (ldb, ldc) = (n + 2, n + 5);
+            let b = fill(&[k * ldb], (k * 100 + n) as u32);
+            let c0 = fill(&[m * ldc], (m + n + k) as u32);
+            let (a, b) = (a.as_slice(), b.as_slice());
+            let mut want = c0.as_slice().to_vec();
+            for r in 0..m {
+                for j in 0..n {
+                    for p in 0..k {
+                        want[r * ldc + j] += a[p * a_ps + r * a_rs] * b[p * ldb + j];
+                    }
+                }
+            }
+            let label = format!("gemm_acc {m}x{n}x{k} a_row_strided={a_row_strided}");
+            assert_bit_identical_across_levels_and_threads(&label, || {
+                let mut c = c0.as_slice().to_vec();
+                gemm_acc(m, n, k, a, a_rs, a_ps, b, ldb, &mut c, ldc);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&c), bits(&want), "{label} differs from the naive chain");
+                c
+            });
+        }
     }
 }
 
