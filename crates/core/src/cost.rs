@@ -226,11 +226,9 @@ pub fn split_cost(graph: &Graph, ws: &[usize]) -> SplitCost {
     // Storage id per node under the runtime's aliasing rules.
     let mut storage = vec![0usize; nodes.len()];
     for node in nodes {
-        storage[node.id.0] = match &node.op {
-            Op::Flatten => storage[node.inputs[0].0],
-            Op::Relu if consumers[node.inputs[0].0].len() == 1 => storage[node.inputs[0].0],
-            _ => node.id.0,
-        };
+        storage[node.id.0] = node
+            .storage_alias(&consumers, true)
+            .map_or(node.id.0, |input| storage[input.0]);
     }
 
     // Remaining forward reads per storage; a storage is freed after its

@@ -87,6 +87,21 @@ impl Node {
     pub fn out_bytes(&self) -> usize {
         self.out_elems() * 4
     }
+
+    /// The input whose storage this node's output shares instead of owning
+    /// a buffer, if any — the one aliasing rule the planner
+    /// (`scnn_hmms::TsoAssignment`) and the split cost model
+    /// (`scnn_core::cost`) must agree on for planned == measured. Flatten
+    /// is a metadata-only reshape and always aliases; an
+    /// [in-place-capable](Op::is_inplace_capable) op aliases when `inplace`
+    /// is allowed and it is the input's sole consumer (the reference
+    /// counter of §4.2). `consumers` is [`Graph::consumers`].
+    pub fn storage_alias(&self, consumers: &[Vec<NodeId>], inplace: bool) -> Option<NodeId> {
+        let input = *self.inputs.first()?;
+        let shares = matches!(self.op, Op::Flatten)
+            || (inplace && self.op.is_inplace_capable() && consumers[input.0].len() == 1);
+        shares.then_some(input)
+    }
 }
 
 /// A directed acyclic computation graph (§4's `G = (N, E)`), built

@@ -88,20 +88,9 @@ impl TsoAssignment {
         // --- activations (forward order) --------------------------------
         let mut activation: Vec<TsoId> = Vec::with_capacity(n);
         for node in graph.nodes() {
-            let tso = match &node.op {
-                // Flatten is a metadata-only reshape: always aliases.
-                Op::Flatten => activation[node.inputs[0].0],
-                Op::Relu if opts.inplace_relu => {
-                    let input = node.inputs[0];
-                    // Legal only when this ReLU is the input's sole
-                    // consumer (reference counter of §4.2).
-                    if consumers[input.0].len() == 1 {
-                        activation[input.0]
-                    } else {
-                        fresh(node.out_bytes(), TsoRole::Activation(node.id))
-                    }
-                }
-                _ => fresh(node.out_bytes(), TsoRole::Activation(node.id)),
+            let tso = match node.storage_alias(&consumers, opts.inplace_relu) {
+                Some(input) => activation[input.0],
+                None => fresh(node.out_bytes(), TsoRole::Activation(node.id)),
             };
             activation.push(tso);
         }

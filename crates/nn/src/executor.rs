@@ -55,21 +55,69 @@ enum Aux {
     Probs(Tensor),
 }
 
-/// Side effects a node's forward pass would have performed in serial
-/// execution. Segments run concurrently and side-effect-free; the executor
-/// replays these in node-id order after each wave, so state mutations land
-/// in exactly the order the old sequential loop produced.
-enum Deferred {
-    None,
+/// A side effect a node's forward pass would have performed in serial
+/// execution. Work units run concurrently and side-effect-free; the caller
+/// of [`Executor::forward_wave`] replays these in `(slot, node)` order, so
+/// state mutations land exactly as a sequential loop would produce them.
+#[derive(Debug)]
+pub enum Deferred {
     /// BN running-statistics momentum update (train mode).
     BnRunning {
+        /// The BN node's scale parameter (keys the running statistics).
         gamma: ParamId,
+        /// Channel count.
         channels: usize,
+        /// Batch mean per channel.
         mean: Vec<f32>,
+        /// Batch variance per channel.
         var: Vec<f32>,
     },
     /// Loss and accuracy from the graph's loss node.
     Result(BatchResult),
+}
+
+/// One node's forward product: `(node id, output, saved aux, side effect)`.
+type Landed = (usize, Tensor, Aux, Option<Deferred>);
+
+/// What every work unit of a forward pass reads and none writes.
+pub struct ForwardCtx<'a> {
+    /// The graph being executed.
+    pub graph: &'a Graph,
+    /// Its wave schedule; units name segments of this schedule.
+    pub schedule: &'a Schedule,
+    /// Parameter values.
+    pub params: &'a ParamStore,
+    /// BN running statistics (read in [`Mode::Eval`]).
+    pub bn: &'a BnState,
+    /// Train or eval semantics for BN and dropout.
+    pub mode: Mode,
+    /// Labels for the loss node; `None` (serving) makes it a zero stub.
+    pub labels: Option<&'a [usize]>,
+}
+
+/// One independent pass in flight — a training step's mini-batch, or one
+/// request of a serving batch: its input and its activation table.
+pub struct Slot<'a> {
+    images: &'a Tensor,
+    /// Node outputs by node id: the table the slot's [`BufferProvider`]
+    /// hooks see and may drop entries from.
+    pub outputs: Vec<Option<Tensor>>,
+    /// Train-mode state, empty otherwise: pre-drawn dropout masks, and
+    /// what the forward pass saves for backward.
+    drop_masks: Vec<Option<Tensor>>,
+    aux: Vec<Aux>,
+}
+
+impl<'a> Slot<'a> {
+    /// An empty slot that will feed `images` to a graph of `n_nodes` nodes.
+    pub fn new(images: &'a Tensor, n_nodes: usize) -> Self {
+        Slot {
+            images,
+            outputs: vec![None; n_nodes],
+            drop_masks: Vec::new(),
+            aux: Vec::new(),
+        }
+    }
 }
 
 /// Executes [`Graph`]s with real tensors.
@@ -191,66 +239,38 @@ impl Executor {
     ) -> BatchResult {
         let n_nodes = graph.len();
         provider.begin_step(n_nodes);
+        // Built per call: stochastic Split-CNN re-lowers the graph every
+        // mini-batch (§3.3), so no caller holds a schedule to pass.
         let schedule = Schedule::build(graph);
 
+        let mut slot = Slot::new(images, n_nodes);
         // Pre-draw dropout masks serially, in node-id order: the RNG stream
         // is then identical to the old inline draws no matter how segments
         // are later interleaved.
-        let mut drop_masks: Vec<Option<Tensor>> = vec![None; n_nodes];
         if mode == Mode::Train {
+            slot.drop_masks = vec![None; n_nodes];
+            slot.aux = (0..n_nodes).map(|_| Aux::None).collect();
             for node in graph.nodes() {
                 if let Op::Dropout { p } = &node.op {
-                    drop_masks[node.id.0] = Some(dropout_mask(&node.out_shape, *p, rng));
+                    slot.drop_masks[node.id.0] = Some(dropout_mask(&node.out_shape, *p, rng));
                 }
             }
         }
 
-        let mut outputs: Vec<Option<Tensor>> = vec![None; n_nodes];
-        let mut aux: Vec<Aux> = (0..n_nodes).map(|_| Aux::None).collect();
+        // The one-slot caller of the wave step.
+        let mut slots = [slot];
         let mut result = None;
-        for wave in &schedule.waves {
-            // Immutable reborrows the parallel closure can capture.
-            let (params_ref, bn_ref, outputs_ref, masks_ref) =
-                (&*params, &*bn, &outputs, &drop_masks);
-            let run_seg = |si: usize| {
-                self.run_segment(
-                    &schedule.segments[wave[si]],
-                    graph,
-                    params_ref,
-                    bn_ref,
-                    images,
-                    labels,
-                    mode,
-                    masks_ref,
-                    outputs_ref,
-                )
+        for units in &schedule.interleave(1).waves {
+            let ctx = ForwardCtx {
+                graph,
+                schedule: &schedule,
+                params,
+                bn,
+                mode,
+                labels: Some(labels),
             };
-            // Single-segment waves run inline so the kernels' own data
-            // parallelism keeps the whole pool; multi-segment waves trade
-            // that for branch-level concurrency.
-            let produced = if wave.len() == 1 {
-                vec![run_seg(0)]
-            } else {
-                scnn_par::parallel_map(wave.len(), run_seg)
-            };
-
-            // Scatter outputs, then replay side effects in node-id order.
-            let mut deferred: Vec<(usize, Deferred)> = Vec::new();
-            let mut completed: Vec<usize> = Vec::new();
-            for seg in produced {
-                for (id, out, a, d) in seg {
-                    outputs[id] = Some(provider.adopt(id, out));
-                    aux[id] = a;
-                    completed.push(id);
-                    if !matches!(d, Deferred::None) {
-                        deferred.push((id, d));
-                    }
-                }
-            }
-            deferred.sort_by_key(|(id, _)| *id);
-            for (_, d) in deferred {
+            for d in self.forward_wave(&ctx, units, &mut slots, &mut [&mut *provider]) {
                 match d {
-                    Deferred::None => {}
                     Deferred::BnRunning {
                         gamma,
                         channels,
@@ -263,16 +283,10 @@ impl Executor {
                     Deferred::Result(r) => result = Some(r),
                 }
             }
-            // Lifetime hooks fire only after the whole wave landed, in
-            // ascending node order — a deterministic linearization no
-            // matter how segments were interleaved.
-            completed.sort_unstable();
-            for id in completed {
-                provider.forward_complete(id, &mut outputs);
-            }
         }
         let result = result.expect("graph has no SoftmaxCrossEntropy loss node");
 
+        let [Slot { mut outputs, aux, .. }] = slots;
         if mode == Mode::Train {
             self.backward(graph, params, labels, &mut outputs, &aux, provider);
         }
@@ -280,127 +294,124 @@ impl Executor {
         result
     }
 
-    /// Runs one segment's nodes in order, reading cross-segment inputs from
-    /// `outputs` (completed in earlier waves) and in-segment inputs from
-    /// the local results. Returns `(node id, output, aux, deferred)` per
-    /// node; mutations of shared state are returned, never performed.
-    #[allow(clippy::too_many_arguments)]
-    fn run_segment(
+    /// One wave of a forward pass over `slots.len() ≥ 1` independent
+    /// slots: the step a training step (`run_with`, one slot) and a serving
+    /// batch (one slot per request) share. `units` are the wave's
+    /// `(slot, segment)` pairs ([`Schedule::interleave`]); `providers[s]`
+    /// manages slot `s`'s storage.
+    ///
+    /// Units run side-effect-free — inline when there is one, so the
+    /// kernels' own data parallelism keeps the whole pool, as sibling
+    /// `scnn-par` tasks otherwise. Outputs are then adopted in unit order,
+    /// and lifetime hooks fire only after the whole wave landed, in
+    /// ascending `(slot, node)` order — a deterministic linearization no
+    /// matter how units interleaved. Returns the wave's deferred side
+    /// effects in that same order.
+    pub fn forward_wave<'p>(
         &self,
-        segment: &[usize],
-        graph: &Graph,
-        params: &ParamStore,
-        bn: &BnState,
-        images: &Tensor,
-        labels: &[usize],
-        mode: Mode,
-        drop_masks: &[Option<Tensor>],
-        outputs: &[Option<Tensor>],
-    ) -> Vec<(usize, Tensor, Aux, Deferred)> {
-        let mut local: Vec<(usize, Tensor, Aux, Deferred)> = Vec::with_capacity(segment.len());
-        for &id in segment {
-            let node = graph.node(NodeId(id));
-            let (out, a, d) = self.forward_node(
-                node, graph, params, bn, images, labels, mode, drop_masks, outputs, &local,
-            );
-            local.push((id, out, a, d));
+        ctx: &ForwardCtx<'_>,
+        units: &[(usize, usize)],
+        slots: &mut [Slot<'_>],
+        providers: &mut [&mut (dyn BufferProvider + 'p)],
+    ) -> Vec<Deferred> {
+        let produced = {
+            let slots = &*slots;
+            // A unit runs its segment in order: cross-segment inputs come
+            // from `outputs` (earlier waves), in-segment ones from `local`.
+            let run_unit = |ui: usize| {
+                let (s, seg) = units[ui];
+                let segment = &ctx.schedule.segments[seg];
+                let mut local: Vec<Landed> = Vec::with_capacity(segment.len());
+                for &id in segment {
+                    let node = ctx.graph.node(NodeId(id));
+                    let (out, a, d) = self.forward_node(ctx, &slots[s], node, &local);
+                    local.push((id, out, a, d));
+                }
+                local
+            };
+            if units.len() == 1 {
+                vec![run_unit(0)]
+            } else {
+                scnn_par::parallel_map(units.len(), run_unit)
+            }
+        };
+
+        let mut landed: Vec<(usize, usize)> = Vec::new();
+        let mut deferred: Vec<(usize, usize, Deferred)> = Vec::new();
+        for (&(s, _), unit) in units.iter().zip(produced) {
+            for (id, out, a, d) in unit {
+                slots[s].outputs[id] = Some(providers[s].adopt(id, out));
+                if ctx.mode == Mode::Train {
+                    slots[s].aux[id] = a;
+                }
+                landed.push((s, id));
+                deferred.extend(d.map(|d| (s, id, d)));
+            }
         }
-        local
+        landed.sort_unstable();
+        for (s, id) in landed {
+            providers[s].forward_complete(id, &mut slots[s].outputs);
+        }
+        deferred.sort_unstable_by_key(|&(s, id, _)| (s, id));
+        deferred.into_iter().map(|(_, _, d)| d).collect()
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The forward kernel dispatch: what `node` computes, in either mode.
+    /// Unscheduled conv nodes pass `algo = None`, deferring to
+    /// `SCNN_CONV_ALGO` — whose opt-in `winograd` trades bitwise for
+    /// epsilon agreement (DESIGN.md §16); `auto` never selects it.
     fn forward_node(
         &self,
+        ctx: &ForwardCtx<'_>,
+        slot: &Slot<'_>,
         node: &Node,
-        _graph: &Graph,
-        params: &ParamStore,
-        bn: &BnState,
-        images: &Tensor,
-        labels: &[usize],
-        mode: Mode,
-        drop_masks: &[Option<Tensor>],
-        outputs: &[Option<Tensor>],
-        local: &[(usize, Tensor, Aux, Deferred)],
-    ) -> (Tensor, Aux, Deferred) {
-        fn resolve<'a>(
-            outputs: &'a [Option<Tensor>],
-            local: &'a [(usize, Tensor, Aux, Deferred)],
-            id: usize,
-        ) -> &'a Tensor {
+        local: &[Landed],
+    ) -> (Tensor, Aux, Option<Deferred>) {
+        let input = |i: usize| -> &Tensor {
+            let id = node.inputs[i].0;
             local
                 .iter()
                 .rev()
                 .find(|(lid, ..)| *lid == id)
                 .map(|(_, t, ..)| t)
-                .or_else(|| outputs[id].as_ref())
+                .or_else(|| slot.outputs[id].as_ref())
                 .expect("schedule guarantees inputs are computed")
-        }
-        let input = |i: usize| resolve(outputs, local, node.inputs[i].0);
+        };
+        let params = ctx.params;
+        let plain = |y: Tensor| (y, Aux::None, None);
         match &node.op {
             Op::Input { shape } => {
                 assert_eq!(
-                    images.shape().dims(),
+                    slot.images.shape().dims(),
                     shape.as_slice(),
                     "batch shape {:?} does not match graph input {shape:?}",
-                    images.shape().dims()
+                    slot.images.shape().dims()
                 );
-                (images.clone(), Aux::None, Deferred::None)
+                plain(slot.images.clone())
             }
-            Op::Conv2d {
-                kh,
-                kw,
-                sh,
-                sw,
-                pad,
-                weight,
-                bias,
-                ..
-            } => {
-                let attrs = ConvAttrs {
-                    kh: *kh,
-                    kw: *kw,
-                    sh: *sh,
-                    sw: *sw,
-                    pad: *pad,
-                };
+            Op::Conv2d { weight, bias, .. } => {
                 let w = params.value(*weight);
                 let b = bias.map(|id| params.value(id));
                 let (u, algo) = self.conv_choice(node.id);
-                let y = conv2d_forward_micro(input(0), w, b, &attrs, algo, u);
-                (y, Aux::None, Deferred::None)
+                plain(conv2d_forward_micro(input(0), w, b, &ConvAttrs::from_op(&node.op), algo, u))
             }
-            Op::Pool2d {
-                kind,
-                kh,
-                kw,
-                sh,
-                sw,
-                pad,
-            } => {
-                let attrs = PoolAttrs {
-                    kh: *kh,
-                    kw: *kw,
-                    sh: *sh,
-                    sw: *sw,
-                    pad: *pad,
-                };
+            Op::Pool2d { kind, .. } => {
+                let attrs = PoolAttrs::from_op(&node.op);
                 match kind {
                     PoolKind::Max => {
                         let (y, mask) = max_pool_forward(input(0), &attrs);
-                        (y, Aux::MaxMask(mask), Deferred::None)
+                        (y, Aux::MaxMask(mask), None)
                     }
-                    PoolKind::Avg => {
-                        (avg_pool_forward(input(0), &attrs), Aux::None, Deferred::None)
-                    }
+                    PoolKind::Avg => plain(avg_pool_forward(input(0), &attrs)),
                 }
             }
-            Op::GlobalAvgPool => (global_avg_pool_forward(input(0)), Aux::None, Deferred::None),
+            Op::GlobalAvgPool => plain(global_avg_pool_forward(input(0))),
             Op::BatchNorm { gamma, beta, .. } => {
                 let x = input(0);
                 let c = x.dim(1);
                 let gv = params.value(*gamma);
                 let bv = params.value(*beta);
-                match mode {
+                match ctx.mode {
                     Mode::Train => {
                         // Side-effect-free forward; the running-stat update
                         // is replayed after the wave in node-id order.
@@ -409,28 +420,24 @@ impl Executor {
                         (
                             y,
                             Aux::Bn(saved),
-                            Deferred::BnRunning {
+                            Some(Deferred::BnRunning {
                                 gamma: *gamma,
                                 channels: c,
                                 mean,
                                 var,
-                            },
+                            }),
                         )
                     }
                     Mode::Eval => {
-                        let (rm, rv) = bn.get(*gamma, c);
-                        (
-                            batch_norm_inference(x, gv, bv, &rm, &rv),
-                            Aux::None,
-                            Deferred::None,
-                        )
+                        let (rm, rv) = ctx.bn.get(*gamma, c);
+                        plain(batch_norm_inference(x, gv, bv, &rm, &rv))
                     }
                 }
             }
-            Op::Relu => (relu_forward(input(0)), Aux::None, Deferred::None),
-            Op::Dropout { p } => match mode {
+            Op::Relu => plain(relu_forward(input(0))),
+            Op::Dropout { p } => match ctx.mode {
                 Mode::Train => {
-                    let mask = drop_masks[node.id.0]
+                    let mask = slot.drop_masks[node.id.0]
                         .as_ref()
                         .expect("dropout masks pre-drawn in train mode")
                         .clone();
@@ -439,48 +446,49 @@ impl Executor {
                     } else {
                         input(0).mul(&mask)
                     };
-                    (y, Aux::DropMask(mask), Deferred::None)
+                    (y, Aux::DropMask(mask), None)
                 }
-                Mode::Eval => (input(0).clone(), Aux::None, Deferred::None),
+                Mode::Eval => plain(input(0).clone()),
             },
             Op::Linear { weight, bias, .. } => {
-                let w = params.value(*weight);
-                let b = params.value(*bias);
-                (linear_forward(input(0), w, b), Aux::None, Deferred::None)
+                plain(linear_forward(input(0), params.value(*weight), params.value(*bias)))
             }
             Op::Add => {
                 let mut acc = input(0).clone();
                 for i in 1..node.inputs.len() {
                     acc.add_assign(input(i));
                 }
-                (acc, Aux::None, Deferred::None)
+                plain(acc)
             }
             Op::Concat { dim } => {
                 let parts: Vec<&Tensor> = (0..node.inputs.len()).map(input).collect();
-                (Tensor::concat(&parts, *dim), Aux::None, Deferred::None)
+                plain(Tensor::concat(&parts, *dim))
             }
-            Op::Slice { dim, start, len } => {
-                (input(0).slice_dim(*dim, *start, *len), Aux::None, Deferred::None)
-            }
+            Op::Slice { dim, start, len } => plain(input(0).slice_dim(*dim, *start, *len)),
             Op::Flatten => {
                 let x = input(0);
                 let n = x.dim(0);
                 let rest: usize = x.shape().dims()[1..].iter().product();
-                (x.clone().reshape(&[n, rest]), Aux::None, Deferred::None)
+                plain(x.clone().reshape(&[n, rest]))
             }
-            Op::SoftmaxCrossEntropy => {
-                let out = softmax_cross_entropy_forward(input(0), labels);
-                let result = BatchResult {
-                    loss: out.loss,
-                    correct: out.correct,
-                    n: labels.len(),
-                };
-                (
-                    Tensor::from_vec(vec![out.loss], &[1]),
-                    Aux::Probs(out.probs),
-                    Deferred::Result(result),
-                )
-            }
+            Op::SoftmaxCrossEntropy => match ctx.labels {
+                Some(labels) => {
+                    let out = softmax_cross_entropy_forward(input(0), labels);
+                    let result = BatchResult {
+                        loss: out.loss,
+                        correct: out.correct,
+                        n: labels.len(),
+                    };
+                    (
+                        Tensor::from_vec(vec![out.loss], &[1]),
+                        Aux::Probs(out.probs),
+                        Some(Deferred::Result(result)),
+                    )
+                }
+                // The node's planned TSO still allocates and frees; only
+                // the value is a stub.
+                None => plain(Tensor::zeros(&node.out_shape)),
+            },
         }
     }
 
@@ -543,23 +551,7 @@ impl Executor {
                     let d = softmax_cross_entropy_backward(probs, labels);
                     push(grads, node.inputs[0], d);
                 }
-                Op::Conv2d {
-                    kh,
-                    kw,
-                    sh,
-                    sw,
-                    pad,
-                    weight,
-                    bias,
-                    ..
-                } => {
-                    let attrs = ConvAttrs {
-                        kh: *kh,
-                        kw: *kw,
-                        sh: *sh,
-                        sw: *sw,
-                        pad: *pad,
-                    };
+                Op::Conv2d { weight, bias, .. } => {
                     let dy = grads[node.id.0].take().expect("conv has grad");
                     let x = out(node.inputs[0]);
                     let (u, algo) = self.conv_choice(node.id);
@@ -568,7 +560,7 @@ impl Executor {
                         params.value(*weight),
                         bias.is_some(),
                         &dy,
-                        &attrs,
+                        &ConvAttrs::from_op(&node.op),
                         algo,
                         u,
                     );
@@ -578,21 +570,8 @@ impl Executor {
                     }
                     push(grads, node.inputs[0], g.dx);
                 }
-                Op::Pool2d {
-                    kind,
-                    kh,
-                    kw,
-                    sh,
-                    sw,
-                    pad,
-                } => {
-                    let attrs = PoolAttrs {
-                        kh: *kh,
-                        kw: *kw,
-                        sh: *sh,
-                        sw: *sw,
-                        pad: *pad,
-                    };
+                Op::Pool2d { kind, .. } => {
+                    let attrs = PoolAttrs::from_op(&node.op);
                     let dy = grads[node.id.0].take().expect("pool has grad");
                     let dx = match kind {
                         PoolKind::Max => {

@@ -26,6 +26,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use scnn_graph::Op;
 use scnn_tensor::{
     col2im_cols_range_into, conv2d_dw_single_block, conv2d_dw_tiled_acc, conv2d_dw_winograd_acc,
     conv2d_dx_tiled, conv2d_dx_winograd, conv2d_fwd_tiled, conv2d_fwd_winograd,
@@ -90,6 +91,20 @@ pub struct ConvAttrs {
     pub sw: usize,
     /// Per-side padding; negative components crop.
     pub pad: Padding2d,
+}
+
+impl ConvAttrs {
+    /// The attributes of an [`Op::Conv2d`] node.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `op` is any other op.
+    pub fn from_op(op: &Op) -> Self {
+        match *op {
+            Op::Conv2d { kh, kw, sh, sw, pad, .. } => ConvAttrs { kh, kw, sh, sw, pad },
+            _ => panic!("{} is not a convolution", op.kind_name()),
+        }
+    }
 }
 
 /// Gradients produced by [`conv2d_backward`].

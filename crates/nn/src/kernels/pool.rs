@@ -1,6 +1,7 @@
 //! Max/average/global-average pooling with asymmetric (and negative)
 //! padding.
 
+use scnn_graph::Op;
 use scnn_tensor::{Padding2d, Tensor};
 
 use super::split_padding;
@@ -18,6 +19,20 @@ pub struct PoolAttrs {
     pub sw: usize,
     /// Per-side padding; negative components crop.
     pub pad: Padding2d,
+}
+
+impl PoolAttrs {
+    /// The attributes of an [`Op::Pool2d`] node.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `op` is any other op.
+    pub fn from_op(op: &Op) -> Self {
+        match *op {
+            Op::Pool2d { kh, kw, sh, sw, pad, .. } => PoolAttrs { kh, kw, sh, sw, pad },
+            _ => panic!("{} is not a pooling op", op.kind_name()),
+        }
+    }
 }
 
 struct PoolGeom {

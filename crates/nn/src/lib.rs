@@ -26,7 +26,7 @@ pub mod provider;
 pub mod schedule;
 pub mod train;
 
-pub use executor::{BatchResult, Executor, Mode};
+pub use executor::{BatchResult, Deferred, Executor, ForwardCtx, Mode, Slot};
 pub use provider::{BufferProvider, VecProvider};
 pub use schedule::{InterleavedSchedule, Schedule};
 pub use optim::{MultiStepLr, Sgd};

@@ -28,6 +28,10 @@
 //!    the execution tape's backward order.
 //! 5. [`end_step`](BufferProvider::end_step) — once, after everything.
 //!
+//! A direct caller of [`Executor::forward_wave`](crate::Executor::forward_wave)
+//! (one provider per slot) gets steps 2–3 from the wave step, per slot,
+//! and performs 1 and 5 itself.
+//!
 //! The `outputs` table handed to the lifecycle hooks is the executor's
 //! real storage: a provider may drop entries whose planned lifetime ended
 //! (the executor will not read them again — the plan guarantees it) and

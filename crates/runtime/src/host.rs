@@ -14,7 +14,6 @@ use std::sync::Mutex;
 #[derive(Debug)]
 pub struct HostArena {
     data: Mutex<Vec<f32>>,
-    bytes: usize,
 }
 
 impl HostArena {
@@ -22,13 +21,7 @@ impl HostArena {
     pub fn with_bytes(bytes: usize) -> Self {
         HostArena {
             data: Mutex::new(vec![0.0; bytes / 4]),
-            bytes,
         }
-    }
-
-    /// Capacity in bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes
     }
 
     /// Writes `src` at `byte_off` (an offload landing).
@@ -53,7 +46,6 @@ mod tests {
     #[test]
     fn store_load_round_trips_at_offsets() {
         let arena = HostArena::with_bytes(64);
-        assert_eq!(arena.bytes(), 64);
         arena.store(16, &[1.0, 2.0, 3.0]);
         arena.store(0, &[9.0]);
         let mut out = vec![0.0; 3];

@@ -3,14 +3,19 @@
 //! `scnn-hmms` *plans*: it assigns tensors to TSOs, schedules
 //! offload/prefetch around the execution tape, and first-fit-places every
 //! TSO instance in a static pool layout. This crate *executes* that plan
-//! during an actual training step on `scnn-nn`'s executor:
+//! on `scnn-nn`'s executor — during a training step, or, for a
+//! forward-only inference plan ([`scnn_hmms::export_inference_plan`]),
+//! during an eval pass or one slot of a serving batch:
 //!
-//! - [`PlanRuntime`] plugs into [`scnn_nn::Executor::run_with`] as a
+//! - [`PlanRuntime`] plugs into [`scnn_nn::Executor::run_with`] (or
+//!   [`scnn_nn::Executor::forward_wave`]) as a
 //!   [`scnn_nn::BufferProvider`]. Node outputs live in pool-recycled
 //!   storage, are dropped at exactly the tape positions the plan frees
 //!   their TSO, and cold activations round-trip through a host arena on a
 //!   background transfer thread — prefetched back just before their
-//!   backward reader, as §4.3 schedules.
+//!   backward reader, as §4.3 schedules. The immutable half
+//!   ([`PlanTables`]) is shared, so a runtime per serving slot is cheap;
+//!   the host tier and its thread exist only for plans that offload.
 //! - [`PoolGauge`] replays the plan's addresses and verifies them live
 //!   (no overlap, no leak); its high-water mark equals the static
 //!   layout's `device_general_bytes`, which the golden tests pin.
@@ -48,4 +53,4 @@ pub mod provider;
 
 pub use host::HostArena;
 pub use pool::PoolGauge;
-pub use provider::{MeterProvider, PlanRuntime, RuntimeError, StepStats};
+pub use provider::{MeterProvider, PlanRuntime, PlanTables, RuntimeError, StepStats};

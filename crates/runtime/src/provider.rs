@@ -1,7 +1,9 @@
 //! The plan-executing buffer provider.
 //!
 //! [`PlanRuntime`] implements [`scnn_nn::BufferProvider`] and drives one
-//! HMMS [`ExecPlan`] per training step:
+//! [`ExecPlan`] per pass — an HMMS plan over a full train-mode step
+//! (forward + backward), or a forward-only inference plan
+//! (`steps.len() == forward_len`) over an eval pass:
 //!
 //! - every node output is adopted into pool-recycled storage
 //!   ([`PooledBuf`]) so freed buffers are physically reused;
@@ -13,7 +15,8 @@
 //!   lifetime ends;
 //! - OffloadStart/PrefetchStart hand copies to a background transfer
 //!   worker; the matching Sync events block exactly where the plan says
-//!   the compute stream would.
+//!   the compute stream would. The worker and the host arena exist only
+//!   when the plan stages bytes off-device.
 //!
 //! # Tape-cursor gating
 //!
@@ -23,7 +26,8 @@
 //! cursor over tape positions and only replays a step's events once every
 //! step before it has completed — so the event order the gauge sees is
 //! exactly the order `plan_layout` validated, regardless of wave shape.
-//! The backward half is serial reverse-id order, which *is* tape order.
+//! The backward half (when the plan has one) is serial reverse-id order,
+//! which *is* tape order.
 //!
 //! # Determinism
 //!
@@ -105,9 +109,11 @@ impl From<LayoutError> for RuntimeError {
     }
 }
 
-/// A pooled, plan-driven [`BufferProvider`]. One instance serves one graph
-/// and one plan, for any number of training steps.
-pub struct PlanRuntime {
+/// The immutable half of a [`PlanRuntime`]: the plan plus the graph facts
+/// replay needs. Built once per graph and shared behind an `Arc`, so a
+/// fresh runtime (one per serving slot per batch) costs a few small `Vec`s.
+#[derive(Debug)]
+pub struct PlanTables {
     plan: ExecPlan,
     /// Forward consumers per node (for the eager in-place-alias drop).
     consumers: Vec<Vec<usize>>,
@@ -115,30 +121,10 @@ pub struct PlanRuntime {
     node_tso: Vec<usize>,
     /// Output shape per node (restores rebuild tensors without the graph).
     node_shape: Vec<Vec<usize>>,
-    /// The shared size-binned buffer pool (also the kernels' output home):
-    /// plan-freed buffers physically become the next node's storage.
-    pool: Arc<Workspace>,
-    arena: Arc<HostArena>,
-    worker: Worker,
-
-    // Per-step replay state.
-    gauge: PoolGauge,
-    instance: Vec<usize>,
-    completed: Vec<bool>,
-    cursor: usize,
-    /// Node whose output currently holds each TSO's bits (last completed
-    /// alias — the value an offload must capture).
-    content: Vec<Option<usize>>,
-    pending_offload: HashMap<usize, Ticket>,
-    pending_prefetch: HashMap<usize, Receiver<Vec<f32>>>,
-    resident_peak: usize,
-    offloads: usize,
-    prefetches: usize,
-    stats: StepStats,
 }
 
-impl PlanRuntime {
-    /// Builds a runtime for `graph` executing `plan`.
+impl PlanTables {
+    /// Resolves `plan` against `graph`.
     ///
     /// # Errors
     ///
@@ -148,7 +134,7 @@ impl PlanRuntime {
     /// warns and degrades to default blocking). Tuned plans alter only
     /// bit-free blocking, so the step stays bit-identical with or without
     /// a cache.
-    pub fn new(graph: &Graph, plan: ExecPlan) -> Result<Self, RuntimeError> {
+    pub fn new(graph: &Graph, plan: ExecPlan) -> Result<Arc<Self>, RuntimeError> {
         assert_eq!(
             plan.forward_len,
             graph.len(),
@@ -168,28 +154,72 @@ impl PlanRuntime {
         }
         let node_shape: Vec<Vec<usize>> =
             graph.nodes().iter().map(|n| n.out_shape.clone()).collect();
-        let arena = Arc::new(HostArena::with_bytes(plan.layout.host_pool_bytes));
-        let n_tso = plan.sizes.len();
-        Ok(PlanRuntime {
-            plan,
-            consumers,
-            node_tso,
-            node_shape,
+        Ok(Arc::new(PlanTables { plan, consumers, node_tso, node_shape }))
+    }
+
+    /// The resolved plan.
+    pub fn plan(&self) -> &ExecPlan {
+        &self.plan
+    }
+}
+
+/// A pooled, plan-driven [`BufferProvider`]. One instance serves one graph
+/// and one plan, for any number of steps.
+pub struct PlanRuntime {
+    tables: Arc<PlanTables>,
+    /// The shared size-binned buffer pool (also the kernels' output home):
+    /// plan-freed buffers physically become the next node's storage.
+    pool: Arc<Workspace>,
+    /// Host tier and transfer thread: present iff the plan stages bytes
+    /// off-device (`host_pool_bytes > 0`; inference plans never do).
+    transfer: Option<(Arc<HostArena>, Worker)>,
+
+    // Per-step replay state.
+    gauge: PoolGauge,
+    instance: Vec<usize>,
+    completed: Vec<bool>,
+    cursor: usize,
+    /// Node whose output currently holds each TSO's bits (last completed
+    /// alias — the value an offload must capture).
+    content: Vec<Option<usize>>,
+    pending_offload: HashMap<usize, Ticket>,
+    pending_prefetch: HashMap<usize, Receiver<Vec<f32>>>,
+    /// Bytes in the `outputs` table right now: every entry enters through
+    /// `adopt` or a prefetch restore and leaves through `release`.
+    resident: usize,
+    /// Accumulates over the step; complete once `end_step` ran.
+    stats: StepStats,
+}
+
+impl PlanRuntime {
+    /// Builds a runtime for `graph` executing `plan`.
+    ///
+    /// # Errors
+    ///
+    /// As in [`PlanTables::new`].
+    pub fn new(graph: &Graph, plan: ExecPlan) -> Result<Self, RuntimeError> {
+        Ok(PlanRuntime::from_tables(PlanTables::new(graph, plan)?))
+    }
+
+    /// A fresh runtime over already-resolved `tables`.
+    pub fn from_tables(tables: Arc<PlanTables>) -> Self {
+        let host_bytes = tables.plan.layout.host_pool_bytes;
+        let transfer = (host_bytes > 0)
+            .then(|| (Arc::new(HostArena::with_bytes(host_bytes)), Worker::new("scnn-transfer")));
+        PlanRuntime {
+            tables,
             pool: Workspace::global().clone(),
-            arena,
-            worker: Worker::new("scnn-transfer"),
+            transfer,
             gauge: PoolGauge::new(),
-            instance: vec![0; n_tso],
+            instance: Vec::new(),
             completed: Vec::new(),
             cursor: 0,
-            content: vec![None; n_tso],
+            content: Vec::new(),
             pending_offload: HashMap::new(),
             pending_prefetch: HashMap::new(),
-            resident_peak: 0,
-            offloads: 0,
-            prefetches: 0,
+            resident: 0,
             stats: StepStats::default(),
-        })
+        }
     }
 
     /// Convenience: export `plan` against `graph`/`tape`/`tso` and build
@@ -226,7 +256,7 @@ impl PlanRuntime {
 
     /// The resolved plan this runtime executes.
     pub fn plan(&self) -> &ExecPlan {
-        &self.plan
+        &self.tables.plan
     }
 
     /// An executor matching the plan: micro-batched per the plan's
@@ -235,7 +265,7 @@ impl PlanRuntime {
     /// any other executor is still correct — but only this one realizes
     /// the workspace footprint the plan's TSO accounting assumed.
     pub fn executor(&self) -> Executor {
-        match &self.plan.micro {
+        match &self.tables.plan.micro {
             Some(s) => Executor::with_micro(s.clone()),
             None => Executor::new(),
         }
@@ -246,13 +276,22 @@ impl PlanRuntime {
         self.stats
     }
 
-    fn sample_resident(&mut self, outputs: &[Option<Tensor>]) {
-        let live: usize = outputs
-            .iter()
-            .flatten()
-            .map(|t| t.as_slice().len() * 4)
-            .sum();
-        self.resident_peak = self.resident_peak.max(live);
+    fn sample_resident(&mut self) {
+        self.stats.resident_peak_bytes = self.stats.resident_peak_bytes.max(self.resident);
+    }
+
+    /// Drops node `node`'s output, if still resident.
+    fn release(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
+        if let Some(t) = outputs[node].take() {
+            self.resident -= t.len() * 4;
+        }
+    }
+
+    /// Re-populates node `node`'s evicted output.
+    fn restore(&mut self, node: usize, t: Tensor, outputs: &mut [Option<Tensor>]) {
+        self.resident += t.len() * 4;
+        let evicted = outputs[node].replace(t);
+        assert!(evicted.is_none(), "node {node} restored while still resident");
     }
 
     /// Drops alias-predecessor outputs that are now dead: in-place ReLU's
@@ -260,101 +299,94 @@ impl PlanRuntime {
     /// lands, provided backward never re-reads them and every forward
     /// consumer already ran. This is the physical realization of the
     /// planner treating the pair as *one* TSO.
-    fn eager_alias_drop(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
-        let t = self.node_tso[node];
-        for &p in &self.plan.alias_nodes[t] {
+    fn eager_alias_drop(&mut self, tables: &PlanTables, node: usize, outputs: &mut [Option<Tensor>]) {
+        let t = tables.node_tso[node];
+        for &p in &tables.plan.alias_nodes[t] {
             if p != node
-                && outputs[p].is_some()
-                && !self.plan.restore_nodes[t].contains(&p)
-                && self.consumers[p].iter().all(|&c| self.completed[c])
+                && !tables.plan.restore_nodes[t].contains(&p)
+                && tables.consumers[p].iter().all(|&c| self.completed[c])
             {
-                outputs[p] = None;
+                self.release(p, outputs);
             }
         }
     }
 
-    fn advance_forward_cursor(&mut self, outputs: &mut [Option<Tensor>]) {
-        while self.cursor < self.plan.forward_len && self.completed[self.cursor] {
-            let step = self.plan.steps[self.cursor].clone();
-            for e in step.before.iter().chain(&step.after) {
-                self.apply(e, outputs);
-            }
-            self.cursor += 1;
-        }
-    }
-
-    fn apply(&mut self, event: &MemEvent, outputs: &mut [Option<Tensor>]) {
-        match *event {
-            MemEvent::Alloc(t) => {
-                let inst = self.instance[t.0];
-                self.instance[t.0] += 1;
-                let addr = self.plan.layout.addresses[&(t, inst)];
-                self.gauge.alloc(t.0, addr, self.plan.sizes[t.0]);
-            }
-            MemEvent::Free(t) => {
-                self.gauge.free(t.0);
-                if self.plan.is_activation[t.0] {
-                    for &nid in &self.plan.alias_nodes[t.0] {
-                        outputs[nid] = None;
+    /// Replays plan events, in order.
+    fn replay(&mut self, tables: &PlanTables, events: &[MemEvent], outputs: &mut [Option<Tensor>]) {
+        let plan = &tables.plan;
+        for event in events {
+            match *event {
+                MemEvent::Alloc(t) => {
+                    let inst = self.instance[t.0];
+                    self.instance[t.0] += 1;
+                    self.gauge.alloc(t.0, plan.layout.addresses[&(t, inst)], plan.sizes[t.0]);
+                }
+                MemEvent::Free(t) => {
+                    self.gauge.free(t.0);
+                    if plan.is_activation[t.0] {
+                        for &nid in &plan.alias_nodes[t.0] {
+                            self.release(nid, outputs);
+                        }
                     }
                 }
-            }
-            MemEvent::OffloadStart { tso, .. } => {
-                let src = self.content[tso.0].expect("offloaded TSO has computed content");
-                let staged: Vec<f32> = outputs[src]
-                    .as_ref()
-                    .expect("offload source is resident")
-                    .as_slice()
-                    .to_vec();
-                let off = self.plan.host_offsets[&tso];
-                let arena = self.arena.clone();
-                let ticket = self.worker.submit(move || arena.store(off, &staged));
-                self.pending_offload.insert(tso.0, ticket);
-                self.offloads += 1;
-            }
-            MemEvent::OffloadSync { tso } => {
-                self.pending_offload
-                    .remove(&tso.0)
-                    .expect("offload was started")
-                    .wait();
-            }
-            MemEvent::PrefetchStart { tso, .. } => {
-                let restore = &self.plan.restore_nodes[tso.0];
-                let elems: usize = self.node_shape
-                    [*restore.last().expect("prefetched TSO has a reader")]
-                .iter()
-                .product();
-                let mut buf = self.pool.take(elems);
-                let off = self.plan.host_offsets[&tso];
-                let arena = self.arena.clone();
-                let (tx, rx) = channel();
-                self.worker.submit(move || {
-                    arena.load(off, &mut buf);
-                    // The runtime holds the receiver for the whole step; a
-                    // closed channel means it was dropped mid-panic.
-                    let _ = tx.send(buf);
-                });
-                self.pending_prefetch.insert(tso.0, rx);
-                self.prefetches += 1;
-            }
-            MemEvent::PrefetchSync { tso } => {
-                let buf = self
-                    .pending_prefetch
-                    .remove(&tso.0)
-                    .expect("prefetch was started")
-                    .recv()
-                    .expect("transfer worker completed the prefetch");
-                let restore = self.plan.restore_nodes[tso.0].clone();
-                let (&last, rest) = restore.split_last().expect("prefetched TSO has a reader");
-                for &nid in rest {
-                    // Aliased views (e.g. pre-flatten and flattened) share
-                    // the same bits under different shapes.
-                    outputs[nid] = Some(Tensor::from_vec(buf.clone(), &self.node_shape[nid]));
+                MemEvent::OffloadStart { tso, .. } => {
+                    let src = self.content[tso.0].expect("offloaded TSO has computed content");
+                    let staged: Vec<f32> = outputs[src]
+                        .as_ref()
+                        .expect("offload source is resident")
+                        .as_slice()
+                        .to_vec();
+                    let off = plan.host_offsets[&tso];
+                    let (arena, worker) = self.transfer.as_ref().expect("offloading plans have a host tier");
+                    let arena = arena.clone();
+                    let ticket = worker.submit(move || arena.store(off, &staged));
+                    self.pending_offload.insert(tso.0, ticket);
+                    self.stats.offloads += 1;
                 }
-                let home: Arc<dyn BufferRecycler> = self.pool.clone();
-                outputs[last] =
-                    Some(Tensor::from_pooled(PooledBuf::new(buf, home), &self.node_shape[last]));
-                self.content[tso.0] = Some(last);
+                MemEvent::OffloadSync { tso } => {
+                    self.pending_offload
+                        .remove(&tso.0)
+                        .expect("offload was started")
+                        .wait();
+                }
+                MemEvent::PrefetchStart { tso, .. } => {
+                    let reader = *plan.restore_nodes[tso.0]
+                        .last()
+                        .expect("prefetched TSO has a reader");
+                    let mut buf = self.pool.take(tables.node_shape[reader].iter().product());
+                    let off = plan.host_offsets[&tso];
+                    let (arena, worker) = self.transfer.as_ref().expect("offloading plans have a host tier");
+                    let arena = arena.clone();
+                    let (tx, rx) = channel();
+                    worker.submit(move || {
+                        arena.load(off, &mut buf);
+                        // The runtime holds the receiver for the whole step; a
+                        // closed channel means it was dropped mid-panic.
+                        let _ = tx.send(buf);
+                    });
+                    self.pending_prefetch.insert(tso.0, rx);
+                    self.stats.prefetches += 1;
+                }
+                MemEvent::PrefetchSync { tso } => {
+                    let buf = self
+                        .pending_prefetch
+                        .remove(&tso.0)
+                        .expect("prefetch was started")
+                        .recv()
+                        .expect("transfer worker completed the prefetch");
+                    let (&last, rest) = plan.restore_nodes[tso.0]
+                        .split_last()
+                        .expect("prefetched TSO has a reader");
+                    for &nid in rest {
+                        // Aliased views (e.g. pre-flatten and flattened) share
+                        // the same bits under different shapes.
+                        self.restore(nid, Tensor::from_vec(buf.clone(), &tables.node_shape[nid]), outputs);
+                    }
+                    let home: Arc<dyn BufferRecycler> = self.pool.clone();
+                    let t = Tensor::from_pooled(PooledBuf::new(buf, home), &tables.node_shape[last]);
+                    self.restore(last, t, outputs);
+                    self.content[tso.0] = Some(last);
+                }
             }
         }
     }
@@ -362,8 +394,9 @@ impl PlanRuntime {
 
 impl BufferProvider for PlanRuntime {
     fn begin_step(&mut self, n_nodes: usize) {
+        let n_tso = self.tables.plan.sizes.len();
         assert_eq!(
-            n_nodes, self.plan.forward_len,
+            n_nodes, self.tables.plan.forward_len,
             "plan was exported for a different graph"
         );
         assert!(
@@ -371,13 +404,16 @@ impl BufferProvider for PlanRuntime {
             "previous step left transfers in flight"
         );
         self.gauge = PoolGauge::new();
-        self.instance = vec![0; self.plan.sizes.len()];
+        self.instance = vec![0; n_tso];
         self.completed = vec![false; n_nodes];
         self.cursor = 0;
-        self.content = vec![None; self.plan.sizes.len()];
-        self.resident_peak = 0;
-        self.offloads = 0;
-        self.prefetches = 0;
+        self.content = vec![None; n_tso];
+        self.resident = 0;
+        self.stats = StepStats {
+            host_bytes: self.tables.plan.layout.host_pool_bytes,
+            plan_workspace_bytes: self.tables.plan.layout.device_workspace_bytes,
+            ..StepStats::default()
+        };
         // Scope the kernel-scratch high-water mark to this step.
         scnn_par::scratch::reset_peak();
     }
@@ -387,63 +423,62 @@ impl BufferProvider for PlanRuntime {
         // copying: the same bits, now returned to the shared pool on drop.
         // Outputs the kernels already homed there detach and re-wrap —
         // still no copy, same pool.
+        self.resident += out.len() * 4;
         let dims = out.shape().dims().to_vec();
         let home: Arc<dyn BufferRecycler> = self.pool.clone();
         Tensor::from_pooled(PooledBuf::new(out.into_vec(), home), &dims)
     }
 
     fn forward_complete(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
+        let tables = self.tables.clone();
         self.completed[node] = true;
-        self.content[self.node_tso[node]] = Some(node);
+        self.content[tables.node_tso[node]] = Some(node);
         // Sample before dropping anything: the post-wave instant is the
         // physical peak.
-        self.sample_resident(outputs);
-        self.eager_alias_drop(node, outputs);
-        self.advance_forward_cursor(outputs);
+        self.sample_resident();
+        self.eager_alias_drop(&tables, node, outputs);
+        // Tape-cursor gating (module docs): a step's events replay only
+        // once every step before it has completed.
+        while self.cursor < tables.plan.forward_len && self.completed[self.cursor] {
+            let step = &tables.plan.steps[self.cursor];
+            self.replay(&tables, &step.before, outputs);
+            self.replay(&tables, &step.after, outputs);
+            self.cursor += 1;
+        }
     }
 
     fn before_backward(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
-        let pos = 2 * self.plan.forward_len - 1 - node;
+        let tables = self.tables.clone();
+        let pos = 2 * tables.plan.forward_len - 1 - node;
         assert_eq!(self.cursor, pos, "backward visited out of tape order");
-        let before = self.plan.steps[pos].before.clone();
-        for e in &before {
-            self.apply(e, outputs);
-        }
-        self.sample_resident(outputs);
+        self.replay(&tables, &tables.plan.steps[pos].before, outputs);
+        self.sample_resident();
     }
 
     fn after_backward(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
-        let pos = 2 * self.plan.forward_len - 1 - node;
+        let tables = self.tables.clone();
+        let pos = 2 * tables.plan.forward_len - 1 - node;
         assert_eq!(self.cursor, pos, "backward visited out of tape order");
-        let after = self.plan.steps[pos].after.clone();
-        for e in &after {
-            self.apply(e, outputs);
-        }
+        self.replay(&tables, &tables.plan.steps[pos].after, outputs);
         self.cursor += 1;
-        self.sample_resident(outputs);
+        self.sample_resident();
     }
 
-    fn end_step(&mut self, outputs: &mut [Option<Tensor>]) {
+    fn end_step(&mut self, _outputs: &mut [Option<Tensor>]) {
+        let plan = &self.tables.plan;
         assert_eq!(
             self.cursor,
-            self.plan.steps.len(),
-            "PlanRuntime requires a full train-mode step (forward + backward)"
+            plan.steps.len(),
+            "the pass must cover the whole plan: forward + backward for a \
+             training plan, forward alone for an inference plan"
         );
         assert!(self.gauge.is_empty(), "plan left TSOs live past the step");
         assert!(
             self.pending_offload.is_empty() && self.pending_prefetch.is_empty(),
             "plan left transfers unsynchronized"
         );
-        self.sample_resident(outputs);
-        self.stats = StepStats {
-            plan_device_peak_bytes: self.gauge.high_water(),
-            resident_peak_bytes: self.resident_peak,
-            host_bytes: self.arena.bytes(),
-            offloads: self.offloads,
-            prefetches: self.prefetches,
-            scratch_peak_bytes: scnn_par::scratch::peak_bytes(),
-            plan_workspace_bytes: self.plan.layout.device_workspace_bytes,
-        };
+        self.stats.plan_device_peak_bytes = self.gauge.high_water();
+        self.stats.scratch_peak_bytes = scnn_par::scratch::peak_bytes();
     }
 }
 

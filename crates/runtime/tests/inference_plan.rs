@@ -1,0 +1,44 @@
+//! [`PlanRuntime`] replays a forward-only inference plan under an eval
+//! pass: the measured pool equals the planned one, nothing stays live,
+//! and no host tier exists because nothing is ever staged off-device.
+
+use scnn_core::{plan_split, SplitConfig};
+use scnn_graph::NodeId;
+use scnn_hmms::{export_inference_plan, TsoAssignment, TsoOptions};
+use scnn_models::{resnet18, ModelOptions};
+use scnn_nn::{BnState, Executor, Mode, ParamStore};
+use scnn_rng::SplitRng;
+use scnn_runtime::PlanRuntime;
+use scnn_tensor::uniform;
+
+#[test]
+fn eval_pass_under_an_inference_plan_measures_the_planned_pool() {
+    let desc = resnet18(&ModelOptions::cifar().with_width(0.25));
+    let graph = plan_split(&desc, &SplitConfig::new(0.5, 2, 2))
+        .expect("resnet splits")
+        .lower(&desc, 1);
+    let tso = TsoAssignment::new(&graph, &vec![0; graph.len()], TsoOptions::default());
+    let plan = export_inference_plan(&graph, &tso).expect("the inference plan is legal");
+    let planned = plan.layout.device_general_bytes;
+    assert_eq!(plan.steps.len(), graph.len(), "forward-only: one step per node");
+
+    let mut rng = SplitRng::seed_from_u64(5);
+    let mut params = ParamStore::init(&graph, &mut rng);
+    let mut bn = BnState::new();
+    let images = uniform(&mut rng, &graph.node(NodeId(0)).out_shape, -1.0, 1.0);
+    let exec = Executor::new();
+    let reference = exec.run(&graph, &mut params, &mut bn, &images, &[3], Mode::Eval, &mut rng);
+
+    let mut rt = PlanRuntime::new(&graph, plan).expect("runtime builds");
+    // Two passes: the runtime is reusable, and the second starts clean.
+    for _ in 0..2 {
+        // `end_step` itself asserts the gauge drained and the whole plan
+        // was covered.
+        let got =
+            exec.run_with(&graph, &mut params, &mut bn, &images, &[3], Mode::Eval, &mut rng, &mut rt);
+        assert_eq!(got.loss.to_bits(), reference.loss.to_bits());
+        let st = rt.stats();
+        assert_eq!(st.plan_device_peak_bytes, planned);
+        assert_eq!((st.host_bytes, st.offloads, st.prefetches), (0, 0, 0));
+    }
+}

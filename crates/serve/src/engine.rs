@@ -6,55 +6,56 @@
 //! [`Schedule`]. Frozen weights and BN running statistics are shared via
 //! `Arc` across every in-flight request — inference never mutates either.
 //!
+//! The engine computes nothing and replays nothing itself. What a node
+//! computes is the wave step a training step runs
+//! ([`Executor::forward_wave`]), called in eval mode with one slot per
+//! request, no labels and the frozen state; where activations live and
+//! when they die is one [`PlanRuntime`] per slot replaying the inference
+//! plan. Logits equal an `Executor` eval pass because they are one. What
+//! is left here is what only serving needs: the plan export, the capacity
+//! search, the logits snapshot and the per-batch accounting.
+//!
 //! # Cross-request interleaving
 //!
 //! A batch of `R` requests runs the base schedule interleaved across `R`
 //! slots ([`Schedule::interleave`]): wave `l` of the merged schedule holds
 //! every `(slot, segment)` pair of the base wave `l`, so split-patch
 //! branches of *different* requests become sibling work units on the
-//! `scnn-par` pool. Each slot computes only from its own activations, so
-//! values are independent of batch composition — the batcher may coalesce
-//! requests by timing without affecting a single bit of any response.
+//! `scnn-par` pool. Each slot computes only from its own activations, and
+//! the wave step lands outputs and fires lifetime events in a fixed
+//! `(slot, node)` order, so identical request bytes produce bit-identical
+//! logits at any thread count, concurrency and batch composition (pinned
+//! by the integration tests).
 //!
-//! # Planned pool accounting
+//! # Memory accounting
 //!
-//! Every slot replays the inference plan's Alloc/Free events through one
-//! shared [`PoolGauge`], at the planner's own addresses rebased by
-//! `slot × device_general_bytes`. The gauge validates non-overlap live,
-//! and its high-water mark is asserted to equal the planned layout bytes
-//! exactly: `slots × StaticLayout::device_general_bytes`. The pool peak of
-//! a batch is a planned quantity, not an accident of scheduling.
-//!
-//! # Determinism
-//!
-//! Work units scatter their outputs and fire lifetime events in
-//! `(slot, node)` order after each wave — a fixed linearization no matter
-//! how many workers ran the wave. Kernels are bit-stable across
-//! `SCNN_THREADS` and `SCNN_SIMD` by the repo-wide contract, so identical
-//! request bytes produce bit-identical logits at any thread count and any
-//! concurrency level. The integration tests pin this.
+//! Every slot's runtime replays the plan's Alloc/Free events at the
+//! planner's own addresses, validating non-overlap live, and each slot's
+//! high-water mark is asserted to equal
+//! `StaticLayout::device_general_bytes` exactly — a batch's pool is
+//! `slots ×` that, a planned quantity, not an accident of scheduling.
+//! [`BatchStats::resident_peak`] is the engine's own sample: live bytes
+//! over all slots, once per merged wave, *after* that wave's lifetime
+//! events — what the process holds between waves. (The runtime's own
+//! figure is per node and before the drops: a training step's peak.)
 
 use std::sync::Arc;
 
-use scnn_graph::{Graph, NodeId, Op, PoolKind};
-use scnn_hmms::{export_inference_plan, ExecPlan, MemEvent, TsoAssignment, TsoOptions};
-use scnn_nn::kernels::{
-    avg_pool_forward, batch_norm_inference, conv2d_forward_micro, global_avg_pool_forward,
-    linear_forward, max_pool_forward, relu_forward, ConvAttrs, PoolAttrs,
-};
-use scnn_nn::{BnState, ParamStore, Schedule};
-use scnn_runtime::{PoolGauge, RuntimeError};
-use scnn_tensor::{BufferRecycler, PooledBuf, Tensor, Workspace};
+use scnn_graph::{Graph, Op};
+use scnn_hmms::{export_inference_plan, ExecPlan, TsoAssignment, TsoOptions};
+use scnn_nn::{BnState, BufferProvider, Executor, ForwardCtx, Mode, ParamStore, Schedule, Slot};
+use scnn_runtime::{PlanRuntime, PlanTables, RuntimeError};
+use scnn_tensor::Tensor;
 
 /// Memory accounting for one executed batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Measured high-water mark of the shared pool gauge as every slot's
-    /// plan events replayed.
+    /// Measured pool high-water: the sum over slots of each slot's mark as
+    /// its plan events replayed.
     pub pool_high_water: usize,
     /// What the static layout planned for this concurrency:
-    /// `slots × device_general_bytes`. [`Engine::run_batch`] asserts the
-    /// measured mark equals this exactly.
+    /// `slots × device_general_bytes`. [`Engine::run_batch`] asserts every
+    /// slot's measured mark equals its share exactly.
     pub planned_pool_bytes: usize,
     /// Peak of physically resident activation bytes across all slots,
     /// sampled after every wave.
@@ -79,17 +80,37 @@ pub struct ConcurrencySearch {
 /// [`crate::Server`]'s batcher thread.
 pub struct Engine {
     graph: Graph,
-    plan: ExecPlan,
+    /// The inference plan, resolved once; every slot of every batch
+    /// replays it through its own [`PlanRuntime`].
+    tables: Arc<PlanTables>,
     schedule: Schedule,
     params: Arc<ParamStore>,
     bn: Arc<BnState>,
-    /// Forward consumers per node (for the eager in-place-alias drop).
-    consumers: Vec<Vec<usize>>,
-    /// Activation TSO of each node's output.
-    node_tso: Vec<usize>,
     /// The node whose output is the response payload: the loss node's
     /// input.
     logits_node: usize,
+}
+
+/// One request slot's storage provider: the plan runtime, plus a snapshot
+/// of the response taken as the logits land — before any `Free` can drop
+/// them.
+struct SlotProvider {
+    runtime: PlanRuntime,
+    logits_node: usize,
+    logits: Option<Vec<f32>>,
+}
+
+impl BufferProvider for SlotProvider {
+    fn adopt(&mut self, node: usize, out: Tensor) -> Tensor {
+        if node == self.logits_node {
+            self.logits = Some(out.as_slice().to_vec());
+        }
+        self.runtime.adopt(node, out)
+    }
+
+    fn forward_complete(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
+        self.runtime.forward_complete(node, outputs);
+    }
 }
 
 impl Engine {
@@ -111,16 +132,9 @@ impl Engine {
     /// model in this repo ends with one; its input is the logits tensor
     /// the engine serves.
     pub fn new(graph: Graph, params: Arc<ParamStore>, bn: Arc<BnState>) -> Result<Self, RuntimeError> {
-        scnn_tensor::try_ensure_plan_cache_loaded().map_err(RuntimeError::PlanCache)?;
         let tso = TsoAssignment::new(&graph, &vec![0; graph.len()], TsoOptions::default());
-        let plan = export_inference_plan(&graph, &tso)?;
+        let tables = PlanTables::new(&graph, export_inference_plan(&graph, &tso)?)?;
         let schedule = Schedule::build(&graph);
-        let consumers: Vec<Vec<usize>> = graph
-            .consumers()
-            .into_iter()
-            .map(|c| c.into_iter().map(|id| id.0).collect())
-            .collect();
-        let node_tso: Vec<usize> = (0..graph.len()).map(|n| tso.activation[n].0).collect();
         let loss = graph
             .nodes()
             .iter()
@@ -129,12 +143,10 @@ impl Engine {
         let logits_node = loss.inputs[0].0;
         Ok(Engine {
             graph,
-            plan,
+            tables,
             schedule,
             params,
             bn,
-            consumers,
-            node_tso,
             logits_node,
         })
     }
@@ -146,7 +158,7 @@ impl Engine {
 
     /// The forward-only plan (addresses, sizes, planned pool bytes).
     pub fn plan(&self) -> &ExecPlan {
-        &self.plan
+        self.tables.plan()
     }
 
     /// Shape one request tensor must have (the graph's input shape).
@@ -169,7 +181,7 @@ impl Engine {
     /// are shared across replicas through this engine's `Arc`s; each
     /// replica's batch owns its own planned activation pool.
     pub fn device_bytes_replicated(&self, replicas: usize, concurrency: usize) -> usize {
-        self.plan.layout.serving_device_bytes(replicas, concurrency)
+        self.plan().layout.serving_device_bytes(replicas, concurrency)
     }
 
     /// Largest concurrency (≤ `limit`) whose planned footprint fits
@@ -226,273 +238,59 @@ impl Engine {
     /// # Panics
     ///
     /// Panics when `requests` is empty, when a request's shape disagrees
-    /// with the graph input, or when the measured pool high-water deviates
-    /// from the planned layout bytes — the latter would mean the plan and
-    /// the execution disagree, a bug this runtime must not paper over.
+    /// with the graph input, or when a slot's measured pool high-water
+    /// deviates from the planned layout bytes — the latter would mean the
+    /// plan and the execution disagree, a bug this runtime must not paper
+    /// over.
     pub fn run_batch(&self, requests: &[Tensor]) -> (Vec<Vec<f32>>, BatchStats) {
-        let slots = requests.len();
-        assert!(slots > 0, "a batch holds at least one request");
+        assert!(!requests.is_empty(), "a batch holds at least one request");
         let n = self.graph.len();
-        let n_tso = self.plan.sizes.len();
-        let merged = self.schedule.interleave(slots);
-        let pool = Workspace::global().clone();
-
-        let mut outputs: Vec<Vec<Option<Tensor>>> = vec![vec![None; n]; slots];
-        let mut completed: Vec<Vec<bool>> = vec![vec![false; n]; slots];
-        let mut cursor = vec![0usize; slots];
-        let mut logits: Vec<Option<Vec<f32>>> = vec![None; slots];
-        let mut gauge = PoolGauge::new();
-        let mut resident_peak = 0usize;
-
-        for wave in &merged.waves {
-            // Immutable reborrows the parallel closure can capture.
-            let produced = {
-                let outputs_ref = &outputs;
-                let run_unit = |ui: usize| {
-                    let (slot, seg) = wave[ui];
-                    let mut local: Vec<(usize, Tensor)> =
-                        Vec::with_capacity(self.schedule.segments[seg].len());
-                    for &id in &self.schedule.segments[seg] {
-                        let out =
-                            self.forward_node(id, &requests[slot], &outputs_ref[slot], &local);
-                        local.push((id, out));
-                    }
-                    (slot, local)
-                };
-                // Single-unit waves run inline so the kernels' own data
-                // parallelism keeps the whole pool.
-                if wave.len() == 1 {
-                    vec![run_unit(0)]
-                } else {
-                    scnn_par::parallel_map(wave.len(), run_unit)
-                }
-            };
-
-            // Scatter into pool-recycled storage, then fire lifetime
-            // events in (slot, node) order — a deterministic
-            // linearization no matter how the wave's units interleaved.
-            let mut landed: Vec<(usize, usize)> = Vec::new();
-            for (slot, local) in produced {
-                for (id, out) in local {
-                    let dims = out.shape().dims().to_vec();
-                    let home: Arc<dyn BufferRecycler> = pool.clone();
-                    outputs[slot][id] =
-                        Some(Tensor::from_pooled(PooledBuf::new(out.into_vec(), home), &dims));
-                    landed.push((slot, id));
-                }
-            }
-            landed.sort_unstable();
-            for (slot, id) in landed {
-                completed[slot][id] = true;
-                if id == self.logits_node {
-                    // Snapshot the response before any Free can drop it.
-                    logits[slot] = Some(
-                        outputs[slot][id]
-                            .as_ref()
-                            .expect("logits landed this wave")
-                            .as_slice()
-                            .to_vec(),
-                    );
-                }
-                self.eager_alias_drop(id, &mut outputs[slot], &completed[slot]);
-                while cursor[slot] < n && completed[slot][cursor[slot]] {
-                    let step = &self.plan.steps[cursor[slot]];
-                    for e in step.before.iter().chain(&step.after) {
-                        self.apply(slot, n_tso, e, &mut gauge, &mut outputs);
-                    }
-                    cursor[slot] += 1;
-                }
-            }
-            let live: usize = outputs
-                .iter()
-                .flat_map(|s| s.iter().flatten())
-                .map(|t| t.as_slice().len() * 4)
-                .sum();
-            resident_peak = resident_peak.max(live);
-        }
-
-        assert!(gauge.is_empty(), "plan left TSOs live past the batch");
-        let planned = slots * self.plan.layout.device_general_bytes;
-        assert_eq!(
-            gauge.high_water(),
-            planned,
-            "measured pool high-water must equal the planned layout bytes"
-        );
-        let stats = BatchStats {
-            pool_high_water: gauge.high_water(),
-            planned_pool_bytes: planned,
-            resident_peak,
+        let ctx = ForwardCtx {
+            graph: &self.graph,
+            schedule: &self.schedule,
+            params: &self.params,
+            bn: &self.bn,
+            mode: Mode::Eval,
+            labels: None,
         };
-        let logits = logits
-            .into_iter()
-            .map(|l| l.expect("every slot computed its logits"))
+        let mut slots: Vec<Slot<'_>> = requests.iter().map(|r| Slot::new(r, n)).collect();
+        let mut providers: Vec<SlotProvider> = requests
+            .iter()
+            .map(|_| {
+                let mut runtime = PlanRuntime::from_tables(self.tables.clone());
+                runtime.begin_step(n);
+                SlotProvider { runtime, logits_node: self.logits_node, logits: None }
+            })
             .collect();
-        (logits, stats)
-    }
 
-    /// Drops alias-predecessor outputs that are now dead (in-place ReLU's
-    /// pre-activation, flatten's source) the moment the aliasing node
-    /// lands and every forward consumer has run — inference never
-    /// re-reads them.
-    fn eager_alias_drop(&self, node: usize, outputs: &mut [Option<Tensor>], completed: &[bool]) {
-        let t = self.node_tso[node];
-        for &p in &self.plan.alias_nodes[t] {
-            if p != node
-                && outputs[p].is_some()
-                && self.consumers[p].iter().all(|&c| completed[c])
-            {
-                outputs[p] = None;
+        let mut resident_peak = 0usize;
+        {
+            let mut hooks: Vec<&mut dyn BufferProvider> =
+                providers.iter_mut().map(|p| p as &mut dyn BufferProvider).collect();
+            let exec = Executor::new();
+            for units in &self.schedule.interleave(requests.len()).waves {
+                // Eval with no labels defers nothing.
+                exec.forward_wave(&ctx, units, &mut slots, &mut hooks);
+                let live: usize = slots
+                    .iter()
+                    .flat_map(|s| s.outputs.iter().flatten())
+                    .map(|t| t.len() * 4)
+                    .sum();
+                resident_peak = resident_peak.max(live);
             }
         }
-    }
 
-    /// Replays one plan event for `slot`, rebasing the planner's address
-    /// by `slot × device_general_bytes` so every slot owns a disjoint
-    /// region of the shared gauge.
-    fn apply(
-        &self,
-        slot: usize,
-        n_tso: usize,
-        event: &MemEvent,
-        gauge: &mut PoolGauge,
-        outputs: &mut [Vec<Option<Tensor>>],
-    ) {
-        match *event {
-            MemEvent::Alloc(t) => {
-                let base = slot * self.plan.layout.device_general_bytes;
-                // Inference plans allocate each TSO exactly once, so the
-                // layout has a single instance per TSO.
-                let addr = base + self.plan.layout.addresses[&(t, 0)];
-                gauge.alloc(slot * n_tso + t.0, addr, self.plan.sizes[t.0]);
-            }
-            MemEvent::Free(t) => {
-                gauge.free(slot * n_tso + t.0);
-                if self.plan.is_activation[t.0] {
-                    for &nid in &self.plan.alias_nodes[t.0] {
-                        outputs[slot][nid] = None;
-                    }
-                }
-            }
-            _ => unreachable!("inference plans contain only Alloc/Free events"),
+        let per_slot = self.plan().layout.device_general_bytes;
+        let mut pool_high_water = 0;
+        let mut logits = Vec::with_capacity(requests.len());
+        for (p, slot) in providers.iter_mut().zip(&mut slots) {
+            p.runtime.end_step(&mut slot.outputs);
+            let high = p.runtime.stats().plan_device_peak_bytes;
+            assert_eq!(high, per_slot, "measured pool high-water must equal the planned layout bytes");
+            pool_high_water += high;
+            logits.push(p.logits.take().expect("every slot computed its logits"));
         }
-    }
-
-    /// One node's forward pass, `Mode::Eval` semantics — kernel-for-kernel
-    /// identical to the training executor's eval arms, so logits are
-    /// bitwise equal to an eval pass through [`scnn_nn::Executor`].
-    ///
-    /// Conv nodes pass `algo = None`, deferring to the same
-    /// `SCNN_CONV_ALGO` selection the executor's unscheduled arm uses —
-    /// including the opt-in `winograd` fast path, which mirrors through
-    /// here unchanged. Forcing it trades the bitwise-logits guarantee for
-    /// epsilon agreement (DESIGN.md §16); the default (`auto`) never
-    /// selects a transform algorithm, so the contract above holds
-    /// whenever the operator has not explicitly opted out of it.
-    fn forward_node(
-        &self,
-        id: usize,
-        request: &Tensor,
-        outputs: &[Option<Tensor>],
-        local: &[(usize, Tensor)],
-    ) -> Tensor {
-        let node = self.graph.node(NodeId(id));
-        let resolve = |i: usize| -> &Tensor {
-            let nid = node.inputs[i].0;
-            local
-                .iter()
-                .rev()
-                .find(|(lid, _)| *lid == nid)
-                .map(|(_, t)| t)
-                .or_else(|| outputs[nid].as_ref())
-                .expect("schedule guarantees inputs are computed")
-        };
-        match &node.op {
-            Op::Input { shape } => {
-                assert_eq!(
-                    request.shape().dims(),
-                    shape.as_slice(),
-                    "request shape {:?} does not match graph input {shape:?}",
-                    request.shape().dims()
-                );
-                request.clone()
-            }
-            Op::Conv2d {
-                kh,
-                kw,
-                sh,
-                sw,
-                pad,
-                weight,
-                bias,
-                ..
-            } => {
-                let attrs = ConvAttrs {
-                    kh: *kh,
-                    kw: *kw,
-                    sh: *sh,
-                    sw: *sw,
-                    pad: *pad,
-                };
-                let w = self.params.value(*weight);
-                let b = bias.map(|pid| self.params.value(pid));
-                conv2d_forward_micro(resolve(0), w, b, &attrs, None, 0)
-            }
-            Op::Pool2d {
-                kind,
-                kh,
-                kw,
-                sh,
-                sw,
-                pad,
-            } => {
-                let attrs = PoolAttrs {
-                    kh: *kh,
-                    kw: *kw,
-                    sh: *sh,
-                    sw: *sw,
-                    pad: *pad,
-                };
-                match kind {
-                    PoolKind::Max => max_pool_forward(resolve(0), &attrs).0,
-                    PoolKind::Avg => avg_pool_forward(resolve(0), &attrs),
-                }
-            }
-            Op::GlobalAvgPool => global_avg_pool_forward(resolve(0)),
-            Op::BatchNorm { gamma, beta, .. } => {
-                let x = resolve(0);
-                let c = x.dim(1);
-                let (rm, rv) = self.bn.get(*gamma, c);
-                batch_norm_inference(x, self.params.value(*gamma), self.params.value(*beta), &rm, &rv)
-            }
-            Op::Relu => relu_forward(resolve(0)),
-            // Inference: dropout is the identity.
-            Op::Dropout { .. } => resolve(0).clone(),
-            Op::Linear { weight, bias, .. } => {
-                linear_forward(resolve(0), self.params.value(*weight), self.params.value(*bias))
-            }
-            Op::Add => {
-                let mut acc = resolve(0).clone();
-                for i in 1..node.inputs.len() {
-                    acc.add_assign(resolve(i));
-                }
-                acc
-            }
-            Op::Concat { dim } => {
-                let parts: Vec<&Tensor> = (0..node.inputs.len()).map(resolve).collect();
-                Tensor::concat(&parts, *dim)
-            }
-            Op::Slice { dim, start, len } => resolve(0).slice_dim(*dim, *start, *len),
-            Op::Flatten => {
-                let x = resolve(0);
-                let b = x.dim(0);
-                let rest: usize = x.shape().dims()[1..].iter().product();
-                x.clone().reshape(&[b, rest])
-            }
-            // Serving has no labels; the loss node exists only because
-            // every model graph ends with one. Its planned TSO still
-            // allocates/frees, but the value is a zero stub — responses
-            // are the logits, snapshotted before this node's Free fires.
-            Op::SoftmaxCrossEntropy => Tensor::zeros(&node.out_shape),
-        }
+        let planned_pool_bytes = requests.len() * per_slot;
+        (logits, BatchStats { pool_high_water, planned_pool_bytes, resident_peak })
     }
 }

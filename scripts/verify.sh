@@ -15,6 +15,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Structural guard: serving has no kernel dispatch and no plan replay of
+# its own — what a node computes is `scnn_nn::Executor::forward_wave`,
+# where activations live is `scnn_runtime::PlanRuntime` (DESIGN.md §15).
+# A file under crates/serve/src naming the kernels module or the
+# plan-event types means a second copy is coming back.
+if grep -rnE 'scnn_nn::kernels|MemEvent|PoolGauge' crates/serve/src; then
+  echo "verify: crates/serve/src must not dispatch kernels or replay plan events" >&2
+  exit 1
+fi
+
 cargo build --workspace --release --offline
 cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -116,3 +126,11 @@ if [[ "${SCNN_VERIFY_SKIP_BENCH:-0}" != 1 ]]; then
 fi
 
 echo "verify: OK"
+echo "  ran: cargo test -q --workspace --offline (every crate's suites; includes tier-1,"
+echo "       'cargo test -q', which alone runs only the umbrella crate's e2e tests)"
+echo "  ran: cargo clippy --workspace --all-targets -- -D warnings"
+if [[ "${SCNN_VERIFY_SKIP_BENCH:-0}" == 1 ]]; then
+  echo "  ran: bench smokes + byte pins; skipped: full benches, benchmark/check.sh"
+else
+  echo "  ran: bench smokes + byte pins, full gated benches, benchmark/check.sh"
+fi
