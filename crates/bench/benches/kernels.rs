@@ -15,10 +15,14 @@
 use std::hint::black_box;
 
 use scnn_bench::{Args, BenchGroup};
+use scnn_core::lower_unsplit;
+use scnn_graph::ParamId;
+use scnn_models::{resnet18, ModelOptions};
 use scnn_nn::kernels::{
     avg_pool_forward, batch_norm_forward, conv2d_backward, conv2d_forward, linear_backward,
     linear_forward, max_pool_forward, ConvAttrs, PoolAttrs,
 };
+use scnn_nn::{ParamStore, Sgd};
 use scnn_rng::SplitRng;
 use scnn_tensor::{
     clear_plans, col2im, conv2d_fwd_winograd, detected_level, force_level, im2col, install_plans,
@@ -93,6 +97,48 @@ fn main() {
     scnn_par::scratch::reset_peak();
     black_box(conv2d_backward(&x, &w, false, &dy, &attrs));
     g.record_bytes("conv2d_bwd_scratch_peak", scnn_par::scratch::peak_bytes());
+
+    // The shapes the repo benchmark's training workloads actually execute
+    // (ResNet-18 cifar width 0.5, batch 8, split (0.5, 2, 2); see
+    // `results/conv_layers.txt`): the 16×16 patch conv that is a third of
+    // the step, layer4's 4×4 map on the materialized path, and a 1×1
+    // stride-2 shortcut.
+    let (wn, wc, whw) = if smoke { (1, 4, 4) } else { (8, 32, 16) };
+    let (dc, dhw) = if smoke { (8, 2) } else { (256, 4) };
+    for (name, xd, oc, k, stride, with_bwd) in [
+        ("8x32x16x16", [wn, wc, whw, whw], wc, 3, 1, true),
+        ("8x256x4x4", [wn, dc, dhw, dhw], dc, 3, 1, true),
+        ("1x1s2_8x32x16x16", [wn, wc, whw, whw], 2 * wc, 1, 2, false),
+    ] {
+        let wx = uniform(&mut rng, &xd, -1.0, 1.0);
+        let ww = uniform(&mut rng, &[oc, xd[1], k, k], -0.5, 0.5);
+        let a = ConvAttrs {
+            kh: k,
+            kw: k,
+            sh: stride,
+            sw: stride,
+            pad: Padding2d::symmetric((k / 2) as i64),
+        };
+        let wdy = Tensor::ones(conv2d_forward(&wx, &ww, None, &a).shape().dims());
+        g.bench(&format!("conv2d_fwd_{name}"), || conv2d_forward(&wx, &ww, None, &a));
+        if with_bwd {
+            g.bench(&format!("conv2d_bwd_{name}"), || {
+                conv2d_backward(&wx, &ww, false, &wdy, &a)
+            });
+        }
+    }
+
+    // One optimizer step over every parameter of that model (~2.8 M
+    // scalars), gradients present, momentum and weight decay on.
+    let desc = resnet18(&ModelOptions::cifar().with_width(if smoke { 0.125 } else { 0.5 }));
+    let graph = lower_unsplit(&desc, 1);
+    let mut params = ParamStore::init(&graph, &mut rng);
+    for id in 0..params.len() {
+        let dims = params.value(ParamId(id)).shape().dims().to_vec();
+        params.accumulate_grad(ParamId(id), &uniform(&mut rng, &dims, -0.1, 0.1));
+    }
+    let mut sgd = Sgd::new(&params, 0.005, 0.9, 1e-4);
+    g.bench("sgd_step_resnet18_w05", || sgd.step(&mut params));
 
     // The lowering stages of the conv above, measured on their own.
     let geo = Conv2dGeometry::new(c, hw, hw, 3, 3, 1, 1, Padding2d::symmetric(1));

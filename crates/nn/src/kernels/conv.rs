@@ -4,13 +4,14 @@
 //! Two algorithms compute identical bits (DESIGN.md §11):
 //!
 //! - [`ConvAlgo::Tiled`] — the implicit-GEMM engine in
-//!   `scnn_tensor::conv_engine`: patch rows are packed tile-by-tile into
-//!   per-thread scratch panels and the full `im2col`/`dcols` matrices are
-//!   never allocated.
+//!   `scnn_tensor::conv_engine`: patch rows are strip-packed tile-by-tile
+//!   into per-thread scratch panels and the full `im2col`/`dcols` matrices
+//!   are never allocated. A negative padding is applied by addressing (the
+//!   engine reads and writes the cropped window in place), not by copy.
 //! - [`ConvAlgo::Materialized`] — the classic `im2col` + GEMM pipeline,
-//!   kept as the reference and as the better choice where tiling buys
-//!   nothing (1×1 kernels, tiny spatial outputs). Its intermediates now
-//!   live in reused workspace scratch instead of fresh `Vec`s.
+//!   kept as the reference and selected where tiling buys nothing (tiny
+//!   spatial outputs under a kernel wider than 1×1); its intermediates
+//!   live in reused workspace scratch.
 //!
 //! A third algorithm, [`ConvAlgo::Winograd`], is the opt-in F(2×2, 3×3)
 //! transform-domain fast path (`scnn_tensor::winograd`) for stride-1 3×3
@@ -28,9 +29,9 @@ use std::sync::{Arc, OnceLock};
 
 use scnn_graph::Op;
 use scnn_tensor::{
-    col2im_cols_range_into, conv2d_dw_single_block, conv2d_dw_tiled_acc, conv2d_dw_winograd_acc,
-    conv2d_dx_tiled, conv2d_dx_winograd, conv2d_fwd_tiled, conv2d_fwd_winograd,
-    default_conv_algo, im2col_range_into, matmul_a_bt_into, matmul_at_b_acc_into,
+    col2im_cols_range_into, conv2d_dw_single_block, conv2d_dw_tiled_acc_at,
+    conv2d_dw_winograd_acc, conv2d_dx_tiled, conv2d_dx_winograd, conv2d_fwd_tiled_at,
+    conv2d_fwd_winograd, default_conv_algo, im2col_range_into, matmul_a_bt_into, matmul_at_b_acc_into,
     matmul_at_b_seq_into, matmul_into, winograd_supported, BufferRecycler, Conv2dGeometry,
     Padding2d, PooledBuf, Tensor, Workspace,
 };
@@ -118,17 +119,34 @@ pub struct ConvGrads {
     pub db: Option<Tensor>,
 }
 
-fn geometry(x_cropped: &Tensor, attrs: &ConvAttrs, pos: Padding2d) -> Conv2dGeometry {
-    Conv2dGeometry::new(
-        x_cropped.dim(1),
-        x_cropped.dim(2),
-        x_cropped.dim(3),
+/// How a layer's (possibly negative) padding lands on its input: the
+/// geometry of the cropped window with the non-negative remainder as its
+/// padding, and the window's offset inside `x`. The direct engine reads
+/// and writes the window in place at that offset; the other algorithms
+/// take the [`cropped`] copy.
+struct Lowered {
+    g: Conv2dGeometry,
+    crop: Padding2d,
+    off_h: usize,
+    off_w: usize,
+}
+
+fn lower(x: &Tensor, attrs: &ConvAttrs) -> Lowered {
+    let (crop, pos) = split_padding(attrs.pad);
+    let cropped_extent = |full: usize, begin: i64, end: i64| {
+        usize::try_from(full as i64 + begin + end).expect("padding crops away more than the input")
+    };
+    let g = Conv2dGeometry::new(
+        x.dim(1),
+        cropped_extent(x.dim(2), crop.h_begin, crop.h_end),
+        cropped_extent(x.dim(3), crop.w_begin, crop.w_end),
         attrs.kh,
         attrs.kw,
         attrs.sh,
         attrs.sw,
         pos,
-    )
+    );
+    Lowered { g, crop, off_h: (-crop.h_begin) as usize, off_w: (-crop.w_begin) as usize }
 }
 
 /// The cropped view of `x` under `crop` — borrowing `x` itself when the
@@ -189,9 +207,7 @@ pub fn conv2d_forward_micro(
     assert_eq!(w.rank(), 4, "conv weight must be [oc, ic, kh, kw]");
     assert_eq!(w.dim(1), x.dim(1), "conv channel mismatch");
     assert_eq!((w.dim(2), w.dim(3)), (attrs.kh, attrs.kw), "kernel shape mismatch");
-    let (crop, pos) = split_padding(attrs.pad);
-    let xc = cropped(x, crop);
-    let g = geometry(&xc, attrs, pos);
+    let Lowered { g, crop, off_h, off_w } = lower(x, attrs);
     let algo = algo.unwrap_or_else(|| select_algo(&g));
     let n = x.dim(0);
     let oc = w.dim(0);
@@ -199,20 +215,21 @@ pub fn conv2d_forward_micro(
     let hw = oh * ow;
     let u = if micro == 0 { n } else { micro.min(n) };
 
-    // Both paths overwrite every output element, so the pooled buffer's
+    // Every path overwrites every output element, so the pooled buffer's
     // previous contents never matter.
     let mut out = Workspace::global().take(n * oc * hw);
     match algo {
+        // The engine's per-thread panels are batch-independent, so
+        // `micro` has nothing to chunk.
         ConvAlgo::Tiled => {
-            conv2d_fwd_tiled(&xc, w, b.map(Tensor::as_slice), &g, &mut out);
+            conv2d_fwd_tiled_at(x, off_h, off_w, w, b.map(Tensor::as_slice), &g, &mut out);
         }
-        // Like the tiled engine, the winograd staging is already
-        // batch-independent (plan-sized tile batches), so `micro` has
-        // nothing to chunk.
+        // Likewise the winograd staging (plan-sized tile batches).
         ConvAlgo::Winograd => {
-            conv2d_fwd_winograd(&xc, w, b.map(Tensor::as_slice), &g, &mut out);
+            conv2d_fwd_winograd(&cropped(x, crop), w, b.map(Tensor::as_slice), &g, &mut out);
         }
         ConvAlgo::Materialized => {
+            let xc = cropped(x, crop);
             let plen = g.patch_len();
             for b0 in (0..n).step_by(u.max(1)) {
                 let bn = u.min(n - b0);
@@ -318,9 +335,7 @@ pub fn conv2d_backward_micro(
     algo: Option<ConvAlgo>,
     micro: usize,
 ) -> ConvGrads {
-    let (crop, pos) = split_padding(attrs.pad);
-    let xc = cropped(x, crop);
-    let g = geometry(&xc, attrs, pos);
+    let Lowered { g, crop, off_h, off_w } = lower(x, attrs);
     let algo = algo.unwrap_or_else(|| select_algo(&g));
     let n = x.dim(0);
     let oc = w.dim(0);
@@ -332,11 +347,10 @@ pub fn conv2d_backward_micro(
     );
     let hw = oh * ow;
     let plen = g.patch_len();
-    let (off_h, off_w) = ((-crop.h_begin) as usize, (-crop.w_begin) as usize);
     let u = if micro == 0 { n } else { micro.min(n) };
 
     let ws = Workspace::global();
-    let mut dw = ws.take(oc * plen); // fully overwritten by both paths
+    let mut dw = ws.take(oc * plen); // fully overwritten by every path
     // Gradients fold into the full-size dx at the crop offset: cropped-away
     // (abandoned) rows keep their single zero fill.
     let mut dx = pooled(ws.take_zeroed(x.as_slice().len()), x.shape().dims());
@@ -345,9 +359,9 @@ pub fn conv2d_backward_micro(
         ConvAlgo::Tiled => {
             for b0 in (0..n).step_by(u.max(1)) {
                 let bn = u.min(n - b0);
-                conv2d_dw_tiled_acc(&xc, dy, &g, b0, bn, &mut dw, b0 == 0);
+                conv2d_dw_tiled_acc_at(x, off_h, off_w, dy, &g, b0, bn, &mut dw, b0 == 0);
             }
-            // dx scratch is one patch row per thread — nothing to chunk.
+            // dx scratch is one gradient tile per thread — nothing to chunk.
             conv2d_dx_tiled(dy, w, &g, &mut dx, off_h, off_w);
         }
         // Winograd chunking shrinks the per-image transform-domain
@@ -355,6 +369,7 @@ pub fn conv2d_backward_micro(
         // epsilon-only (the inverse transform runs per call), which is
         // why planner schedules pair winograd with full batch only.
         ConvAlgo::Winograd => {
+            let xc = cropped(x, crop);
             for b0 in (0..n).step_by(u.max(1)) {
                 let bn = u.min(n - b0);
                 conv2d_dw_winograd_acc(&xc, dy, &g, b0, bn, &mut dw, b0 == 0);
@@ -362,6 +377,7 @@ pub fn conv2d_backward_micro(
             conv2d_dx_winograd(dy, w, &g, &mut dx, off_h, off_w);
         }
         ConvAlgo::Materialized => {
+            let xc = cropped(x, crop);
             let dsrc = dy.as_slice();
             for b0 in (0..n).step_by(u.max(1)) {
                 let bn = u.min(n - b0);
@@ -576,8 +592,12 @@ mod tests {
     fn small_geometries_select_materialized_large_select_tiled() {
         let tiny = Conv2dGeometry::new(1, 4, 4, 3, 3, 1, 1, Padding2d::symmetric(1));
         assert_eq!(select_algo(&tiny), ConvAlgo::Materialized);
-        let one = Conv2dGeometry::new(8, 32, 32, 1, 1, 1, 1, Padding2d::default());
-        assert_eq!(select_algo(&one), ConvAlgo::Materialized);
+        // 1×1 kernels run on the engine at any map size: their NCHW
+        // `im2col` is a transpose, not a reshape.
+        for hw in [32, 4] {
+            let one = Conv2dGeometry::new(8, hw, hw, 1, 1, 1, 1, Padding2d::default());
+            assert_eq!(select_algo(&one), ConvAlgo::Tiled);
+        }
         let big = Conv2dGeometry::new(8, 32, 32, 3, 3, 1, 1, Padding2d::symmetric(1));
         assert_eq!(select_algo(&big), ConvAlgo::Tiled);
     }

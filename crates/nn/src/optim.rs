@@ -39,24 +39,43 @@ impl Sgd {
     }
 
     /// Applies one update: `v ← μv + (g + λw)`, `w ← w − η·v`.
+    ///
+    /// One fused in-place pass per parameter, split over size-derived
+    /// chunks: each element evaluates `g' = g + w·λ` (skipped when `λ` is
+    /// zero), `v = v·μ + g'`, `w = w − v·η` — the per-element operations,
+    /// in the order, of the tensor expression this replaces — so weights
+    /// are bit-identical to it at any thread count. After the first step
+    /// (which sizes the velocity buffers) nothing is allocated.
     pub fn step(&mut self, params: &mut ParamStore) {
         let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
         let velocity = &mut self.velocity;
         params.update(|i, value, grad| {
-            let mut g = grad.clone();
-            if wd != 0.0 {
-                let decay = value.scale(wd);
-                g.add_assign(&decay);
+            if velocity[i].shape() != grad.shape() {
+                velocity[i] = Tensor::zeros(grad.shape().dims());
             }
-            if velocity[i].shape() != g.shape() {
-                velocity[i] = Tensor::zeros(g.shape().dims());
-            }
-            let v = velocity[i].scale(mu).add(&g);
-            velocity[i] = v.clone();
-            *value = value.sub(&v.scale(lr));
+            let grad = grad.as_slice();
+            let chunk = scnn_par::grain(grad.len(), MIN_CHUNK);
+            let vel = scnn_par::DisjointMut::new(velocity[i].as_mut_slice());
+            scnn_par::par_chunks_mut(value.as_mut_slice(), chunk, |ci, w| {
+                let lo = ci * chunk;
+                // Safety: chunk `ci` of the velocity is touched only by
+                // the task that owns chunk `ci` of the value.
+                let v = unsafe { vel.range(lo, lo + w.len()) };
+                let g = &grad[lo..lo + w.len()];
+                for ((w, v), &g) in w.iter_mut().zip(v).zip(g) {
+                    // `wd` is loop-invariant; the compiler hoists the test.
+                    let g = if wd != 0.0 { g + *w * wd } else { g };
+                    *v = *v * mu + g;
+                    *w -= *v * lr;
+                }
+            });
         });
     }
 }
+
+/// Elements per parallel chunk of one parameter's update: small
+/// parameters (biases, BN scales) run inline.
+const MIN_CHUNK: usize = 16 * 1024;
 
 /// Multi-step learning-rate decay: multiply by `gamma` at each milestone
 /// epoch.
@@ -113,6 +132,67 @@ mod tests {
     use super::*;
     use scnn_rng::SplitRng;
     use scnn_graph::{Graph, ParamId};
+
+    /// The tensor-expression update [`Sgd::step`] fused, kept as its
+    /// oracle: seven temporaries per parameter, one operation each.
+    fn step_by_tensor_expressions(
+        velocity: &mut [Tensor],
+        (lr, mu, wd): (f32, f32, f32),
+        params: &mut ParamStore,
+    ) {
+        params.update(|i, value, grad| {
+            let mut g = grad.clone();
+            if wd != 0.0 {
+                let decay = value.scale(wd);
+                g.add_assign(&decay);
+            }
+            if velocity[i].shape() != g.shape() {
+                velocity[i] = Tensor::zeros(g.shape().dims());
+            }
+            let v = velocity[i].scale(mu).add(&g);
+            velocity[i] = v.clone();
+            *value = value.sub(&v.scale(lr));
+        });
+    }
+
+    #[test]
+    fn fused_step_is_bit_identical_to_the_tensor_expression_update() {
+        // A 5×9216 weight — three parallel chunks, the last one ragged —
+        // plus its bias; three steps so the momentum term carries state
+        // from step to step.
+        let mut g = Graph::new();
+        let x = g.input(&[1, 1, 96, 96]);
+        let f = g.flatten(x, "f");
+        g.linear(f, 5, "fc");
+        for wd in [0.0, 1e-4] {
+            let mut fused = ParamStore::init(&g, &mut SplitRng::seed_from_u64(7));
+            let mut oracle = fused.clone();
+            let mut opt = Sgd::new(&fused, 0.05, 0.9, wd);
+            let mut velocity: Vec<Tensor> = (0..oracle.len()).map(|_| Tensor::default()).collect();
+            let mut rng = SplitRng::seed_from_u64(8);
+            for step in 0..3 {
+                for id in 0..fused.len() {
+                    let dims = fused.value(ParamId(id)).shape().dims().to_vec();
+                    let grad = scnn_tensor::uniform(&mut rng, &dims, -1.0, 1.0);
+                    for p in [&mut fused, &mut oracle] {
+                        p.zero_grads();
+                        p.accumulate_grad(ParamId(id), &grad);
+                    }
+                }
+                // Elementwise, so the chunking cannot matter: a different
+                // thread count each step.
+                scnn_par::with_threads([1, 2, 7][step], || opt.step(&mut fused));
+                step_by_tensor_expressions(&mut velocity, (0.05, 0.9, wd), &mut oracle);
+                for id in 0..fused.len() {
+                    let (a, b) = (fused.value(ParamId(id)), oracle.value(ParamId(id)));
+                    assert!(
+                        a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "param {id} differs after step {step} with wd {wd}"
+                    );
+                }
+            }
+        }
+    }
 
     fn store() -> ParamStore {
         let mut g = Graph::new();

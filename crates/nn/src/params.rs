@@ -69,7 +69,7 @@ impl ParamStore {
     /// Clears every gradient.
     pub fn zero_grads(&mut self) {
         for g in &mut self.grads {
-            g.map_inplace(|_| 0.0);
+            g.as_mut_slice().fill(0.0);
         }
     }
 

@@ -317,3 +317,122 @@ fn backward_matches_the_pre_gemm_acc_loops_on_edge_geometries() {
         }
     }
 }
+
+/// [`scnn_tensor`]'s blocked dot product written out in scalar Rust: lane
+/// `l` accumulates `p ≡ l (mod 8)` with `p` ascending, the lanes fold as
+/// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`, then the sequential tail.
+fn dot8_reference(a: &[f32], b: &[f32]) -> f32 {
+    let k8 = a.len() / 8 * 8;
+    let mut lanes = [0.0f32; 8];
+    for p in 0..k8 {
+        lanes[p % 8] += a[p] * b[p];
+    }
+    let mut tail = 0.0f32;
+    for p in k8..a.len() {
+        tail += a[p] * b[p];
+    }
+    let (s0, s1) = (lanes[0] + lanes[4], lanes[1] + lanes[5]);
+    let (s2, s3) = (lanes[2] + lanes[6], lanes[3] + lanes[7]);
+    ((s0 + s2) + (s1 + s3)) + tail
+}
+
+/// The forward as `im2col` rows times weight rows, one [`dot8_reference`]
+/// plus one bias add per element. Shares no arithmetic code with the
+/// engine — and, unlike the materialized kernel, none with its GEMM.
+fn reference_forward(x: &Tensor, w: &Tensor, b: &Tensor, attrs: &ConvAttrs) -> Tensor {
+    let p = attrs.pad;
+    let crop = Padding2d::new(p.h_begin.min(0), p.h_end.min(0), p.w_begin.min(0), p.w_end.min(0));
+    let pos = Padding2d::new(p.h_begin.max(0), p.h_end.max(0), p.w_begin.max(0), p.w_end.max(0));
+    let xc = x.pad2d(crop);
+    let g = Conv2dGeometry::new(xc.dim(1), xc.dim(2), xc.dim(3), attrs.kh, attrs.kw, attrs.sh, attrs.sw, pos);
+    let (n, oc) = (x.dim(0), w.dim(0));
+    let (hw, plen) = (g.patch_count(), g.patch_len());
+    let cols = im2col(&xc, &g);
+    let mut y = vec![0.0f32; n * oc * hw];
+    for q in 0..n * hw {
+        for c in 0..oc {
+            let dot = dot8_reference(&cols.as_slice()[q * plen..(q + 1) * plen], &w.as_slice()[c * plen..(c + 1) * plen]);
+            y[((q / hw) * oc + c) * hw + q % hw] = dot + b.as_slice()[c];
+        }
+    }
+    Tensor::from_vec(y, &[n, oc, g.out_h(), g.out_w()])
+}
+
+#[test]
+fn strip_kernels_match_the_scalar_references_for_every_kernel_width() {
+    // Every kernel-width specialisation of the strip pack and scatter
+    // (1 and 3 compile-time, 2/5/7 read from the geometry) at strides 1
+    // and 2, under asymmetric padding and under negative padding (the
+    // engine reads its window at the crop offset of the uncropped input).
+    // Batch 3 with 24-row forward tiles and 16-position `dx` tiles: tiles
+    // straddle output rows everywhere and batch images in the forward.
+    // Forward against `im2col` + scalar dot8, backward against the
+    // pre-micro-kernel loops over `im2col`/`col2im_into`, both algorithms
+    // (the selector's 1×1 "materialized" included).
+    let pads = [
+        Padding2d::new(1, 2, 0, 3),
+        Padding2d::new(-1, 1, 2, -2),
+        Padding2d::new(0, -2, -1, 1),
+    ];
+    let mut rng = scnn_rng::SplitRng::seed_from_u64(44);
+    for kw in [1usize, 2, 3, 5, 7] {
+        for stride in [1usize, 2] {
+            for pad in pads {
+                let (n, ic, oc, h, w, kh) = (3, 3, 10, 9, 13, kw.min(3));
+                let attrs = ConvAttrs { kh, kw, sh: stride, sw: stride, pad };
+                let x = uniform(&mut rng, &[n, ic, h, w], -1.0, 1.0);
+                let wt = uniform(&mut rng, &[oc, ic, kh, kw], -0.7, 0.7);
+                let b = uniform(&mut rng, &[oc], -0.2, 0.2);
+                let what = format!("k{kh}x{kw} s{stride} pad {pad:?}");
+                let want = reference_forward(&x, &wt, &b, &attrs);
+                for algo in [ConvAlgo::Tiled, ConvAlgo::Materialized] {
+                    let y = conv2d_forward_with(&x, &wt, Some(&b), &attrs, Some(algo));
+                    if let Err(e) = bits_match(&format!("{what}: {algo:?} y vs scalar reference"), &y, &want) {
+                        panic!("{e}");
+                    }
+                }
+                let dy = relu_style_dy(&mut rng, want.shape().dims());
+                if let Case::Fail(e) = backward_matches_old_loops(&x, &wt, &dy, &attrs) {
+                    panic!("{what}: {e}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn forward_matches_the_scalar_reference_on_random_geometries() {
+    check("conv forward vs im2col + scalar dot8", 24, |rng| {
+        let n = rng.gen_range(1..4usize);
+        let ic = rng.gen_range(1..6usize);
+        let oc = rng.gen_range(1..19usize); // column quads, singles, > 16
+        let h = rng.gen_range(4..14usize);
+        let w = rng.gen_range(4..14usize);
+        let kh = rng.gen_range(1..4usize);
+        let kw = rng.gen_range(1..4usize);
+        let sh = rng.gen_range(1..4usize);
+        let sw = rng.gen_range(1..4usize);
+        let pad = Padding2d::new(
+            rng.gen_range(-2..3i64),
+            rng.gen_range(-2..3i64),
+            rng.gen_range(-2..3i64),
+            rng.gen_range(-2..3i64),
+        );
+        let (ch, cw) = (h as i64 + pad.h_begin.min(0) + pad.h_end.min(0), w as i64 + pad.w_begin.min(0) + pad.w_end.min(0));
+        if h as i64 + pad.h_begin + pad.h_end < kh as i64 || w as i64 + pad.w_begin + pad.w_end < kw as i64 || ch < 1 || cw < 1 {
+            return Case::Discard;
+        }
+        let attrs = ConvAttrs { kh, kw, sh, sw, pad };
+        let x = uniform(rng, &[n, ic, h, w], -1.0, 1.0);
+        let wt = uniform(rng, &[oc, ic, kh, kw], -0.7, 0.7);
+        let b = uniform(rng, &[oc], -0.2, 0.2);
+        let want = reference_forward(&x, &wt, &b, &attrs);
+        for algo in [ConvAlgo::Tiled, ConvAlgo::Materialized] {
+            let y = conv2d_forward_with(&x, &wt, Some(&b), &attrs, Some(algo));
+            if let Err(e) = bits_match(&format!("{algo:?} y vs scalar reference"), &y, &want) {
+                return Case::Fail(e);
+            }
+        }
+        Case::Pass
+    });
+}

@@ -91,6 +91,10 @@ fn take(elems: usize) -> Vec<f32> {
     let buf = match buf.take() {
         Some(mut b) => {
             b.clear();
+            // Grow to what was asked, not `Vec`'s doubled capacity: a loan
+            // is charged (and resident) at its buffer's capacity, and a
+            // doubled buffer inflates every later small loan it serves.
+            b.reserve_exact(elems);
             b.resize(elems, 0.0);
             b
         }

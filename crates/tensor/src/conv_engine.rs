@@ -3,11 +3,26 @@
 //! The materialized path lowers convolution to `im2col` + GEMM, which
 //! allocates the full patch matrix `[n·oh·ow, ic·kh·kw]` on every call —
 //! the largest transient buffer in a training step and invisible to the
-//! HMMS planner. The kernels here never build that matrix: they pack one
-//! small tile of patch rows at a time into a per-thread scratch panel
-//! (`scnn_par::scratch`), run the same micro-kernels the GEMMs use
-//! (`dot8` family forward, `gemm_acc` backward) against the weight matrix,
-//! and write results straight to their destination.
+//! HMMS planner. The kernels here never build that matrix: they stage one
+//! small tile at a time in per-thread scratch (`scnn_par::scratch`), run
+//! the same micro-kernels the GEMMs use (`dot_panel` forward, `gemm_acc`
+//! backward) against the weight matrix, and write results straight to
+//! their destination. What moves the data, per direction:
+//!
+//! - forward and `dw` *strip-pack* patch rows ([`pack_strips`]): tiles run
+//!   over the flattened `n·oh·ow` position index (a 4-wide map fills a
+//!   panel as well as a 32-wide one), and for each run of positions inside
+//!   one output row a `(c, ky)` pass copies the run's kernel rows with the
+//!   kernel width a compile-time constant — no per-position `memcpy`, no
+//!   per-tap bounds test away from the border.
+//! - `dx` computes a tile's patch-row gradients *transposed*
+//!   (`[plen, positions]`, the weight matrix as `gemm_acc`'s strided left
+//!   operand, `dy` read in place as its rows), so the `col2im` scatter adds
+//!   whole runs of positions with unit stride on both sides
+//!   ([`scatter_strips`]).
+//! - a layer with negative padding reads and writes its cropped window in
+//!   place (`*_at` entry points, [`conv2d_dx_tiled`]'s offsets) instead of
+//!   through a cropped copy.
 //!
 //! **Bit-identity with the materialized path is a hard invariant**, not an
 //! approximation — it is what keeps seeded training goldens and the
@@ -23,18 +38,20 @@
 //!   place), and fold in ascending block order.
 //! - `dx`: each patch-row gradient reduces over output channels in
 //!   ascending order exactly as [`matmul`](crate::matmul) does (one
-//!   `gemm_acc` per tile of positions), then scatters in
-//!   [`col2im_into`](crate::col2im_into)'s `(oy, ox, ky, kx)` order,
-//!   parallel per batch image only (`oy` windows overlap inside an image).
+//!   `gemm_acc` per tile of positions; transposing the tile swaps the
+//!   factors of each product, not their order), then scatters in
+//!   [`col2im_into`](crate::col2im_into)'s `(oy, ox, ky, kx)` order per
+//!   destination element, parallel per batch image only (`oy` windows
+//!   overlap inside an image).
 //!
 //! The weight tensor `[oc, ic, kh, kw]` is row-major contiguous, so its
-//! natural layout *is* the `[oc, plen]` panel the micro-kernel wants —
+//! natural layout *is* the `[oc, plen]` panel the micro-kernels want —
 //! "packing" the B side is the identity, which is why there is no weight
 //! pack cache to invalidate on update.
 
 use crate::im2col::Conv2dGeometry;
 use crate::plan::{self, KernelPlan};
-use crate::simd::{add_assign, dot8, dot8_x4, dot8_x8, gemm_acc};
+use crate::simd::{add_assign, dot_panel, gemm_acc, PANEL_ROWS};
 use crate::Tensor;
 use scnn_par::{scratch, DisjointMut};
 
@@ -62,12 +79,20 @@ pub enum ConvAlgo {
 
 /// The geometry-based default algorithm choice (no override applied).
 ///
-/// 1×1 kernels stay materialized: their `im2col` is a pure reshape, so the
-/// GEMM already streams contiguously and tiling only adds pack traffic.
-/// Tiny spatial outputs (fewer than 64 positions per image) also stay
-/// materialized — per-tile dispatch would dominate the arithmetic.
+/// Tiny spatial outputs (fewer than 64 positions per image) under a
+/// kernel wider than 1×1 are materialized: their whole patch matrix is a
+/// few tiles, and the two pipelines cost about the same there. Everything
+/// else runs on this engine — including every 1×1 kernel, whatever its map
+/// size: in NCHW the `im2col` of a 1×1 kernel is a *transpose* of the
+/// input, not a reshape, so the materialized pipeline spends three memory
+/// passes (crop copy, `im2col`, `[rows, oc]` → NCHW) around a GEMM with
+/// 32–128 multiplies per element (~10 GFLOP/s measured), while the
+/// engine's one-float strip pack does that transpose tile by tile in L1
+/// and writes NCHW rows directly. The planner reads this function too
+/// (`scnn-core`), so it reserves the tile engine's workspace for the
+/// layers that run on it.
 pub fn default_conv_algo(g: &Conv2dGeometry) -> ConvAlgo {
-    if (g.kh == 1 && g.kw == 1) || g.patch_count() < 64 {
+    if g.patch_count() < 64 && !(g.kh == 1 && g.kw == 1) {
         ConvAlgo::Materialized
     } else {
         ConvAlgo::Tiled
@@ -135,65 +160,260 @@ fn tile_rows(panel_bytes: usize, plen: usize, cap: usize) -> usize {
 /// fold (amortizes task-claim overhead; same role as the GEMMs' grain).
 const MIN_ROWS: usize = 8;
 
+/// Output positions per forward task: an eighth of the layer, but at
+/// least one tile and at most four (subject to `scnn_par::grain`'s chunk
+/// cap). A task takes one scratch loan (handed out zeroed) and reuses it
+/// for each of its tiles, so four-tile tasks clear a quarter of what they
+/// pack, while a small layer still splits into several tasks.
+fn fwd_task_positions(total: usize) -> usize {
+    scnn_par::grain(total, (total / 8).clamp(FWD_TILE_ROWS, 4 * FWD_TILE_ROWS))
+}
+
+/// Most patch rows a forward tile packs: one [`dot_panel`] row group.
+/// Larger tiles would only re-stream the weight matrix less often, and it
+/// already streams once per 24 rows of arithmetic.
+const FWD_TILE_ROWS: usize = PANEL_ROWS;
+
 /// Per-thread byte budget of the `dx` patch-gradient tile.
 const DX_TILE_BYTES: usize = 64 * 1024;
 
-/// Output positions per `dx` scratch tile: as many `plen`-float rows as
-/// [`DX_TILE_BYTES`] holds — rounded down to whole 4-row register tiles
-/// when at least one fits — at least 1, at most the image's `hw`. Tiles
-/// only batch independent patch rows; the scatter stays in position order.
-fn dx_tile_rows(plen: usize, hw: usize) -> usize {
+/// Output positions per `dx` scratch tile: as many `plen`-float columns as
+/// [`DX_TILE_BYTES`] holds, in whole 16-column register strips of
+/// [`gemm_acc`] and never fewer than one strip, at most the image's `hw`.
+/// Tiles only batch independent patch rows; the scatter stays in position
+/// order.
+fn dx_tile_cols(plen: usize, hw: usize) -> usize {
     let t = DX_TILE_BYTES / 4 / plen.max(1);
-    let t = if t >= 4 { t - t % 4 } else { t };
-    t.clamp(1, hw.max(1))
+    (t - t % 16).max(16).min(hw.max(1))
 }
 
-/// Packs the `im2col` row of output position `(b, oy, ox)` into `row`
-/// (`[plen]`), writing **every** element — out-of-bounds taps store an
-/// explicit 0.0, so a reused panel needs no per-tile clear. Values and
-/// column order are exactly those of [`im2col`](crate::im2col).
-#[inline]
-fn pack_patch(
-    src: &[f32],
+/// Cuts flattened output positions `[q0, q1)` at batch-image boundaries:
+/// `(image, first position inside it, first flattened position, length)`
+/// per run. Inside one run a channel's positions are contiguous in NCHW.
+fn image_runs(q0: usize, q1: usize, hw: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let mut q = q0;
+    std::iter::from_fn(move || {
+        (q < q1).then(|| {
+            let (b, rem) = (q / hw, q % hw);
+            let run = (b, rem, q, (hw - rem).min(q1 - q));
+            q += run.3;
+            run
+        })
+    })
+}
+
+/// Where a geometry's `in_h × in_w` input window sits in the planes of the
+/// NCHW tensor that stores it: at `(off_h, off_w)` of every
+/// `full_h × full_w` plane. A layer with negative padding reads (forward,
+/// `dw`) or writes (`dx`) its cropped window in place through this, so
+/// the crop never costs a copy.
+#[derive(Clone, Copy)]
+struct Placement {
+    full_h: usize,
+    full_w: usize,
+    off_h: usize,
+    off_w: usize,
+}
+
+impl Placement {
+    /// Validates that `t: [n, ic, full_h, full_w]` holds `g`'s window at
+    /// `(off_h, off_w)`; returns the placement and the batch size.
+    fn of(t: &Tensor, g: &Conv2dGeometry, off_h: usize, off_w: usize, what: &str) -> (Self, usize) {
+        assert_eq!(t.rank(), 4, "conv {what} must be NCHW");
+        assert_eq!(t.dim(1), g.in_c, "conv {what} {} does not match geometry {g:?}", t.shape());
+        let (full_h, full_w) = (t.dim(2), t.dim(3));
+        assert!(
+            off_h + g.in_h <= full_h && off_w + g.in_w <= full_w,
+            "conv {what}: window {}x{} at offset ({off_h}, {off_w}) exceeds {full_h}x{full_w}",
+            g.in_h,
+            g.in_w
+        );
+        (Placement { full_h, full_w, off_h, off_w }, t.dim(0))
+    }
+}
+
+/// A conv input as the pack reads it: the tensor's elements and where the
+/// geometry's window sits in them.
+#[derive(Clone, Copy)]
+pub(crate) struct Window<'a> {
+    data: &'a [f32],
+    at: Placement,
+    n: usize,
+}
+
+impl<'a> Window<'a> {
+    /// `g`'s window at `(off_h, off_w)` of `x: [n, ic, full_h, full_w]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not NCHW with `g.in_c` channels or the window
+    /// hangs outside its planes.
+    pub(crate) fn new(x: &'a Tensor, g: &Conv2dGeometry, off_h: usize, off_w: usize) -> Self {
+        let (at, n) = Placement::of(x, g, off_h, off_w, "input");
+        Window { data: x.as_slice(), at, n }
+    }
+}
+
+/// Packs the `im2col` rows of output positions `[t0, t1)` — a flattened
+/// `(b, oy, ox)` index, so a tile may straddle output rows and batch
+/// images — into `panel` (`[t1 - t0, plen]`), writing **every** element:
+/// out-of-bounds taps store an explicit 0.0, so a reused panel needs no
+/// per-tile clear. Values and column order are exactly those of
+/// [`im2col`](crate::im2col).
+///
+/// The pack goes strip by strip: for each run of positions inside one
+/// output row, one `(c, ky)` pass moves the whole run's kernel rows — the
+/// interior positions (all `kw` taps in bounds) as fixed-width copies with
+/// no per-tap test, the border ones tap by tap. The kernel width is a
+/// const generic for the widths that matter (3 and 1; `KW = 0` reads it
+/// from the geometry), so a copy is a compile-time three-float or
+/// one-float move instead of a length-dispatched `memcpy`.
+fn pack_strips(src: &Window, g: &Conv2dGeometry, t0: usize, t1: usize, panel: &mut [f32]) {
+    assert_eq!(panel.len(), (t1 - t0) * g.patch_len(), "pack panel length");
+    match g.kw {
+        3 => pack_strips_kw::<3>(src, g, t0, t1, panel),
+        1 => pack_strips_kw::<1>(src, g, t0, t1, panel),
+        _ => pack_strips_kw::<0>(src, g, t0, t1, panel),
+    }
+}
+
+fn pack_strips_kw<const KW: usize>(
+    src: &Window,
     g: &Conv2dGeometry,
-    b: usize,
-    oy: usize,
-    ox: usize,
-    row: &mut [f32],
+    t0: usize,
+    t1: usize,
+    panel: &mut [f32],
 ) {
-    let (h, w) = (g.in_h, g.in_w);
-    let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
-    let ix0 = ox as i64 * g.sw as i64 - g.pad.w_begin;
-    // Interior positions (the vast majority under small padding) copy each
-    // kernel row as one contiguous run instead of per-element index math.
-    let x_full = ix0 >= 0 && ix0 + g.kw as i64 <= w as i64;
-    let mut q = 0;
-    for c in 0..g.in_c {
-        let cbase = (b * g.in_c + c) * h * w;
-        for ky in 0..g.kh {
-            let iy = iy0 + ky as i64;
-            if iy < 0 || iy >= h as i64 {
-                row[q..q + g.kw].fill(0.0);
-                q += g.kw;
-                continue;
-            }
-            let rbase = cbase + iy as usize * w;
-            if x_full {
-                let s = rbase + ix0 as usize;
-                row[q..q + g.kw].copy_from_slice(&src[s..s + g.kw]);
-                q += g.kw;
-                continue;
-            }
-            for kx in 0..g.kw {
-                let ix = ix0 + kx as i64;
-                row[q] = if ix < 0 || ix >= w as i64 {
-                    0.0
-                } else {
-                    src[rbase + ix as usize]
+    let kw = if KW == 0 { g.kw } else { KW };
+    let (ow, hw, plen) = (g.out_w(), g.patch_count(), g.patch_len());
+    let at = &src.at;
+    let plane = at.full_h * at.full_w;
+    let (pad_t, pad_l) = (g.pad.h_begin as usize, g.pad.w_begin as usize);
+    // Output columns `[ox_lo, ox_hi)` see their whole kernel row inside
+    // the input: `ox·sw - pad_l >= 0` and `ox·sw - pad_l + kw <= in_w`.
+    let ox_lo = pad_l.div_ceil(g.sw).min(ow);
+    let ox_hi = match (g.in_w + pad_l).checked_sub(kw) {
+        Some(room) => (room / g.sw + 1).clamp(ox_lo, ow),
+        None => ox_lo,
+    };
+    let mut t = t0;
+    while t < t1 {
+        let (b, rem) = (t / hw, t % hw);
+        let (oy, ox_a) = (rem / ow, rem % ow);
+        let ox_b = (ox_a + (t1 - t)).min(ow);
+        // The segment's interior run; left and right of it is border.
+        let in_a = ox_a.max(ox_lo).min(ox_b);
+        let in_b = ox_b.min(ox_hi).max(in_a);
+        let rows = &mut panel[(t - t0) * plen..(t - t0 + ox_b - ox_a) * plen];
+        for c in 0..g.in_c {
+            let cbase = (b * g.in_c + c) * plane + at.off_h * at.full_w + at.off_w;
+            for ky in 0..g.kh {
+                let q = (c * g.kh + ky) * kw;
+                let row = (oy * g.sh + ky)
+                    .checked_sub(pad_t)
+                    .filter(|&iy| iy < g.in_h)
+                    .map(|iy| &src.data[cbase + iy * at.full_w..][..g.in_w]);
+                let border = |rows: &mut [f32], ox: usize| {
+                    for kx in 0..kw {
+                        let ix = (ox * g.sw + kx).checked_sub(pad_l).filter(|&ix| ix < g.in_w);
+                        rows[(ox - ox_a) * plen + q + kx] = row.zip(ix).map_or(0.0, |(r, ix)| r[ix]);
+                    }
                 };
-                q += 1;
+                let Some(srow) = row else {
+                    (ox_a..ox_b).for_each(|ox| border(rows, ox));
+                    continue;
+                };
+                (ox_a..in_a).for_each(|ox| border(rows, ox));
+                if in_a < in_b {
+                    let (d0, s0) = ((in_a - ox_a) * plen + q, in_a * g.sw - pad_l);
+                    let last = in_b - 1 - in_a;
+                    assert!(
+                        d0 + last * plen + kw <= rows.len() && s0 + last * g.sw + kw <= srow.len(),
+                        "strip outside its panel rows or input row"
+                    );
+                    for i in 0..=last {
+                        // SAFETY: both offsets grow with `i <= last`, and
+                        // the assert above bounds the `kw` elements at
+                        // `last`. Unchecked because the two slice checks
+                        // per three floats cost the 32→32 patch conv 12 %
+                        // of its forward (60 vs 68 GFLOP/s).
+                        unsafe {
+                            std::ptr::copy_nonoverlapping(
+                                srow.as_ptr().add(s0 + i * g.sw),
+                                rows.as_mut_ptr().add(d0 + i * plen),
+                                kw,
+                            );
+                        }
+                    }
+                }
+                (in_b..ox_b).for_each(|ox| border(rows, ox));
             }
         }
+        t += ox_b - ox_a;
+    }
+}
+
+/// Adds the transposed patch-row gradients `dcols_t` (`[plen, tw]`: row
+/// `(c, ky, kx)`, column = position `t0 + j` of one image) into that
+/// image's planes `img`, each tap onto the input element it read.
+///
+/// Every destination element receives its contributions in
+/// [`col2im_into`](crate::col2im_into)'s `(oy, ox, ky, kx)` order: output
+/// rows ascend with the position index, and inside one output row an
+/// element's contributions come from `ox` ascending — which is `kx`
+/// *descending*, the order of the passes below. One pass adds a whole run
+/// of positions for a fixed `(kx, c, ky)`: distinct destinations, so the
+/// adds neither wait on each other nor test a bound.
+fn scatter_strips(
+    dcols_t: &[f32],
+    g: &Conv2dGeometry,
+    at: &Placement,
+    t0: usize,
+    t1: usize,
+    img: &mut [f32],
+) {
+    let (ow, tw) = (g.out_w(), t1 - t0);
+    debug_assert!(t1 <= g.patch_count() && dcols_t.len() == g.patch_len() * tw);
+    let plane = at.full_h * at.full_w;
+    let (pad_t, pad_l) = (g.pad.h_begin as usize, g.pad.w_begin as usize);
+    let mut t = t0;
+    while t < t1 {
+        let (oy, ox_a) = (t / ow, t % ow);
+        let ox_b = (ox_a + (t1 - t)).min(ow);
+        for kx in (0..g.kw).rev() {
+            // Positions of the segment whose tap `kx` lands inside the
+            // input: `0 <= ox·sw + kx - pad_l < in_w`.
+            let lo = pad_l.saturating_sub(kx).div_ceil(g.sw).max(ox_a);
+            let hi = match (g.in_w + pad_l).checked_sub(kx + 1) {
+                Some(room) => (room / g.sw + 1).min(ox_b),
+                None => 0,
+            };
+            if lo >= hi {
+                continue;
+            }
+            let (ix, n) = (lo * g.sw + kx - pad_l, hi - lo);
+            for c in 0..g.in_c {
+                for ky in 0..g.kh {
+                    let Some(iy) = (oy * g.sh + ky).checked_sub(pad_t).filter(|&iy| iy < g.in_h)
+                    else {
+                        continue;
+                    };
+                    let q = (c * g.kh + ky) * g.kw + kx;
+                    let src = &dcols_t[q * tw + (t - t0) + (lo - ox_a)..][..n];
+                    let dst = &mut img[c * plane + (iy + at.off_h) * at.full_w + at.off_w + ix..];
+                    if g.sw == 1 {
+                        for (d, &v) in dst[..n].iter_mut().zip(src) {
+                            *d += v;
+                        }
+                    } else {
+                        for (d, &v) in dst.iter_mut().step_by(g.sw).zip(src) {
+                            *d += v;
+                        }
+                    }
+                }
+            }
+        }
+        t += ox_b - ox_a;
     }
 }
 
@@ -208,7 +428,9 @@ fn check_weight(w: &Tensor, g: &Conv2dGeometry) -> usize {
     w.dim(0)
 }
 
-fn check_input(x: &Tensor, g: &Conv2dGeometry) -> usize {
+/// The whole-plane entry points take an `x` that *is* the geometry's input;
+/// only the `_at` forms may address a window inside larger planes.
+fn check_exact_input(x: &Tensor, g: &Conv2dGeometry) {
     assert_eq!(x.rank(), 4, "conv input must be NCHW");
     assert_eq!(
         (x.dim(1), x.dim(2), x.dim(3)),
@@ -216,7 +438,6 @@ fn check_input(x: &Tensor, g: &Conv2dGeometry) -> usize {
         "input {} does not match geometry {g:?}",
         x.shape()
     );
-    x.dim(0)
 }
 
 /// Tiled implicit-GEMM convolution forward.
@@ -239,103 +460,79 @@ pub fn conv2d_fwd_tiled(
     g: &Conv2dGeometry,
     out: &mut [f32],
 ) {
-    let kp = plan::conv_fwd_plan(g, x.dim(0), w.dim(0));
-    conv2d_fwd_tiled_plan(&kp, x, w, bias, g, out);
+    check_exact_input(x, g);
+    conv2d_fwd_tiled_at(x, 0, 0, w, bias, g, out);
 }
 
-/// Plan-parameterized core of [`conv2d_fwd_tiled`] — the tuner times
-/// candidate pack-panel budgets through this entry without touching the
-/// global registry. Any plan produces the same bits (see [`tile_rows`]).
-pub(crate) fn conv2d_fwd_tiled_plan(
-    kp: &KernelPlan,
+/// [`conv2d_fwd_tiled`] reading the geometry's `in_h × in_w` window in
+/// place at `(off_h, off_w)` of `x: [n, ic, full_h, full_w]` — the
+/// crop-offset contract of [`conv2d_dx_tiled`], so a layer with negative
+/// padding never copies its cropped input.
+///
+/// # Panics
+///
+/// Panics if shapes disagree or the offset window hangs outside `x`.
+pub fn conv2d_fwd_tiled_at(
     x: &Tensor,
+    off_h: usize,
+    off_w: usize,
     w: &Tensor,
     bias: Option<&[f32]>,
     g: &Conv2dGeometry,
     out: &mut [f32],
 ) {
-    let n = check_input(x, g);
+    let kp = plan::conv_fwd_plan(g, x.dim(0), w.dim(0));
+    conv2d_fwd_tiled_plan(&kp, &Window::new(x, g, off_h, off_w), w, bias, g, out);
+}
+
+/// Plan-parameterized core of [`conv2d_fwd_tiled`] — the tuner times
+/// candidate pack-panel budgets through this entry without touching the
+/// global registry. Any plan produces the same bits (see [`tile_rows`]).
+///
+/// Tasks and tiles run over the flattened `n·oh·ow` position index, so a
+/// 4- or 8-wide output map fills a panel as well as a 32-wide one. Each
+/// tile is strip-packed once ([`pack_strips`]), multiplied against the
+/// whole weight matrix by one [`dot_panel`] into a channel-major
+/// `[oc, tile]` staging block, and copied out as contiguous per-channel
+/// runs of its NCHW rows.
+pub(crate) fn conv2d_fwd_tiled_plan(
+    kp: &KernelPlan,
+    x: &Window,
+    w: &Tensor,
+    bias: Option<&[f32]>,
+    g: &Conv2dGeometry,
+    out: &mut [f32],
+) {
+    let n = x.n;
     let oc = check_weight(w, g);
     let plen = g.patch_len();
-    let (oh, ow) = (g.out_h(), g.out_w());
-    assert_eq!(out.len(), n * oc * oh * ow, "conv2d_fwd_tiled out length");
+    let hw = g.patch_count();
+    assert_eq!(out.len(), n * oc * hw, "conv2d_fwd_tiled out length");
     if let Some(b) = bias {
         assert_eq!(b.len(), oc, "conv bias length");
     }
-    let src = x.as_slice();
     let wv = w.as_slice();
-    let tile = tile_rows(kp.panel_bytes, plen, ow);
-    let rows = n * oh;
-    let rows_per_chunk = scnn_par::grain(rows, 2);
-    let tasks = rows.div_ceil(rows_per_chunk.max(1)).max(1);
+    let total = n * hw;
+    let chunk = fwd_task_positions(total);
+    let tile = tile_rows(kp.panel_bytes, plen, chunk.min(FWD_TILE_ROWS));
     let sink = DisjointMut::new(out);
-    scnn_par::parallel_for(tasks, |t| {
-        let r0 = t * rows_per_chunk;
-        let r1 = ((t + 1) * rows_per_chunk).min(rows);
-        scratch::with_scratch(tile * plen, |panel| {
-            for r in r0..r1 {
-                let (b, oy) = (r / oh, r % oh);
-                for ox0 in (0..ow).step_by(tile) {
-                    let tw = (ox0 + tile).min(ow) - ox0;
-                    for ti in 0..tw {
-                        pack_patch(src, g, b, oy, ox0 + ti, &mut panel[ti * plen..(ti + 1) * plen]);
-                    }
-                    // For channel c the tile's outputs are contiguous in
-                    // ox; distinct (b, oy, c) rows never overlap, and the
-                    // tasks partition (b, oy), so the ranges are disjoint.
-                    let orow = |c: usize| {
-                        let base = ((b * oc + c) * oh + oy) * ow + ox0;
-                        unsafe { sink.range(base, base + tw) }
-                    };
-                    let mut c = 0;
-                    while c + 8 <= oc {
-                        let ws: [&[f32]; 8] = std::array::from_fn(|j| {
-                            &wv[(c + j) * plen..(c + j + 1) * plen]
-                        });
-                        let adds: [f32; 8] = match bias {
-                            Some(b) => std::array::from_fn(|j| b[c + j]),
-                            None => [0.0; 8],
-                        };
-                        let os: [&mut [f32]; 8] = std::array::from_fn(|j| orow(c + j));
-                        for ti in 0..tw {
-                            let arow = &panel[ti * plen..(ti + 1) * plen];
-                            let q = dot8_x8(arow, ws);
-                            for j in 0..8 {
-                                os[j][ti] = q[j] + adds[j];
-                            }
-                        }
-                        c += 8;
-                    }
-                    while c + 4 <= oc {
-                        let (w0, w1, w2, w3) = (
-                            &wv[c * plen..(c + 1) * plen],
-                            &wv[(c + 1) * plen..(c + 2) * plen],
-                            &wv[(c + 2) * plen..(c + 3) * plen],
-                            &wv[(c + 3) * plen..(c + 4) * plen],
-                        );
-                        let adds = match bias {
-                            Some(b) => [b[c], b[c + 1], b[c + 2], b[c + 3]],
-                            None => [0.0; 4],
-                        };
-                        let (o0, o1, o2, o3) = (orow(c), orow(c + 1), orow(c + 2), orow(c + 3));
-                        for ti in 0..tw {
-                            let arow = &panel[ti * plen..(ti + 1) * plen];
-                            let q = dot8_x4(arow, w0, w1, w2, w3);
-                            o0[ti] = q[0] + adds[0];
-                            o1[ti] = q[1] + adds[1];
-                            o2[ti] = q[2] + adds[2];
-                            o3[ti] = q[3] + adds[3];
-                        }
-                        c += 4;
-                    }
-                    while c < oc {
-                        let wrow = &wv[c * plen..(c + 1) * plen];
-                        let add = bias.map_or(0.0, |b| b[c]);
-                        let o = orow(c);
-                        for ti in 0..tw {
-                            o[ti] = dot8(&panel[ti * plen..(ti + 1) * plen], wrow) + add;
-                        }
-                        c += 1;
+    scnn_par::parallel_for(total.div_ceil(chunk), |task| {
+        let p1 = ((task + 1) * chunk).min(total);
+        scratch::with_scratch(tile * (plen + oc), |buf| {
+            let (panel, ytile) = buf.split_at_mut(tile * plen);
+            for t0 in (task * chunk..p1).step_by(tile) {
+                let tw = tile.min(p1 - t0);
+                let panel = &mut panel[..tw * plen];
+                pack_strips(x, g, t0, t0 + tw, panel);
+                dot_panel(tw, oc, plen, panel, plen, wv, plen, bias, &mut ytile[..oc * tw], 1, tw);
+                // The tile's positions are contiguous inside each image's
+                // channel rows; tasks partition the positions, so the
+                // ranges handed out below never overlap.
+                for (b, rem, q, seg) in image_runs(t0, t0 + tw, hw) {
+                    for c in 0..oc {
+                        let base = (b * oc + c) * hw + rem;
+                        let row = unsafe { sink.range(base, base + seg) };
+                        row.copy_from_slice(&ytile[c * tw + (q - t0)..][..seg]);
                     }
                 }
             }
@@ -358,8 +555,7 @@ pub(crate) fn conv2d_fwd_tiled_plan(
 ///
 /// Panics if shapes disagree with the geometry.
 pub fn conv2d_dw_tiled(x: &Tensor, dy: &Tensor, g: &Conv2dGeometry, dw: &mut [f32]) {
-    let n = check_input(x, g);
-    conv2d_dw_tiled_acc(x, dy, g, 0, n, dw, true);
+    conv2d_dw_tiled_acc(x, dy, g, 0, x.dim(0), dw, true);
 }
 
 /// Batch-range, continued-accumulation form of [`conv2d_dw_tiled`]: folds
@@ -387,8 +583,32 @@ pub fn conv2d_dw_tiled_acc(
     dw: &mut [f32],
     init: bool,
 ) {
+    check_exact_input(x, g);
+    conv2d_dw_tiled_acc_at(x, 0, 0, dy, g, b0, bn, dw, init);
+}
+
+/// [`conv2d_dw_tiled_acc`] reading the geometry's window in place at
+/// `(off_h, off_w)` of `x: [n, ic, full_h, full_w]` (see
+/// [`conv2d_fwd_tiled_at`]).
+///
+/// # Panics
+///
+/// Panics if shapes disagree, the range exceeds the batch, or the offset
+/// window hangs outside `x`.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_dw_tiled_acc_at(
+    x: &Tensor,
+    off_h: usize,
+    off_w: usize,
+    dy: &Tensor,
+    g: &Conv2dGeometry,
+    b0: usize,
+    bn: usize,
+    dw: &mut [f32],
+    init: bool,
+) {
     let kp = plan::conv_bwd_plan(g, x.dim(0), dy.dim(1));
-    conv2d_dw_tiled_acc_plan(&kp, x, dy, g, b0, bn, dw, init);
+    conv2d_dw_tiled_acc_plan(&kp, &Window::new(x, g, off_h, off_w), dy, g, b0, bn, dw, init);
 }
 
 /// Plan-parameterized core of [`conv2d_dw_tiled_acc`] — the tuner times
@@ -399,7 +619,7 @@ pub fn conv2d_dw_tiled_acc(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_dw_tiled_acc_plan(
     kp: &KernelPlan,
-    x: &Tensor,
+    x: &Window,
     dy: &Tensor,
     g: &Conv2dGeometry,
     b0: usize,
@@ -407,7 +627,7 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
     dw: &mut [f32],
     init: bool,
 ) {
-    let n = check_input(x, g);
+    let n = x.n;
     assert!(bn > 0 && b0 + bn <= n, "image range {b0}+{bn} exceeds batch {n}");
     let (oh, ow) = (g.out_h(), g.out_w());
     assert_eq!(dy.rank(), 4, "conv dy must be NCHW");
@@ -420,7 +640,6 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
     );
     let plen = g.patch_len();
     assert_eq!(dw.len(), oc * plen, "conv2d_dw_tiled out length");
-    let src = x.as_slice();
     let dyv = dy.as_slice();
     let hw = oh * ow;
     let base = b0 * hw;
@@ -440,7 +659,7 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
             dw.fill(0.0);
         }
         let row_grain = scnn_par::grain(oc, MIN_ROWS);
-        fold_patch_rows(src, dyv, g, oc, st, base, base + k, dw, row_grain);
+        fold_patch_rows(x, dyv, g, oc, st, base, base + k, dw, row_grain);
         return;
     }
     let nblocks = k.div_ceil(kc).max(1);
@@ -451,7 +670,7 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
             let part = unsafe { slots.range(bi * oc * plen, (bi + 1) * oc * plen) };
             let p0 = base + bi * kc;
             let p1 = (p0 + kc).min(base + k);
-            fold_patch_rows(src, dyv, g, oc, st, p0, p1, part, oc);
+            fold_patch_rows(x, dyv, g, oc, st, p0, p1, part, oc);
         });
         let start = if init {
             dw.copy_from_slice(&partials[..oc * plen]);
@@ -466,9 +685,10 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
 }
 
 /// Accumulates patch rows `[p0, p1)` of the weight-gradient reduction into
-/// `acc` (`[oc·plen]`), packing `st`-row panels: the strictly `p`-ascending
-/// add order shared by the blocked partials and the single-block direct
-/// path — panel boundaries affect only packing, never the fold sequence.
+/// `acc` (`[oc·plen]`), strip-packing `st`-row panels ([`pack_strips`]): the
+/// strictly `p`-ascending add order shared by the blocked partials and the
+/// single-block direct path — panel boundaries affect only packing, never
+/// the fold sequence.
 ///
 /// Each packed panel is one rank-`st` update `acc += dyᵀ · panel`. `dy` is
 /// read in place: inside one NCHW image, channel `r` at position `p` sits
@@ -479,7 +699,7 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
 /// single inline range when the caller already parallelises over blocks.
 #[allow(clippy::too_many_arguments)]
 fn fold_patch_rows(
-    src: &[f32],
+    x: &Window,
     dyv: &[f32],
     g: &Conv2dGeometry,
     oc: usize,
@@ -489,23 +709,16 @@ fn fold_patch_rows(
     acc: &mut [f32],
     row_grain: usize,
 ) {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let hw = oh * ow;
+    let hw = g.patch_count();
     let plen = g.patch_len();
     scratch::with_scratch(st * plen, |colpanel| {
         for q0 in (p0..p1).step_by(st) {
             let q1 = (q0 + st).min(p1);
-            for (t, p) in (q0..q1).enumerate() {
-                let (b, rem) = (p / hw, p % hw);
-                pack_patch(src, g, b, rem / ow, rem % ow, &mut colpanel[t * plen..(t + 1) * plen]);
-            }
+            pack_strips(x, g, q0, q1, &mut colpanel[..(q1 - q0) * plen]);
             let colpanel = &*colpanel;
             scnn_par::par_chunks_mut(acc, row_grain * plen, |ci, rows| {
                 let c0 = ci * row_grain;
-                let mut q = q0;
-                while q < q1 {
-                    let (b, rem) = (q / hw, q % hw);
-                    let seg = (hw - rem).min(q1 - q);
+                for (b, rem, q, seg) in image_runs(q0, q1, hw) {
                     gemm_acc(
                         rows.len() / plen,
                         plen,
@@ -518,7 +731,6 @@ fn fold_patch_rows(
                         rows,
                         plen,
                     );
-                    q += seg;
                 }
             });
         }
@@ -533,11 +745,13 @@ fn fold_patch_rows(
 /// the crop-offset contract of [`col2im_into`](crate::col2im_into). For
 /// each tile of output positions the patch-row gradients reduce over
 /// output channels in ascending order (as [`matmul`](crate::matmul) does)
-/// into a zeroed `[positions, plen]` scratch tile — one [`gemm_acc`] with
-/// `dy` read in place, positions contiguous and channels `oh·ow` apart —
-/// then the rows scatter in `(oy, ox, ky, kx)` order. Parallel over whole
-/// batch images only, so every destination element sees its contributions
-/// in the same order at every thread count.
+/// into a zeroed, *transposed* `[plen, positions]` scratch tile — one
+/// [`gemm_acc`] whose left operand is the weight matrix read down its
+/// columns and whose rows are `dy` in place, one channel's run of
+/// positions each — then [`scatter_strips`] adds the tile's rows onto the
+/// input planes in `(oy, ox, ky, kx)` order per destination element.
+/// Parallel over whole batch images only, so every destination element
+/// sees its contributions in the same order at every thread count.
 ///
 /// # Panics
 ///
@@ -558,78 +772,33 @@ pub fn conv2d_dx_tiled(
         &[n, oc, oh, ow],
         "dy does not match geometry {g:?}"
     );
-    assert_eq!(dst.rank(), 4, "dx destination must be NCHW");
-    assert_eq!(
-        (dst.dim(0), dst.dim(1)),
-        (n, g.in_c),
-        "dx destination batch/channel mismatch"
-    );
-    let (full_h, full_w) = (dst.dim(2), dst.dim(3));
-    assert!(
-        off_h + g.in_h <= full_h && off_w + g.in_w <= full_w,
-        "dx window {}x{} at offset ({off_h}, {off_w}) exceeds {full_h}x{full_w}",
-        g.in_h,
-        g.in_w
-    );
+    let (at, dst_n) = Placement::of(dst, g, off_h, off_w, "dx destination");
+    assert_eq!(dst_n, n, "dx destination batch mismatch");
     let plen = g.patch_len();
-    let (h, w_in) = (g.in_h, g.in_w);
     let dyv = dy.as_slice();
     let wv = w.as_slice();
-    let plane = full_h * full_w;
+    let plane = at.full_h * at.full_w;
     let hw = oh * ow;
-    let tile = dx_tile_rows(plen, hw);
+    let tile = dx_tile_cols(plen, hw);
     scnn_par::par_chunks_mut(dst.as_mut_slice(), g.in_c * plane, |b, img| {
-        scratch::with_scratch(tile * plen, |drows| {
+        scratch::with_scratch(plen * tile, |dcols_t| {
             for t0 in (0..hw).step_by(tile) {
-                let drows = &mut drows[..tile.min(hw - t0) * plen];
-                drows.fill(0.0);
+                let t1 = (t0 + tile).min(hw);
+                let dcols_t = &mut dcols_t[..plen * (t1 - t0)];
+                dcols_t.fill(0.0);
                 gemm_acc(
-                    drows.len() / plen,
                     plen,
+                    t1 - t0,
                     oc,
-                    &dyv[b * oc * hw + t0..],
-                    1,
-                    hw,
                     wv,
+                    1,
                     plen,
-                    drows,
-                    plen,
+                    &dyv[b * oc * hw + t0..],
+                    hw,
+                    dcols_t,
+                    t1 - t0,
                 );
-                for (t, drow) in drows.chunks_exact(plen).enumerate() {
-                    let (oy, ox) = ((t0 + t) / ow, (t0 + t) % ow);
-                    let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
-                    let ix0 = ox as i64 * g.sw as i64 - g.pad.w_begin;
-                    // Interior positions add each kernel row as one
-                    // contiguous run (same fast path as the pack).
-                    let x_full = ix0 >= 0 && ix0 + g.kw as i64 <= w_in as i64;
-                    for c in 0..g.in_c {
-                        let cbase = c * plane;
-                        for ky in 0..g.kh {
-                            let iy = iy0 + ky as i64;
-                            if iy < 0 || iy >= h as i64 {
-                                continue;
-                            }
-                            let iy = iy as usize + off_h;
-                            let q = (c * g.kh + ky) * g.kw;
-                            if x_full {
-                                let d0 = cbase + iy * full_w + (ix0 as usize + off_w);
-                                // `kw` elements: too short a run to pay
-                                // for a dispatched `add_assign`.
-                                for (d, &v) in img[d0..d0 + g.kw].iter_mut().zip(&drow[q..q + g.kw]) {
-                                    *d += v;
-                                }
-                                continue;
-                            }
-                            for kx in 0..g.kw {
-                                let ix = ix0 + kx as i64;
-                                if ix < 0 || ix >= w_in as i64 {
-                                    continue;
-                                }
-                                img[cbase + iy * full_w + (ix as usize + off_w)] += drow[q + kx];
-                            }
-                        }
-                    }
-                }
+                scatter_strips(dcols_t, g, &at, t0, t1, img);
             }
         });
     });
@@ -643,7 +812,7 @@ pub fn conv2d_dx_tiled(
 /// tuned plan cannot change this number: plans carrying any other `kc`
 /// are rejected at install. Per-thread pack panels (bounded by the plan's
 /// `panel_bytes` each) and the `dx` gradient tile ([`DX_TILE_BYTES`] or
-/// one patch row) scale with the host's thread count, so the planner
+/// one 16-position strip) scale with the host's thread count, so the planner
 /// leaves them out of the per-layer term — this is the number `scnn-hmms`
 /// carries per conv node in its layouts.
 pub fn conv2d_workspace_bytes(g: &Conv2dGeometry, n: usize, oc: usize) -> usize {
@@ -681,24 +850,89 @@ mod tests {
         Tensor::from_vec(data, dims)
     }
 
+    /// Geometries for the strip tests: every kernel-width specialisation
+    /// (1 and 3 const, 2/5/7 runtime), strides 1 and 2 (and a stride wider
+    /// than the kernel), asymmetric padding, padding wider than the kernel
+    /// (whole positions in the border), and a narrow map whose tiles span
+    /// several output rows. `(ic, h, w, kh, kw, sh, sw, pad)`.
+    #[allow(clippy::type_complexity)] // a literal table, not an API
+    const STRIP_GEOMETRIES: &[(usize, usize, usize, usize, usize, usize, usize, (i64, i64, i64, i64))] = &[
+        (3, 5, 6, 3, 2, 2, 1, (1, 0, 2, 1)),
+        (2, 6, 7, 1, 1, 1, 1, (0, 0, 0, 0)),
+        (2, 7, 6, 1, 1, 2, 2, (0, 1, 1, 0)),
+        (2, 6, 8, 3, 3, 1, 1, (1, 1, 1, 1)),
+        (2, 7, 9, 3, 3, 2, 2, (0, 1, 2, 0)),
+        (1, 6, 9, 2, 5, 1, 2, (1, 0, 3, 2)),
+        (1, 5, 8, 3, 7, 1, 1, (0, 2, 4, 5)),
+        (2, 9, 3, 3, 3, 1, 1, (1, 1, 1, 1)),
+        (1, 4, 9, 1, 2, 1, 3, (0, 0, 0, 1)),
+    ];
+
+    /// The geometry plus a stored input whose planes are larger than the
+    /// window by `(off_h + 1, off_w + 2)` — the crop remainder of a
+    /// negative padding — and the cropped copy the reference kernels take.
+    fn placed(case: usize, n: usize, off_h: usize, off_w: usize) -> (Conv2dGeometry, Tensor, Tensor) {
+        let (ic, h, w, kh, kw, sh, sw, (pt, pb, pl, pr)) = STRIP_GEOMETRIES[case];
+        let g = Conv2dGeometry::new(ic, h, w, kh, kw, sh, sw, Padding2d::new(pt, pb, pl, pr));
+        let full = fill(&[n, ic, h + off_h + 1, w + off_w + 2], 9 + case as u32);
+        let crop = Padding2d::new(-(off_h as i64), -1, -(off_w as i64), -2);
+        let cropped = full.pad2d(crop);
+        (g, full, cropped)
+    }
+
     #[test]
-    fn pack_patch_matches_im2col_rows() {
-        let g = Conv2dGeometry::new(3, 5, 6, 3, 2, 2, 1, Padding2d::new(1, 0, 2, 1));
-        let x = fill(&[2, 3, 5, 6], 9);
-        let cols = im2col(&x, &g);
-        let (oh, ow) = (g.out_h(), g.out_w());
-        let plen = g.patch_len();
-        let mut row = vec![9.9f32; plen]; // stale fill: pack must overwrite all
-        for b in 0..2 {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    pack_patch(x.as_slice(), &g, b, oy, ox, &mut row);
-                    let p = (b * oh + oy) * ow + ox;
-                    assert_eq!(
-                        &cols.as_slice()[p * plen..(p + 1) * plen],
-                        &row[..],
-                        "patch ({b},{oy},{ox})"
-                    );
+    fn pack_strips_matches_im2col_rows_for_every_tile_cut() {
+        for case in 0..STRIP_GEOMETRIES.len() {
+            for (off_h, off_w) in [(0, 0), (2, 1)] {
+                let (g, full, cropped) = placed(case, 2, off_h, off_w);
+                let cols = im2col(&cropped, &g);
+                let total = 2 * g.patch_count();
+                let plen = g.patch_len();
+                let win = Window::new(&full, &g, off_h, off_w);
+                // Every [t0, t1): tiles that start and end mid-row and
+                // straddle the image boundary.
+                for t0 in 0..total {
+                    for t1 in t0 + 1..=total {
+                        let mut panel = vec![9.9f32; (t1 - t0) * plen]; // stale: pack must overwrite all
+                        pack_strips(&win, &g, t0, t1, &mut panel);
+                        assert_eq!(
+                            &cols.as_slice()[t0 * plen..t1 * plen],
+                            &panel[..],
+                            "case {case} offset ({off_h}, {off_w}) tile [{t0}, {t1})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scatter_strips_matches_col2im_into_for_every_tile_width() {
+        for case in 0..STRIP_GEOMETRIES.len() {
+            for (off_h, off_w) in [(0, 0), (2, 1)] {
+                let (g, full, _) = placed(case, 1, off_h, off_w);
+                let (hw, plen) = (g.patch_count(), g.patch_len());
+                let dcols = fill(&[hw, plen], 77 + case as u32);
+                let mut want = Tensor::zeros(full.shape().dims());
+                crate::col2im_into(&dcols, 1, &g, &mut want, off_h, off_w);
+                let (at, _) = Placement::of(&full, &g, off_h, off_w, "test");
+                // Every tile width: tile edges land mid-row, so an input
+                // element collects its taps from two scatter calls.
+                for tile in 1..=hw {
+                    let mut got = Tensor::zeros(full.shape().dims());
+                    for t0 in (0..hw).step_by(tile) {
+                        let t1 = (t0 + tile).min(hw);
+                        let tw = t1 - t0;
+                        let mut dcols_t = vec![0.0f32; plen * tw];
+                        for (j, row) in dcols.as_slice()[t0 * plen..t1 * plen].chunks(plen).enumerate() {
+                            for (q, &v) in row.iter().enumerate() {
+                                dcols_t[q * tw + j] = v;
+                            }
+                        }
+                        scatter_strips(&dcols_t, &g, &at, t0, t1, got.as_mut_slice());
+                    }
+                    let same = got.as_slice().iter().zip(want.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "case {case} offset ({off_h}, {off_w}) tile width {tile}");
                 }
             }
         }
@@ -730,6 +964,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match geometry")]
+    fn whole_plane_entry_rejects_an_oversize_input() {
+        // Only the `_at` forms may read a window out of larger planes.
+        let g = Conv2dGeometry::new(2, 7, 9, 3, 3, 1, 1, Padding2d::symmetric(1));
+        let x = fill(&[1, 2, 8, 9], 3);
+        let w = fill(&[5, 2, 3, 3], 4);
+        let mut out = vec![0.0f32; 5 * g.patch_count()];
+        conv2d_fwd_tiled(&x, &w, None, &g, &mut out);
     }
 
     #[test]

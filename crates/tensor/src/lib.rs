@@ -45,9 +45,9 @@ pub mod winograd;
 mod workspace;
 
 pub use conv_engine::{
-    conv2d_dw_single_block, conv2d_dw_tiled, conv2d_dw_tiled_acc, conv2d_dx_tiled,
-    conv2d_fwd_tiled, conv2d_materialized_workspace_bytes, conv2d_workspace_bytes,
-    default_conv_algo, micro_batch_aligned, min_micro_batch, ConvAlgo,
+    conv2d_dw_single_block, conv2d_dw_tiled, conv2d_dw_tiled_acc, conv2d_dw_tiled_acc_at,
+    conv2d_dx_tiled, conv2d_fwd_tiled, conv2d_fwd_tiled_at, conv2d_materialized_workspace_bytes,
+    conv2d_workspace_bytes, default_conv_algo, micro_batch_aligned, min_micro_batch, ConvAlgo,
 };
 pub use im2col::{
     col2im, col2im_cols_into, col2im_cols_range_into, col2im_into, im2col, im2col_into,

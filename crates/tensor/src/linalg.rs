@@ -18,7 +18,7 @@
 //!   the paper's split-vs-unsplit exactness argument (both graphs reduce
 //!   identical `k = c·kh·kw` patch rows).
 //!
-//! The floating-point inner loops themselves (`dot8` family, `gemm_acc`,
+//! The floating-point inner loops themselves (`dot_panel`, `gemm_acc`,
 //! `add_assign`) live in [`crate::simd`] and dispatch at runtime between
 //! scalar and AVX2 bodies with identical reduction order. Blocking
 //! parameters come from [`crate::plan`]: the shared-dimension block is
@@ -27,11 +27,29 @@
 //! column tile `nc` is a bit-free, per-shape tunable.
 
 use crate::plan::{self, KernelPlan};
-use crate::simd::{add_assign, dot8, dot8_x4, dot8_x8, gemm_acc};
+use crate::simd::{add_assign, dot_panel, gemm_acc};
 use crate::Tensor;
 
 /// Minimum rows per parallel chunk (amortizes task-claim overhead).
 const MIN_ROWS: usize = 8;
+
+/// Output rows per parallel chunk of the row-split GEMMs: a quarter of the
+/// rows, at least [`MIN_ROWS`], at most 32 (subject to `scnn_par::grain`'s
+/// chunk cap). Every chunk streams the whole `B` operand once, so a chunk
+/// of 32 rows reads it a quarter as often as one of 8 — which is what
+/// matters when `B` (a deep layer's 2.4 MB weight matrix) outgrows L2 —
+/// while a short `m` still splits into several tasks.
+fn rows_per_chunk(m: usize) -> usize {
+    scnn_par::grain(m, (m / 4).clamp(MIN_ROWS, 32))
+}
+
+/// Rows of `B` per [`gemm_acc`] call of the row-split GEMMs
+/// ([`gemm_acc_blocked`]). The micro-kernel walks a 16-column strip of `B`
+/// row by row; with a wide `B` (a deep conv's `plen = 2304` columns, 9 KiB
+/// apart) every row is another page, and 64 of them — unlike a whole
+/// 256-row reduction block — stay inside the first-level TLB while the
+/// chunk's row tiles revisit them.
+const GEMM_KB: usize = 64;
 
 /// `C = A · B` for `A: [m, k]`, `B: [k, n]`.
 ///
@@ -82,38 +100,56 @@ pub(crate) fn matmul_into_plan(
     assert_eq!(av.len(), m * k, "matmul_into lhs length");
     assert_eq!(bv.len(), k * n, "matmul_into rhs length");
     assert_eq!(out.len(), m * n, "matmul_into out length");
-    let kc = KernelPlan::reduction_kc();
-    let row_grain = scnn_par::grain(m, MIN_ROWS);
+    let row_grain = rows_per_chunk(m);
+    // Skip column blocking when n barely exceeds the tile: a lone narrow
+    // tail block re-streams the A rows for little locality benefit.
+    let nc = if n <= kp.nc + kp.nc / 2 { n.max(1) } else { kp.nc };
     scnn_par::par_chunks_mut(out, row_grain * n, |ci, ochunk| {
-        let i0 = ci * row_grain;
         let rows = ochunk.len() / n.max(1);
-        // p ascends globally per output element (KC blocks in order, p in
-        // order within each `gemm_acc`), matching the naive ikj loop
-        // bit-for-bit. Skip column blocking when n barely exceeds the
-        // tile: a lone narrow tail block re-streams the A rows for little
-        // locality benefit. Block boundaries partition independent output
-        // elements, so the choice (a function of n and the plan only)
-        // cannot affect any element's value.
-        let nc = if n <= kp.nc + kp.nc / 2 { n.max(1) } else { kp.nc };
-        for p0 in (0..k).step_by(kc) {
-            let p1 = (p0 + kc).min(k);
-            for j0 in (0..n).step_by(nc) {
-                let j1 = (j0 + nc).min(n);
-                gemm_acc(
-                    rows,
-                    j1 - j0,
-                    p1 - p0,
-                    &av[i0 * k + p0..],
-                    k,
-                    1,
-                    &bv[p0 * n + j0..],
-                    n,
-                    &mut ochunk[j0..],
-                    n,
-                );
-            }
-        }
+        gemm_acc_blocked(rows, n, k, &av[ci * row_grain * k..], k, 1, bv, ochunk, nc);
     });
+}
+
+/// `c += a · b` for one chunk of `rows` output rows (`b: [k, n]` and
+/// `c: [rows, n]` row-major, `a` addressed by [`gemm_acc`]'s stride pair),
+/// as one [`gemm_acc`] call per `nc` columns × [`GEMM_KB`] rows of `b`.
+///
+/// `p` ascends globally per output element (blocks in order, `p` in
+/// order within each call), matching the naive ikj loop bit-for-bit;
+/// column blocks partition independent elements. So both block sizes are
+/// bit-free, and what they buy is locality: the chunk's `nc`-wide slice of
+/// `c` stays in L1 across the whole reduction, and the slice of `b` a call
+/// walks stays inside the first-level TLB.
+#[allow(clippy::too_many_arguments)]
+fn gemm_acc_blocked(
+    rows: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ps: usize,
+    b: &[f32],
+    c: &mut [f32],
+    nc: usize,
+) {
+    for j0 in (0..n).step_by(nc.max(1)) {
+        let j1 = (j0 + nc).min(n);
+        for p0 in (0..k).step_by(GEMM_KB) {
+            let p1 = (p0 + GEMM_KB).min(k);
+            gemm_acc(
+                rows,
+                j1 - j0,
+                p1 - p0,
+                &a[p0 * a_ps..],
+                a_rs,
+                a_ps,
+                &b[p0 * n + j0..],
+                n,
+                &mut c[j0..],
+                n,
+            );
+        }
+    }
 }
 
 /// `C = Aᵀ · B` for `A: [k, m]`, `B: [k, n]` — used by convolution weight
@@ -227,10 +263,11 @@ pub fn matmul_at_b_seq_into(
     if init {
         out.fill(0.0);
     }
-    let row_grain = scnn_par::grain(m, MIN_ROWS);
+    let row_grain = rows_per_chunk(m);
+    let nc = KernelPlan::default().nc;
     scnn_par::par_chunks_mut(out, row_grain * n, |ci, ochunk| {
         let rows = ochunk.len() / n.max(1);
-        gemm_acc(rows, n, k, &av[ci * row_grain..], 1, m, bv, n, ochunk, n);
+        gemm_acc_blocked(rows, n, k, &av[ci * row_grain..], 1, m, bv, ochunk, nc);
     });
 }
 
@@ -250,55 +287,19 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// Slice core of [`matmul_a_bt`]: writes `A·Bᵀ` into `out` (`[m*n]`, every
-/// element overwritten — contents on entry do not matter).
+/// element overwritten — contents on entry do not matter). Each
+/// size-derived chunk of `A` rows is one [`dot_panel`] call: eight `B`
+/// rows at a time stay in cache while the chunk's `A` rows stream past
+/// them, so `B` is read from memory once per chunk, not once per row.
 pub fn matmul_a_bt_into(av: &[f32], bv: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     assert_eq!(av.len(), m * k, "matmul_a_bt_into lhs length");
     assert_eq!(bv.len(), n * k, "matmul_a_bt_into rhs length");
     assert_eq!(out.len(), m * n, "matmul_a_bt_into out length");
-    let row_grain = scnn_par::grain(m, MIN_ROWS);
+    let row_grain = rows_per_chunk(m);
     scnn_par::par_chunks_mut(out, row_grain * n, |ci, ochunk| {
         let i0 = ci * row_grain;
         let rows = ochunk.len() / n.max(1);
-        for r in 0..rows {
-            let arow = &av[(i0 + r) * k..(i0 + r) * k + k];
-            let orow = &mut ochunk[r * n..r * n + n];
-            // Octets/quads share the A-row pass (8 or 4 B rows per sweep)
-            // purely for register reuse; each dot still reduces in dot8
-            // lane order, so the sweep width cannot change any value.
-            let mut j = 0;
-            while j + 8 <= n {
-                let q = dot8_x8(
-                    arow,
-                    [
-                        &bv[j * k..(j + 1) * k],
-                        &bv[(j + 1) * k..(j + 2) * k],
-                        &bv[(j + 2) * k..(j + 3) * k],
-                        &bv[(j + 3) * k..(j + 4) * k],
-                        &bv[(j + 4) * k..(j + 5) * k],
-                        &bv[(j + 5) * k..(j + 6) * k],
-                        &bv[(j + 6) * k..(j + 7) * k],
-                        &bv[(j + 7) * k..(j + 8) * k],
-                    ],
-                );
-                orow[j..j + 8].copy_from_slice(&q);
-                j += 8;
-            }
-            while j + 4 <= n {
-                let q = dot8_x4(
-                    arow,
-                    &bv[j * k..(j + 1) * k],
-                    &bv[(j + 1) * k..(j + 2) * k],
-                    &bv[(j + 2) * k..(j + 3) * k],
-                    &bv[(j + 3) * k..(j + 4) * k],
-                );
-                orow[j..j + 4].copy_from_slice(&q);
-                j += 4;
-            }
-            while j < n {
-                orow[j] = dot8(arow, &bv[j * k..(j + 1) * k]);
-                j += 1;
-            }
-        }
+        dot_panel(rows, n, k, &av[i0 * k..], k, bv, k, None, ochunk, n, 1);
     });
 }
 

@@ -1,13 +1,15 @@
 //! Runtime-dispatched SIMD micro-kernels (DESIGN.md §14).
 //!
 //! Every floating-point inner loop in this crate funnels through the
-//! handful of primitives defined here: the blocked dot products
-//! ([`dot8`], [`dot8_x4`], [`dot8_x8`]) behind `matmul_a_bt` and the
-//! tiled conv engine's packed-panel sweep, the register-blocked rank-k
-//! update ([`gemm_acc`]) behind `matmul`, `matmul_at_b`, the conv `dw`
-//! fold and the `dx` channel reduction, and the elementwise accumulators
-//! ([`add_assign`] for block folds, [`axpy`]/[`axpy4`] for the Winograd
-//! transform domain). Each primitive has two implementations:
+//! handful of primitives defined here: the blocked dot products — the
+//! dot-form GEMM [`dot_panel`] behind `matmul_a_bt` and the tiled conv
+//! engine's packed-panel sweep, [`dot8`]/[`dot8_x4`] behind the Winograd
+//! `dx` channel reductions — the register-blocked rank-k update
+//! ([`gemm_acc`]) behind `matmul`, `matmul_at_b`, the conv `dw` fold, the
+//! `dx` channel reduction and the Winograd forward's transform-domain
+//! GEMMs, and the elementwise accumulators ([`add_assign`] for block
+//! folds, [`axpy`] for the Winograd `dw` outer products). Each primitive
+//! has two implementations:
 //!
 //! - a **portable scalar** body, compiled for the baseline target — the
 //!   reference semantics; and
@@ -294,36 +296,136 @@ fn dot8_x4_scalar(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> 
     ]
 }
 
-/// Eight simultaneous [`dot8`]s sharing one pass over `a`. Bit-identical
-/// to eight independent `dot8` calls — each accumulator set is private to
-/// its B row and reduces through the same [`lane_sum`] tree.
+/// Rows of `a` whose lane accumulators one group of [`dot_panel`]'s AVX2
+/// body carries between shared-dimension blocks (a multiple of the
+/// three-row register tile): 24 rows × 4 columns of 8-lane accumulators
+/// are 3 KiB of stack, and every block of `b` loaded into L1 is used 24
+/// times before the next one replaces it.
+pub(crate) const PANEL_ROWS: usize = 24;
+
+/// Upper bound on [`dot_panel`]'s shared-dimension block, in floats: one
+/// block of four `b` rows is 8 KiB and stays in L1 while the same block of
+/// a row group's `a` rows (48 KiB) streams past it. Longer blocks measured
+/// no faster; 256 was ~3 % slower on the conv forward (the lane
+/// accumulators move through memory once per block).
+const PANEL_KB: usize = 512;
+
+/// The dot-form GEMM: `out[r·out_rs + j·out_cs] = dot8(a_r, b_j) (+ bias[j])`
+/// for `r < m`, `j < n`, where `a_r = a[r·lda ..][..k]` and
+/// `b_j = b[j·ldb ..][..k]` — `matmul_a_bt`, and the tiled conv forward
+/// with `a` a packed patch panel and `b` the weight matrix.
 ///
-/// Taking the rows as `[&[f32]; 8]` (rather than one contiguous `8·k`
-/// slice) matters for the scalar body: with eight independent bases the
-/// compiler keeps the per-row block loads simple and vectorizes the whole
-/// sweep (measured ~3× on the conv GEMM shape). The AVX2 body maps the
-/// eight accumulator sets onto eight `__m256` registers directly.
+/// Every output element is exactly [`lane_sum`] over the eight [`dot8`]
+/// lanes of its own row pair, then the sequential tail, then one bias add:
+/// lane `l` accumulates `p ≡ l (mod 8)` with `p` ascending. The loop nest
+/// around that — a few `b` rows stationary while the `a` rows stream past
+/// them three to a register tile, the shared dimension cut into L1-sized
+/// blocks with the lane accumulators carried from block to block — only
+/// decides which operand is in cache or in a register when; a lane's
+/// chain never sees it. The `(out_rs, out_cs)` stride pair lets the
+/// result land row-major (`n`, 1) or channel-major (1, rows), so neither
+/// caller transposes.
 ///
 /// # Panics
 ///
-/// Panics if any row's length differs from `a`'s.
-#[inline]
-pub(crate) fn dot8_x8(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8] {
-    for b in &bs {
-        assert_eq!(b.len(), a.len(), "dot8_x8 operand length mismatch");
+/// Panics if `lda < k`, `ldb < k`, `bias` is not `n` long, or an operand
+/// is too short for the addressed extent (checked once, up front).
+#[allow(clippy::too_many_arguments)]
+pub fn dot_panel(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    out_rs: usize,
+    out_cs: usize,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!(lda >= k && ldb >= k, "dot_panel leading dimension below k");
+    assert!((m - 1) * lda + k <= a.len(), "dot_panel lhs too short");
+    assert!((n - 1) * ldb + k <= b.len(), "dot_panel rhs too short");
+    assert!(
+        (m - 1) * out_rs + (n - 1) * out_cs < out.len(),
+        "dot_panel out too short"
+    );
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), n, "dot_panel bias length");
     }
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // Safety: AVX2+FMA presence established; equal lengths asserted.
-        return unsafe { avx2::dot8_x8(a, bs) };
+        // Safety: AVX2+FMA presence established; the asserts above bound
+        // every address the kernel forms in `a` and `b`.
+        unsafe { avx2::dot_panel(m, n, k, a, lda, b, ldb, bias, out, out_rs, out_cs) };
+        return;
     }
-    dot8_x8_scalar(a, bs)
+    dot_panel_scalar(m, n, k, a, lda, b, ldb, bias, out, out_rs, out_cs);
 }
 
-/// `inline(never)` is load-bearing for the scalar body: inlined into the
-/// large tiled-conv closure the sweep loses its autovectorization
-/// (measured ~2.5× slower); as a standalone function it always compiles
-/// clean, and the call cost is noise next to the `8·k` multiplies.
+/// Portable body of [`dot_panel`]: the same `b`-stationary walk over the
+/// standalone multi-dot sweeps (no shared-dimension blocking — the sweeps
+/// keep their accumulators in the autovectorized loop).
+#[allow(clippy::too_many_arguments)]
+fn dot_panel_scalar(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    out_rs: usize,
+    out_cs: usize,
+) {
+    let arow = |r: usize| &a[r * lda..r * lda + k];
+    let brow = |j: usize| &b[j * ldb..j * ldb + k];
+    let mut put = |r: usize, j: usize, v: f32| {
+        out[r * out_rs + j * out_cs] = bias.map_or(v, |bias| v + bias[j]);
+    };
+    let mut j = 0;
+    while j + 8 <= n {
+        let bs: [&[f32]; 8] = std::array::from_fn(|jj| brow(j + jj));
+        for r in 0..m {
+            let q = dot8_x8_scalar(arow(r), bs);
+            for (jj, &v) in q.iter().enumerate() {
+                put(r, j + jj, v);
+            }
+        }
+        j += 8;
+    }
+    while j + 4 <= n {
+        for r in 0..m {
+            let q = dot8_x4_scalar(arow(r), brow(j), brow(j + 1), brow(j + 2), brow(j + 3));
+            for (jj, &v) in q.iter().enumerate() {
+                put(r, j + jj, v);
+            }
+        }
+        j += 4;
+    }
+    while j < n {
+        for r in 0..m {
+            put(r, j, dot8_scalar(arow(r), brow(j)));
+        }
+        j += 1;
+    }
+}
+
+/// Eight simultaneous [`dot8`]s sharing one pass over `a`: each
+/// accumulator set is private to its B row and reduces through the same
+/// [`lane_sum`] tree, so the result is bit-identical to eight independent
+/// `dot8` calls. Taking the rows as `[&[f32]; 8]` (rather than one
+/// contiguous `8·k` slice) keeps the per-row block loads simple, and
+/// `inline(never)` is load-bearing: inlined into a large caller the sweep
+/// loses its autovectorization (measured ~2.5× slower); as a standalone
+/// function it always compiles clean, and the call cost is noise next to
+/// the `8·k` multiplies.
 #[inline(never)]
 fn dot8_x8_scalar(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8] {
     let mut acc = [[0.0f32; LANES]; 8];
@@ -350,9 +452,8 @@ fn dot8_x8_scalar(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8] {
     out
 }
 
-/// `y[i] += alpha * x[i]` — the Winograd transform-domain channel tails
-/// and `dw` outer products (the direct GEMM/conv backward moved to
-/// [`gemm_acc`]). Elementwise (each output element is exactly one mul and
+/// `y[i] += alpha * x[i]` — the Winograd `dw` outer products (every other
+/// rank-1 update moved to [`gemm_acc`]). Elementwise (each output element is exactly one mul and
 /// one add in both bodies), so any vector width produces identical bits;
 /// callers keep their zero-skip (`alpha == 0.0`) outside.
 ///
@@ -433,50 +534,6 @@ pub(crate) fn vsub(dst: &mut [f32], a: &[f32], b: &[f32]) {
     }
     for ((o, &x), &y) in dst.iter_mut().zip(a).zip(b) {
         *o = x - y;
-    }
-}
-
-/// `y[i] += a[0]·x0[i] + a[1]·x1[i] + a[2]·x2[i] + a[3]·x3[i]` — the
-/// Winograd Hadamard-accumulate body: the transform-domain channel
-/// reduction `M[ξν] += Σ_c U[ξν,c] ⊙ V[ξν,c]` sweeps four channels per
-/// pass so the `y` row is read and written once per quad instead of once
-/// per channel.
-///
-/// Each output element evaluates the fixed chain
-/// `(((y + a0·x0) + a1·x1) + a2·x2) + a3·x3` with separate mul and add
-/// (never `fmadd`) in both bodies, so the quad is bit-identical across
-/// ISAs — and bit-identical to four sequential [`axpy`] calls, which is
-/// how callers fold a `< 4` channel tail without changing the reduction
-/// order.
-///
-/// # Panics
-///
-/// Panics if any operand length differs from `y`'s.
-#[inline]
-pub(crate) fn axpy4(a: [f32; 4], xs: [&[f32]; 4], y: &mut [f32]) {
-    for x in &xs {
-        assert_eq!(x.len(), y.len(), "axpy4 operand length mismatch");
-    }
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // Safety: AVX2+FMA presence established; equal lengths asserted.
-        unsafe { avx2::axpy4(a, xs, y) };
-        return;
-    }
-    axpy4_scalar(a, xs, y);
-}
-
-/// Portable body of [`axpy4`]; standalone (like [`dot8_x8_scalar`]) so
-/// the four-row sweep keeps its autovectorization out of large callers.
-#[inline(never)]
-fn axpy4_scalar(a: [f32; 4], xs: [&[f32]; 4], y: &mut [f32]) {
-    for (i, o) in y.iter_mut().enumerate() {
-        let mut acc = *o;
-        acc += a[0] * xs[0][i];
-        acc += a[1] * xs[1][i];
-        acc += a[2] * xs[2][i];
-        acc += a[3] * xs[3][i];
-        *o = acc;
     }
 }
 
@@ -673,10 +730,12 @@ fn gemm_acc_cols(
 /// docs for why FMA contraction would break the bit-identity contract.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{gemm_acc_cols, lane_sum, LANES, MR, NR};
+    use super::{gemm_acc_cols, lane_sum, LANES, MR, NR, PANEL_KB, PANEL_ROWS};
     use core::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps, _mm256_sub_ps,
+        __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_loadu_ps,
+        _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps,
+        _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps,
+        _mm_shuffle_ps, _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
     };
 
     /// Spills one accumulator register back to the scalar lane array, so
@@ -747,42 +806,186 @@ mod avx2 {
         ]
     }
 
+    /// [`lane_sum`] of one accumulator register, evaluated in the vector
+    /// unit: the 128-bit halves add to `[s0, s1, s2, s3]` (lane `l` plus
+    /// lane `l + 4`), the upper pair folds onto the lower
+    /// (`s0 + s2`, `s1 + s3`), those two add, then the tail — the same
+    /// operand pairs in the same order as the scalar tree.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dot8_x8(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8] {
-        let blocks = a.len() / LANES;
-        let mut acc = [_mm256_setzero_ps(); 8];
+    unsafe fn lane_sum_reg(acc: __m256, tail: f32) -> f32 {
+        let s = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps::<1>(acc));
+        let t = _mm_add_ps(s, _mm_movehl_ps(s, s));
+        let u = _mm_add_ss(t, _mm_shuffle_ps::<1>(t, t));
+        _mm_cvtss_f32(u) + tail
+    }
+
+    /// AVX2 body of [`super::dot_panel`]. The caller has bounds-checked
+    /// every row of `a` and `b`; `out` is indexed checked.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn dot_panel(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        ldb: usize,
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_rs: usize,
+        out_cs: usize,
+    ) {
+        let mut j = 0;
         unsafe {
-            let bp: [*const f32; 8] = [
-                bs[0].as_ptr(),
-                bs[1].as_ptr(),
-                bs[2].as_ptr(),
-                bs[3].as_ptr(),
-                bs[4].as_ptr(),
-                bs[5].as_ptr(),
-                bs[6].as_ptr(),
-                bs[7].as_ptr(),
-            ];
-            for ci in 0..blocks {
-                let base = ci * LANES;
-                let va = _mm256_loadu_ps(a.as_ptr().add(base));
-                for j in 0..8 {
-                    let vb = _mm256_loadu_ps(bp[j].add(base));
-                    acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(va, vb));
+            while j + 4 <= n {
+                panel_cols::<4>(m, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j);
+                j += 4;
+            }
+            while j < n {
+                panel_cols::<1>(m, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j);
+                j += 1;
+            }
+        }
+    }
+
+    /// Columns `j0 .. j0 + W` of [`dot_panel`] for every row of `a`: the
+    /// `W` rows of `b` stay put while groups of [`PANEL_ROWS`] `a` rows
+    /// pass them one shared-dimension block at a time, three rows per
+    /// register tile. A row's `W` lane accumulators rest in the group's
+    /// array between blocks and take each block's steps in registers —
+    /// `p` ascending per lane, as in [`dot8`] — so a block of `b` is read
+    /// into L1 once per group, and a block of the group's `a` rows once
+    /// per `W` columns.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn panel_cols<const W: usize>(
+        m: usize,
+        k: usize,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        ldb: usize,
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_rs: usize,
+        out_cs: usize,
+        j0: usize,
+    ) {
+        let k8 = k / LANES * LANES;
+        // Equal blocks of whole lane steps, none above PANEL_KB.
+        let kb = k8.div_ceil(k8.div_ceil(PANEL_KB).max(1)).next_multiple_of(LANES).max(LANES);
+        // SAFETY (here and below): the dispatcher checked that rows
+        // `0..m` of `a` and `0..n` of `b` hold `k` elements each, and
+        // `j0 + W <= n`, `r0 + rows <= m`, `p1 <= k`.
+        let bp: [*const f32; W] = std::array::from_fn(|jj| unsafe { b.as_ptr().add((j0 + jj) * ldb) });
+        // The `W` rows' lane tails, transposed: one `W`-vector per tail
+        // element, so a row's tails accumulate `W` dots per step.
+        let mut btail = [[0.0f32; W]; LANES - 1];
+        for (i, ys) in btail[..k - k8].iter_mut().enumerate() {
+            *ys = std::array::from_fn(|jj| b[(j0 + jj) * ldb + k8 + i]);
+        }
+        let btail = &btail[..k - k8];
+        let mut acc = [[_mm256_setzero_ps(); W]; PANEL_ROWS];
+        for r0 in (0..m).step_by(PANEL_ROWS) {
+            let rows = PANEL_ROWS.min(m - r0);
+            acc[..rows].fill([_mm256_setzero_ps(); W]);
+            for p0 in (0..k8).step_by(kb) {
+                let p1 = (p0 + kb).min(k8);
+                let (mut r, mut ap) = (0, unsafe { a.as_ptr().add(r0 * lda) });
+                unsafe {
+                    while r + 3 <= rows {
+                        dot_tile::<3, W>(&mut acc[r..r + 3], ap, lda, bp, p0, p1);
+                        (r, ap) = (r + 3, ap.add(3 * lda));
+                    }
+                    match rows - r {
+                        2 => dot_tile::<2, W>(&mut acc[r..], ap, lda, bp, p0, p1),
+                        1 => dot_tile::<1, W>(&mut acc[r..], ap, lda, bp, p0, p1),
+                        _ => {}
+                    }
+                }
+            }
+            for (r, lanes) in acc[..rows].iter().enumerate() {
+                // The sequential tail of each of the row's `W` dots: one
+                // mul and one add per element, `p` ascending.
+                let mut tails = [0.0f32; W];
+                for (&x, ys) in a[(r0 + r) * lda + k8..(r0 + r) * lda + k].iter().zip(btail) {
+                    for (tail, &y) in tails.iter_mut().zip(ys) {
+                        *tail += x * y;
+                    }
+                }
+                let sums = unsafe { lane_sums(lanes, tails) };
+                for (jj, &v) in sums.iter().enumerate() {
+                    let j = j0 + jj;
+                    out[(r0 + r) * out_rs + j * out_cs] = bias.map_or(v, |bias| v + bias[j]);
                 }
             }
         }
-        let rem = blocks * LANES;
-        let mut tails = [0.0f32; 8];
-        for p in rem..a.len() {
-            for (j, b) in bs.iter().enumerate() {
-                tails[j] += a[p] * b[p];
+    }
+
+    /// [`lane_sum_reg`] of `W` accumulator registers at once. Four at a
+    /// time, the halves add as in the single form, a 4×4 transpose lines
+    /// up element `i` of every sum in row `i`, and
+    /// `(row0 + row2) + (row1 + row3)` then `+ tails` is the same tree on
+    /// four dots per instruction.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lane_sums<const W: usize>(acc: &[__m256; W], tails: [f32; W]) -> [f32; W] {
+        let mut out = [0.0f32; W];
+        if W == 4 {
+            unsafe {
+                let half = |x: __m256| {
+                    _mm_add_ps(_mm256_castps256_ps128(x), _mm256_extractf128_ps::<1>(x))
+                };
+                let (s0, s1, s2, s3) = (half(acc[0]), half(acc[1]), half(acc[2]), half(acc[3]));
+                let (t0, t1) = (_mm_unpacklo_ps(s0, s1), _mm_unpackhi_ps(s0, s1));
+                let (t2, t3) = (_mm_unpacklo_ps(s2, s3), _mm_unpackhi_ps(s2, s3));
+                let (r0, r1) = (_mm_movelh_ps(t0, t2), _mm_movehl_ps(t2, t0));
+                let (r2, r3) = (_mm_movelh_ps(t1, t3), _mm_movehl_ps(t3, t1));
+                let sum = _mm_add_ps(_mm_add_ps(r0, r2), _mm_add_ps(r1, r3));
+                _mm_storeu_ps(out.as_mut_ptr(), _mm_add_ps(sum, _mm_loadu_ps(tails.as_ptr())));
+            }
+        } else {
+            for ((o, &x), &tail) in out.iter_mut().zip(acc).zip(&tails) {
+                *o = unsafe { lane_sum_reg(x, tail) };
             }
         }
-        let mut out = [0.0f32; 8];
-        for j in 0..8 {
-            out[j] = lane_sum(unsafe { spill(acc[j]) }, tails[j]);
-        }
         out
+    }
+
+    /// One `R`×`W` register tile of [`panel_cols`]: lane steps `p0..p1` of
+    /// `R` consecutive `a` rows against the `W` rows of `b`, continuing
+    /// the accumulators in `acc`. Three rows by four columns is twelve
+    /// accumulators fed by seven loads a step; the one-row-by-eight tile
+    /// this replaced needed nine loads for eight, and ran at the load
+    /// ports' pace, not the multipliers'.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dot_tile<const R: usize, const W: usize>(
+        acc: &mut [[__m256; W]],
+        a: *const f32,
+        lda: usize,
+        b: [*const f32; W],
+        p0: usize,
+        p1: usize,
+    ) {
+        let mut c: [[__m256; W]; R] = std::array::from_fn(|r| acc[r]);
+        // SAFETY: the caller passes `R` rows of `a` and `W` rows of `b`
+        // that each hold at least `p1` elements.
+        unsafe {
+            for p in (p0..p1).step_by(LANES) {
+                let va: [__m256; R] = std::array::from_fn(|r| _mm256_loadu_ps(a.add(r * lda + p)));
+                for (jj, bj) in b.iter().enumerate() {
+                    let vb = _mm256_loadu_ps(bj.add(p));
+                    for r in 0..R {
+                        c[r][jj] = _mm256_add_ps(c[r][jj], _mm256_mul_ps(va[r], vb));
+                    }
+                }
+            }
+        }
+        acc[..R].copy_from_slice(&c);
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -962,38 +1165,6 @@ mod avx2 {
             }
         }
     }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn axpy4(a: [f32; 4], xs: [&[f32]; 4], y: &mut [f32]) {
-        let n = y.len();
-        let blocks = n / LANES;
-        unsafe {
-            let va = [
-                _mm256_set1_ps(a[0]),
-                _mm256_set1_ps(a[1]),
-                _mm256_set1_ps(a[2]),
-                _mm256_set1_ps(a[3]),
-            ];
-            let xp = [xs[0].as_ptr(), xs[1].as_ptr(), xs[2].as_ptr(), xs[3].as_ptr()];
-            for ci in 0..blocks {
-                let base = ci * LANES;
-                let mut vy = _mm256_loadu_ps(y.as_ptr().add(base));
-                for j in 0..4 {
-                    let vx = _mm256_loadu_ps(xp[j].add(base));
-                    vy = _mm256_add_ps(vy, _mm256_mul_ps(va[j], vx));
-                }
-                _mm256_storeu_ps(y.as_mut_ptr().add(base), vy);
-            }
-        }
-        for p in blocks * LANES..n {
-            let mut acc = y[p];
-            acc += a[0] * xs[0][p];
-            acc += a[1] * xs[1][p];
-            acc += a[2] * xs[2][p];
-            acc += a[3] * xs[3][p];
-            y[p] = acc;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1042,7 +1213,7 @@ mod tests {
             assert_levels_agree(|| {
                 let singles: Vec<u32> = bs.iter().map(|b| dot8(&a, b).to_bits()).collect();
                 let quad = dot8_x4(&a, &bs[0], &bs[1], &bs[2], &bs[3]);
-                let octet = dot8_x8(&a, refs);
+                let octet = dot8_x8_scalar(&a, refs);
                 for j in 0..4 {
                     assert_eq!(quad[j].to_bits(), singles[j], "quad lane {j} k={k}");
                 }
@@ -1212,30 +1383,6 @@ mod tests {
                     s.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     d.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 )
-            });
-        }
-    }
-
-    #[test]
-    fn axpy4_matches_sequential_axpys_bitwise() {
-        for n in [0, 1, 7, 8, 9, 64, 251] {
-            let xs: Vec<Vec<f32>> = (0..4).map(|j| fill(n, 31 + j)).collect();
-            let y0 = fill(n, 40);
-            let a = [0.7f32, -1.3, 0.01, 2.5];
-            assert_levels_agree(|| {
-                let mut quad = y0.clone();
-                axpy4(a, std::array::from_fn(|j| xs[j].as_slice()), &mut quad);
-                // The documented contract: one quad == four sequential
-                // axpys, so channel tails can fall back to axpy without
-                // changing the reduction order.
-                let mut seq = y0.clone();
-                for (j, x) in xs.iter().enumerate() {
-                    axpy(a[j], x, &mut seq);
-                }
-                for i in 0..n {
-                    assert_eq!(quad[i].to_bits(), seq[i].to_bits(), "elem {i} n={n}");
-                }
-                quad.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             });
         }
     }

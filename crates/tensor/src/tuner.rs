@@ -24,7 +24,8 @@
 
 use crate::im2col::Conv2dGeometry;
 use crate::plan::{conv_plan_dims, KernelPlan, PlanOp, PlanRecord};
-use crate::{conv_engine, linalg, simd, Tensor};
+use crate::conv_engine::{self, Window};
+use crate::{linalg, simd, Tensor};
 use std::time::Instant;
 
 /// One timed candidate.
@@ -165,6 +166,14 @@ pub fn tune_matmul(m: usize, k: usize, n: usize, samples: usize) -> TuneOutcome 
 
 /// Tunes the tiled conv forward for geometry `g` at batch `n`, `oc`
 /// output channels.
+///
+/// Vestigial since the forward tile is capped at one 24-row `dot_panel`
+/// group (`conv_engine::FWD_TILE_ROWS`): every [`panel_candidates`] budget
+/// yields that same tile for `plen ≤ 682` (the 256 KiB default up to
+/// `plen` 2730), so this pass times identical configurations on all but
+/// the deepest layers. It and the `ConvFwd` plan records are kept only
+/// because the plan-cache format is frozen; ROADMAP schedules their
+/// removal.
 pub fn tune_conv_fwd(g: &Conv2dGeometry, n: usize, oc: usize, samples: usize) -> TuneOutcome {
     let x = Tensor::from_vec(fill(n * g.in_c * g.in_h * g.in_w, 17), &[n, g.in_c, g.in_h, g.in_w]);
     let w = Tensor::from_vec(fill(oc * g.patch_len(), 19), &[oc, g.in_c, g.kh, g.kw]);
@@ -180,7 +189,7 @@ pub fn tune_conv_fwd(g: &Conv2dGeometry, n: usize, oc: usize, samples: usize) ->
         conv_plan_dims(g, n, oc).to_vec(),
         panel_candidates(),
         samples,
-        |kp| conv_engine::conv2d_fwd_tiled_plan(kp, &x, &w, None, g, &mut out),
+        |kp| conv_engine::conv2d_fwd_tiled_plan(kp, &Window::new(&x, g, 0, 0), &w, None, g, &mut out),
     )
 }
 
@@ -200,7 +209,7 @@ pub fn tune_conv_bwd(g: &Conv2dGeometry, n: usize, oc: usize, samples: usize) ->
         conv_plan_dims(g, n, oc).to_vec(),
         wide_panel_candidates(),
         samples,
-        |kp| conv_engine::conv2d_dw_tiled_acc_plan(kp, &x, &dy, g, 0, n, &mut dw, true),
+        |kp| conv_engine::conv2d_dw_tiled_acc_plan(kp, &Window::new(&x, g, 0, 0), &dy, g, 0, n, &mut dw, true),
     )
 }
 

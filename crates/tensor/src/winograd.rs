@@ -28,10 +28,10 @@
 //! those knobs:
 //!
 //! - forward: each transform-domain point `M[i][k] = Σ_c U·V` reduces
-//!   over input channels in ascending quads ([`axpy4`], bit-equal to four
-//!   sequential [`axpy`] calls) plus an ascending scalar tail; the
-//!   plan-tuned tile-batch width only changes how many tiles share one
-//!   staging pass, never any sum.
+//!   over input channels in ascending order with separate multiply and
+//!   add ([`gemm_acc`]'s per-element chain); the plan-tuned tile-batch
+//!   width only changes how many tiles share one staging pass, never any
+//!   sum.
 //! - `dx`: tiles scatter-add per image in ascending tile order (adjacent
 //!   4×4 windows overlap by 2), parallel over whole images only; each
 //!   transform-domain point reduces over output channels with [`dot8`].
@@ -47,7 +47,7 @@
 
 use crate::im2col::Conv2dGeometry;
 use crate::plan::{self, KernelPlan};
-use crate::simd::{add_assign, axpy, axpy4, dot8, dot8_x4, vadd, vsub};
+use crate::simd::{add_assign, axpy, dot8, dot8_x4, gemm_acc, vadd, vsub};
 use crate::workspace::Workspace;
 use crate::{BufferRecycler, Tensor};
 use scnn_par::{scratch, DisjointMut};
@@ -199,6 +199,18 @@ pub fn conv2d_fwd_winograd(
     conv2d_fwd_winograd_plan(&kp, x, w, bias, g, out);
 }
 
+/// Forward stage 2: `M[i][k][t] += Σ_c U[k][i][c] · V[i][c][t]` over the
+/// `bt` tiles of a block — one register-blocked [`gemm_acc`] per
+/// transform-domain point `i`, reading `U`'s `[oc][16][ic]` layout in
+/// place. Per element `c` ascends with separate multiply and add, i.e. the
+/// chain of one [`axpy`] per channel (pinned bitwise by the unit test).
+fn reduce_channels(oc: usize, ic: usize, bt: usize, u: &[f32], v: &[f32], m: &mut [f32]) {
+    for i in 0..TP {
+        let (a, b, c) = (&u[i * ic..], &v[i * ic * bt..], &mut m[i * oc * bt..]);
+        gemm_acc(oc, bt, ic, a, TP * ic, 1, b, bt, c, bt);
+    }
+}
+
 /// Plan-parameterized core of [`conv2d_fwd_winograd`] — the tuner times
 /// candidate tile-batch budgets through this entry without touching the
 /// global registry. Any plan produces the same bits (module docs).
@@ -282,28 +294,9 @@ pub(crate) fn conv2d_fwd_winograd_plan(
                 }
             }
 
-            // Stage 2: transform-domain channel reduction
-            // M[i][k] = Σ_c U[k][i][c]·V[i][c] — m starts zeroed (scratch
-            // loans are zeroed); ascending c quads plus an ascending tail.
-            for i in 0..TP {
-                for k in 0..oc {
-                    let mrow = &mut m[(i * oc + k) * bt..(i * oc + k + 1) * bt];
-                    let ub = (k * TP + i) * ic;
-                    let mut c = 0;
-                    while c + 4 <= ic {
-                        let coef = [uv[ub + c], uv[ub + c + 1], uv[ub + c + 2], uv[ub + c + 3]];
-                        let xs: [&[f32]; 4] = std::array::from_fn(|q| {
-                            &v[(i * ic + c + q) * bt..(i * ic + c + q + 1) * bt]
-                        });
-                        axpy4(coef, xs, mrow);
-                        c += 4;
-                    }
-                    while c < ic {
-                        axpy(uv[ub + c], &v[(i * ic + c) * bt..(i * ic + c + 1) * bt], mrow);
-                        c += 1;
-                    }
-                }
-            }
+            // Stage 2: transform-domain channel reduction (`m` starts
+            // zeroed — scratch loans are zeroed).
+            reduce_channels(oc, ic, bt, uv, v, m);
 
             // Stage 3: inverse transform Y = Aᵀ M A and biased write-out,
             // clipping the 2×2 tile at the output's edge.
@@ -812,6 +805,34 @@ mod tests {
         let scalar = run(&KernelPlan::default());
         force_level(None);
         assert_eq!(baseline, scalar, "scalar fallback changed bits");
+    }
+
+    #[test]
+    fn channel_reduction_matches_sequential_axpys_bitwise() {
+        // Pins stage 2's operand layout and per-element chain: one `axpy`
+        // per channel, `c` ascending. Shapes cover every `oc mod 4` and
+        // `bt mod 16`/`mod 8` class of `gemm_acc`'s register tiles (its
+        // own oracle tests in `simd.rs` cover both ISAs).
+        let shapes = [(1, 1, 1), (4, 4, 16), (5, 3, 9), (7, 9, 33), (6, 17, 24), (3, 2, 7)];
+        for (oc, ic, bt) in shapes {
+            let u = fill(&[oc * TP * ic], 31 + oc as u32);
+            let v = fill(&[TP * ic * bt], 37 + bt as u32);
+            let (u, v) = (u.as_slice(), v.as_slice());
+            let mut want = vec![0.0f32; TP * oc * bt];
+            for i in 0..TP {
+                for k in 0..oc {
+                    let mrow = &mut want[(i * oc + k) * bt..(i * oc + k + 1) * bt];
+                    for c in 0..ic {
+                        let vrow = &v[(i * ic + c) * bt..(i * ic + c + 1) * bt];
+                        axpy(u[(k * TP + i) * ic + c], vrow, mrow);
+                    }
+                }
+            }
+            let mut got = vec![0.0f32; TP * oc * bt];
+            reduce_channels(oc, ic, bt, u, v, &mut got);
+            let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "oc={oc} ic={ic} bt={bt}");
+        }
     }
 
     #[test]

@@ -73,6 +73,48 @@ fn matmul_a_bt_bitwise_thread_invariant() {
     });
 }
 
+#[test]
+fn matmul_a_bt_matches_per_element_dot8_at_every_thread_count() {
+    // The B-panel-stationary loop nest against the definition: every
+    // output is its own blocked dot product, so neither the row chunking
+    // (`m` off the grain, ragged last chunk) nor the column grouping
+    // (`n` mod 8) nor the shared-dimension blocks (`k` past 512, any lane
+    // tail) may show in a single bit — at 1, 2, 4 and 7 threads.
+    check("matmul_a_bt vs per-element dot8", 12, |rng| {
+        let m = rng.gen_range(1..150usize);
+        let k = rng.gen_range(1..1100usize);
+        let n = rng.gen_range(1..20usize);
+        let a = uniform(rng, &[m, k], -1.0, 1.0);
+        let b = uniform(rng, &[n, k], -1.0, 1.0);
+        let dot8 = |x: &[f32], y: &[f32]| {
+            let k8 = x.len() / 8 * 8;
+            let mut lanes = [0.0f32; 8];
+            for p in 0..k8 {
+                lanes[p % 8] += x[p] * y[p];
+            }
+            let tail = (k8..x.len()).fold(0.0f32, |t, p| t + x[p] * y[p]);
+            let (s0, s1) = (lanes[0] + lanes[4], lanes[1] + lanes[5]);
+            let (s2, s3) = (lanes[2] + lanes[6], lanes[3] + lanes[7]);
+            ((s0 + s2) + (s1 + s3)) + tail
+        };
+        let want: Vec<f32> = (0..m * n)
+            .map(|i| dot8(&a.as_slice()[i / n * k..][..k], &b.as_slice()[i % n * k..][..k]))
+            .collect();
+        let want = Tensor::from_vec(want, &[m, n]);
+        for &t in &THREADS {
+            let got = scnn_par::with_threads(t, || matmul_a_bt(&a, &b));
+            for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                if x.to_bits() != y.to_bits() {
+                    return Case::Fail(format!(
+                        "{m}x{k}x{n}: element {i} under {t} threads: {x} vs per-element {y}"
+                    ));
+                }
+            }
+        }
+        Case::Pass
+    });
+}
+
 /// Draws a random geometry whose output is non-empty.
 fn random_geometry(rng: &mut impl Rng) -> Option<(usize, Conv2dGeometry, Tensor)> {
     let n = rng.gen_range(1..4usize);

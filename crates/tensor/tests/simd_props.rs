@@ -10,7 +10,7 @@
 //! that installed `KernelPlan`s — which may only vary bit-free blocking —
 //! cannot change any output bit.
 
-use scnn_tensor::simd::gemm_acc;
+use scnn_tensor::simd::{dot_panel, gemm_acc};
 use scnn_tensor::{
     conv2d_dw_tiled, conv2d_dx_tiled, conv2d_fwd_tiled, detected_level, force_level, install_plan,
     matmul_a_bt_into, matmul_at_b_acc_into, matmul_at_b_seq_into, matmul_into, Conv2dGeometry,
@@ -126,6 +126,94 @@ fn gemm_acc_is_bit_identical_across_isa_for_both_lhs_layouts() {
                 c
             });
         }
+    }
+}
+
+/// The blocked dot product written out in scalar Rust: lane `l`
+/// accumulates `p ≡ l (mod 8)` with `p` ascending, the lanes fold as
+/// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`, then the sequential tail.
+fn dot8_reference(a: &[f32], b: &[f32]) -> f32 {
+    let k8 = a.len() / 8 * 8;
+    let mut lanes = [0.0f32; 8];
+    for p in 0..k8 {
+        lanes[p % 8] += a[p] * b[p];
+    }
+    let mut tail = 0.0f32;
+    for p in k8..a.len() {
+        tail += a[p] * b[p];
+    }
+    let (s0, s1) = (lanes[0] + lanes[4], lanes[1] + lanes[5]);
+    let (s2, s3) = (lanes[2] + lanes[6], lanes[3] + lanes[7]);
+    ((s0 + s2) + (s1 + s3)) + tail
+}
+
+#[test]
+fn dot_panel_matches_per_element_dot8_on_every_remainder_class() {
+    // The dot-form GEMM, called directly. `n` covers every residue of the
+    // column groups (mod 8 for the scalar octets, mod 4 for the AVX2
+    // quads); `m` every residue of the three-row register tile on both
+    // sides of the 24-row group; `k` every lane-tail residue, the empty
+    // reduction, and lengths that split into two and three shared-
+    // dimension blocks (512 floats each at most). Operands are wider than
+    // the product (`lda`, `ldb` > k) and the result lands row-major or
+    // channel-major, with and without bias, inside a buffer whose other
+    // elements must come back untouched.
+    let ks: Vec<usize> = (0..=17).chain([255, 256, 257, 520, 1033]).collect();
+    for &m in &[1usize, 2, 3, 4, 5, 23, 24, 25, 26, 50] {
+        for n in (1..=17).chain([33]) {
+            for &k in &ks {
+                if m > 5 && n > 9 && k > 17 {
+                    continue; // the long reductions on the small shapes only
+                }
+                let (lda, ldb) = (k + 3, k + 1);
+                let a = fill(&[m * lda], (m * 31 + k) as u32);
+                let b = fill(&[n * ldb], (n * 17 + k) as u32);
+                let bias = fill(&[n], (m + n) as u32);
+                let (a, b, bias) = (a.as_slice(), b.as_slice(), bias.as_slice());
+                for (row_major, with_bias) in [(true, false), (false, true)] {
+                    let (out_rs, out_cs) = if row_major { (n + 2, 1) } else { (1, m + 1) };
+                    let len = (m - 1) * out_rs + (n - 1) * out_cs + 1;
+                    let mut want = vec![7.5f32; len];
+                    for r in 0..m {
+                        for j in 0..n {
+                            let dot = dot8_reference(&a[r * lda..r * lda + k], &b[j * ldb..j * ldb + k]);
+                            want[r * out_rs + j * out_cs] = if with_bias { dot + bias[j] } else { dot };
+                        }
+                    }
+                    let label = format!("dot_panel {m}x{n}x{k} row_major={row_major}");
+                    assert_bit_identical_across_levels_and_threads(&label, || {
+                        let mut out = vec![7.5f32; len];
+                        dot_panel(m, n, k, a, lda, b, ldb, with_bias.then_some(bias), &mut out, out_rs, out_cs);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&out), bits(&want), "{label} differs from per-element dot8");
+                        out
+                    });
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn blocked_a_bt_matches_per_element_dot8_off_the_row_grain() {
+    // `matmul_a_bt_into` splits `m` into size-derived row chunks (8 to 32
+    // rows), each one `dot_panel` call: `m` below, on and off the grain,
+    // a last chunk shorter than the rest, at every thread count and ISA.
+    for &(m, k, n) in &[(7, 40, 9), (8, 33, 4), (37, 300, 13), (65, 129, 6), (130, 1030, 5), (261, 20, 3)] {
+        let a = fill(&[m, k], (m * 1000 + k) as u32);
+        let b = fill(&[n, k], (n * 7 + k) as u32);
+        let (a, b) = (a.as_slice(), b.as_slice());
+        let want: Vec<u32> = (0..m * n)
+            .map(|i| dot8_reference(&a[i / n * k..][..k], &b[i % n * k..][..k]).to_bits())
+            .collect();
+        let label = format!("a_bt {m}x{k}x{n}");
+        assert_bit_identical_across_levels_and_threads(&label, || {
+            let mut out = vec![0.0f32; m * n];
+            matmul_a_bt_into(a, b, m, k, n, &mut out);
+            let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{label} differs from per-element dot8");
+            out
+        });
     }
 }
 
