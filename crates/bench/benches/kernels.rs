@@ -13,6 +13,7 @@
 //! full `im2col`/`dcols` matrices (`scripts/verify.sh` gates both).
 
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use scnn_bench::{Args, BenchGroup};
 use scnn_core::lower_unsplit;
@@ -234,5 +235,59 @@ fn main() {
     });
     clear_plans();
 
+    par_fork_join(&mut g, smoke);
+
     g.finish();
+}
+
+/// `par_fork_join/{hot,gap100us,gap1ms}`: wall time of one 4-task region
+/// of 50 µs tasks on 2 threads (forced, so the committed 1-thread
+/// baselines still record a fork) — back-to-back, after 100 µs of serial
+/// work on the submitter (the gap between two waves of a forward pass),
+/// and after the submitter slept 1 ms (the gap between two requests). A
+/// perfect fork reads 100 µs, no fork 200 µs. These size the pool's spin
+/// budget (DESIGN.md §9); `scripts/verify.sh` holds `gap100us` under a
+/// ceiling that a worker parking the instant a region ends cannot meet.
+///
+/// Half a second of two busy threads comes first: on a virtualized host a
+/// second vCPU that has been idle takes no part in sub-millisecond
+/// regions whatever the pool does (every region then reads 200 µs), and
+/// that much load reliably ends the state (DESIGN.md §9).
+fn par_fork_join(g: &mut BenchGroup, smoke: bool) {
+    let busy = |d: Duration| {
+        let t = Instant::now();
+        while t.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    };
+    if !smoke {
+        let warm = Duration::from_millis(500);
+        std::thread::scope(|s| {
+            s.spawn(|| busy(warm));
+            busy(warm);
+        });
+    }
+    let task = Duration::from_micros(50);
+    let regions = if smoke { 5 } else { 300 };
+    for (name, gap) in [
+        ("hot", Duration::ZERO),
+        ("gap100us", Duration::from_micros(100)),
+        ("gap1ms", Duration::from_millis(1)),
+    ] {
+        let wall: Vec<u128> = scnn_par::with_threads(2, || {
+            (0..regions)
+                .map(|_| {
+                    if gap >= Duration::from_millis(1) {
+                        std::thread::sleep(gap);
+                    } else {
+                        busy(gap);
+                    }
+                    let t = Instant::now();
+                    scnn_par::parallel_for(4, |_| busy(task));
+                    t.elapsed().as_nanos()
+                })
+                .collect()
+        });
+        g.record_latency(&format!("par_fork_join/{name}"), &wall);
+    }
 }

@@ -23,6 +23,16 @@
 //! Nested parallel regions run serially inline on the worker that entered
 //! them, so kernels may call [`parallel_for`] freely even when the executor
 //! already runs sibling split-patch branches on the pool.
+//!
+//! Workers **spin, then park**: after its last task a worker polls a
+//! lock-free submission epoch for a short fixed budget before it blocks on
+//! the pool condvar, and a submitter likewise polls for its last tasks
+//! before it blocks on the job latch — so a string of sub-millisecond
+//! regions (the waves of one forward pass) forks without a futex wake-up
+//! per region, while an idle process stops using CPU one budget after its
+//! last region. The protocol, who may poll and the budget's sizing are in
+//! DESIGN.md §"Threading model"; none of it is configurable, and none of
+//! it touches which chunks exist or who may claim them.
 
 pub mod background;
 pub mod scratch;
@@ -30,8 +40,9 @@ pub mod scratch;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Upper bound on chunk count produced by [`grain`]. Fixed (never derived
 /// from the thread count) so decomposition is a pure function of size.
@@ -39,6 +50,15 @@ const MAX_CHUNKS: usize = 128;
 
 /// Hard cap on pool size; `SCNN_THREADS` beyond this is clamped.
 const MAX_THREADS: usize = 256;
+
+/// How long an idle worker polls for the next region before it parks, and
+/// how long a submitter polls for its last tasks before it blocks. Sized
+/// from the `par_fork_join/*` micro-bench (DESIGN.md §9): long enough to
+/// bridge the gaps between the waves of one forward pass, short enough
+/// that an idle process stops burning CPU at once. A constant, not an
+/// option: there is one right order of magnitude (a futex wake-up of a
+/// halted vCPU) and nothing a caller knows that the pool does not.
+const SPIN_BUDGET: Duration = Duration::from_micros(200);
 
 thread_local! {
     /// In-process thread-count override (for tests sweeping counts).
@@ -58,8 +78,11 @@ struct Job {
     total: usize,
     /// Tasks not yet finished executing.
     remaining: AtomicUsize,
-    /// Completion latch the submitter waits on.
-    done: Mutex<bool>,
+    /// Set by the submitter once it gives up polling `remaining` and
+    /// blocks on `done_cv`; the last finisher signals only if it is set.
+    submitter_parked: AtomicBool,
+    /// Completion latch the parked submitter waits on.
+    done: Mutex<()>,
     done_cv: Condvar,
     /// First panic payload observed in a task, re-thrown by the submitter.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -74,8 +97,17 @@ unsafe impl Sync for TaskPtr {}
 
 struct Pool {
     queue: Mutex<VecDeque<Arc<Job>>>,
+    /// Parked workers wait here; signalled only when `sleepers > 0`.
     available: Condvar,
-    spawned: Mutex<usize>,
+    /// Submission epoch: bumped after every push. Polling workers watch
+    /// it without touching the queue lock.
+    epoch: AtomicUsize,
+    /// Workers parked on `available` (or committed to parking: the count
+    /// is raised under the queue lock *before* the final queue check).
+    sleepers: AtomicUsize,
+    /// Workers spawned so far; grown under `spawn_lock`.
+    spawned: AtomicUsize,
+    spawn_lock: Mutex<()>,
 }
 
 fn pool() -> &'static Pool {
@@ -83,27 +115,43 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool {
         queue: Mutex::new(VecDeque::new()),
         available: Condvar::new(),
-        spawned: Mutex::new(0),
+        epoch: AtomicUsize::new(0),
+        sleepers: AtomicUsize::new(0),
+        spawned: AtomicUsize::new(0),
+        spawn_lock: Mutex::new(()),
     })
+}
+
+/// The machine's hardware parallelism (1 when unknown), read once.
+fn hardware_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// Whether anyone may poll: only while the pool's workers plus one
+/// submitter fit the hardware threads. An oversubscribed pool
+/// (`with_threads(7)` on 2 CPUs) has more runnable threads than CPUs
+/// whenever a region is in flight; a poller there only keeps a thread
+/// that holds work off the CPU, so every worker parks at once and every
+/// submitter blocks at once — on a single CPU, always.
+fn polling_pays(p: &Pool) -> bool {
+    p.spawned.load(Ordering::Relaxed) < hardware_threads()
 }
 
 /// `SCNN_THREADS`, read once per process; `0`, unset or unparsable means
 /// "auto" (available parallelism).
 fn env_threads() -> usize {
     static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let auto = || {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        match std::env::var("SCNN_THREADS") {
-            Ok(s) => match s.trim().parse::<usize>() {
-                Ok(0) | Err(_) => auto(),
-                Ok(n) => n,
-            },
-            Err(_) => auto(),
-        }
+    *ENV.get_or_init(|| match std::env::var("SCNN_THREADS") {
+        Ok(s) => match s.trim().parse::<usize>() {
+            Ok(0) | Err(_) => hardware_threads(),
+            Ok(n) => n,
+        },
+        Err(_) => hardware_threads(),
     })
 }
 
@@ -134,43 +182,102 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Grows the pool to at least `target` workers. Workers are persistent and
-/// park on the shared queue; they are never torn down (the process exit
-/// reclaims them), so repeated parallel regions pay no spawn cost.
+/// Grows the pool to at least `target` workers. Workers are persistent —
+/// they poll briefly, then park on the shared queue — and are never torn
+/// down (the process exit reclaims them), so repeated parallel regions pay
+/// no spawn cost.
 fn ensure_workers(target: usize) {
     let p = pool();
-    let mut spawned = p.spawned.lock().unwrap();
-    while *spawned < target {
+    if p.spawned.load(Ordering::Acquire) >= target {
+        return;
+    }
+    let _spawning = p.spawn_lock.lock().unwrap();
+    for i in p.spawned.load(Ordering::Acquire)..target {
         std::thread::Builder::new()
-            .name(format!("scnn-par-{}", *spawned))
+            .name(format!("scnn-par-{i}"))
             .spawn(worker_main)
             .expect("spawning pool worker");
-        *spawned += 1;
+        p.spawned.store(i + 1, Ordering::Release);
     }
 }
 
+/// `(parked, spawned)` worker counts — a diagnostic for tests that prove
+/// an idle pool burns no CPU: one [`SPIN_BUDGET`] after the last region
+/// every spawned worker is parked.
+#[doc(hidden)]
+pub fn parked_workers() -> (usize, usize) {
+    let p = pool();
+    (
+        p.sleepers.load(Ordering::SeqCst),
+        p.spawned.load(Ordering::Acquire),
+    )
+}
+
+/// The front job that still has unclaimed tasks, dropping fully-claimed
+/// jobs on the way (their submitters already wait on the completion
+/// latch).
+fn front_job(q: &mut VecDeque<Arc<Job>>) -> Option<Arc<Job>> {
+    while q
+        .front()
+        .is_some_and(|j| j.next.load(Ordering::Relaxed) >= j.total)
+    {
+        q.pop_front();
+    }
+    q.front().cloned()
+}
+
+/// Polls `ready` until it holds or [`SPIN_BUDGET`] runs out; returns
+/// whether it held. The poll pauses and never yields: a `sched_yield`
+/// every few microseconds was measured and costs `serve_closed_c1` 3–8 %
+/// (DESIGN.md §9 has the numbers and the one host state it would help).
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        if ready() {
+            return true;
+        }
+        if start.elapsed() >= SPIN_BUDGET {
+            return false;
+        }
+        std::hint::spin_loop();
+    }
+}
+
+/// Spin, then park (DESIGN.md §9). A worker that finds the queue empty
+/// polls the submission epoch for one budget — a region submitted in that
+/// time starts on this thread with no wake-up at all — and only then
+/// parks. No submission can be missed: the epoch is read *before* the
+/// queue check it guards, so a push that check did not see bumps the
+/// epoch past `seen`; and the park path raises `sleepers` under the queue
+/// lock before its own final check, so a push either precedes that check
+/// (and is seen) or follows it and finds `sleepers > 0` (and signals).
 fn worker_main() {
     IN_POOL.with(|f| f.set(true));
     let p = pool();
     loop {
-        let job = {
-            let mut q = p.queue.lock().unwrap();
-            loop {
-                // Drop fully-claimed jobs from the front; their submitters
-                // are already waiting on the completion latch.
-                while q
-                    .front()
-                    .is_some_and(|j| j.next.load(Ordering::Relaxed) >= j.total)
-                {
-                    q.pop_front();
-                }
-                if let Some(j) = q.front() {
-                    break Arc::clone(j);
-                }
-                q = p.available.wait(q).unwrap();
-            }
-        };
-        run_tasks(&job);
+        let seen = p.epoch.load(Ordering::SeqCst);
+        let found = front_job(&mut p.queue.lock().unwrap());
+        if let Some(job) = found {
+            run_tasks(&job);
+            continue;
+        }
+        let submitted = || p.epoch.load(Ordering::SeqCst) != seen;
+        if !(polling_pays(p) && spin_until(submitted)) {
+            run_tasks(&park(p));
+        }
+    }
+}
+
+/// Blocks on the pool condvar until a job with unclaimed tasks appears.
+fn park(p: &Pool) -> Arc<Job> {
+    let mut q = p.queue.lock().unwrap();
+    p.sleepers.fetch_add(1, Ordering::SeqCst);
+    loop {
+        if let Some(job) = front_job(&mut q) {
+            p.sleepers.fetch_sub(1, Ordering::SeqCst);
+            return job;
+        }
+        q = p.available.wait(q).unwrap();
     }
 }
 
@@ -181,14 +288,21 @@ fn run_tasks(job: &Job) {
         if i >= job.total {
             return;
         }
+        // SAFETY: see `TaskPtr` — the submitter keeps the closure alive
+        // until `remaining` reaches zero, and this task still counts.
         let body = unsafe { &*job.task.0 };
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(i))) {
             let mut slot = job.panic.lock().unwrap();
             slot.get_or_insert(payload);
         }
-        if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut done = job.done.lock().unwrap();
-            *done = true;
+        // SeqCst pairs with the submitter's `submitter_parked` store /
+        // `remaining` load: of "last task done" and "submitter parked",
+        // whichever happens second sees the first, so the submitter is
+        // either signalled or never blocks.
+        if job.remaining.fetch_sub(1, Ordering::SeqCst) == 1
+            && job.submitter_parked.load(Ordering::SeqCst)
+        {
+            let _latch = job.done.lock().unwrap();
             job.done_cv.notify_all();
         }
     }
@@ -230,24 +344,34 @@ where
         next: AtomicUsize::new(0),
         total: tasks,
         remaining: AtomicUsize::new(tasks),
-        done: Mutex::new(false),
+        submitter_parked: AtomicBool::new(false),
+        done: Mutex::new(()),
         done_cv: Condvar::new(),
         panic: Mutex::new(None),
     });
-    {
-        let p = pool();
-        p.queue.lock().unwrap().push_back(Arc::clone(&job));
+    let p = pool();
+    p.queue.lock().unwrap().push_back(Arc::clone(&job));
+    // Bump after the push (polling workers re-check the queue when it
+    // moves), signal only if someone is parked: in the hot state — every
+    // worker polling — a region costs no syscall.
+    p.epoch.fetch_add(1, Ordering::SeqCst);
+    if p.sleepers.load(Ordering::SeqCst) > 0 {
         p.available.notify_all();
     }
     // The submitting thread claims tasks too (inline-nested while it does).
     IN_POOL.with(|f| f.set(true));
     run_tasks(&job);
     IN_POOL.with(|f| f.set(false));
-    let mut done = job.done.lock().unwrap();
-    while job.remaining.load(Ordering::Acquire) > 0 {
-        done = job.done_cv.wait(done).unwrap();
+    // Tasks claimed by workers may still be running: poll for one budget
+    // (they are usually microseconds from done), then block.
+    let finished = || job.remaining.load(Ordering::SeqCst) == 0;
+    if !(polling_pays(p) && spin_until(finished)) {
+        job.submitter_parked.store(true, Ordering::SeqCst);
+        let mut latch = job.done.lock().unwrap();
+        while !finished() {
+            latch = job.done_cv.wait(latch).unwrap();
+        }
     }
-    drop(done);
     let payload = job.panic.lock().unwrap().take();
     if let Some(payload) = payload {
         resume_unwind(payload);

@@ -5,9 +5,15 @@
 //! Every request carries an [`SloClass`]. The class decides two durations:
 //!
 //! - **window** — how long after this class's first admission a batch may
-//!   keep coalescing. An `Interactive` request *shrinks* the open batch
-//!   window when it joins one that only held `Batch`-class work, so a
-//!   latency-sensitive request never waits out a throughput deadline.
+//!   keep coalescing *while the replica holds windows at all*: a replica
+//!   holds one only if the previous batch it closed had company, so a
+//!   lone request on a quiet server never waits for nothing (see
+//!   [`crate::dispatch`]). An `Interactive` request *shrinks* the open
+//!   batch window when it joins one that only held `Batch`-class work, so
+//!   a latency-sensitive request never waits out a throughput deadline. A
+//!   class's window may not exceed its deadline
+//!   ([`ServerConfig::validate`]): a held window would expire the very
+//!   request that opened it.
 //! - **deadline** — the SLO target measured from submission. A request
 //!   still queued past its deadline is dead on arrival: the replica drops
 //!   it at admission close with [`ServeError::DeadlineExceeded`] instead
@@ -58,7 +64,8 @@ impl SloClass {
 /// Per-class timing policy (see module docs for the two durations).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClassPolicy {
-    /// Close the batch this long after this class's first admission.
+    /// Close the batch this long after this class's first admission
+    /// (when the replica is holding windows). Must not exceed `deadline`.
     pub window: Duration,
     /// SLO deadline measured from submission; expired-in-queue requests
     /// are dropped at admission close.
@@ -70,7 +77,9 @@ pub struct ClassPolicy {
 /// A batch closes when it reaches `max_batch` requests, or when the
 /// earliest class window among its members expires — whichever comes
 /// first. The window is a running minimum: admitting an `Interactive`
-/// request into a `Batch`-class window pulls the close time forward.
+/// request into a `Batch`-class window pulls the close time forward. A
+/// replica whose previous batch was a lone request holds no window: it
+/// drains what is queued (up to `max_batch`) and closes at once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Close as soon as this many requests are admitted. Must not exceed
@@ -163,12 +172,15 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Validates the shape-independent invariants (positive replica count,
-    /// batch size and queue capacity).
+    /// Validates the shape-independent invariants: positive replica count,
+    /// batch size and queue capacity, and no class whose window outlasts
+    /// its deadline (a held window would then expire the request that
+    /// opened it — `DeadlineExceeded` for a lone request on an idle
+    /// server).
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] naming the violated field.
+    /// [`ServeError::InvalidConfig`] naming the violated field or class.
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.replicas == 0 {
             return Err(ServeError::InvalidConfig(
@@ -184,6 +196,15 @@ impl ServerConfig {
             return Err(ServeError::InvalidConfig(
                 "queue_capacity must be at least 1".into(),
             ));
+        }
+        for class in SloClass::ALL {
+            let ClassPolicy { window, deadline } = *self.policy.class(class);
+            if window > deadline {
+                return Err(ServeError::InvalidConfig(format!(
+                    "{} window {window:?} exceeds its deadline {deadline:?}",
+                    class.name()
+                )));
+            }
         }
         Ok(())
     }
@@ -210,7 +231,7 @@ pub enum ServeError {
     /// The server is shutting down and no longer admits requests.
     ShuttingDown,
     /// [`ServerConfig`] is structurally invalid (zero replicas, zero
-    /// batch, zero queue).
+    /// batch, zero queue, a class window longer than its deadline).
     InvalidConfig(String),
     /// `replicas × max_batch` plans more pool bytes than
     /// [`ServerConfig::budget_bytes`] allows: `requested` is the
@@ -271,6 +292,18 @@ mod tests {
         assert!(p.interactive.deadline < p.batch.deadline);
         assert_eq!(p.class(SloClass::Interactive), &p.interactive);
         assert_eq!(p.class(SloClass::Batch), &p.batch);
+    }
+
+    #[test]
+    fn a_window_longer_than_its_deadline_is_rejected_by_class_name() {
+        let mut config = ServerConfig::default();
+        config.policy.batch.window = config.policy.batch.deadline;
+        assert!(config.validate().is_ok(), "window == deadline is legal");
+        config.policy.batch.window += Duration::from_nanos(1);
+        assert!(matches!(config.validate(), Err(ServeError::InvalidConfig(m)) if m.contains("batch")));
+        let mut config = ServerConfig::default();
+        config.policy.interactive.deadline = Duration::from_millis(1);
+        assert!(matches!(config.validate(), Err(ServeError::InvalidConfig(m)) if m.contains("interactive")));
     }
 
     #[test]

@@ -2,9 +2,24 @@
 //! shared admission queue.
 //!
 //! Each replica is one thread running [`replica_loop`]: block for the job
-//! that opens a batch window, coalesce follow-ups under the per-class
-//! window policy, filter dead work at admission close (abandoned clients,
-//! expired deadlines), run the survivors through the engine, deliver.
+//! that opens a batch, coalesce follow-ups, filter dead work at admission
+//! close (abandoned clients, expired deadlines), run the survivors through
+//! the engine, deliver.
+//!
+//! **A window is held only while windows pay.** Each replica keeps one
+//! bit: did the last batch it closed have company (more than one job)?
+//! While it did, a newly opened batch waits out the per-class window
+//! ([`BatchPolicy`]: running minimum over its members, or `max_batch`)
+//! for more of the same. While it did not, the batch closes at once —
+//! everything already queued is still drained into it up to `max_batch`,
+//! but the replica never sleeps waiting for company that the traffic it
+//! last saw did not send. A closed-loop client or sparse traffic therefore
+//! pays at most one unpaid window; bursty traffic, whose every batch has
+//! company, keeps the full window (and its tolerance of a generator
+//! thread descheduled mid-burst). The bit depends only on traffic the
+//! replica observed, never on a configured value; replicas keep
+//! independent bits. Why not simply "close when the queue is empty":
+//! DESIGN.md §15 records the burst-split rates that design measured.
 //! Replicas never share a batch, so each `run` call owns its own planned
 //! pool accounting — the deployment's planned footprint is
 //! `params + R × C × pool` ([`scnn_hmms::StaticLayout::serving_device_bytes`]),
@@ -30,6 +45,7 @@ use scnn_tensor::Tensor;
 use crate::admission::{BatchPolicy, ServeError};
 use crate::batcher::Shared;
 use crate::engine::Engine;
+use crate::metrics::BatchClose;
 use crate::queue::{Job, Pop};
 
 /// The engine seam the dispatcher drives: anything that can turn a batch
@@ -97,16 +113,28 @@ pub(crate) fn replica_loop(
 }
 
 fn drive(shared: &Shared, runner: &dyn BatchRunner, policy: &BatchPolicy) {
+    // The one-bit predictor (module docs): did the last batch this replica
+    // closed have company? A window is held only while it did.
+    let mut holding = false;
     loop {
         let first = match shared.queue.pop_blocking() {
             Pop::Job(job) => job,
             Pop::Closed => return,
             Pop::TimedOut => unreachable!("blocking pop never times out"),
         };
-        // The first admission opens the batch window; every later
-        // admission can only pull the close time *forward* (an
-        // interactive request joining a batch-class window shortens it).
-        let mut close_at = Instant::now() + policy.class(first.class).window;
+        // The first admission opens the batch. While holding, it closes
+        // one class window later and every later admission can only pull
+        // the close time *forward* (an interactive request joining a
+        // batch-class window shortens it). While not holding, it closes
+        // now: `pop_deadline` still hands over everything already queued
+        // before it looks at the clock, so a burst that arrived while the
+        // replica was busy rides in one batch.
+        let opened = Instant::now();
+        let mut close_at = if holding {
+            opened + policy.class(first.class).window
+        } else {
+            opened
+        };
         let mut jobs: Vec<Job> = vec![*first];
         while jobs.len() < policy.max_batch {
             match shared.queue.pop_deadline(close_at) {
@@ -117,6 +145,15 @@ fn drive(shared: &Shared, runner: &dyn BatchRunner, policy: &BatchPolicy) {
                 Pop::TimedOut | Pop::Closed => break,
             }
         }
+        let close = if jobs.len() >= policy.max_batch {
+            BatchClose::Full
+        } else if holding {
+            BatchClose::Window
+        } else {
+            BatchClose::Idle
+        };
+        shared.metrics.batch_closed(close, opened.elapsed());
+        holding = jobs.len() > 1;
 
         // Admission close: drop work nobody is waiting for. Abandoned
         // jobs (client dropped its handle) are skipped silently; jobs

@@ -1,5 +1,7 @@
 //! Serving observability: per-class latency histograms, a queue-depth
-//! gauge, and shed/completed/expired/abandoned counters.
+//! gauge, shed/completed/expired/abandoned counters, and why each batch
+//! closed (full / window ran out / not holding) with the time batches
+//! spent open.
 //!
 //! Everything is lock-free on the hot path — atomic counters and a
 //! log₂-bucketed latency histogram — so a client thread shedding at
@@ -78,6 +80,22 @@ struct ClassCounters {
     abandoned: AtomicU64,
 }
 
+/// Why a replica stopped coalescing a batch — the "batch closed" stage of
+/// a request's lifecycle. Together with
+/// [`MetricsSnapshot::window_wait_ns`] these say whether holding windows
+/// paid on the traffic a server actually saw.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum BatchClose {
+    /// The batch reached `max_batch`.
+    Full = 0,
+    /// The replica was holding a window and it ran out (or the queue
+    /// closed under it) before the batch filled.
+    Window = 1,
+    /// The replica was not holding (its previous batch was a lone
+    /// request): it took what was queued and closed without waiting.
+    Idle = 2,
+}
+
 /// Shared, internally atomic serving metrics. One instance per
 /// [`crate::Server`]; the queue, the admission path and every replica
 /// write to it concurrently.
@@ -88,6 +106,9 @@ pub struct Metrics {
     queue_depth_peak: AtomicUsize,
     batches: AtomicU64,
     batched_requests: AtomicU64,
+    /// Batches closed, indexed by [`BatchClose`] discriminant.
+    closed: [AtomicU64; 3],
+    window_wait_ns: AtomicU64,
 }
 
 impl Metrics {
@@ -99,6 +120,8 @@ impl Metrics {
             queue_depth_peak: AtomicUsize::new(0),
             batches: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
+            closed: std::array::from_fn(|_| AtomicU64::new(0)),
+            window_wait_ns: AtomicU64::new(0),
         }
     }
 
@@ -140,6 +163,15 @@ impl Metrics {
             .fetch_add(size as u64, Ordering::Relaxed);
     }
 
+    /// One batch stopped coalescing for reason `why`, `open` after the
+    /// admission that opened it (counted before the abandoned/expired
+    /// filter, so it also counts batches that end up empty).
+    pub(crate) fn batch_closed(&self, why: BatchClose, open: Duration) {
+        self.closed[why as usize].fetch_add(1, Ordering::Relaxed);
+        let ns = u64::try_from(open.as_nanos()).unwrap_or(u64::MAX);
+        self.window_wait_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
     /// Queue depth changed to `depth`; the peak is a running maximum.
     pub(crate) fn queue_depth_is(&self, depth: usize) {
         self.queue_depth.store(depth, Ordering::Relaxed);
@@ -157,12 +189,17 @@ impl Metrics {
             p50_ns: self.latency[i].quantile_ns(0.50),
             p99_ns: self.latency[i].quantile_ns(0.99),
         });
+        let closed = |why: BatchClose| self.closed[why as usize].load(Ordering::Relaxed);
         MetricsSnapshot {
             classes,
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
+            closed_full: closed(BatchClose::Full),
+            closed_window: closed(BatchClose::Window),
+            closed_idle: closed(BatchClose::Idle),
+            window_wait_ns: self.window_wait_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -202,6 +239,19 @@ pub struct MetricsSnapshot {
     pub batches: u64,
     /// Requests carried by those batches (excludes abandoned/expired).
     pub batched_requests: u64,
+    /// Batches closed because they reached `max_batch`.
+    pub closed_full: u64,
+    /// Batches closed by a held window running out (or the queue closing
+    /// under it) before they filled.
+    pub closed_window: u64,
+    /// Batches closed without waiting: the replica was not holding a window
+    /// (its previous batch was a lone request), took what was queued, and
+    /// ran.
+    pub closed_idle: u64,
+    /// Summed time batches spent open — from the admission that opened
+    /// each to its close — in nanoseconds. Divided by the three counters'
+    /// sum it is the mean wait the window policy added per batch.
+    pub window_wait_ns: u64,
 }
 
 impl MetricsSnapshot {
@@ -264,6 +314,8 @@ mod tests {
         m.queue_depth_is(3);
         m.queue_depth_is(1);
         m.batch_ran(2);
+        m.batch_closed(BatchClose::Window, Duration::from_micros(3));
+        m.batch_closed(BatchClose::Idle, Duration::from_micros(1));
         let s = m.snapshot();
         assert_eq!(s.class(SloClass::Interactive).submitted, 2);
         assert_eq!(s.total_shed(), 1);
@@ -273,6 +325,8 @@ mod tests {
         assert_eq!(s.queue_depth, 1);
         assert_eq!(s.queue_depth_peak, 3);
         assert_eq!((s.batches, s.batched_requests), (1, 2));
+        assert_eq!((s.closed_full, s.closed_window, s.closed_idle), (0, 1, 1));
+        assert_eq!(s.window_wait_ns, 4_000);
         assert!(s.class(SloClass::Batch).p99_ns.is_some());
         assert_eq!(s.class(SloClass::Interactive).p99_ns, None);
     }

@@ -6,9 +6,12 @@
 //! **non-blocking**: [`AdmissionQueue::offer`] either enqueues or fails
 //! with [`ServeError::Overloaded`] right away — backpressure is returned
 //! to the caller, never absorbed as unbounded buffering. Consumers block:
-//! [`AdmissionQueue::pop_blocking`] waits for the job that opens a batch
-//! window, [`AdmissionQueue::pop_deadline`] drains follow-ups until the
-//! window closes.
+//! [`AdmissionQueue::pop_blocking`] waits for the job that opens a batch,
+//! [`AdmissionQueue::pop_deadline`] drains follow-ups until the batch's
+//! close time. A queued job always wins over the clock — a close time
+//! already in the past still hands over everything queued, one pop at a
+//! time, and only then times out — which is how a replica that holds no
+//! window ([`crate::dispatch`]) collects a waiting burst without sleeping.
 //!
 //! Closing the queue ([`AdmissionQueue::close`]) stops admission but lets
 //! consumers drain what was already accepted — a graceful shutdown
@@ -138,7 +141,8 @@ impl AdmissionQueue {
     }
 
     /// Like [`AdmissionQueue::pop_blocking`] but gives up at `deadline`
-    /// (the open batch window's close time).
+    /// (the open batch's close time) once the queue is empty; never
+    /// sleeps when `deadline` has already passed.
     pub fn pop_deadline(&self, deadline: Instant) -> Pop {
         let mut inner = self.inner.lock().unwrap();
         loop {
@@ -234,6 +238,16 @@ mod tests {
             Pop::TimedOut
         ));
         assert!(t.elapsed() >= Duration::from_millis(5));
+    }
+
+    #[test]
+    fn a_past_deadline_still_hands_over_what_is_queued() {
+        let q = queue(2);
+        let (j1, _r1) = job(SloClass::Interactive);
+        q.offer(j1).unwrap();
+        let past = Instant::now();
+        assert!(matches!(q.pop_deadline(past), Pop::Job(_)));
+        assert!(matches!(q.pop_deadline(past), Pop::TimedOut));
     }
 
     #[test]

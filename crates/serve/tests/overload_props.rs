@@ -15,11 +15,19 @@
 //!   a value instead of re-throwing;
 //! - **Budget cross-check** — `params + replicas × max_batch × pool` is
 //!   validated against `budget_bytes` at startup: reject by default,
-//!   clamp-with-warning on request.
+//!   clamp-with-warning on request;
+//! - **A window is held only while windows pay** — a lone request on a
+//!   fresh server never waits out its window; after a batch with company
+//!   the next window is held, after a lone batch it is not; a burst that
+//!   queued up behind a busy replica rides in one batch in either state;
+//!   `max_batch` and the interactive pull-forward still close a held
+//!   window early; replicas keep independent predictor bits.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use scnn_serve::{
     BatchPolicy, BatchRunner, ClassPolicy, OverBudget, ServeError, Server, ServerConfig, SloClass,
@@ -72,6 +80,11 @@ impl Gate {
         *self.open.lock().unwrap() = true;
         self.cv.notify_all();
     }
+
+    /// Closes the gate again (call only while no batch is in flight).
+    fn arm(&self) {
+        *self.open.lock().unwrap() = false;
+    }
 }
 
 /// Echoes each request's payload back as its logits; optionally parks on
@@ -80,26 +93,32 @@ struct StubRunner {
     gate: Option<Arc<Gate>>,
     entered: AtomicUsize,
     requests_run: AtomicUsize,
+    /// Size of every batch `run` saw, in order.
+    batch_sizes: Mutex<Vec<usize>>,
     planned: Option<(usize, usize)>,
 }
 
 impl StubRunner {
-    fn gated(gate: Arc<Gate>) -> Self {
+    fn new(gate: Option<Arc<Gate>>, planned: Option<(usize, usize)>) -> Self {
         StubRunner {
-            gate: Some(gate),
+            gate,
             entered: AtomicUsize::new(0),
             requests_run: AtomicUsize::new(0),
-            planned: None,
+            batch_sizes: Mutex::new(Vec::new()),
+            planned,
         }
     }
 
+    fn gated(gate: Arc<Gate>) -> Self {
+        StubRunner::new(Some(gate), None)
+    }
+
     fn with_layout(params: usize, pool: usize) -> Self {
-        StubRunner {
-            gate: None,
-            entered: AtomicUsize::new(0),
-            requests_run: AtomicUsize::new(0),
-            planned: Some((params, pool)),
-        }
+        StubRunner::new(None, Some((params, pool)))
+    }
+
+    fn batch_sizes(&self) -> Vec<usize> {
+        self.batch_sizes.lock().unwrap().clone()
     }
 
     /// Spins until `run` has been entered at least `n` times — the only
@@ -117,6 +136,7 @@ impl BatchRunner for StubRunner {
     }
 
     fn run(&self, requests: &[Tensor]) -> Vec<Vec<f32>> {
+        self.batch_sizes.lock().unwrap().push(requests.len());
         self.entered.fetch_add(1, Ordering::SeqCst);
         if let Some(gate) = &self.gate {
             gate.wait();
@@ -350,4 +370,266 @@ fn wrong_shape_is_rejected_before_admission() {
     let m = server.shutdown().expect("no replica died");
     assert_eq!(m.class(SloClass::Interactive).submitted, 0);
     assert_eq!(runner.requests_run.load(Ordering::SeqCst), 0);
+}
+
+/// One replica, `max_batch` 8, behind `runner`, with the given class
+/// windows (deadlines far out).
+fn windowed_server(runner: Arc<StubRunner>, interactive: Duration, batch: Duration) -> Server {
+    let far = Duration::from_secs(300);
+    Server::start_with_runner(
+        runner,
+        ServerConfig {
+            policy: BatchPolicy {
+                max_batch: 8,
+                interactive: ClassPolicy { window: interactive, deadline: far },
+                batch: ClassPolicy { window: batch, deadline: far },
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("config is legal")
+}
+
+/// Leaves the one replica *holding*: wedges it on a plug, queues two
+/// requests behind it, lets all three finish — the last batch the replica
+/// closed had company. Needs a fresh (not holding) replica and an armed
+/// gate; leaves the gate open.
+fn make_holding(server: &Server, runner: &StubRunner, gate: &Gate) {
+    let before = runner.entered.load(Ordering::SeqCst);
+    let plug = server.submit(request(0.0), SloClass::Interactive).expect("admitted");
+    runner.await_entered(before + 1);
+    let pair: Vec<_> = (0..2)
+        .map(|_| server.submit(request(0.5), SloClass::Interactive).expect("admitted"))
+        .collect();
+    gate.release();
+    plug.recv().expect("plug ran");
+    for handle in pair {
+        handle.recv().expect("pair ran");
+    }
+    assert_eq!(runner.batch_sizes()[before..], [1, 2]);
+}
+
+#[test]
+fn a_lone_request_on_a_fresh_server_does_not_wait_out_its_window() {
+    let runner = Arc::new(StubRunner::new(None, None));
+    let window = Duration::from_millis(500);
+    let server = windowed_server(runner.clone(), window, window);
+    let t = Instant::now();
+    assert_eq!(server.infer(request(3.0)).expect("ran"), vec![3.0; 4]);
+    assert!(
+        t.elapsed() < Duration::from_millis(100),
+        "a lone request waited {:?} under a {window:?} window",
+        t.elapsed()
+    );
+    let m = server.shutdown().expect("no replica died");
+    assert_eq!((m.closed_idle, m.closed_window, m.closed_full), (1, 0, 0));
+    assert!(m.window_wait_ns < 100_000_000);
+}
+
+#[test]
+fn a_window_is_held_after_company_and_dropped_after_a_lone_batch() {
+    let gate = Arc::new(Gate::new());
+    let runner = Arc::new(StubRunner::gated(gate.clone()));
+    let window = Duration::from_millis(200);
+    let server = windowed_server(runner.clone(), window, window);
+    make_holding(&server, &runner, &gate);
+
+    // Holding: two submits 5 ms apart coalesce under the 200 ms window.
+    let a = server.submit(request(1.0), SloClass::Interactive).expect("admitted");
+    std::thread::sleep(Duration::from_millis(5));
+    let b = server.submit(request(2.0), SloClass::Interactive).expect("admitted");
+    assert_eq!(a.recv().expect("ran"), vec![1.0; 4]);
+    assert_eq!(b.recv().expect("ran"), vec![2.0; 4]);
+    assert_eq!(runner.batch_sizes(), [1, 2, 2]);
+
+    // Still holding: a lone request pays one unpaid window…
+    let t = Instant::now();
+    server.infer(request(3.0)).expect("ran");
+    assert!(t.elapsed() >= window, "the held window closed early");
+    // …and after that lone batch the next ones pay none.
+    for tag in [4.0, 5.0] {
+        let t = Instant::now();
+        server.infer(request(tag)).expect("ran");
+        assert!(t.elapsed() < window / 2, "a window was held after a lone batch");
+    }
+    assert_eq!(runner.batch_sizes(), [1, 2, 2, 1, 1, 1]);
+    let m = server.shutdown().expect("no replica died");
+    // plug + drained pair + the last two; the coalesced pair + the unpaid one.
+    assert_eq!((m.closed_idle, m.closed_window, m.closed_full), (4, 2, 0));
+    assert!(m.window_wait_ns >= 2 * window.as_nanos() as u64);
+}
+
+#[test]
+fn a_burst_queued_behind_a_busy_replica_is_one_batch_in_both_states() {
+    let gate = Arc::new(Gate::new());
+    let runner = Arc::new(StubRunner::gated(gate.clone()));
+    let window = Duration::from_millis(100);
+    let server = windowed_server(runner.clone(), window, window);
+    let burst = |server: &Server| -> Vec<_> {
+        (0..8)
+            .map(|i| server.submit(request(i as f32), SloClass::Interactive).expect("admitted"))
+            .collect()
+    };
+
+    // Not holding: the plug runs alone, the burst is drained whole.
+    let plug = server.submit(request(0.0), SloClass::Interactive).expect("admitted");
+    runner.await_entered(1);
+    let queued = burst(&server);
+    gate.release();
+    plug.recv().expect("plug ran");
+    for handle in queued {
+        handle.recv().expect("burst ran");
+    }
+    assert_eq!(runner.batch_sizes(), [1, 8]);
+
+    // Holding (the burst had company): two plugs coalesce under the held
+    // window and wedge the replica; the burst behind them closes on
+    // max_batch.
+    gate.arm();
+    let plugs: Vec<_> = (0..2)
+        .map(|_| server.submit(request(0.0), SloClass::Interactive).expect("admitted"))
+        .collect();
+    runner.await_entered(3);
+    let queued = burst(&server);
+    gate.release();
+    for handle in plugs.into_iter().chain(queued) {
+        handle.recv().expect("ran");
+    }
+    assert_eq!(runner.batch_sizes(), [1, 8, 2, 8]);
+    let m = server.shutdown().expect("no replica died");
+    assert_eq!((m.closed_idle, m.closed_window, m.closed_full), (1, 1, 2));
+}
+
+#[test]
+fn max_batch_and_the_interactive_pull_forward_still_close_a_held_window() {
+    let gate = Arc::new(Gate::new());
+    let runner = Arc::new(StubRunner::gated(gate.clone()));
+    let (interactive, batch) = (Duration::from_millis(50), Duration::from_secs(30));
+    let server = windowed_server(runner.clone(), interactive, batch);
+    make_holding(&server, &runner, &gate);
+
+    // A full batch does not wait for the 30 s batch-class window.
+    let t = Instant::now();
+    let full: Vec<_> = (0..8)
+        .map(|i| server.submit(request(i as f32), SloClass::Batch).expect("admitted"))
+        .collect();
+    for handle in full {
+        handle.recv().expect("ran");
+    }
+    // An interactive admission pulls a batch-class window forward to its own.
+    let slow = server.submit(request(1.0), SloClass::Batch).expect("admitted");
+    let fast = server.submit(request(2.0), SloClass::Interactive).expect("admitted");
+    slow.recv().expect("ran");
+    fast.recv().expect("ran");
+    assert!(t.elapsed() < Duration::from_secs(10), "a 30 s window was waited out");
+    assert_eq!(runner.batch_sizes(), [1, 2, 8, 2]);
+    let m = server.shutdown().expect("no replica died");
+    assert_eq!((m.closed_idle, m.closed_window, m.closed_full), (2, 1, 1));
+}
+
+/// Echo runner that parks every `run` call until the test grants the
+/// calling replica thread a permit, and logs which thread ran what.
+struct ReplicaGateRunner {
+    permits: Mutex<HashMap<ThreadId, usize>>,
+    cv: Condvar,
+    log: Mutex<Vec<(ThreadId, usize)>>,
+}
+
+impl ReplicaGateRunner {
+    fn release(&self, replica: ThreadId) {
+        *self.permits.lock().unwrap().entry(replica).or_insert(0) += 1;
+        self.cv.notify_all();
+    }
+
+    /// Waits until `n` batches have entered `run`; returns the log.
+    fn await_entered(&self, n: usize) -> Vec<(ThreadId, usize)> {
+        loop {
+            let log = self.log.lock().unwrap().clone();
+            if log.len() >= n {
+                return log;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+impl BatchRunner for ReplicaGateRunner {
+    fn request_shape(&self) -> Vec<usize> {
+        SHAPE.to_vec()
+    }
+
+    fn run(&self, requests: &[Tensor]) -> Vec<Vec<f32>> {
+        let me = std::thread::current().id();
+        self.log.lock().unwrap().push((me, requests.len()));
+        let mut permits = self.permits.lock().unwrap();
+        while permits.get(&me).copied().unwrap_or(0) == 0 {
+            permits = self.cv.wait(permits).unwrap();
+        }
+        *permits.get_mut(&me).expect("checked above") -= 1;
+        requests.iter().map(|r| r.as_slice().to_vec()).collect()
+    }
+}
+
+#[test]
+fn replicas_keep_independent_predictor_bits() {
+    let runner = Arc::new(ReplicaGateRunner {
+        permits: Mutex::new(HashMap::new()),
+        cv: Condvar::new(),
+        log: Mutex::new(Vec::new()),
+    });
+    let window = Duration::from_millis(300);
+    let far = Duration::from_secs(300);
+    let server = Server::start_with_runner(
+        runner.clone(),
+        ServerConfig {
+            replicas: 2,
+            policy: BatchPolicy {
+                max_batch: 8,
+                interactive: ClassPolicy { window, deadline: far },
+                batch: ClassPolicy { window, deadline: far },
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("config is legal");
+    let submit = |tag: f32| server.submit(request(tag), SloClass::Interactive).expect("admitted");
+
+    // Wedge both replicas on a lone plug each: a on the first, b on the second.
+    let plug_a = submit(0.0);
+    let a = runner.await_entered(1)[0].0;
+    let plug_b = submit(0.0);
+    let b = runner.await_entered(2)[1].0;
+    assert_ne!(a, b, "the wedged replica cannot have taken the second plug");
+
+    // a alone drains a queued trio (company: a now holds) and, still the
+    // only free replica, coalesces a pair under its held window.
+    let trio: Vec<_> = (0..3).map(|i| submit(1.0 + i as f32)).collect();
+    runner.release(a);
+    assert_eq!(runner.await_entered(3)[2], (a, 3));
+    runner.release(a);
+    plug_a.recv().expect("ran");
+    for handle in trio {
+        handle.recv().expect("ran");
+    }
+    let pair = [submit(5.0), submit(6.0)];
+    assert_eq!(runner.await_entered(4)[3], (a, 2), "a did not hold its window");
+
+    // b's last batch was its lone plug. With a wedged on the pair, b is
+    // the only free replica: a lone request must not wait out b's window,
+    // whatever a's bit says.
+    runner.release(b);
+    plug_b.recv().expect("ran");
+    runner.release(b);
+    let t = Instant::now();
+    submit(7.0).recv().expect("ran");
+    assert!(t.elapsed() < window / 2, "b held a window on a's evidence");
+    assert_eq!(runner.await_entered(5)[4], (b, 1));
+
+    runner.release(a);
+    for handle in pair {
+        handle.recv().expect("ran");
+    }
+    let m = server.shutdown().expect("no replica died");
+    // Idle: both plugs, the trio, b's lone request. Window: a's pair.
+    assert_eq!((m.closed_idle, m.closed_window, m.closed_full), (4, 1, 0));
 }

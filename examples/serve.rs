@@ -120,4 +120,14 @@ fn main() {
         metrics.total_shed(),
         metrics.class(SloClass::Interactive).p99_ns.unwrap_or(0)
     );
+    // Why batches closed: a replica holds a window only while its
+    // previous batch had company, so the first arrivals close idle and
+    // the rest of the concurrent clients coalesce under held windows.
+    println!(
+        "batch close: {} full, {} window, {} idle; batches spent {} µs open in total",
+        metrics.closed_full,
+        metrics.closed_window,
+        metrics.closed_idle,
+        metrics.window_wait_ns / 1_000
+    );
 }

@@ -29,6 +29,13 @@ cargo build --workspace --release --offline
 cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# The spin-then-park pool (DESIGN.md §9) under the three regimes its
+# wake-up protocol has: no workers at all, a pool that fits this host's
+# two CPUs (its worker polls), and an oversubscribed pool (nobody polls).
+for threads in 1 2 7; do
+  SCNN_THREADS="$threads" cargo test -q --release --offline -p scnn-par --test pool_props
+done
+
 # Smoke every bench binary: tiny shapes, one cold sample — proves the
 # full code path still runs and the emitted records parse. The serving
 # smoke additionally pins its deterministic memory records: the pool
@@ -98,22 +105,31 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 # 32→32 16×16 patch conv, layer4's 256→256 4×4 map, a 1×1 stride-2
 # shortcut — and one SGD step over the width-0.5 ResNet-18's parameters
 # hold ceilings at ~1.25× their committed 1-thread medians.
+# The fork-join gates (DESIGN.md §9): a 4-task region of 50 µs tasks on
+# two threads reads 100 µs when it forks and 200 µs when it does not.
+# After 100 µs of serial work on the submitter — the gap between two
+# waves of a forward pass — the region must still fork: ≤ 130 µs, where
+# a worker that parks the instant a region ends reads 145–190 µs and a
+# 50 µs budget 123–127. The ratio to the back-to-back region rides along
+# (≤ 1.5); measured, it is the ceiling that tells the pools apart — park
+# at once slows both regions alike and reads 1.0–1.15.
 # The serving gates (DESIGN.md §15): the full-size pool and resident
 # peaks are deterministic like the planned-device pins, so they are
 # pinned exactly — including the replica-scaled pools (R × C × pool,
 # two-sided); the capacity searches (single-engine and per-replica) at
 # the 64 MiB budget must not shrink; and the p99 tail latencies get
-# generous ceilings (~4-10× the measured values) that catch a
-# pathological serialization — a batcher that stops coalescing, a pool
-# that stops sharing — without flaking on ordinary scheduler noise.
+# generous ceilings (~4-10× the measured values; c1's is 4× its
+# committed p99) that catch a pathological serialization — a batcher
+# that stops coalescing, a pool that stops sharing — without flaking on
+# ordinary scheduler noise.
 # The overload smoke rides in both gate sets: an 8× burst against the
 # bounded queue must shed (shed ≥ 1), must never overflow the bound
 # (queue_depth_peak ≤ capacity), and every admitted request must finish
 # with its p99 under the 10 s interactive deadline the bench configures.
 declare -A abs_gates=(
-  [kernels]="--max-median conv2d_fwd_8x16x32x32:5600000,conv2d_fwd_8x16x32x32_tuned:4900000,conv2d_fwd_8x16x32x32_winograd:4500000,conv2d_bwd_8x16x32x32:12000000,matmul_512:12000000,conv2d_fwd_8x32x16x16:1450000,conv2d_bwd_8x32x16x16:2550000,conv2d_fwd_8x256x4x4:4600000,conv2d_bwd_8x256x4x4:10900000,conv2d_fwd_1x1s2_8x32x16x16:145000,sgd_step_resnet18_w05:1850000 --max-peak conv2d_fwd_scratch_peak:1048576,conv2d_bwd_scratch_peak:2097152 --max-ratio conv2d_fwd_8x16x32x32_winograd:conv2d_fwd_8x16x32x32_tuned:1.0"
+  [kernels]="--max-median conv2d_fwd_8x16x32x32:5600000,conv2d_fwd_8x16x32x32_tuned:4900000,conv2d_fwd_8x16x32x32_winograd:4500000,conv2d_bwd_8x16x32x32:12000000,matmul_512:12000000,conv2d_fwd_8x32x16x16:1450000,conv2d_bwd_8x32x16x16:2550000,conv2d_fwd_8x256x4x4:4600000,conv2d_bwd_8x256x4x4:10900000,conv2d_fwd_1x1s2_8x32x16x16:145000,sgd_step_resnet18_w05:1850000,par_fork_join/gap100us:130000 --max-peak conv2d_fwd_scratch_peak:1048576,conv2d_bwd_scratch_peak:2097152 --max-ratio conv2d_fwd_8x16x32x32_winograd:conv2d_fwd_8x16x32x32_tuned:1.0,par_fork_join/gap100us:par_fork_join/hot:1.5"
   [memory]="--max-peak train_step/hmms:15392768,planned_device/hmms:3300352,planned_device/hmms_micro:2707968,capacity/max_batch/legacy:13 --min-peak capacity/max_batch/micro:18"
-  [serving]="--max-peak serve_pool/c1:87040,serve_pool/c8:696320,serve_pool/c64:5570560,serve_resident_peak/c64:58654720,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,overload/queue_depth_peak:8 --min-peak serve_pool/c64:5570560,serve_resident_peak/c64:58654720,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,capacity/max_concurrency:738,capacity/max_concurrency_r2:369,capacity/max_concurrency_r4:184,overload/shed:1 --max-p99 serve_latency/c1:60000000,serve_latency/c8:250000000,serve_latency/c64:4000000000,overload/admitted_latency:10000000000"
+  [serving]="--max-peak serve_pool/c1:87040,serve_pool/c8:696320,serve_pool/c64:5570560,serve_resident_peak/c64:58654720,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,overload/queue_depth_peak:8 --min-peak serve_pool/c64:5570560,serve_resident_peak/c64:58654720,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,capacity/max_concurrency:738,capacity/max_concurrency_r2:369,capacity/max_concurrency_r4:184,overload/shed:1 --max-p99 serve_latency/c1:24000000,serve_latency/c8:250000000,serve_latency/c64:4000000000,overload/admitted_latency:10000000000"
 )
 if [[ "${SCNN_VERIFY_SKIP_BENCH:-0}" != 1 ]]; then
   for spec in kernels:0.25 planning:0.60 ablation:0.60 memory:0.60 serving:0.60; do
