@@ -7,7 +7,8 @@
 //!   peak measured by [`MeterProvider`];
 //! - `train_step/{baseline,vdnn,hmms}` — the same step under
 //!   [`PlanRuntime`], peak = physically resident activation bytes under
-//!   that plan's lifetimes.
+//!   that plan's lifetimes (the step runs in tape order, so each strategy
+//!   reads its own figure; the share of its planned pool is printed).
 //!
 //! Device-pool and host-pool plan peaks are printed alongside for context.
 //! With `--features heap-track` the process-wide heap high-water is also
@@ -30,7 +31,7 @@ use scnn_hmms::{
 use scnn_models::{resnet18, ModelOptions};
 use scnn_nn::{BnState, BufferProvider, Executor, Mode, ParamStore};
 use scnn_rng::SplitRng;
-use scnn_runtime::{MeterProvider, PlanRuntime};
+use scnn_runtime::{MeterProvider, PlanRuntime, StepStats};
 use scnn_tensor::uniform;
 
 #[cfg(feature = "heap-track")]
@@ -129,11 +130,12 @@ fn main() {
         g.set_peak_bytes(stats.resident_peak_bytes);
         let layout = &rt.plan().layout;
         println!(
-            "  {}: resident {} B, device pool {} B (plain {} B, workspace {} B planned, \
+            "  {}: resident {} B = {:.2} × device pool {} B (plain {} B, workspace {} B planned, \
              {} B overlapped into offload windows), host pool {} B, \
              kernel scratch peak {} B, {} offloads / {} prefetches{}",
             plan.strategy,
             stats.resident_peak_bytes,
+            resident_over_planned(&stats),
             stats.plan_device_peak_bytes,
             plain.device_general_bytes,
             stats.plan_workspace_bytes,
@@ -188,8 +190,9 @@ fn main() {
     let stats = rt.stats();
     g.set_peak_bytes(stats.resident_peak_bytes);
     println!(
-        "  hmms_micro: resident {} B, device pool {} B, kernel scratch peak {} B{}",
+        "  hmms_micro: resident {} B = {:.2} × device pool {} B, kernel scratch peak {} B{}",
         stats.resident_peak_bytes,
+        resident_over_planned(&stats),
         stats.plan_device_peak_bytes,
         stats.scratch_peak_bytes,
         heap_note()
@@ -242,8 +245,9 @@ fn main() {
     let stats = rt_w.stats();
     g.set_peak_bytes(stats.resident_peak_bytes);
     println!(
-        "  hmms_micro_winograd: resident {} B, device pool {} B, kernel scratch peak {} B{}",
+        "  hmms_micro_winograd: resident {} B = {:.2} × device pool {} B, kernel scratch peak {} B{}",
         stats.resident_peak_bytes,
+        resident_over_planned(&stats),
         stats.plan_device_peak_bytes,
         stats.scratch_peak_bytes,
         heap_note()
@@ -298,6 +302,11 @@ fn main() {
     g.record_bytes("capacity/max_batch/micro", micro_cap.max_batch);
 
     g.finish();
+}
+
+/// How much of the pool its plan reserved a step physically filled.
+fn resident_over_planned(stats: &StepStats) -> f64 {
+    stats.resident_peak_bytes as f64 / stats.plan_device_peak_bytes as f64
 }
 
 #[cfg(feature = "heap-track")]

@@ -83,8 +83,9 @@ type Landed = (usize, Tensor, Aux, Option<Deferred>);
 pub struct ForwardCtx<'a> {
     /// The graph being executed.
     pub graph: &'a Graph,
-    /// Its wave schedule; units name segments of this schedule.
-    pub schedule: &'a Schedule,
+    /// The wave schedule whose segments the units name. `None` is tape
+    /// order: a unit names a node, and every node is a unit of its own.
+    pub schedule: Option<&'a Schedule>,
     /// Parameter values.
     pub params: &'a ParamStore,
     /// BN running statistics (read in [`Mode::Eval`]).
@@ -186,12 +187,13 @@ impl Executor {
     /// `params` (call [`ParamStore::zero_grads`] first, or rely on the
     /// optimizer to do so).
     ///
-    /// The forward pass executes the [`Schedule`]'s waves: independent
-    /// segments (e.g. sibling split-patch branches) of a wave run
-    /// concurrently on the `scnn-par` pool. Dropout masks are pre-drawn in
-    /// node-id order and BN running-statistics updates are deferred and
-    /// replayed in node-id order after each wave, so every observable state
-    /// matches serial execution bit-for-bit at any `SCNN_THREADS`.
+    /// Forward and backward both run node by node in tape order —
+    /// ascending node id, then descending — the serialized order memory
+    /// plans are made and validated for, so a plan-executing provider
+    /// sees every lifetime end exactly where the planner put it. All
+    /// parallelism is inside the kernels, which partition their work
+    /// independently of the worker count: every observable state is
+    /// bit-identical at any `SCNN_THREADS`.
     ///
     /// # Panics
     ///
@@ -239,14 +241,9 @@ impl Executor {
     ) -> BatchResult {
         let n_nodes = graph.len();
         provider.begin_step(n_nodes);
-        // Built per call: stochastic Split-CNN re-lowers the graph every
-        // mini-batch (§3.3), so no caller holds a schedule to pass.
-        let schedule = Schedule::build(graph);
 
         let mut slot = Slot::new(images, n_nodes);
-        // Pre-draw dropout masks serially, in node-id order: the RNG stream
-        // is then identical to the old inline draws no matter how segments
-        // are later interleaved.
+        // Pre-draw dropout masks so the forward units stay side-effect-free.
         if mode == Mode::Train {
             slot.drop_masks = vec![None; n_nodes];
             slot.aux = (0..n_nodes).map(|_| Aux::None).collect();
@@ -257,19 +254,19 @@ impl Executor {
             }
         }
 
-        // The one-slot caller of the wave step.
+        // The one-slot, one-node-per-wave caller of the wave step.
         let mut slots = [slot];
         let mut result = None;
-        for units in &schedule.interleave(1).waves {
+        for id in 0..n_nodes {
             let ctx = ForwardCtx {
                 graph,
-                schedule: &schedule,
+                schedule: None,
                 params,
                 bn,
                 mode,
                 labels: Some(labels),
             };
-            for d in self.forward_wave(&ctx, units, &mut slots, &mut [&mut *provider]) {
+            for d in self.forward_wave(&ctx, &[(0, id)], &mut slots, &mut [&mut *provider]) {
                 match d {
                     Deferred::BnRunning {
                         gamma,
@@ -297,8 +294,9 @@ impl Executor {
     /// One wave of a forward pass over `slots.len() ≥ 1` independent
     /// slots: the step a training step (`run_with`, one slot) and a serving
     /// batch (one slot per request) share. `units` are the wave's
-    /// `(slot, segment)` pairs ([`Schedule::interleave`]); `providers[s]`
-    /// manages slot `s`'s storage.
+    /// `(slot, segment)` pairs ([`Schedule::interleave`]) — `(slot, node)`
+    /// when `ctx` carries no schedule; `providers[s]` manages slot `s`'s
+    /// storage.
     ///
     /// Units run side-effect-free — inline when there is one, so the
     /// kernels' own data parallelism keeps the whole pool, as sibling
@@ -320,7 +318,10 @@ impl Executor {
             // from `outputs` (earlier waves), in-segment ones from `local`.
             let run_unit = |ui: usize| {
                 let (s, seg) = units[ui];
-                let segment = &ctx.schedule.segments[seg];
+                let segment = match ctx.schedule {
+                    Some(schedule) => schedule.segments[seg].as_slice(),
+                    None => std::slice::from_ref(&units[ui].1),
+                };
                 let mut local: Vec<Landed> = Vec::with_capacity(segment.len());
                 for &id in segment {
                     let node = ctx.graph.node(NodeId(id));

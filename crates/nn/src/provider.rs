@@ -15,11 +15,10 @@
 //! 1. [`begin_step`](BufferProvider::begin_step) — once, before anything.
 //! 2. [`adopt`](BufferProvider::adopt) — once per node, with its freshly
 //!    computed forward output; the returned tensor is what the executor
-//!    stores and every consumer reads. Called in wave-scatter order, which
-//!    is deterministic but **not** ascending node order.
+//!    stores and every consumer reads. Ascending node order.
 //! 3. [`forward_complete`](BufferProvider::forward_complete) — once per
-//!    node, after the node's wave fully finished (outputs scattered, side
-//!    effects replayed); ascending node order within each wave.
+//!    node, right after its `adopt` and before the next node computes:
+//!    the forward half of the execution tape, position by position.
 //! 4. In train mode, for every node id from `n−1` down to `0` — including
 //!    nodes the backward pass skips as dead —
 //!    [`before_backward`](BufferProvider::before_backward), then the
@@ -30,7 +29,10 @@
 //!
 //! A direct caller of [`Executor::forward_wave`](crate::Executor::forward_wave)
 //! (one provider per slot) gets steps 2–3 from the wave step, per slot,
-//! and performs 1 and 5 itself.
+//! and performs 1 and 5 itself. Under a wave schedule a wave lands several
+//! nodes per slot: `adopt` fires in unit order (deterministic, but not
+//! ascending node order), `forward_complete` after the whole wave landed,
+//! in ascending node order within the wave.
 //!
 //! The `outputs` table handed to the lifecycle hooks is the executor's
 //! real storage: a provider may drop entries whose planned lifetime ended
@@ -58,7 +60,8 @@ pub trait BufferProvider {
         out
     }
 
-    /// Node `node`'s forward step (and its whole wave) has completed.
+    /// Node `node`'s forward step (and, under a wave schedule, its whole
+    /// wave) has completed.
     fn forward_complete(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
         let _ = (node, outputs);
     }

@@ -1,7 +1,13 @@
 //! Wave schedule: groups a graph's nodes into maximal linear chains
 //! (*segments*) and levels the segment DAG into *waves* whose segments are
-//! mutually independent, so the executor can run sibling split-patch
+//! mutually independent, so a forward pass can run sibling split-patch
 //! branches concurrently.
+//!
+//! This is the serving mechanism ([`Schedule::interleave`]): a lone
+//! request runs the waves, a batch of requests runs every slot segment by
+//! segment in tape order with the sibling *requests* as the width. A
+//! training step does not use a schedule at all — `Executor::run_with`
+//! runs node by node in tape order, the order its memory plan was made for.
 //!
 //! The schedule is a pure function of the graph topology — never of thread
 //! count — so execution order side effects (RNG draws, BN running-stat
@@ -25,16 +31,25 @@ pub struct Schedule {
 }
 
 /// One base [`Schedule`] replicated across `slots` concurrent request
-/// slots and merged wave-by-wave, so split-patch branches of *different*
-/// requests become sibling work units inside a single wave.
+/// slots, so split-patch branches of *different* requests become sibling
+/// work units inside a single wave.
 ///
-/// Wave `l` holds the pair `(slot, segment)` for every segment of the base
-/// wave `l` and every slot, in **segment-major** order: all slots of the
-/// first segment, then all slots of the next. The order is part of the
-/// contract — executors scatter results in unit order, so pinning it keeps
-/// batched inference bit-identical at any worker count. Dependencies never
-/// cross slots (each request reads only its own activations), so the merge
-/// preserves the base schedule's legality per slot.
+/// One slot keeps the base waves — sibling patches are the only width a
+/// lone request has. Two or more advance in lock-step, one segment per
+/// wave in ascending segment index (segments are numbered by head node id,
+/// so that is a topological order: the tape's): the sibling slots supply
+/// the width, every request runs patch by patch, and the planned frees of
+/// a patch fire before the next patch allocates. A batch therefore holds
+/// `slots ×` what one tape-order request does, whatever its size. The rule
+/// looks at the slot count alone, never at thread count, so those bytes
+/// are the same on every host.
+///
+/// A wave lists its `(slot, segment)` units in ascending order — segments
+/// for one slot, slots for a batch. The order is part of the contract:
+/// executors scatter results in unit order, so pinning it keeps batched
+/// inference bit-identical at any worker count. Dependencies never cross
+/// slots (each request reads only its own activations), so replicating a
+/// legal per-slot order stays legal.
 #[derive(Clone, Debug)]
 pub struct InterleavedSchedule {
     /// Number of interleaved request slots.
@@ -104,19 +119,16 @@ impl Schedule {
     /// Panics when `slots` is zero — a batch of nothing has no schedule.
     pub fn interleave(&self, slots: usize) -> InterleavedSchedule {
         assert!(slots > 0, "interleave needs at least one request slot");
-        let waves = self
-            .waves
-            .iter()
-            .map(|wave| {
-                let mut merged = Vec::with_capacity(wave.len() * slots);
-                for &seg in wave {
-                    for slot in 0..slots {
-                        merged.push((slot, seg));
-                    }
-                }
-                merged
-            })
-            .collect();
+        let waves = if slots == 1 {
+            self.waves
+                .iter()
+                .map(|wave| wave.iter().map(|&seg| (0, seg)).collect())
+                .collect()
+        } else {
+            (0..self.segments.len())
+                .map(|seg| (0..slots).map(|slot| (slot, seg)).collect())
+                .collect()
+        };
         InterleavedSchedule { slots, waves }
     }
 }
@@ -248,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn interleave_is_segment_major_and_covers_every_pair_once() {
+    fn interleave_batch_runs_every_slot_in_tape_order() {
         let mut g = Graph::new();
         let x = g.input(&[2, 2, 4, 8]);
         let a = g.slice(x, 3, 0, 4, "a");
@@ -261,23 +273,15 @@ mod tests {
         g.softmax_cross_entropy(l, "loss");
 
         let s = Schedule::build(&g);
+        assert_eq!(s.waves.iter().map(Vec::len).max(), Some(2), "the two patch chains share a wave");
+        // Sibling slots supply the width: wave `seg` is segment `seg` of
+        // every slot, slots ascending — tape order per request.
         let slots = 3;
         let i = s.interleave(slots);
-        assert_eq!(i.waves.len(), s.waves.len(), "interleave keeps wave depth");
-        let mut seen = std::collections::HashSet::new();
-        for (l, wave) in i.waves.iter().enumerate() {
-            // Segment-major: each base segment expands into a contiguous
-            // run of ascending slots.
-            let expect: Vec<(usize, usize)> = s.waves[l]
-                .iter()
-                .flat_map(|&seg| (0..slots).map(move |r| (r, seg)))
-                .collect();
-            assert_eq!(*wave, expect, "wave {l} order");
-            for &unit in wave {
-                assert!(seen.insert(unit), "unit {unit:?} scheduled twice");
-            }
-        }
-        assert_eq!(seen.len(), s.segments.len() * slots, "full coverage");
+        let expect: Vec<Vec<(usize, usize)>> = (0..s.segments.len())
+            .map(|seg| (0..slots).map(|slot| (slot, seg)).collect())
+            .collect();
+        assert_eq!(i.waves, expect);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Property test: the `S`-slot wave step (`Executor::forward_wave` over
-//! `Schedule::interleave(S)`) equals `S` independent `Executor` eval
-//! passes, bit for bit, on small random graphs that between them contain
+//! Property tests over small random graphs that between them contain
 //! every `Op` kind — including `Pool2d { kind: Avg }` and `Dropout`,
-//! which no served zoo model lowers.
+//! which no served zoo model lowers: the `S`-slot wave step
+//! (`Executor::forward_wave` over `Schedule::interleave(S)`) equals `S`
+//! independent `Executor` eval passes, bit for bit; and the interleaved
+//! schedule itself is complete and legal, the base waves for one slot and
+//! one segment per slot per wave, in tape order, from two slots on.
 
 use std::collections::BTreeSet;
 
@@ -42,7 +44,7 @@ fn random_graph(rng: &mut impl Rng) -> (Graph, Vec<usize>) {
     for i in 0..stages {
         let c = g.node(x).out_shape[1];
         let w = g.node(x).out_shape[3];
-        x = match rng.gen_range(0..7usize) {
+        x = match rng.gen_range(0..8usize) {
             0 => {
                 let y = g.conv2d(x, rng.gen_range(1..5usize), 3, 1, same, i % 2 == 0, "conv");
                 let y = g.batch_norm(y, false, "bn");
@@ -64,6 +66,23 @@ fn random_graph(rng: &mut impl Rng) -> (Graph, Vec<usize>) {
             3 if w >= 4 => g.pool2d(x, PoolKind::Max, 2, 2, Padding2d::default(), "max"),
             4 if w >= 4 => g.pool2d(x, PoolKind::Avg, 2, 2, Padding2d::default(), "avg"),
             5 => g.dropout(x, 0.3, "drop"),
+            // Four sibling branches of unequal length: waves wide enough
+            // that `⌈W / S⌉` takes values between 1 and `W`.
+            6 if w >= 4 => {
+                let q = w / 4;
+                let parts: Vec<NodeId> = (0..4)
+                    .map(|p| {
+                        let y = g.slice(x, 3, p * q, q, "quarter");
+                        let y = g.conv2d(y, 2, 3, 1, same, p % 2 == 0, "cq");
+                        if p < 2 {
+                            g.relu(y, "rq")
+                        } else {
+                            y
+                        }
+                    })
+                    .collect();
+                g.concat(&parts, 3, "join4")
+            }
             _ => g.relu(x, "relu"),
         };
     }
@@ -97,7 +116,7 @@ fn wave_step_equals_independent_eval_passes() {
         let warm = uniform(rng, &dims, -1.0, 1.0);
         Executor::new().run(&g, &mut params, &mut bn, &warm, &labels, Mode::Train, rng);
 
-        let inputs: Vec<Tensor> = (0..3).map(|_| uniform(rng, &dims, -1.0, 1.0)).collect();
+        let inputs: Vec<Tensor> = (0..8).map(|_| uniform(rng, &dims, -1.0, 1.0)).collect();
         let exec = Executor::new();
         let schedule = Schedule::build(&g);
         for threads in [1usize, 4] {
@@ -120,10 +139,10 @@ fn wave_step_equals_independent_eval_passes() {
                     })
                     .collect();
 
-                for s in [1usize, 3] {
+                for s in [1usize, 3, 8] {
                     let ctx = ForwardCtx {
                         graph: &g,
-                        schedule: &schedule,
+                        schedule: Some(&schedule),
                         params: &params,
                         bn: &bn,
                         mode: Mode::Eval,
@@ -171,4 +190,84 @@ fn wave_step_equals_independent_eval_passes() {
     ] {
         assert!(kinds_seen.contains(kind), "no generated graph contained a {kind} node");
     }
+}
+
+#[test]
+fn interleave_is_complete_legal_and_in_tape_order_from_two_slots_on() {
+    let mut widths_seen = BTreeSet::new();
+    check("interleave(S): coverage, legality, one segment a slot for S ≥ 2", 200, |rng| {
+        let (g, _) = random_graph(rng);
+        let schedule = Schedule::build(&g);
+        let w = schedule.waves.iter().map(Vec::len).max().unwrap_or(0);
+        widths_seen.insert(w);
+        let n_segs = schedule.segments.len();
+        let mut seg_of = vec![0; g.len()];
+        for (seg, nodes) in schedule.segments.iter().enumerate() {
+            for &id in nodes {
+                seg_of[id] = seg;
+            }
+        }
+
+        for slots in [1usize, 2, 3, 8, 64] {
+            // A lone slot keeps the base width, sibling slots replace it.
+            let k = if slots == 1 { w } else { 1 };
+            let merged = schedule.interleave(slots);
+            // wave_of[slot][segment]
+            let mut wave_of = vec![vec![usize::MAX; n_segs]; slots];
+            for (l, wave) in merged.waves.iter().enumerate() {
+                let mut per_slot = vec![0usize; slots];
+                for &(slot, seg) in wave {
+                    if wave_of[slot][seg] != usize::MAX {
+                        return Case::Fail(format!("S={slots}: unit ({slot}, {seg}) twice"));
+                    }
+                    wave_of[slot][seg] = l;
+                    per_slot[slot] += 1;
+                }
+                if let Some(&most) = per_slot.iter().max().filter(|&&m| m > k) {
+                    return Case::Fail(format!("S={slots}: wave {l} runs {most} > k = {k} segments of one slot"));
+                }
+                // Segment-major: ascending segments, each a run of all slots.
+                let expect: Vec<(usize, usize)> = wave
+                    .iter()
+                    .step_by(slots)
+                    .flat_map(|&(_, seg)| (0..slots).map(move |slot| (slot, seg)))
+                    .collect();
+                if *wave != expect || !wave.windows(2).all(|p| p[0].1 <= p[1].1) {
+                    return Case::Fail(format!("S={slots}: wave {l} is not segment-major: {wave:?}"));
+                }
+            }
+            for (slot, wave_of) in wave_of.iter().enumerate() {
+                if let Some(seg) = wave_of.iter().position(|&l| l == usize::MAX) {
+                    return Case::Fail(format!("S={slots}: unit ({slot}, {seg}) never runs"));
+                }
+                for node in g.nodes() {
+                    let seg = seg_of[node.id.0];
+                    for inp in &node.inputs {
+                        let from = seg_of[inp.0];
+                        if from != seg && wave_of[from] >= wave_of[seg] {
+                            return Case::Fail(format!(
+                                "S={slots} slot {slot}: node {} reads node {} of a wave that is not earlier",
+                                node.id.0, inp.0
+                            ));
+                        }
+                    }
+                }
+            }
+
+            let flat: Vec<Vec<usize>> = merged
+                .waves
+                .iter()
+                .map(|wave| wave.iter().filter(|u| u.0 == 0).map(|u| u.1).collect())
+                .collect();
+            if slots == 1 && flat != schedule.waves {
+                return Case::Fail(format!("S=1 is not the base schedule: {flat:?} vs {:?}", schedule.waves));
+            }
+            if k == 1 && flat != (0..n_segs).map(|seg| vec![seg]).collect::<Vec<_>>() {
+                return Case::Fail(format!("S={slots}, k=1 leaves ascending segment order: {flat:?}"));
+            }
+        }
+        Case::Pass
+    });
+    // One slot and many only differ on graphs with sibling branches.
+    assert!(widths_seen.contains(&2) && widths_seen.contains(&4), "generated widths {widths_seen:?}");
 }

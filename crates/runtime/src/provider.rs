@@ -20,14 +20,17 @@
 //!
 //! # Tape-cursor gating
 //!
-//! The plan is a serialized tape; the executor completes forward nodes in
-//! wave order, which interleaves *differently* but completes every node of
-//! step `i` before any node of a later wave starts. The runtime keeps a
-//! cursor over tape positions and only replays a step's events once every
-//! step before it has completed — so the event order the gauge sees is
-//! exactly the order `plan_layout` validated, regardless of wave shape.
-//! The backward half (when the plan has one) is serial reverse-id order,
-//! which *is* tape order.
+//! The plan is a serialized tape. A training step runs it as written —
+//! forward in ascending node id, backward in descending — so every step's
+//! events replay the moment its node lands: buffers die where the planner
+//! freed them and an offload is issued while the next node computes. A
+//! serving batch may land several segments of one slot per wave (its
+//! schedule keeps cross-patch width while slots are few), completing
+//! nodes *out of* tape order. The runtime therefore keeps a cursor over
+//! tape positions and only replays a step's events once every step before
+//! it has completed — so the event order the gauge sees is exactly the
+//! order `plan_layout` validated, regardless of wave shape, at the price
+//! of frees that wait for the cursor.
 //!
 //! # Determinism
 //!
@@ -331,15 +334,20 @@ impl PlanRuntime {
                 }
                 MemEvent::OffloadStart { tso, .. } => {
                     let src = self.content[tso.0].expect("offloaded TSO has computed content");
-                    let staged: Vec<f32> = outputs[src]
-                        .as_ref()
-                        .expect("offload source is resident")
-                        .as_slice()
-                        .to_vec();
+                    let bits = outputs[src].as_ref().expect("offload source is resident").as_slice();
+                    // The staging copy is drawn from the pool and goes back
+                    // to it once it reached the host tier — no allocation
+                    // on the compute thread after the first step.
+                    let mut staged = self.pool.take(bits.len());
+                    staged.copy_from_slice(bits);
+                    let pool = self.pool.clone();
                     let off = plan.host_offsets[&tso];
                     let (arena, worker) = self.transfer.as_ref().expect("offloading plans have a host tier");
                     let arena = arena.clone();
-                    let ticket = worker.submit(move || arena.store(off, &staged));
+                    let ticket = worker.submit(move || {
+                        arena.store(off, &staged);
+                        pool.recycle(staged);
+                    });
                     self.pending_offload.insert(tso.0, ticket);
                     self.stats.offloads += 1;
                 }
@@ -433,8 +441,8 @@ impl BufferProvider for PlanRuntime {
         let tables = self.tables.clone();
         self.completed[node] = true;
         self.content[tables.node_tso[node]] = Some(node);
-        // Sample before dropping anything: the post-wave instant is the
-        // physical peak.
+        // Sample before dropping anything: the instant a node (or a whole
+        // wave) has landed is the physical peak.
         self.sample_resident();
         self.eager_alias_drop(&tables, node, outputs);
         // Tape-cursor gating (module docs): a step's events replay only

@@ -7,7 +7,15 @@
 //!   losses and the same parameter bits as the Vec-per-node baseline, at
 //!   any thread count;
 //! - **Savings** — the plan-driven lifetimes keep fewer activation bytes
-//!   resident than the baseline.
+//!   resident than the baseline;
+//! - **Tape order** — a training step runs the order its plan was made
+//!   for: `forward_complete` follows every `adopt`, in ascending node id,
+//!   so each planned event replays at its own tape position and the first
+//!   offload is in flight while later patches still compute;
+//! - **Planned means physical, one way** — what a step keeps resident
+//!   never exceeds the pool its plan reserved, for every strategy, and the
+//!   strategies order the way their plans do: HMMS below no-offload below
+//!   the Vec-per-node baseline.
 
 use scnn_core::{conv_engine_workspace, lower_unsplit, plan_split, SplitConfig};
 use scnn_graph::{Graph, NodeId, ParamId, Tape};
@@ -16,9 +24,9 @@ use scnn_hmms::{
     MemoryPlan, PlannerOptions, Profile, TsoAssignment, TsoOptions,
 };
 use scnn_models::{resnet18, vgg19, ModelOptions};
-use scnn_nn::{BnState, Executor, Mode, ParamStore, Sgd, VecProvider};
+use scnn_nn::{BnState, BufferProvider, Executor, Mode, ParamStore, Sgd, VecProvider};
 use scnn_rng::SplitRng;
-use scnn_runtime::{MeterProvider, PlanRuntime};
+use scnn_runtime::{MeterProvider, PlanRuntime, StepStats};
 use scnn_tensor::{uniform, Tensor};
 
 fn vgg_graph(batch: usize) -> Graph {
@@ -275,4 +283,130 @@ fn plan_driven_lifetimes_beat_the_vec_baseline() {
         meter.peak_bytes()
     );
     assert!(stats.offloads > 0, "hmms plan should offload on this model");
+}
+
+#[derive(Debug, PartialEq)]
+enum Hook {
+    Adopt(usize),
+    Complete(usize),
+}
+
+/// Forwards every hook to the runtime, recording the forward ones and how
+/// many offloads had been issued when each node's output was adopted.
+struct Recorder {
+    runtime: PlanRuntime,
+    forward: Vec<Hook>,
+    offloads_at_adopt: Vec<usize>,
+}
+
+impl BufferProvider for Recorder {
+    fn begin_step(&mut self, n_nodes: usize) {
+        self.runtime.begin_step(n_nodes);
+    }
+
+    fn adopt(&mut self, node: usize, out: Tensor) -> Tensor {
+        self.forward.push(Hook::Adopt(node));
+        self.offloads_at_adopt.push(self.runtime.stats().offloads);
+        self.runtime.adopt(node, out)
+    }
+
+    fn forward_complete(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
+        self.forward.push(Hook::Complete(node));
+        self.runtime.forward_complete(node, outputs);
+    }
+
+    fn before_backward(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
+        self.runtime.before_backward(node, outputs);
+    }
+
+    fn after_backward(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
+        self.runtime.after_backward(node, outputs);
+    }
+
+    fn end_step(&mut self, outputs: &mut [Option<Tensor>]) {
+        self.runtime.end_step(outputs);
+    }
+}
+
+/// One step from fresh, seeded training state.
+fn fresh_step(graph: &Graph, images: &Tensor, labels: &[usize], provider: &mut dyn BufferProvider) {
+    let mut params = ParamStore::init(graph, &mut SplitRng::seed_from_u64(7));
+    let mut bn = BnState::new();
+    let mut rng = SplitRng::seed_from_u64(13);
+    step_with(graph, &mut params, &mut bn, &mut rng, images, labels, provider);
+}
+
+const OVERLAP: LayoutOptions = LayoutOptions {
+    overlap_workspace: true,
+};
+
+#[test]
+fn forward_hooks_follow_the_tape_and_offloads_start_between_patches() {
+    let graph = split_resnet_graph(2);
+    let (tape, tso, plans) = plans_with_workspace(&graph);
+    let hmms = plans.last().expect("hmms plan");
+    let (images, labels) = batch_for(&graph, 21);
+    let runtime = PlanRuntime::from_plan_with(&graph, &tape, hmms, &tso, OVERLAP)
+        .expect("plan is legal with overlap");
+    let mut rec = Recorder {
+        runtime,
+        forward: Vec::new(),
+        offloads_at_adopt: Vec::new(),
+    };
+    fresh_step(&graph, &images, &labels, &mut rec);
+
+    let tape_order = (0..graph.len()).flat_map(|id| [Hook::Adopt(id), Hook::Complete(id)]);
+    assert_eq!(rec.forward.len(), 2 * graph.len(), "one adopt and one completion per node");
+    for (i, (got, want)) in rec.forward.iter().zip(tape_order).enumerate() {
+        assert_eq!(*got, want, "forward hook {i} left tape order");
+    }
+
+    let last_patch = graph.nodes().iter().filter_map(|n| n.group).max().expect("graph is split");
+    let first_of_last = graph
+        .nodes()
+        .iter()
+        .position(|n| n.group == Some(last_patch))
+        .expect("the last patch has nodes");
+    assert!(rec.runtime.stats().offloads > 0, "hmms offloads on this model");
+    assert!(
+        rec.offloads_at_adopt[first_of_last] > 0,
+        "no offload was issued before the last patch (node {first_of_last}) started computing"
+    );
+}
+
+#[test]
+fn resident_stays_within_the_planned_pool_and_orders_like_the_plans() {
+    let graph = split_resnet_graph(2);
+    let (tape, tso, plans) = plans_with_workspace(&graph);
+    let (images, labels) = batch_for(&graph, 21);
+    let stats: Vec<StepStats> = plans
+        .iter()
+        .map(|plan| {
+            let mut rt = PlanRuntime::from_plan_with(&graph, &tape, plan, &tso, OVERLAP)
+                .expect("plan is legal with overlap");
+            fresh_step(&graph, &images, &labels, &mut rt);
+            let stats = rt.stats();
+            assert!(
+                stats.resident_peak_bytes <= stats.plan_device_peak_bytes,
+                "{}: {} B resident in a planned pool of {} B",
+                plan.strategy,
+                stats.resident_peak_bytes,
+                stats.plan_device_peak_bytes
+            );
+            stats
+        })
+        .collect();
+
+    let mut meter = MeterProvider::new();
+    fresh_step(&graph, &images, &labels, &mut meter);
+    // `plans_with_workspace` order: no_offload, vdnn, hmms.
+    let (no_offload, hmms) = (stats[0], stats[2]);
+    assert!(
+        hmms.resident_peak_bytes < no_offload.resident_peak_bytes
+            && no_offload.resident_peak_bytes < meter.peak_bytes(),
+        "resident peaks out of order: hmms {} B, no_offload {} B, Vec-per-node {} B",
+        hmms.resident_peak_bytes,
+        no_offload.resident_peak_bytes,
+        meter.peak_bytes()
+    );
 }

@@ -17,15 +17,20 @@
 //!
 //! # Cross-request interleaving
 //!
-//! A batch of `R` requests runs the base schedule interleaved across `R`
-//! slots ([`Schedule::interleave`]): wave `l` of the merged schedule holds
-//! every `(slot, segment)` pair of the base wave `l`, so split-patch
-//! branches of *different* requests become sibling work units on the
-//! `scnn-par` pool. Each slot computes only from its own activations, and
-//! the wave step lands outputs and fires lifetime events in a fixed
-//! `(slot, node)` order, so identical request bytes produce bit-identical
-//! logits at any thread count, concurrency and batch composition (pinned
-//! by the integration tests).
+//! A batch of `R` requests runs the schedule interleaved across `R` slots
+//! ([`Schedule::interleave`]). A lone request keeps the base waves — its
+//! kernels are too small to fork, its sibling patches are the only
+//! parallelism there is. From two requests on, every slot advances in
+//! lock-step one segment per wave, in tape order: sibling *requests* are
+//! the work units on the `scnn-par` pool, every request runs patch by
+//! patch, and each slot's planned frees fire before its next patch
+//! allocates — a batch holds `R ×` one tape-order request, less at any
+//! served size than the lone request's waves do. The order depends on `R`
+//! alone, never on thread count. Each slot computes only from its own
+//! activations, and the wave step lands outputs and fires lifetime events
+//! in a fixed `(slot, node)` order, so identical request bytes produce
+//! bit-identical logits at any thread count, concurrency and batch
+//! composition (pinned by the integration tests).
 //!
 //! # Memory accounting
 //!
@@ -247,7 +252,7 @@ impl Engine {
         let n = self.graph.len();
         let ctx = ForwardCtx {
             graph: &self.graph,
-            schedule: &self.schedule,
+            schedule: Some(&self.schedule),
             params: &self.params,
             bn: &self.bn,
             mode: Mode::Eval,

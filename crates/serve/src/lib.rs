@@ -14,11 +14,12 @@
 //!   requests. It drives the training stack's own code rather than a copy
 //!   of it: [`scnn_nn::Executor::forward_wave`] computes, one
 //!   [`scnn_runtime::PlanRuntime`] per slot replays the plan. A batch of
-//!   `C` requests runs the base wave schedule interleaved across `C`
-//!   slots ([`scnn_nn::Schedule::interleave`]), so split-patch branches of
-//!   different requests execute side by side on the `scnn-par` pool — and
-//!   every slot's pool high-water is asserted equal to the planned layout
-//!   bytes, every batch.
+//!   `C` requests runs interleaved across `C` slots
+//!   ([`scnn_nn::Schedule::interleave`]): a lone request keeps the wave
+//!   schedule's cross-patch width, two or more run every slot in tape
+//!   order, so split-patch branches of different requests execute side
+//!   by side on the `scnn-par` pool — and every slot's pool high-water
+//!   is asserted equal to the planned layout bytes, every batch.
 //! - [`Server`] — bounded admission in front of `R` replica dispatch
 //!   threads. Admission sheds ([`ServeError::Overloaded`]) instead of
 //!   queueing without bound; requests carry an [`SloClass`] whose window

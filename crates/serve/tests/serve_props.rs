@@ -8,7 +8,10 @@
 //!   identical logits at concurrency 1 and 64, alone or mixed with other
 //!   requests, and through the dynamic batcher;
 //! - **Planned pool** — the measured pool high-water of every batch
-//!   equals `slots × device_general_bytes` exactly;
+//!   equals `slots × device_general_bytes` exactly, in wave order (one
+//!   slot) and in tape order (a batch); a batch's slots all keep the same
+//!   bytes resident whatever its size, and a full batch keeps fewer than
+//!   a lone request does;
 //! - **Capacity search** — `max_concurrency` agrees with the linear
 //!   footprint model and respects budget and limit.
 
@@ -235,6 +238,38 @@ fn logits_bitwise_identical_across_replica_and_thread_counts() {
             assert_eq!(m.total_completed(), 10);
         }
     }
+}
+
+#[test]
+fn sibling_slots_supply_the_width_so_each_keeps_less_resident() {
+    let (reference, engine, request) = reference_and_engine(split_resnet_graph, 31);
+    let per_slot_pool = engine.plan().layout.device_general_bytes;
+    let sizes = [1usize, 2, 3, 7, 8, 9];
+    let per_slot_resident: Vec<usize> = sizes
+        .into_iter()
+        .map(|slots| {
+            let batch = vec![request.clone(); slots];
+            let (logits, stats) = engine.run_batch(&batch);
+            assert!(logits.iter().all(|l| *l == reference), "S={slots} changed the bits");
+            assert_eq!(stats.planned_pool_bytes, slots * per_slot_pool);
+            assert_eq!(stats.pool_high_water, stats.planned_pool_bytes, "S={slots}");
+            assert_eq!(stats.resident_peak % slots, 0, "identical slots hold identical bytes");
+            stats.resident_peak / slots
+        })
+        .collect();
+    let (lone, batched) = (per_slot_resident[0], per_slot_resident[1]);
+    assert!(
+        per_slot_resident[1..].iter().all(|&r| r == batched),
+        "every batch runs its slots in the same tape order: {per_slot_resident:?}"
+    );
+    // What a server reports as its largest batch must not depend on how a
+    // burst happened to split: up to the default `max_batch`, a whole
+    // batch in tape order stays below one request in wave order.
+    assert!(
+        8 * batched < lone,
+        "a batch of 8 holds {} B, a lone request {lone} B",
+        8 * batched
+    );
 }
 
 #[test]

@@ -58,12 +58,19 @@ fn main() {
 
     // One direct batch shows the pool accounting: the measured high-water
     // equals slots × device_general_bytes exactly (run_batch asserts it).
-    let solo = engine.run_batch(std::slice::from_ref(&image)).0;
+    // A lone request keeps its cross-patch wave width; a batch runs every
+    // request patch by patch, so each slot holds far fewer resident bytes.
+    let (solo, solo_stats) = engine.run_batch(std::slice::from_ref(&image));
     let batch: Vec<_> = (0..8).map(|_| image.clone()).collect();
     let (outs, stats) = engine.run_batch(&batch);
     println!(
-        "batch of 8: pool high-water {} B == planned {} B, resident peak {} B",
-        stats.pool_high_water, stats.planned_pool_bytes, stats.resident_peak
+        "batch of 8: pool high-water {} B == planned {} B, resident peak {} B \
+         ({} B per slot; a lone request holds {} B)",
+        stats.pool_high_water,
+        stats.planned_pool_bytes,
+        stats.resident_peak,
+        stats.resident_peak / batch.len(),
+        solo_stats.resident_peak
     );
     assert!(outs.iter().all(|o| o == &solo[0]), "concurrency changed bits");
 

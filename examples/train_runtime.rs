@@ -81,9 +81,11 @@ fn main() {
     }
     assert_eq!(base_losses, rt_losses, "runtime must be bit-identical");
     println!(
-        "\nresident activation peak: {:.2} MB unmanaged -> {:.2} MB under the hmms plan",
+        "\nresident activation peak: {:.2} MB unmanaged -> {:.2} MB under the hmms plan \
+         (its planned pool: {:.2} MB — the step runs the plan's tape in order)",
         base_peak as f64 / 1e6,
-        rt_peak as f64 / 1e6
+        rt_peak as f64 / 1e6,
+        rt.plan().layout.device_general_bytes as f64 / 1e6
     );
     println!("losses bit-identical: yes");
 }
