@@ -38,11 +38,11 @@
 //!     # the named record must carry p99_ns <= the bound — for
 //!     # latency-distribution records (serving tail latency)
 //! bench_check --file ... \
-//!     --max-ratio conv2d_fwd_8x16x32x32_winograd:conv2d_fwd_8x16x32x32_tuned:1.0
+//!     --max-ratio conv2d_fwd_8x16x32x32_winograd:conv2d_fwd_8x16x32x32:1.10
 //!     # the first record's fresh median divided by the second's must be
 //!     # <= the bound — a relative gate between two records of the SAME
-//!     # fresh run, immune to host speed (pins e.g. "winograd never
-//!     # slower than the tuned direct path" without an absolute number)
+//!     # fresh run, immune to host speed (pins e.g. "winograd within 10 %
+//!     # of the direct path" without an absolute number)
 //! ```
 //!
 //! All take comma-separated `name:bound` pairs (`--max-ratio`:

@@ -3,10 +3,9 @@
 //! width 0.5, batch 8, split `(0.5, 2, 2)` and unsplit.
 //!
 //! For every distinct conv shape it prints how many nodes have it, the
-//! algorithm the kernels select (`default_conv_algo`; a `SCNN_CONV_ALGO`
-//! override is not reflected in the column), and the floor time (fastest
-//! of `--passes` × `--reps` individually timed calls) and GFLOP/s of one
-//! forward and one backward call — the "layer profile says *where* it came from" half of the
+//! algorithm the kernels select (`default_conv_algo`), and the floor time
+//! (fastest of `--passes` × `--reps` individually timed calls) and GFLOP/s of
+//! one forward and one backward call — the "layer profile says *where* it came from" half of the
 //! ROADMAP's perf-claim rule. Backward is `dw` + `dx`, twice the forward
 //! flops.
 //!

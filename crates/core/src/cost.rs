@@ -82,12 +82,9 @@ pub fn conv_engine_workspace(graph: &Graph, fallback: &[usize]) -> Vec<usize> {
 /// weight gradient straight into the output with no partials at all, so
 /// their dw term is zero under either algorithm.
 ///
-/// `KC` here is `KernelPlan::reduction_kc()` — the same accessor the
+/// `KC` here is `scnn_tensor::REDUCTION_KC` — the same constant the
 /// kernels, the micro-batch alignment rule and [`conv2d_workspace_bytes`]
-/// all read. Autotuned `KernelPlan`s (DESIGN.md §14) can only vary
-/// bit-free blocking (column tile, pack-panel budget), never `KC`: a plan
-/// carrying a different `kc` is rejected at install, so this model stays
-/// exact under any plan cache (pinned by
+/// all read (pinned by
 /// `workspace_model_agrees_with_kernel_reduction_block` below).
 fn conv_choice_workspace(g: &Conv2dGeometry, n: usize, u: usize, oc: usize, algo: ConvAlgo) -> usize {
     let dw = if conv2d_dw_single_block(g, n) {
@@ -619,9 +616,8 @@ mod tests {
     fn workspace_model_agrees_with_kernel_reduction_block() {
         // The planner's conv workspace term and the micro-batch alignment
         // rule must be keyed on the same reduction block the kernels
-        // execute — KernelPlan::reduction_kc(), the single accessor a
-        // tuned plan cannot override.
-        let kc = scnn_tensor::KernelPlan::reduction_kc();
+        // execute — the one `REDUCTION_KC` constant.
+        let kc = scnn_tensor::REDUCTION_KC;
         let g = Conv2dGeometry::new(16, 32, 32, 3, 3, 1, 1, Padding2d::symmetric(1));
         let (n, oc) = (8, 32);
         // Workspace = ⌈n·oh·ow / kc⌉ partial blocks of [oc, plen] floats.

@@ -33,17 +33,16 @@ pub struct CostModel {
     pub winograd_speedup: f64,
 }
 
-/// Measured winograd-vs-tiled speedup on the reference conv shape,
-/// 8×16×32×32 (what the autotuner and `BENCH_kernels.json` track): the
-/// tuned direct forward's median over the tuned winograd forward's,
-/// 4.44 ms / 2.96 ms ≈ 1.50 on the in-tree F(2×2, 3×3) path
-/// (`scnn_tensor::winograd`). The F(2×2, 3×3) algebra removes 2.25× of
-/// the multiplies, but the input/inverse transforms, tile gather/scatter
-/// and the transform-domain reduction claw back a third of that — so the
-/// cost model charges what a real implementation achieves, not what the
-/// algebra promises. Re-derive from the bench records when the kernels
-/// change: `median(conv2d_fwd_8x16x32x32_tuned) /
-/// median(conv2d_fwd_8x16x32x32_winograd)`, rounded to two figures.
+/// Frozen calibration of the *simulated P100's* cuDNN winograd speedup
+/// over its direct convolution, taken at PR 9 from the in-tree
+/// F(2×2, 3×3) path on the reference shape 8×16×32×32. The algebra
+/// removes 2.25× of the multiplies, but the input/inverse transforms,
+/// tile gather/scatter and the transform-domain reduction claw back a
+/// third of that — so the cost model charges what a real implementation
+/// achieves, not what the algebra promises. It is not a claim about
+/// today's CPU kernels (whose direct path has since caught up, ratio
+/// ≈ 1.0–1.2) and must not track them: the value feeds `profile_graph`,
+/// hence the HMMS plan whose byte counts the repo benchmark pins exactly.
 pub const MEASURED_WINOGRAD_SPEEDUP: f64 = 1.5;
 
 impl CostModel {

@@ -358,9 +358,9 @@ impl Executor {
     }
 
     /// The forward kernel dispatch: what `node` computes, in either mode.
-    /// Unscheduled conv nodes pass `algo = None`, deferring to
-    /// `SCNN_CONV_ALGO` — whose opt-in `winograd` trades bitwise for
-    /// epsilon agreement (DESIGN.md §16); `auto` never selects it.
+    /// Unscheduled conv nodes pass `algo = None`, i.e. the bit-identical
+    /// `default_conv_algo`; only a planner schedule can hand down the
+    /// epsilon-equal `winograd` (DESIGN.md §16).
     fn forward_node(
         &self,
         ctx: &ForwardCtx<'_>,

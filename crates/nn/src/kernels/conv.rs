@@ -17,22 +17,22 @@
 //! transform-domain fast path (`scnn_tensor::winograd`) for stride-1 3×3
 //! kernels: deterministic in itself but epsilon-equal (not bit-equal) to
 //! the pair above — DESIGN.md §16. It is never chosen automatically;
-//! it runs only when forced via `SCNN_CONV_ALGO=winograd` or handed down
-//! by a planner schedule built with `allow_transform_algos`.
+//! it runs only when a caller passes it explicitly or a planner schedule
+//! built with `allow_transform_algos` hands it down.
 //!
-//! [`select_algo`] picks per geometry; `SCNN_CONV_ALGO` (read once)
-//! forces one path process-wide for A/B benching. Outputs and gradients
-//! are returned in pooled storage from [`Workspace::global`], so
-//! steady-state training steps recycle the same buffers.
+//! [`default_conv_algo`] picks per geometry when the caller passes no
+//! algorithm; no process-wide state can override it. Outputs and
+//! gradients are returned in pooled storage from [`Workspace::global`],
+//! so steady-state training steps recycle the same buffers.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use scnn_graph::Op;
 use scnn_tensor::{
     col2im_cols_range_into, conv2d_dw_single_block, conv2d_dw_tiled_acc_at,
     conv2d_dw_winograd_acc, conv2d_dx_tiled, conv2d_dx_winograd, conv2d_fwd_tiled_at,
     conv2d_fwd_winograd, default_conv_algo, im2col_range_into, matmul_a_bt_into, matmul_at_b_acc_into,
-    matmul_at_b_seq_into, matmul_into, winograd_supported, BufferRecycler, Conv2dGeometry,
+    matmul_at_b_seq_into, matmul_into, BufferRecycler, Conv2dGeometry,
     Padding2d, PooledBuf, Tensor, Workspace,
 };
 
@@ -43,41 +43,6 @@ pub use scnn_tensor::ConvAlgo;
 /// Square tile edge for the `[n·oh·ow, oc] ↔ NCHW` transposes; 32×32 f32
 /// tiles (4 KiB) keep both the strided and the sequential side in L1.
 const TILE: usize = 32;
-
-/// Geometry-based algorithm choice ([`default_conv_algo`]), honouring a
-/// `SCNN_CONV_ALGO` override (`tiled|materialized|winograd|auto`, read
-/// once).
-///
-/// An unrecognized value warns once on stderr with the accepted set and
-/// degrades to `auto` — the same degrade style as a broken
-/// `SCNN_PLAN_CACHE`. A forced `winograd` is honoured only where the
-/// geometry has a winograd fast path ([`winograd_supported`]); elsewhere
-/// it falls back to the geometry default instead of panicking deep in the
-/// kernel, so one env var can blanket a whole heterogeneous model.
-/// `auto` never selects winograd: the transform path is epsilon-equal,
-/// not bit-equal, so it stays opt-in (module docs).
-pub fn select_algo(g: &Conv2dGeometry) -> ConvAlgo {
-    static OVERRIDE: OnceLock<Option<ConvAlgo>> = OnceLock::new();
-    let forced = OVERRIDE.get_or_init(|| match std::env::var("SCNN_CONV_ALGO") {
-        Ok(v) if v.eq_ignore_ascii_case("tiled") => Some(ConvAlgo::Tiled),
-        Ok(v) if v.eq_ignore_ascii_case("materialized") => Some(ConvAlgo::Materialized),
-        Ok(v) if v.eq_ignore_ascii_case("winograd") => Some(ConvAlgo::Winograd),
-        Ok(v) if v.is_empty() || v.eq_ignore_ascii_case("auto") => None,
-        Ok(v) => {
-            eprintln!(
-                "scnn-nn: ignoring unrecognized SCNN_CONV_ALGO={v:?} \
-                 (accepted: tiled|materialized|winograd|auto); using auto selection"
-            );
-            None
-        }
-        Err(_) => None,
-    });
-    match forced {
-        Some(ConvAlgo::Winograd) if !winograd_supported(g) => default_conv_algo(g),
-        Some(a) => *a,
-        None => default_conv_algo(g),
-    }
-}
 
 /// Static attributes of a convolution node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,7 +131,7 @@ fn pooled(buf: Vec<f32>, dims: &[usize]) -> Tensor {
 
 /// Convolution forward: `x: [n, ic, h, w]`, `w: [oc, ic, kh, kw]`,
 /// optional `b: [oc]` → `[n, oc, oh, ow]`, algorithm chosen by
-/// [`select_algo`].
+/// [`default_conv_algo`].
 ///
 /// # Panics
 ///
@@ -175,7 +140,7 @@ pub fn conv2d_forward(x: &Tensor, w: &Tensor, b: Option<&Tensor>, attrs: &ConvAt
     conv2d_forward_with(x, w, b, attrs, None)
 }
 
-/// [`conv2d_forward`] with an explicit algorithm (`None` = [`select_algo`]).
+/// [`conv2d_forward`] with an explicit algorithm (`None` = [`default_conv_algo`]).
 /// The direct algorithms (tiled, materialized) return identical bits —
 /// tests pin this; [`ConvAlgo::Winograd`] agrees to epsilon only
 /// (DESIGN.md §16) and is never chosen implicitly.
@@ -208,7 +173,7 @@ pub fn conv2d_forward_micro(
     assert_eq!(w.dim(1), x.dim(1), "conv channel mismatch");
     assert_eq!((w.dim(2), w.dim(3)), (attrs.kh, attrs.kw), "kernel shape mismatch");
     let Lowered { g, crop, off_h, off_w } = lower(x, attrs);
-    let algo = algo.unwrap_or_else(|| select_algo(&g));
+    let algo = algo.unwrap_or_else(|| default_conv_algo(&g));
     let n = x.dim(0);
     let oc = w.dim(0);
     let (oh, ow) = (g.out_h(), g.out_w());
@@ -288,7 +253,7 @@ fn transpose_rows_to_nchw(
 
 /// Convolution backward: given upstream `dy`, recomputes patch rows from
 /// `x` (trading compute for memory, as the real framework does) and
-/// returns input, weight and bias gradients. Algorithm per [`select_algo`].
+/// returns input, weight and bias gradients. Algorithm per [`default_conv_algo`].
 ///
 /// # Panics
 ///
@@ -303,7 +268,7 @@ pub fn conv2d_backward(
     conv2d_backward_with(x, w, has_bias, dy, attrs, None)
 }
 
-/// [`conv2d_backward`] with an explicit algorithm (`None` = [`select_algo`]).
+/// [`conv2d_backward`] with an explicit algorithm (`None` = [`default_conv_algo`]).
 pub fn conv2d_backward_with(
     x: &Tensor,
     w: &Tensor,
@@ -336,7 +301,7 @@ pub fn conv2d_backward_micro(
     micro: usize,
 ) -> ConvGrads {
     let Lowered { g, crop, off_h, off_w } = lower(x, attrs);
-    let algo = algo.unwrap_or_else(|| select_algo(&g));
+    let algo = algo.unwrap_or_else(|| default_conv_algo(&g));
     let n = x.dim(0);
     let oc = w.dim(0);
     let (oh, ow) = (g.out_h(), g.out_w());
@@ -591,14 +556,14 @@ mod tests {
     #[test]
     fn small_geometries_select_materialized_large_select_tiled() {
         let tiny = Conv2dGeometry::new(1, 4, 4, 3, 3, 1, 1, Padding2d::symmetric(1));
-        assert_eq!(select_algo(&tiny), ConvAlgo::Materialized);
+        assert_eq!(default_conv_algo(&tiny), ConvAlgo::Materialized);
         // 1×1 kernels run on the engine at any map size: their NCHW
         // `im2col` is a transpose, not a reshape.
         for hw in [32, 4] {
             let one = Conv2dGeometry::new(8, hw, hw, 1, 1, 1, 1, Padding2d::default());
-            assert_eq!(select_algo(&one), ConvAlgo::Tiled);
+            assert_eq!(default_conv_algo(&one), ConvAlgo::Tiled);
         }
         let big = Conv2dGeometry::new(8, 32, 32, 3, 3, 1, 1, Padding2d::symmetric(1));
-        assert_eq!(select_algo(&big), ConvAlgo::Tiled);
+        assert_eq!(default_conv_algo(&big), ConvAlgo::Tiled);
     }
 }

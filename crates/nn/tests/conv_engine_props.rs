@@ -3,8 +3,8 @@
 //! bit-for-bit on every geometry — stride, asymmetric and negative
 //! padding, 1×1 kernels, tile-edge remainders — and the tiled path must
 //! be thread-count invariant on its own. Bit-identity between the two
-//! algorithms is what lets `SCNN_CONV_ALGO` switch engines without
-//! perturbing seeded training goldens.
+//! algorithms is what lets the geometry-based selector switch engines
+//! without perturbing seeded training goldens.
 //!
 //! Both algorithms' backward passes run on the same `gemm_acc`
 //! micro-kernel, so agreeing with each other cannot catch a mistake they
@@ -16,7 +16,7 @@
 use scnn_nn::kernels::{conv2d_backward_with, conv2d_forward_with, ConvAlgo, ConvAttrs};
 use scnn_rng::prop::{check, Case};
 use scnn_rng::Rng;
-use scnn_tensor::{col2im_into, im2col, uniform, Conv2dGeometry, KernelPlan, Padding2d, Tensor};
+use scnn_tensor::{col2im_into, im2col, uniform, Conv2dGeometry, Padding2d, Tensor, REDUCTION_KC};
 
 /// Bitwise comparison; returns a description of the first mismatch.
 fn bits_match(what: &str, a: &Tensor, b: &Tensor) -> Result<(), String> {
@@ -183,7 +183,7 @@ fn old_loop_backward(x: &Tensor, w: &Tensor, dy: &Tensor, attrs: &ConvAttrs) -> 
     let (cols, dyv, wv) = (cols.as_slice(), dy.as_slice(), w.as_slice());
     let dy_at = |q: usize, c: usize| dyv[((q / hw) * oc + c) * hw + q % hw];
 
-    let kc = KernelPlan::reduction_kc();
+    let kc = REDUCTION_KC;
     let mut dw = vec![0.0f32; oc * plen];
     for (bi, q0) in (0..n * hw).step_by(kc).enumerate() {
         let mut part = vec![0.0f32; oc * plen];

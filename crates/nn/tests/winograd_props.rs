@@ -11,16 +11,16 @@
 //! SIMD levels: the *only* tolerated divergence is the transform algebra,
 //! never the execution context.
 //!
-//! Also pinned here: automatic algorithm selection never picks winograd.
-//! The `SCNN_CONV_ALGO` override is read once per process (module docs on
-//! `select_algo`), so the env-driven opt-in and the unknown-value degrade
-//! each live in their own test binary — `conv_algo_env_winograd.rs` and
-//! `conv_algo_env_unknown.rs` — where the env is set before the first
-//! `algo = None` dispatch.
+//! Also pinned here: automatic algorithm selection never picks winograd,
+//! and no process-wide state can make it.
 
-use scnn_nn::kernels::{conv2d_backward_with, conv2d_forward_with, ConvAlgo, ConvAttrs};
+use scnn_nn::kernels::{
+    conv2d_backward, conv2d_backward_with, conv2d_forward_with, ConvAlgo, ConvAttrs,
+};
 use scnn_rng::SplitRng;
-use scnn_tensor::{force_level, uniform, Padding2d, SimdLevel, Tensor};
+use scnn_tensor::{
+    default_conv_algo, force_level, uniform, Conv2dGeometry, Padding2d, SimdLevel, Tensor,
+};
 
 /// Per-element mixed absolute/relative bound. Winograd's quarter-integer
 /// transforms keep per-product error at a few ULPs; the bound leaves an
@@ -138,22 +138,32 @@ fn winograd_agrees_with_tiled_within_epsilon_across_contexts() {
 
 #[test]
 fn auto_selection_never_picks_winograd() {
-    // `SCNN_CONV_ALGO` is read once per process, so this binary pins only
-    // the no-override behaviour; `remove_var` before the first
-    // `algo = None` dispatch makes the test robust to an inherited env.
-    std::env::remove_var("SCNN_CONV_ALGO");
+    // The variable that once forced an algorithm process-wide: nothing
+    // reads it, so `algo = None` stays on the bit-identity contract.
+    std::env::set_var("SCNN_CONV_ALGO", "winograd");
     let mut rng = SplitRng::seed_from_u64(0x3107);
     let at = attrs(Padding2d::symmetric(1));
     let x = uniform(&mut rng, &[2, 3, 8, 8], -1.0, 1.0);
     let w = uniform(&mut rng, &[4, 3, 3, 3], -0.5, 0.5);
     let b = uniform(&mut rng, &[4], -0.1, 0.1);
+    let dy = uniform(&mut rng, &[2, 4, 8, 8], -1.0, 1.0);
 
-    // Auto selection returns the default engine's exact bits on a
-    // winograd-eligible geometry — the transform path stays opt-in.
-    let tiled = conv2d_forward_with(&x, &w, Some(&b), &at, Some(ConvAlgo::Tiled));
+    // A winograd-eligible geometry whose default is a direct engine.
+    let g = Conv2dGeometry::new(3, 8, 8, 3, 3, 1, 1, at.pad);
+    let default = Some(default_conv_algo(&g));
+    assert_ne!(default, Some(ConvAlgo::Winograd));
     bits_equal(
-        "auto selection",
+        "auto selection, forward",
         &conv2d_forward_with(&x, &w, Some(&b), &at, None),
-        &tiled,
+        &conv2d_forward_with(&x, &w, Some(&b), &at, default),
+    );
+    let auto = conv2d_backward(&x, &w, true, &dy, &at);
+    let explicit = conv2d_backward_with(&x, &w, true, &dy, &at, default);
+    bits_equal("auto selection, dx", &auto.dx, &explicit.dx);
+    bits_equal("auto selection, dw", &auto.dw, &explicit.dw);
+    bits_equal(
+        "auto selection, db",
+        auto.db.as_ref().expect("bias gradient"),
+        explicit.db.as_ref().expect("bias gradient"),
     );
 }

@@ -133,17 +133,6 @@ pub fn with_scratch<R>(elems: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     r
 }
 
-/// Pre-faults this thread's arena up to `elems` floats: a take-and-return
-/// with no work in between, leaving a buffer of at least that capacity
-/// parked for reuse. The kernel autotuner calls this (sized from the
-/// largest candidate plan's footprint) before timing, so the first
-/// candidate measured does not pay the one-time allocation + page-fault
-/// cost that later candidates would dodge — without it the tuner is
-/// biased toward whichever plan happens to run second.
-pub fn warm(elems: usize) {
-    with_scratch(elems, |_| {});
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -89,17 +89,12 @@ pub struct StepStats {
 pub enum RuntimeError {
     /// The memory plan failed first-fit layout replay.
     Layout(LayoutError),
-    /// `SCNN_PLAN_CACHE` names a cache file that failed to load or
-    /// validate. Surfaced at construction so a corrupt cache cannot take
-    /// down a long-lived process from inside a kernel call.
-    PlanCache(String),
 }
 
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RuntimeError::Layout(e) => write!(f, "layout: {e}"),
-            RuntimeError::PlanCache(e) => write!(f, "plan cache: {e}"),
         }
     }
 }
@@ -128,22 +123,12 @@ pub struct PlanTables {
 
 impl PlanTables {
     /// Resolves `plan` against `graph`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::PlanCache`] when `SCNN_PLAN_CACHE` names a
-    /// broken cache file. The eager load means a corrupt cache fails at
-    /// construction instead of mid-epoch (the lazy per-lookup path only
-    /// warns and degrades to default blocking). Tuned plans alter only
-    /// bit-free blocking, so the step stays bit-identical with or without
-    /// a cache.
-    pub fn new(graph: &Graph, plan: ExecPlan) -> Result<Arc<Self>, RuntimeError> {
+    pub fn new(graph: &Graph, plan: ExecPlan) -> Arc<Self> {
         assert_eq!(
             plan.forward_len,
             graph.len(),
             "plan was exported for a different graph"
         );
-        scnn_tensor::try_ensure_plan_cache_loaded().map_err(RuntimeError::PlanCache)?;
         let consumers: Vec<Vec<usize>> = graph
             .consumers()
             .into_iter()
@@ -157,7 +142,7 @@ impl PlanTables {
         }
         let node_shape: Vec<Vec<usize>> =
             graph.nodes().iter().map(|n| n.out_shape.clone()).collect();
-        Ok(Arc::new(PlanTables { plan, consumers, node_tso, node_shape }))
+        Arc::new(PlanTables { plan, consumers, node_tso, node_shape })
     }
 
     /// The resolved plan.
@@ -199,9 +184,11 @@ impl PlanRuntime {
     ///
     /// # Errors
     ///
-    /// As in [`PlanTables::new`].
+    /// None today: an already-exported plan cannot fail to resolve. The
+    /// `Result` is the signature this shares with [`PlanRuntime::from_plan`],
+    /// whose layout replay can fail.
     pub fn new(graph: &Graph, plan: ExecPlan) -> Result<Self, RuntimeError> {
-        Ok(PlanRuntime::from_tables(PlanTables::new(graph, plan)?))
+        Ok(PlanRuntime::from_tables(PlanTables::new(graph, plan)))
     }
 
     /// A fresh runtime over already-resolved `tables`.
@@ -230,8 +217,7 @@ impl PlanRuntime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::Layout`] when the plan fails layout replay,
-    /// [`RuntimeError::PlanCache`] as in [`PlanRuntime::new`].
+    /// [`RuntimeError::Layout`] when the plan fails layout replay.
     pub fn from_plan(
         graph: &Graph,
         tape: &scnn_graph::Tape,

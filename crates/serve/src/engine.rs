@@ -123,13 +123,12 @@ impl Engine {
     /// statistics `bn`.
     ///
     /// The inference plan is exported here (one first-fit layout, reused
-    /// by every batch), and `SCNN_PLAN_CACHE` is loaded eagerly so a
-    /// corrupt cache file fails construction instead of a request.
+    /// by every batch).
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Layout`] when the forward-only plan fails layout
-    /// replay, [`RuntimeError::PlanCache`] on a broken kernel-plan cache.
+    /// replay.
     ///
     /// # Panics
     ///
@@ -138,7 +137,7 @@ impl Engine {
     /// the engine serves.
     pub fn new(graph: Graph, params: Arc<ParamStore>, bn: Arc<BnState>) -> Result<Self, RuntimeError> {
         let tso = TsoAssignment::new(&graph, &vec![0; graph.len()], TsoOptions::default());
-        let tables = PlanTables::new(&graph, export_inference_plan(&graph, &tso)?)?;
+        let tables = PlanTables::new(&graph, export_inference_plan(&graph, &tso)?);
         let schedule = Schedule::build(&graph);
         let loss = graph
             .nodes()

@@ -50,7 +50,7 @@
 //! pack cache to invalidate on update.
 
 use crate::im2col::Conv2dGeometry;
-use crate::plan::{self, KernelPlan};
+use crate::linalg::REDUCTION_KC;
 use crate::simd::{add_assign, dot_panel, gemm_acc, PANEL_ROWS};
 use crate::Tensor;
 use scnn_par::{scratch, DisjointMut};
@@ -58,8 +58,8 @@ use scnn_par::{scratch, DisjointMut};
 /// Which convolution implementation to run. `Tiled` and `Materialized`
 /// produce identical bits — the choice between them is purely a
 /// locality/footprint trade. `Winograd` is the opt-in transform-domain
-/// fast path: deterministic in itself (same bits at any thread count,
-/// ISA, or kernel plan) but **outside the bit-identity contract** with
+/// fast path: deterministic in itself (same bits at any thread count or
+/// ISA) but **outside the bit-identity contract** with
 /// the direct pair — its reduction runs in the transform domain, so
 /// results agree only within epsilon (DESIGN.md §16). The executing
 /// kernels live in `scnn-nn`, but the enum is defined here so the planner
@@ -107,14 +107,14 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
 }
 
 /// Whether a conv layer's whole-batch weight-gradient reduction fits one
-/// `KC`-row block (`n·oh·ow ≤ KC`, `KC` = [`KernelPlan::reduction_kc`]).
+/// `KC`-row block (`n·oh·ow ≤ KC`, `KC` = [`REDUCTION_KC`]).
 /// Such layers accumulate `dw` in a single sequential fold, so the kernels
 /// continue it straight into the output with **no** partial-block scratch,
 /// and any micro-batch boundary replays the fold bit-for-bit — the deep
 /// small-map layers this describes are exactly the ones whose `oc·plen`
 /// partial buffer would otherwise dominate planned workspace.
 pub fn conv2d_dw_single_block(g: &Conv2dGeometry, n: usize) -> bool {
-    n * g.patch_count() <= KernelPlan::reduction_kc()
+    n * g.patch_count() <= REDUCTION_KC
 }
 
 /// Whether running a conv layer in micro-batches of `u` images (logical
@@ -130,7 +130,7 @@ pub fn conv2d_dw_single_block(g: &Conv2dGeometry, n: usize) -> bool {
 /// boundary continues exactly.
 pub fn micro_batch_aligned(g: &Conv2dGeometry, u: usize, n: usize) -> bool {
     u >= n
-        || (u * g.patch_count()).is_multiple_of(KernelPlan::reduction_kc())
+        || (u * g.patch_count()).is_multiple_of(REDUCTION_KC)
         || conv2d_dw_single_block(g, n)
 }
 
@@ -144,16 +144,18 @@ pub fn min_micro_batch(g: &Conv2dGeometry, n: usize) -> usize {
     if conv2d_dw_single_block(g, n) {
         return 1;
     }
-    let kc = KernelPlan::reduction_kc();
-    (kc / gcd(g.patch_count(), kc)).min(n.max(1))
+    (REDUCTION_KC / gcd(g.patch_count(), REDUCTION_KC)).min(n.max(1))
 }
 
-/// Patch-row tile width under the plan's pack-panel budget, at least 1, at
-/// most `cap`. The tile width only partitions independent output positions
-/// (forward) or changes packing granularity (`dw`), never a fold order —
-/// which is what makes `panel_bytes` a legal tuning knob.
-fn tile_rows(panel_bytes: usize, plen: usize, cap: usize) -> usize {
-    (panel_bytes / 4 / plen.max(1)).clamp(1, cap.max(1))
+/// Per-thread byte budget of a pack panel: the tiled engine's patch-row
+/// tile and `dw` pack sub-tile, and the Winograd path's transform staging.
+pub(crate) const PACK_PANEL_BYTES: usize = 256 * 1024;
+
+/// Patch-row tile width under [`PACK_PANEL_BYTES`], at least 1, at most
+/// `cap`. The tile width only partitions independent output positions
+/// (forward) or changes packing granularity (`dw`), never a fold order.
+fn tile_rows(plen: usize, cap: usize) -> usize {
+    (PACK_PANEL_BYTES / 4 / plen.max(1)).clamp(1, cap.max(1))
 }
 
 /// Minimum output-channel rows per parallel range of a single-block `dw`
@@ -469,6 +471,13 @@ pub fn conv2d_fwd_tiled(
 /// crop-offset contract of [`conv2d_dx_tiled`], so a layer with negative
 /// padding never copies its cropped input.
 ///
+/// Tasks and tiles run over the flattened `n·oh·ow` position index, so a
+/// 4- or 8-wide output map fills a panel as well as a 32-wide one. Each
+/// tile is strip-packed once ([`pack_strips`]), multiplied against the
+/// whole weight matrix by one [`dot_panel`] into a channel-major
+/// `[oc, tile]` staging block, and copied out as contiguous per-channel
+/// runs of its NCHW rows.
+///
 /// # Panics
 ///
 /// Panics if shapes disagree or the offset window hangs outside `x`.
@@ -481,28 +490,7 @@ pub fn conv2d_fwd_tiled_at(
     g: &Conv2dGeometry,
     out: &mut [f32],
 ) {
-    let kp = plan::conv_fwd_plan(g, x.dim(0), w.dim(0));
-    conv2d_fwd_tiled_plan(&kp, &Window::new(x, g, off_h, off_w), w, bias, g, out);
-}
-
-/// Plan-parameterized core of [`conv2d_fwd_tiled`] — the tuner times
-/// candidate pack-panel budgets through this entry without touching the
-/// global registry. Any plan produces the same bits (see [`tile_rows`]).
-///
-/// Tasks and tiles run over the flattened `n·oh·ow` position index, so a
-/// 4- or 8-wide output map fills a panel as well as a 32-wide one. Each
-/// tile is strip-packed once ([`pack_strips`]), multiplied against the
-/// whole weight matrix by one [`dot_panel`] into a channel-major
-/// `[oc, tile]` staging block, and copied out as contiguous per-channel
-/// runs of its NCHW rows.
-pub(crate) fn conv2d_fwd_tiled_plan(
-    kp: &KernelPlan,
-    x: &Window,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    g: &Conv2dGeometry,
-    out: &mut [f32],
-) {
+    let x = &Window::new(x, g, off_h, off_w);
     let n = x.n;
     let oc = check_weight(w, g);
     let plen = g.patch_len();
@@ -514,7 +502,7 @@ pub(crate) fn conv2d_fwd_tiled_plan(
     let wv = w.as_slice();
     let total = n * hw;
     let chunk = fwd_task_positions(total);
-    let tile = tile_rows(kp.panel_bytes, plen, chunk.min(FWD_TILE_ROWS));
+    let tile = tile_rows(plen, chunk.min(FWD_TILE_ROWS));
     let sink = DisjointMut::new(out);
     scnn_par::parallel_for(total.div_ceil(chunk), |task| {
         let p1 = ((task + 1) * chunk).min(total);
@@ -607,26 +595,7 @@ pub fn conv2d_dw_tiled_acc_at(
     dw: &mut [f32],
     init: bool,
 ) {
-    let kp = plan::conv_bwd_plan(g, x.dim(0), dy.dim(1));
-    conv2d_dw_tiled_acc_plan(&kp, &Window::new(x, g, off_h, off_w), dy, g, b0, bn, dw, init);
-}
-
-/// Plan-parameterized core of [`conv2d_dw_tiled_acc`] — the tuner times
-/// candidate pack sub-tile budgets through this entry without touching the
-/// global registry. The plan only sizes the pack panels; the `KC` block
-/// grid and fold order come from [`KernelPlan::reduction_kc`], so any plan
-/// produces the same bits.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn conv2d_dw_tiled_acc_plan(
-    kp: &KernelPlan,
-    x: &Window,
-    dy: &Tensor,
-    g: &Conv2dGeometry,
-    b0: usize,
-    bn: usize,
-    dw: &mut [f32],
-    init: bool,
-) {
+    let x = &Window::new(x, g, off_h, off_w);
     let n = x.n;
     assert!(bn > 0 && b0 + bn <= n, "image range {b0}+{bn} exceeds batch {n}");
     let (oh, ow) = (g.out_h(), g.out_w());
@@ -644,8 +613,7 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
     let hw = oh * ow;
     let base = b0 * hw;
     let k = bn * hw;
-    let kc = KernelPlan::reduction_kc();
-    let st = tile_rows(kp.panel_bytes, plen, kc);
+    let st = tile_rows(plen, REDUCTION_KC);
     if conv2d_dw_single_block(g, n) {
         // The whole batch is one sequential fold: accumulate straight into
         // `dw` (zeroed on `init`), with no partial-block scratch. The add
@@ -662,14 +630,14 @@ pub(crate) fn conv2d_dw_tiled_acc_plan(
         fold_patch_rows(x, dyv, g, oc, st, base, base + k, dw, row_grain);
         return;
     }
-    let nblocks = k.div_ceil(kc).max(1);
+    let nblocks = k.div_ceil(REDUCTION_KC).max(1);
     scratch::with_scratch(nblocks * oc * plen, |partials| {
         let slots = DisjointMut::new(partials);
         scnn_par::parallel_for(nblocks, |bi| {
             // Safety: partial slot `bi` is written only by task `bi`.
             let part = unsafe { slots.range(bi * oc * plen, (bi + 1) * oc * plen) };
-            let p0 = base + bi * kc;
-            let p1 = (p0 + kc).min(base + k);
+            let p0 = base + bi * REDUCTION_KC;
+            let p1 = (p0 + REDUCTION_KC).min(base + k);
             fold_patch_rows(x, dyv, g, oc, st, p0, p1, part, oc);
         });
         let start = if init {
@@ -807,17 +775,16 @@ pub fn conv2d_dx_tiled(
 /// Planned workspace bytes for one tiled conv layer (forward + backward):
 /// the thread-count-*independent* scratch footprint, i.e. the flat `dw`
 /// partial buffer (`⌈n·oh·ow / KC⌉ · oc · plen` floats, `KC` =
-/// [`KernelPlan::reduction_kc`] — the same accessor the kernels block on,
-/// so the planner's model can never drift from the executed grid). A
-/// tuned plan cannot change this number: plans carrying any other `kc`
-/// are rejected at install. Per-thread pack panels (bounded by the plan's
-/// `panel_bytes` each) and the `dx` gradient tile ([`DX_TILE_BYTES`] or
+/// [`REDUCTION_KC`] — the same constant the kernels block on, so the
+/// planner's model can never drift from the executed grid). Per-thread
+/// pack panels (bounded by [`PACK_PANEL_BYTES`] each) and the `dx`
+/// gradient tile ([`DX_TILE_BYTES`] or
 /// one 16-position strip) scale with the host's thread count, so the planner
 /// leaves them out of the per-layer term — this is the number `scnn-hmms`
 /// carries per conv node in its layouts.
 pub fn conv2d_workspace_bytes(g: &Conv2dGeometry, n: usize, oc: usize) -> usize {
     let k = n * g.patch_count();
-    k.div_ceil(KernelPlan::reduction_kc()).max(1) * oc * g.patch_len() * 4
+    k.div_ceil(REDUCTION_KC).max(1) * oc * g.patch_len() * 4
 }
 
 /// Planned workspace bytes for one *materialized* conv layer at batch (or

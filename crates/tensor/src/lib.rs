@@ -14,10 +14,9 @@
 //!
 //! The floating-point inner loops dispatch at runtime between portable
 //! scalar and AVX2 bodies with identical reduction order ([`simd`],
-//! forced via `SCNN_SIMD=scalar|avx2|auto`), and the bit-free blocking
-//! parameters are per-shape tunable through a persistent plan cache
-//! ([`plan`], loaded from `SCNN_PLAN_CACHE`; winners produced by
-//! [`tuner`]). See DESIGN.md §14.
+//! forced via `SCNN_SIMD=scalar|avx2|auto`); cache blocking is three
+//! fixed constants next to the kernels that read them, of which only
+//! [`REDUCTION_KC`] bears on bits. See DESIGN.md §14.
 //!
 //! # Example
 //!
@@ -34,13 +33,11 @@ mod im2col;
 mod init;
 mod linalg;
 mod pad;
-pub mod plan;
 mod shape;
 pub mod simd;
 mod slice;
 mod storage;
 mod tensor;
-pub mod tuner;
 pub mod winograd;
 mod workspace;
 
@@ -56,13 +53,9 @@ pub use im2col::{
 pub use init::{he_normal, uniform, xavier_uniform};
 pub use linalg::{
     matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_acc_into, matmul_at_b_into,
-    matmul_at_b_seq_into, matmul_into,
+    matmul_at_b_seq_into, matmul_into, REDUCTION_KC,
 };
 pub use pad::Padding2d;
-pub use plan::{
-    clear_plans, install_plan, install_plans, lookup_plan, try_ensure_plan_cache_loaded,
-    KernelPlan, KernelPlans, PlanOp, PlanRecord,
-};
 pub use shape::Shape;
 pub use simd::{active_level, detected_level, force_level, SimdLevel};
 pub use storage::{BufferRecycler, PooledBuf};

@@ -20,15 +20,24 @@
 //!
 //! The floating-point inner loops themselves (`dot_panel`, `gemm_acc`,
 //! `add_assign`) live in [`crate::simd`] and dispatch at runtime between
-//! scalar and AVX2 bodies with identical reduction order. Blocking
-//! parameters come from [`crate::plan`]: the shared-dimension block is
-//! the fixed [`KernelPlan::reduction_kc`] (bit-bearing — the fold trees
-//! and the micro-batch alignment rule are keyed on it), while [`matmul`]'s
-//! column tile `nc` is a bit-free, per-shape tunable.
+//! scalar and AVX2 bodies with identical reduction order. Blocking is
+//! fixed: the shared-dimension block [`REDUCTION_KC`] is bit-bearing (the
+//! fold trees and the micro-batch alignment rule are keyed on it), while
+//! the column tile [`MATMUL_NC`] only partitions independent outputs.
 
-use crate::plan::{self, KernelPlan};
 use crate::simd::{add_assign, dot_panel, gemm_acc};
 use crate::Tensor;
+
+/// The shared-dimension reduction block, in rows — the one bit-bearing
+/// blocking constant. Everything keyed on `KC` reads it, so they cannot
+/// drift apart: the [`matmul_at_b`] fold grid, the conv `dw` partials,
+/// `micro_batch_aligned` / `conv2d_dw_single_block` / `min_micro_batch`,
+/// `conv2d_workspace_bytes` and the planner's cost model.
+pub const REDUCTION_KC: usize = 256;
+
+/// Output-column tile of the row-split GEMMs ([`gemm_acc_blocked`]). It
+/// partitions independent output elements, so it cannot change a bit.
+const MATMUL_NC: usize = 128;
 
 /// Minimum rows per parallel chunk (amortizes task-claim overhead).
 const MIN_ROWS: usize = 8;
@@ -80,30 +89,13 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// product in pooled/workspace storage; values are bit-identical to
 /// [`matmul`] for a zeroed target.
 pub fn matmul_into(av: &[f32], bv: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    matmul_into_plan(&plan::matmul_plan(m, k, n), av, bv, m, k, n, out);
-}
-
-/// Plan-parameterized core of [`matmul_into`] — the tuner times candidate
-/// plans through this entry without touching the global registry. The
-/// plan's column tile `nc` partitions independent output elements, so any
-/// plan produces the same bits.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn matmul_into_plan(
-    kp: &KernelPlan,
-    av: &[f32],
-    bv: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
     assert_eq!(av.len(), m * k, "matmul_into lhs length");
     assert_eq!(bv.len(), k * n, "matmul_into rhs length");
     assert_eq!(out.len(), m * n, "matmul_into out length");
     let row_grain = rows_per_chunk(m);
     // Skip column blocking when n barely exceeds the tile: a lone narrow
     // tail block re-streams the A rows for little locality benefit.
-    let nc = if n <= kp.nc + kp.nc / 2 { n.max(1) } else { kp.nc };
+    let nc = if n <= MATMUL_NC + MATMUL_NC / 2 { n.max(1) } else { MATMUL_NC };
     scnn_par::par_chunks_mut(out, row_grain * n, |ci, ochunk| {
         let rows = ochunk.len() / n.max(1);
         gemm_acc_blocked(rows, n, k, &av[ci * row_grain * k..], k, 1, bv, ochunk, nc);
@@ -210,15 +202,14 @@ pub fn matmul_at_b_acc_into(
     assert_eq!(av.len(), k * m, "matmul_at_b_into lhs length");
     assert_eq!(bv.len(), k * n, "matmul_at_b_into rhs length");
     assert_eq!(out.len(), m * n, "matmul_at_b_into out length");
-    let kc = KernelPlan::reduction_kc();
-    let nblocks = k.div_ceil(kc).max(1);
+    let nblocks = k.div_ceil(REDUCTION_KC).max(1);
     scnn_par::scratch::with_scratch(nblocks * m * n, |partials| {
         let slots = scnn_par::DisjointMut::new(partials);
         scnn_par::parallel_for(nblocks, |bi| {
             // Safety: slot `bi` is written only by task `bi`.
             let part = unsafe { slots.range(bi * m * n, (bi + 1) * m * n) };
-            let p0 = bi * kc;
-            let p1 = (p0 + kc).min(k);
+            let p0 = bi * REDUCTION_KC;
+            let p1 = (p0 + REDUCTION_KC).min(k);
             gemm_acc(m, n, p1 - p0, &av[p0 * m..], 1, m, &bv[p0 * n..], n, part, n);
         });
         let start = if init {
@@ -264,10 +255,9 @@ pub fn matmul_at_b_seq_into(
         out.fill(0.0);
     }
     let row_grain = rows_per_chunk(m);
-    let nc = KernelPlan::default().nc;
     scnn_par::par_chunks_mut(out, row_grain * n, |ci, ochunk| {
         let rows = ochunk.len() / n.max(1);
-        gemm_acc_blocked(rows, n, k, &av[ci * row_grain..], 1, m, bv, ochunk, nc);
+        gemm_acc_blocked(rows, n, k, &av[ci * row_grain..], 1, m, bv, ochunk, MATMUL_NC);
     });
 }
 

@@ -49,7 +49,7 @@
 //! Consequently `SCNN_SIMD=scalar` and `SCNN_SIMD=avx2` produce
 //! bit-identical tensors at any `SCNN_THREADS` — a tested contract
 //! (`simd_props`), which is what lets the ISA choice be a pure
-//! performance decision and lets one plan cache serve both paths.
+//! performance decision.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -70,21 +70,11 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Stable lowercase name — the ISA component of plan-cache keys and
-    /// bench record suffixes.
+    /// Stable lowercase name — the suffix of per-ISA bench records.
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
-        }
-    }
-
-    /// Parses [`SimdLevel::name`] output (`"scalar"` / `"avx2"`).
-    pub fn parse(s: &str) -> Option<SimdLevel> {
-        match s {
-            "scalar" => Some(SimdLevel::Scalar),
-            "avx2" => Some(SimdLevel::Avx2),
-            _ => None,
         }
     }
 }
@@ -111,9 +101,8 @@ pub fn detected_level() -> SimdLevel {
 /// The `SCNN_SIMD` environment knob, read once: `Some(level)` for an
 /// explicit `scalar`/`avx2`, `None` for `auto`/unset. An unrecognized
 /// value warns once with the accepted values and degrades to auto
-/// detection — the same contract as a stale plan cache (DESIGN.md §14):
-/// a misspelled knob must not take the process down, but it must not be
-/// silent either.
+/// detection: a misspelled knob must not take the process down, but it
+/// must not be silent either.
 ///
 /// # Panics
 ///
@@ -1393,13 +1382,5 @@ mod tests {
         // The old tail extraction `try_into().unwrap()`ed deep in the lane
         // loop; now the contract is checked once at entry.
         dot8(&[1.0, 2.0], &[1.0]);
-    }
-
-    #[test]
-    fn level_name_round_trips() {
-        for l in [SimdLevel::Scalar, SimdLevel::Avx2] {
-            assert_eq!(SimdLevel::parse(l.name()), Some(l));
-        }
-        assert_eq!(SimdLevel::parse("sse9"), None);
     }
 }

@@ -23,15 +23,13 @@
 //! reduction runs in the transform domain, so results agree with the
 //! direct algorithms only within epsilon. It is however deterministic *in
 //! itself* — every reduction order below is a pure function of the
-//! geometry, independent of thread count, SIMD level, and the kernel
-//! plan — so a winograd run reproduces its own bits exactly under any of
-//! those knobs:
+//! geometry, independent of thread count and SIMD level — so a winograd
+//! run reproduces its own bits exactly under either knob:
 //!
 //! - forward: each transform-domain point `M[i][k] = Σ_c U·V` reduces
 //!   over input channels in ascending order with separate multiply and
-//!   add ([`gemm_acc`]'s per-element chain); the plan-tuned tile-batch
-//!   width only changes how many tiles share one staging pass, never any
-//!   sum.
+//!   add ([`gemm_acc`]'s per-element chain); the tile-batch width only
+//!   changes how many tiles share one staging pass, never any sum.
 //! - `dx`: tiles scatter-add per image in ascending tile order (adjacent
 //!   4×4 windows overlap by 2), parallel over whole images only; each
 //!   transform-domain point reduces over output channels with [`dot8`].
@@ -41,12 +39,12 @@
 //!   inverse transform.
 //!
 //! The forward stages tile batches through per-thread scratch
-//! (`scnn_par::scratch`) sized by the `conv_winograd` kernel plan; the
+//! (`scnn_par::scratch`) sized by the tiled engine's pack-panel budget; the
 //! transformed-weight buffer comes from the shared [`Workspace`] pool so
 //! repeated calls (a training loop, a serving engine) do not re-allocate.
 
+use crate::conv_engine::PACK_PANEL_BYTES;
 use crate::im2col::Conv2dGeometry;
-use crate::plan::{self, KernelPlan};
 use crate::simd::{add_assign, axpy, dot8, dot8_x4, gemm_acc, vadd, vsub};
 use crate::workspace::Workspace;
 use crate::{BufferRecycler, Tensor};
@@ -126,13 +124,13 @@ fn check_input(x: &Tensor, g: &Conv2dGeometry) -> usize {
 }
 
 /// Tile-batch width of the forward staging: how many tiles share one
-/// transform pass, sized from the plan's per-thread panel budget.
+/// transform pass, sized from the per-thread [`PACK_PANEL_BYTES`] budget.
 /// Bit-free — see the module docs.
-fn tile_block(panel_bytes: usize, ic: usize, oc: usize, cap: usize) -> usize {
+fn tile_block(ic: usize, oc: usize, cap: usize) -> usize {
     // Staging floats per tile: d + e gather/transform planes (2·16), V
     // (16·ic), M (16·oc), and the 8 + 4 inverse planes.
     let per_tile = TP * (ic + oc + 2) + 12;
-    (panel_bytes / 4 / per_tile).clamp(1, cap.max(1))
+    (PACK_PANEL_BYTES / 4 / per_tile).clamp(1, cap.max(1))
 }
 
 /// Gathers the 4×4 input window of tile `(b, ty, tx)`, channel `c`, into
@@ -195,33 +193,6 @@ pub fn conv2d_fwd_winograd(
     g: &Conv2dGeometry,
     out: &mut [f32],
 ) {
-    let kp = plan::conv_winograd_plan(g, x.dim(0), w.dim(0));
-    conv2d_fwd_winograd_plan(&kp, x, w, bias, g, out);
-}
-
-/// Forward stage 2: `M[i][k][t] += Σ_c U[k][i][c] · V[i][c][t]` over the
-/// `bt` tiles of a block — one register-blocked [`gemm_acc`] per
-/// transform-domain point `i`, reading `U`'s `[oc][16][ic]` layout in
-/// place. Per element `c` ascends with separate multiply and add, i.e. the
-/// chain of one [`axpy`] per channel (pinned bitwise by the unit test).
-fn reduce_channels(oc: usize, ic: usize, bt: usize, u: &[f32], v: &[f32], m: &mut [f32]) {
-    for i in 0..TP {
-        let (a, b, c) = (&u[i * ic..], &v[i * ic * bt..], &mut m[i * oc * bt..]);
-        gemm_acc(oc, bt, ic, a, TP * ic, 1, b, bt, c, bt);
-    }
-}
-
-/// Plan-parameterized core of [`conv2d_fwd_winograd`] — the tuner times
-/// candidate tile-batch budgets through this entry without touching the
-/// global registry. Any plan produces the same bits (module docs).
-pub(crate) fn conv2d_fwd_winograd_plan(
-    kp: &KernelPlan,
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    g: &Conv2dGeometry,
-    out: &mut [f32],
-) {
     let n = check_input(x, g);
     let oc = check_weight(w, g);
     let ic = g.in_c;
@@ -250,7 +221,7 @@ pub(crate) fn conv2d_fwd_winograd_plan(
     });
     let uv: &[f32] = &u;
 
-    let tb = tile_block(kp.panel_bytes, ic, oc, tiles);
+    let tb = tile_block(ic, oc, tiles);
     let nblocks = tiles.div_ceil(tb);
     let sink = DisjointMut::new(out);
     scnn_par::parallel_for(nblocks, |blk| {
@@ -348,6 +319,18 @@ pub(crate) fn conv2d_fwd_winograd_plan(
         });
     });
     ws.recycle(u);
+}
+
+/// Forward stage 2: `M[i][k][t] += Σ_c U[k][i][c] · V[i][c][t]` over the
+/// `bt` tiles of a block — one register-blocked [`gemm_acc`] per
+/// transform-domain point `i`, reading `U`'s `[oc][16][ic]` layout in
+/// place. Per element `c` ascends with separate multiply and add, i.e. the
+/// chain of one [`axpy`] per channel (pinned bitwise by the unit test).
+fn reduce_channels(oc: usize, ic: usize, bt: usize, u: &[f32], v: &[f32], m: &mut [f32]) {
+    for i in 0..TP {
+        let (a, b, c) = (&u[i * ic..], &v[i * ic * bt..], &mut m[i * oc * bt..]);
+        gemm_acc(oc, bt, ic, a, TP * ic, 1, b, bt, c, bt);
+    }
 }
 
 /// Transforms one 2×2 `dy` tile (clipped at the output edge) to the
@@ -775,34 +758,24 @@ mod tests {
     }
 
     #[test]
-    fn forward_bits_are_stable_across_threads_plan_and_isa() {
+    fn forward_bits_are_stable_across_threads_and_isa() {
         let g = Conv2dGeometry::new(5, 9, 11, 3, 3, 1, 1, Padding2d::symmetric(1));
         let x = fill(&[2, 5, 9, 11], 101);
         let wt = fill(&[6, 5, 3, 3], 103);
         let bias = fill(&[6], 105);
         let len = 2 * 6 * g.patch_count();
-        let run = |kp: &KernelPlan| {
+        let run = || {
             let mut out = vec![0.0f32; len];
-            conv2d_fwd_winograd_plan(kp, &x, &wt, Some(bias.as_slice()), &g, &mut out);
+            conv2d_fwd_winograd(&x, &wt, Some(bias.as_slice()), &g, &mut out);
             out
         };
-        let baseline = run(&KernelPlan::default());
-        let tiny = KernelPlan {
-            panel_bytes: 4096,
-            ..KernelPlan::default()
-        };
-        let huge = KernelPlan {
-            panel_bytes: 1 << 20,
-            ..KernelPlan::default()
-        };
-        assert_eq!(baseline, run(&tiny), "tile-batch width changed bits");
-        assert_eq!(baseline, run(&huge), "tile-batch width changed bits");
+        let baseline = run();
         for threads in [1, 3, 8] {
-            let got = scnn_par::with_threads(threads, || run(&KernelPlan::default()));
+            let got = scnn_par::with_threads(threads, run);
             assert_eq!(baseline, got, "thread count {threads} changed bits");
         }
         force_level(Some(SimdLevel::Scalar));
-        let scalar = run(&KernelPlan::default());
+        let scalar = run();
         force_level(None);
         assert_eq!(baseline, scalar, "scalar fallback changed bits");
     }

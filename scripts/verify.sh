@@ -25,6 +25,18 @@ if grep -rnE 'scnn_nn::kernels|MemEvent|PoolGauge' crates/serve/src; then
   exit 1
 fi
 
+# Knob guard: the library crates read two process-wide variables,
+# SCNN_THREADS (crates/par) and SCNN_SIMD (crates/tensor) — both
+# bit-neutral. Where to split and what to offload are the system's
+# tunables, and they are arguments, not environment: a third read (an
+# SCNN_PLAN_CACHE, an SCNN_CONV_ALGO) is a knob coming back.
+# crates/bench is the measurement harness and keeps SCNN_BENCH_DIR.
+if grep -rnE 'env::var(_os)?\("SCNN_' crates/*/src \
+    | grep -vE '^crates/bench/|"SCNN_(THREADS|SIMD)"'; then
+  echo "verify: a library crate reads an SCNN_* variable other than SCNN_THREADS/SCNN_SIMD" >&2
+  exit 1
+fi
+
 cargo build --workspace --release --offline
 cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -58,15 +70,6 @@ for bench in kernels planning ablation memory serving; do
     --file "$tmp/BENCH_$bench.json" ${smoke_gates[$bench]:-}
 done
 
-# The kernel autotuner end to end (DESIGN.md §14): a smoke tune must
-# write a plan cache that loads back identical (the tuner asserts the
-# round trip in-process before exiting 0), and a *separate* process must
-# load, canonicalize, and install the same file. The committed full-tune
-# cache is checked the same way so it cannot rot.
-cargo run -q --release -p scnn-bench --bin tuner --offline -- --smoke --out "$tmp/PLAN_CACHE.json"
-cargo run -q --release -p scnn-bench --bin tuner --offline -- --check "$tmp/PLAN_CACHE.json"
-cargo run -q --release -p scnn-bench --bin tuner --offline -- --check PLAN_CACHE.json
-
 # The memory bench once more with the allocator byte counter compiled in,
 # so the heap-track feature cannot rot.
 SCNN_BENCH_DIR="$tmp" cargo bench -q -p scnn-bench --bench memory \
@@ -81,7 +84,7 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 # looser tripwire that still catches algorithmic regressions.
 #
 # Absolute bounds ride along where the full-size shapes run: the conv
-# forward median must hold the tiled engine's headline (≤ 5.6 ms), the
+# forward median must hold the tiled engine's headline (≤ 4.9 ms), the
 # tiled scratch arenas must stay far below the 4.7 MB full-im2col
 # footprint the engine exists to avoid. A training step runs its plan's
 # tape in order (DESIGN.md §10), so what it keeps resident is as
@@ -97,16 +100,17 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 # batch must stay strictly above the full-batch one at the 27 MiB
 # budget), these gates are the PR's headline claims.
 #
-# The kernel-plan gates (DESIGN.md §14): the tuned conv forward must beat
-# the PR 6 fixed-blocking median (4.90 ms) — the autotuner's headline win
-# — and matmul_512 holds an absolute ceiling (12 ms, halved when the
+# The kernel gates (DESIGN.md §14): the conv forward on its fixed
+# blocking must stay under the PR 6 median (4.90 ms; committed 2.43),
+# and matmul_512 holds an absolute ceiling (12 ms, halved when the
 # register-blocked gemm_acc replaced the axpy chains), as does the conv
 # backward the same micro-kernel carries (≤ 12 ms; 16.1 ms before it).
 # The winograd gates (DESIGN.md §16): the transform-domain forward holds
-# an absolute ceiling under the tuned direct bound (≤ 4.5 ms), and the
-# --max-ratio gate pins the PR's headline relation — winograd no slower
-# than the tuned direct engine *within the same fresh run*, so the claim
-# survives on hosts where both medians drift together.
+# an absolute ceiling under the direct bound (≤ 4.5 ms), and the
+# --max-ratio gate holds it within 1.10× of the direct forward *within
+# the same fresh run* (committed 2.25 vs 2.43 ms) — a tripwire for the
+# transform path regressing, not a claim that it wins: at one thread the
+# two are a coin flip.
 # The workload-shape gates (DESIGN.md §14, results/conv_layers.txt): the
 # conv shapes the repo benchmark's training step actually executes — the
 # 32→32 16×16 patch conv, layer4's 256→256 4×4 map, a 1×1 stride-2
@@ -134,7 +138,7 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 # (queue_depth_peak ≤ capacity), and every admitted request must finish
 # with its p99 under the 10 s interactive deadline the bench configures.
 declare -A abs_gates=(
-  [kernels]="--max-median conv2d_fwd_8x16x32x32:5600000,conv2d_fwd_8x16x32x32_tuned:4900000,conv2d_fwd_8x16x32x32_winograd:4500000,conv2d_bwd_8x16x32x32:12000000,matmul_512:12000000,conv2d_fwd_8x32x16x16:1450000,conv2d_bwd_8x32x16x16:2550000,conv2d_fwd_8x256x4x4:4600000,conv2d_bwd_8x256x4x4:10900000,conv2d_fwd_1x1s2_8x32x16x16:145000,sgd_step_resnet18_w05:1850000,par_fork_join/gap100us:130000 --max-peak conv2d_fwd_scratch_peak:1048576,conv2d_bwd_scratch_peak:2097152 --max-ratio conv2d_fwd_8x16x32x32_winograd:conv2d_fwd_8x16x32x32_tuned:1.0,par_fork_join/gap100us:par_fork_join/hot:1.5"
+  [kernels]="--max-median conv2d_fwd_8x16x32x32:4900000,conv2d_fwd_8x16x32x32_winograd:4500000,conv2d_bwd_8x16x32x32:12000000,matmul_512:12000000,conv2d_fwd_8x32x16x16:1450000,conv2d_bwd_8x32x16x16:2550000,conv2d_fwd_8x256x4x4:4600000,conv2d_bwd_8x256x4x4:10900000,conv2d_fwd_1x1s2_8x32x16x16:145000,sgd_step_resnet18_w05:1850000,par_fork_join/gap100us:130000 --max-peak conv2d_fwd_scratch_peak:1048576,conv2d_bwd_scratch_peak:2097152 --max-ratio conv2d_fwd_8x16x32x32_winograd:conv2d_fwd_8x16x32x32:1.10,par_fork_join/gap100us:par_fork_join/hot:1.5"
   [memory]="--max-peak train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,planned_device/vdnn:3300352,planned_device/hmms:3300352,planned_device/hmms_micro:2707968,capacity/max_batch/legacy:13 --min-peak train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,capacity/max_batch/micro:18"
   [serving]="--max-peak serve_pool/c1:87040,serve_pool/c8:696320,serve_pool/c64:5570560,serve_resident_peak/c1:916480,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,overload/queue_depth_peak:8 --min-peak serve_pool/c64:5570560,serve_resident_peak/c1:916480,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,capacity/max_concurrency:738,capacity/max_concurrency_r2:369,capacity/max_concurrency_r4:184,overload/shed:1 --max-p99 serve_latency/c1:24000000,serve_latency/c8:250000000,serve_latency/c64:4000000000,overload/admitted_latency:10000000000"
 )
