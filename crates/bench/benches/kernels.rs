@@ -107,7 +107,7 @@ fn main() {
     // The shapes the repo benchmark's training workloads actually execute
     // (ResNet-18 cifar width 0.5, batch 8, split (0.5, 2, 2); see
     // `results/conv_layers.txt`): the 16×16 patch conv that is a third of
-    // the step, layer4's 4×4 map on the materialized path, and a 1×1
+    // the step, layer4's 4×4 map, and a 1×1
     // stride-2 shortcut.
     let (wn, wc, whw) = if smoke { (1, 4, 4) } else { (8, 32, 16) };
     let (dc, dhw) = if smoke { (8, 2) } else { (256, 4) };

@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use scnn_bench::{Args, BenchGroup};
 use scnn_core::{
-    conv_engine_workspace, conv_micro_workspace, plan_micro_schedule, plan_micro_schedule_with,
-    plan_split, plan_split_auto, CostOptions, SplitConfig,
+    conv_engine_workspace, conv_micro_workspace, plan_micro_schedule, plan_split, plan_split_auto,
+    SplitConfig,
 };
 use scnn_graph::{NodeId, Tape};
 use scnn_gpusim::{max_batch_size, profile_graph, CostModel};
@@ -153,10 +153,10 @@ fn main() {
     }
 
     // Micro-batched HMMS: the planner's third axis. The schedule shrinks
-    // per-conv workspace, the TSO assignment carries the shrunken (honest,
-    // per-algorithm) sizes, and the runtime's executor chunks exactly as
+    // per-conv workspace, the TSO assignment carries the shrunken sizes,
+    // and the runtime's executor chunks exactly as
     // planned — the step's loss stays bit-identical to the full-batch runs.
-    let schedule = plan_micro_schedule(&graph, &profile.workspace_bytes);
+    let schedule = plan_micro_schedule(&graph);
     println!(
         "  micro schedule: {} of {} convs micro-batched",
         schedule.len(),
@@ -202,61 +202,6 @@ fn main() {
         rt.plan().layout.device_general_bytes,
     );
 
-    // The same planned step with the planner granted transform-algorithm
-    // latitude (`CostOptions::allow_transform_algos`): supported convs
-    // switch to the winograd fast path where the flops model wins within
-    // the full-batch workspace envelope (DESIGN.md §16). The step's loss
-    // is epsilon-equal to the records above, not bitwise — this point
-    // measures what that tolerance buys and costs: step time next to
-    // `train_step/hmms_micro`, planned pool next to
-    // `planned_device/hmms_micro`.
-    let wopts = CostOptions {
-        allow_transform_algos: true,
-    };
-    let schedule_w = plan_micro_schedule_with(&graph, &profile.workspace_bytes, &wopts);
-    println!(
-        "  winograd schedule: {} convs on the transform path",
-        schedule_w
-            .iter()
-            .filter(|(_, c)| c.algo == Some(scnn_tensor::ConvAlgo::Winograd))
-            .count()
-    );
-    let ws_wino = conv_micro_workspace(&graph, &profile.workspace_bytes, &schedule_w);
-    let tso_wino = TsoAssignment::new(&graph, &ws_wino, TsoOptions::default());
-    let plan_wino = plan_hmms(&graph, &tape, &tso_wino, &profile, opts);
-    let exec_plan_w = export_plan_with(&graph, &tape, &plan_wino, &tso_wino, overlap)
-        .expect("winograd plan is legal with overlap")
-        .with_micro_schedule(Arc::new(schedule_w));
-    let mut rt_w = scnn_runtime::PlanRuntime::new(&graph, exec_plan_w).expect("runtime builds");
-    let exec_wino = rt_w.executor();
-    let wino_step = |provider: &mut dyn BufferProvider| {
-        let mut params = ParamStore::init(&graph, &mut SplitRng::seed_from_u64(7));
-        let mut bn = BnState::new();
-        let mut rng = SplitRng::seed_from_u64(13);
-        exec_wino
-            .run_with(
-                &graph, &mut params, &mut bn, &images, &labels, Mode::Train, &mut rng, provider,
-            )
-            .loss
-    };
-    #[cfg(feature = "heap-track")]
-    scnn_bench::heap::reset_peak();
-    g.bench("train_step/hmms_micro_winograd", || wino_step(&mut rt_w));
-    let stats = rt_w.stats();
-    g.set_peak_bytes(stats.resident_peak_bytes);
-    println!(
-        "  hmms_micro_winograd: resident {} B = {:.2} × device pool {} B, kernel scratch peak {} B{}",
-        stats.resident_peak_bytes,
-        resident_over_planned(&stats),
-        stats.plan_device_peak_bytes,
-        stats.scratch_peak_bytes,
-        heap_note()
-    );
-    g.record_bytes(
-        "planned_device/hmms_micro_winograd",
-        rt_w.plan().layout.device_general_bytes,
-    );
-
     // Figure-10 capacity search at a fixed device budget: how many logical
     // images fit, with and without the micro-batch axis. Micro-batching
     // caps the workspace growth with batch, so the same budget trains
@@ -280,7 +225,7 @@ fn main() {
     let build_micro = |b: usize| {
         let gb = split_plan.lower(&desc, b);
         let mut prof = profile_graph(&gb, &model);
-        let sched = plan_micro_schedule(&gb, &prof.workspace_bytes);
+        let sched = plan_micro_schedule(&gb);
         prof.workspace_bytes = conv_micro_workspace(&gb, &prof.workspace_bytes, &sched);
         (gb, prof)
     };

@@ -54,7 +54,7 @@ fn main() {
             plan_layout(&graph, &plan, &tso).unwrap()
         });
         g.bench(&format!("plan_micro_schedule/{name}"), || {
-            plan_micro_schedule(&graph, &profile.workspace_bytes)
+            plan_micro_schedule(&graph)
         });
         let s = MemsysSetup::unsplit(&desc, batch, &model);
         let p = s.plan("hmms");

@@ -2,8 +2,8 @@
 //! benchmark runs (`train_split_hmms`, `train_plain`): ResNet-18 cifar at
 //! width 0.5, batch 8, split `(0.5, 2, 2)` and unsplit.
 //!
-//! For every distinct conv shape it prints how many nodes have it, the
-//! algorithm the kernels select (`default_conv_algo`), and the floor time
+//! For every distinct conv shape it prints how many nodes have it and the
+//! floor time
 //! (fastest of `--passes` × `--reps` individually timed calls) and GFLOP/s of
 //! one forward and one backward call — the "layer profile says *where* it came from" half of the
 //! ROADMAP's perf-claim rule. Backward is `dw` + `dx`, twice the forward
@@ -23,7 +23,7 @@ use scnn_graph::{Graph, Op};
 use scnn_models::{resnet18, ModelOptions};
 use scnn_nn::kernels::{conv2d_backward_micro, conv2d_forward_micro, ConvAttrs};
 use scnn_rng::SplitRng;
-use scnn_tensor::{default_conv_algo, uniform, Conv2dGeometry, Padding2d, Tensor};
+use scnn_tensor::{uniform, Padding2d, Tensor};
 
 /// What makes two conv nodes the same kernel call.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -80,7 +80,6 @@ fn conv_shapes(graph: &Graph) -> BTreeMap<ShapeKey, Row> {
 struct Probe {
     label: String,
     row: Row,
-    algo: String,
     x: Tensor,
     w: Tensor,
     b: Option<Tensor>,
@@ -101,25 +100,12 @@ fn probes(graph: &Graph) -> Vec<Probe> {
             let b = key.bias.then(|| uniform(&mut rng, &[key.oc], -0.5, 0.5));
             let y = conv2d_forward_micro(&x, &w, b.as_ref(), &a, None, 0);
             let dy = uniform(&mut rng, y.shape().dims(), -1.0, 1.0);
-            // The kernels crop negative padding away first and select on
-            // the geometry of what is left.
             let Padding2d { h_begin, h_end, w_begin, w_end } = a.pad;
-            let g = Conv2dGeometry::new(
-                d[1],
-                (d[2] as i64 + h_begin.min(0) + h_end.min(0)) as usize,
-                (d[3] as i64 + w_begin.min(0) + w_end.min(0)) as usize,
-                a.kh,
-                a.kw,
-                a.sh,
-                a.sw,
-                Padding2d::new(h_begin.max(0), h_end.max(0), w_begin.max(0), w_end.max(0)),
-            );
             Probe {
                 label: format!(
                     "{},{},{},{} -> {} {}x{}/{} [{h_begin},{h_end},{w_begin},{w_end}]",
                     d[0], d[1], d[2], d[3], key.oc, a.kh, a.kw, a.sh
                 ),
-                algo: format!("{:?}", default_conv_algo(&g)),
                 row,
                 x,
                 w,
@@ -159,17 +145,16 @@ fn profile(name: &str, graph: &Graph, passes: usize, reps: usize) {
     }
     println!("\n## {name}");
     println!(
-        "{:<34} {:>3} {:<12} {:>8} {:>7} {:>8} {:>7} {:>9} {:>9}",
-        "n,ic,h,w -> oc kxk/s pad", "x", "algo", "fwd ms", "GF/s", "bwd ms", "GF/s", "sum fwd", "sum bwd"
+        "{:<34} {:>3} {:>8} {:>7} {:>8} {:>7} {:>9} {:>9}",
+        "n,ic,h,w -> oc kxk/s pad", "x", "fwd ms", "GF/s", "bwd ms", "GF/s", "sum fwd", "sum bwd"
     );
     let (mut sum_fwd, mut sum_bwd, mut sum_flops) = (0.0, 0.0, 0.0);
     for p in &probes {
         let (n, flops, fwd, bwd) = (p.row.count as f64, p.row.flops, p.fwd_ms, p.bwd_ms);
         println!(
-            "{:<34} {:>3} {:<12} {fwd:>8.3} {:>7.1} {bwd:>8.3} {:>7.1} {:>9.2} {:>9.2}",
+            "{:<34} {:>3} {fwd:>8.3} {:>7.1} {bwd:>8.3} {:>7.1} {:>9.2} {:>9.2}",
             p.label,
             p.row.count,
-            p.algo,
             flops / fwd / 1e6,
             2.0 * flops / bwd / 1e6,
             n * fwd,

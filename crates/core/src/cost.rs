@@ -16,11 +16,10 @@
 //! we reproduce. The full planner remains the source of truth for the
 //! chosen plan's actual layout.
 
-use scnn_graph::{Graph, MicroBatchChoice, MicroBatchSchedule, Node, Op};
+use scnn_graph::{Graph, MicroBatchSchedule, Node, Op};
 use scnn_rng::Rng;
 use scnn_tensor::{
-    conv2d_dw_single_block, conv2d_winograd_workspace_bytes, conv2d_workspace_bytes,
-    default_conv_algo, min_micro_batch, winograd_supported, Conv2dGeometry, ConvAlgo, Padding2d,
+    conv2d_dw_single_block, conv2d_workspace_bytes, min_micro_batch, Conv2dGeometry, Padding2d,
 };
 
 use crate::model::ModelDesc;
@@ -74,111 +73,27 @@ pub fn conv_engine_workspace(graph: &Graph, fallback: &[usize]) -> Vec<usize> {
 }
 
 /// The workspace one conv node needs when run in micro-batches of `u`
-/// images under `algo` — the per-algorithm honest model the joint planner
-/// scores: the tiled engine's scratch scales with `⌈u·oh·ow/KC⌉` partial
-/// blocks, the materialized path's with its `u`-image `im2col`/`dcols`
-/// matrices on top of the same GEMM partials. Single-block layers
-/// ([`conv2d_dw_single_block`] at the *logical* batch `n`) fold their
-/// weight gradient straight into the output with no partials at all, so
-/// their dw term is zero under either algorithm.
+/// images: the tile engine's `dw` partials scale with `⌈u·oh·ow/KC⌉`
+/// blocks. Single-block layers ([`conv2d_dw_single_block`] at the
+/// *logical* batch `n`) fold their weight gradient straight into the
+/// output with no partials at all, so their term is zero.
 ///
 /// `KC` here is `scnn_tensor::REDUCTION_KC` — the same constant the
 /// kernels, the micro-batch alignment rule and [`conv2d_workspace_bytes`]
 /// all read (pinned by
 /// `workspace_model_agrees_with_kernel_reduction_block` below).
-fn conv_choice_workspace(g: &Conv2dGeometry, n: usize, u: usize, oc: usize, algo: ConvAlgo) -> usize {
-    let dw = if conv2d_dw_single_block(g, n) {
+fn conv_micro_batch_workspace(g: &Conv2dGeometry, n: usize, u: usize, oc: usize) -> usize {
+    if conv2d_dw_single_block(g, n) {
         0
     } else {
         conv2d_workspace_bytes(g, u, oc)
-    };
-    match algo {
-        ConvAlgo::Tiled => dw,
-        ConvAlgo::Materialized => {
-            u * g.patch_count() * (g.patch_len() + oc) * 4 + dw
-        }
-        // Transform-domain path: its own model entirely — per-image dw
-        // partials in the transform domain plus one transformed-weight
-        // buffer, independent of the direct engine's GEMM partials. The
-        // kernels chunk dw at the *logical* batch with epsilon-only
-        // boundaries, so the planner always pairs winograd with u = n and
-        // the model is evaluated at the full batch.
-        ConvAlgo::Winograd => conv2d_winograd_workspace_bytes(g, n, oc),
     }
 }
-
-/// Modeled arithmetic (flops) of one conv node's forward pass under
-/// `algo` — the tie-breaking axis transform-domain selection needs. The
-/// direct algorithms (tiled, materialized) execute identical MACs, so
-/// they model identically and the flops term is inert between them:
-/// selection among direct candidates still reduces to workspace alone.
-///
-/// Winograd F(2×2, 3×3) replaces the 2·9·ic MACs per output point with a
-/// 16-point Hadamard per 2×2 tile plus input/inverse transforms:
-/// `tiles · (32·ic·oc + 32·ic + 28·oc)` versus direct
-/// `n·oh·ow · 18·ic·oc` — the classic 2.25× multiply reduction at even
-/// tile coverage, and *more* flops than direct on degenerate 1×1 outputs
-/// where transform overhead dominates, so the model itself keeps winograd
-/// off layers it cannot help.
-fn conv_algo_flops(g: &Conv2dGeometry, n: usize, oc: usize, algo: ConvAlgo) -> u64 {
-    let ic = g.in_c as u64;
-    let oc = oc as u64;
-    match algo {
-        ConvAlgo::Tiled | ConvAlgo::Materialized => {
-            (n * g.patch_count()) as u64 * 2 * g.patch_len() as u64 * oc
-        }
-        ConvAlgo::Winograd => {
-            let tiles = (n * g.out_h().div_ceil(2) * g.out_w().div_ceil(2)) as u64;
-            tiles * (32 * ic * oc + 32 * ic + 28 * oc)
-        }
-    }
-}
-
-/// Planner latitude knobs threaded through candidate generation.
-///
-/// The default grants none: every choice the planner makes preserves the
-/// bit-identity contract (DESIGN.md §11), exactly as before this type
-/// existed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CostOptions {
-    /// Allow transform-domain algorithms (winograd) as per-layer planner
-    /// candidates. Their results agree with the direct engines only to
-    /// epsilon (DESIGN.md §16), so the planner proposes them solely when
-    /// the caller states that tolerance is acceptable. When set, a
-    /// supported conv layer switches to winograd if the flops model says
-    /// it is strictly cheaper *and* its transform workspace stays within
-    /// [`WINOGRAD_WS_ENVELOPE`]× the full-batch default-algorithm
-    /// workspace the baseline already pays — speed is bought with
-    /// arithmetic, never with unbounded pool growth.
-    pub allow_transform_algos: bool,
-}
-
-/// Workspace guardrail for transform-algorithm candidates: winograd is
-/// proposed only where its transform workspace is at most this multiple
-/// of the node's full-batch default-algorithm workspace.
-///
-/// Why a multiple above 1: winograd's dominant term is the per-image
-/// transform-domain `dw` partials, `(n+1)·16·oc·ic·4` — independent of
-/// the spatial map — while the tiled engine's partials shrink with
-/// `⌈n·oh·ow/KC⌉`, so on split-patch graphs (small maps) a 1× envelope
-/// excludes winograd everywhere, including layers where it clearly wins
-/// on arithmetic at a workspace the pool can absorb. 2× admits the
-/// large-map layers that dominate step time (at the reference split
-/// ResNet-18 point: the split-region and early-stage convs, at ratios
-/// ≈1.5–2.0) while still excluding deep small-map layers whose winograd
-/// workspace would be 4–8× the direct envelope and would dominate the
-/// planned pool for negligible wall-clock benefit.
-pub const WINOGRAD_WS_ENVELOPE: usize = 2;
 
 /// Per-node workspace under a micro-batch `schedule`: conv nodes carry the
-/// honest per-algorithm cost of their scheduled `(micro_batch, algo)`
-/// choice (unscheduled convs: full batch, [`default_conv_algo`]); other
-/// nodes keep `fallback[i]`.
-///
-/// Unlike [`conv_engine_workspace`] — which models every conv as tiled for
-/// continuity with earlier planning baselines — this accounts the
-/// materialized path's patch matrices too, so an empty schedule is the
-/// honest full-batch baseline the micro planner improves on.
+/// cost of their scheduled micro-batch (unscheduled convs: full batch);
+/// other nodes keep `fallback[i]`. An empty schedule is the full-batch
+/// baseline the micro planner improves on.
 pub fn conv_micro_workspace(
     graph: &Graph,
     fallback: &[usize],
@@ -190,11 +105,8 @@ pub fn conv_micro_workspace(
         .enumerate()
         .map(|(i, node)| match conv_node_geometry(graph, node) {
             Some((g, n, oc)) => {
-                let (u, algo) = match schedule.get(node.id) {
-                    Some(c) => (c.micro_batch.min(n), c.algo.unwrap_or(default_conv_algo(&g))),
-                    None => (n, default_conv_algo(&g)),
-                };
-                conv_choice_workspace(&g, n, u, oc, algo)
+                let u = schedule.get(node.id).map_or(n, |u| u.min(n));
+                conv_micro_batch_workspace(&g, n, u, oc)
             }
             None => fallback.get(i).copied().unwrap_or(0),
         })
@@ -348,76 +260,13 @@ pub fn plan_split_stochastic_auto(
     Ok(auto)
 }
 
-/// One conv node's planner candidate: the schedule entry it would take
-/// (`None` = full batch, default algorithm, no entry at all) plus the
-/// modeled workspace and forward flops of that choice.
-type ConvCandidate = (Option<MicroBatchChoice>, usize, u64);
-
-/// One conv node's planner candidates in *least-intervention* order: full
-/// batch with the default algorithm first (no schedule entry at all), then
-/// pinning the tiled engine, then micro-batching, then both. Each carries
-/// the honest per-choice workspace and flops; candidates whose effect
-/// duplicates an earlier one (default algo already tiled, `u_min == n`)
-/// are dropped.
-///
-/// When `opts.allow_transform_algos` is set, a winograd candidate is
-/// appended *last* (so it never wins ties) for supported geometries — at
-/// the full batch only, since its dw chunk boundaries are epsilon-only —
-/// and only when its transform workspace stays within
-/// [`WINOGRAD_WS_ENVELOPE`]× the full-batch default candidate's: the
-/// planner buys speed within a bounded multiple of the memory envelope
-/// the baseline already pays, never beyond it.
-fn conv_candidates(
-    g: &Conv2dGeometry,
-    n: usize,
-    oc: usize,
-    opts: &CostOptions,
-) -> Vec<ConvCandidate> {
-    let def = default_conv_algo(g);
-    let u_min = min_micro_batch(g, n);
-    let mut cands = vec![(
-        None,
-        conv_choice_workspace(g, n, n, oc, def),
-        conv_algo_flops(g, n, oc, def),
-    )];
-    let push = |u: usize, algo: ConvAlgo, cands: &mut Vec<ConvCandidate>| {
-        cands.push((
-            Some(MicroBatchChoice {
-                micro_batch: u,
-                algo: (algo != def).then_some(algo),
-            }),
-            conv_choice_workspace(g, n, u, oc, algo),
-            conv_algo_flops(g, n, oc, algo),
-        ));
-    };
-    if def != ConvAlgo::Tiled {
-        push(n, ConvAlgo::Tiled, &mut cands);
-    }
-    if u_min < n {
-        push(u_min, def, &mut cands);
-        if def != ConvAlgo::Tiled {
-            push(u_min, ConvAlgo::Tiled, &mut cands);
-        }
-    }
-    if opts.allow_transform_algos
-        && winograd_supported(g)
-        && conv_choice_workspace(g, n, n, oc, ConvAlgo::Winograd)
-            <= WINOGRAD_WS_ENVELOPE * cands[0].1
-    {
-        push(n, ConvAlgo::Winograd, &mut cands);
-    }
-    cands
-}
-
 /// Plans the micro-batch schedule minimizing per-conv workspace — the
-/// third planning axis, joint over per-conv micro-batch size *and*
-/// algorithm.
+/// third planning axis.
 ///
-/// Every conv node's candidates are the bit-identity-preserving choices
-/// ([`min_micro_batch`]): full batch or the node's smallest aligned
-/// micro-batch, under the default or the tiled algorithm. Each node takes
-/// its *cheapest* candidate, with ties broken toward least intervention
-/// (full batch, default algorithm — such nodes get no schedule entry).
+/// Every conv node has two bit-identity-preserving candidates: the full
+/// batch, or its smallest aligned micro-batch ([`min_micro_batch`]). A node
+/// gets a schedule entry exactly when chunking strictly shrinks its
+/// workspace; ties keep the full batch.
 ///
 /// Per-node greedy is globally optimal here, not a heuristic: workspace
 /// TSOs live only during their owning step, so every step's device
@@ -425,26 +274,7 @@ fn conv_candidates(
 /// in each node's workspace independently. Minimizing per node therefore
 /// minimizes every step simultaneously; there is no cross-node trade-off
 /// for a search to exploit.
-pub fn plan_micro_schedule(graph: &Graph, fallback: &[usize]) -> MicroBatchSchedule {
-    plan_micro_schedule_with(graph, fallback, &CostOptions::default())
-}
-
-/// [`plan_micro_schedule`] with planner latitude [`CostOptions`].
-///
-/// Selection is lexicographic over `(flops, workspace)` with first
-/// occurrence winning ties. The direct algorithms model identical flops,
-/// so under default options this is *exactly* the workspace-minimizing
-/// selection `plan_micro_schedule` has always performed; with
-/// [`CostOptions::allow_transform_algos`] set, a supported conv layer
-/// switches to winograd precisely when the flops model says the transform
-/// path is strictly cheaper (and its workspace fits the full-batch
-/// envelope — see [`conv_candidates` docs](self)).
-pub fn plan_micro_schedule_with(
-    graph: &Graph,
-    fallback: &[usize],
-    opts: &CostOptions,
-) -> MicroBatchSchedule {
-    let _ = fallback;
+pub fn plan_micro_schedule(graph: &Graph) -> MicroBatchSchedule {
     let batch = graph
         .nodes()
         .iter()
@@ -459,19 +289,9 @@ pub fn plan_micro_schedule_with(
         let Some((g, n, oc)) = conv_node_geometry(graph, node) else {
             continue;
         };
-        let cands = conv_candidates(&g, n, oc, opts);
-        // First occurrence of the lexicographic (flops, workspace)
-        // minimum: candidates are ordered least intervention first, so
-        // ties keep the simpler execution, and equal-flops direct
-        // candidates reduce to the pure workspace argmin.
-        let mut best = cands.first().copied().expect("candidate list is never empty");
-        for &cand in &cands[1..] {
-            if (cand.2, cand.1) < (best.2, best.1) {
-                best = cand;
-            }
-        }
-        if let Some(c) = best.0 {
-            schedule.insert(node.id, c);
+        let u_min = min_micro_batch(&g, n);
+        if conv_micro_batch_workspace(&g, n, u_min, oc) < conv_micro_batch_workspace(&g, n, n, oc) {
+            schedule.insert(node.id, u_min);
         }
     }
     schedule
@@ -489,8 +309,8 @@ pub struct JointAuto {
     pub schedule: MicroBatchSchedule,
     /// Modeled cost under the schedule ([`conv_micro_workspace`]).
     pub cost: SplitCost,
-    /// The same graph's cost with an empty schedule (full-batch honest
-    /// model), for reporting what micro-batching alone saved.
+    /// The same graph's cost with an empty schedule (every conv at the
+    /// full batch), for reporting what micro-batching alone saved.
     pub full_batch_cost: SplitCost,
     /// The unsplit, un-micro-batched model's cost at the same batch size.
     pub unsplit_cost: SplitCost,
@@ -509,26 +329,6 @@ pub fn plan_joint_auto(
     batch: usize,
     candidates: &[SplitConfig],
 ) -> Result<JointAuto, PlanSplitError> {
-    plan_joint_auto_with(desc, batch, candidates, &CostOptions::default())
-}
-
-/// [`plan_joint_auto`] with planner latitude [`CostOptions`]: each split
-/// candidate's micro-batch schedule is planned via
-/// [`plan_micro_schedule_with`], so with
-/// [`CostOptions::allow_transform_algos`] set the winning `(config,
-/// schedule)` pair may carry per-layer winograd choices whose transform
-/// workspace is accounted in the modeled cost exactly as the runtime pool
-/// will pay it.
-///
-/// # Errors
-///
-/// As [`plan_split_auto`].
-pub fn plan_joint_auto_with(
-    desc: &ModelDesc,
-    batch: usize,
-    candidates: &[SplitConfig],
-    opts: &CostOptions,
-) -> Result<JointAuto, PlanSplitError> {
     let unsplit = lower_unsplit(desc, batch);
     let unsplit_cost = split_cost(
         &unsplit,
@@ -546,7 +346,7 @@ pub fn plan_joint_auto_with(
             }
         };
         let graph = plan.lower(desc, batch);
-        let schedule = plan_micro_schedule_with(&graph, &[], opts);
+        let schedule = plan_micro_schedule(&graph);
         let cost = split_cost(&graph, &conv_micro_workspace(&graph, &[], &schedule));
         if best.as_ref().is_none_or(|b| cost.peak_bytes < b.cost.peak_bytes) {
             let full_batch_cost = split_cost(
@@ -634,7 +434,7 @@ mod tests {
         assert!((u_min * g.patch_count()).is_multiple_of(kc));
         // The micro-batch model shrinks workspace by the same block math.
         assert_eq!(
-            conv_choice_workspace(&g, n, u_min, oc, ConvAlgo::Tiled),
+            conv_micro_batch_workspace(&g, n, u_min, oc),
             (u_min * g.patch_count()).div_ceil(kc) * oc * g.patch_len() * 4
         );
     }
@@ -698,7 +498,7 @@ mod tests {
         let desc = ModelDesc::tiny_cnn(10);
         let batch = 8;
         let g = lower_unsplit(&desc, batch);
-        let schedule = plan_micro_schedule(&g, &[]);
+        let schedule = plan_micro_schedule(&g);
         assert_eq!(schedule.batch, batch);
         let empty = MicroBatchSchedule::new(batch);
         let base_ws = conv_micro_workspace(&g, &[], &empty);
@@ -707,17 +507,16 @@ mod tests {
         let micro = split_cost(&g, &micro_ws);
         assert!(micro.peak_bytes <= base.peak_bytes);
         assert!(!schedule.is_empty(), "schedule is vacuous on tiny_cnn");
-        for (id, choice) in schedule.iter() {
+        for (id, micro_batch) in schedule.iter() {
             // Every scheduled micro-batch preserves gradient bit-identity.
             let (geom, n, _) = conv_node_geometry(&g, g.node(id)).expect("conv node");
             assert!(
-                scnn_tensor::micro_batch_aligned(&geom, choice.micro_batch, n),
-                "unaligned micro-batch {} for node {id:?}",
-                choice.micro_batch
+                scnn_tensor::micro_batch_aligned(&geom, micro_batch, n),
+                "unaligned micro-batch {micro_batch} for node {id:?}"
             );
             // And is load-bearing: the greedy planner schedules a node only
-            // when the choice strictly shrinks that node's own workspace
-            // (ties keep full-batch/default execution unscheduled).
+            // when chunking strictly shrinks that node's own workspace
+            // (ties keep full-batch execution unscheduled).
             assert!(
                 micro_ws[id.0] < base_ws[id.0],
                 "schedule entry for {id:?} is vacuous: ws {} vs default {}",
@@ -725,112 +524,6 @@ mod tests {
                 base_ws[id.0]
             );
         }
-    }
-
-    /// A 32×32-input CNN whose first convs have large spatial maps — the
-    /// regime where winograd's transform workspace fits inside the
-    /// full-batch tiled envelope and its flops win.
-    fn wide_cnn(classes: usize) -> ModelDesc {
-        use crate::model::{Block::Plain, LayerDesc::*};
-        use scnn_graph::PoolKind;
-        ModelDesc {
-            name: "wide-cnn".into(),
-            in_shape: [3, 32, 32],
-            classes,
-            blocks: vec![
-                Plain(Conv { out_c: 16, k: 3, s: 1, p: 1, bias: true }),
-                Plain(Relu),
-                Plain(Conv { out_c: 16, k: 3, s: 1, p: 1, bias: true }),
-                Plain(Relu),
-                Plain(Pool { kind: PoolKind::Max, k: 2, s: 2, p: 0 }),
-                Plain(Flatten),
-                Plain(Linear(classes)),
-            ],
-        }
-    }
-
-    #[test]
-    fn winograd_is_never_scheduled_without_opt_in() {
-        // The bit-identity contract (DESIGN.md §11): under default
-        // CostOptions no planner entry may carry the epsilon-tolerant
-        // transform algorithm, on any model.
-        for desc in [ModelDesc::tiny_cnn(10), wide_cnn(10)] {
-            let g = lower_unsplit(&desc, 8);
-            for (id, choice) in plan_micro_schedule(&g, &[]).iter() {
-                assert_ne!(
-                    choice.algo,
-                    Some(ConvAlgo::Winograd),
-                    "default options scheduled winograd on {id:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn allow_transform_algos_schedules_winograd_within_the_envelope() {
-        let desc = wide_cnn(10);
-        let batch = 8;
-        let g = lower_unsplit(&desc, batch);
-        let opts = CostOptions { allow_transform_algos: true };
-        let schedule = plan_micro_schedule_with(&g, &[], &opts);
-        let base_ws = conv_micro_workspace(&g, &[], &MicroBatchSchedule::new(batch));
-        let ws = conv_micro_workspace(&g, &[], &schedule);
-        let mut wino = 0;
-        for (id, choice) in schedule.iter() {
-            if choice.algo != Some(ConvAlgo::Winograd) {
-                continue;
-            }
-            wino += 1;
-            let (geom, n, oc) = conv_node_geometry(&g, g.node(id)).expect("conv node");
-            // Winograd pairs only with the full logical batch (its dw
-            // chunk boundaries are epsilon-only)…
-            assert_eq!(choice.micro_batch, n);
-            // …is modeled at its real transform workspace…
-            assert_eq!(ws[id.0], conv2d_winograd_workspace_bytes(&geom, n, oc));
-            // …never exceeds the guardrail multiple of the full-batch
-            // default envelope…
-            assert!(ws[id.0] <= WINOGRAD_WS_ENVELOPE * base_ws[id.0]);
-            // …and only runs where the flops model says it is strictly
-            // cheaper than the direct engines.
-            assert!(
-                conv_algo_flops(&geom, n, oc, ConvAlgo::Winograd)
-                    < conv_algo_flops(&geom, n, oc, ConvAlgo::Tiled)
-            );
-        }
-        assert!(wino > 0, "no winograd entry on the wide-map model");
-
-        // Joint planning accepts the same latitude and still beats the
-        // unsplit baseline.
-        let joint = plan_joint_auto_with(&desc, batch, &candidates(), &opts).expect("plans");
-        assert!(joint.cost.peak_bytes < joint.unsplit_cost.peak_bytes);
-    }
-
-    #[test]
-    fn flops_model_is_inert_between_direct_algos() {
-        let g = Conv2dGeometry::new(16, 32, 32, 3, 3, 1, 1, Padding2d::symmetric(1));
-        let (n, oc) = (8, 32);
-        assert_eq!(
-            conv_algo_flops(&g, n, oc, ConvAlgo::Tiled),
-            conv_algo_flops(&g, n, oc, ConvAlgo::Materialized)
-        );
-        // 2.25× multiply reduction territory: the transform path models
-        // strictly cheaper on even 32×32 maps…
-        assert!(
-            conv_algo_flops(&g, n, oc, ConvAlgo::Winograd)
-                < conv_algo_flops(&g, n, oc, ConvAlgo::Tiled)
-        );
-        // …and strictly dearer on degenerate 1×1 outputs, where transform
-        // overhead cannot amortize.
-        let tiny = Conv2dGeometry::new(16, 3, 3, 3, 3, 1, 1, Padding2d::symmetric(0));
-        assert!(
-            conv_algo_flops(&tiny, n, oc, ConvAlgo::Winograd)
-                > conv_algo_flops(&tiny, n, oc, ConvAlgo::Tiled)
-        );
-        // The workspace model routes through the kernel's own accounting.
-        assert_eq!(
-            conv_choice_workspace(&g, n, n, oc, ConvAlgo::Winograd),
-            conv2d_winograd_workspace_bytes(&g, n, oc)
-        );
     }
 
     #[test]
@@ -846,7 +539,7 @@ mod tests {
         // first and the schedule second.
         let split_first = plan_split_auto(&desc, batch, &candidates()).expect("plans");
         let g = split_first.plan.lower(&desc, batch);
-        let s = plan_micro_schedule(&g, &[]);
+        let s = plan_micro_schedule(&g);
         let sequential = split_cost(&g, &conv_micro_workspace(&g, &[], &s));
         assert!(joint.cost.peak_bytes <= sequential.peak_bytes);
     }

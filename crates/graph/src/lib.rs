@@ -21,6 +21,6 @@ mod op;
 mod tape;
 
 pub use graph::{Graph, Node, NodeId, ParamId, ParamKind, ParamSpec};
-pub use micro::{MicroBatchChoice, MicroBatchSchedule};
+pub use micro::MicroBatchSchedule;
 pub use op::{Op, PoolKind};
 pub use tape::{Tape, TapeEntry, TapeStep};

@@ -1,34 +1,19 @@
 //! Per-layer micro-batch schedules (the μ-cuDNN axis, Oyama et al.).
 //!
-//! A schedule maps convolution nodes to a [`MicroBatchChoice`]: run the
-//! layer's forward/backward in chunks of `micro_batch` images (optionally
-//! pinning the convolution algorithm) instead of the full logical batch.
-//! Chunking shrinks the layer's *workspace* — the planner's third axis
-//! alongside split configuration and offload strategy — while gradient
-//! accumulation order is preserved, so training stays bit-identical to the
-//! full-batch execution (see `scnn_tensor::micro_batch_aligned`).
+//! A schedule maps convolution nodes to a micro-batch size: run the
+//! layer's forward/backward in chunks of that many images instead of the
+//! full logical batch. Chunking shrinks the layer's *workspace* — the
+//! planner's third axis alongside split configuration and offload strategy
+//! — while gradient accumulation order is preserved, so training stays
+//! bit-identical to the full-batch execution (see
+//! `scnn_tensor::micro_batch_aligned`).
 //!
-//! Nodes absent from the schedule run un-chunked with the default
-//! algorithm; an empty schedule is exactly the pre-micro-batching
-//! behaviour.
+//! Nodes absent from the schedule run un-chunked; an empty schedule is
+//! exactly full-batch execution.
 
 use std::collections::BTreeMap;
 
-use scnn_tensor::ConvAlgo;
-
 use crate::NodeId;
-
-/// How one convolution node executes under a micro-batched plan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MicroBatchChoice {
-    /// Images per kernel invocation. Clamped to the logical batch at
-    /// execution time; must satisfy `scnn_tensor::micro_batch_aligned`
-    /// for bit-identity with full-batch training.
-    pub micro_batch: usize,
-    /// Pinned convolution algorithm, or `None` to keep the executor's
-    /// default selection for the node's geometry.
-    pub algo: Option<ConvAlgo>,
-}
 
 /// Per-node micro-batch assignments for one lowered graph, keyed by
 /// [`NodeId`]. Deterministically ordered so plan exports and debug dumps
@@ -37,7 +22,7 @@ pub struct MicroBatchChoice {
 pub struct MicroBatchSchedule {
     /// The logical batch size the schedule was planned for.
     pub batch: usize,
-    choices: BTreeMap<NodeId, MicroBatchChoice>,
+    micro: BTreeMap<NodeId, usize>,
 }
 
 impl MicroBatchSchedule {
@@ -45,33 +30,36 @@ impl MicroBatchSchedule {
     pub fn new(batch: usize) -> Self {
         MicroBatchSchedule {
             batch,
-            choices: BTreeMap::new(),
+            micro: BTreeMap::new(),
         }
     }
 
-    /// Assigns `choice` to `node`, replacing any previous assignment.
-    pub fn insert(&mut self, node: NodeId, choice: MicroBatchChoice) {
-        self.choices.insert(node, choice);
+    /// Runs `node` in chunks of `micro_batch` images, replacing any
+    /// previous assignment. The size is clamped to the logical batch at
+    /// execution time and must satisfy `scnn_tensor::micro_batch_aligned`
+    /// for bit-identity with full-batch training.
+    pub fn insert(&mut self, node: NodeId, micro_batch: usize) {
+        self.micro.insert(node, micro_batch);
     }
 
-    /// The choice for `node`, if the schedule micro-batches it.
-    pub fn get(&self, node: NodeId) -> Option<MicroBatchChoice> {
-        self.choices.get(&node).copied()
+    /// The micro-batch size of `node`, if the schedule chunks it.
+    pub fn get(&self, node: NodeId) -> Option<usize> {
+        self.micro.get(&node).copied()
     }
 
     /// Number of micro-batched nodes.
     pub fn len(&self) -> usize {
-        self.choices.len()
+        self.micro.len()
     }
 
     /// Whether no node is micro-batched.
     pub fn is_empty(&self) -> bool {
-        self.choices.is_empty()
+        self.micro.is_empty()
     }
 
-    /// Iterates assignments in ascending node-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, MicroBatchChoice)> + '_ {
-        self.choices.iter().map(|(&id, &c)| (id, c))
+    /// Iterates `(node, micro_batch)` in ascending node-id order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.micro.iter().map(|(&id, &u)| (id, u))
     }
 }
 
@@ -80,21 +68,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn schedule_round_trips_choices() {
+    fn schedule_round_trips_assignments() {
         let mut s = MicroBatchSchedule::new(8);
         assert!(s.is_empty());
         assert_eq!(s.get(NodeId(3)), None);
-        let c = MicroBatchChoice {
-            micro_batch: 2,
-            algo: Some(ConvAlgo::Tiled),
-        };
-        s.insert(NodeId(3), c);
-        s.insert(NodeId(1), MicroBatchChoice {
-            micro_batch: 4,
-            algo: None,
-        });
+        s.insert(NodeId(3), 2);
+        s.insert(NodeId(1), 4);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.get(NodeId(3)), Some(c));
+        assert_eq!(s.get(NodeId(3)), Some(2));
         let order: Vec<usize> = s.iter().map(|(id, _)| id.0).collect();
         assert_eq!(order, vec![1, 3]);
     }

@@ -12,7 +12,7 @@ use crate::kernels::{
     global_avg_pool_backward, global_avg_pool_forward, linear_backward, linear_forward,
     max_pool_backward, max_pool_forward, relu_backward, relu_forward,
     softmax_cross_entropy_backward, softmax_cross_entropy_forward, update_running, BnSaved,
-    ConvAlgo, ConvAttrs, PoolAttrs,
+    ConvAttrs, PoolAttrs,
 };
 use crate::params::{BnState, ParamStore};
 use crate::provider::{BufferProvider, VecProvider};
@@ -173,13 +173,9 @@ impl Executor {
         }
     }
 
-    /// The conv execution choice for `node`: `(micro images, pinned algo)`
-    /// with `(0, None)` meaning full batch / default algorithm.
-    fn conv_choice(&self, node: NodeId) -> (usize, Option<ConvAlgo>) {
-        match self.micro.as_ref().and_then(|s| s.get(node)) {
-            Some(c) => (c.micro_batch, c.algo),
-            None => (0, None),
-        }
+    /// Images per conv kernel call for `node` (`0` = the full batch).
+    fn micro_batch(&self, node: NodeId) -> usize {
+        self.micro.as_ref().and_then(|s| s.get(node)).unwrap_or(0)
     }
 
     /// Runs one mini-batch through `graph`. In [`Mode::Train`] the backward
@@ -358,9 +354,6 @@ impl Executor {
     }
 
     /// The forward kernel dispatch: what `node` computes, in either mode.
-    /// Unscheduled conv nodes pass `algo = None`, i.e. the bit-identical
-    /// `default_conv_algo`; only a planner schedule can hand down the
-    /// epsilon-equal `winograd` (DESIGN.md §16).
     fn forward_node(
         &self,
         ctx: &ForwardCtx<'_>,
@@ -393,8 +386,8 @@ impl Executor {
             Op::Conv2d { weight, bias, .. } => {
                 let w = params.value(*weight);
                 let b = bias.map(|id| params.value(id));
-                let (u, algo) = self.conv_choice(node.id);
-                plain(conv2d_forward_micro(input(0), w, b, &ConvAttrs::from_op(&node.op), algo, u))
+                let u = self.micro_batch(node.id);
+                plain(conv2d_forward_micro(input(0), w, b, &ConvAttrs::from_op(&node.op), None, u))
             }
             Op::Pool2d { kind, .. } => {
                 let attrs = PoolAttrs::from_op(&node.op);
@@ -555,15 +548,14 @@ impl Executor {
                 Op::Conv2d { weight, bias, .. } => {
                     let dy = grads[node.id.0].take().expect("conv has grad");
                     let x = out(node.inputs[0]);
-                    let (u, algo) = self.conv_choice(node.id);
                     let g = conv2d_backward_micro(
                         x,
                         params.value(*weight),
                         bias.is_some(),
                         &dy,
                         &ConvAttrs::from_op(&node.op),
-                        algo,
-                        u,
+                        None,
+                        self.micro_batch(node.id),
                     );
                     params.accumulate_grad(*weight, &g.dw);
                     if let (Some(bid), Some(db)) = (bias, g.db) {

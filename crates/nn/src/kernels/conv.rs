@@ -1,39 +1,27 @@
 //! 2-D convolution with the asymmetric and negative padding the Split-CNN
 //! per-patch formulation requires.
 //!
-//! Two algorithms compute identical bits (DESIGN.md §11):
+//! Every conv runs on the tile engine (`scnn_tensor::conv_engine`,
+//! DESIGN.md §11): patch rows are strip-packed tile-by-tile into per-thread
+//! scratch panels and the full `im2col`/`dcols` matrices are never
+//! allocated. A negative padding is applied by addressing (the engine
+//! reads and writes the cropped window in place), not by copy.
 //!
-//! - [`ConvAlgo::Tiled`] — the implicit-GEMM engine in
-//!   `scnn_tensor::conv_engine`: patch rows are strip-packed tile-by-tile
-//!   into per-thread scratch panels and the full `im2col`/`dcols` matrices
-//!   are never allocated. A negative padding is applied by addressing (the
-//!   engine reads and writes the cropped window in place), not by copy.
-//! - [`ConvAlgo::Materialized`] — the classic `im2col` + GEMM pipeline,
-//!   kept as the reference and selected where tiling buys nothing (tiny
-//!   spatial outputs under a kernel wider than 1×1); its intermediates
-//!   live in reused workspace scratch.
+//! Passing `Some(`[`ConvAlgo::Materialized`]`)` runs the classic whole-batch
+//! `im2col` + GEMM pipeline instead — the reference the engine is
+//! bit-identical to, for tests to compare against; no conv node runs it.
 //!
-//! A third algorithm, [`ConvAlgo::Winograd`], is the opt-in F(2×2, 3×3)
-//! transform-domain fast path (`scnn_tensor::winograd`) for stride-1 3×3
-//! kernels: deterministic in itself but epsilon-equal (not bit-equal) to
-//! the pair above — DESIGN.md §16. It is never chosen automatically;
-//! it runs only when a caller passes it explicitly or a planner schedule
-//! built with `allow_transform_algos` hands it down.
-//!
-//! [`default_conv_algo`] picks per geometry when the caller passes no
-//! algorithm; no process-wide state can override it. Outputs and
-//! gradients are returned in pooled storage from [`Workspace::global`],
-//! so steady-state training steps recycle the same buffers.
+//! Outputs and gradients are returned in pooled storage from
+//! [`Workspace::global`], so steady-state training steps recycle the same
+//! buffers.
 
 use std::sync::Arc;
 
 use scnn_graph::Op;
 use scnn_tensor::{
-    col2im_cols_range_into, conv2d_dw_single_block, conv2d_dw_tiled_acc_at,
-    conv2d_dw_winograd_acc, conv2d_dx_tiled, conv2d_dx_winograd, conv2d_fwd_tiled_at,
-    conv2d_fwd_winograd, default_conv_algo, im2col_range_into, matmul_a_bt_into, matmul_at_b_acc_into,
-    matmul_at_b_seq_into, matmul_into, BufferRecycler, Conv2dGeometry,
-    Padding2d, PooledBuf, Tensor, Workspace,
+    col2im_cols_into, conv2d_dw_tiled_acc_at, conv2d_dx_tiled, conv2d_fwd_tiled_at, im2col_into,
+    matmul_a_bt_into, matmul_at_b_into, matmul_into, BufferRecycler, Conv2dGeometry, Padding2d,
+    PooledBuf, Tensor, Workspace,
 };
 
 use super::split_padding;
@@ -86,9 +74,9 @@ pub struct ConvGrads {
 
 /// How a layer's (possibly negative) padding lands on its input: the
 /// geometry of the cropped window with the non-negative remainder as its
-/// padding, and the window's offset inside `x`. The direct engine reads
-/// and writes the window in place at that offset; the other algorithms
-/// take the [`cropped`] copy.
+/// padding, and the window's offset inside `x`. The tile engine reads
+/// and writes the window in place at that offset; the reference pipeline
+/// takes the [`cropped`] copy.
 struct Lowered {
     g: Conv2dGeometry,
     crop: Padding2d,
@@ -130,8 +118,7 @@ fn pooled(buf: Vec<f32>, dims: &[usize]) -> Tensor {
 }
 
 /// Convolution forward: `x: [n, ic, h, w]`, `w: [oc, ic, kh, kw]`,
-/// optional `b: [oc]` → `[n, oc, oh, ow]`, algorithm chosen by
-/// [`default_conv_algo`].
+/// optional `b: [oc]` → `[n, oc, oh, ow]`.
 ///
 /// # Panics
 ///
@@ -140,10 +127,8 @@ pub fn conv2d_forward(x: &Tensor, w: &Tensor, b: Option<&Tensor>, attrs: &ConvAt
     conv2d_forward_with(x, w, b, attrs, None)
 }
 
-/// [`conv2d_forward`] with an explicit algorithm (`None` = [`default_conv_algo`]).
-/// The direct algorithms (tiled, materialized) return identical bits —
-/// tests pin this; [`ConvAlgo::Winograd`] agrees to epsilon only
-/// (DESIGN.md §16) and is never chosen implicitly.
+/// [`conv2d_forward`] with an explicit algorithm (`None` = the tile
+/// engine). Both return identical bits — tests pin this.
 pub fn conv2d_forward_with(
     x: &Tensor,
     w: &Tensor,
@@ -154,67 +139,47 @@ pub fn conv2d_forward_with(
     conv2d_forward_micro(x, w, b, attrs, algo, 0)
 }
 
-/// [`conv2d_forward_with`] executed in micro-batches of `micro` images
-/// (`0` = whole batch). Only the materialized path has batch-proportional
-/// scratch (`cols`/`ymat`), so only it actually chunks — the tiled engine's
-/// per-thread panels are already batch-independent. Forward outputs are
-/// bit-identical to the full-batch call for **any** `micro`: each output
-/// row's dot products never cross a chunk boundary.
+/// [`conv2d_forward_with`] at micro-batch size `micro` (`0` = whole batch).
+/// The forward has nothing to chunk — the engine's per-thread panels are
+/// batch-independent, and the [`ConvAlgo::Materialized`] reference always
+/// runs the whole batch — so the output is the full-batch call's for
+/// **any** `micro`; the argument mirrors [`conv2d_backward_micro`].
 pub fn conv2d_forward_micro(
     x: &Tensor,
     w: &Tensor,
     b: Option<&Tensor>,
     attrs: &ConvAttrs,
     algo: Option<ConvAlgo>,
-    micro: usize,
+    _micro: usize,
 ) -> Tensor {
     assert_eq!(x.rank(), 4, "conv input must be NCHW");
     assert_eq!(w.rank(), 4, "conv weight must be [oc, ic, kh, kw]");
     assert_eq!(w.dim(1), x.dim(1), "conv channel mismatch");
     assert_eq!((w.dim(2), w.dim(3)), (attrs.kh, attrs.kw), "kernel shape mismatch");
     let Lowered { g, crop, off_h, off_w } = lower(x, attrs);
-    let algo = algo.unwrap_or_else(|| default_conv_algo(&g));
     let n = x.dim(0);
     let oc = w.dim(0);
     let (oh, ow) = (g.out_h(), g.out_w());
     let hw = oh * ow;
-    let u = if micro == 0 { n } else { micro.min(n) };
 
     // Every path overwrites every output element, so the pooled buffer's
     // previous contents never matter.
     let mut out = Workspace::global().take(n * oc * hw);
-    match algo {
-        // The engine's per-thread panels are batch-independent, so
-        // `micro` has nothing to chunk.
+    match algo.unwrap_or_default() {
         ConvAlgo::Tiled => {
             conv2d_fwd_tiled_at(x, off_h, off_w, w, b.map(Tensor::as_slice), &g, &mut out);
         }
-        // Likewise the winograd staging (plan-sized tile batches).
-        ConvAlgo::Winograd => {
-            conv2d_fwd_winograd(&cropped(x, crop), w, b.map(Tensor::as_slice), &g, &mut out);
-        }
         ConvAlgo::Materialized => {
             let xc = cropped(x, crop);
-            let plen = g.patch_len();
-            for b0 in (0..n).step_by(u.max(1)) {
-                let bn = u.min(n - b0);
-                let rows = bn * hw;
-                scnn_par::scratch::with_scratch(rows * plen, |cols| {
-                    im2col_range_into(&xc, &g, b0, bn, cols);
-                    scnn_par::scratch::with_scratch(rows * oc, |ymat| {
-                        // The weight tensor is row-major [oc, ic·kh·kw] already.
-                        matmul_a_bt_into(cols, w.as_slice(), rows, plen, oc, ymat);
-                        transpose_rows_to_nchw(
-                            ymat,
-                            b.map(Tensor::as_slice),
-                            bn,
-                            oc,
-                            hw,
-                            &mut out[b0 * oc * hw..(b0 + bn) * oc * hw],
-                        );
-                    });
+            let (rows, plen) = (n * hw, g.patch_len());
+            scnn_par::scratch::with_scratch(rows * plen, |cols| {
+                im2col_into(&xc, &g, cols);
+                scnn_par::scratch::with_scratch(rows * oc, |ymat| {
+                    // The weight tensor is row-major [oc, ic·kh·kw] already.
+                    matmul_a_bt_into(cols, w.as_slice(), rows, plen, oc, ymat);
+                    transpose_rows_to_nchw(ymat, b.map(Tensor::as_slice), n, oc, hw, &mut out);
                 });
-            }
+            });
         }
     }
     pooled(out, &[n, oc, oh, ow])
@@ -253,7 +218,7 @@ fn transpose_rows_to_nchw(
 
 /// Convolution backward: given upstream `dy`, recomputes patch rows from
 /// `x` (trading compute for memory, as the real framework does) and
-/// returns input, weight and bias gradients. Algorithm per [`default_conv_algo`].
+/// returns input, weight and bias gradients.
 ///
 /// # Panics
 ///
@@ -268,7 +233,7 @@ pub fn conv2d_backward(
     conv2d_backward_with(x, w, has_bias, dy, attrs, None)
 }
 
-/// [`conv2d_backward`] with an explicit algorithm (`None` = [`default_conv_algo`]).
+/// [`conv2d_backward`] with an explicit algorithm (`None` = the tile engine).
 pub fn conv2d_backward_with(
     x: &Tensor,
     w: &Tensor,
@@ -281,10 +246,11 @@ pub fn conv2d_backward_with(
 }
 
 /// [`conv2d_backward_with`] executed in micro-batches of `micro` images
-/// (`0` = whole batch), shrinking the batch-proportional scratch — the
-/// tiled path's `dw` partials, the materialized path's
-/// `dymat`/`cols`/`dcols` — by `n / micro` while accumulating the weight
-/// gradient across chunks in the full-batch fold order.
+/// (`0` = whole batch), shrinking the engine's batch-proportional scratch
+/// — the `dw` partials — by `n / micro` while accumulating the weight
+/// gradient across chunks in the full-batch fold order. The
+/// [`ConvAlgo::Materialized`] reference ignores `micro` and runs the whole
+/// batch.
 ///
 /// Gradients are bit-identical to the full-batch call when `micro`
 /// satisfies [`scnn_tensor::micro_batch_aligned`] for this geometry: `dw`'s
@@ -301,7 +267,6 @@ pub fn conv2d_backward_micro(
     micro: usize,
 ) -> ConvGrads {
     let Lowered { g, crop, off_h, off_w } = lower(x, attrs);
-    let algo = algo.unwrap_or_else(|| default_conv_algo(&g));
     let n = x.dim(0);
     let oc = w.dim(0);
     let (oh, ow) = (g.out_h(), g.out_w());
@@ -312,7 +277,6 @@ pub fn conv2d_backward_micro(
     );
     let hw = oh * ow;
     let plen = g.patch_len();
-    let u = if micro == 0 { n } else { micro.min(n) };
 
     let ws = Workspace::global();
     let mut dw = ws.take(oc * plen); // fully overwritten by every path
@@ -320,8 +284,9 @@ pub fn conv2d_backward_micro(
     // (abandoned) rows keep their single zero fill.
     let mut dx = pooled(ws.take_zeroed(x.as_slice().len()), x.shape().dims());
 
-    match algo {
+    match algo.unwrap_or_default() {
         ConvAlgo::Tiled => {
+            let u = if micro == 0 { n } else { micro.min(n) };
             for b0 in (0..n).step_by(u.max(1)) {
                 let bn = u.min(n - b0);
                 conv2d_dw_tiled_acc_at(x, off_h, off_w, dy, &g, b0, bn, &mut dw, b0 == 0);
@@ -329,60 +294,36 @@ pub fn conv2d_backward_micro(
             // dx scratch is one gradient tile per thread — nothing to chunk.
             conv2d_dx_tiled(dy, w, &g, &mut dx, off_h, off_w);
         }
-        // Winograd chunking shrinks the per-image transform-domain
-        // partials like the tiled path's, but chunk boundaries are
-        // epsilon-only (the inverse transform runs per call), which is
-        // why planner schedules pair winograd with full batch only.
-        ConvAlgo::Winograd => {
-            let xc = cropped(x, crop);
-            for b0 in (0..n).step_by(u.max(1)) {
-                let bn = u.min(n - b0);
-                conv2d_dw_winograd_acc(&xc, dy, &g, b0, bn, &mut dw, b0 == 0);
-            }
-            conv2d_dx_winograd(dy, w, &g, &mut dx, off_h, off_w);
-        }
         ConvAlgo::Materialized => {
             let xc = cropped(x, crop);
             let dsrc = dy.as_slice();
-            for b0 in (0..n).step_by(u.max(1)) {
-                let bn = u.min(n - b0);
-                let rows = bn * hw;
-                scnn_par::scratch::with_scratch(rows * oc, |dymat| {
-                    // [bn, oc, oh, ow] -> [bn*hw, oc], blocked, parallel per
-                    // image (local image index; dy is read at b0 + local).
-                    scnn_par::par_chunks_mut(dymat, hw * oc, |bidx, rows| {
-                        let img = &dsrc[(b0 + bidx) * oc * hw..(b0 + bidx + 1) * oc * hw];
-                        for p0 in (0..hw).step_by(TILE) {
-                            let p1 = (p0 + TILE).min(hw);
-                            for c0 in (0..oc).step_by(TILE) {
-                                let c1 = (c0 + TILE).min(oc);
-                                for p in p0..p1 {
-                                    let drow = &mut rows[p * oc + c0..p * oc + c1];
-                                    for (d, c) in drow.iter_mut().zip(c0..c1) {
-                                        *d = img[c * hw + p];
-                                    }
+            let rows = n * hw;
+            scnn_par::scratch::with_scratch(rows * oc, |dymat| {
+                // [n, oc, oh, ow] -> [n*hw, oc], blocked, parallel per image.
+                scnn_par::par_chunks_mut(dymat, hw * oc, |bidx, rows| {
+                    let img = &dsrc[bidx * oc * hw..(bidx + 1) * oc * hw];
+                    for p0 in (0..hw).step_by(TILE) {
+                        let p1 = (p0 + TILE).min(hw);
+                        for c0 in (0..oc).step_by(TILE) {
+                            let c1 = (c0 + TILE).min(oc);
+                            for p in p0..p1 {
+                                let drow = &mut rows[p * oc + c0..p * oc + c1];
+                                for (d, c) in drow.iter_mut().zip(c0..c1) {
+                                    *d = img[c * hw + p];
                                 }
                             }
                         }
-                    });
-                    scnn_par::scratch::with_scratch(rows * plen, |cols| {
-                        im2col_range_into(&xc, &g, b0, bn, cols);
-                        // A single-block reduction is one sequential fold:
-                        // the seq form continues it bit-exactly at any
-                        // chunk boundary; larger reductions rely on
-                        // KC-aligned chunks with the blocked form.
-                        if conv2d_dw_single_block(&g, n) {
-                            matmul_at_b_seq_into(dymat, cols, rows, oc, plen, &mut dw, b0 == 0);
-                        } else {
-                            matmul_at_b_acc_into(dymat, cols, rows, oc, plen, &mut dw, b0 == 0);
-                        }
-                    });
-                    scnn_par::scratch::with_scratch(rows * plen, |dcols| {
-                        matmul_into(dymat, w.as_slice(), rows, oc, plen, dcols);
-                        col2im_cols_range_into(dcols, &g, b0, bn, &mut dx, off_h, off_w);
-                    });
+                    }
                 });
-            }
+                scnn_par::scratch::with_scratch(rows * plen, |cols| {
+                    im2col_into(&xc, &g, cols);
+                    matmul_at_b_into(dymat, cols, rows, oc, plen, &mut dw);
+                });
+                scnn_par::scratch::with_scratch(rows * plen, |dcols| {
+                    matmul_into(dymat, w.as_slice(), rows, oc, plen, dcols);
+                    col2im_cols_into(dcols, n, &g, &mut dx, off_h, off_w);
+                });
+            });
         }
     }
     let dw = pooled(dw, w.shape().dims());
@@ -520,7 +461,7 @@ mod tests {
         // h: 6-1+1=6 padded → 4 outputs; w: 6+1-2=5 → 3 outputs.
         assert_eq!(y.shape().dims(), &[1, 2, 4, 3]);
         let dy = Tensor::ones(y.shape().dims());
-        for algo in [ConvAlgo::Tiled, ConvAlgo::Materialized, ConvAlgo::Winograd] {
+        for algo in [ConvAlgo::Tiled, ConvAlgo::Materialized] {
             let g = conv2d_backward_with(&x, &w, false, &dy, &a, Some(algo));
             assert_eq!(g.dx.shape(), x.shape());
             check(&x, &g.dx, 0.05, |xx| conv2d_forward(xx, &w, None, &a).sum());
@@ -551,19 +492,5 @@ mod tests {
                 assert_eq!(g.dx.at(&[0, 0, 2, c]), 1.0);
             }
         }
-    }
-
-    #[test]
-    fn small_geometries_select_materialized_large_select_tiled() {
-        let tiny = Conv2dGeometry::new(1, 4, 4, 3, 3, 1, 1, Padding2d::symmetric(1));
-        assert_eq!(default_conv_algo(&tiny), ConvAlgo::Materialized);
-        // 1×1 kernels run on the engine at any map size: their NCHW
-        // `im2col` is a transpose, not a reshape.
-        for hw in [32, 4] {
-            let one = Conv2dGeometry::new(8, hw, hw, 1, 1, 1, 1, Padding2d::default());
-            assert_eq!(default_conv_algo(&one), ConvAlgo::Tiled);
-        }
-        let big = Conv2dGeometry::new(8, 32, 32, 3, 3, 1, 1, Padding2d::symmetric(1));
-        assert_eq!(default_conv_algo(&big), ConvAlgo::Tiled);
     }
 }

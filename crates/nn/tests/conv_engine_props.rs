@@ -2,9 +2,9 @@
 //! (DESIGN.md §11): the tiled and materialized algorithms must agree
 //! bit-for-bit on every geometry — stride, asymmetric and negative
 //! padding, 1×1 kernels, tile-edge remainders — and the tiled path must
-//! be thread-count invariant on its own. Bit-identity between the two
-//! algorithms is what lets the geometry-based selector switch engines
-//! without perturbing seeded training goldens.
+//! be thread-count invariant on its own. Bit-identity with the `im2col`
+//! pipeline is what ties the engine's seeded training goldens to a
+//! reference that shares none of its packing code.
 //!
 //! Both algorithms' backward passes run on the same `gemm_acc`
 //! micro-kernel, so agreeing with each other cannot catch a mistake they
@@ -110,10 +110,13 @@ fn tiled_matches_materialized_on_random_geometries() {
 
 #[test]
 fn tiled_matches_materialized_on_edge_geometries() {
-    // Deterministic corners the random sweep may miss. The last entry
+    // Deterministic corners the random sweep may miss. The sixth entry
     // forces a non-divisible patch-tile edge: plen = 64·3·3 = 576 caps
     // the pack panel at 113 rows under the 256 KB budget, and 144 output
-    // positions split into a full tile plus a 31-row remainder.
+    // positions split into a full tile plus a 31-row remainder. The last
+    // four are the repo benchmark's layer4 convs (training at batch 8,
+    // serving at batch 1): deep 4×4 output maps, the widest patch rows the
+    // engine packs (plen up to 2304).
     #[allow(clippy::type_complexity)] // a literal table, not an API
     let cases: &[(usize, usize, usize, usize, usize, (usize, usize), (usize, usize), Padding2d)] = &[
         // (n, ic, oc, h, w, (kh, kw), (sh, sw), pad)
@@ -123,6 +126,10 @@ fn tiled_matches_materialized_on_edge_geometries() {
         (1, 4, 6, 8, 8, (2, 2), (1, 1), Padding2d::new(-1, 0, 0, -1)),
         (1, 2, 1, 6, 6, (3, 3), (1, 1), Padding2d::symmetric(1)),
         (1, 64, 9, 12, 12, (3, 3), (1, 1), Padding2d::symmetric(1)),
+        (8, 128, 256, 8, 8, (3, 3), (2, 2), Padding2d::symmetric(1)),
+        (8, 256, 256, 4, 4, (3, 3), (1, 1), Padding2d::symmetric(1)),
+        (1, 64, 128, 8, 8, (3, 3), (2, 2), Padding2d::symmetric(1)),
+        (1, 128, 128, 4, 4, (3, 3), (1, 1), Padding2d::symmetric(1)),
     ];
     let mut rng = scnn_rng::SplitRng::seed_from_u64(42);
     for &(n, ic, oc, h, w, (kh, kw), (sh, sw), pad) in cases {
@@ -367,8 +374,7 @@ fn strip_kernels_match_the_scalar_references_for_every_kernel_width() {
     // Batch 3 with 24-row forward tiles and 16-position `dx` tiles: tiles
     // straddle output rows everywhere and batch images in the forward.
     // Forward against `im2col` + scalar dot8, backward against the
-    // pre-micro-kernel loops over `im2col`/`col2im_into`, both algorithms
-    // (the selector's 1×1 "materialized" included).
+    // pre-micro-kernel loops over `im2col`/`col2im_into`, both algorithms.
     let pads = [
         Padding2d::new(1, 2, 0, 3),
         Padding2d::new(-1, 1, 2, -2),

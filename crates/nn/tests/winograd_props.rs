@@ -1,25 +1,19 @@
-//! Epsilon-bounded agreement suite for the winograd F(2×2, 3×3) fast
-//! path (DESIGN.md §16).
+//! Epsilon-bounded agreement suite for the winograd F(2×2, 3×3) forward
+//! kernel (DESIGN.md §16).
 //!
-//! The direct engines (tiled, materialized) agree bit-for-bit and that
+//! The tile engine agrees bit-for-bit with `im2col` + GEMM and that
 //! contract is pinned in `conv_engine_props.rs`. Winograd computes in the
-//! transform domain, so its results agree with the direct engines only to
-//! epsilon — this suite bounds that epsilon tightly across stride-1
-//! shapes, symmetric/asymmetric padding, tile-edge remainders,
-//! `SCNN_THREADS` and `SCNN_SIMD`, for forward, `dx` and `dw` alike. The
-//! winograd path itself must stay bit-stable across thread counts and
-//! SIMD levels: the *only* tolerated divergence is the transform algebra,
-//! never the execution context.
-//!
-//! Also pinned here: automatic algorithm selection never picks winograd,
-//! and no process-wide state can make it.
+//! transform domain, so its results agree with the engine only to epsilon
+//! — this suite bounds that epsilon tightly across stride-1 shapes,
+//! symmetric/asymmetric/negative padding, tile-edge remainders,
+//! `SCNN_THREADS` and `SCNN_SIMD`. The kernel itself must stay bit-stable
+//! across thread counts and SIMD levels: the *only* tolerated divergence
+//! is the transform algebra, never the execution context.
 
-use scnn_nn::kernels::{
-    conv2d_backward, conv2d_backward_with, conv2d_forward_with, ConvAlgo, ConvAttrs,
-};
 use scnn_rng::SplitRng;
 use scnn_tensor::{
-    default_conv_algo, force_level, uniform, Conv2dGeometry, Padding2d, SimdLevel, Tensor,
+    conv2d_fwd_tiled, conv2d_fwd_winograd, force_level, uniform, Conv2dGeometry, Padding2d,
+    SimdLevel, Tensor,
 };
 
 /// Per-element mixed absolute/relative bound. Winograd's quarter-integer
@@ -45,7 +39,8 @@ fn bits_equal(what: &str, a: &Tensor, b: &Tensor) {
 }
 
 /// Stride-1 3×3 shape grid: even tile coverage, odd remainders on either
-/// axis, valid (no) padding, asymmetric padding, fat padding, and a
+/// axis, valid (no) padding, asymmetric padding, fat padding, a split
+/// patch's negative padding (applied as a crop before either kernel), and a
 /// larger mixed case.
 fn cases() -> Vec<(usize, usize, usize, usize, usize, Padding2d)> {
     vec![
@@ -54,116 +49,55 @@ fn cases() -> Vec<(usize, usize, usize, usize, usize, Padding2d)> {
         (1, 1, 2, 6, 6, Padding2d::symmetric(0)),
         (2, 4, 2, 9, 7, Padding2d::new(1, 0, 0, 1)),
         (1, 3, 5, 5, 5, Padding2d::symmetric(2)),
+        (2, 2, 3, 9, 8, Padding2d::new(-1, 1, 1, -2)),
         (3, 5, 7, 10, 11, Padding2d::symmetric(1)),
     ]
-}
-
-fn attrs(pad: Padding2d) -> ConvAttrs {
-    ConvAttrs {
-        kh: 3,
-        kw: 3,
-        sh: 1,
-        sw: 1,
-        pad,
-    }
-}
-
-/// Forward + backward under one explicit algorithm, in a fixed execution
-/// context, returning every gradient tensor.
-fn run(
-    x: &Tensor,
-    w: &Tensor,
-    b: &Tensor,
-    dy: &Tensor,
-    at: &ConvAttrs,
-    algo: ConvAlgo,
-) -> Vec<Tensor> {
-    let y = conv2d_forward_with(x, w, Some(b), at, Some(algo));
-    let g = conv2d_backward_with(x, w, true, dy, at, Some(algo));
-    vec![y, g.dx, g.dw, g.db.expect("bias gradient")]
 }
 
 #[test]
 fn winograd_agrees_with_tiled_within_epsilon_across_contexts() {
     let mut rng = SplitRng::seed_from_u64(0x3106);
     for (n, ic, oc, h, wd, pad) in cases() {
-        let at = attrs(pad);
-        let x = uniform(&mut rng, &[n, ic, h, wd], -1.0, 1.0);
+        // A negative component crops the input; the rest pads what is left.
+        let Padding2d { h_begin, h_end, w_begin, w_end } = pad;
+        let crop = Padding2d::new(h_begin.min(0), h_end.min(0), w_begin.min(0), w_end.min(0));
+        let pos = Padding2d::new(h_begin.max(0), h_end.max(0), w_begin.max(0), w_end.max(0));
+        let x = uniform(&mut rng, &[n, ic, h, wd], -1.0, 1.0).pad2d(crop);
         let w = uniform(&mut rng, &[oc, ic, 3, 3], -0.5, 0.5);
         let b = uniform(&mut rng, &[oc], -0.1, 0.1);
-        let oh = h + (pad.h_begin + pad.h_end) as usize - 2;
-        let ow = wd + (pad.w_begin + pad.w_end) as usize - 2;
-        let dy = uniform(&mut rng, &[n, oc, oh, ow], -1.0, 1.0);
+        let g = Conv2dGeometry::new(ic, x.dim(2), x.dim(3), 3, 3, 1, 1, pos);
+        let dims = [n, oc, g.out_h(), g.out_w()];
+        type Kernel = fn(&Tensor, &Tensor, Option<&[f32]>, &Conv2dGeometry, &mut [f32]);
+        let run = |kernel: Kernel, threads: usize, simd: Option<SimdLevel>| {
+            scnn_par::with_threads(threads, || {
+                force_level(simd);
+                let mut y = vec![0.0f32; dims.iter().product()];
+                kernel(&x, &w, Some(b.as_slice()), &g, &mut y);
+                force_level(None);
+                Tensor::from_vec(y, &dims)
+            })
+        };
 
-        // The reference: tiled, single thread, scalar bodies. (The direct
-        // path is itself bit-stable across contexts — conv_engine_props —
-        // so one reference suffices.)
-        let tiled = scnn_par::with_threads(1, || {
-            force_level(Some(SimdLevel::Scalar));
-            let r = run(&x, &w, &b, &dy, &at, ConvAlgo::Tiled);
-            force_level(None);
-            r
-        });
+        // The reference: tiled, single thread, scalar bodies. (The engine
+        // is itself bit-stable across contexts — conv_engine_props — so
+        // one reference suffices.)
+        let tiled = run(conv2d_fwd_tiled, 1, Some(SimdLevel::Scalar));
 
-        let mut wino_ref: Option<Vec<Tensor>> = None;
+        let mut wino_ref: Option<Tensor> = None;
         for threads in [1usize, 4] {
             for simd in [Some(SimdLevel::Scalar), None] {
-                let wino = scnn_par::with_threads(threads, || {
-                    force_level(simd);
-                    let r = run(&x, &w, &b, &dy, &at, ConvAlgo::Winograd);
-                    force_level(None);
-                    r
-                });
+                let wino = run(conv2d_fwd_winograd, threads, simd);
                 let ctx = format!(
                     "n{n} ic{ic} oc{oc} {h}x{wd} pad {pad:?}, {threads} threads, simd {simd:?}"
                 );
-                for ((t, reference), name) in wino.iter().zip(&tiled).zip(["y", "dx", "dw", "db"])
-                {
-                    close(&format!("{name} [{ctx}]"), t, reference);
-                }
+                close(&format!("y [{ctx}]"), &wino, &tiled);
                 // Winograd must be bit-stable across the execution grid:
                 // every context reproduces the first context's bits.
                 match &wino_ref {
                     None => wino_ref = Some(wino),
-                    Some(rf) => {
-                        for (i, (a, b)) in rf.iter().zip(&wino).enumerate() {
-                            bits_equal(&format!("winograd tensor {i} [{ctx}]"), a, b);
-                        }
-                    }
+                    Some(rf) => bits_equal(&format!("winograd y [{ctx}]"), rf, &wino),
                 }
             }
         }
     }
-}
-
-#[test]
-fn auto_selection_never_picks_winograd() {
-    // The variable that once forced an algorithm process-wide: nothing
-    // reads it, so `algo = None` stays on the bit-identity contract.
-    std::env::set_var("SCNN_CONV_ALGO", "winograd");
-    let mut rng = SplitRng::seed_from_u64(0x3107);
-    let at = attrs(Padding2d::symmetric(1));
-    let x = uniform(&mut rng, &[2, 3, 8, 8], -1.0, 1.0);
-    let w = uniform(&mut rng, &[4, 3, 3, 3], -0.5, 0.5);
-    let b = uniform(&mut rng, &[4], -0.1, 0.1);
-    let dy = uniform(&mut rng, &[2, 4, 8, 8], -1.0, 1.0);
-
-    // A winograd-eligible geometry whose default is a direct engine.
-    let g = Conv2dGeometry::new(3, 8, 8, 3, 3, 1, 1, at.pad);
-    let default = Some(default_conv_algo(&g));
-    assert_ne!(default, Some(ConvAlgo::Winograd));
-    bits_equal(
-        "auto selection, forward",
-        &conv2d_forward_with(&x, &w, Some(&b), &at, None),
-        &conv2d_forward_with(&x, &w, Some(&b), &at, default),
-    );
-    let auto = conv2d_backward(&x, &w, true, &dy, &at);
-    let explicit = conv2d_backward_with(&x, &w, true, &dy, &at, default);
-    bits_equal("auto selection, dx", &auto.dx, &explicit.dx);
-    bits_equal("auto selection, dw", &auto.dw, &explicit.dw);
-    bits_equal(
-        "auto selection, db",
-        auto.db.as_ref().expect("bias gradient"),
-        explicit.db.as_ref().expect("bias gradient"),
-    );
 }

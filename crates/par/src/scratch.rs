@@ -1,7 +1,7 @@
 //! Per-thread scratch arenas for kernel workspace.
 //!
 //! The tiled convolution engine (and the `_into` GEMM variants backing the
-//! materialized fallback) need short-lived f32 buffers on whichever thread
+//! materialized reference) need short-lived f32 buffers on whichever thread
 //! — pool worker or submitter — happens to run a chunk. Allocating them
 //! fresh per call is the single largest source of transient heap traffic
 //! in a training step; this module replaces that with a thread-local arena

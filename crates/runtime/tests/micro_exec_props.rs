@@ -1,9 +1,11 @@
 //! Micro-batched execution properties (the planner's third axis):
 //!
 //! - **Bit identity** — training with per-conv micro-batch schedules
-//!   (uniform u ∈ {1, 2, B}, with and without pinned algorithms, and the
-//!   planner's own schedule) produces the same losses and the same
-//!   parameter bits as full-batch execution, at any thread count;
+//!   (uniform u ∈ {1, 2, B} and the planner's own schedule) produces the
+//!   same losses and the same parameter bits as full-batch execution, at
+//!   any thread count;
+//! - **Every entry chunks** — on the repo benchmark's graph the planner
+//!   schedules exactly the convs whose workspace micro-batching shrinks;
 //! - **An e2e epoch** — a split ResNet-18 epoch over a small dataset stays
 //!   bit-identical under micro-batching, across `SCNN_THREADS` ∈ {1, 4};
 //! - **Plan integration** — the schedule threaded through `ExecPlan` into
@@ -15,9 +17,7 @@ use std::sync::Arc;
 use scnn_core::{
     conv_engine_workspace, conv_micro_workspace, plan_micro_schedule, plan_split, SplitConfig,
 };
-use scnn_graph::{
-    Graph, MicroBatchChoice, MicroBatchSchedule, NodeId, Op, ParamId, Tape,
-};
+use scnn_graph::{Graph, MicroBatchSchedule, NodeId, Op, ParamId, Tape};
 use scnn_hmms::{
     export_plan_with, plan_hmms, LayoutOptions, PlannerOptions, Profile, TsoAssignment, TsoOptions,
 };
@@ -25,9 +25,7 @@ use scnn_models::{resnet18, ModelOptions};
 use scnn_nn::{BnState, Executor, Mode, ParamStore, Sgd, VecProvider};
 use scnn_rng::SplitRng;
 use scnn_runtime::PlanRuntime;
-use scnn_tensor::{
-    micro_batch_aligned, uniform, Conv2dGeometry, ConvAlgo, Padding2d, Tensor,
-};
+use scnn_tensor::{micro_batch_aligned, uniform, Conv2dGeometry, Padding2d, Tensor};
 
 fn split_resnet_graph(width: f64, batch: usize) -> Graph {
     let desc = resnet18(&ModelOptions::cifar().with_width(width));
@@ -67,8 +65,8 @@ fn conv_geometry(graph: &Graph, id: NodeId) -> Option<(Conv2dGeometry, usize)> {
 }
 
 /// A uniform schedule: every conv whose geometry admits micro-batch `u`
-/// bit-exactly gets `(u, algo)`; others stay full-batch.
-fn uniform_schedule(graph: &Graph, u: usize, algo: Option<ConvAlgo>) -> MicroBatchSchedule {
+/// bit-exactly gets `u`; others stay full-batch.
+fn uniform_schedule(graph: &Graph, u: usize) -> MicroBatchSchedule {
     let batch = graph.node(NodeId(0)).out_shape[0];
     let mut schedule = MicroBatchSchedule::new(batch);
     for node in graph.nodes() {
@@ -76,7 +74,7 @@ fn uniform_schedule(graph: &Graph, u: usize, algo: Option<ConvAlgo>) -> MicroBat
             continue;
         };
         if micro_batch_aligned(&g, u, n) {
-            schedule.insert(node.id, MicroBatchChoice { micro_batch: u, algo });
+            schedule.insert(node.id, u);
         }
     }
     schedule
@@ -127,31 +125,23 @@ fn micro_batched_training_is_bit_identical_at_any_thread_count() {
     let (ref_losses, ref_params) = train(&graph, &exec_full, &mut VecProvider, 1, 2);
 
     // Uniform micro-batch sizes 1, 2 and B (B = the full batch run through
-    // the chunk loop), default and pinned algorithms.
-    let algos = [None, Some(ConvAlgo::Tiled), Some(ConvAlgo::Materialized)];
+    // the chunk loop).
     for u in [1usize, 2, 4] {
-        for algo in algos {
-            let schedule = uniform_schedule(&graph, u, algo);
-            assert!(
-                !schedule.is_empty(),
-                "no conv admits micro-batch {u} — vacuous case"
-            );
-            let exec = Executor::with_micro(Arc::new(schedule));
-            for threads in [1usize, 4] {
-                let (losses, params) = train(&graph, &exec, &mut VecProvider, threads, 2);
-                assert_eq!(losses, ref_losses, "losses diverged: u={u} {algo:?} t={threads}");
-                assert_params_equal(
-                    &graph,
-                    &ref_params,
-                    &params,
-                    &format!("u={u} {algo:?} t={threads}"),
-                );
-            }
+        let schedule = uniform_schedule(&graph, u);
+        assert!(
+            !schedule.is_empty(),
+            "no conv admits micro-batch {u} — vacuous case"
+        );
+        let exec = Executor::with_micro(Arc::new(schedule));
+        for threads in [1usize, 4] {
+            let (losses, params) = train(&graph, &exec, &mut VecProvider, threads, 2);
+            assert_eq!(losses, ref_losses, "losses diverged: u={u} t={threads}");
+            assert_params_equal(&graph, &ref_params, &params, &format!("u={u} t={threads}"));
         }
     }
 
     // The planner's own schedule.
-    let schedule = plan_micro_schedule(&graph, &vec![0; graph.len()]);
+    let schedule = plan_micro_schedule(&graph);
     assert!(!schedule.is_empty(), "planner schedule is vacuous");
     let exec = Executor::with_micro(Arc::new(schedule));
     for threads in [1usize, 4] {
@@ -162,13 +152,27 @@ fn micro_batched_training_is_bit_identical_at_any_thread_count() {
 }
 
 #[test]
+fn every_planned_entry_chunks_on_the_benchmark_graph() {
+    // ResNet-18 cifar width 0.5, batch 8, split (0.5, 2, 2) has 50 convs.
+    // The five whose `dw` reduction is a single block (layer4 and its
+    // shortcut) have no workspace to shrink; the other 45 chunk.
+    let batch = 8;
+    let schedule = plan_micro_schedule(&split_resnet_graph(0.5, batch));
+    assert_eq!(schedule.batch, batch);
+    assert_eq!(schedule.len(), 45);
+    for (id, micro_batch) in schedule.iter() {
+        assert!(micro_batch < batch, "entry for {id:?} runs the full batch");
+    }
+}
+
+#[test]
 fn split_resnet_epoch_stays_bit_identical_under_micro_batching() {
     // A small e2e epoch: 4 mini-batches of 4 images through a split
     // ResNet-18, full-batch vs the planner's micro schedule, at 1 and 4
     // threads — every loss and every trained parameter bit must agree.
     let graph = split_resnet_graph(0.125, 4);
     let (ref_losses, ref_params) = train(&graph, &Executor::new(), &mut VecProvider, 1, 4);
-    let schedule = plan_micro_schedule(&graph, &vec![0; graph.len()]);
+    let schedule = plan_micro_schedule(&graph);
     assert!(!schedule.is_empty(), "planner schedule is vacuous");
     let exec = Executor::with_micro(Arc::new(schedule));
     for threads in [1usize, 4] {
@@ -203,7 +207,7 @@ fn plan_runtime_honors_the_micro_schedule_bit_exactly() {
         .device_general_bytes;
 
     // Micro-batched model, schedule carried by the exported plan.
-    let schedule = plan_micro_schedule(&graph, &fallback);
+    let schedule = plan_micro_schedule(&graph);
     assert!(!schedule.is_empty(), "planner schedule is vacuous");
     let ws_micro = conv_micro_workspace(&graph, &fallback, &schedule);
     let tso_micro = TsoAssignment::new(&graph, &ws_micro, TsoOptions::default());

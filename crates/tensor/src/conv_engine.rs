@@ -26,8 +26,8 @@
 //!
 //! **Bit-identity with the materialized path is a hard invariant**, not an
 //! approximation — it is what keeps seeded training goldens and the
-//! split-vs-unsplit exactness argument valid regardless of which algorithm
-//! the selector picks:
+//! split-vs-unsplit exactness argument valid, and what lets the tests
+//! replay `im2col`/`col2im` as this engine's oracle:
 //!
 //! - forward: every output element is `dot8(patch_row, weight_row) + bias`
 //!   — elements are independent, and `dot8`'s reduction order depends only
@@ -55,48 +55,17 @@ use crate::simd::{add_assign, dot_panel, gemm_acc, PANEL_ROWS};
 use crate::Tensor;
 use scnn_par::{scratch, DisjointMut};
 
-/// Which convolution implementation to run. `Tiled` and `Materialized`
-/// produce identical bits — the choice between them is purely a
-/// locality/footprint trade. `Winograd` is the opt-in transform-domain
-/// fast path: deterministic in itself (same bits at any thread count or
-/// ISA) but **outside the bit-identity contract** with
-/// the direct pair — its reduction runs in the transform domain, so
-/// results agree only within epsilon (DESIGN.md §16). The executing
-/// kernels live in `scnn-nn`, but the enum is defined here so the planner
-/// (`scnn-core`) can reason about per-algorithm workspace without a
-/// dependency on the executor crate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// What runs a convolution. Every conv node executes on the tile engine
+/// of this module (the default); `Materialized` is the whole-batch
+/// `im2col` + GEMM pipeline the engine is bit-identical to, which tests
+/// pass explicitly to `scnn-nn`'s conv kernels to get the reference.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ConvAlgo {
     /// Tile-fused implicit GEMM; no full patch-matrix allocation.
+    #[default]
     Tiled,
-    /// `im2col` + GEMM over workspace scratch (reference path).
+    /// `im2col` + GEMM over workspace scratch (the test reference).
     Materialized,
-    /// Winograd F(2×2, 3×3) transform-domain convolution
-    /// (`crate::winograd`); stride-1 3×3 kernels only, epsilon-equal to
-    /// the direct algorithms, never chosen by [`default_conv_algo`].
-    Winograd,
-}
-
-/// The geometry-based default algorithm choice (no override applied).
-///
-/// Tiny spatial outputs (fewer than 64 positions per image) under a
-/// kernel wider than 1×1 are materialized: their whole patch matrix is a
-/// few tiles, and the two pipelines cost about the same there. Everything
-/// else runs on this engine — including every 1×1 kernel, whatever its map
-/// size: in NCHW the `im2col` of a 1×1 kernel is a *transpose* of the
-/// input, not a reshape, so the materialized pipeline spends three memory
-/// passes (crop copy, `im2col`, `[rows, oc]` → NCHW) around a GEMM with
-/// 32–128 multiplies per element (~10 GFLOP/s measured), while the
-/// engine's one-float strip pack does that transpose tile by tile in L1
-/// and writes NCHW rows directly. The planner reads this function too
-/// (`scnn-core`), so it reserves the tile engine's workspace for the
-/// layers that run on it.
-pub fn default_conv_algo(g: &Conv2dGeometry) -> ConvAlgo {
-    if g.patch_count() < 64 && !(g.kh == 1 && g.kw == 1) {
-        ConvAlgo::Materialized
-    } else {
-        ConvAlgo::Tiled
-    }
 }
 
 fn gcd(mut a: usize, mut b: usize) -> usize {
@@ -166,9 +135,13 @@ const MIN_ROWS: usize = 8;
 /// least one tile and at most four (subject to `scnn_par::grain`'s chunk
 /// cap). A task takes one scratch loan (handed out zeroed) and reuses it
 /// for each of its tiles, so four-tile tasks clear a quarter of what they
-/// pack, while a small layer still splits into several tasks.
+/// pack, while a small layer still splits into several tasks — never
+/// fewer than two: a batch-1 4×4 map is 16 positions, under one tile, and
+/// as a single task its weight matrix (590 KB at layer4 when serving)
+/// streams through one core while the other idles.
 fn fwd_task_positions(total: usize) -> usize {
-    scnn_par::grain(total, (total / 8).clamp(FWD_TILE_ROWS, 4 * FWD_TILE_ROWS))
+    let chunk = scnn_par::grain(total, (total / 8).clamp(FWD_TILE_ROWS, 4 * FWD_TILE_ROWS));
+    chunk.min(total.div_ceil(2)).max(1)
 }
 
 /// Most patch rows a forward tile packs: one [`dot_panel`] row group.
@@ -785,19 +758,6 @@ pub fn conv2d_dx_tiled(
 pub fn conv2d_workspace_bytes(g: &Conv2dGeometry, n: usize, oc: usize) -> usize {
     let k = n * g.patch_count();
     k.div_ceil(REDUCTION_KC).max(1) * oc * g.patch_len() * 4
-}
-
-/// Planned workspace bytes for one *materialized* conv layer at batch (or
-/// micro-batch) `n`: the backward pass's scratch peak, where the `dy`
-/// transpose (`n·oh·ow · oc`), the patch matrix (`n·oh·ow · plen`) and the
-/// weight-gradient partials ([`conv2d_workspace_bytes`]) are live at once.
-/// The forward peak (`cols` + the GEMM result) is strictly smaller. This
-/// is the honest planning term for layers the selector keeps on the
-/// `im2col` path — batch-proportional, which is exactly what the
-/// micro-batch planning axis shrinks.
-pub fn conv2d_materialized_workspace_bytes(g: &Conv2dGeometry, n: usize, oc: usize) -> usize {
-    let rows = n * g.patch_count();
-    rows * (g.patch_len() + oc) * 4 + conv2d_workspace_bytes(g, n, oc)
 }
 
 #[cfg(test)]

@@ -130,28 +130,13 @@ pub fn im2col(x: &Tensor, g: &Conv2dGeometry) -> Tensor {
 
 /// Slice core of [`im2col`]: fills a caller-provided patch matrix buffer,
 /// which **must be zero-filled on entry** (out-of-bounds window positions
-/// are skipped, not written). Lets the materialized convolution fallback
+/// are skipped, not written). Lets the materialized convolution reference
 /// unroll into reused workspace scratch instead of a fresh allocation.
 ///
 /// # Panics
 ///
 /// Panics if `x` does not match the geometry or `out` has the wrong length.
 pub fn im2col_into(x: &Tensor, g: &Conv2dGeometry, out: &mut [f32]) {
-    im2col_range_into(x, g, 0, x.dim(0), out);
-}
-
-/// Batch-range form of [`im2col_into`]: unrolls only images
-/// `b0 .. b0 + bn` of `x`, filling `out` with their `bn·out_h·out_w`
-/// patch rows (zero-filled on entry, as [`im2col_into`] requires). The
-/// rows are the same bits the full unroll produces for those images —
-/// micro-batched materialized convolution uses this to cap the patch
-/// matrix at `bn` images instead of the whole batch.
-///
-/// # Panics
-///
-/// Panics if `x` does not match the geometry, the range exceeds the
-/// batch, or `out` has the wrong length.
-pub fn im2col_range_into(x: &Tensor, g: &Conv2dGeometry, b0: usize, bn: usize, out: &mut [f32]) {
     assert_eq!(x.rank(), 4, "im2col expects NCHW");
     assert_eq!(
         (x.dim(1), x.dim(2), x.dim(3)),
@@ -160,21 +145,20 @@ pub fn im2col_range_into(x: &Tensor, g: &Conv2dGeometry, b0: usize, bn: usize, o
         x.shape()
     );
     let n = x.dim(0);
-    assert!(bn > 0 && b0 + bn <= n, "image range {b0}+{bn} exceeds batch {n}");
     let (oh, ow) = (g.out_h(), g.out_w());
     let plen = g.patch_len();
-    assert_eq!(out.len(), bn * oh * ow * plen, "im2col_into out length");
+    assert_eq!(out.len(), n * oh * ow * plen, "im2col_into out length");
     let src = x.as_slice();
     let (h, w) = (g.in_h, g.in_w);
-    // Parallel over the bn·out_h dimension: each (b, oy) row group fills a
+    // Parallel over the n·out_h dimension: each (b, oy) row group fills a
     // disjoint `ow·plen` stripe of the patch matrix. Grouping several rows
     // per chunk (a function of the row count only) amortizes dispatch.
-    let rows_per_chunk = scnn_par::grain(bn * oh, 2);
+    let rows_per_chunk = scnn_par::grain(n * oh, 2);
     let stripe = ow * plen;
     scnn_par::par_chunks_mut(out, rows_per_chunk * stripe, |ci, chunk| {
         let first_row = ci * rows_per_chunk;
         for (r, rowbuf) in chunk.chunks_mut(stripe).enumerate() {
-            let (b, oy) = (b0 + (first_row + r) / oh, (first_row + r) % oh);
+            let (b, oy) = ((first_row + r) / oh, (first_row + r) % oh);
             let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
             for ox in 0..ow {
                 let ix0 = ox as i64 * g.sw as i64 - g.pad.w_begin;
@@ -250,7 +234,7 @@ pub fn col2im_into(
 }
 
 /// Slice core of [`col2im_into`], taking the patch matrix as a raw buffer
-/// — the materialized convolution fallback computes `dcols` into workspace
+/// — the materialized convolution reference computes `dcols` into workspace
 /// scratch and folds it from there without wrapping it in a tensor.
 ///
 /// # Panics
@@ -264,38 +248,11 @@ pub fn col2im_cols_into(
     off_h: usize,
     off_w: usize,
 ) {
-    col2im_cols_range_into(cols, g, 0, n, dst, off_h, off_w);
-}
-
-/// Batch-range form of [`col2im_cols_into`]: `cols` holds the patch-row
-/// gradients of images `b0 .. b0 + bn` only (`bn·out_h·out_w` rows) and is
-/// folded into exactly those images of `dst`. Accumulation order per
-/// destination element is unchanged, so chaining ranges over the whole
-/// batch is bit-identical to one full call — the micro-batched
-/// materialized backward path's `dcols` then never exceeds `bn` images.
-///
-/// # Panics
-///
-/// Panics as [`col2im_cols_into`] does, plus when the range exceeds
-/// `dst`'s batch.
-pub fn col2im_cols_range_into(
-    cols: &[f32],
-    g: &Conv2dGeometry,
-    b0: usize,
-    bn: usize,
-    dst: &mut Tensor,
-    off_h: usize,
-    off_w: usize,
-) {
     let (oh, ow) = (g.out_h(), g.out_w());
     let plen = g.patch_len();
-    assert_eq!(cols.len(), bn * oh * ow * plen, "col matrix length mismatch");
+    assert_eq!(cols.len(), n * oh * ow * plen, "col matrix length mismatch");
     assert_eq!(dst.rank(), 4, "col2im destination must be NCHW");
-    assert!(
-        bn > 0 && b0 + bn <= dst.dim(0),
-        "image range {b0}+{bn} exceeds batch {}",
-        dst.dim(0)
-    );
+    assert_eq!(dst.dim(0), n, "col2im destination batch mismatch");
     assert_eq!(dst.dim(1), g.in_c, "col2im destination channel mismatch");
     let (full_h, full_w) = (dst.dim(2), dst.dim(3));
     assert!(
@@ -310,8 +267,7 @@ pub fn col2im_cols_range_into(
     // c·full_h·full_w slab of dst and reads its stripe of `cols` exactly
     // once, sequentially, in the original (oy, ox, c, ky, kx) order.
     let plane = full_h * full_w;
-    let window = &mut dst.as_mut_slice()[b0 * g.in_c * plane..(b0 + bn) * g.in_c * plane];
-    scnn_par::par_chunks_mut(window, g.in_c * plane, |b, img| {
+    scnn_par::par_chunks_mut(dst.as_mut_slice(), g.in_c * plane, |b, img| {
         for oy in 0..oh {
             let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
             for ox in 0..ow {

@@ -43,25 +43,19 @@ mod workspace;
 
 pub use conv_engine::{
     conv2d_dw_single_block, conv2d_dw_tiled, conv2d_dw_tiled_acc, conv2d_dw_tiled_acc_at,
-    conv2d_dx_tiled, conv2d_fwd_tiled, conv2d_fwd_tiled_at, conv2d_materialized_workspace_bytes,
-    conv2d_workspace_bytes, default_conv_algo, micro_batch_aligned, min_micro_batch, ConvAlgo,
+    conv2d_dx_tiled, conv2d_fwd_tiled, conv2d_fwd_tiled_at, conv2d_workspace_bytes,
+    micro_batch_aligned, min_micro_batch, ConvAlgo,
 };
-pub use im2col::{
-    col2im, col2im_cols_into, col2im_cols_range_into, col2im_into, im2col, im2col_into,
-    im2col_range_into, Conv2dGeometry,
-};
+pub use im2col::{col2im, col2im_cols_into, col2im_into, im2col, im2col_into, Conv2dGeometry};
 pub use init::{he_normal, uniform, xavier_uniform};
 pub use linalg::{
-    matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_acc_into, matmul_at_b_into,
-    matmul_at_b_seq_into, matmul_into, REDUCTION_KC,
+    matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_into, matmul_into,
+    REDUCTION_KC,
 };
 pub use pad::Padding2d;
 pub use shape::Shape;
 pub use simd::{active_level, detected_level, force_level, SimdLevel};
 pub use storage::{BufferRecycler, PooledBuf};
 pub use tensor::Tensor;
-pub use winograd::{
-    conv2d_dw_winograd_acc, conv2d_dx_winograd, conv2d_fwd_winograd,
-    conv2d_winograd_workspace_bytes, winograd_supported,
-};
+pub use winograd::{conv2d_fwd_winograd, winograd_supported};
 pub use workspace::Workspace;

@@ -98,13 +98,13 @@ pub fn matmul_into(av: &[f32], bv: &[f32], m: usize, k: usize, n: usize, out: &m
     let nc = if n <= MATMUL_NC + MATMUL_NC / 2 { n.max(1) } else { MATMUL_NC };
     scnn_par::par_chunks_mut(out, row_grain * n, |ci, ochunk| {
         let rows = ochunk.len() / n.max(1);
-        gemm_acc_blocked(rows, n, k, &av[ci * row_grain * k..], k, 1, bv, ochunk, nc);
+        gemm_acc_blocked(rows, n, k, &av[ci * row_grain * k..], bv, ochunk, nc);
     });
 }
 
-/// `c += a · b` for one chunk of `rows` output rows (`b: [k, n]` and
-/// `c: [rows, n]` row-major, `a` addressed by [`gemm_acc`]'s stride pair),
-/// as one [`gemm_acc`] call per `nc` columns × [`GEMM_KB`] rows of `b`.
+/// `c += a · b` for one chunk of `rows` output rows (`a: [rows, k]`,
+/// `b: [k, n]` and `c: [rows, n]` row-major), as one [`gemm_acc`] call per
+/// `nc` columns × [`GEMM_KB`] rows of `b`.
 ///
 /// `p` ascends globally per output element (blocks in order, `p` in
 /// order within each call), matching the naive ikj loop bit-for-bit;
@@ -112,18 +112,7 @@ pub fn matmul_into(av: &[f32], bv: &[f32], m: usize, k: usize, n: usize, out: &m
 /// bit-free, and what they buy is locality: the chunk's `nc`-wide slice of
 /// `c` stays in L1 across the whole reduction, and the slice of `b` a call
 /// walks stays inside the first-level TLB.
-#[allow(clippy::too_many_arguments)]
-fn gemm_acc_blocked(
-    rows: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_ps: usize,
-    b: &[f32],
-    c: &mut [f32],
-    nc: usize,
-) {
+fn gemm_acc_blocked(rows: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], nc: usize) {
     for j0 in (0..n).step_by(nc.max(1)) {
         let j1 = (j0 + nc).min(n);
         for p0 in (0..k).step_by(GEMM_KB) {
@@ -132,9 +121,9 @@ fn gemm_acc_blocked(
                 rows,
                 j1 - j0,
                 p1 - p0,
-                &a[p0 * a_ps..],
-                a_rs,
-                a_ps,
+                &a[p0..],
+                k,
+                1,
                 &b[p0 * n + j0..],
                 n,
                 &mut c[j0..],
@@ -172,33 +161,6 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
 /// per block; the fold copies block 0 and adds the rest in ascending block
 /// order, which reproduces the original fold bit-for-bit.
 pub fn matmul_at_b_into(av: &[f32], bv: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
-    matmul_at_b_acc_into(av, bv, k, m, n, out, true);
-}
-
-/// Continued-accumulation form of [`matmul_at_b_into`]: with `init` the
-/// first KC-block partial *overwrites* `out` and the rest fold in (exactly
-/// [`matmul_at_b_into`]); without it every partial folds in, continuing a
-/// reduction started by an earlier call.
-///
-/// This is the micro-batching hook: splitting the shared dimension `k`
-/// into caller-chosen segments and chaining calls (`init` on the first
-/// only) replays the full-`k` fold sequence bit-for-bit **provided every
-/// segment boundary lands on a `KC` (= 256 rows) block boundary** — then
-/// each call's block grid is a sub-grid of the full one. Unaligned
-/// segments still compute a correct sum, just not the bit-identical one.
-///
-/// # Panics
-///
-/// Panics if either operand length disagrees with `k·m` / `k·n`.
-pub fn matmul_at_b_acc_into(
-    av: &[f32],
-    bv: &[f32],
-    k: usize,
-    m: usize,
-    n: usize,
-    out: &mut [f32],
-    init: bool,
-) {
     assert_eq!(av.len(), k * m, "matmul_at_b_into lhs length");
     assert_eq!(bv.len(), k * n, "matmul_at_b_into rhs length");
     assert_eq!(out.len(), m * n, "matmul_at_b_into out length");
@@ -212,52 +174,10 @@ pub fn matmul_at_b_acc_into(
             let p1 = (p0 + REDUCTION_KC).min(k);
             gemm_acc(m, n, p1 - p0, &av[p0 * m..], 1, m, &bv[p0 * n..], n, part, n);
         });
-        let start = if init {
-            out.copy_from_slice(&partials[..m * n]);
-            1
-        } else {
-            0
-        };
-        for bi in start..nblocks {
+        out.copy_from_slice(&partials[..m * n]);
+        for bi in 1..nblocks {
             add_assign(out, &partials[bi * m * n..(bi + 1) * m * n]);
         }
-    });
-}
-
-/// Sequential single-block form of [`matmul_at_b_acc_into`]: folds all `k`
-/// rows straight into `out` (zeroed on `init`), with no partial-block
-/// scratch. When the *whole* reduction — across every chained call — has
-/// at most `KC` rows, this equals [`matmul_at_b_into`]'s single-block fold
-/// bit-for-bit at **any** segment boundaries, not just `KC`-aligned ones;
-/// larger reductions get a plain sequential fold whose bits differ from
-/// the blocked kernels. Callers pick this form exactly when the logical
-/// total fits one block (see
-/// [`conv2d_dw_single_block`](crate::conv2d_dw_single_block)). "Sequential"
-/// is the order along `k`: output rows are independent chains and fold
-/// in parallel over size-derived row ranges.
-///
-/// # Panics
-///
-/// Panics if either operand length disagrees with `k·m` / `k·n`.
-pub fn matmul_at_b_seq_into(
-    av: &[f32],
-    bv: &[f32],
-    k: usize,
-    m: usize,
-    n: usize,
-    out: &mut [f32],
-    init: bool,
-) {
-    assert_eq!(av.len(), k * m, "matmul_at_b_seq_into lhs length");
-    assert_eq!(bv.len(), k * n, "matmul_at_b_seq_into rhs length");
-    assert_eq!(out.len(), m * n, "matmul_at_b_seq_into out length");
-    if init {
-        out.fill(0.0);
-    }
-    let row_grain = rows_per_chunk(m);
-    scnn_par::par_chunks_mut(out, row_grain * n, |ci, ochunk| {
-        let rows = ochunk.len() / n.max(1);
-        gemm_acc_blocked(rows, n, k, &av[ci * row_grain..], 1, m, bv, ochunk, MATMUL_NC);
     });
 }
 

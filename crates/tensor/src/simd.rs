@@ -1,15 +1,13 @@
 //! Runtime-dispatched SIMD micro-kernels (DESIGN.md §14).
 //!
 //! Every floating-point inner loop in this crate funnels through the
-//! handful of primitives defined here: the blocked dot products — the
-//! dot-form GEMM [`dot_panel`] behind `matmul_a_bt` and the tiled conv
-//! engine's packed-panel sweep, [`dot8`]/[`dot8_x4`] behind the Winograd
-//! `dx` channel reductions — the register-blocked rank-k update
-//! ([`gemm_acc`]) behind `matmul`, `matmul_at_b`, the conv `dw` fold, the
-//! `dx` channel reduction and the Winograd forward's transform-domain
-//! GEMMs, and the elementwise accumulators ([`add_assign`] for block
-//! folds, [`axpy`] for the Winograd `dw` outer products). Each primitive
-//! has two implementations:
+//! handful of primitives defined here: the dot-form GEMM [`dot_panel`]
+//! behind `matmul_a_bt` and the tiled conv engine's packed-panel sweep,
+//! the register-blocked rank-k update ([`gemm_acc`]) behind `matmul`,
+//! `matmul_at_b`, the conv `dw` fold, the `dx` channel reduction and the
+//! Winograd forward's transform-domain GEMMs, and the elementwise passes
+//! ([`add_assign`] for block folds, [`vadd`]/[`vsub`] for the Winograd
+//! transforms). Each primitive has two implementations:
 //!
 //! - a **portable scalar** body, compiled for the baseline target — the
 //!   reference semantics; and
@@ -32,8 +30,8 @@
 //!   `__m256`; lane `l` still accumulates elements `p ≡ l (mod 8)`, the
 //!   scalar tail still folds sequentially, and the final reduction is the
 //!   same fixed [`lane_sum`] tree.
-//! - [`axpy`]/[`add_assign`] are elementwise: each output element is one
-//!   mul-add (resp. one add) regardless of vector width.
+//! - [`add_assign`], [`vadd`] and [`vsub`] are elementwise: each output
+//!   element is one add (or subtract) regardless of vector width.
 //! - [`gemm_acc`] is elementwise *per output element* too: element
 //!   `(r, j)` sees the chain `acc = acc + a[p, r]·b[p, j]` for `p`
 //!   ascending, whatever tile — 4×16 registers, a row/column edge, a
@@ -189,31 +187,13 @@ pub(crate) fn lane_sum(acc: [f32; LANES], tail: f32) -> f32 {
     ((s0 + s2) + (s1 + s3)) + tail
 }
 
-/// 8-lane blocked dot product: lane `l` accumulates elements `p ≡ l (mod
-/// 8)`, breaking the serial FP dependency chain. Crate-visible so the
-/// tiled convolution engine reduces packed patch rows with the exact same
-/// order as the materialized GEMM path.
-///
-/// # Panics
-///
-/// Panics if the slices' lengths differ (checked once, up front — never
-/// deep inside the lane loop).
-#[inline]
-pub(crate) fn dot8(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot8 operand length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // Safety: AVX2+FMA presence established by `active_level`, equal
-        // lengths asserted above.
-        return unsafe { avx2::dot8(a, b) };
-    }
-    dot8_scalar(a, b)
-}
-
-/// Portable body of [`dot8`]. The `as_chunks` split is infallible — a
-/// malformed length can no longer panic inside the hot loop (the old
-/// `try_into().unwrap()` tail-lane extraction could).
-fn dot8_scalar(a: &[f32], b: &[f32]) -> f32 {
+/// 8-lane blocked dot product, the reduction order of one [`dot_panel`]
+/// output element: lane `l` accumulates elements `p ≡ l (mod 8)`, breaking
+/// the serial FP dependency chain, the scalar tail folds sequentially, and
+/// [`lane_sum`] reduces the lanes. The portable body runs it on column
+/// remainders; the `as_chunks` split is infallible, so a malformed length
+/// cannot panic inside the hot loop.
+fn dot8(a: &[f32], b: &[f32]) -> f32 {
     let (ab, at) = a.as_chunks::<LANES>();
     let (bb, bt) = b.as_chunks::<LANES>();
     let mut acc = [0.0f32; LANES];
@@ -232,25 +212,6 @@ fn dot8_scalar(a: &[f32], b: &[f32]) -> f32 {
 /// Four simultaneous [`dot8`]s sharing one pass over `a` (so the A-row is
 /// loaded once per quad instead of once per dot). Bit-identical to four
 /// independent `dot8` calls.
-///
-/// # Panics
-///
-/// Panics if any operand length differs from `a`'s.
-#[inline]
-pub(crate) fn dot8_x4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    let k = a.len();
-    assert!(
-        b0.len() == k && b1.len() == k && b2.len() == k && b3.len() == k,
-        "dot8_x4 operand length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // Safety: AVX2+FMA presence established; equal lengths asserted.
-        return unsafe { avx2::dot8_x4(a, b0, b1, b2, b3) };
-    }
-    dot8_x4_scalar(a, b0, b1, b2, b3)
-}
-
 fn dot8_x4_scalar(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
     let mut acc0 = [0.0f32; LANES];
     let mut acc1 = [0.0f32; LANES];
@@ -400,7 +361,7 @@ fn dot_panel_scalar(
     }
     while j < n {
         for r in 0..m {
-            put(r, j, dot8_scalar(arow(r), brow(j)));
+            put(r, j, dot8(arow(r), brow(j)));
         }
         j += 1;
     }
@@ -439,28 +400,6 @@ fn dot8_x8_scalar(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8] {
         out[j] = lane_sum(acc[j], tails[j]);
     }
     out
-}
-
-/// `y[i] += alpha * x[i]` — the Winograd `dw` outer products (every other
-/// rank-1 update moved to [`gemm_acc`]). Elementwise (each output element is exactly one mul and
-/// one add in both bodies), so any vector width produces identical bits;
-/// callers keep their zero-skip (`alpha == 0.0`) outside.
-///
-/// # Panics
-///
-/// Panics if the slices' lengths differ.
-#[inline]
-pub(crate) fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy operand length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // Safety: AVX2+FMA presence established; equal lengths asserted.
-        unsafe { avx2::axpy(alpha, x, y) };
-        return;
-    }
-    for (o, &v) in y.iter_mut().zip(x) {
-        *o += alpha * v;
-    }
 }
 
 /// `y[i] += x[i]` — the partial-block folds of `matmul_at_b` and the conv
@@ -543,8 +482,8 @@ const NR: usize = 2 * LANES;
 /// Each output element evaluates `acc = acc + a·b` with `p` strictly
 /// ascending and separate mul and add (never `fmadd`), starting from the
 /// value already in `c` — exactly the chain a `p`-outer sequence of
-/// [`axpy`] rows produced, so splitting `k` across consecutive calls, or
-/// `m`/`n` across callers, cannot change a bit. What the blocking buys is
+/// `c_row += a·b_row` updates produces, so splitting `k` across consecutive
+/// calls, or `m`/`n` across callers, cannot change a bit. What the blocking buys is
 /// that a 4×16 tile of `c` stays in registers for all `k` steps instead
 /// of crossing L1 once per step. Edges run 4×8, 1×16 and 1×8 tiles and
 /// a scalar-column remainder; the tile an element lands in never alters
@@ -719,81 +658,13 @@ fn gemm_acc_cols(
 /// docs for why FMA contraction would break the bit-identity contract.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{gemm_acc_cols, lane_sum, LANES, MR, NR, PANEL_KB, PANEL_ROWS};
+    use super::{gemm_acc_cols, LANES, MR, NR, PANEL_KB, PANEL_ROWS};
     use core::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_loadu_ps,
         _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps,
         _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps,
         _mm_shuffle_ps, _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
     };
-
-    /// Spills one accumulator register back to the scalar lane array, so
-    /// the final reduction is literally the same [`lane_sum`] call the
-    /// scalar body makes.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn spill(acc: __m256) -> [f32; LANES] {
-        let mut lanes = [0.0f32; LANES];
-        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc) };
-        lanes
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dot8(a: &[f32], b: &[f32]) -> f32 {
-        let blocks = a.len() / LANES;
-        let mut acc = _mm256_setzero_ps();
-        unsafe {
-            for ci in 0..blocks {
-                let base = ci * LANES;
-                let va = _mm256_loadu_ps(a.as_ptr().add(base));
-                let vb = _mm256_loadu_ps(b.as_ptr().add(base));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-            }
-        }
-        let mut tail = 0.0f32;
-        for p in blocks * LANES..a.len() {
-            tail += a[p] * b[p];
-        }
-        lane_sum(unsafe { spill(acc) }, tail)
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dot8_x4(
-        a: &[f32],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) -> [f32; 4] {
-        let blocks = a.len() / LANES;
-        let mut acc = [_mm256_setzero_ps(); 4];
-        unsafe {
-            let bp = [b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr()];
-            for ci in 0..blocks {
-                let base = ci * LANES;
-                let va = _mm256_loadu_ps(a.as_ptr().add(base));
-                for j in 0..4 {
-                    let vb = _mm256_loadu_ps(bp[j].add(base));
-                    acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(va, vb));
-                }
-            }
-        }
-        let rem = blocks * LANES;
-        let mut tails = [0.0f32; 4];
-        for p in rem..a.len() {
-            tails[0] += a[p] * b0[p];
-            tails[1] += a[p] * b1[p];
-            tails[2] += a[p] * b2[p];
-            tails[3] += a[p] * b3[p];
-        }
-        let spilled = unsafe { [spill(acc[0]), spill(acc[1]), spill(acc[2]), spill(acc[3])] };
-        [
-            lane_sum(spilled[0], tails[0]),
-            lane_sum(spilled[1], tails[1]),
-            lane_sum(spilled[2], tails[2]),
-            lane_sum(spilled[3], tails[3]),
-        ]
-    }
 
     /// [`lane_sum`] of one accumulator register, evaluated in the vector
     /// unit: the 128-bit halves add to `[s0, s1, s2, s3]` (lane `l` plus
@@ -844,7 +715,7 @@ mod avx2 {
     /// pass them one shared-dimension block at a time, three rows per
     /// register tile. A row's `W` lane accumulators rest in the group's
     /// array between blocks and take each block's steps in registers —
-    /// `p` ascending per lane, as in [`dot8`] — so a block of `b` is read
+    /// `p` ascending per lane, as in [`super::dot8`] — so a block of `b` is read
     /// into L1 once per group, and a block of the group's `a` rows once
     /// per `W` columns.
     #[inline]
@@ -975,27 +846,6 @@ mod avx2 {
             }
         }
         acc[..R].copy_from_slice(&c);
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-        let n = y.len();
-        let blocks = n / LANES;
-        unsafe {
-            let va = _mm256_set1_ps(alpha);
-            for ci in 0..blocks {
-                let base = ci * LANES;
-                let vx = _mm256_loadu_ps(x.as_ptr().add(base));
-                let vy = _mm256_loadu_ps(y.as_ptr().add(base));
-                _mm256_storeu_ps(
-                    y.as_mut_ptr().add(base),
-                    _mm256_add_ps(vy, _mm256_mul_ps(va, vx)),
-                );
-            }
-        }
-        for p in blocks * LANES..n {
-            y[p] += alpha * x[p];
-        }
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -1184,54 +1034,41 @@ mod tests {
     }
 
     #[test]
-    fn dot8_bitwise_identical_across_levels_and_tails() {
-        // Every tail residue 0..8 and a couple of longer shapes.
-        for k in (0..=16).chain([31, 64, 129, 300]) {
-            let a = fill(k, 1 + k as u32);
-            let b = fill(k, 1000 + k as u32);
-            assert_levels_agree(|| dot8(&a, &b).to_bits());
-        }
-    }
-
-    #[test]
     fn multi_dot_kernels_match_single_dot() {
         for k in [0, 1, 7, 8, 9, 40, 257] {
             let a = fill(k, 7);
             let bs: Vec<Vec<f32>> = (0..8).map(|j| fill(k, 100 + j)).collect();
             let refs: [&[f32]; 8] = std::array::from_fn(|j| bs[j].as_slice());
-            assert_levels_agree(|| {
-                let singles: Vec<u32> = bs.iter().map(|b| dot8(&a, b).to_bits()).collect();
-                let quad = dot8_x4(&a, &bs[0], &bs[1], &bs[2], &bs[3]);
-                let octet = dot8_x8_scalar(&a, refs);
-                for j in 0..4 {
-                    assert_eq!(quad[j].to_bits(), singles[j], "quad lane {j} k={k}");
-                }
-                for j in 0..8 {
-                    assert_eq!(octet[j].to_bits(), singles[j], "octet lane {j} k={k}");
-                }
-                singles
-            });
+            let singles: Vec<u32> = bs.iter().map(|b| dot8(&a, b).to_bits()).collect();
+            let quad = dot8_x4_scalar(&a, &bs[0], &bs[1], &bs[2], &bs[3]);
+            let octet = dot8_x8_scalar(&a, refs);
+            for j in 0..4 {
+                assert_eq!(quad[j].to_bits(), singles[j], "quad lane {j} k={k}");
+            }
+            for j in 0..8 {
+                assert_eq!(octet[j].to_bits(), singles[j], "octet lane {j} k={k}");
+            }
         }
     }
 
     #[test]
-    fn axpy_and_add_assign_are_elementwise_identical() {
+    fn add_assign_is_elementwise_identical() {
         for n in [0, 1, 5, 8, 13, 256] {
             let x = fill(n, 3);
             let y0 = fill(n, 4);
             assert_levels_agree(|| {
                 let mut y = y0.clone();
-                axpy(0.37, &x, &mut y);
                 add_assign(&mut y, &x);
                 y.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             });
         }
     }
 
-    /// The loop [`gemm_acc`] replaced, kept as its oracle: `p`-outer rows
-    /// of [`axpy`], with the zero-skip the backward kernels carried.
+    /// The loop [`gemm_acc`] replaced, kept as its oracle: `p`-outer row
+    /// updates `c_row += a·b_row` (one multiply and one add per element),
+    /// with the zero-skip the backward kernels carried.
     #[allow(clippy::too_many_arguments)]
-    fn gemm_acc_axpy_oracle(
+    fn gemm_acc_row_update_oracle(
         m: usize,
         n: usize,
         k: usize,
@@ -1249,7 +1086,9 @@ mod tests {
                 if aa == 0.0 {
                     continue;
                 }
-                axpy(aa, &b[p * ldb..p * ldb + n], &mut c[r * ldc..r * ldc + n]);
+                for (o, &v) in c[r * ldc..r * ldc + n].iter_mut().zip(&b[p * ldb..p * ldb + n]) {
+                    *o += aa * v;
+                }
             }
         }
     }
@@ -1274,7 +1113,7 @@ mod tests {
         let ldb = n + 5;
         let b = fill(k * ldb + n, (m * 31 + n * 7 + k) as u32);
         let mut want = c0.to_vec();
-        gemm_acc_axpy_oracle(m, n, k, &a, a_rs, a_ps, &b, ldb, &mut want, ldc);
+        gemm_acc_row_update_oracle(m, n, k, &a, a_rs, a_ps, &b, ldb, &mut want, ldc);
         let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
         assert_levels_agree(|| {
             let mut c = c0.to_vec();
@@ -1286,7 +1125,7 @@ mod tests {
     }
 
     #[test]
-    fn gemm_acc_matches_axpy_oracle_on_every_tile_edge() {
+    fn gemm_acc_matches_row_update_oracle_on_every_tile_edge() {
         // Every m mod 4 and n mod 16 / mod 8 residue (with and without a
         // full tile before the edge), k around the KC block, both `a`
         // layouts, ldc == n and ldc > n. Elements of `c` between rows
@@ -1340,7 +1179,7 @@ mod tests {
             gemm_acc(1, 1, 1, &[0.0], 1, 1, &[f32::INFINITY], 1, &mut c, 1);
             assert!(c[0].is_nan());
             let mut skipped = [0.0f32; 1];
-            gemm_acc_axpy_oracle(1, 1, 1, &[0.0], 1, 1, &[f32::INFINITY], 1, &mut skipped, 1);
+            gemm_acc_row_update_oracle(1, 1, 1, &[0.0], 1, 1, &[f32::INFINITY], 1, &mut skipped, 1);
             assert_eq!(skipped[0].to_bits(), 0);
             c[0].is_nan()
         });
@@ -1374,13 +1213,5 @@ mod tests {
                 )
             });
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mismatched_lengths_are_a_checked_error() {
-        // The old tail extraction `try_into().unwrap()`ed deep in the lane
-        // loop; now the contract is checked once at entry.
-        dot8(&[1.0, 2.0], &[1.0]);
     }
 }

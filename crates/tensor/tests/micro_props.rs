@@ -1,20 +1,16 @@
 //! Property tests for the batch-range ("micro-batch") kernel variants.
 //!
 //! The contract under test: chaining aligned segments of
-//! [`conv2d_dw_tiled_acc`] / [`matmul_at_b_acc_into`] over the whole batch
-//! (first segment `init = true`) is **bit-identical** to the single
-//! full-batch call, and the `im2col`/`col2im` range forms reproduce exactly
-//! the rows/images of their full-batch counterparts. These are the
-//! invariants that let the executor micro-batch convolution layers without
-//! perturbing training numerics.
+//! [`conv2d_dw_tiled_acc`] over the whole batch (first segment
+//! `init = true`) is **bit-identical** to the single full-batch call. This
+//! is the invariant that lets the executor micro-batch convolution layers
+//! without perturbing training numerics.
 
 use scnn_rng::prop::{check, Case};
 use scnn_rng::Rng;
 use scnn_tensor::{
-    col2im_cols_into, col2im_cols_range_into, conv2d_dw_single_block, conv2d_dw_tiled,
-    conv2d_dw_tiled_acc, im2col_into, im2col_range_into, matmul_at_b_acc_into, matmul_at_b_into,
-    matmul_at_b_seq_into, micro_batch_aligned, min_micro_batch, uniform, Conv2dGeometry,
-    Padding2d, Tensor,
+    conv2d_dw_single_block, conv2d_dw_tiled, conv2d_dw_tiled_acc, micro_batch_aligned,
+    min_micro_batch, uniform, Conv2dGeometry, Padding2d,
 };
 
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -59,47 +55,6 @@ fn min_micro_batch_is_aligned_and_minimal() {
         for smaller in 1..u {
             if micro_batch_aligned(&g, smaller, n) {
                 return Case::Fail(format!("{smaller} < {u} already aligned (n={n}, {g:?})"));
-            }
-        }
-        Case::Pass
-    });
-}
-
-#[test]
-fn matmul_at_b_acc_chained_bitwise_equal() {
-    check("matmul_at_b_acc chained == full", 16, |rng| {
-        let blocks = rng.gen_range(1..5usize);
-        let k = blocks * 256 + if rng.gen_range(0..2usize) == 1 { rng.gen_range(1..256usize) } else { 0 };
-        let m = rng.gen_range(1..24usize);
-        let n = rng.gen_range(1..32usize);
-        let a = uniform(rng, &[k, m], -1.0, 1.0);
-        let b = uniform(rng, &[k, n], -1.0, 1.0);
-        let mut full = vec![0.0f32; m * n];
-        matmul_at_b_into(a.as_slice(), b.as_slice(), k, m, n, &mut full);
-        // Chain over KC-aligned segments of the shared dimension.
-        let seg = rng.gen_range(1..=blocks) * 256;
-        for &t in &THREADS {
-            let chained = scnn_par::with_threads(t, || {
-                let mut out = vec![0.0f32; m * n];
-                let mut k0 = 0;
-                while k0 < k {
-                    let kn = seg.min(k - k0);
-                    matmul_at_b_acc_into(
-                        &a.as_slice()[k0 * m..(k0 + kn) * m],
-                        &b.as_slice()[k0 * n..(k0 + kn) * n],
-                        kn,
-                        m,
-                        n,
-                        &mut out,
-                        k0 == 0,
-                    );
-                    k0 += kn;
-                }
-                out
-            });
-            let case = bits_equal(&format!("matmul_at_b_acc (t={t})"), &full, &chained);
-            if !matches!(case, Case::Pass) {
-                return case;
             }
         }
         Case::Pass
@@ -171,107 +126,6 @@ fn single_block_dw_chained_bitwise_at_any_boundary() {
                 if !matches!(case, Case::Pass) {
                     return case;
                 }
-            }
-        }
-        Case::Pass
-    });
-}
-
-#[test]
-fn matmul_at_b_seq_chained_bitwise_for_single_block() {
-    // For reductions of at most KC rows the sequential form reproduces the
-    // blocked kernel's single-block fold at arbitrary segment boundaries.
-    check("matmul_at_b_seq chained == full", 16, |rng| {
-        let k = rng.gen_range(2..=256usize);
-        let m = rng.gen_range(1..24usize);
-        let n = rng.gen_range(1..32usize);
-        let a = uniform(rng, &[k, m], -1.0, 1.0);
-        let b = uniform(rng, &[k, n], -1.0, 1.0);
-        let mut full = vec![0.0f32; m * n];
-        matmul_at_b_into(a.as_slice(), b.as_slice(), k, m, n, &mut full);
-        let seg = rng.gen_range(1..k);
-        for &t in &THREADS {
-            let chained = scnn_par::with_threads(t, || {
-                let mut out = vec![0.0f32; m * n];
-                let mut k0 = 0;
-                while k0 < k {
-                    let kn = seg.min(k - k0);
-                    matmul_at_b_seq_into(
-                        &a.as_slice()[k0 * m..(k0 + kn) * m],
-                        &b.as_slice()[k0 * n..(k0 + kn) * n],
-                        kn,
-                        m,
-                        n,
-                        &mut out,
-                        k0 == 0,
-                    );
-                    k0 += kn;
-                }
-                out
-            });
-            let case = bits_equal(&format!("matmul_at_b_seq seg={seg} (t={t})"), &full, &chained);
-            if !matches!(case, Case::Pass) {
-                return case;
-            }
-        }
-        Case::Pass
-    });
-}
-
-#[test]
-fn im2col_range_matches_full_rows() {
-    check("im2col_range == full row slice", 16, |rng| {
-        let (g, n) = random_geometry(rng);
-        let x = uniform(rng, &[n, g.in_c, g.in_h, g.in_w], -1.0, 1.0);
-        let (phw, plen) = (g.patch_count(), g.patch_len());
-        let mut full = vec![0.0f32; n * phw * plen];
-        im2col_into(&x, &g, &mut full);
-        let u = rng.gen_range(1..=n);
-        for (b0, bn) in segments(n, u) {
-            let mut part = vec![0.0f32; bn * phw * plen];
-            im2col_range_into(&x, &g, b0, bn, &mut part);
-            let want = &full[b0 * phw * plen..(b0 + bn) * phw * plen];
-            let case = bits_equal(&format!("im2col_range b0={b0} bn={bn}"), want, &part);
-            if !matches!(case, Case::Pass) {
-                return case;
-            }
-        }
-        Case::Pass
-    });
-}
-
-#[test]
-fn col2im_range_chained_bitwise_equal() {
-    check("col2im_cols_range chained == full", 16, |rng| {
-        let (g, n) = random_geometry(rng);
-        let (phw, plen) = (g.patch_count(), g.patch_len());
-        let cols = uniform(rng, &[n * phw, plen], -1.0, 1.0);
-        let mut full = Tensor::zeros(&[n, g.in_c, g.in_h, g.in_w]);
-        col2im_cols_into(cols.as_slice(), n, &g, &mut full, 0, 0);
-        let u = rng.gen_range(1..=n);
-        for &t in &THREADS {
-            let chained = scnn_par::with_threads(t, || {
-                let mut dst = Tensor::zeros(&[n, g.in_c, g.in_h, g.in_w]);
-                for (b0, bn) in segments(n, u) {
-                    col2im_cols_range_into(
-                        &cols.as_slice()[b0 * phw * plen..(b0 + bn) * phw * plen],
-                        &g,
-                        b0,
-                        bn,
-                        &mut dst,
-                        0,
-                        0,
-                    );
-                }
-                dst
-            });
-            let case = bits_equal(
-                &format!("col2im_cols_range u={u} (t={t})"),
-                full.as_slice(),
-                chained.as_slice(),
-            );
-            if !matches!(case, Case::Pass) {
-                return case;
             }
         }
         Case::Pass

@@ -11,8 +11,7 @@
 use scnn_tensor::simd::{dot_panel, gemm_acc};
 use scnn_tensor::{
     conv2d_dw_tiled, conv2d_dx_tiled, conv2d_fwd_tiled, detected_level, force_level,
-    matmul_a_bt_into, matmul_at_b_acc_into, matmul_at_b_seq_into, matmul_into, Conv2dGeometry,
-    Padding2d, SimdLevel, Tensor,
+    matmul_a_bt_into, matmul_at_b_into, matmul_into, Conv2dGeometry, Padding2d, SimdLevel, Tensor,
 };
 
 fn fill(dims: &[usize], seed: u32) -> Tensor {
@@ -75,12 +74,7 @@ fn gemm_variants_are_bit_identical_across_isa_and_threads() {
         });
         assert_bit_identical_across_levels_and_threads(&format!("at_b {m}x{k}x{n}"), || {
             let mut out = vec![0.0f32; m * n];
-            matmul_at_b_acc_into(akm.as_slice(), b.as_slice(), k, m, n, &mut out, true);
-            out
-        });
-        assert_bit_identical_across_levels_and_threads(&format!("at_b_seq {m}x{k}x{n}"), || {
-            let mut out = vec![0.0f32; m * n];
-            matmul_at_b_seq_into(akm.as_slice(), b.as_slice(), k, m, n, &mut out, true);
+            matmul_at_b_into(akm.as_slice(), b.as_slice(), k, m, n, &mut out);
             out
         });
         assert_bit_identical_across_levels_and_threads(&format!("a_bt {m}x{k}x{n}"), || {

@@ -37,6 +37,23 @@ if grep -rnE 'env::var(_os)?\("SCNN_' crates/*/src \
   exit 1
 fi
 
+# Conv-algorithm guard: every conv node runs the tile engine, and the one
+# place that says so is the conv kernels (crates/nn/src/kernels/conv.rs),
+# which take `Some(ConvAlgo::Materialized)` from tests that want the
+# im2col reference. A `ConvAlgo::` in any other library file — a planner,
+# a schedule, an executor — is a second place choosing algorithms; the
+# retired planner latitude and selector must not come back under their
+# old names either.
+if grep -rn 'ConvAlgo::' crates/*/src \
+    | grep -vE '^crates/(tensor/src/conv_engine|nn/src/kernels/conv)\.rs:'; then
+  echo "verify: ConvAlgo:: outside crates/tensor/src/conv_engine.rs and crates/nn/src/kernels/conv.rs" >&2
+  exit 1
+fi
+if grep -rnE 'allow_transform_algos|CostOptions|WINOGRAD_WS_ENVELOPE|default_conv_algo' crates/; then
+  echo "verify: a retired conv-algorithm selector is back under crates/" >&2
+  exit 1
+fi
+
 cargo build --workspace --release --offline
 cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -105,12 +122,12 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 # and matmul_512 holds an absolute ceiling (12 ms, halved when the
 # register-blocked gemm_acc replaced the axpy chains), as does the conv
 # backward the same micro-kernel carries (≤ 12 ms; 16.1 ms before it).
-# The winograd gates (DESIGN.md §16): the transform-domain forward holds
-# an absolute ceiling under the direct bound (≤ 4.5 ms), and the
-# --max-ratio gate holds it within 1.10× of the direct forward *within
-# the same fresh run* (committed 2.25 vs 2.43 ms) — a tripwire for the
-# transform path regressing, not a claim that it wins: at one thread the
-# two are a coin flip.
+# The winograd gates (DESIGN.md §16): what is left of Winograd is a
+# forward-only kernel no conv node runs, kept because the repo benchmark
+# probes it (`tensor.conv_fwd_winograd_ms`). It holds an absolute ceiling
+# (≤ 4.5 ms), and the --max-ratio gate holds it within 1.10× of the
+# direct forward *within the same fresh run* (committed 2.25 vs 2.43 ms)
+# — a tripwire for the kernel regressing, not a claim that it wins.
 # The workload-shape gates (DESIGN.md §14, results/conv_layers.txt): the
 # conv shapes the repo benchmark's training step actually executes — the
 # 32→32 16×16 patch conv, layer4's 256→256 4×4 map, a 1×1 stride-2
