@@ -13,7 +13,10 @@
 //! Device-pool and host-pool plan peaks are printed alongside for context.
 //! With `--features heap-track` the process-wide heap high-water is also
 //! printed per strategy (the allocator counter includes params, grads and
-//! kernel scratch, so it is strictly larger than the activation numbers).
+//! kernel scratch, so it is strictly larger than the activation numbers),
+//! and `heap_saved/hmms` records how far the HMMS step's high-water sits
+//! below the Vec-per-node step's — the process-level reading of "planned
+//! means physical", gated `≥ 1` by `scripts/verify.sh`.
 
 use std::sync::Arc;
 
@@ -113,6 +116,8 @@ fn main() {
         meter.peak_bytes(),
         heap_note()
     );
+    #[cfg(feature = "heap-track")]
+    let vec_heap_peak = scnn_bench::heap::peak_bytes();
 
     let overlap = LayoutOptions {
         overlap_workspace: true,
@@ -150,6 +155,13 @@ fn main() {
             &format!("planned_device/{}", plan.strategy),
             layout.device_general_bytes,
         );
+        #[cfg(feature = "heap-track")]
+        if plan.strategy == "hmms" {
+            g.record_bytes(
+                "heap_saved/hmms",
+                vec_heap_peak.saturating_sub(scnn_bench::heap::peak_bytes()),
+            );
+        }
     }
 
     // Micro-batched HMMS: the planner's third axis. The schedule shrinks

@@ -17,15 +17,12 @@
 //! chosen plan's actual layout.
 
 use scnn_graph::{Graph, MicroBatchSchedule, Node, Op};
-use scnn_rng::Rng;
 use scnn_tensor::{
     conv2d_dw_single_block, conv2d_workspace_bytes, min_micro_batch, Conv2dGeometry, Padding2d,
 };
 
 use crate::model::ModelDesc;
-use crate::transform::{
-    lower_unsplit, plan_split, plan_split_stochastic, PlanSplitError, SplitConfig, SplitPlan,
-};
+use crate::transform::{lower_unsplit, plan_split, PlanSplitError, SplitConfig, SplitPlan};
 
 /// The cropped kernel geometry, batch, and output channels of a conv node
 /// — `None` for every other op. Negative padding crops the input before
@@ -239,27 +236,6 @@ pub fn plan_split_auto(
     best.ok_or(last_err)
 }
 
-/// Stochastic counterpart of [`plan_split_auto`]: the *config* is chosen
-/// by the deterministic cost model (so selection does not consume
-/// randomness and reproducibility is preserved), then the per-mini-batch
-/// boundaries are drawn with wiggle ω. Call once per mini-batch.
-///
-/// # Errors
-///
-/// See [`plan_split_auto`] and
-/// [`plan_split_stochastic`](crate::plan_split_stochastic).
-pub fn plan_split_stochastic_auto(
-    desc: &ModelDesc,
-    batch: usize,
-    candidates: &[SplitConfig],
-    omega: f32,
-    rng: &mut impl Rng,
-) -> Result<AutoSplit, PlanSplitError> {
-    let mut auto = plan_split_auto(desc, batch, candidates)?;
-    auto.plan = plan_split_stochastic(desc, &auto.config, omega, rng)?;
-    Ok(auto)
-}
-
 /// Plans the micro-batch schedule minimizing per-conv workspace — the
 /// third planning axis.
 ///
@@ -297,79 +273,9 @@ pub fn plan_micro_schedule(graph: &Graph) -> MicroBatchSchedule {
     schedule
 }
 
-/// A jointly selected plan: split configuration *and* per-conv micro-batch
-/// schedule, the two memory axes the planner can trade against each other.
-#[derive(Clone, Debug)]
-pub struct JointAuto {
-    /// The winning split plan, ready to lower.
-    pub plan: SplitPlan,
-    /// The split candidate that produced it.
-    pub config: SplitConfig,
-    /// The winning micro-batch schedule for the lowered graph.
-    pub schedule: MicroBatchSchedule,
-    /// Modeled cost under the schedule ([`conv_micro_workspace`]).
-    pub cost: SplitCost,
-    /// The same graph's cost with an empty schedule (every conv at the
-    /// full batch), for reporting what micro-batching alone saved.
-    pub full_batch_cost: SplitCost,
-    /// The unsplit, un-micro-batched model's cost at the same batch size.
-    pub unsplit_cost: SplitCost,
-}
-
-/// Joint counterpart of [`plan_split_auto`]: for every split candidate,
-/// plans the best micro-batch schedule for its lowered graph and selects
-/// the `(config, schedule)` pair minimizing the modeled peak. Ties keep
-/// the earliest candidate.
-///
-/// # Errors
-///
-/// As [`plan_split_auto`].
-pub fn plan_joint_auto(
-    desc: &ModelDesc,
-    batch: usize,
-    candidates: &[SplitConfig],
-) -> Result<JointAuto, PlanSplitError> {
-    let unsplit = lower_unsplit(desc, batch);
-    let unsplit_cost = split_cost(
-        &unsplit,
-        &conv_micro_workspace(&unsplit, &[], &MicroBatchSchedule::new(batch)),
-    );
-
-    let mut best: Option<JointAuto> = None;
-    let mut last_err = PlanSplitError::NothingToSplit;
-    for cfg in candidates {
-        let plan = match plan_split(desc, cfg) {
-            Ok(p) => p,
-            Err(e) => {
-                last_err = e;
-                continue;
-            }
-        };
-        let graph = plan.lower(desc, batch);
-        let schedule = plan_micro_schedule(&graph);
-        let cost = split_cost(&graph, &conv_micro_workspace(&graph, &[], &schedule));
-        if best.as_ref().is_none_or(|b| cost.peak_bytes < b.cost.peak_bytes) {
-            let full_batch_cost = split_cost(
-                &graph,
-                &conv_micro_workspace(&graph, &[], &MicroBatchSchedule::new(batch)),
-            );
-            best = Some(JointAuto {
-                plan,
-                config: *cfg,
-                schedule,
-                cost,
-                full_batch_cost,
-                unsplit_cost,
-            });
-        }
-    }
-    best.ok_or(last_err)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scnn_rng::SplitRng;
 
     fn candidates() -> Vec<SplitConfig> {
         vec![
@@ -524,45 +430,5 @@ mod tests {
                 base_ws[id.0]
             );
         }
-    }
-
-    #[test]
-    fn joint_auto_reduces_modeled_peak_on_tiny_cnn() {
-        let desc = ModelDesc::tiny_cnn(10);
-        let batch = 8;
-        let joint = plan_joint_auto(&desc, batch, &candidates()).expect("plans");
-        // The schedule must never cost peak against the same graph run
-        // full-batch, and on this model it strictly helps.
-        assert!(joint.cost.peak_bytes <= joint.full_batch_cost.peak_bytes);
-        assert!(joint.cost.peak_bytes < joint.unsplit_cost.peak_bytes);
-        // Joint selection can only improve on picking the split config
-        // first and the schedule second.
-        let split_first = plan_split_auto(&desc, batch, &candidates()).expect("plans");
-        let g = split_first.plan.lower(&desc, batch);
-        let s = plan_micro_schedule(&g);
-        let sequential = split_cost(&g, &conv_micro_workspace(&g, &[], &s));
-        assert!(joint.cost.peak_bytes <= sequential.peak_bytes);
-    }
-
-    #[test]
-    fn stochastic_auto_keeps_the_deterministic_config() {
-        let desc = ModelDesc::tiny_cnn(10);
-        let det = plan_split_auto(&desc, 4, &candidates()).expect("plans");
-        let mut rng = SplitRng::seed_from_u64(99);
-        let s1 = plan_split_stochastic_auto(&desc, 4, &candidates(), 0.3, &mut rng)
-            .expect("plans stochastically");
-        let s2 = plan_split_stochastic_auto(&desc, 4, &candidates(), 0.3, &mut rng)
-            .expect("plans stochastically");
-        assert_eq!(s1.config, det.config);
-        assert_eq!(s2.config, det.config);
-        // Same region either way; only the boundaries are drawn.
-        assert_eq!(s1.plan.region_blocks, det.plan.region_blocks);
-        assert_eq!(s2.plan.region_blocks, det.plan.region_blocks);
-        // Selection consumed no randomness: replaying the rng reproduces
-        // the first draw bit for bit.
-        let mut replay = SplitRng::seed_from_u64(99);
-        let r1 = plan_split_stochastic_auto(&desc, 4, &candidates(), 0.3, &mut replay)
-            .expect("plans stochastically");
-        assert_eq!(r1.plan, s1.plan);
     }
 }

@@ -42,8 +42,8 @@ pub mod stochastic;
 pub mod transform;
 
 pub use cost::{
-    conv_engine_workspace, conv_micro_workspace, plan_joint_auto, plan_micro_schedule,
-    plan_split_auto, plan_split_stochastic_auto, split_cost, AutoSplit, JointAuto, SplitCost,
+    conv_engine_workspace, conv_micro_workspace, plan_micro_schedule, plan_split_auto, split_cost,
+    AutoSplit, SplitCost,
 };
 pub use model::{Block, LayerDesc, ModelDesc, ShapeTrace};
 pub use scheme::{even_starts, input_starts, patch_paddings, SplitChoice, Window1d};

@@ -10,18 +10,11 @@
 //! Passing `Some(`[`ConvAlgo::Materialized`]`)` runs the classic whole-batch
 //! `im2col` + GEMM pipeline instead — the reference the engine is
 //! bit-identical to, for tests to compare against; no conv node runs it.
-//!
-//! Outputs and gradients are returned in pooled storage from
-//! [`Workspace::global`], so steady-state training steps recycle the same
-//! buffers.
-
-use std::sync::Arc;
 
 use scnn_graph::Op;
 use scnn_tensor::{
     col2im_cols_into, conv2d_dw_tiled_acc_at, conv2d_dx_tiled, conv2d_fwd_tiled_at, im2col_into,
-    matmul_a_bt_into, matmul_at_b_into, matmul_into, BufferRecycler, Conv2dGeometry, Padding2d,
-    PooledBuf, Tensor, Workspace,
+    matmul_a_bt_into, matmul_at_b_into, matmul_into, Conv2dGeometry, Padding2d, Tensor,
 };
 
 use super::split_padding;
@@ -112,11 +105,6 @@ fn cropped(x: &Tensor, crop: Padding2d) -> std::borrow::Cow<'_, Tensor> {
     }
 }
 
-fn pooled(buf: Vec<f32>, dims: &[usize]) -> Tensor {
-    let home: Arc<dyn BufferRecycler> = Workspace::global().clone();
-    Tensor::from_pooled(PooledBuf::new(buf, home), dims)
-}
-
 /// Convolution forward: `x: [n, ic, h, w]`, `w: [oc, ic, kh, kw]`,
 /// optional `b: [oc]` → `[n, oc, oh, ow]`.
 ///
@@ -162,12 +150,11 @@ pub fn conv2d_forward_micro(
     let (oh, ow) = (g.out_h(), g.out_w());
     let hw = oh * ow;
 
-    // Every path overwrites every output element, so the pooled buffer's
-    // previous contents never matter.
-    let mut out = Workspace::global().take(n * oc * hw);
+    let mut y = Tensor::zeros(&[n, oc, oh, ow]);
+    let out = y.as_mut_slice();
     match algo.unwrap_or_default() {
         ConvAlgo::Tiled => {
-            conv2d_fwd_tiled_at(x, off_h, off_w, w, b.map(Tensor::as_slice), &g, &mut out);
+            conv2d_fwd_tiled_at(x, off_h, off_w, w, b.map(Tensor::as_slice), &g, out);
         }
         ConvAlgo::Materialized => {
             let xc = cropped(x, crop);
@@ -177,12 +164,12 @@ pub fn conv2d_forward_micro(
                 scnn_par::scratch::with_scratch(rows * oc, |ymat| {
                     // The weight tensor is row-major [oc, ic·kh·kw] already.
                     matmul_a_bt_into(cols, w.as_slice(), rows, plen, oc, ymat);
-                    transpose_rows_to_nchw(ymat, b.map(Tensor::as_slice), n, oc, hw, &mut out);
+                    transpose_rows_to_nchw(ymat, b.map(Tensor::as_slice), n, oc, hw, out);
                 });
             });
         }
     }
-    pooled(out, &[n, oc, oh, ow])
+    y
 }
 
 /// Reorders `[n·hw, oc]` rows into NCHW planes as one blocked transpose
@@ -278,18 +265,17 @@ pub fn conv2d_backward_micro(
     let hw = oh * ow;
     let plen = g.patch_len();
 
-    let ws = Workspace::global();
-    let mut dw = ws.take(oc * plen); // fully overwritten by every path
+    let mut dw = Tensor::zeros(w.shape().dims());
     // Gradients fold into the full-size dx at the crop offset: cropped-away
     // (abandoned) rows keep their single zero fill.
-    let mut dx = pooled(ws.take_zeroed(x.as_slice().len()), x.shape().dims());
+    let mut dx = Tensor::zeros(x.shape().dims());
 
     match algo.unwrap_or_default() {
         ConvAlgo::Tiled => {
             let u = if micro == 0 { n } else { micro.min(n) };
             for b0 in (0..n).step_by(u.max(1)) {
                 let bn = u.min(n - b0);
-                conv2d_dw_tiled_acc_at(x, off_h, off_w, dy, &g, b0, bn, &mut dw, b0 == 0);
+                conv2d_dw_tiled_acc_at(x, off_h, off_w, dy, &g, b0, bn, dw.as_mut_slice(), b0 == 0);
             }
             // dx scratch is one gradient tile per thread — nothing to chunk.
             conv2d_dx_tiled(dy, w, &g, &mut dx, off_h, off_w);
@@ -317,7 +303,7 @@ pub fn conv2d_backward_micro(
                 });
                 scnn_par::scratch::with_scratch(rows * plen, |cols| {
                     im2col_into(&xc, &g, cols);
-                    matmul_at_b_into(dymat, cols, rows, oc, plen, &mut dw);
+                    matmul_at_b_into(dymat, cols, rows, oc, plen, dw.as_mut_slice());
                 });
                 scnn_par::scratch::with_scratch(rows * plen, |dcols| {
                     matmul_into(dymat, w.as_slice(), rows, oc, plen, dcols);
@@ -326,8 +312,6 @@ pub fn conv2d_backward_micro(
             });
         }
     }
-    let dw = pooled(dw, w.shape().dims());
-
     let db = has_bias.then(|| {
         let dsrc = dy.as_slice();
         let mut db = vec![0.0f32; oc];

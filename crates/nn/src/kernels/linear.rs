@@ -1,15 +1,9 @@
 //! Fully-connected layer.
 //!
-//! Outputs and gradients land in pooled buffers from the global
-//! [`Workspace`] arena (`dw`'s GEMM partials additionally use the
-//! per-thread scratch arena inside `matmul_at_b_into`), so steady-state
-//! training steps allocate nothing here.
+//! Outputs and gradients are fresh tensors; `dw`'s GEMM partials use the
+//! per-thread scratch arena inside `matmul_at_b_into`.
 
-use std::sync::Arc;
-
-use scnn_tensor::{
-    matmul_a_bt_into, matmul_at_b_into, matmul_into, BufferRecycler, PooledBuf, Tensor, Workspace,
-};
+use scnn_tensor::{matmul_a_bt_into, matmul_at_b_into, matmul_into, Tensor};
 
 /// Gradients produced by [`linear_backward`].
 #[derive(Clone, Debug)]
@@ -34,21 +28,15 @@ pub fn linear_forward(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(b.len(), w.dim(0), "linear bias mismatch");
     let (n, k) = (x.dim(0), x.dim(1));
     let out = w.dim(0);
-    // The GEMM overwrites every element, so a non-zeroed pooled take is fine.
-    let mut y = Workspace::global().take(n * out);
-    matmul_a_bt_into(x.as_slice(), w.as_slice(), n, k, out, &mut y);
+    let mut y = Tensor::zeros(&[n, out]);
+    matmul_a_bt_into(x.as_slice(), w.as_slice(), n, k, out, y.as_mut_slice());
     let bd = b.as_slice();
-    for row in y.chunks_mut(out) {
+    for row in y.as_mut_slice().chunks_mut(out) {
         for (v, &bb) in row.iter_mut().zip(bd) {
             *v += bb;
         }
     }
-    pooled(y, &[n, out])
-}
-
-fn pooled(buf: Vec<f32>, dims: &[usize]) -> Tensor {
-    let home: Arc<dyn BufferRecycler> = Workspace::global().clone();
-    Tensor::from_pooled(PooledBuf::new(buf, home), dims)
+    y
 }
 
 /// Linear backward given upstream `dy: [n, out]`.
@@ -56,13 +44,10 @@ pub fn linear_backward(x: &Tensor, w: &Tensor, dy: &Tensor) -> LinearGrads {
     assert_eq!(dy.shape().dims(), &[x.dim(0), w.dim(0)], "linear dy mismatch");
     let (n, k) = (x.dim(0), x.dim(1));
     let out = w.dim(0);
-    let ws = Workspace::global();
-    let mut dx = ws.take_zeroed(n * k); // matmul_into accumulates
-    matmul_into(dy.as_slice(), w.as_slice(), n, out, k, &mut dx);
-    let dx = pooled(dx, &[n, k]);
-    let mut dw = ws.take(out * k); // fully overwritten
-    matmul_at_b_into(dy.as_slice(), x.as_slice(), n, out, k, &mut dw);
-    let dw = pooled(dw, &[out, k]);
+    let mut dx = Tensor::zeros(&[n, k]); // matmul_into accumulates
+    matmul_into(dy.as_slice(), w.as_slice(), n, out, k, dx.as_mut_slice());
+    let mut dw = Tensor::zeros(&[out, k]);
+    matmul_at_b_into(dy.as_slice(), x.as_slice(), n, out, k, dw.as_mut_slice());
     let mut db = vec![0.0f32; out];
     for row in dy.as_slice().chunks(out) {
         for (acc, &v) in db.iter_mut().zip(row) {

@@ -9,11 +9,11 @@
 //!
 //! - [`PlanRuntime`] plugs into [`scnn_nn::Executor::run_with`] (or
 //!   [`scnn_nn::Executor::forward_wave`]) as a
-//!   [`scnn_nn::BufferProvider`]. Node outputs live in pool-recycled
-//!   storage, are dropped at exactly the tape positions the plan frees
-//!   their TSO, and cold activations round-trip through a host arena on a
-//!   background transfer thread — prefetched back just before their
-//!   backward reader, as §4.3 schedules. The immutable half
+//!   [`scnn_nn::BufferProvider`]. Node outputs stay the `Vec`s their
+//!   kernels allocated, are dropped at exactly the tape positions the
+//!   plan frees their TSO, and cold activations round-trip through a
+//!   host arena on a background transfer thread — prefetched back just
+//!   before their backward reader, as §4.3 schedules. The immutable half
 //!   ([`PlanTables`]) is shared, so a runtime per serving slot is cheap;
 //!   the host tier and its thread exist only for plans that offload.
 //! - [`PoolGauge`] replays the plan's addresses and verifies them live

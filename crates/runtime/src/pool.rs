@@ -5,12 +5,9 @@
 //! construction, the `device_general_bytes` the static layout promised —
 //! the golden tests pin that equality.
 //!
-//! Physical buffer recycling lives in [`scnn_tensor::Workspace`]: the
-//! runtime and the kernels share one size-binned pool, so a buffer freed
-//! by a plan event is the very allocation the next kernel's output (or a
-//! prefetch landing buffer) reuses. Every pooled buffer is fully
-//! overwritten before a kernel reads it, so recycling can never change a
-//! computed value.
+//! The gauge is a ledger, not storage: each node output is its own
+//! `Vec<f32>`, dropped — back to the allocator — when the plan frees its
+//! TSO.
 
 use std::collections::HashMap;
 

@@ -5,14 +5,14 @@
 //! (forward + backward), or a forward-only inference plan
 //! (`steps.len() == forward_len`) over an eval pass:
 //!
-//! - every node output is adopted into pool-recycled storage
-//!   ([`PooledBuf`]) so freed buffers are physically reused;
+//! - every node output is adopted as the kernel made it — its own `Vec`,
+//!   counted into the resident total and handed straight back;
 //! - the plan's Alloc/Free events replay through a [`PoolGauge`] at the
 //!   planner's own addresses — the gauge's high-water mark *is* the
 //!   `device_general_bytes` the static layout promised;
 //! - Free events (and an eager in-place-aliasing pass) drop activation
 //!   entries from the executor's `outputs` table the moment their planned
-//!   lifetime ends;
+//!   lifetime ends, which returns the buffer to the allocator;
 //! - OffloadStart/PrefetchStart hand copies to a background transfer
 //!   worker; the matching Sync events block exactly where the plan says
 //!   the compute stream would. The worker and the host arena exist only
@@ -34,12 +34,11 @@
 //!
 //! # Determinism
 //!
-//! The runtime moves and copies bits; it never computes. Adoption wraps
-//! the kernel's own buffer without touching values, offload/prefetch are
-//! bit-exact copies synchronized by the plan's events, and recycled
-//! buffers are fully overwritten before any kernel reads them. A step run
-//! under `PlanRuntime` is therefore bit-identical to the `VecProvider`
-//! baseline at any `SCNN_THREADS` — the integration tests assert this.
+//! The runtime moves and copies bits; it never computes. Adoption returns
+//! the kernel's own buffer, and offload/prefetch are bit-exact copies
+//! synchronized by the plan's events. A step run under `PlanRuntime` is
+//! therefore bit-identical to the `VecProvider` baseline at any
+//! `SCNN_THREADS` — the integration tests assert this.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver};
@@ -52,7 +51,7 @@ use scnn_hmms::{
 };
 use scnn_nn::{BufferProvider, Executor};
 use scnn_par::background::{Ticket, Worker};
-use scnn_tensor::{BufferRecycler, PooledBuf, Tensor, Workspace};
+use scnn_tensor::Tensor;
 
 use crate::host::HostArena;
 use crate::pool::PoolGauge;
@@ -89,12 +88,23 @@ pub struct StepStats {
 pub enum RuntimeError {
     /// The memory plan failed first-fit layout replay.
     Layout(LayoutError),
+    /// The plan was exported for a graph of a different length.
+    GraphMismatch {
+        /// Forward nodes the plan covers (`ExecPlan::forward_len`).
+        plan_nodes: usize,
+        /// Nodes in the graph it was paired with.
+        graph_nodes: usize,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RuntimeError::Layout(e) => write!(f, "layout: {e}"),
+            RuntimeError::GraphMismatch { plan_nodes, graph_nodes } => write!(
+                f,
+                "plan covers {plan_nodes} forward nodes, graph has {graph_nodes}"
+            ),
         }
     }
 }
@@ -123,12 +133,18 @@ pub struct PlanTables {
 
 impl PlanTables {
     /// Resolves `plan` against `graph`.
-    pub fn new(graph: &Graph, plan: ExecPlan) -> Arc<Self> {
-        assert_eq!(
-            plan.forward_len,
-            graph.len(),
-            "plan was exported for a different graph"
-        );
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::GraphMismatch`] when `plan` was exported for a graph
+    /// of a different length.
+    pub fn new(graph: &Graph, plan: ExecPlan) -> Result<Arc<Self>, RuntimeError> {
+        if plan.forward_len != graph.len() {
+            return Err(RuntimeError::GraphMismatch {
+                plan_nodes: plan.forward_len,
+                graph_nodes: graph.len(),
+            });
+        }
         let consumers: Vec<Vec<usize>> = graph
             .consumers()
             .into_iter()
@@ -142,7 +158,7 @@ impl PlanTables {
         }
         let node_shape: Vec<Vec<usize>> =
             graph.nodes().iter().map(|n| n.out_shape.clone()).collect();
-        Arc::new(PlanTables { plan, consumers, node_tso, node_shape })
+        Ok(Arc::new(PlanTables { plan, consumers, node_tso, node_shape }))
     }
 
     /// The resolved plan.
@@ -151,13 +167,10 @@ impl PlanTables {
     }
 }
 
-/// A pooled, plan-driven [`BufferProvider`]. One instance serves one graph
-/// and one plan, for any number of steps.
+/// A plan-driven [`BufferProvider`]. One instance serves one graph and one
+/// plan, for any number of steps.
 pub struct PlanRuntime {
     tables: Arc<PlanTables>,
-    /// The shared size-binned buffer pool (also the kernels' output home):
-    /// plan-freed buffers physically become the next node's storage.
-    pool: Arc<Workspace>,
     /// Host tier and transfer thread: present iff the plan stages bytes
     /// off-device (`host_pool_bytes > 0`; inference plans never do).
     transfer: Option<(Arc<HostArena>, Worker)>,
@@ -184,11 +197,10 @@ impl PlanRuntime {
     ///
     /// # Errors
     ///
-    /// None today: an already-exported plan cannot fail to resolve. The
-    /// `Result` is the signature this shares with [`PlanRuntime::from_plan`],
-    /// whose layout replay can fail.
+    /// [`RuntimeError::GraphMismatch`] when `plan` was exported for a graph
+    /// of a different length.
     pub fn new(graph: &Graph, plan: ExecPlan) -> Result<Self, RuntimeError> {
-        Ok(PlanRuntime::from_tables(PlanTables::new(graph, plan)))
+        Ok(PlanRuntime::from_tables(PlanTables::new(graph, plan)?))
     }
 
     /// A fresh runtime over already-resolved `tables`.
@@ -198,7 +210,6 @@ impl PlanRuntime {
             .then(|| (Arc::new(HostArena::with_bytes(host_bytes)), Worker::new("scnn-transfer")));
         PlanRuntime {
             tables,
-            pool: Workspace::global().clone(),
             transfer,
             gauge: PoolGauge::new(),
             instance: Vec::new(),
@@ -265,6 +276,12 @@ impl PlanRuntime {
         self.stats
     }
 
+    /// Bytes in the `outputs` table right now — what [`StepStats`]'
+    /// `resident_peak_bytes` is the running maximum of.
+    pub fn resident_bytes(&self) -> usize {
+        self.resident
+    }
+
     fn sample_resident(&mut self) {
         self.stats.resident_peak_bytes = self.stats.resident_peak_bytes.max(self.resident);
     }
@@ -320,20 +337,15 @@ impl PlanRuntime {
                 }
                 MemEvent::OffloadStart { tso, .. } => {
                     let src = self.content[tso.0].expect("offloaded TSO has computed content");
-                    let bits = outputs[src].as_ref().expect("offload source is resident").as_slice();
-                    // The staging copy is drawn from the pool and goes back
-                    // to it once it reached the host tier — no allocation
-                    // on the compute thread after the first step.
-                    let mut staged = self.pool.take(bits.len());
-                    staged.copy_from_slice(bits);
-                    let pool = self.pool.clone();
+                    let staged = outputs[src]
+                        .as_ref()
+                        .expect("offload source is resident")
+                        .as_slice()
+                        .to_vec();
                     let off = plan.host_offsets[&tso];
                     let (arena, worker) = self.transfer.as_ref().expect("offloading plans have a host tier");
                     let arena = arena.clone();
-                    let ticket = worker.submit(move || {
-                        arena.store(off, &staged);
-                        pool.recycle(staged);
-                    });
+                    let ticket = worker.submit(move || arena.store(off, &staged));
                     self.pending_offload.insert(tso.0, ticket);
                     self.stats.offloads += 1;
                 }
@@ -347,7 +359,7 @@ impl PlanRuntime {
                     let reader = *plan.restore_nodes[tso.0]
                         .last()
                         .expect("prefetched TSO has a reader");
-                    let mut buf = self.pool.take(tables.node_shape[reader].iter().product());
+                    let mut buf = vec![0.0f32; tables.node_shape[reader].iter().product()];
                     let off = plan.host_offsets[&tso];
                     let (arena, worker) = self.transfer.as_ref().expect("offloading plans have a host tier");
                     let arena = arena.clone();
@@ -376,9 +388,7 @@ impl PlanRuntime {
                         // the same bits under different shapes.
                         self.restore(nid, Tensor::from_vec(buf.clone(), &tables.node_shape[nid]), outputs);
                     }
-                    let home: Arc<dyn BufferRecycler> = self.pool.clone();
-                    let t = Tensor::from_pooled(PooledBuf::new(buf, home), &tables.node_shape[last]);
-                    self.restore(last, t, outputs);
+                    self.restore(last, Tensor::from_vec(buf, &tables.node_shape[last]), outputs);
                     self.content[tso.0] = Some(last);
                 }
             }
@@ -413,14 +423,8 @@ impl BufferProvider for PlanRuntime {
     }
 
     fn adopt(&mut self, _node: usize, out: Tensor) -> Tensor {
-        // Migrate the kernel's buffer into pool-recycled storage without
-        // copying: the same bits, now returned to the shared pool on drop.
-        // Outputs the kernels already homed there detach and re-wrap —
-        // still no copy, same pool.
         self.resident += out.len() * 4;
-        let dims = out.shape().dims().to_vec();
-        let home: Arc<dyn BufferRecycler> = self.pool.clone();
-        Tensor::from_pooled(PooledBuf::new(out.into_vec(), home), &dims)
+        out
     }
 
     fn forward_complete(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {

@@ -15,10 +15,15 @@
 //! - **Planned means physical, one way** — what a step keeps resident
 //!   never exceeds the pool its plan reserved, for every strategy, and the
 //!   strategies order the way their plans do: HMMS below no-offload below
-//!   the Vec-per-node baseline.
+//!   the Vec-per-node baseline;
+//! - **Adoption is the identity, and one meter** — `adopt` returns the
+//!   very buffer the kernel made, and `resident_bytes()` equals the bytes
+//!   in the `outputs` table after every lifetime hook;
+//! - **Failures are values** — a plan paired with the wrong graph is a
+//!   `RuntimeError`, not a panic.
 
 use scnn_core::{conv_engine_workspace, lower_unsplit, plan_split, SplitConfig};
-use scnn_graph::{Graph, NodeId, ParamId, Tape};
+use scnn_graph::{Graph, NodeId, Op, ParamId, Tape};
 use scnn_hmms::{
     plan_hmms, plan_layout, plan_layout_with, plan_no_offload, plan_vdnn, LayoutOptions,
     MemoryPlan, PlannerOptions, Profile, TsoAssignment, TsoOptions,
@@ -26,7 +31,7 @@ use scnn_hmms::{
 use scnn_models::{resnet18, vgg19, ModelOptions};
 use scnn_nn::{BnState, BufferProvider, Executor, Mode, ParamStore, Sgd, VecProvider};
 use scnn_rng::SplitRng;
-use scnn_runtime::{MeterProvider, PlanRuntime, StepStats};
+use scnn_runtime::{MeterProvider, PlanRuntime, RuntimeError, StepStats};
 use scnn_tensor::{uniform, Tensor};
 
 fn vgg_graph(batch: usize) -> Graph {
@@ -293,10 +298,35 @@ enum Hook {
 
 /// Forwards every hook to the runtime, recording the forward ones and how
 /// many offloads had been issued when each node's output was adopted.
+/// Along the way it holds the runtime to two storage facts: `adopt` hands
+/// back the buffer it was given, and after every lifetime hook
+/// `resident_bytes()` is the byte total of the `outputs` table.
 struct Recorder {
     runtime: PlanRuntime,
     forward: Vec<Hook>,
     offloads_at_adopt: Vec<usize>,
+    meter_checks: usize,
+}
+
+impl Recorder {
+    fn new(runtime: PlanRuntime) -> Self {
+        Recorder {
+            runtime,
+            forward: Vec::new(),
+            offloads_at_adopt: Vec::new(),
+            meter_checks: 0,
+        }
+    }
+
+    fn check_meter(&mut self, hook: &str, node: usize, outputs: &[Option<Tensor>]) {
+        let table: usize = outputs.iter().flatten().map(|t| t.len() * 4).sum();
+        assert_eq!(
+            self.runtime.resident_bytes(),
+            table,
+            "resident_bytes() left the outputs table after {hook}({node})"
+        );
+        self.meter_checks += 1;
+    }
 }
 
 impl BufferProvider for Recorder {
@@ -307,20 +337,27 @@ impl BufferProvider for Recorder {
     fn adopt(&mut self, node: usize, out: Tensor) -> Tensor {
         self.forward.push(Hook::Adopt(node));
         self.offloads_at_adopt.push(self.runtime.stats().offloads);
-        self.runtime.adopt(node, out)
+        let (ptr, bits) = (out.as_slice().as_ptr(), out.clone());
+        let adopted = self.runtime.adopt(node, out);
+        assert_eq!(adopted.as_slice().as_ptr(), ptr, "adopt moved node {node}'s buffer");
+        assert_eq!(adopted, bits, "adopt changed node {node}'s bits or shape");
+        adopted
     }
 
     fn forward_complete(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
         self.forward.push(Hook::Complete(node));
         self.runtime.forward_complete(node, outputs);
+        self.check_meter("forward_complete", node, outputs);
     }
 
     fn before_backward(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
         self.runtime.before_backward(node, outputs);
+        self.check_meter("before_backward", node, outputs);
     }
 
     fn after_backward(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
         self.runtime.after_backward(node, outputs);
+        self.check_meter("after_backward", node, outputs);
     }
 
     fn end_step(&mut self, outputs: &mut [Option<Tensor>]) {
@@ -348,11 +385,7 @@ fn forward_hooks_follow_the_tape_and_offloads_start_between_patches() {
     let (images, labels) = batch_for(&graph, 21);
     let runtime = PlanRuntime::from_plan_with(&graph, &tape, hmms, &tso, OVERLAP)
         .expect("plan is legal with overlap");
-    let mut rec = Recorder {
-        runtime,
-        forward: Vec::new(),
-        offloads_at_adopt: Vec::new(),
-    };
+    let mut rec = Recorder::new(runtime);
     fresh_step(&graph, &images, &labels, &mut rec);
 
     let tape_order = (0..graph.len()).flat_map(|id| [Hook::Adopt(id), Hook::Complete(id)]);
@@ -371,6 +404,47 @@ fn forward_hooks_follow_the_tape_and_offloads_start_between_patches() {
     assert!(
         rec.offloads_at_adopt[first_of_last] > 0,
         "no offload was issued before the last patch (node {first_of_last}) started computing"
+    );
+}
+
+#[test]
+fn adopt_is_the_identity_and_resident_bytes_is_the_outputs_table() {
+    // The checks live in `Recorder`'s hooks; this drives them over every
+    // strategy (frees only, frees + offload/prefetch restores) and says
+    // what they covered: conv and ReLU outputs alike, and every forward
+    // and backward hook of the step.
+    let graph = split_resnet_graph(2);
+    let has = |want: fn(&Op) -> bool| graph.nodes().iter().any(|n| want(&n.op));
+    assert!(has(|op| matches!(op, Op::Conv2d { .. })) && has(|op| matches!(op, Op::Relu)));
+    let (tape, tso, plans) = plans_with_workspace(&graph);
+    let (images, labels) = batch_for(&graph, 21);
+    for plan in &plans {
+        let runtime = PlanRuntime::from_plan_with(&graph, &tape, plan, &tso, OVERLAP)
+            .expect("plan is legal with overlap");
+        let mut rec = Recorder::new(runtime);
+        fresh_step(&graph, &images, &labels, &mut rec);
+        assert_eq!(rec.offloads_at_adopt.len(), graph.len(), "{}: one adopt per node", plan.strategy);
+        assert_eq!(
+            rec.meter_checks,
+            3 * graph.len(),
+            "{}: one forward and two backward hooks per node",
+            plan.strategy
+        );
+        assert_eq!(rec.runtime.resident_bytes(), 0, "{}: the step ends empty", plan.strategy);
+    }
+}
+
+#[test]
+fn a_plan_for_another_graph_is_an_error_value() {
+    let graph = split_resnet_graph(2);
+    let (tape, tso, plans) = plans(&graph);
+    let exec = scnn_hmms::export_plan(&graph, &tape, &plans[0], &tso).expect("plan exports");
+    let mut longer = graph.clone();
+    longer.relu(NodeId(graph.len() - 1), "extra");
+    let err = PlanRuntime::new(&longer, exec).err().expect("a plan for a shorter graph must not resolve");
+    assert_eq!(
+        err,
+        RuntimeError::GraphMismatch { plan_nodes: graph.len(), graph_nodes: graph.len() + 1 }
     );
 }
 

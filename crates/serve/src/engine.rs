@@ -39,10 +39,11 @@
 //! high-water mark is asserted to equal
 //! `StaticLayout::device_general_bytes` exactly — a batch's pool is
 //! `slots ×` that, a planned quantity, not an accident of scheduling.
-//! [`BatchStats::resident_peak`] is the engine's own sample: live bytes
-//! over all slots, once per merged wave, *after* that wave's lifetime
-//! events — what the process holds between waves. (The runtime's own
-//! figure is per node and before the drops: a training step's peak.)
+//! [`BatchStats::resident_peak`] is the engine's own sample: the slots'
+//! [`PlanRuntime::resident_bytes`] counters summed once per merged wave,
+//! *after* that wave's lifetime events — what the process holds between
+//! waves. (The runtime's own peak is per node and before the drops: a
+//! training step's peak.)
 
 use std::sync::Arc;
 
@@ -128,7 +129,8 @@ impl Engine {
     /// # Errors
     ///
     /// [`RuntimeError::Layout`] when the forward-only plan fails layout
-    /// replay.
+    /// replay. (The plan is exported from `graph` itself, so
+    /// [`RuntimeError::GraphMismatch`] cannot arise.)
     ///
     /// # Panics
     ///
@@ -137,7 +139,7 @@ impl Engine {
     /// the engine serves.
     pub fn new(graph: Graph, params: Arc<ParamStore>, bn: Arc<BnState>) -> Result<Self, RuntimeError> {
         let tso = TsoAssignment::new(&graph, &vec![0; graph.len()], TsoOptions::default());
-        let tables = PlanTables::new(&graph, export_inference_plan(&graph, &tso)?);
+        let tables = PlanTables::new(&graph, export_inference_plan(&graph, &tso)?)?;
         let schedule = Schedule::build(&graph);
         let loss = graph
             .nodes()
@@ -268,20 +270,14 @@ impl Engine {
             .collect();
 
         let mut resident_peak = 0usize;
-        {
+        let exec = Executor::new();
+        for units in &self.schedule.interleave(requests.len()).waves {
             let mut hooks: Vec<&mut dyn BufferProvider> =
                 providers.iter_mut().map(|p| p as &mut dyn BufferProvider).collect();
-            let exec = Executor::new();
-            for units in &self.schedule.interleave(requests.len()).waves {
-                // Eval with no labels defers nothing.
-                exec.forward_wave(&ctx, units, &mut slots, &mut hooks);
-                let live: usize = slots
-                    .iter()
-                    .flat_map(|s| s.outputs.iter().flatten())
-                    .map(|t| t.len() * 4)
-                    .sum();
-                resident_peak = resident_peak.max(live);
-            }
+            // Eval with no labels defers nothing.
+            exec.forward_wave(&ctx, units, &mut slots, &mut hooks);
+            let live: usize = providers.iter().map(|p| p.runtime.resident_bytes()).sum();
+            resident_peak = resident_peak.max(live);
         }
 
         let per_slot = self.plan().layout.device_general_bytes;

@@ -36,10 +36,8 @@ mod pad;
 mod shape;
 pub mod simd;
 mod slice;
-mod storage;
 mod tensor;
 pub mod winograd;
-mod workspace;
 
 pub use conv_engine::{
     conv2d_dw_single_block, conv2d_dw_tiled, conv2d_dw_tiled_acc, conv2d_dw_tiled_acc_at,
@@ -55,7 +53,5 @@ pub use linalg::{
 pub use pad::Padding2d;
 pub use shape::Shape;
 pub use simd::{active_level, detected_level, force_level, SimdLevel};
-pub use storage::{BufferRecycler, PooledBuf};
 pub use tensor::Tensor;
 pub use winograd::{conv2d_fwd_winograd, winograd_supported};
-pub use workspace::Workspace;

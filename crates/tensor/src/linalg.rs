@@ -86,7 +86,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// Slice core of [`matmul`]: accumulates `A·B` into `out`, which **must be
 /// zero-filled on entry** (`[m*n]`, row-major). Lets callers land the
-/// product in pooled/workspace storage; values are bit-identical to
+/// product in storage they own; values are bit-identical to
 /// [`matmul`] for a zeroed target.
 pub fn matmul_into(av: &[f32], bv: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     assert_eq!(av.len(), m * k, "matmul_into lhs length");

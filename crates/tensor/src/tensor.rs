@@ -2,21 +2,15 @@
 
 use std::fmt;
 
-use crate::storage::PooledBuf;
 use crate::Shape;
 
 /// A dense, row-major `f32` tensor.
 ///
-/// All data lives in a single contiguous buffer; views are not used —
+/// All data lives in a single contiguous `Vec<f32>`; views are not used —
 /// operations that conceptually produce views (slicing, padding) copy
 /// instead, which keeps the kernel code simple and is plenty fast for the
-/// CPU-proxy training this workspace performs.
-///
-/// The buffer is usually an owned `Vec<f32>`, but tensors can also sit on
-/// *pooled* storage ([`Tensor::from_pooled`]): a buffer borrowed from a
-/// memory pool that flows back to it on drop. The representation is
-/// invisible to every operation — values, shapes, and arithmetic behave
-/// identically — only the buffer's final destination differs.
+/// CPU-proxy training this workspace performs. Dropping the tensor hands
+/// the buffer back to the allocator.
 ///
 /// # Example
 ///
@@ -27,59 +21,10 @@ use crate::Shape;
 /// assert_eq!(x.len(), 6);
 /// assert_eq!(x.at(&[1, 2]), 0.0);
 /// ```
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
-    data: Repr,
+    data: Vec<f32>,
     shape: Shape,
-}
-
-/// Where a tensor's buffer lives.
-enum Repr {
-    /// A plain heap `Vec`, freed by the system allocator.
-    Owned(Vec<f32>),
-    /// A buffer on loan from a pool; returns there when dropped.
-    Pooled(PooledBuf),
-}
-
-impl Repr {
-    fn as_slice(&self) -> &[f32] {
-        match self {
-            Repr::Owned(v) => v,
-            Repr::Pooled(p) => p.as_slice(),
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [f32] {
-        match self {
-            Repr::Owned(v) => v,
-            Repr::Pooled(p) => p.as_mut_slice(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Repr::Owned(v) => v.len(),
-            Repr::Pooled(p) => p.len(),
-        }
-    }
-}
-
-impl Clone for Tensor {
-    /// Clones are always owned: copying a pooled tensor must not pin a
-    /// second reference to pool storage the plan didn't account for.
-    fn clone(&self) -> Self {
-        Tensor {
-            data: Repr::Owned(self.as_slice().to_vec()),
-            shape: self.shape.clone(),
-        }
-    }
-}
-
-impl PartialEq for Tensor {
-    /// Value equality: shape plus element bits, independent of where the
-    /// buffer lives.
-    fn eq(&self, other: &Self) -> bool {
-        self.shape == other.shape && self.as_slice() == other.as_slice()
-    }
 }
 
 impl Tensor {
@@ -87,7 +32,7 @@ impl Tensor {
     pub fn zeros(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
         Tensor {
-            data: Repr::Owned(vec![0.0; shape.len()]),
+            data: vec![0.0; shape.len()],
             shape,
         }
     }
@@ -101,7 +46,7 @@ impl Tensor {
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
         Tensor {
-            data: Repr::Owned(vec![value; shape.len()]),
+            data: vec![value; shape.len()],
             shape,
         }
     }
@@ -119,35 +64,7 @@ impl Tensor {
             "data length {} does not match shape {shape}",
             data.len()
         );
-        Tensor {
-            data: Repr::Owned(data),
-            shape,
-        }
-    }
-
-    /// Wraps a pool-owned buffer; the buffer returns to its pool when the
-    /// tensor (and every clone-free move of it) is dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len()` does not equal the shape's element count.
-    pub fn from_pooled(buf: PooledBuf, dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        assert_eq!(
-            buf.len(),
-            shape.len(),
-            "pooled buffer length {} does not match shape {shape}",
-            buf.len()
-        );
-        Tensor {
-            data: Repr::Pooled(buf),
-            shape,
-        }
-    }
-
-    /// Whether the tensor sits on pooled storage.
-    pub fn is_pooled(&self) -> bool {
-        matches!(self.data, Repr::Pooled(_))
+        Tensor { data, shape }
     }
 
     /// The tensor's shape.
@@ -174,26 +91,22 @@ impl Tensor {
     /// tensors built through this crate's constructors, which reject
     /// zero-sized shapes, but required for API completeness).
     pub fn is_empty(&self) -> bool {
-        self.data.len() == 0
+        self.data.is_empty()
     }
 
     /// Borrow the underlying buffer.
     pub fn as_slice(&self) -> &[f32] {
-        self.data.as_slice()
+        &self.data
     }
 
     /// Mutably borrow the underlying buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        self.data.as_mut_slice()
+        &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer. A pooled tensor's buffer
-    /// is detached from its pool — the caller takes full ownership.
+    /// Consumes the tensor, returning its buffer.
     pub fn into_vec(self) -> Vec<f32> {
-        match self.data {
-            Repr::Owned(v) => v,
-            Repr::Pooled(p) => p.detach(),
-        }
+        self.data
     }
 
     /// Element at a multi-dimensional index.
@@ -235,7 +148,7 @@ impl Tensor {
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Tensor {
-            data: Repr::Owned(self.as_slice().iter().map(|&v| f(v)).collect()),
+            data: self.data.iter().map(|&v| f(v)).collect(),
             shape: self.shape.clone(),
         }
     }
@@ -259,13 +172,12 @@ impl Tensor {
             self.shape, other.shape
         );
         Tensor {
-            data: Repr::Owned(
-                self.as_slice()
-                    .iter()
-                    .zip(other.as_slice())
-                    .map(|(&a, &b)| f(a, b))
-                    .collect(),
-            ),
+            data: self
+                .data
+                .iter()
+                .zip(&other.data)
+                .map(|(&a, &b)| f(a, b))
+                .collect(),
             shape: self.shape.clone(),
         }
     }
@@ -424,61 +336,5 @@ mod tests {
         assert!(t.all_finite());
         t.set(&[0], f32::NAN);
         assert!(!t.all_finite());
-    }
-
-    mod pooled {
-        use super::*;
-        use crate::storage::{BufferRecycler, PooledBuf};
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Default)]
-        struct Bin {
-            returned: Mutex<Vec<Vec<f32>>>,
-        }
-
-        impl BufferRecycler for Bin {
-            fn recycle(&self, buf: Vec<f32>) {
-                self.returned.lock().unwrap().push(buf);
-            }
-        }
-
-        fn pooled(data: Vec<f32>, dims: &[usize], bin: &Arc<Bin>) -> Tensor {
-            let buf = PooledBuf::new(data, Arc::clone(bin) as Arc<dyn BufferRecycler>);
-            Tensor::from_pooled(buf, dims)
-        }
-
-        #[test]
-        fn pooled_tensor_behaves_like_owned() {
-            let bin = Arc::new(Bin::default());
-            let t = pooled(vec![1.0, 2.0, 3.0, 4.0], &[2, 2], &bin);
-            assert!(t.is_pooled());
-            assert_eq!(t.at(&[1, 0]), 3.0);
-            assert_eq!(t.sum(), 10.0);
-            assert_eq!(t, Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]));
-        }
-
-        #[test]
-        fn drop_returns_buffer_reshape_keeps_it() {
-            let bin = Arc::new(Bin::default());
-            let t = pooled(vec![0.0; 4], &[2, 2], &bin).reshape(&[4]);
-            assert!(t.is_pooled(), "reshape must not detach pooled storage");
-            drop(t);
-            assert_eq!(bin.returned.lock().unwrap().len(), 1);
-        }
-
-        #[test]
-        fn clone_is_owned_into_vec_detaches() {
-            let bin = Arc::new(Bin::default());
-            let t = pooled(vec![5.0, 6.0], &[2], &bin);
-            let c = t.clone();
-            assert!(!c.is_pooled());
-            let v = t.into_vec();
-            assert_eq!(v, vec![5.0, 6.0]);
-            drop(c);
-            assert!(
-                bin.returned.lock().unwrap().is_empty(),
-                "neither the clone nor the detached vec may recycle"
-            );
-        }
     }
 }

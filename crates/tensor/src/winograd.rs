@@ -31,14 +31,12 @@
 //!
 //! Tile batches are staged through per-thread scratch
 //! (`scnn_par::scratch`) sized by the tiled engine's pack-panel budget; the
-//! transformed-weight buffer comes from the shared [`Workspace`] pool so
-//! repeated calls do not re-allocate.
+//! transformed-weight buffer is a `Vec` allocated per call.
 
 use crate::conv_engine::PACK_PANEL_BYTES;
 use crate::im2col::Conv2dGeometry;
 use crate::simd::{gemm_acc, vadd, vsub};
-use crate::workspace::Workspace;
-use crate::{BufferRecycler, Tensor};
+use crate::Tensor;
 use scnn_par::{scratch, DisjointMut};
 
 /// Transform-domain points per tile (4×4).
@@ -184,12 +182,11 @@ pub fn conv2d_fwd_winograd(
     let (nth, ntw) = (oh.div_ceil(2), ow.div_ceil(2));
     let tiles = n * nth * ntw;
 
-    let ws = Workspace::global();
-    let mut u = ws.take(oc * TP * ic);
+    let mut u = vec![0.0f32; oc * TP * ic];
     // U laid out [oc][16][ic]: the per-(i, k) coefficient quads the
     // Hadamard reduction reads are contiguous in c, and the transform
     // writes one contiguous 16·ic chunk per output channel.
-    scnn_par::par_chunks_mut(u.as_mut_slice(), TP * ic, |k, chunk| {
+    scnn_par::par_chunks_mut(&mut u, TP * ic, |k, chunk| {
         for c in 0..ic {
             let u16 = weight_tile(&wv[(k * ic + c) * 9..(k * ic + c) * 9 + 9]);
             for (i, &uv) in u16.iter().enumerate() {
@@ -296,7 +293,6 @@ pub fn conv2d_fwd_winograd(
             }
         });
     });
-    ws.recycle(u);
 }
 
 /// Forward stage 2: `M[i][k][t] += Σ_c U[k][i][c] · V[i][c][t]` over the

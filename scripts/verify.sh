@@ -54,6 +54,16 @@ if grep -rnE 'allow_transform_algos|CostOptions|WINOGRAD_WS_ENVELOPE|default_con
   exit 1
 fi
 
+# Storage guard: a tensor is a `Vec<f32>` and a freed activation goes
+# back to the allocator (DESIGN.md §10). There is no buffer pool beside
+# the plan: a free list would hold resident what the plan just freed.
+# (`TsoRole::Workspace` is the planner's word for kernel scratch TSOs.)
+if grep -rnE 'Workspace::|PooledBuf|BufferRecycler|from_pooled|is_pooled' crates/ src/ examples/ tests/ \
+    | grep -v 'TsoRole::Workspace'; then
+  echo "verify: a pooled tensor representation or buffer free list is back" >&2
+  exit 1
+fi
+
 cargo build --workspace --release --offline
 cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -88,11 +98,13 @@ for bench in kernels planning ablation memory serving; do
 done
 
 # The memory bench once more with the allocator byte counter compiled in,
-# so the heap-track feature cannot rot.
+# so the heap-track feature cannot rot — and the one process-level
+# "planned means physical" gate: the HMMS step's heap high-water must sit
+# below the Vec-per-node step's (`heap_saved/hmms`, ≈ 0.77 MB here).
 SCNN_BENCH_DIR="$tmp" cargo bench -q -p scnn-bench --bench memory \
   --features heap-track --offline -- --smoke
 cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
-  --file "$tmp/BENCH_memory.json"
+  --file "$tmp/BENCH_memory.json" --min-peak heap_saved/hmms:1
 
 # Full runs, gated against the committed baselines (fastest fresh sample
 # vs baseline median — see bench_check). The ms-scale kernels group gets
