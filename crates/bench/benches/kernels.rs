@@ -20,8 +20,9 @@ use scnn_core::lower_unsplit;
 use scnn_graph::ParamId;
 use scnn_models::{resnet18, ModelOptions};
 use scnn_nn::kernels::{
-    avg_pool_forward, batch_norm_forward, conv2d_backward, conv2d_forward, linear_backward,
-    linear_forward, max_pool_forward, ConvAttrs, PoolAttrs,
+    avg_pool_forward, batch_norm_backward, batch_norm_forward, conv2d_backward, conv2d_forward,
+    linear_backward, linear_forward, max_pool_forward, relu_backward, relu_forward, ConvAttrs,
+    PoolAttrs,
 };
 use scnn_nn::{ParamStore, Sgd};
 use scnn_rng::SplitRng;
@@ -155,6 +156,17 @@ fn main() {
     let gamma = Tensor::ones(&[c]);
     let beta = Tensor::zeros(&[c]);
     g.bench("batchnorm_fwd", || batch_norm_forward(&x, &gamma, &beta, None));
+    let (_, saved) = batch_norm_forward(&x, &gamma, &beta, None);
+    let bdy = uniform(&mut rng, &[n, c, hw, hw], -1.0, 1.0);
+    g.bench("batchnorm_bwd", || batch_norm_backward(&bdy, &gamma, &saved));
+
+    // ReLU over one 1 MB activation. The input's signs are random, so the
+    // backward mask is unpredictable: verify.sh holds backward within 3×
+    // of forward, which a branch per element cannot meet (it read ≈ 12×).
+    let rx = uniform(&mut rng, &[n, 2 * c, hw, hw], -1.0, 1.0);
+    g.bench("relu_fwd_8x32x32x32", || relu_forward(&rx));
+    let (ry, rdy) = (relu_forward(&rx), Tensor::ones(rx.shape().dims()));
+    g.bench("relu_bwd_8x32x32x32", || relu_backward(&ry, &rdy));
 
     let pool = PoolAttrs {
         kh: 2,

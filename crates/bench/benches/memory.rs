@@ -17,6 +17,11 @@
 //! and `heap_saved/hmms` records how far the HMMS step's high-water sits
 //! below the Vec-per-node step's — the process-level reading of "planned
 //! means physical", gated `≥ 1` by `scripts/verify.sh`.
+//!
+//! `minor_faults_per_step/{vec_baseline,hmms}` (a count in `peak_bytes`,
+//! recorded, not gated) is how many pages a steady-state step takes back
+//! from the kernel: the allocator trimming and re-growing its heap between
+//! forward and backward, which ROADMAP item 1's arena exists to end.
 
 use std::sync::Arc;
 
@@ -118,6 +123,8 @@ fn main() {
     );
     #[cfg(feature = "heap-track")]
     let vec_heap_peak = scnn_bench::heap::peak_bytes();
+    let faults = faults_per_step(smoke, || step(&mut meter));
+    g.record_bytes("minor_faults_per_step/vec_baseline", faults);
 
     let overlap = LayoutOptions {
         overlap_workspace: true,
@@ -161,6 +168,10 @@ fn main() {
                 "heap_saved/hmms",
                 vec_heap_peak.saturating_sub(scnn_bench::heap::peak_bytes()),
             );
+        }
+        if plan.strategy == "hmms" {
+            let faults = faults_per_step(smoke, || step(&mut rt));
+            g.record_bytes("minor_faults_per_step/hmms", faults);
         }
     }
 
@@ -259,6 +270,31 @@ fn main() {
     g.record_bytes("capacity/max_batch/micro", micro_cap.max_batch);
 
     g.finish();
+}
+
+/// Minor page faults this process has taken: field 10 of
+/// `/proc/self/stat`; 0 where `/proc` is absent.
+fn minor_faults() -> usize {
+    std::fs::read_to_string("/proc/self/stat")
+        .ok()
+        .and_then(|stat| {
+            // Count fields from the end of the parenthesised command name
+            // (field 2), which may itself hold spaces.
+            let after_comm = stat.rsplit_once(')')?.1;
+            after_comm.split_whitespace().nth(7)?.parse().ok()
+        })
+        .unwrap_or(0)
+}
+
+/// Minor page faults per step over a few more steps, taken after the
+/// record's timed ones so every buffer has been touched before.
+fn faults_per_step(smoke: bool, mut step: impl FnMut() -> f32) -> usize {
+    let reps = if smoke { 1 } else { 3 };
+    let before = minor_faults();
+    for _ in 0..reps {
+        std::hint::black_box(step());
+    }
+    (minor_faults() - before) / reps
 }
 
 /// How much of the pool its plan reserved a step physically filled.

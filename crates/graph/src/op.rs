@@ -72,8 +72,10 @@ pub enum Op {
         beta: ParamId,
         /// When `true`, models the memory-efficient in-place-ABN variant
         /// (\[6\] in the paper, §6.3): the normalized input is *recomputed*
-        /// in the backward pass instead of being saved, so this node's
-        /// input does not count as generated data for offloading.
+        /// in the backward pass from the *output*, so this node's input
+        /// does not count as generated data for offloading. The flag changes
+        /// the memory model only: `scnn-nn`'s executor keeps `x̂` for such a
+        /// node, and re-reads the input of every other BN.
         recompute: bool,
     },
     /// Rectified linear unit. Computable in place (§4.2 optimization 1).
@@ -171,7 +173,8 @@ impl Op {
             Op::Pool2d { kind: PoolKind::Max, .. } => true,
             Op::Pool2d { kind: PoolKind::Avg, .. } => false,
             Op::GlobalAvgPool => false,
-            // BatchNorm's backward needs x̂; the recompute variant
+            // BatchNorm's backward regenerates x̂ from its input and the
+            // saved per-channel statistics; the recompute variant
             // regenerates it from the output instead (in-place ABN).
             Op::BatchNorm { recompute, .. } => !*recompute,
             // ReLU's backward only needs the output sign — this is exactly

@@ -7,12 +7,12 @@ use scnn_graph::{Graph, MicroBatchSchedule, Node, NodeId, Op, ParamId, PoolKind}
 use scnn_tensor::Tensor;
 
 use crate::kernels::{
-    avg_pool_backward, avg_pool_forward, batch_norm_backward, batch_norm_inference,
-    batch_norm_train, conv2d_backward_micro, conv2d_forward_micro, dropout_backward, dropout_mask,
-    global_avg_pool_backward, global_avg_pool_forward, linear_backward, linear_forward,
-    max_pool_backward, max_pool_forward, relu_backward, relu_forward,
-    softmax_cross_entropy_backward, softmax_cross_entropy_forward, update_running, BnSaved,
-    ConvAttrs, PoolAttrs,
+    avg_pool_backward, avg_pool_forward, batch_norm_backward, batch_norm_backward_from_input,
+    batch_norm_inference, batch_norm_train, batch_norm_train_stats, conv2d_backward_micro,
+    conv2d_forward_micro, dropout_backward, dropout_mask, global_avg_pool_backward,
+    global_avg_pool_forward, linear_backward, linear_forward, max_pool_backward, max_pool_forward,
+    relu_backward_inplace, relu_forward, softmax_cross_entropy_backward,
+    softmax_cross_entropy_forward, update_running, BnSaved, BnStats, ConvAttrs, PoolAttrs,
 };
 use crate::params::{BnState, ParamStore};
 use crate::provider::{BufferProvider, VecProvider};
@@ -51,7 +51,11 @@ enum Aux {
     None,
     MaxMask(Vec<usize>),
     DropMask(Tensor),
-    Bn(BnSaved),
+    /// The statistics of a BN whose backward re-reads its input.
+    Bn(BnStats),
+    /// `x̂` too, for a `recompute: true` BN: the plan frees its input
+    /// before backward.
+    BnXhat(BnSaved),
     Probs(Tensor),
 }
 
@@ -400,7 +404,11 @@ impl Executor {
                 }
             }
             Op::GlobalAvgPool => plain(global_avg_pool_forward(input(0))),
-            Op::BatchNorm { gamma, beta, .. } => {
+            Op::BatchNorm {
+                gamma,
+                beta,
+                recompute,
+            } => {
                 let x = input(0);
                 let c = x.dim(1);
                 let gv = params.value(*gamma);
@@ -409,11 +417,16 @@ impl Executor {
                     Mode::Train => {
                         // Side-effect-free forward; the running-stat update
                         // is replayed after the wave in node-id order.
-                        let (y, saved, var) = batch_norm_train(x, gv, bv);
-                        let mean = saved.mean.clone();
+                        let (y, mean, aux, var) = if *recompute {
+                            let (y, saved, var) = batch_norm_train(x, gv, bv);
+                            (y, saved.mean.clone(), Aux::BnXhat(saved), var)
+                        } else {
+                            let (y, stats, var) = batch_norm_train_stats(x, gv, bv);
+                            (y, stats.mean.clone(), Aux::Bn(stats), var)
+                        };
                         (
                             y,
-                            Aux::Bn(saved),
+                            aux,
                             Some(Deferred::BnRunning {
                                 gamma: *gamma,
                                 channels: c,
@@ -448,8 +461,12 @@ impl Executor {
                 plain(linear_forward(input(0), params.value(*weight), params.value(*bias)))
             }
             Op::Add => {
-                let mut acc = input(0).clone();
-                for i in 1..node.inputs.len() {
+                // The first pair in one pass, into a fresh buffer.
+                let mut acc = match node.inputs.len() {
+                    1 => input(0).clone(),
+                    _ => input(0).add(input(1)),
+                };
+                for i in 2..node.inputs.len() {
                     acc.add_assign(input(i));
                 }
                 plain(acc)
@@ -591,20 +608,23 @@ impl Executor {
                 }
                 Op::BatchNorm { gamma, beta, .. } => {
                     let dy = grads[node.id.0].take().expect("bn has grad");
-                    let saved = match &aux[node.id.0] {
-                        Aux::Bn(s) => s,
+                    let gv = params.value(*gamma);
+                    let (dx, dgamma, dbeta) = match &aux[node.id.0] {
+                        Aux::Bn(stats) => {
+                            batch_norm_backward_from_input(&dy, gv, out(node.inputs[0]), stats)
+                        }
+                        Aux::BnXhat(saved) => batch_norm_backward(&dy, gv, saved),
                         _ => unreachable!("bn saved stats in train mode"),
                     };
-                    let gv = params.value(*gamma).clone();
-                    let (dx, dgamma, dbeta) = batch_norm_backward(&dy, &gv, saved);
                     params.accumulate_grad(*gamma, &dgamma);
                     params.accumulate_grad(*beta, &dbeta);
                     push(grads, node.inputs[0], dx);
                 }
                 Op::Relu => {
-                    let dy = grads[node.id.0].take().expect("relu has grad");
-                    let dx = relu_backward(out(node.id), &dy);
-                    push(grads, node.inputs[0], dx);
+                    // The mask is applied to the gradient this node owns.
+                    let mut dy = grads[node.id.0].take().expect("relu has grad");
+                    relu_backward_inplace(out(node.id), &mut dy);
+                    push(grads, node.inputs[0], dy);
                 }
                 Op::Dropout { .. } => {
                     let dy = grads[node.id.0].take().expect("dropout has grad");
@@ -624,10 +644,13 @@ impl Executor {
                 }
                 Op::Add => {
                     let dy = grads[node.id.0].take().expect("add has grad");
-                    // All error terms are identical (§4.2 optimization 2).
-                    for &i in &node.inputs {
+                    // All error terms are identical (§4.2 optimization 2);
+                    // the last input takes the gradient itself.
+                    let (&last, rest) = node.inputs.split_last().expect("add has inputs");
+                    for &i in rest {
                         push(grads, i, dy.clone());
                     }
+                    push(grads, last, dy);
                 }
                 Op::Concat { dim } => {
                     let dy = grads[node.id.0].take().expect("concat has grad");
@@ -798,6 +821,46 @@ mod tests {
                 (num - ana).abs() < 0.02 + 0.05 * ana.abs(),
                 "grad mismatch at {i}: {num} vs {ana}"
             );
+        }
+    }
+
+    /// A BN whose backward re-reads its input keeps only the two
+    /// per-channel vectors the plan budgets (`Op::aux_saved_bytes`), not an
+    /// activation-sized `x̂`; a `recompute: true` BN keeps `x̂`.
+    #[test]
+    fn train_forward_keeps_bn_statistics_not_xhat() {
+        let (n, c, hw) = (3, 4, 8);
+        let mut g = Graph::new();
+        let x = g.input(&[n, 2, hw, hw]);
+        let c1 = g.conv2d(x, c, 3, 1, Padding2d::symmetric(1), true, "c1");
+        let stats_bn = g.batch_norm(c1, false, "bn");
+        let xhat_bn = g.batch_norm(c1, true, "bn_recompute");
+
+        let mut rng = SplitRng::seed_from_u64(5);
+        let params = ParamStore::init(&g, &mut rng);
+        let images = uniform(&mut rng, &[n, 2, hw, hw], -1.0, 1.0);
+        let mut slot = Slot::new(&images, g.len());
+        slot.aux = (0..g.len()).map(|_| Aux::None).collect();
+        let mut slots = [slot];
+        let ctx = ForwardCtx {
+            graph: &g,
+            schedule: None,
+            params: &params,
+            bn: &BnState::new(),
+            mode: Mode::Train,
+            labels: None,
+        };
+        for id in 0..g.len() {
+            Executor::new().forward_wave(&ctx, &[(0, id)], &mut slots, &mut [&mut VecProvider]);
+        }
+        let f32s = |v: &[f32]| std::mem::size_of_val(v);
+        match &slots[0].aux[stats_bn.0] {
+            Aux::Bn(s) => assert_eq!(f32s(&s.mean) + f32s(&s.inv_std), 2 * 4 * c),
+            _ => panic!("a BN that re-reads its input saves statistics only"),
+        }
+        match &slots[0].aux[xhat_bn.0] {
+            Aux::BnXhat(s) => assert_eq!(f32s(s.xhat.as_slice()), 4 * n * c * hw * hw),
+            _ => panic!("a recompute BN saves x̂"),
         }
     }
 

@@ -1,15 +1,43 @@
 //! Batch normalization (training and inference modes).
+//!
+//! Training runs one task per group of [`CH_GROUP`] channels: mean,
+//! variance and the normalized planes (backward: both reductions and the
+//! `dx` planes) are produced while the group's `n·h·w` floats per channel
+//! are cache-resident. Every per-channel sum is still one serial chain —
+//! image ascending, then element ascending, a plain mul and add, never an
+//! FMA — so results are bit-identical to a channel-at-a-time sweep at any
+//! thread count.
 
+use scnn_par::DisjointMut;
 use scnn_tensor::Tensor;
+
+use super::ELEM_CHUNK;
 
 const EPS: f32 = 1e-5;
 
-/// Statistics the forward pass saves for backward.
-///
-/// The memory-efficient variant of \[6\] (the paper's §6.3) recomputes `xhat`
-/// from the *output*; here we keep `xhat` for numerical clarity — the
-/// recompute flag only changes the *memory model* in `scnn-hmms`, never the
-/// arithmetic.
+/// Channels a training task walks in lock-step. A channel's sum is
+/// latency-bound at one `f32` add per ~4 cycles; four channels side by
+/// side keep four independent chains in flight.
+const CH_GROUP: usize = 4;
+
+/// The per-channel statistics backward needs: all the executor keeps of a
+/// BN node between forward and backward (`2 · 4 · c` bytes — what
+/// `Op::aux_saved_bytes` budgets). Backward regenerates `x̂` from the BN's
+/// *input* with the forward's own expression, `(x − mean) · inv_std`.
+#[derive(Clone, Debug)]
+pub struct BnStats {
+    /// Per-channel batch mean.
+    pub mean: Vec<f32>,
+    /// Per-channel `1 / sqrt(var + eps)`.
+    pub inv_std: Vec<f32>,
+}
+
+/// [`BnStats`] plus the materialised normalized input, for a backward that
+/// may not re-read the BN's input: a `recompute: true` node, whose input
+/// the plan frees before backward (the flag models the variant of \[6\],
+/// the paper's §6.3, that recomputes `x̂` from the *output*; it changes the
+/// *memory model* in `scnn-hmms`, never the arithmetic), and callers of
+/// the tensor-level [`batch_norm_train`] / [`batch_norm_backward`] pair.
 #[derive(Clone, Debug)]
 pub struct BnSaved {
     /// Per-channel batch mean.
@@ -43,46 +71,17 @@ pub fn batch_norm_forward(
     (y, saved)
 }
 
-/// [`batch_norm_forward`] without the running-statistics side effect: also
-/// returns the batch variance so the caller can apply the momentum update
-/// later. The parallel executor uses this to defer updates to a
-/// deterministic point (sorted by node id after each wave), keeping the
-/// forward computation itself side-effect-free and safe to run on sibling
-/// split-patch branches concurrently.
+/// [`batch_norm_train_stats`] plus the materialised `x̂` — one more
+/// elementwise pass, which only this wrapper pays.
 pub fn batch_norm_train(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> (Tensor, BnSaved, Vec<f32>) {
-    let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    assert_eq!(gamma.len(), c, "gamma length mismatch");
-    assert_eq!(beta.len(), c, "beta length mismatch");
-    let m = (n * h * w) as f32;
-    let src = x.as_slice();
-    let hw = h * w;
-    // Parallel over channels; each channel keeps the original b-ascending
-    // accumulation order, so sums are bit-identical to the serial pass.
-    let mut mean = vec![0.0f32; c];
-    scnn_par::par_chunks_mut(&mut mean, 1, |ch, slot| {
-        let mut acc = 0.0f32;
-        for b in 0..n {
-            let base = (b * c + ch) * hw;
-            for &v in &src[base..base + hw] {
-                acc += v;
-            }
+    let (y, BnStats { mean, inv_std }, var) = batch_norm_train_stats(x, gamma, beta);
+    let mut xhat = Tensor::zeros(x.shape().dims());
+    par_planes(x, &mut xhat, |ch, xp, out| {
+        let (mu, s) = (mean[ch], inv_std[ch]);
+        for (o, &v) in out.iter_mut().zip(xp) {
+            *o = (v - mu) * s;
         }
-        slot[0] = acc / m;
     });
-    let mut var = vec![0.0f32; c];
-    scnn_par::par_chunks_mut(&mut var, 1, |ch, slot| {
-        let mut acc = 0.0f32;
-        for b in 0..n {
-            let base = (b * c + ch) * hw;
-            for &v in &src[base..base + hw] {
-                let d = v - mean[ch];
-                acc += d * d;
-            }
-        }
-        slot[0] = acc / m;
-    });
-    let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
-    let (y, xhat) = normalize(x, &mean, &inv_std, gamma, beta);
     (
         y,
         BnSaved {
@@ -92,6 +91,127 @@ pub fn batch_norm_train(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> (Tensor, B
         },
         var,
     )
+}
+
+/// Training forward without the running-statistics side effect: returns
+/// the output, the statistics backward needs, and the batch variance so
+/// the caller can apply the momentum update later. The executor uses this
+/// to defer updates to a deterministic point (sorted by node id after each
+/// wave), keeping the forward computation itself side-effect-free and safe
+/// to run on sibling split-patch branches concurrently.
+///
+/// # Panics
+///
+/// Panics if parameter lengths do not match the channel count.
+pub fn batch_norm_train_stats(
+    x: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+) -> (Tensor, BnStats, Vec<f32>) {
+    let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
+    assert_eq!(gamma.len(), c, "gamma length mismatch");
+    assert_eq!(beta.len(), c, "beta length mismatch");
+    let dims = Dims { n, c, hw: h * w };
+    let src = x.as_slice();
+    let (g, be) = (gamma.as_slice(), beta.as_slice());
+    let mut y = Tensor::zeros(&[n, c, h, w]);
+    // `[mean, var, inv_std]` per channel.
+    let mut stats = vec![[0.0f32; 3]; c];
+    {
+        let yd = DisjointMut::new(y.as_mut_slice());
+        scnn_par::par_chunks_mut(&mut stats, CH_GROUP, |gi, slots| {
+            let ch0 = gi * CH_GROUP;
+            if slots.len() == CH_GROUP {
+                train_group::<CH_GROUP>(dims, ch0, src, g, be, &yd, slots);
+            } else {
+                for (k, slot) in slots.chunks_mut(1).enumerate() {
+                    train_group::<1>(dims, ch0 + k, src, g, be, &yd, slot);
+                }
+            }
+        });
+    }
+    let column = |j: usize| stats.iter().map(|s| s[j]).collect::<Vec<f32>>();
+    (
+        y,
+        BnStats {
+            mean: column(0),
+            inv_std: column(2),
+        },
+        column(1),
+    )
+}
+
+/// `[n, c, h·w]` of the activation a training task indexes into.
+#[derive(Clone, Copy)]
+struct Dims {
+    n: usize,
+    c: usize,
+    hw: usize,
+}
+
+impl Dims {
+    /// Offset of image `b`'s plane of channel `ch`.
+    fn base(self, b: usize, ch: usize) -> usize {
+        (b * self.c + ch) * self.hw
+    }
+
+    /// Image `b`'s planes of channels `ch0 .. ch0 + K`.
+    fn planes<const K: usize>(self, v: &[f32], b: usize, ch0: usize) -> [&[f32]; K] {
+        std::array::from_fn(|k| &v[self.base(b, ch0 + k)..][..self.hw])
+    }
+}
+
+/// Forward of channels `ch0 .. ch0 + K`: statistics into `stats`, the
+/// normalized planes into `yd`.
+// `i` walks the group's K planes in lock-step; there is no one iterator.
+#[allow(clippy::needless_range_loop)]
+fn train_group<const K: usize>(
+    dims: Dims,
+    ch0: usize,
+    src: &[f32],
+    g: &[f32],
+    be: &[f32],
+    yd: &DisjointMut<'_, f32>,
+    stats: &mut [[f32; 3]],
+) {
+    let Dims { n, hw, .. } = dims;
+    let m = (n * hw) as f32;
+    let mut sum = [0.0f32; K];
+    for b in 0..n {
+        let p = dims.planes::<K>(src, b, ch0);
+        for i in 0..hw {
+            for k in 0..K {
+                sum[k] += p[k][i];
+            }
+        }
+    }
+    let mean = sum.map(|s| s / m);
+    let mut sq = [0.0f32; K];
+    for b in 0..n {
+        let p = dims.planes::<K>(src, b, ch0);
+        for i in 0..hw {
+            for k in 0..K {
+                let d = p[k][i] - mean[k];
+                sq[k] += d * d;
+            }
+        }
+    }
+    let var = sq.map(|s| s / m);
+    let inv_std = var.map(|v| 1.0 / (v + EPS).sqrt());
+    for k in 0..K {
+        let ch = ch0 + k;
+        let (mu, s, gg, bb) = (mean[k], inv_std[k], g[ch], be[ch]);
+        for b in 0..n {
+            let base = dims.base(b, ch);
+            // SAFETY: channel `ch` belongs to this task alone, and its
+            // planes are disjoint from every other channel's.
+            let yp = unsafe { yd.range(base, base + hw) };
+            for (o, &v) in yp.iter_mut().zip(&src[base..base + hw]) {
+                *o = gg * ((v - mu) * s) + bb;
+            }
+        }
+        stats[k] = [mean[k], var[k], inv_std[k]];
+    }
 }
 
 /// Momentum-0.1 update of running statistics from batch statistics.
@@ -108,7 +228,13 @@ pub fn update_running(rm: &mut [f32], rv: &mut [f32], mean: &[f32], var: &[f32])
     }
 }
 
-/// Batch-norm inference using frozen running statistics.
+/// Batch-norm inference using frozen running statistics: one pass, no
+/// `x̂`, tasks of whole planes totalling at least 16 K elements.
+///
+/// # Panics
+///
+/// Panics if parameter or statistics lengths do not match the channel
+/// count.
 pub fn batch_norm_inference(
     x: &Tensor,
     gamma: &Tensor,
@@ -117,91 +243,147 @@ pub fn batch_norm_inference(
     running_var: &[f32],
 ) -> Tensor {
     let c = x.dim(1);
+    assert_eq!(gamma.len(), c, "gamma length mismatch");
+    assert_eq!(beta.len(), c, "beta length mismatch");
     assert_eq!(running_mean.len(), c, "running mean length mismatch");
-    let inv_std: Vec<f32> = running_var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
-    normalize(x, running_mean, &inv_std, gamma, beta).0
+    assert_eq!(running_var.len(), c, "running var length mismatch");
+    let (g, be) = (gamma.as_slice(), beta.as_slice());
+    let mut y = Tensor::zeros(x.shape().dims());
+    par_planes(x, &mut y, |ch, xp, out| {
+        let (mu, s) = (running_mean[ch], 1.0 / (running_var[ch] + EPS).sqrt());
+        let (gg, bb) = (g[ch], be[ch]);
+        for (o, &v) in out.iter_mut().zip(xp) {
+            *o = gg * ((v - mu) * s) + bb;
+        }
+    });
+    y
 }
 
-fn normalize(
-    x: &Tensor,
-    mean: &[f32],
-    inv_std: &[f32],
-    gamma: &Tensor,
-    beta: &Tensor,
-) -> (Tensor, Tensor) {
-    let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let hw = h * w;
-    let mut y = Tensor::zeros(&[n, c, h, w]);
-    let mut xh = Tensor::zeros(&[n, c, h, w]);
+/// Runs `body(channel, x plane, out plane)` over every `(image, channel)`
+/// plane of `x: [n, c, h, w]` and the same-shaped `out`, in tasks of whole
+/// planes totalling at least [`ELEM_CHUNK`] elements.
+fn par_planes(x: &Tensor, out: &mut Tensor, body: impl Fn(usize, &[f32], &mut [f32]) + Sync) {
+    let (c, hw) = (x.dim(1), (x.dim(2) * x.dim(3)).max(1));
     let src = x.as_slice();
-    let g = gamma.as_slice();
-    let be = beta.as_slice();
-    {
-        let xd = scnn_par::DisjointMut::new(xh.as_mut_slice());
-        // Parallel over (b, ch) planes; purely elementwise.
-        scnn_par::par_chunks_mut(y.as_mut_slice(), hw, |img, yplane| {
-            let ch = img % c;
-            let base = img * hw;
-            let xplane = unsafe { xd.range(base, base + hw) };
-            for i in 0..hw {
-                let v = (src[base + i] - mean[ch]) * inv_std[ch];
-                xplane[i] = v;
-                yplane[i] = g[ch] * v + be[ch];
-            }
-        });
-    }
-    (y, xh)
+    let planes_per_task = ELEM_CHUNK.div_ceil(hw);
+    scnn_par::par_chunks_mut(out.as_mut_slice(), planes_per_task * hw, |ti, chunk| {
+        for (p, plane) in chunk.chunks_mut(hw).enumerate() {
+            let img = ti * planes_per_task + p;
+            body(img % c, &src[img * hw..][..hw], plane);
+        }
+    });
 }
 
-/// Batch-norm backward. Returns `(dx, dgamma, dbeta)`.
+/// Batch-norm backward from the saved `x̂`. Returns `(dx, dgamma, dbeta)`.
 pub fn batch_norm_backward(
     dy: &Tensor,
     gamma: &Tensor,
     saved: &BnSaved,
 ) -> (Tensor, Tensor, Tensor) {
-    let (n, c, h, w) = (dy.dim(0), dy.dim(1), dy.dim(2), dy.dim(3));
-    let hw = h * w;
-    let m = (n * hw) as f32;
-    let dyv = dy.as_slice();
-    let xh = saved.xhat.as_slice();
-    let g = gamma.as_slice();
+    backward_with(dy, gamma, &saved.inv_std, saved.xhat.as_slice(), |_| |xh| xh)
+}
 
-    // Channel-parallel reductions preserving the b-ascending order, then a
-    // plane-parallel elementwise dx pass.
-    let mut dgamma = vec![0.0f32; c];
-    let mut dbeta = vec![0.0f32; c];
+/// Batch-norm backward from the BN's input `x`: `x̂` is regenerated per
+/// element with the forward's own expression, so every bit matches
+/// [`batch_norm_backward`] on the `x̂` that forward would have saved.
+/// Returns `(dx, dgamma, dbeta)`.
+///
+/// # Panics
+///
+/// Panics if `x` and `dy` disagree in shape.
+pub fn batch_norm_backward_from_input(
+    dy: &Tensor,
+    gamma: &Tensor,
+    x: &Tensor,
+    stats: &BnStats,
+) -> (Tensor, Tensor, Tensor) {
+    assert_eq!(x.shape(), dy.shape(), "bn backward shape mismatch");
+    backward_with(dy, gamma, &stats.inv_std, x.as_slice(), |ch| {
+        let (mu, s) = (stats.mean[ch], stats.inv_std[ch]);
+        move |v| (v - mu) * s
+    })
+}
+
+/// The one backward body: `xhat_of(ch)` turns an element of `src` (the
+/// saved `x̂`, or the input) into channel `ch`'s `x̂`.
+fn backward_with<X: Fn(f32) -> f32>(
+    dy: &Tensor,
+    gamma: &Tensor,
+    inv_std: &[f32],
+    src: &[f32],
+    xhat_of: impl Fn(usize) -> X + Sync,
+) -> (Tensor, Tensor, Tensor) {
+    let (n, c, h, w) = (dy.dim(0), dy.dim(1), dy.dim(2), dy.dim(3));
+    assert_eq!(gamma.len(), c, "gamma length mismatch");
+    assert_eq!(inv_std.len(), c, "saved statistics length mismatch");
+    assert_eq!(src.len(), dy.len(), "bn backward length mismatch");
+    let dims = Dims { n, c, hw: h * w };
+    let dyv = dy.as_slice();
+    let g = gamma.as_slice();
+    let mut dx = Tensor::zeros(&[n, c, h, w]);
+    // `[dgamma, dbeta]` per channel.
+    let mut sums = vec![[0.0f32; 2]; c];
     {
-        let db = scnn_par::DisjointMut::new(&mut dbeta);
-        scnn_par::par_chunks_mut(&mut dgamma, 1, |ch, dg| {
-            let (mut ag, mut ab) = (0.0f32, 0.0f32);
-            for b in 0..n {
-                let base = (b * c + ch) * hw;
-                for i in base..base + hw {
-                    ag += dyv[i] * xh[i];
-                    ab += dyv[i];
+        let dxd = DisjointMut::new(dx.as_mut_slice());
+        scnn_par::par_chunks_mut(&mut sums, CH_GROUP, |gi, slots| {
+            let ch0 = gi * CH_GROUP;
+            if slots.len() == CH_GROUP {
+                backward_group::<CH_GROUP, X>(dims, ch0, dyv, src, &xhat_of, g, inv_std, &dxd, slots);
+            } else {
+                for (k, slot) in slots.chunks_mut(1).enumerate() {
+                    backward_group::<1, X>(dims, ch0 + k, dyv, src, &xhat_of, g, inv_std, &dxd, slot);
                 }
             }
-            dg[0] = ag;
-            let slot = unsafe { db.range(ch, ch + 1) };
-            slot[0] = ab;
         });
     }
+    let column = |j: usize| Tensor::from_vec(sums.iter().map(|s| s[j]).collect(), &[c]);
+    (dx, column(0), column(1))
+}
 
-    let mut dx = Tensor::zeros(&[n, c, h, w]);
-    scnn_par::par_chunks_mut(dx.as_mut_slice(), hw, |img, plane| {
-        let ch = img % c;
-        let base = img * hw;
-        let k = g[ch] * saved.inv_std[ch] / m;
-        for (off, d) in plane.iter_mut().enumerate() {
-            let i = base + off;
-            *d = k * (m * dyv[i] - dbeta[ch] - xh[i] * dgamma[ch]);
+/// Backward of channels `ch0 .. ch0 + K`: both reductions into `sums`,
+/// then the `dx` planes into `dxd`.
+#[allow(clippy::too_many_arguments)]
+fn backward_group<const K: usize, X: Fn(f32) -> f32>(
+    dims: Dims,
+    ch0: usize,
+    dyv: &[f32],
+    src: &[f32],
+    xhat_of: &impl Fn(usize) -> X,
+    g: &[f32],
+    inv_std: &[f32],
+    dxd: &DisjointMut<'_, f32>,
+    sums: &mut [[f32; 2]],
+) {
+    let Dims { n, hw, .. } = dims;
+    let m = (n * hw) as f32;
+    let xhat: [X; K] = std::array::from_fn(|k| xhat_of(ch0 + k));
+    let (mut dgamma, mut dbeta) = ([0.0f32; K], [0.0f32; K]);
+    for b in 0..n {
+        let d = dims.planes::<K>(dyv, b, ch0);
+        let s = dims.planes::<K>(src, b, ch0);
+        for i in 0..hw {
+            for k in 0..K {
+                dgamma[k] += d[k][i] * xhat[k](s[k][i]);
+                dbeta[k] += d[k][i];
+            }
         }
-    });
-    (
-        dx,
-        Tensor::from_vec(dgamma, &[c]),
-        Tensor::from_vec(dbeta, &[c]),
-    )
+    }
+    for k in 0..K {
+        let ch = ch0 + k;
+        let scale = g[ch] * inv_std[ch] / m;
+        let (dg, db, xh) = (dgamma[k], dbeta[k], &xhat[k]);
+        for b in 0..n {
+            let base = dims.base(b, ch);
+            // SAFETY: channel `ch` belongs to this task alone, and its
+            // planes are disjoint from every other channel's.
+            let dxp = unsafe { dxd.range(base, base + hw) };
+            let planes = dyv[base..base + hw].iter().zip(&src[base..base + hw]);
+            for (o, (&dyi, &v)) in dxp.iter_mut().zip(planes) {
+                *o = scale * (m * dyi - db - xh(v) * dg);
+            }
+        }
+        sums[k] = [dg, db];
+    }
 }
 
 #[cfg(test)]

@@ -13,8 +13,9 @@ mod pointwise;
 mod pool;
 
 pub use bn::{
-    batch_norm_backward, batch_norm_forward, batch_norm_inference, batch_norm_train,
-    update_running, BnSaved,
+    batch_norm_backward, batch_norm_backward_from_input, batch_norm_forward,
+    batch_norm_inference, batch_norm_train, batch_norm_train_stats, update_running, BnSaved,
+    BnStats,
 };
 pub use conv::{
     conv2d_backward, conv2d_backward_micro, conv2d_backward_with, conv2d_forward,
@@ -22,13 +23,20 @@ pub use conv::{
 };
 pub use linear::{linear_backward, linear_forward, LinearGrads};
 pub use loss::{softmax_cross_entropy_backward, softmax_cross_entropy_forward, LossOut};
-pub use pointwise::{dropout_backward, dropout_forward, dropout_mask, relu_backward, relu_forward};
+pub use pointwise::{
+    dropout_backward, dropout_forward, dropout_mask, relu_backward, relu_backward_inplace,
+    relu_forward,
+};
 pub use pool::{
     avg_pool_backward, avg_pool_forward, global_avg_pool_backward, global_avg_pool_forward,
     max_pool_backward, max_pool_forward, PoolAttrs,
 };
 
 use scnn_tensor::Padding2d;
+
+/// Minimum elements per task of the parallel element-wise kernels (ReLU,
+/// BN inference) — a constant, so chunking depends only on tensor size.
+pub(crate) const ELEM_CHUNK: usize = 16 * 1024;
 
 /// Splits a (possibly negative) padding into its cropping part (all
 /// components ≤ 0) and its zero-padding part (all components ≥ 0).

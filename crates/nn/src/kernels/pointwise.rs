@@ -3,18 +3,15 @@
 use scnn_rng::Rng;
 use scnn_tensor::Tensor;
 
-/// Elementwise chunk length for the parallel pointwise ops — a constant,
-/// so chunking depends only on tensor size.
-const ELEM_CHUNK: usize = 16 * 1024;
+use super::ELEM_CHUNK;
 
 /// ReLU forward: `max(0, x)`.
 pub fn relu_forward(x: &Tensor) -> Tensor {
     let src = x.as_slice();
     let mut out = Tensor::zeros(x.shape().dims());
     scnn_par::par_chunks_mut(out.as_mut_slice(), ELEM_CHUNK, |ci, chunk| {
-        let base = ci * ELEM_CHUNK;
-        for (off, o) in chunk.iter_mut().enumerate() {
-            *o = src[base + off].max(0.0);
+        for (o, &v) in chunk.iter_mut().zip(&src[ci * ELEM_CHUNK..]) {
+            *o = v.max(0.0);
         }
     });
     out
@@ -22,6 +19,9 @@ pub fn relu_forward(x: &Tensor) -> Tensor {
 
 /// ReLU backward, computed from the *output* — the property that makes
 /// ReLU in-place-capable (the input is never re-read; §4.2 optimization 1).
+///
+/// Slices zipped, no index: the mask — a coin flip per element — compiles
+/// to a compare and a blend, not a branch.
 pub fn relu_backward(y: &Tensor, dy: &Tensor) -> Tensor {
     assert_eq!(y.shape(), dy.shape(), "relu backward shape mismatch");
     let yv = y.as_slice();
@@ -29,12 +29,27 @@ pub fn relu_backward(y: &Tensor, dy: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(y.shape().dims());
     scnn_par::par_chunks_mut(out.as_mut_slice(), ELEM_CHUNK, |ci, chunk| {
         let base = ci * ELEM_CHUNK;
-        for (off, o) in chunk.iter_mut().enumerate() {
-            let i = base + off;
-            *o = if yv[i] > 0.0 { dv[i] } else { 0.0 };
+        for ((o, &v), &d) in chunk.iter_mut().zip(&yv[base..]).zip(&dv[base..]) {
+            *o = if v > 0.0 { d } else { 0.0 };
         }
     });
     out
+}
+
+/// [`relu_backward`] on a gradient the caller owns: zeroes `dy` wherever
+/// `y` is not positive, allocating nothing.
+///
+/// # Panics
+///
+/// Panics if the shapes disagree.
+pub fn relu_backward_inplace(y: &Tensor, dy: &mut Tensor) {
+    assert_eq!(y.shape(), dy.shape(), "relu backward shape mismatch");
+    let yv = y.as_slice();
+    scnn_par::par_chunks_mut(dy.as_mut_slice(), ELEM_CHUNK, |ci, chunk| {
+        for (d, &v) in chunk.iter_mut().zip(&yv[ci * ELEM_CHUNK..]) {
+            *d = if v > 0.0 { *d } else { 0.0 };
+        }
+    });
 }
 
 /// Draws an inverted-dropout keep mask (already scaled by `1/(1−p)`),

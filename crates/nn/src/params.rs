@@ -6,6 +6,7 @@
 //! the graph it rewrites, so a [`ParamStore`] built from the base graph is
 //! valid for every split variant of it.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use scnn_rng::Rng;
@@ -116,12 +117,13 @@ impl BnState {
         (&mut e.0, &mut e.1)
     }
 
-    /// Read-only access with the (0, 1) default for layers never trained.
-    pub fn get(&self, gamma: ParamId, c: usize) -> (Vec<f32>, Vec<f32>) {
-        self.stats
-            .get(&gamma.0)
-            .cloned()
-            .unwrap_or_else(|| (vec![0.0; c], vec![1.0; c]))
+    /// Read-only (running mean, running var): borrowed for a trained
+    /// layer, the (0, 1) default for one never trained.
+    pub fn get(&self, gamma: ParamId, c: usize) -> (Cow<'_, [f32]>, Cow<'_, [f32]>) {
+        match self.stats.get(&gamma.0) {
+            Some((m, v)) => (Cow::Borrowed(m), Cow::Borrowed(v)),
+            None => (Cow::Owned(vec![0.0; c]), Cow::Owned(vec![1.0; c])),
+        }
     }
 
     /// Number of tracked BN layers.
@@ -179,13 +181,13 @@ mod tests {
     fn bn_state_defaults_and_persists() {
         let mut s = BnState::new();
         let (m, v) = s.get(ParamId(9), 3);
-        assert_eq!(m, vec![0.0; 3]);
-        assert_eq!(v, vec![1.0; 3]);
+        assert_eq!((&*m, &*v), (&[0.0; 3][..], &[1.0; 3][..]));
         {
             let (m, _) = s.entry(ParamId(9), 3);
             m[0] = 5.0;
         }
-        assert_eq!(s.get(ParamId(9), 3).0[0], 5.0);
+        let (m, _) = s.get(ParamId(9), 3);
+        assert!(matches!(m, Cow::Borrowed(&[5.0, 0.0, 0.0])), "borrowed, not cloned: {m:?}");
         assert_eq!(s.len(), 1);
     }
 

@@ -261,6 +261,57 @@ fn training_is_bit_identical_to_vec_baseline_at_any_thread_count() {
     }
 }
 
+/// A `recompute: true` BN may not re-read its input in backward — the
+/// plan frees it after forward — so the executor keeps `x̂` for such a
+/// node. The graph trains to the same bits under every plan as on the
+/// Vec-per-node path, and to the same bits as the graph without the flag:
+/// it changes the memory model, never the arithmetic.
+#[test]
+fn bn_recompute_graph_trains_bit_identically_under_every_plan() {
+    let lower = |opts: ModelOptions| {
+        let desc = resnet18(&opts.with_width(0.25));
+        plan_split(&desc, &SplitConfig::new(0.5, 2, 2))
+            .expect("resnet splits")
+            .lower(&desc, 2)
+    };
+    let graph = lower(ModelOptions::cifar().with_bn_recompute());
+    assert!(
+        graph.nodes().iter().any(|n| matches!(n.op, Op::BatchNorm { recompute: true, .. })),
+        "the flag reached the lowered graph"
+    );
+    let two_steps = |graph: &Graph, provider: &mut dyn BufferProvider| {
+        let mut params = ParamStore::init(graph, &mut SplitRng::seed_from_u64(7));
+        let mut bn = BnState::new();
+        let mut rng = SplitRng::seed_from_u64(13);
+        let mut sgd = Sgd::new(&params, 0.05, 0.9, 1e-4);
+        let mut losses = Vec::new();
+        for step in 0..2 {
+            let (images, labels) = batch_for(graph, 100 + step);
+            losses.push(step_with(
+                graph, &mut params, &mut bn, &mut rng, &images, &labels, provider,
+            ));
+            sgd.step(&mut params);
+        }
+        (losses, params)
+    };
+    let same = |what: &str, got: &(Vec<f32>, ParamStore), want: &(Vec<f32>, ParamStore)| {
+        assert_eq!(got.0, want.0, "losses diverged: {what}");
+        for i in 0..graph.params().len() {
+            let (a, b) = (want.1.value(ParamId(i)), got.1.value(ParamId(i)));
+            assert_eq!(a.as_slice(), b.as_slice(), "param {i} bits diverged: {what}");
+        }
+    };
+
+    let reference = two_steps(&graph, &mut VecProvider);
+    let (tape, tso, plans) = plans(&graph);
+    for (plan, name) in plans.iter().zip(["no-offload", "vDNN", "HMMS"]) {
+        let mut rt = PlanRuntime::from_plan(&graph, &tape, plan, &tso).expect("plan is legal");
+        same(name, &two_steps(&graph, &mut rt), &reference);
+    }
+    let unflagged = lower(ModelOptions::cifar());
+    same("without the flag", &two_steps(&unflagged, &mut VecProvider), &reference);
+}
+
 #[test]
 fn plan_driven_lifetimes_beat_the_vec_baseline() {
     let graph = split_resnet_graph(2);

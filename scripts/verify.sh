@@ -153,6 +153,10 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 # 50 µs budget 123–127. The ratio to the back-to-back region rides along
 # (≤ 1.5); measured, it is the ceiling that tells the pools apart — park
 # at once slows both regions alike and reads 1.0–1.15.
+# The ReLU gate: backward over a 1 MB activation with random signs must
+# stay within 3× of forward on the same tensor (≈ 1.8 committed). A
+# branch per element — the mask is a coin flip — reads ≈ 12–20×; slices
+# zipped with no index compile to a compare and a blend.
 # The serving gates (DESIGN.md §15): the full-size pool and resident
 # peaks are deterministic like the planned-device pins, so they are
 # pinned exactly — including the replica-scaled pools (R × C × pool,
@@ -167,7 +171,7 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 # (queue_depth_peak ≤ capacity), and every admitted request must finish
 # with its p99 under the 10 s interactive deadline the bench configures.
 declare -A abs_gates=(
-  [kernels]="--max-median conv2d_fwd_8x16x32x32:4900000,conv2d_fwd_8x16x32x32_winograd:4500000,conv2d_bwd_8x16x32x32:12000000,matmul_512:12000000,conv2d_fwd_8x32x16x16:1450000,conv2d_bwd_8x32x16x16:2550000,conv2d_fwd_8x256x4x4:4600000,conv2d_bwd_8x256x4x4:10900000,conv2d_fwd_1x1s2_8x32x16x16:145000,sgd_step_resnet18_w05:1850000,par_fork_join/gap100us:130000 --max-peak conv2d_fwd_scratch_peak:1048576,conv2d_bwd_scratch_peak:2097152 --max-ratio conv2d_fwd_8x16x32x32_winograd:conv2d_fwd_8x16x32x32:1.10,par_fork_join/gap100us:par_fork_join/hot:1.5"
+  [kernels]="--max-median conv2d_fwd_8x16x32x32:4900000,conv2d_fwd_8x16x32x32_winograd:4500000,conv2d_bwd_8x16x32x32:12000000,matmul_512:12000000,conv2d_fwd_8x32x16x16:1450000,conv2d_bwd_8x32x16x16:2550000,conv2d_fwd_8x256x4x4:4600000,conv2d_bwd_8x256x4x4:10900000,conv2d_fwd_1x1s2_8x32x16x16:145000,sgd_step_resnet18_w05:1850000,par_fork_join/gap100us:130000 --max-peak conv2d_fwd_scratch_peak:1048576,conv2d_bwd_scratch_peak:2097152 --max-ratio conv2d_fwd_8x16x32x32_winograd:conv2d_fwd_8x16x32x32:1.10,par_fork_join/gap100us:par_fork_join/hot:1.5,relu_bwd_8x32x32x32:relu_fwd_8x32x32x32:3.0"
   [memory]="--max-peak train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,planned_device/vdnn:3300352,planned_device/hmms:3300352,planned_device/hmms_micro:2707968,capacity/max_batch/legacy:13 --min-peak train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,capacity/max_batch/micro:18"
   [serving]="--max-peak serve_pool/c1:87040,serve_pool/c8:696320,serve_pool/c64:5570560,serve_resident_peak/c1:916480,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,overload/queue_depth_peak:8 --min-peak serve_pool/c64:5570560,serve_resident_peak/c1:916480,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,capacity/max_concurrency:738,capacity/max_concurrency_r2:369,capacity/max_concurrency_r4:184,overload/shed:1 --max-p99 serve_latency/c1:24000000,serve_latency/c8:250000000,serve_latency/c64:4000000000,overload/admitted_latency:10000000000"
 )
