@@ -27,8 +27,7 @@ use std::sync::Arc;
 
 use scnn_bench::{Args, BenchGroup};
 use scnn_core::{
-    conv_engine_workspace, conv_micro_workspace, plan_micro_schedule, plan_split, plan_split_auto,
-    SplitConfig,
+    conv_engine_workspace, conv_micro_workspace, plan_micro_schedule, plan_split, SplitConfig,
 };
 use scnn_graph::{NodeId, Tape};
 use scnn_gpusim::{max_batch_size, profile_graph, CostModel};
@@ -62,25 +61,6 @@ fn main() {
     let graph = plan_split(&desc, &SplitConfig::new(0.5, 2, 2))
         .expect("resnet splits")
         .lower(&desc, batch);
-
-    // What the workspace-aware cost model would choose — informational,
-    // printed next to the fixed (0.5, 2, 2) config the records track.
-    let grid = [
-        SplitConfig::new(0.25, 2, 2),
-        SplitConfig::new(0.5, 2, 2),
-        SplitConfig::new(0.5, 4, 4),
-        SplitConfig::new(0.75, 2, 2),
-    ];
-    if let Ok(auto) = plan_split_auto(&desc, batch, &grid) {
-        println!(
-            "  auto split: depth {} grid {}x{} — modeled peak {} B (unsplit {} B)",
-            auto.config.depth,
-            auto.config.n_h,
-            auto.config.n_w,
-            auto.cost.peak_bytes,
-            auto.unsplit_cost.peak_bytes
-        );
-    }
 
     let tape = Tape::new(&graph);
     let model = CostModel::default();

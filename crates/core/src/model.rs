@@ -58,11 +58,6 @@ pub enum LayerDesc {
 }
 
 impl LayerDesc {
-    /// Whether the layer is a window-based operation (§3.1).
-    pub fn is_window(&self) -> bool {
-        matches!(self, LayerDesc::Conv { .. } | LayerDesc::Pool { .. })
-    }
-
     /// Whether the layer preserves spatial structure and may live inside a
     /// split region.
     pub fn is_splittable(&self) -> bool {

@@ -72,12 +72,6 @@ impl Window1d {
     pub fn ub(&self, o: usize) -> i64 {
         (o as i64 - 1) * self.s as i64 + self.k as i64 - self.p_b
     }
-
-    /// Whether the paper's `k ≥ s` mandate holds, which guarantees
-    /// `lb ≤ ub` (a non-empty legal interval for every boundary).
-    pub fn satisfies_mandate(&self) -> bool {
-        self.k >= self.s
-    }
 }
 
 /// How to choose each input boundary within (or outside) `[lb, ub]`.
@@ -237,13 +231,11 @@ mod tests {
         for o in 1..10 {
             assert_eq!(w.ub(o) - w.lb(o), 2); // k - s = 2
         }
-        assert!(w.satisfies_mandate());
     }
 
     #[test]
     fn downsampling_conv_violates_mandate() {
         let w = Window1d::symmetric(1, 2, 0);
-        assert!(!w.satisfies_mandate());
         assert!(w.ub(2) < w.lb(2)); // empty interval
     }
 

@@ -30,16 +30,6 @@ impl DeviceSpec {
             launch_overhead: 5e-6,
         }
     }
-
-    /// A PCIe-attached variant (12 GB/s effective) for link-bandwidth
-    /// ablations.
-    pub fn p100_pcie() -> Self {
-        DeviceSpec {
-            link_bandwidth: 12e9,
-            name: "P100+PCIe3",
-            ..DeviceSpec::p100_nvlink()
-        }
-    }
 }
 
 impl Default for DeviceSpec {
@@ -57,10 +47,5 @@ mod tests {
         let d = DeviceSpec::p100_nvlink();
         assert_eq!(d.memory_bytes, 17_179_869_184);
         assert!((d.link_bandwidth - 34.1e9).abs() < 1e6);
-    }
-
-    #[test]
-    fn pcie_is_slower_link() {
-        assert!(DeviceSpec::p100_pcie().link_bandwidth < DeviceSpec::p100_nvlink().link_bandwidth);
     }
 }

@@ -140,12 +140,6 @@ impl Op {
         }
     }
 
-    /// Returns `true` for window-based operations in the paper's sense
-    /// (§3.1): operations characterized by a window, stride and padding.
-    pub fn is_window_based(&self) -> bool {
-        matches!(self, Op::Conv2d { .. } | Op::Pool2d { .. })
-    }
-
     /// Parameters this op reads (weights before biases).
     pub fn params(&self) -> Vec<ParamId> {
         match self {
@@ -228,23 +222,6 @@ impl Op {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn window_classification() {
-        assert!(Op::Conv2d {
-            out_c: 8,
-            kh: 3,
-            kw: 3,
-            sh: 1,
-            sw: 1,
-            pad: Padding2d::symmetric(1),
-            weight: ParamId(0),
-            bias: None,
-        }
-        .is_window_based());
-        assert!(!Op::Relu.is_window_based());
-        assert!(!Op::Add.is_window_based());
-    }
 
     #[test]
     fn relu_is_inplace_and_needs_output_only() {

@@ -105,21 +105,6 @@ impl Tape {
         2 * self.forward_len - 1 - node.0
     }
 
-    /// For every node, the tape position after which its *input activations*
-    /// are no longer read by any forward step (i.e. the last forward
-    /// consumer's position). Used by offload planning: a TSO may start
-    /// offloading "right after there is no more write" and must not be freed
-    /// while a forward consumer still needs it.
-    pub fn last_forward_use(&self, graph: &Graph) -> Vec<usize> {
-        let mut last = (0..graph.len()).collect::<Vec<usize>>();
-        for node in graph.nodes() {
-            for &i in &node.inputs {
-                last[i.0] = last[i.0].max(node.id.0);
-            }
-        }
-        last
-    }
-
     /// For every node, whether its output is read again in the backward
     /// pass — either because a consumer's backward needs its input, or the
     /// node's own backward needs its output. Such outputs are the paper's
@@ -197,19 +182,5 @@ mod tests {
         assert!(needed[ids[2].0], "relu output must be kept");
         assert!(needed[ids[3].0], "linear input (flatten output) must be kept");
         assert!(!needed[ids[5].0], "loss output is never re-read");
-    }
-
-    #[test]
-    fn last_forward_use_is_max_consumer() {
-        let mut g = Graph::new();
-        let x = g.input(&[1, 1, 4, 4]);
-        let a = g.relu(x, "a");
-        let b = g.relu(x, "b");
-        let s = g.add(&[a, b], "s");
-        let tape = Tape::new(&g);
-        let last = tape.last_forward_use(&g);
-        assert_eq!(last[x.0], b.0, "x last read by b");
-        assert_eq!(last[a.0], s.0);
-        assert_eq!(last[s.0], s.0, "unconsumed output's last use is itself");
     }
 }

@@ -73,11 +73,6 @@ impl ExecPlan {
             2 * self.forward_len - 1 - pos
         }
     }
-
-    /// Whether tape position `pos` is in the backward half.
-    pub fn is_backward(&self, pos: usize) -> bool {
-        pos >= self.forward_len
-    }
 }
 
 /// Resolves `plan` against `graph`/`tape`/`tso` into an [`ExecPlan`] with
@@ -235,7 +230,6 @@ mod tests {
             let node = exec.node_at(pos);
             let expected = tape.entries()[pos].node.0;
             assert_eq!(node, expected);
-            assert_eq!(exec.is_backward(pos), pos >= g.len());
         }
     }
 }

@@ -34,9 +34,6 @@ pub struct StaticLayout {
     /// Address of every TSO *instance* (a TSO freed and re-allocated for
     /// prefetch has two instances) in the general pool.
     pub addresses: HashMap<(TsoId, usize), usize>,
-    /// Sum of live bytes over time would be this much without first-fit
-    /// reuse (diagnostic: total allocation traffic).
-    pub total_alloc_bytes: usize,
     /// Bytes of workspace allocations whose packed address range shares
     /// bytes with an offloaded TSO's slot — legal only because their
     /// lifetimes are disjoint (the slot is dead across its offload
@@ -230,7 +227,6 @@ pub fn plan_layout_with(
     let mut live: HashMap<TsoId, (usize, usize)> = HashMap::new(); // tso -> (addr, instance)
     let mut instance = vec![0usize; tso.len()];
     let mut addresses = HashMap::new();
-    let mut total_alloc_bytes = 0usize;
     let mut live_workspace = 0usize;
     let mut peak_workspace = 0usize;
 
@@ -246,7 +242,6 @@ pub fn plan_layout_with(
                 let addr = free.alloc(size);
                 addresses.insert((*t, inst), addr);
                 live.insert(*t, (addr, inst));
-                total_alloc_bytes += size;
                 if matches!(tso.role(*t), TsoRole::Workspace(_)) {
                     live_workspace += size;
                     peak_workspace = peak_workspace.max(live_workspace);
@@ -387,7 +382,6 @@ pub fn plan_layout_with(
         device_param_bytes,
         host_pool_bytes,
         addresses,
-        total_alloc_bytes,
         workspace_overlapped_bytes,
     })
 }
@@ -549,7 +543,6 @@ mod tests {
             assert!(layout.addresses.contains_key(&(t, 1)));
         }
         assert!(layout.device_general_bytes > 0);
-        assert!(layout.total_alloc_bytes >= layout.device_general_bytes);
         // One conv's workspace is live at a time (alloc'd before each conv
         // step, freed after), so the workspace peak is a single node's term.
         assert_eq!(layout.device_workspace_bytes, 4096);

@@ -1,5 +1,6 @@
 //! Graph executor: forward and backward passes with real tensors.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use scnn_rng::Rng;
@@ -16,7 +17,6 @@ use crate::kernels::{
 };
 use crate::params::{BnState, ParamStore};
 use crate::provider::{BufferProvider, VecProvider};
-use crate::schedule::Schedule;
 
 /// Whether a pass trains (batch statistics, dropout active, gradients) or
 /// evaluates (running statistics, dropout off).
@@ -60,8 +60,8 @@ enum Aux {
 }
 
 /// A side effect a node's forward pass would have performed in serial
-/// execution. Work units run concurrently and side-effect-free; the caller
-/// of [`Executor::forward_wave`] replays these in `(slot, node)` order, so
+/// execution. Slots run concurrently and side-effect-free; the caller of
+/// [`Executor::forward_wave`] replays these in `(slot, node)` order, so
 /// state mutations land exactly as a sequential loop would produce them.
 #[derive(Debug)]
 pub enum Deferred {
@@ -80,16 +80,13 @@ pub enum Deferred {
     Result(BatchResult),
 }
 
-/// One node's forward product: `(node id, output, saved aux, side effect)`.
-type Landed = (usize, Tensor, Aux, Option<Deferred>);
+/// One node's forward product: `(output, saved aux, side effect)`.
+type Landed = (Tensor, Aux, Option<Deferred>);
 
-/// What every work unit of a forward pass reads and none writes.
+/// What every slot of a forward pass reads and none writes.
 pub struct ForwardCtx<'a> {
     /// The graph being executed.
     pub graph: &'a Graph,
-    /// The wave schedule whose segments the units name. `None` is tape
-    /// order: a unit names a node, and every node is a unit of its own.
-    pub schedule: Option<&'a Schedule>,
     /// Parameter values.
     pub params: &'a ParamStore,
     /// BN running statistics (read in [`Mode::Eval`]).
@@ -243,7 +240,7 @@ impl Executor {
         provider.begin_step(n_nodes);
 
         let mut slot = Slot::new(images, n_nodes);
-        // Pre-draw dropout masks so the forward units stay side-effect-free.
+        // Pre-draw dropout masks so the forward pass stays side-effect-free.
         if mode == Mode::Train {
             slot.drop_masks = vec![None; n_nodes];
             slot.aux = (0..n_nodes).map(|_| Aux::None).collect();
@@ -260,13 +257,12 @@ impl Executor {
         for id in 0..n_nodes {
             let ctx = ForwardCtx {
                 graph,
-                schedule: None,
                 params,
                 bn,
                 mode,
                 labels: Some(labels),
             };
-            for d in self.forward_wave(&ctx, &[(0, id)], &mut slots, &mut [&mut *provider]) {
+            for d in self.forward_wave(&ctx, id..id + 1, &mut slots, &mut [&mut *provider]) {
                 match d {
                     Deferred::BnRunning {
                         gamma,
@@ -291,89 +287,73 @@ impl Executor {
         result
     }
 
-    /// One wave of a forward pass over `slots.len() ≥ 1` independent
-    /// slots: the step a training step (`run_with`, one slot) and a serving
-    /// batch (one slot per request) share. `units` are the wave's
-    /// `(slot, segment)` pairs ([`Schedule::interleave`]) — `(slot, node)`
-    /// when `ctx` carries no schedule; `providers[s]` manages slot `s`'s
-    /// storage.
+    /// One wave of a forward pass: every one of `slots.len() ≥ 1`
+    /// independent slots advances through the node range `nodes`, in
+    /// ascending id. It is the step a training step (`run_with`: one slot,
+    /// one node a wave) and a serving batch (one slot per request, one
+    /// [`Schedule`](crate::Schedule) segment a wave) share; successive
+    /// calls must cover the graph in tape order. `providers[s]` manages
+    /// slot `s`'s storage.
     ///
-    /// Units run side-effect-free — inline when there is one, so the
+    /// Slots run side-effect-free — inline when there is one, so the
     /// kernels' own data parallelism keeps the whole pool, as sibling
-    /// `scnn-par` tasks otherwise. Outputs are then adopted in unit order,
-    /// and lifetime hooks fire only after the whole wave landed, in
-    /// ascending `(slot, node)` order — a deterministic linearization no
-    /// matter how units interleaved. Returns the wave's deferred side
-    /// effects in that same order.
+    /// `scnn-par` tasks otherwise. Once the whole wave has computed, each
+    /// slot's outputs are adopted and then its lifetime hooks fire, both in
+    /// ascending node order, slot after slot — a deterministic
+    /// linearization no matter how slots interleaved. Returns the wave's
+    /// deferred side effects in that same `(slot, node)` order.
     pub fn forward_wave<'p>(
         &self,
         ctx: &ForwardCtx<'_>,
-        units: &[(usize, usize)],
+        nodes: Range<usize>,
         slots: &mut [Slot<'_>],
         providers: &mut [&mut (dyn BufferProvider + 'p)],
     ) -> Vec<Deferred> {
         let produced = {
             let slots = &*slots;
-            // A unit runs its segment in order: cross-segment inputs come
-            // from `outputs` (earlier waves), in-segment ones from `local`.
-            let run_unit = |ui: usize| {
-                let (s, seg) = units[ui];
-                let segment = match ctx.schedule {
-                    Some(schedule) => schedule.segments[seg].as_slice(),
-                    None => std::slice::from_ref(&units[ui].1),
-                };
-                let mut local: Vec<Landed> = Vec::with_capacity(segment.len());
-                for &id in segment {
-                    let node = ctx.graph.node(NodeId(id));
-                    let (out, a, d) = self.forward_node(ctx, &slots[s], node, &local);
-                    local.push((id, out, a, d));
+            let run_slot = |s: usize| {
+                let mut local: Vec<Landed> = Vec::with_capacity(nodes.len());
+                for id in nodes.clone() {
+                    let landed = self.forward_node(ctx, &slots[s], ctx.graph.node(NodeId(id)), &local);
+                    local.push(landed);
                 }
                 local
             };
-            if units.len() == 1 {
-                vec![run_unit(0)]
+            if slots.len() == 1 {
+                vec![run_slot(0)]
             } else {
-                scnn_par::parallel_map(units.len(), run_unit)
+                scnn_par::parallel_map(slots.len(), run_slot)
             }
         };
 
-        let mut landed: Vec<(usize, usize)> = Vec::new();
-        let mut deferred: Vec<(usize, usize, Deferred)> = Vec::new();
-        for (&(s, _), unit) in units.iter().zip(produced) {
-            for (id, out, a, d) in unit {
-                slots[s].outputs[id] = Some(providers[s].adopt(id, out));
+        let mut deferred = Vec::new();
+        for ((slot, provider), landed) in slots.iter_mut().zip(providers.iter_mut()).zip(produced) {
+            for (id, (out, a, d)) in nodes.clone().zip(landed) {
+                slot.outputs[id] = Some(provider.adopt(id, out));
                 if ctx.mode == Mode::Train {
-                    slots[s].aux[id] = a;
+                    slot.aux[id] = a;
                 }
-                landed.push((s, id));
-                deferred.extend(d.map(|d| (s, id, d)));
+                deferred.extend(d);
+            }
+            for id in nodes.clone() {
+                provider.forward_complete(id, &mut slot.outputs);
             }
         }
-        landed.sort_unstable();
-        for (s, id) in landed {
-            providers[s].forward_complete(id, &mut slots[s].outputs);
-        }
-        deferred.sort_unstable_by_key(|&(s, id, _)| (s, id));
-        deferred.into_iter().map(|(_, _, d)| d).collect()
+        deferred
     }
 
     /// The forward kernel dispatch: what `node` computes, in either mode.
-    fn forward_node(
-        &self,
-        ctx: &ForwardCtx<'_>,
-        slot: &Slot<'_>,
-        node: &Node,
-        local: &[Landed],
-    ) -> (Tensor, Aux, Option<Deferred>) {
+    /// `local` holds what the wave has produced so far — the nodes from the
+    /// wave's first up to `node`'s predecessor; anything older is in
+    /// `slot.outputs`.
+    fn forward_node(&self, ctx: &ForwardCtx<'_>, slot: &Slot<'_>, node: &Node, local: &[Landed]) -> Landed {
+        let wave_start = node.id.0 - local.len();
         let input = |i: usize| -> &Tensor {
             let id = node.inputs[i].0;
-            local
-                .iter()
-                .rev()
-                .find(|(lid, ..)| *lid == id)
-                .map(|(_, t, ..)| t)
-                .or_else(|| slot.outputs[id].as_ref())
-                .expect("schedule guarantees inputs are computed")
+            match id.checked_sub(wave_start) {
+                Some(k) => &local[k].0,
+                None => slot.outputs[id].as_ref().expect("tape order computes inputs first"),
+            }
         };
         let params = ctx.params;
         let plain = |y: Tensor| (y, Aux::None, None);
@@ -844,14 +824,13 @@ mod tests {
         let mut slots = [slot];
         let ctx = ForwardCtx {
             graph: &g,
-            schedule: None,
             params: &params,
             bn: &BnState::new(),
             mode: Mode::Train,
             labels: None,
         };
         for id in 0..g.len() {
-            Executor::new().forward_wave(&ctx, &[(0, id)], &mut slots, &mut [&mut VecProvider]);
+            Executor::new().forward_wave(&ctx, id..id + 1, &mut slots, &mut [&mut VecProvider]);
         }
         let f32s = |v: &[f32]| std::mem::size_of_val(v);
         match &slots[0].aux[stats_bn.0] {

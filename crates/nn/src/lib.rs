@@ -28,7 +28,7 @@ pub mod train;
 
 pub use executor::{BatchResult, Deferred, Executor, ForwardCtx, Mode, Slot};
 pub use provider::{BufferProvider, VecProvider};
-pub use schedule::{InterleavedSchedule, Schedule};
+pub use schedule::Schedule;
 pub use optim::{MultiStepLr, Sgd};
 pub use params::{BnState, ParamStore};
 pub use train::{evaluate, train_epoch, EpochStats, TrainConfig};

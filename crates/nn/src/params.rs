@@ -82,11 +82,6 @@ impl ParamStore {
         }
     }
 
-    /// Total number of scalar parameters.
-    pub fn scalar_count(&self) -> usize {
-        self.values.iter().map(Tensor::len).sum()
-    }
-
     /// Returns `true` if every value and gradient is finite.
     pub fn all_finite(&self) -> bool {
         self.values.iter().all(Tensor::all_finite) && self.grads.iter().all(Tensor::all_finite)
@@ -189,14 +184,5 @@ mod tests {
         let (m, _) = s.get(ParamId(9), 3);
         assert!(matches!(m, Cow::Borrowed(&[5.0, 0.0, 0.0])), "borrowed, not cloned: {m:?}");
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn scalar_count_sums_everything() {
-        let g = graph();
-        let mut rng = SplitRng::seed_from_u64(0);
-        let p = ParamStore::init(&g, &mut rng);
-        // conv weight 4*3*3*3=108 + bias 4 + gamma 4 + beta 4.
-        assert_eq!(p.scalar_count(), 120);
     }
 }

@@ -29,10 +29,10 @@
 //!
 //! A direct caller of [`Executor::forward_wave`](crate::Executor::forward_wave)
 //! (one provider per slot) gets steps 2–3 from the wave step, per slot,
-//! and performs 1 and 5 itself. Under a wave schedule a wave lands several
-//! nodes per slot: `adopt` fires in unit order (deterministic, but not
-//! ascending node order), `forward_complete` after the whole wave landed,
-//! in ascending node order within the wave.
+//! and performs 1 and 5 itself. A wave is a node range: the range's
+//! `adopt`s fire first, then its `forward_complete`s, both in ascending
+//! node order — so across a pass each hook still sees every node exactly
+//! once, in tape order.
 //!
 //! The `outputs` table handed to the lifecycle hooks is the executor's
 //! real storage: a provider may drop entries whose planned lifetime ended
@@ -60,8 +60,7 @@ pub trait BufferProvider {
         out
     }
 
-    /// Node `node`'s forward step (and, under a wave schedule, its whole
-    /// wave) has completed.
+    /// Node `node`'s forward step (and the rest of its wave) has completed.
     fn forward_complete(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
         let _ = (node, outputs);
     }

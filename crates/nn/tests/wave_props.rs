@@ -1,10 +1,11 @@
 //! Property tests over small random graphs that between them contain
 //! every `Op` kind — including `Pool2d { kind: Avg }` and `Dropout`,
 //! which no served zoo model lowers: the `S`-slot wave step
-//! (`Executor::forward_wave` over `Schedule::interleave(S)`) equals `S`
-//! independent `Executor` eval passes, bit for bit; and the interleaved
-//! schedule itself is complete and legal, the base waves for one slot and
-//! one segment per slot per wave, in tape order, from two slots on.
+//! (`Executor::forward_wave` over the `Schedule`'s segments, every slot a
+//! segment a wave) equals `S` independent `Executor` eval passes, bit for
+//! bit; and the segments themselves are maximal chains of consecutive
+//! node ids that tile the tape — running them in index order is the one
+//! execution order there is.
 
 use std::collections::BTreeSet;
 
@@ -50,7 +51,8 @@ fn random_graph(rng: &mut impl Rng) -> (Graph, Vec<usize>) {
                 let y = g.batch_norm(y, false, "bn");
                 g.relu(y, "relu")
             }
-            // Two sibling branches: a multi-unit wave per slot.
+            // Two sibling branches, built interleaved: chains whose node
+            // ids are not consecutive.
             1 => {
                 let a = g.slice(x, 3, 0, w / 2, "a");
                 let b = g.slice(x, 3, w / 2, w - w / 2, "b");
@@ -66,8 +68,8 @@ fn random_graph(rng: &mut impl Rng) -> (Graph, Vec<usize>) {
             3 if w >= 4 => g.pool2d(x, PoolKind::Max, 2, 2, Padding2d::default(), "max"),
             4 if w >= 4 => g.pool2d(x, PoolKind::Avg, 2, 2, Padding2d::default(), "avg"),
             5 => g.dropout(x, 0.3, "drop"),
-            // Four sibling branches of unequal length: waves wide enough
-            // that `⌈W / S⌉` takes values between 1 and `W`.
+            // Four sibling branches of unequal length, each built whole:
+            // multi-node segments side by side on one level.
             6 if w >= 4 => {
                 let q = w / 4;
                 let parts: Vec<NodeId> = (0..4)
@@ -142,7 +144,6 @@ fn wave_step_equals_independent_eval_passes() {
                 for s in [1usize, 3, 8] {
                     let ctx = ForwardCtx {
                         graph: &g,
-                        schedule: Some(&schedule),
                         params: &params,
                         bn: &bn,
                         mode: Mode::Eval,
@@ -155,8 +156,8 @@ fn wave_step_equals_independent_eval_passes() {
                     {
                         let mut hooks: Vec<&mut dyn BufferProvider> =
                             captures.iter_mut().map(|c| c as &mut dyn BufferProvider).collect();
-                        for units in &schedule.interleave(s).waves {
-                            for d in exec.forward_wave(&ctx, units, &mut slots, &mut hooks) {
+                        for segment in &schedule.segments {
+                            for d in exec.forward_wave(&ctx, segment.clone(), &mut slots, &mut hooks) {
                                 match d {
                                     Deferred::Result(r) => results.push(r),
                                     other => return Some(format!("eval deferred {other:?}")),
@@ -193,81 +194,46 @@ fn wave_step_equals_independent_eval_passes() {
 }
 
 #[test]
-fn interleave_is_complete_legal_and_in_tape_order_from_two_slots_on() {
+fn segments_are_maximal_chains_that_tile_the_tape() {
     let mut widths_seen = BTreeSet::new();
-    check("interleave(S): coverage, legality, one segment a slot for S ≥ 2", 200, |rng| {
+    let mut cut_chains = 0usize;
+    check("segments: contiguous, ascending, every node once, maximal chains", 200, |rng| {
         let (g, _) = random_graph(rng);
         let schedule = Schedule::build(&g);
-        let w = schedule.waves.iter().map(Vec::len).max().unwrap_or(0);
-        widths_seen.insert(w);
-        let n_segs = schedule.segments.len();
-        let mut seg_of = vec![0; g.len()];
+        widths_seen.insert(schedule.waves.iter().map(Vec::len).max().unwrap_or(0));
+        let consumers = g.consumers();
+
+        // Ranges that tile `0..n` in order: contiguous inside (by type),
+        // ascending and gap-free across, so every node runs exactly once
+        // and segment order is tape order.
+        let mut next = 0;
         for (seg, nodes) in schedule.segments.iter().enumerate() {
-            for &id in nodes {
-                seg_of[id] = seg;
+            if nodes.start != next || nodes.is_empty() {
+                return Case::Fail(format!("segment {seg} is {nodes:?}, the tape is at {next}"));
             }
+            next = nodes.end;
+        }
+        if next != g.len() {
+            return Case::Fail(format!("segments end at {next} of {} nodes", g.len()));
         }
 
-        for slots in [1usize, 2, 3, 8, 64] {
-            // A lone slot keeps the base width, sibling slots replace it.
-            let k = if slots == 1 { w } else { 1 };
-            let merged = schedule.interleave(slots);
-            // wave_of[slot][segment]
-            let mut wave_of = vec![vec![usize::MAX; n_segs]; slots];
-            for (l, wave) in merged.waves.iter().enumerate() {
-                let mut per_slot = vec![0usize; slots];
-                for &(slot, seg) in wave {
-                    if wave_of[slot][seg] != usize::MAX {
-                        return Case::Fail(format!("S={slots}: unit ({slot}, {seg}) twice"));
-                    }
-                    wave_of[slot][seg] = l;
-                    per_slot[slot] += 1;
+        // A node continues its segment exactly when it is the sole
+        // consumer of its sole input *and* that input is the previous id.
+        for nodes in &schedule.segments {
+            for id in nodes.clone() {
+                let inputs = &g.node(NodeId(id)).inputs;
+                let sole = inputs.len() == 1 && consumers[inputs[0].0].len() == 1;
+                let chains = sole && inputs[0].0 + 1 == id;
+                cut_chains += usize::from(sole && !chains);
+                if chains != (id > nodes.start) {
+                    return Case::Fail(format!("node {id} of {nodes:?}: chains = {chains}"));
                 }
-                if let Some(&most) = per_slot.iter().max().filter(|&&m| m > k) {
-                    return Case::Fail(format!("S={slots}: wave {l} runs {most} > k = {k} segments of one slot"));
-                }
-                // Segment-major: ascending segments, each a run of all slots.
-                let expect: Vec<(usize, usize)> = wave
-                    .iter()
-                    .step_by(slots)
-                    .flat_map(|&(_, seg)| (0..slots).map(move |slot| (slot, seg)))
-                    .collect();
-                if *wave != expect || !wave.windows(2).all(|p| p[0].1 <= p[1].1) {
-                    return Case::Fail(format!("S={slots}: wave {l} is not segment-major: {wave:?}"));
-                }
-            }
-            for (slot, wave_of) in wave_of.iter().enumerate() {
-                if let Some(seg) = wave_of.iter().position(|&l| l == usize::MAX) {
-                    return Case::Fail(format!("S={slots}: unit ({slot}, {seg}) never runs"));
-                }
-                for node in g.nodes() {
-                    let seg = seg_of[node.id.0];
-                    for inp in &node.inputs {
-                        let from = seg_of[inp.0];
-                        if from != seg && wave_of[from] >= wave_of[seg] {
-                            return Case::Fail(format!(
-                                "S={slots} slot {slot}: node {} reads node {} of a wave that is not earlier",
-                                node.id.0, inp.0
-                            ));
-                        }
-                    }
-                }
-            }
-
-            let flat: Vec<Vec<usize>> = merged
-                .waves
-                .iter()
-                .map(|wave| wave.iter().filter(|u| u.0 == 0).map(|u| u.1).collect())
-                .collect();
-            if slots == 1 && flat != schedule.waves {
-                return Case::Fail(format!("S=1 is not the base schedule: {flat:?} vs {:?}", schedule.waves));
-            }
-            if k == 1 && flat != (0..n_segs).map(|seg| vec![seg]).collect::<Vec<_>>() {
-                return Case::Fail(format!("S={slots}, k=1 leaves ascending segment order: {flat:?}"));
             }
         }
         Case::Pass
     });
-    // One slot and many only differ on graphs with sibling branches.
+    // The generator must reach both shapes: sibling segments on one level,
+    // and chains that have to be cut because their ids are not consecutive.
     assert!(widths_seen.contains(&2) && widths_seen.contains(&4), "generated widths {widths_seen:?}");
+    assert!(cut_chains > 0, "no generated graph had a non-contiguous chain");
 }

@@ -35,8 +35,6 @@ const MAX_CACHED: usize = 8;
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 /// High-water mark of [`LIVE`] since the last [`reset_peak`].
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-/// Bytes cached in thread arenas, not on loan (diagnostic).
-static CACHED: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static ARENA: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
@@ -52,11 +50,6 @@ pub fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)
 }
 
-/// Bytes parked in thread arenas awaiting reuse (not on loan).
-pub fn cached_bytes() -> usize {
-    CACHED.load(Ordering::Relaxed)
-}
-
 /// Restarts peak tracking from the current live level.
 pub fn reset_peak() {
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -68,7 +61,7 @@ fn note_loan(bytes: usize) {
 }
 
 fn take(elems: usize) -> Vec<f32> {
-    let mut buf = ARENA.with(|a| {
+    let buf = ARENA.with(|a| {
         let mut bins = a.borrow_mut();
         // Best fit: the smallest cached buffer whose capacity suffices;
         // otherwise grow the largest one rather than keeping both.
@@ -85,10 +78,7 @@ fn take(elems: usize) -> Vec<f32> {
         });
         pick.map(|i| bins.swap_remove(i))
     });
-    if let Some(b) = &buf {
-        CACHED.fetch_sub(b.capacity() * 4, Ordering::Relaxed);
-    }
-    let buf = match buf.take() {
+    let buf = match buf {
         Some(mut b) => {
             b.clear();
             // Grow to what was asked, not `Vec`'s doubled capacity: a loan
@@ -106,7 +96,6 @@ fn take(elems: usize) -> Vec<f32> {
 
 fn put(buf: Vec<f32>) {
     LIVE.fetch_sub(buf.capacity() * 4, Ordering::Relaxed);
-    CACHED.fetch_add(buf.capacity() * 4, Ordering::Relaxed);
     ARENA.with(|a| {
         let mut bins = a.borrow_mut();
         bins.push(buf);
@@ -114,8 +103,7 @@ fn put(buf: Vec<f32>) {
             let min = (0..bins.len())
                 .min_by_key(|&i| bins[i].capacity())
                 .expect("non-empty");
-            let dropped = bins.swap_remove(min);
-            CACHED.fetch_sub(dropped.capacity() * 4, Ordering::Relaxed);
+            bins.swap_remove(min);
         }
     });
 }

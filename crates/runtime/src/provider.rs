@@ -18,19 +18,17 @@
 //!   the compute stream would. The worker and the host arena exist only
 //!   when the plan stages bytes off-device.
 //!
-//! # Tape-cursor gating
+//! # One order
 //!
-//! The plan is a serialized tape. A training step runs it as written —
-//! forward in ascending node id, backward in descending — so every step's
-//! events replay the moment its node lands: buffers die where the planner
-//! freed them and an offload is issued while the next node computes. A
-//! serving batch may land several segments of one slot per wave (its
-//! schedule keeps cross-patch width while slots are few), completing
-//! nodes *out of* tape order. The runtime therefore keeps a cursor over
-//! tape positions and only replays a step's events once every step before
-//! it has completed — so the event order the gauge sees is exactly the
-//! order `plan_layout` validated, regardless of wave shape, at the price
-//! of frees that wait for the cursor.
+//! The plan is a serialized tape, and every pass runs it as written —
+//! forward in ascending node id, backward in descending; a serving slot
+//! runs the forward half alone. The runtime keeps a cursor over tape
+//! positions and asserts each hook arrives at it, so a step's events
+//! replay the moment its node lands: buffers die where the planner freed
+//! them, an offload is issued while the next node computes, and the event
+//! order the gauge sees is exactly the order `plan_layout` validated. A
+//! caller that lands nodes out of order fails the assert instead of
+//! replaying a plan that is no longer true of it.
 //!
 //! # Determinism
 //!
@@ -178,7 +176,7 @@ pub struct PlanRuntime {
     // Per-step replay state.
     gauge: PoolGauge,
     instance: Vec<usize>,
-    completed: Vec<bool>,
+    /// The tape position whose hooks come next.
     cursor: usize,
     /// Node whose output currently holds each TSO's bits (last completed
     /// alias — the value an offload must capture).
@@ -213,7 +211,6 @@ impl PlanRuntime {
             transfer,
             gauge: PoolGauge::new(),
             instance: Vec::new(),
-            completed: Vec::new(),
             cursor: 0,
             content: Vec::new(),
             pending_offload: HashMap::new(),
@@ -303,14 +300,15 @@ impl PlanRuntime {
     /// Drops alias-predecessor outputs that are now dead: in-place ReLU's
     /// pre-activation (and flatten's source) the moment the aliasing node
     /// lands, provided backward never re-reads them and every forward
-    /// consumer already ran. This is the physical realization of the
-    /// planner treating the pair as *one* TSO.
+    /// consumer already ran (in tape order: has an id no later than
+    /// `node`'s). This is the physical realization of the planner treating
+    /// the pair as *one* TSO.
     fn eager_alias_drop(&mut self, tables: &PlanTables, node: usize, outputs: &mut [Option<Tensor>]) {
         let t = tables.node_tso[node];
         for &p in &tables.plan.alias_nodes[t] {
             if p != node
                 && !tables.plan.restore_nodes[t].contains(&p)
-                && tables.consumers[p].iter().all(|&c| self.completed[c])
+                && tables.consumers[p].iter().all(|&c| c <= node)
             {
                 self.release(p, outputs);
             }
@@ -409,7 +407,6 @@ impl BufferProvider for PlanRuntime {
         );
         self.gauge = PoolGauge::new();
         self.instance = vec![0; n_tso];
-        self.completed = vec![false; n_nodes];
         self.cursor = 0;
         self.content = vec![None; n_tso];
         self.resident = 0;
@@ -429,20 +426,16 @@ impl BufferProvider for PlanRuntime {
 
     fn forward_complete(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
         let tables = self.tables.clone();
-        self.completed[node] = true;
+        assert_eq!(self.cursor, node, "forward visited out of tape order");
         self.content[tables.node_tso[node]] = Some(node);
         // Sample before dropping anything: the instant a node (or a whole
         // wave) has landed is the physical peak.
         self.sample_resident();
         self.eager_alias_drop(&tables, node, outputs);
-        // Tape-cursor gating (module docs): a step's events replay only
-        // once every step before it has completed.
-        while self.cursor < tables.plan.forward_len && self.completed[self.cursor] {
-            let step = &tables.plan.steps[self.cursor];
-            self.replay(&tables, &step.before, outputs);
-            self.replay(&tables, &step.after, outputs);
-            self.cursor += 1;
-        }
+        let step = &tables.plan.steps[node];
+        self.replay(&tables, &step.before, outputs);
+        self.replay(&tables, &step.after, outputs);
+        self.cursor += 1;
     }
 
     fn before_backward(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {

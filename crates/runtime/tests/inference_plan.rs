@@ -1,15 +1,16 @@
 //! [`PlanRuntime`] replays a forward-only inference plan under an eval
 //! pass: the measured pool equals the planned one, nothing stays live,
 //! and no host tier exists because nothing is ever staged off-device.
+//! A caller that lands nodes out of tape order is refused, not replayed.
 
 use scnn_core::{plan_split, SplitConfig};
-use scnn_graph::NodeId;
+use scnn_graph::{Graph, NodeId};
 use scnn_hmms::{export_inference_plan, TsoAssignment, TsoOptions};
 use scnn_models::{resnet18, ModelOptions};
-use scnn_nn::{BnState, Executor, Mode, ParamStore};
+use scnn_nn::{BnState, BufferProvider, Executor, Mode, ParamStore};
 use scnn_rng::SplitRng;
 use scnn_runtime::PlanRuntime;
-use scnn_tensor::uniform;
+use scnn_tensor::{uniform, Tensor};
 
 #[test]
 fn eval_pass_under_an_inference_plan_measures_the_planned_pool() {
@@ -41,4 +42,28 @@ fn eval_pass_under_an_inference_plan_measures_the_planned_pool() {
         assert_eq!(st.plan_device_peak_bytes, planned);
         assert_eq!((st.host_bytes, st.offloads, st.prefetches), (0, 0, 0));
     }
+}
+
+/// The plan's frees are only true of a pass in the plan's order: a node
+/// completing ahead of the cursor must fail the assert, never replay
+/// another position's events against it.
+#[test]
+#[should_panic(expected = "forward visited out of tape order")]
+fn forward_complete_out_of_id_order_panics() {
+    let mut graph = Graph::new();
+    let x = graph.input(&[1, 1, 4, 4]);
+    let r = graph.relu(x, "r");
+    let f = graph.flatten(r, "f");
+    let l = graph.linear(f, 2, "fc");
+    graph.softmax_cross_entropy(l, "loss");
+    let tso = TsoAssignment::new(&graph, &vec![0; graph.len()], TsoOptions::default());
+    let plan = export_inference_plan(&graph, &tso).expect("the inference plan is legal");
+
+    let mut rt = PlanRuntime::new(&graph, plan).expect("runtime builds");
+    rt.begin_step(graph.len());
+    let mut outputs: Vec<Option<Tensor>> = vec![None; graph.len()];
+    for id in [x.0, r.0] {
+        outputs[id] = Some(rt.adopt(id, Tensor::zeros(&graph.node(NodeId(id)).out_shape)));
+    }
+    rt.forward_complete(r.0, &mut outputs);
 }

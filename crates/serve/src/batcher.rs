@@ -31,7 +31,7 @@ use scnn_tensor::Tensor;
 
 use crate::admission::{OverBudget, ServeError, ServerConfig, SloClass};
 use crate::dispatch::{replica_loop, BatchRunner};
-use crate::engine::Engine;
+use crate::engine::{per_replica_fit, Engine};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{AdmissionQueue, Job};
 
@@ -129,7 +129,7 @@ impl Server {
     ///
     /// When [`ServerConfig::budget_bytes`] is set, the planned deployment
     /// footprint `params + replicas × max_batch × pool` is cross-checked
-    /// against it (the serving Fig. 10 bound, via
+    /// against it (the serving Fig. 10 bound, the formula behind
     /// [`Engine::max_concurrency_replicated`]); an over-budget
     /// `max_batch` is rejected or clamped per
     /// [`ServerConfig::on_over_budget`].
@@ -333,32 +333,5 @@ impl Drop for Server {
                 resume_unwind(payload);
             }
         }
-    }
-}
-
-/// Largest per-replica batch such that
-/// `params + replicas × batch × pool ≤ budget` (0 when not even one
-/// fits). The closed form of the [`Engine::max_concurrency_replicated`]
-/// search, usable with any [`BatchRunner`] that reports its layout.
-fn per_replica_fit(budget: usize, replicas: usize, params: usize, pool: usize) -> usize {
-    if budget < params || pool == 0 {
-        return if budget >= params { usize::MAX } else { 0 };
-    }
-    (budget - params) / (replicas * pool)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn per_replica_fit_matches_the_linear_model() {
-        // params 100, pool 10: budget 175 fits 7 at R=1, 3 at R=2.
-        assert_eq!(per_replica_fit(175, 1, 100, 10), 7);
-        assert_eq!(per_replica_fit(175, 2, 100, 10), 3);
-        assert_eq!(per_replica_fit(99, 1, 100, 10), 0);
-        assert_eq!(per_replica_fit(105, 1, 100, 10), 0);
-        // Zero-pool degenerate: anything fits once params do.
-        assert_eq!(per_replica_fit(100, 4, 100, 0), usize::MAX);
     }
 }

@@ -1,10 +1,10 @@
-//! The inference engine: interleaved forward-only execution of one graph
-//! over many concurrent request slots, under a planned memory footprint.
+//! The inference engine: forward-only execution of one graph over many
+//! concurrent request slots, under a planned memory footprint.
 //!
 //! One [`Engine`] owns one graph, its forward-only [`ExecPlan`] (exported
-//! by [`scnn_hmms::export_inference_plan`]) and its base wave
-//! [`Schedule`]. Frozen weights and BN running statistics are shared via
-//! `Arc` across every in-flight request — inference never mutates either.
+//! by [`scnn_hmms::export_inference_plan`]) and its segment [`Schedule`].
+//! Frozen weights and BN running statistics are shared via `Arc` across
+//! every in-flight request — inference never mutates either.
 //!
 //! The engine computes nothing and replays nothing itself. What a node
 //! computes is the wave step a training step runs
@@ -13,24 +13,21 @@
 //! when they die is one [`PlanRuntime`] per slot replaying the inference
 //! plan. Logits equal an `Executor` eval pass because they are one. What
 //! is left here is what only serving needs: the plan export, the capacity
-//! search, the logits snapshot and the per-batch accounting.
+//! formula, the logits snapshot and the per-batch accounting.
 //!
-//! # Cross-request interleaving
+//! # One order, any batch size
 //!
-//! A batch of `R` requests runs the schedule interleaved across `R` slots
-//! ([`Schedule::interleave`]). A lone request keeps the base waves — its
-//! kernels are too small to fork, its sibling patches are the only
-//! parallelism there is. From two requests on, every slot advances in
-//! lock-step one segment per wave, in tape order: sibling *requests* are
-//! the work units on the `scnn-par` pool, every request runs patch by
-//! patch, and each slot's planned frees fire before its next patch
-//! allocates — a batch holds `R ×` one tape-order request, less at any
-//! served size than the lone request's waves do. The order depends on `R`
-//! alone, never on thread count. Each slot computes only from its own
-//! activations, and the wave step lands outputs and fires lifetime events
-//! in a fixed `(slot, node)` order, so identical request bytes produce
-//! bit-identical logits at any thread count, concurrency and batch
-//! composition (pinned by the integration tests).
+//! A batch of `R ≥ 1` requests advances every slot in lock-step, one
+//! segment per wave, in ascending segment index — tape order, the order
+//! the plan was made for. Sibling *requests* are the work units on the
+//! `scnn-par` pool (a lone request runs inline and leaves the pool to its
+//! kernels), every request runs patch by patch, and each slot's planned
+//! frees fire before its next patch allocates — a batch holds `R ×` what
+//! one request does, below its planned pool at every `R`. Each slot
+//! computes only from its own activations, and the wave step lands outputs
+//! and fires lifetime events in a fixed `(slot, node)` order, so identical
+//! request bytes produce bit-identical logits at any thread count,
+//! concurrency and batch composition (pinned by the integration tests).
 //!
 //! # Memory accounting
 //!
@@ -40,10 +37,10 @@
 //! `StaticLayout::device_general_bytes` exactly — a batch's pool is
 //! `slots ×` that, a planned quantity, not an accident of scheduling.
 //! [`BatchStats::resident_peak`] is the engine's own sample: the slots'
-//! [`PlanRuntime::resident_bytes`] counters summed once per merged wave,
-//! *after* that wave's lifetime events — what the process holds between
-//! waves. (The runtime's own peak is per node and before the drops: a
-//! training step's peak.)
+//! [`PlanRuntime::resident_bytes`] counters summed once per wave, *after*
+//! that wave's lifetime events — what the process holds between waves.
+//! (The runtime's own peak is per node and before the drops: a training
+//! step's peak.)
 
 use std::sync::Arc;
 
@@ -190,56 +187,40 @@ impl Engine {
         self.plan().layout.serving_device_bytes(replicas, concurrency)
     }
 
-    /// Largest concurrency (≤ `limit`) whose planned footprint fits
-    /// `budget_bytes`, found by doubling + bisection over
-    /// [`Engine::device_bytes_at`] — the serving counterpart of the
-    /// Fig. 10 `max_batch_size` search. `None` when even one request does
-    /// not fit.
+    /// Largest concurrency (≤ `limit`) whose planned footprint
+    /// ([`Engine::device_bytes_at`]) fits `budget_bytes` — the serving
+    /// counterpart of the Fig. 10 `max_batch_size` search. `None` when
+    /// even one request does not fit.
     pub fn max_concurrency(&self, budget_bytes: usize, limit: usize) -> Option<ConcurrencySearch> {
         self.max_concurrency_replicated(budget_bytes, 1, limit)
     }
 
     /// [`Engine::max_concurrency`] with the replica axis: the largest
     /// *per-replica* batch (≤ `limit`) such that `replicas` concurrent
-    /// batches of that size fit `budget_bytes`. This is the search
-    /// [`crate::Server::start`] cross-checks a configured `max_batch`
-    /// against, so a policy can never silently plan more pool bytes than
-    /// the budget covers. `None` when even one request per replica does
-    /// not fit.
+    /// batches of that size fit `budget_bytes`
+    /// ([`Engine::device_bytes_replicated`]). [`crate::Server::start`]
+    /// cross-checks a configured `max_batch` against the same closed form,
+    /// so a policy can never silently plan more pool bytes than the budget
+    /// covers. `None` when even one request per replica does not fit.
     pub fn max_concurrency_replicated(
         &self,
         budget_bytes: usize,
         replicas: usize,
         limit: usize,
     ) -> Option<ConcurrencySearch> {
-        let fits = |c: usize| self.device_bytes_replicated(replicas, c) <= budget_bytes;
-        if limit == 0 || replicas == 0 || !fits(1) {
-            return None;
-        }
-        let mut lo = 1;
-        let mut hi = 2;
-        while hi <= limit && fits(hi) {
-            lo = hi;
-            hi *= 2;
-        }
-        let mut hi = hi.min(limit + 1);
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if fits(mid) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(ConcurrencySearch {
-            max_concurrency: lo,
-            device_bytes: self.device_bytes_replicated(replicas, lo),
+        let layout = &self.plan().layout;
+        let (params, pool) = (layout.device_param_bytes, layout.device_general_bytes);
+        let fits = per_replica_fit(budget_bytes, replicas, params, pool).min(limit);
+        (fits > 0).then(|| ConcurrencySearch {
+            max_concurrency: fits,
+            device_bytes: self.device_bytes_replicated(replicas, fits),
         })
     }
 
-    /// Runs `requests` (each a tensor of [`Engine::request_shape`])
-    /// through the interleaved schedule and returns one logits vector per
-    /// request, in submission order, plus the batch's memory accounting.
+    /// Runs `requests` (each a tensor of [`Engine::request_shape`]) through
+    /// the graph, segment by segment in tape order, and returns one logits
+    /// vector per request, in submission order, plus the batch's memory
+    /// accounting.
     ///
     /// # Panics
     ///
@@ -253,7 +234,6 @@ impl Engine {
         let n = self.graph.len();
         let ctx = ForwardCtx {
             graph: &self.graph,
-            schedule: Some(&self.schedule),
             params: &self.params,
             bn: &self.bn,
             mode: Mode::Eval,
@@ -271,11 +251,11 @@ impl Engine {
 
         let mut resident_peak = 0usize;
         let exec = Executor::new();
-        for units in &self.schedule.interleave(requests.len()).waves {
+        for segment in &self.schedule.segments {
             let mut hooks: Vec<&mut dyn BufferProvider> =
                 providers.iter_mut().map(|p| p as &mut dyn BufferProvider).collect();
             // Eval with no labels defers nothing.
-            exec.forward_wave(&ctx, units, &mut slots, &mut hooks);
+            exec.forward_wave(&ctx, segment.clone(), &mut slots, &mut hooks);
             let live: usize = providers.iter().map(|p| p.runtime.resident_bytes()).sum();
             resident_peak = resident_peak.max(live);
         }
@@ -292,5 +272,93 @@ impl Engine {
         }
         let planned_pool_bytes = requests.len() * per_slot;
         (logits, BatchStats { pool_high_water, planned_pool_bytes, resident_peak })
+    }
+}
+
+/// Largest per-replica batch `c` such that
+/// `params + replicas × c × pool ≤ budget` — the inverse of
+/// [`scnn_hmms::StaticLayout::serving_device_bytes`], usable with any
+/// [`crate::BatchRunner`] that reports its layout. `0` when not even one
+/// request a replica fits, `usize::MAX` when nothing grows with the batch.
+pub(crate) fn per_replica_fit(budget: usize, replicas: usize, params: usize, pool: usize) -> usize {
+    let Some(spare) = budget.checked_sub(params) else {
+        return 0;
+    };
+    match replicas.checked_mul(pool) {
+        Some(0) => usize::MAX,
+        Some(per_request) => spare / per_request,
+        // One request a replica is already more than a `usize` of bytes.
+        None => 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scnn_hmms::StaticLayout;
+    use scnn_rng::prop::{check, Case};
+    use scnn_rng::Rng;
+
+    #[test]
+    fn per_replica_fit_matches_the_linear_model() {
+        // params 100, pool 10: budget 175 fits 7 at R=1, 3 at R=2.
+        assert_eq!(per_replica_fit(175, 1, 100, 10), 7);
+        assert_eq!(per_replica_fit(175, 2, 100, 10), 3);
+        assert_eq!(per_replica_fit(99, 1, 100, 10), 0);
+        assert_eq!(per_replica_fit(105, 1, 100, 10), 0);
+        // Zero-pool degenerate: anything fits once params do.
+        assert_eq!(per_replica_fit(100, 4, 100, 0), usize::MAX);
+    }
+
+    /// The closed form against the footprint model it inverts: a scan of
+    /// `serving_device_bytes` where the arguments are small enough to
+    /// scan, the model's own inequality (in `u128`, where it cannot wrap)
+    /// at the result and one past it everywhere — degenerate and
+    /// `usize::MAX` arguments included, which must not overflow either.
+    #[test]
+    fn per_replica_fit_inverts_serving_device_bytes() {
+        const EDGES: [usize; 4] = [0, usize::MAX / 2, usize::MAX - 1, usize::MAX];
+        check("per_replica_fit == brute-force scan", 2000, |rng| {
+            let mut arg = |small: usize| match rng.gen_range(0..5usize) {
+                0 => EDGES[rng.gen_range(0..EDGES.len())],
+                _ => rng.gen_range(0..small),
+            };
+            let (params, pool, budget) = (arg(40), arg(6), arg(120));
+            let (replicas, limit) = (arg(4), arg(12));
+            let fits = |c: usize| {
+                (replicas as u128)
+                    .checked_mul(c as u128)
+                    .and_then(|rc| rc.checked_mul(pool as u128))
+                    .and_then(|pools| pools.checked_add(params as u128))
+                    .is_some_and(|bytes| bytes <= budget as u128)
+            };
+
+            let got = per_replica_fit(budget, replicas, params, pool);
+            if got > 0 && !fits(got) {
+                return Case::Fail(format!("{got} does not fit"));
+            }
+            if got < usize::MAX && fits(got + 1) {
+                return Case::Fail(format!("{got} fits, but so does {}", got + 1));
+            }
+
+            if [params, pool, budget, replicas, limit].iter().all(|&v| v <= 120) {
+                let layout = StaticLayout {
+                    device_general_bytes: pool,
+                    device_workspace_bytes: 0,
+                    device_param_bytes: params,
+                    host_pool_bytes: 0,
+                    addresses: Default::default(),
+                    workspace_overlapped_bytes: 0,
+                };
+                let scanned = (1..=limit)
+                    .take_while(|&c| layout.serving_device_bytes(replicas, c) <= budget)
+                    .last();
+                let clamped = Some(got.min(limit)).filter(|&c| c > 0);
+                if clamped != scanned {
+                    return Case::Fail(format!("closed form {clamped:?}, scan {scanned:?}"));
+                }
+            }
+            Case::Pass
+        });
     }
 }

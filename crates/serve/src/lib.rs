@@ -2,7 +2,7 @@
 //! optimization applied to the serving workload, hardened for real
 //! traffic.
 //!
-//! Training PRs built the stack bottom-up — tensors, kernels, the wave
+//! Training PRs built the stack bottom-up — tensors, kernels, the
 //! executor, HMMS planning, the plan-executing runtime. This crate turns
 //! it toward inference, where split-patch pipelining lets many concurrent
 //! requests share a small, *planned* activation pool:
@@ -14,12 +14,13 @@
 //!   requests. It drives the training stack's own code rather than a copy
 //!   of it: [`scnn_nn::Executor::forward_wave`] computes, one
 //!   [`scnn_runtime::PlanRuntime`] per slot replays the plan. A batch of
-//!   `C` requests runs interleaved across `C` slots
-//!   ([`scnn_nn::Schedule::interleave`]): a lone request keeps the wave
-//!   schedule's cross-patch width, two or more run every slot in tape
-//!   order, so split-patch branches of different requests execute side
-//!   by side on the `scnn-par` pool — and every slot's pool high-water
-//!   is asserted equal to the planned layout bytes, every batch.
+//!   `C ≥ 1` requests runs across `C` slots in lock-step, one
+//!   [`scnn_nn::Schedule`] segment per wave in tape order — the one
+//!   execution order there is, a lone request's included — so the same
+//!   patch of different requests executes side by side on the `scnn-par`
+//!   pool, every slot's planned frees are true of the pass (resident ≤
+//!   planned at every `C`), and every slot's pool high-water is asserted
+//!   equal to the planned layout bytes, every batch.
 //! - [`Server`] — bounded admission in front of `R` replica dispatch
 //!   threads. Admission sheds ([`ServeError::Overloaded`]) instead of
 //!   queueing without bound; requests carry an [`SloClass`] whose window
@@ -37,8 +38,9 @@
 //!   [`Server::metrics`], exported by the `serving` bench and gated in
 //!   `scripts/verify.sh`.
 //! - [`Engine::max_concurrency`] — the serving counterpart of Fig. 10's
-//!   `max_batch_size` capacity search, with a replica-aware form
-//!   ([`Engine::max_concurrency_replicated`]).
+//!   `max_batch_size` capacity search as one closed form, with a
+//!   replica-aware variant ([`Engine::max_concurrency_replicated`]) that
+//!   is also what [`Server::start`] checks a budget with.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -14,13 +14,6 @@ pub fn he_normal(rng: &mut impl Rng, dims: &[usize], fan_in: usize) -> Tensor {
     gaussian(rng, dims, std)
 }
 
-/// Xavier/Glorot-uniform initialization: `U(-a, a)` with
-/// `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier_uniform(rng: &mut impl Rng, dims: &[usize], fan_in: usize, fan_out: usize) -> Tensor {
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform(rng, dims, -a, a)
-}
-
 /// Uniform initialization on `[lo, hi)`.
 pub fn uniform(rng: &mut impl Rng, dims: &[usize], lo: f32, hi: f32) -> Tensor {
     let n: usize = dims.iter().product();
@@ -78,13 +71,5 @@ mod tests {
             he_normal(&mut rng, &[3, 3], 9)
         };
         assert_eq!(mk(), mk());
-    }
-
-    #[test]
-    fn xavier_bounds() {
-        let mut rng = SplitRng::seed_from_u64(1);
-        let a = (6.0f32 / 20.0).sqrt();
-        let t = xavier_uniform(&mut rng, &[10, 10], 10, 10);
-        assert!(t.as_slice().iter().all(|&v| v.abs() <= a));
     }
 }

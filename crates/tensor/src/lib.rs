@@ -45,7 +45,7 @@ pub use conv_engine::{
     micro_batch_aligned, min_micro_batch, ConvAlgo,
 };
 pub use im2col::{col2im, col2im_cols_into, col2im_into, im2col, im2col_into, Conv2dGeometry};
-pub use init::{he_normal, uniform, xavier_uniform};
+pub use init::{he_normal, uniform};
 pub use linalg::{
     matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_into, matmul_into,
     REDUCTION_KC,

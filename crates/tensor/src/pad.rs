@@ -57,11 +57,6 @@ impl Padding2d {
         *self == Padding2d::default()
     }
 
-    /// Returns `true` if any side crops (negative padding).
-    pub fn has_crop(&self) -> bool {
-        self.h_begin < 0 || self.h_end < 0 || self.w_begin < 0 || self.w_end < 0
-    }
-
     /// Output height for an input of height `h`.
     ///
     /// # Panics
@@ -151,14 +146,6 @@ impl Tensor {
         }
         out
     }
-
-    /// Removes padding previously applied by [`Tensor::pad2d`]: the adjoint
-    /// operation used when back-propagating gradients through a pad.
-    ///
-    /// Equivalent to `self.pad2d(pad.invert())`.
-    pub fn unpad2d(&self, pad: Padding2d) -> Tensor {
-        self.pad2d(pad.invert())
-    }
 }
 
 #[cfg(test)]
@@ -215,10 +202,10 @@ mod tests {
     }
 
     #[test]
-    fn unpad_roundtrip_is_identity_without_crop() {
+    fn inverted_pad_roundtrip_is_identity_without_crop() {
         let x = seq(&[2, 3, 4, 5]);
         let p = Padding2d::new(2, 1, 0, 3);
-        assert_eq!(x.pad2d(p).unpad2d(p), x);
+        assert_eq!(x.pad2d(p).pad2d(p.invert()), x);
     }
 
     #[test]

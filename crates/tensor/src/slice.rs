@@ -148,26 +148,6 @@ impl Tensor {
         }
         Tensor::from_vec(out, &out_dims)
     }
-
-    /// Splits the tensor along `dim` at the given starting indices
-    /// (the paper's `Split_D(T, (s_0, …, s_{N−1}))`; `starts[0]` must be 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `starts` is empty, unsorted, does not begin at 0, or runs
-    /// past the extent.
-    pub fn split_dim(&self, dim: usize, starts: &[usize]) -> Vec<Tensor> {
-        assert!(!starts.is_empty(), "split with no parts");
-        assert_eq!(starts[0], 0, "first split index must be 0");
-        let extent = self.dim(dim);
-        let mut parts = Vec::with_capacity(starts.len());
-        for (i, &s) in starts.iter().enumerate() {
-            let end = if i + 1 < starts.len() { starts[i + 1] } else { extent };
-            assert!(s < end && end <= extent, "split indices {starts:?} invalid for extent {extent}");
-            parts.push(self.slice_dim(dim, s, end - s));
-        }
-        parts
-    }
 }
 
 #[cfg(test)]
@@ -189,13 +169,9 @@ mod tests {
     }
 
     #[test]
-    fn concat_inverts_split() {
+    fn concat_inverts_slicing() {
         let x = seq(&[2, 3, 6, 5]);
-        let parts = x.split_dim(2, &[0, 2, 5]);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].dim(2), 2);
-        assert_eq!(parts[1].dim(2), 3);
-        assert_eq!(parts[2].dim(2), 1);
+        let parts = [(0, 2), (2, 3), (5, 1)].map(|(start, len)| x.slice_dim(2, start, len));
         let refs: Vec<&Tensor> = parts.iter().collect();
         assert_eq!(Tensor::concat(&refs, 2), x);
     }
@@ -230,12 +206,6 @@ mod tests {
             full.as_slice(),
             &[1.0, 4.0, 4.0, 1.0]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "first split index")]
-    fn split_must_start_at_zero() {
-        seq(&[4]).split_dim(0, &[1, 2]);
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Panics
@@ -150,13 +145,6 @@ impl Tensor {
         Tensor {
             data: self.data.iter().map(|&v| f(v)).collect(),
             shape: self.shape.clone(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in self.as_mut_slice() {
-            *v = f(*v);
         }
     }
 
@@ -242,16 +230,6 @@ impl Tensor {
             .fold(0.0, f32::max)
     }
 
-    /// Index of the maximum element in a flat view.
-    pub fn argmax_flat(&self) -> usize {
-        self.as_slice()
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("tensor is never empty")
-    }
-
     /// Returns `true` if every element is finite (no NaN/∞) — used as a
     /// training sanity check.
     pub fn all_finite(&self) -> bool {
@@ -314,7 +292,6 @@ mod tests {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 6.0], &[4]);
         assert_eq!(t.sum(), 12.0);
         assert_eq!(t.mean(), 3.0);
-        assert_eq!(t.argmax_flat(), 3);
     }
 
     #[test]

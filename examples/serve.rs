@@ -58,19 +58,21 @@ fn main() {
 
     // One direct batch shows the pool accounting: the measured high-water
     // equals slots × device_general_bytes exactly (run_batch asserts it).
-    // A lone request keeps its cross-patch wave width; a batch runs every
-    // request patch by patch, so each slot holds far fewer resident bytes.
+    // Every request runs patch by patch in tape order whatever the batch
+    // size, so a slot holds the same resident bytes alone as among eight —
+    // fewer than the pool planned for it.
     let (solo, solo_stats) = engine.run_batch(std::slice::from_ref(&image));
     let batch: Vec<_> = (0..8).map(|_| image.clone()).collect();
     let (outs, stats) = engine.run_batch(&batch);
     println!(
         "batch of 8: pool high-water {} B == planned {} B, resident peak {} B \
-         ({} B per slot; a lone request holds {} B)",
+         ({} B per slot; a lone request holds {} B of its {} B pool)",
         stats.pool_high_water,
         stats.planned_pool_bytes,
         stats.resident_peak,
         stats.resident_peak / batch.len(),
-        solo_stats.resident_peak
+        solo_stats.resident_peak,
+        solo_stats.planned_pool_bytes
     );
     assert!(outs.iter().all(|o| o == &solo[0]), "concurrency changed bits");
 

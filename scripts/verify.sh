@@ -64,6 +64,15 @@ if grep -rnE 'Workspace::|PooledBuf|BufferRecycler|from_pooled|is_pooled' crates
   exit 1
 fi
 
+# Order guard: there is one execution order — the tape's, at every batch
+# size (DESIGN.md §15) — and one liveness walk, the planner's (§12). A
+# schedule that interleaves levelled waves, or a forward-only cost proxy
+# that ranks splits beside the planner, is a second one coming back.
+if grep -rnE 'InterleavedSchedule|interleave\(|plan_split_auto|split_cost' crates/*/src; then
+  echo "verify: a second execution order or a second liveness model is back under crates/*/src" >&2
+  exit 1
+fi
+
 cargo build --workspace --release --offline
 cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -82,13 +91,13 @@ done
 # peak is sampled at wave barriers, so both are exact byte counts on any
 # host — pinned from both sides, they catch planner or engine drift even
 # when the timing gates below are skipped. The resident peak is pinned at
-# 1, 8 and 64 slots: one slot keeps the base waves' width, a batch runs
-# every request patch by patch in tape order (DESIGN.md §15), and a
-# schedule change shows as a moved byte count at one end or the other.
+# 1, 8 and 64 slots: every request runs patch by patch in tape order at
+# every batch size (DESIGN.md §15), so the three pins are one per-slot
+# figure × 1, 8 and 64, and a second order shows as a pin that is not.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 declare -A smoke_gates=(
-  [serving]="--max-peak serve_pool/c64:2949120,serve_resident_peak/c1:478208,serve_resident_peak/c8:294912,serve_resident_peak/c64:2359296,serve_pool_replicated/r2:737280,serve_pool_replicated/r4:1474560,overload/queue_depth_peak:8 --min-peak serve_pool/c64:2949120,serve_resident_peak/c1:478208,serve_resident_peak/c8:294912,serve_resident_peak/c64:2359296,serve_pool_replicated/r2:737280,serve_pool_replicated/r4:1474560,capacity/max_concurrency:166,capacity/max_concurrency_r2:83,capacity/max_concurrency_r4:41,overload/shed:1 --max-p99 overload/admitted_latency:10000000000"
+  [serving]="--max-peak serve_pool/c64:2949120,serve_resident_peak/c1:36864,serve_resident_peak/c8:294912,serve_resident_peak/c64:2359296,serve_pool_replicated/r2:737280,serve_pool_replicated/r4:1474560,overload/queue_depth_peak:8 --min-peak serve_pool/c64:2949120,serve_resident_peak/c1:36864,serve_resident_peak/c8:294912,serve_resident_peak/c64:2359296,serve_pool_replicated/r2:737280,serve_pool_replicated/r4:1474560,capacity/max_concurrency:166,capacity/max_concurrency_r2:83,capacity/max_concurrency_r4:41,overload/shed:1 --max-p99 overload/admitted_latency:10000000000"
 )
 for bench in kernels planning ablation memory serving; do
   SCNN_BENCH_DIR="$tmp" cargo bench -q -p scnn-bench --bench "$bench" --offline -- --smoke
@@ -173,7 +182,7 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 declare -A abs_gates=(
   [kernels]="--max-median conv2d_fwd_8x16x32x32:4900000,conv2d_fwd_8x16x32x32_winograd:4500000,conv2d_bwd_8x16x32x32:12000000,matmul_512:12000000,conv2d_fwd_8x32x16x16:1450000,conv2d_bwd_8x32x16x16:2550000,conv2d_fwd_8x256x4x4:4600000,conv2d_bwd_8x256x4x4:10900000,conv2d_fwd_1x1s2_8x32x16x16:145000,sgd_step_resnet18_w05:1850000,par_fork_join/gap100us:130000 --max-peak conv2d_fwd_scratch_peak:1048576,conv2d_bwd_scratch_peak:2097152 --max-ratio conv2d_fwd_8x16x32x32_winograd:conv2d_fwd_8x16x32x32:1.10,par_fork_join/gap100us:par_fork_join/hot:1.5,relu_bwd_8x32x32x32:relu_fwd_8x32x32x32:3.0"
   [memory]="--max-peak train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,planned_device/vdnn:3300352,planned_device/hmms:3300352,planned_device/hmms_micro:2707968,capacity/max_batch/legacy:13 --min-peak train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,capacity/max_batch/micro:18"
-  [serving]="--max-peak serve_pool/c1:87040,serve_pool/c8:696320,serve_pool/c64:5570560,serve_resident_peak/c1:916480,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,overload/queue_depth_peak:8 --min-peak serve_pool/c64:5570560,serve_resident_peak/c1:916480,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,capacity/max_concurrency:738,capacity/max_concurrency_r2:369,capacity/max_concurrency_r4:184,overload/shed:1 --max-p99 serve_latency/c1:24000000,serve_latency/c8:250000000,serve_latency/c64:4000000000,overload/admitted_latency:10000000000"
+  [serving]="--max-peak serve_pool/c1:87040,serve_pool/c8:696320,serve_pool/c64:5570560,serve_resident_peak/c1:61440,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,overload/queue_depth_peak:8 --min-peak serve_pool/c64:5570560,serve_resident_peak/c1:61440,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,capacity/max_concurrency:738,capacity/max_concurrency_r2:369,capacity/max_concurrency_r4:184,overload/shed:1 --max-p99 serve_latency/c1:24000000,serve_latency/c8:250000000,serve_latency/c64:4000000000,overload/admitted_latency:10000000000"
 )
 if [[ "${SCNN_VERIFY_SKIP_BENCH:-0}" != 1 ]]; then
   for spec in kernels:0.25 planning:0.60 ablation:0.60 memory:0.60 serving:0.60; do
