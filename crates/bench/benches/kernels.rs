@@ -85,7 +85,9 @@ fn main() {
     let dy = Tensor::ones(y.shape().dims());
 
     heap_reset();
-    g.bench("conv2d_fwd_8x16x32x32", || conv2d_forward(&x, &w, None, &attrs));
+    bench_with_avx2_twin(&mut g, "conv2d_fwd_8x16x32x32", || {
+        conv2d_forward(&x, &w, None, &attrs)
+    });
     heap_annotate(&mut g);
 
     heap_reset();
@@ -196,24 +198,14 @@ fn main() {
     let m2 = if smoke { 24 } else { 512 };
     let a2 = uniform(&mut rng, &[m2, m2], -1.0, 1.0);
     let b2 = uniform(&mut rng, &[m2, m2], -1.0, 1.0);
-    g.bench("matmul_512", || matmul(&a2, &b2));
+    bench_with_avx2_twin(&mut g, "matmul_512", || matmul(&a2, &b2));
 
-    // Per-ISA variants (DESIGN.md §14): the records above run under auto
-    // dispatch; these force each micro-kernel body so the scalar and AVX2
-    // trajectories are tracked separately. On a host without AVX2+FMA the
-    // `_avx2` records are skipped — the committed baseline assumes the
-    // ISA, so regenerate there with SCNN_VERIFY_SKIP_BENCH=1.
-    let mut levels = vec![SimdLevel::Scalar];
-    if detected_level() == SimdLevel::Avx2 {
-        levels.push(SimdLevel::Avx2);
-    }
-    for level in levels {
-        force_level(Some(level));
-        g.bench(&format!("conv2d_fwd_8x16x32x32_{}", level.name()), || {
-            conv2d_forward(&x, &w, None, &attrs)
-        });
-        g.bench(&format!("matmul_512_{}", level.name()), || matmul(&a2, &b2));
-    }
+    // The portable bodies of the two twinned records (DESIGN.md §14), so
+    // the scalar trajectory is tracked separately: verify.sh holds both
+    // under ceilings a libm call per multiply-add cannot meet.
+    force_level(Some(SimdLevel::Scalar));
+    g.bench("conv2d_fwd_8x16x32x32_scalar", || conv2d_forward(&x, &w, None, &attrs));
+    g.bench("matmul_512_scalar", || matmul(&a2, &b2));
     force_level(None);
 
     // The winograd F(2×2, 3×3) forward at the same shape. This path is
@@ -229,6 +221,28 @@ fn main() {
     par_fork_join(&mut g, smoke);
 
     g.finish();
+}
+
+/// Benches `f` forced to the AVX2 bodies as `{name}_avx2` and under auto
+/// dispatch as `name` (recorded last, so a heap annotation lands on it).
+/// On an AVX2 host the two are one code path, and verify.sh holds their
+/// medians within 1.10× of each other both ways. Their samples alternate:
+/// taken one record after the other, the two read up to 2× apart whenever
+/// the host left its cold state (below) in between. On a host without
+/// AVX2+FMA the `_avx2` record is skipped — the committed baseline assumes
+/// the ISA, so regenerate there with SCNN_VERIFY_SKIP_BENCH=1.
+fn bench_with_avx2_twin<T>(g: &mut BenchGroup, name: &str, f: impl Fn() -> T) {
+    if detected_level() != SimdLevel::Avx2 {
+        g.bench(name, &f);
+        return;
+    }
+    let forced = || {
+        force_level(Some(SimdLevel::Avx2));
+        let out = f();
+        force_level(None);
+        out
+    };
+    g.bench_twins((&format!("{name}_avx2"), forced), (name, &f));
 }
 
 fn busy(d: Duration) {

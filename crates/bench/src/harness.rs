@@ -228,6 +228,15 @@ impl<'a> JsonCursor<'a> {
     }
 }
 
+/// One timed sample: nanoseconds per call over `batch` back-to-back calls.
+fn sample<T>(f: &mut impl FnMut() -> T, batch: usize) -> u128 {
+    let t = Instant::now();
+    for _ in 0..batch {
+        black_box(f());
+    }
+    t.elapsed().as_nanos() / batch as u128
+}
+
 /// A named group of benchmarks writing one `BENCH_<group>.json` file.
 pub struct BenchGroup {
     group: String,
@@ -261,23 +270,43 @@ impl BenchGroup {
 
     /// Times `f` and records the result under `name`.
     pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> &mut Self {
+        let batch = self.calibrate(&mut f);
+        let per_call = (0..self.samples).map(|_| sample(&mut f, batch)).collect();
+        self.record(name, per_call)
+    }
+
+    /// Times two closures that should cost the same — one code path
+    /// reached two ways — with their samples taken alternately, so a host
+    /// that changes speed mid-run changes it under both records and their
+    /// ratio says something about the code. Records `a`, then `b`.
+    pub fn bench_twins<T>(
+        &mut self,
+        (name_a, mut a): (&str, impl FnMut() -> T),
+        (name_b, mut b): (&str, impl FnMut() -> T),
+    ) -> &mut Self {
+        let (batch_a, batch_b) = (self.calibrate(&mut a), self.calibrate(&mut b));
+        let (mut per_a, mut per_b) = (Vec::new(), Vec::new());
+        for _ in 0..self.samples {
+            per_a.push(sample(&mut a, batch_a));
+            per_b.push(sample(&mut b, batch_b));
+        }
+        self.record(name_a, per_a).record(name_b, per_b)
+    }
+
+    /// Runs the warmup calls, then sizes the inner batch so each sample
+    /// lasts ≥ `MIN_SAMPLE_NS`.
+    fn calibrate<T>(&self, f: &mut impl FnMut() -> T) -> usize {
         for _ in 0..self.warmup {
             black_box(f());
         }
-        // Calibrate an inner batch so each sample lasts ≥ MIN_SAMPLE_NS.
         let probe = Instant::now();
         black_box(f());
         let once_ns = probe.elapsed().as_nanos().max(1);
-        let batch = (MIN_SAMPLE_NS / once_ns).clamp(0, 10_000) as usize + 1;
+        (MIN_SAMPLE_NS / once_ns).clamp(0, 10_000) as usize + 1
+    }
 
-        let mut per_call: Vec<u128> = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let t = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            per_call.push(t.elapsed().as_nanos() / batch as u128);
-        }
+    /// Reduces one benchmark's per-call samples to a record.
+    fn record(&mut self, name: &str, mut per_call: Vec<u128>) -> &mut Self {
         per_call.sort_unstable();
         let median_ns = per_call[per_call.len() / 2];
         let min_ns = per_call[0];

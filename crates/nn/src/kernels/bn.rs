@@ -6,7 +6,11 @@
 //! are cache-resident. Every per-channel sum is still one serial chain —
 //! image ascending, then element ascending, a plain mul and add, never an
 //! FMA — so results are bit-identical to a channel-at-a-time sweep at any
-//! thread count.
+//! thread count. The GEMM micro-kernels' chain step is fused
+//! (`scnn_tensor::simd`); these sweeps stay mul + add because they are
+//! memory-bound (a fused step would change every bit and buy no time) and
+//! not dispatched: compiled once for the baseline target, where `mul_add`
+//! would be a libm call per element.
 
 use scnn_par::DisjointMut;
 use scnn_tensor::Tensor;

@@ -173,11 +173,11 @@ fn tiled_is_thread_count_invariant() {
 
 /// `dw` and `dx` as the pre-`gemm_acc` backward computed them, written
 /// out in scalar Rust: the weight gradient as `KC`-blocked `p`-outer
-/// mul-add rows over the `im2col` matrix (zero `dy` factors skipped,
-/// block 0 copied and later blocks added in order), the input gradient
-/// as one patch row per output position reduced over output channels in
-/// ascending order (same skip) and scattered by `col2im_into` at the crop
-/// offset. Shares no arithmetic code with the engine.
+/// fused multiply-add rows over the `im2col` matrix (zero `dy` factors
+/// skipped, block 0 copied and later blocks added in order), the input
+/// gradient as one patch row per output position reduced over output
+/// channels in ascending order (same skip) and scattered by `col2im_into`
+/// at the crop offset. Shares no arithmetic code with the engine.
 fn old_loop_backward(x: &Tensor, w: &Tensor, dy: &Tensor, attrs: &ConvAttrs) -> (Tensor, Tensor) {
     let p = attrs.pad;
     let crop = Padding2d::new(p.h_begin.min(0), p.h_end.min(0), p.w_begin.min(0), p.w_end.min(0));
@@ -201,7 +201,7 @@ fn old_loop_backward(x: &Tensor, w: &Tensor, dy: &Tensor, attrs: &ConvAttrs) -> 
                     continue;
                 }
                 for j in 0..plen {
-                    part[c * plen + j] += aa * cols[q * plen + j];
+                    part[c * plen + j] = aa.mul_add(cols[q * plen + j], part[c * plen + j]);
                 }
             }
         }
@@ -218,7 +218,7 @@ fn old_loop_backward(x: &Tensor, w: &Tensor, dy: &Tensor, attrs: &ConvAttrs) -> 
                 continue;
             }
             for j in 0..plen {
-                dcols[q * plen + j] += aa * wv[c * plen + j];
+                dcols[q * plen + j] = aa.mul_add(wv[c * plen + j], dcols[q * plen + j]);
             }
         }
     }
@@ -228,13 +228,26 @@ fn old_loop_backward(x: &Tensor, w: &Tensor, dy: &Tensor, attrs: &ConvAttrs) -> 
     (dx, Tensor::from_vec(dw, w.shape().dims()))
 }
 
-/// Both engines' `dx`/`dw` against [`old_loop_backward`], bit for bit.
+/// `t` with every `-0.0` written as `+0.0`, all other bits kept.
+fn zero_sign_cleared(t: &Tensor) -> Tensor {
+    let v = t.as_slice().iter().map(|&x| if x == 0.0 { 0.0 } else { x }).collect();
+    Tensor::from_vec(v, t.shape().dims())
+}
+
+/// Both engines' `dx`/`dw` against [`old_loop_backward`], bit for bit but
+/// for the sign of an exact zero. The engine has no zero-skip, and under a
+/// fused step that is visible in one place: a non-zero product that
+/// underflows rounds a `+0.0` accumulator to `-0.0`, the engine's next
+/// `0·x` step makes it `+0.0` again and the skipping loop keeps `-0.0`
+/// (pinned on its own in `scnn_tensor::simd`'s unit tests). Every non-zero
+/// element must carry the skipping loops' bits.
 fn backward_matches_old_loops(x: &Tensor, w: &Tensor, dy: &Tensor, attrs: &ConvAttrs) -> Case {
     let (dx_old, dw_old) = old_loop_backward(x, w, dy, attrs);
+    let (dx_old, dw_old) = (zero_sign_cleared(&dx_old), zero_sign_cleared(&dw_old));
     for algo in [ConvAlgo::Tiled, ConvAlgo::Materialized] {
         let g = conv2d_backward_with(x, w, false, dy, attrs, Some(algo));
         for (what, got, want) in [("dx", &g.dx, &dx_old), ("dw", &g.dw, &dw_old)] {
-            if let Err(e) = bits_match(&format!("{algo:?} {what} vs old loop"), got, want) {
+            if let Err(e) = bits_match(&format!("{algo:?} {what} vs old loop"), &zero_sign_cleared(got), want) {
                 return Case::Fail(e);
             }
         }
@@ -326,17 +339,18 @@ fn backward_matches_the_pre_gemm_acc_loops_on_edge_geometries() {
 }
 
 /// [`scnn_tensor`]'s blocked dot product written out in scalar Rust: lane
-/// `l` accumulates `p ≡ l (mod 8)` with `p` ascending, the lanes fold as
-/// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`, then the sequential tail.
+/// `l` accumulates `p ≡ l (mod 8)` with `p` ascending (one fused
+/// multiply-add per element, as in the sequential tail), the lanes fold as
+/// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))`, then the tail.
 fn dot8_reference(a: &[f32], b: &[f32]) -> f32 {
     let k8 = a.len() / 8 * 8;
     let mut lanes = [0.0f32; 8];
     for p in 0..k8 {
-        lanes[p % 8] += a[p] * b[p];
+        lanes[p % 8] = a[p].mul_add(b[p], lanes[p % 8]);
     }
     let mut tail = 0.0f32;
     for p in k8..a.len() {
-        tail += a[p] * b[p];
+        tail = a[p].mul_add(b[p], tail);
     }
     let (s0, s1) = (lanes[0] + lanes[4], lanes[1] + lanes[5]);
     let (s2, s3) = (lanes[2] + lanes[6], lanes[3] + lanes[7]);

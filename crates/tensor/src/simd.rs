@@ -9,8 +9,8 @@
 //! ([`add_assign`] for block folds, [`vadd`]/[`vsub`] for the Winograd
 //! transforms). Each primitive has two implementations:
 //!
-//! - a **portable scalar** body, compiled for the baseline target — the
-//!   reference semantics; and
+//! - a **portable scalar** body in plain Rust — the reference semantics;
+//!   and
 //! - an **AVX2+FMA** body written with `core::arch::x86_64` intrinsics,
 //!   compiled with `#[target_feature(enable = "avx2,fma")]` so it emits
 //!   256-bit vector ops even though the crate itself targets baseline
@@ -24,25 +24,35 @@
 //! # The bit-identity contract
 //!
 //! Both bodies of every primitive evaluate the **same IEEE-754 operations
-//! in the same order**:
+//! in the same order**, and the step of every accumulation chain is one
+//! **fused multiply-add**: `acc = fma(a, b, acc)`, the exact product plus
+//! the accumulator, rounded once.
 //!
 //! - The 8 accumulator lanes of the dot kernels map one-to-one onto one
 //!   `__m256`; lane `l` still accumulates elements `p ≡ l (mod 8)`, the
 //!   scalar tail still folds sequentially, and the final reduction is the
-//!   same fixed [`lane_sum`] tree.
+//!   same fixed [`lane_sum`] tree of plain adds.
 //! - [`add_assign`], [`vadd`] and [`vsub`] are elementwise: each output
 //!   element is one add (or subtract) regardless of vector width.
 //! - [`gemm_acc`] is elementwise *per output element* too: element
-//!   `(r, j)` sees the chain `acc = acc + a[p, r]·b[p, j]` for `p`
+//!   `(r, j)` sees the chain `acc = fma(a[p, r], b[p, j], acc)` for `p`
 //!   ascending, whatever tile — 4×16 registers, a row/column edge, a
 //!   scalar array — happens to hold its accumulator.
-//! - **FMA contraction is deliberately not used.** `_mm256_fmadd_ps`
-//!   rounds once where `mul` + `add` round twice, which would break
-//!   bit-identity with the scalar body; the AVX2 kernels therefore issue
-//!   separate `_mm256_mul_ps` / `_mm256_add_ps`, which are exactly
-//!   rounded and hence bit-identical to scalar IEEE mul/add at any
-//!   width. The `fma` feature is still part of the detection gate only
-//!   so "avx2" means the full Haswell tier the kernels were tuned on.
+//! - **Fused on both bodies.** The AVX2 kernels issue `_mm256_fmadd_ps`
+//!   and the portable ones `f32::mul_add`: the same correctly-rounded
+//!   operation at any width, so one rounding per step costs the contract
+//!   nothing and halves the FP uops of a step. A separate multiply and
+//!   add (two roundings) appears in neither body.
+//! - **The portable body is compiled twice.** Baseline x86-64 has no FMA
+//!   instruction, so a baseline-compiled `mul_add` is a libm `fmaf` call
+//!   per element (same bits; 3.2 ns against 0.16 ns a step in an 8-lane
+//!   dot on the development host). Each portable sweep is therefore one
+//!   `#[inline(always)]` source body with two standalone instantiations
+//!   (`fused_or_baseline!`): under `#[target_feature(enable = "fma")]`,
+//!   taken whenever the host executes FMA, and for the build's baseline,
+//!   taken on an x86-64 host without FMA (where the AVX2 level does not
+//!   exist either) and on every other architecture, where `mul_add` is
+//!   native.
 //!
 //! Consequently `SCNN_SIMD=scalar` and `SCNN_SIMD=avx2` produce
 //! bit-identical tensors at any `SCNN_THREADS` — a tested contract
@@ -60,8 +70,8 @@ pub(crate) const LANES: usize = 8;
 /// Which micro-kernel implementation set is executing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SimdLevel {
-    /// Portable scalar bodies (compile anywhere, autovectorize at the
-    /// build's baseline width).
+    /// Portable scalar bodies (compile anywhere; autovectorized at the
+    /// build's baseline width, or at the FMA host's where there is one).
     Scalar,
     /// Explicit AVX2 256-bit bodies (x86-64 with AVX2+FMA only).
     Avx2,
@@ -88,12 +98,46 @@ pub fn detected_level() -> SimdLevel {
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+            if std::is_x86_feature_detected!("avx2") && host_has_fma() {
                 return SimdLevel::Avx2;
             }
         }
         SimdLevel::Scalar
     })
+}
+
+/// `true` when this host executes FMA instructions — what both levels'
+/// chain step needs to be one instruction: the AVX2 bodies are gated on it
+/// through [`detected_level`], and every portable sweep picks its
+/// `#[target_feature(enable = "fma")]` instantiation over the baseline one
+/// with it (one cached load and one predictable branch per sweep, outside
+/// the sweep's loops).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn host_has_fma() -> bool {
+    static FMA: OnceLock<bool> = OnceLock::new();
+    *FMA.get_or_init(|| std::is_x86_feature_detected!("fma"))
+}
+
+/// Body of a standalone portable sweep: runs the `#[inline(always)]`
+/// source body `$sweep` in one of its two instantiations — a nested copy
+/// compiled under `#[target_feature(enable = "fma")]` where the host
+/// executes FMA, else the one inlined into the calling (baseline) function,
+/// where `mul_add` is libm's `fmaf` on x86-64 and native elsewhere.
+macro_rules! fused_or_baseline {
+    ($sweep:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {{
+        #[cfg(target_arch = "x86_64")]
+        if host_has_fma() {
+            #[target_feature(enable = "fma")]
+            #[allow(clippy::too_many_arguments)]
+            fn fused($($arg: $ty),*) $(-> $ret)? {
+                $sweep($($arg),*)
+            }
+            // SAFETY: the host executes FMA.
+            return unsafe { fused($($arg),*) };
+        }
+        $sweep($($arg),*)
+    }};
 }
 
 /// The `SCNN_SIMD` environment knob, read once: `Some(level)` for an
@@ -188,23 +232,31 @@ pub(crate) fn lane_sum(acc: [f32; LANES], tail: f32) -> f32 {
 }
 
 /// 8-lane blocked dot product, the reduction order of one [`dot_panel`]
-/// output element: lane `l` accumulates elements `p ≡ l (mod 8)`, breaking
-/// the serial FP dependency chain, the scalar tail folds sequentially, and
-/// [`lane_sum`] reduces the lanes. The portable body runs it on column
-/// remainders; the `as_chunks` split is infallible, so a malformed length
-/// cannot panic inside the hot loop.
+/// output element: lane `l` accumulates elements `p ≡ l (mod 8)` — one
+/// fused multiply-add per element, breaking the serial FP dependency
+/// chain — the scalar tail folds sequentially, and [`lane_sum`] reduces
+/// the lanes. The portable body runs it on column remainders; the
+/// `as_chunks` split is infallible, so a malformed length cannot panic
+/// inside the hot loop.
+#[inline(never)]
 fn dot8(a: &[f32], b: &[f32]) -> f32 {
+    fused_or_baseline!(dot8_sweep(a: &[f32], b: &[f32]) -> f32)
+}
+
+/// Source body of [`dot8`], inlined into its two instantiations.
+#[inline(always)]
+fn dot8_sweep(a: &[f32], b: &[f32]) -> f32 {
     let (ab, at) = a.as_chunks::<LANES>();
     let (bb, bt) = b.as_chunks::<LANES>();
     let mut acc = [0.0f32; LANES];
     for (ka, kb) in ab.iter().zip(bb) {
         for l in 0..LANES {
-            acc[l] += ka[l] * kb[l];
+            acc[l] = ka[l].mul_add(kb[l], acc[l]);
         }
     }
     let mut tail = 0.0f32;
-    for (x, y) in at.iter().zip(bt) {
-        tail += x * y;
+    for (&x, &y) in at.iter().zip(bt) {
+        tail = x.mul_add(y, tail);
     }
     lane_sum(acc, tail)
 }
@@ -212,7 +264,14 @@ fn dot8(a: &[f32], b: &[f32]) -> f32 {
 /// Four simultaneous [`dot8`]s sharing one pass over `a` (so the A-row is
 /// loaded once per quad instead of once per dot). Bit-identical to four
 /// independent `dot8` calls.
+#[inline(never)]
 fn dot8_x4_scalar(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
+    fused_or_baseline!(dot8_x4_sweep(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4])
+}
+
+/// Source body of [`dot8_x4_scalar`], inlined into its two instantiations.
+#[inline(always)]
+fn dot8_x4_sweep(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
     let mut acc0 = [0.0f32; LANES];
     let mut acc1 = [0.0f32; LANES];
     let mut acc2 = [0.0f32; LANES];
@@ -225,18 +284,18 @@ fn dot8_x4_scalar(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> 
     for (ci, ka) in ab.iter().enumerate() {
         let (k0, k1, k2, k3) = (&b0b[ci], &b1b[ci], &b2b[ci], &b3b[ci]);
         for l in 0..LANES {
-            acc0[l] += ka[l] * k0[l];
-            acc1[l] += ka[l] * k1[l];
-            acc2[l] += ka[l] * k2[l];
-            acc3[l] += ka[l] * k3[l];
+            acc0[l] = ka[l].mul_add(k0[l], acc0[l]);
+            acc1[l] = ka[l].mul_add(k1[l], acc1[l]);
+            acc2[l] = ka[l].mul_add(k2[l], acc2[l]);
+            acc3[l] = ka[l].mul_add(k3[l], acc3[l]);
         }
     }
     let mut tails = [0.0f32; 4];
     for (p, &x) in at.iter().enumerate() {
-        tails[0] += x * b0t[p];
-        tails[1] += x * b1t[p];
-        tails[2] += x * b2t[p];
-        tails[3] += x * b3t[p];
+        tails[0] = x.mul_add(b0t[p], tails[0]);
+        tails[1] = x.mul_add(b1t[p], tails[1]);
+        tails[2] = x.mul_add(b2t[p], tails[2]);
+        tails[3] = x.mul_add(b3t[p], tails[3]);
     }
     [
         lane_sum(acc0, tails[0]),
@@ -375,16 +434,22 @@ fn dot_panel_scalar(
 /// `inline(never)` is load-bearing: inlined into a large caller the sweep
 /// loses its autovectorization (measured ~2.5× slower); as a standalone
 /// function it always compiles clean, and the call cost is noise next to
-/// the `8·k` multiplies.
+/// the `8·k` multiply-adds.
 #[inline(never)]
 fn dot8_x8_scalar(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8] {
+    fused_or_baseline!(dot8_x8_sweep(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8])
+}
+
+/// Source body of [`dot8_x8_scalar`], inlined into its two instantiations.
+#[inline(always)]
+fn dot8_x8_sweep(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8] {
     let mut acc = [[0.0f32; LANES]; 8];
     let (ab, at) = a.as_chunks::<LANES>();
     for (ci, ka) in ab.iter().enumerate() {
         for (j, b) in bs.iter().enumerate() {
             let kb = &b.as_chunks::<LANES>().0[ci];
             for l in 0..LANES {
-                acc[j][l] += ka[l] * kb[l];
+                acc[j][l] = ka[l].mul_add(kb[l], acc[j][l]);
             }
         }
     }
@@ -392,7 +457,7 @@ fn dot8_x8_scalar(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8] {
     let mut tails = [0.0f32; 8];
     for (p, &x) in at.iter().enumerate() {
         for (j, b) in bs.iter().enumerate() {
-            tails[j] += x * b[rem + p];
+            tails[j] = x.mul_add(b[rem + p], tails[j]);
         }
     }
     let mut out = [0.0f32; 8];
@@ -479,11 +544,11 @@ const NR: usize = 2 * LANES;
 /// `c[r·ldc + j] += Σ_p a[p·a_ps + r·a_rs] · b[p·ldb + j]` for `r < m`,
 /// `j < n`, `p < k`.
 ///
-/// Each output element evaluates `acc = acc + a·b` with `p` strictly
-/// ascending and separate mul and add (never `fmadd`), starting from the
-/// value already in `c` — exactly the chain a `p`-outer sequence of
-/// `c_row += a·b_row` updates produces, so splitting `k` across consecutive
-/// calls, or `m`/`n` across callers, cannot change a bit. What the blocking buys is
+/// Each output element evaluates `acc = fma(a, b, acc)` with `p` strictly
+/// ascending — one fused multiply-add, one rounding, per step — starting
+/// from the value already in `c`: exactly the chain a `p`-outer sequence of
+/// fused `c_row = a·b_row + c_row` updates produces, so splitting `k` across
+/// consecutive calls, or `m`/`n` across callers, cannot change a bit. What the blocking buys is
 /// that a 4×16 tile of `c` stays in registers for all `k` steps instead
 /// of crossing L1 once per step. Edges run 4×8, 1×16 and 1×8 tiles and
 /// a scalar-column remainder; the tile an element lands in never alters
@@ -493,12 +558,14 @@ const NR: usize = 2 * LANES;
 /// (`k`, 1), transposed (1, `m`), or an NCHW gradient read in place
 /// (`oh·ow`, 1) / (1, `oh·ow`) — so no caller packs the left operand.
 ///
-/// There is **no zero-skip**: a `0.0` factor is multiplied and added like
-/// any other. For finite operands that is the identity on bits — an
-/// accumulator that starts at `+0.0` (or at any sum of such chains) can
-/// never be `-0.0` under round-to-nearest, and `x + ±0.0 == x` — but a
-/// `0·inf` term now yields NaN where a skipping loop ignored it
-/// (DESIGN.md §14).
+/// There is **no zero-skip**: a `0.0` factor takes its fused step like
+/// any other. For finite operands a loop that skipped them would compute
+/// the same values (`±0.0 + x == x`), and the same bits but for the sign
+/// of an exact zero: a fused step whose non-zero product underflows rounds
+/// a `+0.0` accumulator to `-0.0` (a separate multiply could not — its
+/// `-0.0` product adds to `+0.0`), and the next `0·b = +0.0` step makes it
+/// `+0.0` again where a skipping loop leaves it. A `0·inf` term yields NaN
+/// where a skipping loop ignored it (DESIGN.md §14).
 ///
 /// # Panics
 ///
@@ -554,6 +621,35 @@ fn gemm_acc_scalar(
     c: &mut [f32],
     ldc: usize,
 ) {
+    fused_or_baseline!(gemm_acc_sweep(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        a_rs: usize,
+        a_ps: usize,
+        b: &[f32],
+        ldb: usize,
+        c: &mut [f32],
+        ldc: usize
+    ))
+}
+
+/// Source body of [`gemm_acc_scalar`], inlined into its two instantiations.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_acc_sweep(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_ps: usize,
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
     let mut j = 0;
     while j + NR <= n {
         strip_scalar::<NR>(m, k, a, a_rs, a_ps, &b[j..], ldb, &mut c[j..], ldc);
@@ -566,7 +662,7 @@ fn gemm_acc_scalar(
     gemm_acc_cols(m, j, n, k, a, a_rs, a_ps, b, ldb, c, ldc);
 }
 
-/// One `W`-column strip of [`gemm_acc_scalar`] (`b` and `c` start at the
+/// One `W`-column strip of [`gemm_acc_sweep`] (`b` and `c` start at the
 /// strip's first column): 4-row tiles, then single rows.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -593,7 +689,7 @@ fn strip_scalar<const W: usize>(
 }
 
 /// One `R`×`W` tile: the accumulators load from `c` once, take all `k`
-/// mul+add steps in the array, and store once. `a`, `b` and `c` start at
+/// fused steps in the array, and store once. `a`, `b` and `c` start at
 /// the tile's first row / column / element.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -616,7 +712,7 @@ fn tile_scalar<const R: usize, const W: usize>(
         for (r, row) in acc.iter_mut().enumerate() {
             let av = a[p * a_ps + r * a_rs];
             for l in 0..W {
-                row[l] += av * bp[l];
+                row[l] = av.mul_add(bp[l], row[l]);
             }
         }
     }
@@ -626,7 +722,10 @@ fn tile_scalar<const R: usize, const W: usize>(
 }
 
 /// Columns `j0..n` of [`gemm_acc`] one element at a time — the `n mod 8`
-/// remainder both bodies share.
+/// remainder both bodies share. `inline(always)` is load-bearing: the
+/// `mul_add` must be compiled inside its caller's `target_feature`
+/// function, or it is a libm call per step on the hot path.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn gemm_acc_cols(
     m: usize,
@@ -645,7 +744,7 @@ fn gemm_acc_cols(
         for j in j0..n {
             let mut acc = c[r * ldc + j];
             for p in 0..k {
-                acc += a[p * a_ps + r * a_rs] * b[p * ldb + j];
+                acc = a[p * a_ps + r * a_rs].mul_add(b[p * ldb + j], acc);
             }
             c[r * ldc + j] = acc;
         }
@@ -654,14 +753,15 @@ fn gemm_acc_cols(
 
 /// The AVX2+FMA bodies. Every function here is `unsafe` with the same
 /// contract: the caller has verified AVX2+FMA support and equal slice
-/// lengths. Arithmetic is `mul` + `add` (never `fmadd`) — see the module
-/// docs for why FMA contraction would break the bit-identity contract.
+/// lengths. A chain step is `_mm256_fmadd_ps` (`f32::mul_add` in the lane
+/// tails) — the portable bodies' operation at eight lanes, see the module
+/// docs; the lane reductions and elementwise passes are plain adds.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{gemm_acc_cols, LANES, MR, NR, PANEL_KB, PANEL_ROWS};
     use core::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_loadu_ps,
-        _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps,
+        __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
+        _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps,
         _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps,
         _mm_shuffle_ps, _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
     };
@@ -769,11 +869,11 @@ mod avx2 {
             }
             for (r, lanes) in acc[..rows].iter().enumerate() {
                 // The sequential tail of each of the row's `W` dots: one
-                // mul and one add per element, `p` ascending.
+                // fused step per element, `p` ascending.
                 let mut tails = [0.0f32; W];
                 for (&x, ys) in a[(r0 + r) * lda + k8..(r0 + r) * lda + k].iter().zip(btail) {
                     for (tail, &y) in tails.iter_mut().zip(ys) {
-                        *tail += x * y;
+                        *tail = x.mul_add(y, *tail);
                     }
                 }
                 let sums = unsafe { lane_sums(lanes, tails) };
@@ -840,7 +940,7 @@ mod avx2 {
                 for (jj, bj) in b.iter().enumerate() {
                     let vb = _mm256_loadu_ps(bj.add(p));
                     for r in 0..R {
-                        c[r][jj] = _mm256_add_ps(c[r][jj], _mm256_mul_ps(va[r], vb));
+                        c[r][jj] = _mm256_fmadd_ps(va[r], vb, c[r][jj]);
                     }
                 }
             }
@@ -962,7 +1062,7 @@ mod avx2 {
     }
 
     /// One `R`-row × `V`-register tile: the accumulators load from `c`
-    /// once, take all `k` mul+add steps in registers, and store once.
+    /// once, take all `k` fused steps in registers, and store once.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
@@ -993,7 +1093,7 @@ mod avx2 {
                 for (r, row) in acc.iter_mut().enumerate() {
                     let va = _mm256_set1_ps(*acol.add(r * a_rs));
                     for (x, &bv) in row.iter_mut().zip(&vb) {
-                        *x = _mm256_add_ps(*x, _mm256_mul_ps(va, bv));
+                        *x = _mm256_fmadd_ps(va, bv, *x);
                     }
                 }
             }
@@ -1052,6 +1152,50 @@ mod tests {
     }
 
     #[test]
+    fn baseline_sweeps_match_their_dispatched_instantiations() {
+        // On an FMA host every call above takes a sweep's
+        // `target_feature(enable = "fma")` copy; this test function is
+        // compiled for baseline, so the `inline(always)` sweeps land here
+        // as the other instantiation — `fmaf` through libm on x86-64, the
+        // only one elsewhere — which is what a host without FMA runs.
+        for k in [0, 1, 7, 8, 9, 40, 257] {
+            let a = fill(k, 11);
+            let bs: Vec<Vec<f32>> = (0..8).map(|j| fill(k, 200 + j)).collect();
+            let refs: [&[f32]; 8] = std::array::from_fn(|j| bs[j].as_slice());
+            assert_eq!(dot8_sweep(&a, &bs[0]).to_bits(), dot8(&a, &bs[0]).to_bits(), "dot8 k={k}");
+            assert_eq!(
+                dot8_x4_sweep(&a, &bs[0], &bs[1], &bs[2], &bs[3]).map(f32::to_bits),
+                dot8_x4_scalar(&a, &bs[0], &bs[1], &bs[2], &bs[3]).map(f32::to_bits),
+                "dot8_x4 k={k}"
+            );
+            assert_eq!(
+                dot8_x8_sweep(&a, refs).map(f32::to_bits),
+                dot8_x8_scalar(&a, refs).map(f32::to_bits),
+                "dot8_x8 k={k}"
+            );
+        }
+        // 4×16, 4×8 and 1×W tiles plus the scalar-column remainder, both
+        // `a` layouts.
+        for (m, n, k) in [(1, 1, 1), (4, 16, 9), (5, 27, 33), (9, 43, 20)] {
+            for (a_rs, a_ps) in [(k, 1), (1, m)] {
+                let a = fill(m * k, (m + n) as u32);
+                let b = fill(k * n, (n + k) as u32);
+                let c0 = fill(m * n, k as u32);
+                let mut baseline = c0.clone();
+                gemm_acc_sweep(m, n, k, &a, a_rs, a_ps, &b, n, &mut baseline, n);
+                let baseline: Vec<u32> = baseline.iter().map(|v| v.to_bits()).collect();
+                assert_levels_agree(|| {
+                    let mut c = c0.clone();
+                    gemm_acc(m, n, k, &a, a_rs, a_ps, &b, n, &mut c, n);
+                    let got: Vec<u32> = c.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, baseline, "gemm_acc m={m} n={n} k={k} a_rs={a_rs}");
+                    got
+                });
+            }
+        }
+    }
+
+    #[test]
     fn add_assign_is_elementwise_identical() {
         for n in [0, 1, 5, 8, 13, 256] {
             let x = fill(n, 3);
@@ -1065,8 +1209,8 @@ mod tests {
     }
 
     /// The loop [`gemm_acc`] replaced, kept as its oracle: `p`-outer row
-    /// updates `c_row += a·b_row` (one multiply and one add per element),
-    /// with the zero-skip the backward kernels carried.
+    /// updates `c_row = a·b_row + c_row` (one fused multiply-add per
+    /// element), with the zero-skip the backward kernels carried.
     #[allow(clippy::too_many_arguments)]
     fn gemm_acc_row_update_oracle(
         m: usize,
@@ -1087,7 +1231,7 @@ mod tests {
                     continue;
                 }
                 for (o, &v) in c[r * ldc..r * ldc + n].iter_mut().zip(&b[p * ldb..p * ldb + n]) {
-                    *o += aa * v;
+                    *o = aa.mul_add(v, *o);
                 }
             }
         }
@@ -1148,9 +1292,10 @@ mod tests {
     #[test]
     fn gemm_acc_dropping_the_zero_skip_is_bit_neutral_for_finite_factors() {
         // ReLU-style gradients: half the factors are zero (of either
-        // sign), the rest mix subnormals with ordinary values. Starting
-        // from `+0.0` the accumulator can never become `-0.0`, so adding
-        // the `±0.0` products the oracle skips changes no bit.
+        // sign), the rest mix subnormals with ordinary values. Every chain
+        // here has taken an ordinary step before its first subnormal one,
+        // so no accumulator is `-0.0` (next test), and adding the `±0.0`
+        // products the oracle skips changes no bit.
         let sub = f32::from_bits(1); // smallest positive subnormal
         let special = [0.0f32, -0.0, sub, -sub, f32::MIN_POSITIVE / 2.0, 0.0, -0.0, 0.0];
         for (m, n, k) in [(4, 16, 64), (5, 27, 33), (9, 40, 130)] {
@@ -1168,6 +1313,25 @@ mod tests {
                 assert_gemm_acc_matches_oracle((m, n, k), row_major_a, a_of, &c0, n);
             }
         }
+    }
+
+    #[test]
+    fn gemm_acc_fused_underflow_can_leave_a_negative_zero_the_next_zero_step_clears() {
+        // The other observable change, and it is the fused step's: the
+        // exact product `-2⁻¹⁴⁹·0.25` is not zero, so `fma` rounds
+        // `+0.0 + it` to `-0.0`; the `0·1` step then gives `+0.0 + -0.0`,
+        // while the skipping loop never takes it and keeps `-0.0`.
+        let sub = f32::from_bits(1);
+        assert_levels_agree(|| {
+            let mut c = [0.0f32; 2];
+            gemm_acc(1, 1, 1, &[-sub], 1, 1, &[0.25], 1, &mut c[..1], 1);
+            gemm_acc(1, 1, 2, &[-sub, 0.0], 1, 1, &[0.25, 1.0], 1, &mut c[1..], 1);
+            assert_eq!(c.map(f32::to_bits), [(-0.0f32).to_bits(), 0]);
+            let mut skipped = [0.0f32; 1];
+            gemm_acc_row_update_oracle(1, 1, 2, &[-sub, 0.0], 1, 1, &[0.25, 1.0], 1, &mut skipped, 1);
+            assert_eq!(skipped[0].to_bits(), (-0.0f32).to_bits());
+            c.map(f32::to_bits)
+        });
     }
 
     #[test]

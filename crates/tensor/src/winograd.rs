@@ -23,8 +23,8 @@
 //! the reduction runs in the transform domain, so results agree with
 //! [`conv2d_fwd_tiled`](crate::conv2d_fwd_tiled) only within epsilon. It is
 //! however deterministic *in itself*: each transform-domain point
-//! `M[i][k] = Σ_c U·V` reduces over input channels in ascending order with
-//! separate multiply and add ([`gemm_acc`]'s per-element chain), and the
+//! `M[i][k] = Σ_c U·V` reduces over input channels in ascending order, one
+//! fused multiply-add per channel ([`gemm_acc`]'s per-element chain), and the
 //! tile-batch width only changes how many tiles share one staging pass,
 //! never any sum — so a run reproduces its own bits exactly at any thread
 //! count and SIMD level.
@@ -298,8 +298,8 @@ pub fn conv2d_fwd_winograd(
 /// Forward stage 2: `M[i][k][t] += Σ_c U[k][i][c] · V[i][c][t]` over the
 /// `bt` tiles of a block — one register-blocked [`gemm_acc`] per
 /// transform-domain point `i`, reading `U`'s `[oc][16][ic]` layout in
-/// place. Per element `c` ascends with separate multiply and add (pinned
-/// bitwise by the unit test).
+/// place. Per element `c` ascends with one fused multiply-add a step
+/// (pinned bitwise by the unit test).
 fn reduce_channels(oc: usize, ic: usize, bt: usize, u: &[f32], v: &[f32], m: &mut [f32]) {
     for i in 0..TP {
         let (a, b, c) = (&u[i * ic..], &v[i * ic * bt..], &mut m[i * oc * bt..]);
@@ -394,8 +394,8 @@ mod tests {
 
     #[test]
     fn channel_reduction_is_one_mul_add_per_channel_ascending() {
-        // Pins stage 2's operand layout and per-element chain: one multiply
-        // and one add per channel, `c` ascending. Shapes cover every `oc mod 4` and
+        // Pins stage 2's operand layout and per-element chain: one fused
+        // multiply-add per channel, `c` ascending. Shapes cover every `oc mod 4` and
         // `bt mod 16`/`mod 8` class of `gemm_acc`'s register tiles (its
         // own oracle tests in `simd.rs` cover both ISAs).
         let shapes = [(1, 1, 1), (4, 4, 16), (5, 3, 9), (7, 9, 33), (6, 17, 24), (3, 2, 7)];
@@ -411,7 +411,7 @@ mod tests {
                         let vrow = &v[(i * ic + c) * bt..(i * ic + c + 1) * bt];
                         let a = u[(k * TP + i) * ic + c];
                         for (m, &x) in mrow.iter_mut().zip(vrow) {
-                            *m += a * x;
+                            *m = a.mul_add(x, *m);
                         }
                     }
                 }

@@ -90,9 +90,9 @@ fn matmul_a_bt_matches_per_element_dot8_at_every_thread_count() {
             let k8 = x.len() / 8 * 8;
             let mut lanes = [0.0f32; 8];
             for p in 0..k8 {
-                lanes[p % 8] += x[p] * y[p];
+                lanes[p % 8] = x[p].mul_add(y[p], lanes[p % 8]);
             }
-            let tail = (k8..x.len()).fold(0.0f32, |t, p| t + x[p] * y[p]);
+            let tail = (k8..x.len()).fold(0.0f32, |t, p| x[p].mul_add(y[p], t));
             let (s0, s1) = (lanes[0] + lanes[4], lanes[1] + lanes[5]);
             let (s2, s3) = (lanes[2] + lanes[6], lanes[3] + lanes[7]);
             ((s0 + s2) + (s1 + s3)) + tail

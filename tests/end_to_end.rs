@@ -265,8 +265,9 @@ fn epoch_is_bit_identical_across_thread_counts() {
 /// The runtime-SIMD-dispatch contract (DESIGN.md §14), end to end: a
 /// seeded training epoch must produce bit-identical losses whether the
 /// micro-kernels run their portable scalar bodies or the AVX2 ones, at
-/// any thread count — the AVX2 bodies evaluate the same IEEE mul/add
-/// sequence (no FMA contraction), so the ISA is a pure speed choice.
+/// any thread count — both bodies evaluate the same sequence of fused
+/// multiply-adds (`_mm256_fmadd_ps` and `f32::mul_add` are one correctly
+/// rounded operation), so the ISA is a pure speed choice.
 /// `force_level` is the in-process equivalent of `SCNN_SIMD=scalar|avx2`;
 /// on a host without AVX2 the test degenerates to scalar vs scalar.
 #[test]
