@@ -18,25 +18,30 @@
 //! below the Vec-per-node step's — the process-level reading of "planned
 //! means physical", gated `≥ 1` by `scripts/verify.sh`.
 //!
-//! `minor_faults_per_step/{vec_baseline,hmms}` (a count in `peak_bytes`,
-//! recorded, not gated) is how many pages a steady-state step takes back
-//! from the kernel: the allocator trimming and re-growing its heap between
-//! forward and backward, which ROADMAP item 1's arena exists to end.
+//! `minor_faults_per_step/*` (a count in `peak_bytes`) is how many pages a
+//! steady-state step takes back from the kernel — the allocator trimming
+//! and re-growing its heap between steps, which ROADMAP item 1's arena
+//! exists to end. `vec_baseline` and `hmms` are recorded, not gated.
+//! `vec_unsplit` is the repo benchmark's `train_plain` step (the unsplit
+//! graph, one training state and one [`MeterProvider`] across steps, whose
+//! forward writes into the buffers the last step wrote); `scripts/verify.sh`
+//! holds it under a ceiling in the full run.
 
 use std::sync::Arc;
 
 use scnn_bench::{Args, BenchGroup};
 use scnn_core::{
-    conv_engine_workspace, conv_micro_workspace, plan_micro_schedule, plan_split, SplitConfig,
+    conv_engine_workspace, conv_micro_workspace, lower_unsplit, plan_micro_schedule, plan_split,
+    SplitConfig,
 };
-use scnn_graph::{NodeId, Tape};
+use scnn_graph::{Graph, NodeId, Tape};
 use scnn_gpusim::{max_batch_size, profile_graph, CostModel};
 use scnn_hmms::{
     export_plan_with, plan_hmms, plan_layout, plan_no_offload, plan_vdnn, LayoutOptions,
     MemoryPlan, PlannerOptions, TsoAssignment, TsoOptions,
 };
 use scnn_models::{resnet18, ModelOptions};
-use scnn_nn::{BnState, BufferProvider, Executor, Mode, ParamStore};
+use scnn_nn::{BnState, BufferProvider, Executor, Mode, ParamStore, Sgd};
 use scnn_rng::SplitRng;
 use scnn_runtime::{MeterProvider, PlanRuntime, StepStats};
 use scnn_tensor::uniform;
@@ -103,8 +108,10 @@ fn main() {
     );
     #[cfg(feature = "heap-track")]
     let vec_heap_peak = scnn_bench::heap::peak_bytes();
-    let faults = faults_per_step(smoke, || step(&mut meter));
-    g.record_bytes("minor_faults_per_step/vec_baseline", faults);
+    g.record_bytes("minor_faults_per_step/vec_baseline", steady_step_faults(smoke, &graph, &mut meter));
+    // A live meter holds a step's activations; the plan records below
+    // measure against a heap without them.
+    drop(meter);
 
     let overlap = LayoutOptions {
         overlap_workspace: true,
@@ -150,11 +157,13 @@ fn main() {
             );
         }
         if plan.strategy == "hmms" {
-            let faults = faults_per_step(smoke, || step(&mut rt));
-            g.record_bytes("minor_faults_per_step/hmms", faults);
+            g.record_bytes("minor_faults_per_step/hmms", steady_step_faults(smoke, &graph, &mut rt));
         }
     }
 
+    let plain = lower_unsplit(&desc, batch);
+    let faults = steady_step_faults(smoke, &plain, &mut MeterProvider::new());
+    g.record_bytes("minor_faults_per_step/vec_unsplit", faults);
     // Micro-batched HMMS: the planner's third axis. The schedule shrinks
     // per-conv workspace, the TSO assignment carries the shrunken sizes,
     // and the runtime's executor chunks exactly as
@@ -266,9 +275,29 @@ fn minor_faults() -> usize {
         .unwrap_or(0)
 }
 
-/// Minor page faults per step over a few more steps, taken after the
-/// record's timed ones so every buffer has been touched before.
-fn faults_per_step(smoke: bool, mut step: impl FnMut() -> f32) -> usize {
+/// Minor faults per steady-state SGD step of `graph` under `provider`: one
+/// training state across steps, as the repo benchmark's training loop
+/// keeps it, counted after two warm steps.
+fn steady_step_faults(smoke: bool, graph: &Graph, provider: &mut dyn BufferProvider) -> usize {
+    let dims = graph.node(NodeId(0)).out_shape.clone();
+    let images = uniform(&mut SplitRng::seed_from_u64(11), &dims, -1.0, 1.0);
+    let labels: Vec<usize> = (0..dims[0]).map(|i| (i * 3 + 1) % 10).collect();
+    let mut params = ParamStore::init(graph, &mut SplitRng::seed_from_u64(7));
+    let mut sgd = Sgd::new(&params, 0.005, 0.9, 1e-4);
+    let mut bn = BnState::new();
+    let mut rng = SplitRng::seed_from_u64(13);
+    let exec = Executor::new();
+    let mut step = || {
+        params.zero_grads();
+        let loss = exec
+            .run_with(graph, &mut params, &mut bn, &images, &labels, Mode::Train, &mut rng, provider)
+            .loss;
+        sgd.step(&mut params);
+        loss
+    };
+    for _ in 0..2 {
+        std::hint::black_box(step());
+    }
     let reps = if smoke { 1 } else { 3 };
     let before = minor_faults();
     for _ in 0..reps {

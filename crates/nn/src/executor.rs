@@ -8,12 +8,14 @@ use scnn_graph::{Graph, MicroBatchSchedule, Node, NodeId, Op, ParamId, PoolKind}
 use scnn_tensor::Tensor;
 
 use crate::kernels::{
-    avg_pool_backward, avg_pool_forward, batch_norm_backward, batch_norm_backward_from_input,
-    batch_norm_inference, batch_norm_train, batch_norm_train_stats, conv2d_backward_micro,
-    conv2d_forward_micro, dropout_backward, dropout_mask, global_avg_pool_backward,
-    global_avg_pool_forward, linear_backward, linear_forward, max_pool_backward, max_pool_forward,
-    relu_backward_inplace, relu_forward, softmax_cross_entropy_backward,
-    softmax_cross_entropy_forward, update_running, BnSaved, BnStats, ConvAttrs, PoolAttrs,
+    add_forward_into, avg_pool_backward, avg_pool_forward_into, batch_norm_backward,
+    batch_norm_backward_from_input, batch_norm_inference_into, batch_norm_train_into,
+    batch_norm_train_stats_into, conv2d_backward_micro, conv2d_forward_micro_into,
+    dropout_apply_into, dropout_backward, dropout_mask, global_avg_pool_backward,
+    global_avg_pool_forward_into, linear_backward, linear_forward_into, max_pool_backward,
+    max_pool_forward_into, relu_backward_inplace, relu_forward_into,
+    softmax_cross_entropy_backward, softmax_cross_entropy_forward, update_running, BnSaved,
+    BnStats, ConvAttrs, PoolAttrs,
 };
 use crate::params::{BnState, ParamStore};
 use crate::provider::{BufferProvider, VecProvider};
@@ -295,13 +297,22 @@ impl Executor {
     /// calls must cover the graph in tape order. `providers[s]` manages
     /// slot `s`'s storage.
     ///
-    /// Slots run side-effect-free — inline when there is one, so the
-    /// kernels' own data parallelism keeps the whole pool, as sibling
-    /// `scnn-par` tasks otherwise. Once the whole wave has computed, each
-    /// slot's outputs are adopted and then its lifetime hooks fire, both in
-    /// ascending node order, slot after slot — a deterministic
-    /// linearization no matter how slots interleaved. Returns the wave's
-    /// deferred side effects in that same `(slot, node)` order.
+    /// Each slot's provider is first asked for the buffer of every node in
+    /// the wave ([`BufferProvider::output`]), slot after slot. Slots then
+    /// run side-effect-free, each node's kernel writing into its buffer (a
+    /// fresh zeroed one, made in the slot's task, where the provider handed
+    /// none) — inline when there is one slot, so the kernels' own data parallelism
+    /// keeps the whole pool, as sibling `scnn-par` tasks otherwise. Once
+    /// the whole wave has computed, each slot's outputs are adopted and
+    /// then its lifetime hooks fire, both in ascending node order, slot
+    /// after slot — a deterministic linearization no matter how slots
+    /// interleaved. Returns the wave's deferred side effects in that same
+    /// `(slot, node)` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a provider hands out a buffer whose shape is not the
+    /// node's output shape.
     pub fn forward_wave<'p>(
         &self,
         ctx: &ForwardCtx<'_>,
@@ -309,25 +320,39 @@ impl Executor {
         slots: &mut [Slot<'_>],
         providers: &mut [&mut (dyn BufferProvider + 'p)],
     ) -> Vec<Deferred> {
-        let produced = {
+        // Per slot: the buffers handed for the wave, then what landed.
+        let mut work: Vec<(Vec<Option<Tensor>>, Vec<Landed>)> = providers
+            .iter_mut()
+            .map(|provider| {
+                let handed = nodes
+                    .clone()
+                    .map(|id| {
+                        let dims = &ctx.graph.node(NodeId(id)).out_shape;
+                        let dst = provider.output(id, dims);
+                        if let Some(t) = &dst {
+                            assert_eq!(t.shape().dims(), dims.as_slice(), "node {id}'s buffer shape");
+                        }
+                        dst
+                    })
+                    .collect();
+                (handed, Vec::with_capacity(nodes.len()))
+            })
+            .collect();
+        {
             let slots = &*slots;
-            let run_slot = |s: usize| {
-                let mut local: Vec<Landed> = Vec::with_capacity(nodes.len());
-                for id in nodes.clone() {
-                    let landed = self.forward_node(ctx, &slots[s], ctx.graph.node(NodeId(id)), &local);
+            scnn_par::par_chunks_mut(&mut work, 1, |s, w| {
+                let (handed, local) = &mut w[0];
+                for (id, dst) in nodes.clone().zip(handed.drain(..)) {
+                    let node = ctx.graph.node(NodeId(id));
+                    let dst = dst.unwrap_or_else(|| Tensor::zeros(&node.out_shape));
+                    let landed = self.forward_node(ctx, &slots[s], node, local, dst);
                     local.push(landed);
                 }
-                local
-            };
-            if slots.len() == 1 {
-                vec![run_slot(0)]
-            } else {
-                scnn_par::parallel_map(slots.len(), run_slot)
-            }
-        };
+            });
+        }
 
         let mut deferred = Vec::new();
-        for ((slot, provider), landed) in slots.iter_mut().zip(providers.iter_mut()).zip(produced) {
+        for ((slot, provider), (_, landed)) in slots.iter_mut().zip(providers.iter_mut()).zip(work) {
             for (id, (out, a, d)) in nodes.clone().zip(landed) {
                 slot.outputs[id] = Some(provider.adopt(id, out));
                 if ctx.mode == Mode::Train {
@@ -342,11 +367,19 @@ impl Executor {
         deferred
     }
 
-    /// The forward kernel dispatch: what `node` computes, in either mode.
-    /// `local` holds what the wave has produced so far — the nodes from the
-    /// wave's first up to `node`'s predecessor; anything older is in
-    /// `slot.outputs`.
-    fn forward_node(&self, ctx: &ForwardCtx<'_>, slot: &Slot<'_>, node: &Node, local: &[Landed]) -> Landed {
+    /// The forward kernel dispatch: what `node` computes, in either mode,
+    /// written into `dst` (the node's output shape, contents unspecified —
+    /// every arm overwrites every element). `local` holds what the wave has
+    /// produced so far — the nodes from the wave's first up to `node`'s
+    /// predecessor; anything older is in `slot.outputs`.
+    fn forward_node(
+        &self,
+        ctx: &ForwardCtx<'_>,
+        slot: &Slot<'_>,
+        node: &Node,
+        local: &[Landed],
+        mut dst: Tensor,
+    ) -> Landed {
         let wave_start = node.id.0 - local.len();
         let input = |i: usize| -> &Tensor {
             let id = node.inputs[i].0;
@@ -355,9 +388,10 @@ impl Executor {
                 None => slot.outputs[id].as_ref().expect("tape order computes inputs first"),
             }
         };
+        let y = &mut dst;
+        let copy = |y: &mut Tensor, x: &Tensor| y.as_mut_slice().copy_from_slice(x.as_slice());
         let params = ctx.params;
-        let plain = |y: Tensor| (y, Aux::None, None);
-        match &node.op {
+        let (aux, deferred) = match &node.op {
             Op::Input { shape } => {
                 assert_eq!(
                     slot.images.shape().dims(),
@@ -365,25 +399,30 @@ impl Executor {
                     "batch shape {:?} does not match graph input {shape:?}",
                     slot.images.shape().dims()
                 );
-                plain(slot.images.clone())
+                copy(y, slot.images);
+                (Aux::None, None)
             }
             Op::Conv2d { weight, bias, .. } => {
                 let w = params.value(*weight);
                 let b = bias.map(|id| params.value(id));
                 let u = self.micro_batch(node.id);
-                plain(conv2d_forward_micro(input(0), w, b, &ConvAttrs::from_op(&node.op), None, u))
+                conv2d_forward_micro_into(input(0), w, b, &ConvAttrs::from_op(&node.op), None, u, y);
+                (Aux::None, None)
             }
             Op::Pool2d { kind, .. } => {
                 let attrs = PoolAttrs::from_op(&node.op);
                 match kind {
-                    PoolKind::Max => {
-                        let (y, mask) = max_pool_forward(input(0), &attrs);
-                        (y, Aux::MaxMask(mask), None)
+                    PoolKind::Max => (Aux::MaxMask(max_pool_forward_into(input(0), &attrs, y)), None),
+                    PoolKind::Avg => {
+                        avg_pool_forward_into(input(0), &attrs, y);
+                        (Aux::None, None)
                     }
-                    PoolKind::Avg => plain(avg_pool_forward(input(0), &attrs)),
                 }
             }
-            Op::GlobalAvgPool => plain(global_avg_pool_forward(input(0))),
+            Op::GlobalAvgPool => {
+                global_avg_pool_forward_into(input(0), y);
+                (Aux::None, None)
+            }
             Op::BatchNorm {
                 gamma,
                 beta,
@@ -397,90 +436,93 @@ impl Executor {
                     Mode::Train => {
                         // Side-effect-free forward; the running-stat update
                         // is replayed after the wave in node-id order.
-                        let (y, mean, aux, var) = if *recompute {
-                            let (y, saved, var) = batch_norm_train(x, gv, bv);
-                            (y, saved.mean.clone(), Aux::BnXhat(saved), var)
+                        let (mean, aux, var) = if *recompute {
+                            let (saved, var) = batch_norm_train_into(x, gv, bv, y);
+                            (saved.mean.clone(), Aux::BnXhat(saved), var)
                         } else {
-                            let (y, stats, var) = batch_norm_train_stats(x, gv, bv);
-                            (y, stats.mean.clone(), Aux::Bn(stats), var)
+                            let (stats, var) = batch_norm_train_stats_into(x, gv, bv, y);
+                            (stats.mean.clone(), Aux::Bn(stats), var)
                         };
-                        (
-                            y,
-                            aux,
-                            Some(Deferred::BnRunning {
-                                gamma: *gamma,
-                                channels: c,
-                                mean,
-                                var,
-                            }),
-                        )
+                        let running = Deferred::BnRunning {
+                            gamma: *gamma,
+                            channels: c,
+                            mean,
+                            var,
+                        };
+                        (aux, Some(running))
                     }
                     Mode::Eval => {
                         let (rm, rv) = ctx.bn.get(*gamma, c);
-                        plain(batch_norm_inference(x, gv, bv, &rm, &rv))
+                        batch_norm_inference_into(x, gv, bv, &rm, &rv, y);
+                        (Aux::None, None)
                     }
                 }
             }
-            Op::Relu => plain(relu_forward(input(0))),
+            Op::Relu => {
+                relu_forward_into(input(0), y);
+                (Aux::None, None)
+            }
             Op::Dropout { p } => match ctx.mode {
                 Mode::Train => {
                     let mask = slot.drop_masks[node.id.0]
                         .as_ref()
                         .expect("dropout masks pre-drawn in train mode")
                         .clone();
-                    let y = if *p == 0.0 {
-                        input(0).clone()
+                    if *p == 0.0 {
+                        copy(y, input(0));
                     } else {
-                        input(0).mul(&mask)
-                    };
-                    (y, Aux::DropMask(mask), None)
+                        dropout_apply_into(input(0), &mask, y);
+                    }
+                    (Aux::DropMask(mask), None)
                 }
-                Mode::Eval => plain(input(0).clone()),
+                Mode::Eval => {
+                    copy(y, input(0));
+                    (Aux::None, None)
+                }
             },
             Op::Linear { weight, bias, .. } => {
-                plain(linear_forward(input(0), params.value(*weight), params.value(*bias)))
+                linear_forward_into(input(0), params.value(*weight), params.value(*bias), y);
+                (Aux::None, None)
             }
             Op::Add => {
-                // The first pair in one pass, into a fresh buffer.
-                let mut acc = match node.inputs.len() {
-                    1 => input(0).clone(),
-                    _ => input(0).add(input(1)),
-                };
-                for i in 2..node.inputs.len() {
-                    acc.add_assign(input(i));
-                }
-                plain(acc)
+                let parts: Vec<&Tensor> = (0..node.inputs.len()).map(input).collect();
+                add_forward_into(&parts, y);
+                (Aux::None, None)
             }
             Op::Concat { dim } => {
                 let parts: Vec<&Tensor> = (0..node.inputs.len()).map(input).collect();
-                plain(Tensor::concat(&parts, *dim))
+                Tensor::concat_into(&parts, *dim, y);
+                (Aux::None, None)
             }
-            Op::Slice { dim, start, len } => plain(input(0).slice_dim(*dim, *start, *len)),
+            Op::Slice { dim, start, .. } => {
+                input(0).slice_dim_into(*dim, *start, y);
+                (Aux::None, None)
+            }
+            // `[n, c, h, w]` and `[n, c·h·w]` share one row-major layout.
             Op::Flatten => {
-                let x = input(0);
-                let n = x.dim(0);
-                let rest: usize = x.shape().dims()[1..].iter().product();
-                plain(x.clone().reshape(&[n, rest]))
+                copy(y, input(0));
+                (Aux::None, None)
             }
             Op::SoftmaxCrossEntropy => match ctx.labels {
                 Some(labels) => {
                     let out = softmax_cross_entropy_forward(input(0), labels);
+                    y.as_mut_slice()[0] = out.loss;
                     let result = BatchResult {
                         loss: out.loss,
                         correct: out.correct,
                         n: labels.len(),
                     };
-                    (
-                        Tensor::from_vec(vec![out.loss], &[1]),
-                        Aux::Probs(out.probs),
-                        Some(Deferred::Result(result)),
-                    )
+                    (Aux::Probs(out.probs), Some(Deferred::Result(result)))
                 }
                 // The node's planned TSO still allocates and frees; only
                 // the value is a stub.
-                None => plain(Tensor::zeros(&node.out_shape)),
+                None => {
+                    y.as_mut_slice().fill(0.0);
+                    (Aux::None, None)
+                }
             },
-        }
+        };
+        (dst, aux, deferred)
     }
 
     fn backward(

@@ -15,7 +15,7 @@
 use scnn_par::DisjointMut;
 use scnn_tensor::Tensor;
 
-use super::ELEM_CHUNK;
+use super::{fresh, ELEM_CHUNK};
 
 const EPS: f32 = 1e-5;
 
@@ -78,7 +78,19 @@ pub fn batch_norm_forward(
 /// [`batch_norm_train_stats`] plus the materialised `x̂` — one more
 /// elementwise pass, which only this wrapper pays.
 pub fn batch_norm_train(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> (Tensor, BnSaved, Vec<f32>) {
-    let (y, BnStats { mean, inv_std }, var) = batch_norm_train_stats(x, gamma, beta);
+    let (y, (saved, var)) = fresh(x.shape().dims(), |y| batch_norm_train_into(x, gamma, beta, y));
+    (y, saved, var)
+}
+
+/// [`batch_norm_train`] with the output written into `y`; every element is
+/// overwritten. Returns the saved state and the batch variance.
+pub fn batch_norm_train_into(
+    x: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    y: &mut Tensor,
+) -> (BnSaved, Vec<f32>) {
+    let (BnStats { mean, inv_std }, var) = batch_norm_train_stats_into(x, gamma, beta, y);
     let mut xhat = Tensor::zeros(x.shape().dims());
     par_planes(x, &mut xhat, |ch, xp, out| {
         let (mu, s) = (mean[ch], inv_std[ch]);
@@ -87,7 +99,6 @@ pub fn batch_norm_train(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> (Tensor, B
         }
     });
     (
-        y,
         BnSaved {
             mean,
             inv_std,
@@ -112,13 +123,31 @@ pub fn batch_norm_train_stats(
     gamma: &Tensor,
     beta: &Tensor,
 ) -> (Tensor, BnStats, Vec<f32>) {
+    let (y, (stats, var)) =
+        fresh(x.shape().dims(), |y| batch_norm_train_stats_into(x, gamma, beta, y));
+    (y, stats, var)
+}
+
+/// [`batch_norm_train_stats`] with the output written into `y`; every
+/// element is overwritten. Returns the statistics and the batch variance.
+///
+/// # Panics
+///
+/// Panics if parameter lengths do not match the channel count, or `y`'s
+/// shape is not `x`'s.
+pub fn batch_norm_train_stats_into(
+    x: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    y: &mut Tensor,
+) -> (BnStats, Vec<f32>) {
     let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
     assert_eq!(gamma.len(), c, "gamma length mismatch");
     assert_eq!(beta.len(), c, "beta length mismatch");
+    assert_eq!(x.shape(), y.shape(), "bn output buffer shape");
     let dims = Dims { n, c, hw: h * w };
     let src = x.as_slice();
     let (g, be) = (gamma.as_slice(), beta.as_slice());
-    let mut y = Tensor::zeros(&[n, c, h, w]);
     // `[mean, var, inv_std]` per channel.
     let mut stats = vec![[0.0f32; 3]; c];
     {
@@ -136,7 +165,6 @@ pub fn batch_norm_train_stats(
     }
     let column = |j: usize| stats.iter().map(|s| s[j]).collect::<Vec<f32>>();
     (
-        y,
         BnStats {
             mean: column(0),
             inv_std: column(2),
@@ -246,21 +274,39 @@ pub fn batch_norm_inference(
     running_mean: &[f32],
     running_var: &[f32],
 ) -> Tensor {
+    fresh(x.shape().dims(), |y| {
+        batch_norm_inference_into(x, gamma, beta, running_mean, running_var, y)
+    })
+    .0
+}
+
+/// [`batch_norm_inference`] into `y`; every element is overwritten.
+///
+/// # Panics
+///
+/// As [`batch_norm_inference`], and if `y`'s shape is not `x`'s.
+pub fn batch_norm_inference_into(
+    x: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    running_mean: &[f32],
+    running_var: &[f32],
+    y: &mut Tensor,
+) {
     let c = x.dim(1);
     assert_eq!(gamma.len(), c, "gamma length mismatch");
     assert_eq!(beta.len(), c, "beta length mismatch");
     assert_eq!(running_mean.len(), c, "running mean length mismatch");
     assert_eq!(running_var.len(), c, "running var length mismatch");
+    assert_eq!(x.shape(), y.shape(), "bn output buffer shape");
     let (g, be) = (gamma.as_slice(), beta.as_slice());
-    let mut y = Tensor::zeros(x.shape().dims());
-    par_planes(x, &mut y, |ch, xp, out| {
+    par_planes(x, y, |ch, xp, out| {
         let (mu, s) = (running_mean[ch], 1.0 / (running_var[ch] + EPS).sqrt());
         let (gg, bb) = (g[ch], be[ch]);
         for (o, &v) in out.iter_mut().zip(xp) {
             *o = gg * ((v - mu) * s) + bb;
         }
     });
-    y
 }
 
 /// Runs `body(channel, x plane, out plane)` over every `(image, channel)`

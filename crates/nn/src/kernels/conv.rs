@@ -17,7 +17,7 @@ use scnn_tensor::{
     matmul_a_bt_into, matmul_at_b_into, matmul_into, Conv2dGeometry, Padding2d, Tensor,
 };
 
-use super::split_padding;
+use super::{fresh, split_padding};
 
 pub use scnn_tensor::ConvAlgo;
 
@@ -138,19 +138,32 @@ pub fn conv2d_forward_micro(
     b: Option<&Tensor>,
     attrs: &ConvAttrs,
     algo: Option<ConvAlgo>,
-    _micro: usize,
+    micro: usize,
 ) -> Tensor {
-    assert_eq!(x.rank(), 4, "conv input must be NCHW");
-    assert_eq!(w.rank(), 4, "conv weight must be [oc, ic, kh, kw]");
-    assert_eq!(w.dim(1), x.dim(1), "conv channel mismatch");
-    assert_eq!((w.dim(2), w.dim(3)), (attrs.kh, attrs.kw), "kernel shape mismatch");
+    fresh(&out_dims(x, w, attrs), |y| conv2d_forward_micro_into(x, w, b, attrs, algo, micro, y)).0
+}
+
+/// [`conv2d_forward_micro`] into `y: [n, oc, oh, ow]`, whose contents on
+/// entry do not matter: every element is overwritten.
+///
+/// # Panics
+///
+/// Panics if shapes disagree with the attributes or `y` has another shape.
+pub fn conv2d_forward_micro_into(
+    x: &Tensor,
+    w: &Tensor,
+    b: Option<&Tensor>,
+    attrs: &ConvAttrs,
+    algo: Option<ConvAlgo>,
+    _micro: usize,
+    y: &mut Tensor,
+) {
+    assert_eq!(y.shape().dims(), out_dims(x, w, attrs), "conv output buffer shape");
     let Lowered { g, crop, off_h, off_w } = lower(x, attrs);
     let n = x.dim(0);
     let oc = w.dim(0);
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let hw = oh * ow;
+    let hw = g.out_h() * g.out_w();
 
-    let mut y = Tensor::zeros(&[n, oc, oh, ow]);
     let out = y.as_mut_slice();
     match algo.unwrap_or_default() {
         ConvAlgo::Tiled => {
@@ -169,7 +182,16 @@ pub fn conv2d_forward_micro(
             });
         }
     }
-    y
+}
+
+/// `[n, oc, oh, ow]` of the forward, after checking the operands agree.
+fn out_dims(x: &Tensor, w: &Tensor, attrs: &ConvAttrs) -> [usize; 4] {
+    assert_eq!(x.rank(), 4, "conv input must be NCHW");
+    assert_eq!(w.rank(), 4, "conv weight must be [oc, ic, kh, kw]");
+    assert_eq!(w.dim(1), x.dim(1), "conv channel mismatch");
+    assert_eq!((w.dim(2), w.dim(3)), (attrs.kh, attrs.kw), "kernel shape mismatch");
+    let g = lower(x, attrs).g;
+    [x.dim(0), w.dim(0), g.out_h(), g.out_w()]
 }
 
 /// Reorders `[n·hw, oc]` rows into NCHW planes as one blocked transpose

@@ -1,9 +1,11 @@
 //! Fully-connected layer.
 //!
-//! Outputs and gradients are fresh tensors; `dw`'s GEMM partials use the
-//! per-thread scratch arena inside `matmul_at_b_into`.
+//! Gradients are fresh tensors; `dw`'s GEMM partials use the per-thread
+//! scratch arena inside `matmul_at_b_into`.
 
 use scnn_tensor::{matmul_a_bt_into, matmul_at_b_into, matmul_into, Tensor};
+
+use super::fresh;
 
 /// Gradients produced by [`linear_backward`].
 #[derive(Clone, Debug)]
@@ -22,13 +24,22 @@ pub struct LinearGrads {
 ///
 /// Panics on shape mismatch.
 pub fn linear_forward(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
+    fresh(&[x.dim(0), w.dim(0)], |y| linear_forward_into(x, w, b, y)).0
+}
+
+/// [`linear_forward`] into `y: [n, out]`; every element is overwritten.
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
+pub fn linear_forward_into(x: &Tensor, w: &Tensor, b: &Tensor, y: &mut Tensor) {
     assert_eq!(x.rank(), 2, "linear input must be [n, in]");
     assert_eq!(w.rank(), 2, "linear weight must be [out, in]");
     assert_eq!(x.dim(1), w.dim(1), "linear in-feature mismatch");
     assert_eq!(b.len(), w.dim(0), "linear bias mismatch");
     let (n, k) = (x.dim(0), x.dim(1));
     let out = w.dim(0);
-    let mut y = Tensor::zeros(&[n, out]);
+    assert_eq!(y.shape().dims(), &[n, out], "linear output buffer shape");
     matmul_a_bt_into(x.as_slice(), w.as_slice(), n, k, out, y.as_mut_slice());
     let bd = b.as_slice();
     for row in y.as_mut_slice().chunks_mut(out) {
@@ -36,7 +47,6 @@ pub fn linear_forward(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
             *v += bb;
         }
     }
-    y
 }
 
 /// Linear backward given upstream `dy: [n, out]`.

@@ -1,20 +1,53 @@
-//! Pointwise activations: ReLU and dropout.
+//! Pointwise ops: ReLU, dropout and the residual sum.
 
 use scnn_rng::Rng;
 use scnn_tensor::Tensor;
 
-use super::ELEM_CHUNK;
+use super::{fresh, ELEM_CHUNK};
 
 /// ReLU forward: `max(0, x)`.
 pub fn relu_forward(x: &Tensor) -> Tensor {
+    fresh(x.shape().dims(), |y| relu_forward_into(x, y)).0
+}
+
+/// [`relu_forward`] into `y`; every element is overwritten.
+///
+/// # Panics
+///
+/// Panics if the shapes disagree.
+pub fn relu_forward_into(x: &Tensor, y: &mut Tensor) {
+    assert_eq!(x.shape(), y.shape(), "relu output buffer shape");
     let src = x.as_slice();
-    let mut out = Tensor::zeros(x.shape().dims());
-    scnn_par::par_chunks_mut(out.as_mut_slice(), ELEM_CHUNK, |ci, chunk| {
+    scnn_par::par_chunks_mut(y.as_mut_slice(), ELEM_CHUNK, |ci, chunk| {
         for (o, &v) in chunk.iter_mut().zip(&src[ci * ELEM_CHUNK..]) {
             *o = v.max(0.0);
         }
     });
-    out
+}
+
+/// The residual join: `y = x₀ + x₁ + …`, summed left to right, the first
+/// pair in one pass; every element of `y` is overwritten.
+///
+/// # Panics
+///
+/// Panics if `xs` is empty or any shape differs from `y`'s.
+pub fn add_forward_into(xs: &[&Tensor], y: &mut Tensor) {
+    let (first, rest) = xs.split_first().expect("add has inputs");
+    for x in xs {
+        assert_eq!(x.shape(), y.shape(), "add operand shape");
+    }
+    match rest.first() {
+        None => y.as_mut_slice().copy_from_slice(first.as_slice()),
+        Some(second) => {
+            let pairs = first.as_slice().iter().zip(second.as_slice());
+            for (o, (&a, &b)) in y.as_mut_slice().iter_mut().zip(pairs) {
+                *o = a + b;
+            }
+        }
+    }
+    for x in rest.iter().skip(1) {
+        y.add_assign(x);
+    }
 }
 
 /// ReLU backward, computed from the *output* — the property that makes
@@ -85,7 +118,21 @@ pub fn dropout_forward(x: &Tensor, p: f32, rng: &mut impl Rng) -> (Tensor, Tenso
     if p == 0.0 {
         return (x.clone(), mask);
     }
-    (x.mul(&mask), mask)
+    (fresh(x.shape().dims(), |y| dropout_apply_into(x, &mask, y)).0, mask)
+}
+
+/// Applies a keep mask from [`dropout_mask`]: `y = x · mask`; every
+/// element of `y` is overwritten.
+///
+/// # Panics
+///
+/// Panics if the shapes disagree.
+pub fn dropout_apply_into(x: &Tensor, mask: &Tensor, y: &mut Tensor) {
+    assert!(x.shape() == mask.shape() && x.shape() == y.shape(), "dropout shape mismatch");
+    let pairs = x.as_slice().iter().zip(mask.as_slice());
+    for (o, (&v, &m)) in y.as_mut_slice().iter_mut().zip(pairs) {
+        *o = v * m;
+    }
 }
 
 /// Dropout backward: apply the same mask to the upstream gradient.

@@ -4,7 +4,7 @@
 use scnn_graph::Op;
 use scnn_tensor::{Padding2d, Tensor};
 
-use super::split_padding;
+use super::{fresh, split_padding};
 
 /// Static attributes of a pooling node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,6 +48,12 @@ fn geom(x: &Tensor, attrs: &PoolAttrs) -> PoolGeom {
     geom_dims(x.shape().dims(), attrs)
 }
 
+/// `[n, c, oh, ow]` of the pooled output.
+fn out_dims(x: &Tensor, attrs: &PoolAttrs) -> [usize; 4] {
+    let g = geom(x, attrs);
+    [x.dim(0), x.dim(1), g.oh, g.ow]
+}
+
 fn geom_dims(x_dims: &[usize], attrs: &PoolAttrs) -> PoolGeom {
     assert_eq!(x_dims.len(), 4, "pool input must be NCHW");
     let (crop, pos) = split_padding(attrs.pad);
@@ -75,17 +81,27 @@ fn geom_dims(x_dims: &[usize], attrs: &PoolAttrs) -> PoolGeom {
 /// *cropped* input) per output element; `usize::MAX` marks windows that saw
 /// only padding. The mask is the aux data HMMS accounts 4 bytes/element for.
 pub fn max_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> (Tensor, Vec<usize>) {
+    fresh(&out_dims(x, attrs), |y| max_pool_forward_into(x, attrs, y))
+}
+
+/// [`max_pool_forward`] into `y`; every element is overwritten. Returns
+/// the argmax mask.
+///
+/// # Panics
+///
+/// Panics if `y`'s shape is not the pooled shape.
+pub fn max_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, y: &mut Tensor) -> Vec<usize> {
+    assert_eq!(y.shape().dims(), out_dims(x, attrs), "pool output buffer shape");
     let g = geom(x, attrs);
     let xc = x.pad2d(g.crop);
     let (n, c) = (x.dim(0), x.dim(1));
-    let mut out = Tensor::zeros(&[n, c, g.oh, g.ow]);
     let mut mask = vec![usize::MAX; n * c * g.oh * g.ow];
     let src = xc.as_slice();
     let ohw = g.oh * g.ow;
     // Parallel over (n, c) image planes; each plane's output and mask
     // stripes are disjoint.
     let mask_shared = scnn_par::DisjointMut::new(&mut mask);
-    scnn_par::par_chunks_mut(out.as_mut_slice(), ohw, |img, dst| {
+    scnn_par::par_chunks_mut(y.as_mut_slice(), ohw, |img, dst| {
         let base = img * g.h * g.w;
         let mplane = unsafe { mask_shared.range(img * ohw, (img + 1) * ohw) };
         for oy in 0..g.oh {
@@ -117,7 +133,7 @@ pub fn max_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> (Tensor, Vec<usize>) {
             }
         }
     });
-    (out, mask)
+    mask
 }
 
 /// Max-pool backward: routes each output gradient to its argmax position.
@@ -150,13 +166,21 @@ pub fn max_pool_backward(
 /// Average-pool forward (divisor `kh·kw`, padding counted, matching the
 /// PyTorch default the paper's models use).
 pub fn avg_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> Tensor {
+    fresh(&out_dims(x, attrs), |y| avg_pool_forward_into(x, attrs, y)).0
+}
+
+/// [`avg_pool_forward`] into `y`; every element is overwritten.
+///
+/// # Panics
+///
+/// Panics if `y`'s shape is not the pooled shape.
+pub fn avg_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, y: &mut Tensor) {
+    assert_eq!(y.shape().dims(), out_dims(x, attrs), "pool output buffer shape");
     let g = geom(x, attrs);
     let xc = x.pad2d(g.crop);
-    let (n, c) = (x.dim(0), x.dim(1));
-    let mut out = Tensor::zeros(&[n, c, g.oh, g.ow]);
     let src = xc.as_slice();
     let scale = 1.0 / (attrs.kh * attrs.kw) as f32;
-    scnn_par::par_chunks_mut(out.as_mut_slice(), g.oh * g.ow, |img, dst| {
+    scnn_par::par_chunks_mut(y.as_mut_slice(), g.oh * g.ow, |img, dst| {
         let base = img * g.h * g.w;
         for oy in 0..g.oh {
             let iy0 = oy as i64 * attrs.sh as i64 - g.pos.h_begin;
@@ -180,7 +204,6 @@ pub fn avg_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> Tensor {
             }
         }
     });
-    out
 }
 
 /// Average-pool backward: spreads each output gradient uniformly over its
@@ -221,15 +244,24 @@ pub fn avg_pool_backward(x_dims: &[usize], dy: &Tensor, attrs: &PoolAttrs) -> Te
 
 /// Global average pooling: `[n, c, h, w]` → `[n, c, 1, 1]`.
 pub fn global_avg_pool_forward(x: &Tensor) -> Tensor {
+    fresh(&[x.dim(0), x.dim(1), 1, 1], |y| global_avg_pool_forward_into(x, y)).0
+}
+
+/// [`global_avg_pool_forward`] into `y: [n, c, 1, 1]`; every element is
+/// overwritten.
+///
+/// # Panics
+///
+/// Panics if `x` is not NCHW or `y` has another shape.
+pub fn global_avg_pool_forward_into(x: &Tensor, y: &mut Tensor) {
     assert_eq!(x.rank(), 4, "global pool input must be NCHW");
     let (n, c, h, w) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let mut out = Tensor::zeros(&[n, c, 1, 1]);
+    assert_eq!(y.shape().dims(), &[n, c, 1, 1], "global pool output buffer shape");
     let scale = 1.0 / (h * w) as f32;
     let src = x.as_slice();
-    scnn_par::par_chunks_mut(out.as_mut_slice(), 1, |img, dst| {
+    scnn_par::par_chunks_mut(y.as_mut_slice(), 1, |img, dst| {
         dst[0] = src[img * h * w..(img + 1) * h * w].iter().sum::<f32>() * scale;
     });
-    out
 }
 
 /// Global average pooling backward. Takes the forward input's *dims* —

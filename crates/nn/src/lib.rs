@@ -27,7 +27,7 @@ pub mod schedule;
 pub mod train;
 
 pub use executor::{BatchResult, Deferred, Executor, ForwardCtx, Mode, Slot};
-pub use provider::{BufferProvider, VecProvider};
+pub use provider::{BufferProvider, MeterProvider, VecProvider};
 pub use schedule::Schedule;
 pub use optim::{MultiStepLr, Sgd};
 pub use params::{BnState, ParamStore};

@@ -6,6 +6,11 @@
 //! per mini-batch. Parameters are keyed by [`scnn_graph::ParamId`] and the
 //! split transform preserves the parameter table, so one [`ParamStore`]
 //! serves every variant.
+//!
+//! Each loop runs its batches through one [`MeterProvider`], so a batch's
+//! activations land in the buffers the previous batch's occupied instead
+//! of pages freshly faulted in; a stochastic split's re-shaped patches
+//! take fresh buffers.
 
 use scnn_rng::Rng;
 use scnn_graph::Graph;
@@ -14,6 +19,7 @@ use scnn_tensor::Tensor;
 use crate::executor::{Executor, Mode};
 use crate::optim::Sgd;
 use crate::params::{BnState, ParamStore};
+use crate::provider::MeterProvider;
 
 /// Hyper-parameters for a training run.
 #[derive(Clone, Debug)]
@@ -61,13 +67,14 @@ pub fn train_epoch(
     rng: &mut impl Rng,
 ) -> EpochStats {
     let exec = Executor::new();
+    let mut meter = MeterProvider::new();
     let mut loss_sum = 0.0f64;
     let mut correct = 0usize;
     let mut total = 0usize;
     for (i, (images, labels)) in batches.iter().enumerate() {
         let graph = graph_for_batch(i);
         params.zero_grads();
-        let r = exec.run(&graph, params, bn, images, labels, Mode::Train, rng);
+        let r = exec.run_with(&graph, params, bn, images, labels, Mode::Train, rng, &mut meter);
         opt.step(params);
         loss_sum += r.loss as f64;
         correct += r.correct;
@@ -90,10 +97,11 @@ pub fn evaluate(
     rng: &mut impl Rng,
 ) -> f32 {
     let exec = Executor::new();
+    let mut meter = MeterProvider::new();
     let mut correct = 0usize;
     let mut total = 0usize;
     for (images, labels) in batches {
-        let r = exec.run(graph, params, bn, images, labels, Mode::Eval, rng);
+        let r = exec.run_with(graph, params, bn, images, labels, Mode::Eval, rng, &mut meter);
         correct += r.correct;
         total += r.n;
     }

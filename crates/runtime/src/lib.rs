@@ -9,8 +9,8 @@
 //!
 //! - [`PlanRuntime`] plugs into [`scnn_nn::Executor::run_with`] (or
 //!   [`scnn_nn::Executor::forward_wave`]) as a
-//!   [`scnn_nn::BufferProvider`]. Node outputs stay the `Vec`s their
-//!   kernels allocated, are dropped at exactly the tape positions the
+//!   [`scnn_nn::BufferProvider`]. Node outputs are fresh `Vec`s (the
+//!   trait's default `output` hook), are dropped at exactly the tape positions the
 //!   plan frees their TSO, and cold activations round-trip through a
 //!   host arena on a background transfer thread — prefetched back just
 //!   before their backward reader, as §4.3 schedules. The immutable half
@@ -19,8 +19,9 @@
 //! - [`PoolGauge`] replays the plan's addresses and verifies them live
 //!   (no overlap, no leak); its high-water mark equals the static
 //!   layout's `device_general_bytes`, which the golden tests pin.
-//! - [`MeterProvider`] measures the unmanaged Vec-per-node baseline so
-//!   benchmarks can report the runtime's actual savings.
+//! - [`MeterProvider`] (re-exported from `scnn-nn`) measures the
+//!   unmanaged Vec-per-node baseline so benchmarks can report the
+//!   runtime's actual savings.
 //!
 //! Placement is the only thing the runtime changes: training under
 //! [`PlanRuntime`] is bit-identical to the baseline at any thread count.
@@ -53,4 +54,5 @@ pub mod provider;
 
 pub use host::HostArena;
 pub use pool::PoolGauge;
-pub use provider::{MeterProvider, PlanRuntime, PlanTables, RuntimeError, StepStats};
+pub use provider::{PlanRuntime, PlanTables, RuntimeError, StepStats};
+pub use scnn_nn::MeterProvider;

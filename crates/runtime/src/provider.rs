@@ -5,7 +5,8 @@
 //! (forward + backward), or a forward-only inference plan
 //! (`steps.len() == forward_len`) over an eval pass:
 //!
-//! - every node output is adopted as the kernel made it — its own `Vec`,
+//! - every node output is written into a fresh `Vec` (the default
+//!   [`BufferProvider::output`] hook) and adopted as the kernel filled it —
 //!   counted into the resident total and handed straight back;
 //! - the plan's Alloc/Free events replay through a [`PoolGauge`] at the
 //!   planner's own addresses — the gauge's high-water mark *is* the
@@ -33,7 +34,7 @@
 //! # Determinism
 //!
 //! The runtime moves and copies bits; it never computes. Adoption returns
-//! the kernel's own buffer, and offload/prefetch are bit-exact copies
+//! the buffer the kernel filled, and offload/prefetch are bit-exact copies
 //! synchronized by the plan's events. A step run under `PlanRuntime` is
 //! therefore bit-identical to the `VecProvider` baseline at any
 //! `SCNN_THREADS` — the integration tests assert this.
@@ -470,40 +471,5 @@ impl BufferProvider for PlanRuntime {
         );
         self.stats.plan_device_peak_bytes = self.gauge.high_water();
         self.stats.scratch_peak_bytes = scnn_par::scratch::peak_bytes();
-    }
-}
-
-/// A measuring pass-through provider: keeps the executor's Vec-per-node
-/// behavior but records the resident-activation peak, giving the baseline
-/// number the runtime's savings are judged against.
-#[derive(Debug, Default)]
-pub struct MeterProvider {
-    live: usize,
-    peak: usize,
-}
-
-impl MeterProvider {
-    /// A fresh meter.
-    pub fn new() -> Self {
-        MeterProvider::default()
-    }
-
-    /// Peak resident activation bytes over all steps so far.
-    pub fn peak_bytes(&self) -> usize {
-        self.peak
-    }
-}
-
-impl BufferProvider for MeterProvider {
-    fn begin_step(&mut self, _n_nodes: usize) {
-        self.live = 0;
-    }
-
-    fn adopt(&mut self, _node: usize, out: Tensor) -> Tensor {
-        // Vec-per-node never frees within a step, so resident bytes only
-        // grow: the peak is the running sum's maximum.
-        self.live += out.as_slice().len() * 4;
-        self.peak = self.peak.max(self.live);
-        out
     }
 }

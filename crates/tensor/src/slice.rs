@@ -24,28 +24,32 @@ impl Tensor {
     /// assert_eq!(y.as_slice(), &[1.0, 2.0, 4.0, 5.0]);
     /// ```
     pub fn slice_dim(&self, dim: usize, start: usize, len: usize) -> Tensor {
+        let mut out = Tensor::zeros(&sliced_dims(self.shape().dims(), dim, start, len));
+        self.slice_dim_into(dim, start, &mut out);
+        out
+    }
+
+    /// [`Tensor::slice_dim`] into `out`, whose extent along `dim` is the
+    /// slice's length. Every element of `out` is overwritten.
+    ///
+    /// # Panics
+    ///
+    /// As [`Tensor::slice_dim`], and if `out` has any other shape.
+    pub fn slice_dim_into(&self, dim: usize, start: usize, out: &mut Tensor) {
         let dims = self.shape().dims();
-        assert!(dim < dims.len(), "slice dim {dim} out of range for {}", self.shape());
-        assert!(
-            start + len <= dims[dim] && len > 0,
-            "slice [{start}, {}) out of range for extent {}",
-            start + len,
-            dims[dim]
-        );
+        let len = out.shape().dims().get(dim).copied().unwrap_or(0);
+        let want = sliced_dims(dims, dim, start, len);
+        assert_eq!(out.shape().dims(), want.as_slice(), "slice destination shape");
         let outer: usize = dims[..dim].iter().product();
         let inner: usize = dims[dim + 1..].iter().product();
         let extent = dims[dim];
-
-        let mut out_dims = dims.to_vec();
-        out_dims[dim] = len;
-        let mut out = vec![0.0f32; outer * len * inner];
         let src = self.as_slice();
+        let dst = out.as_mut_slice();
         for o in 0..outer {
             let sbase = (o * extent + start) * inner;
             let dbase = o * len * inner;
-            out[dbase..dbase + len * inner].copy_from_slice(&src[sbase..sbase + len * inner]);
+            dst[dbase..dbase + len * inner].copy_from_slice(&src[sbase..sbase + len * inner]);
         }
-        Tensor::from_vec(out, &out_dims)
     }
 
     /// Scatters `patch` back into a zero tensor of shape `full_dims` at
@@ -113,27 +117,23 @@ impl Tensor {
     /// assert_eq!(c.shape().dims(), &[1, 5]);
     /// ```
     pub fn concat(parts: &[&Tensor], dim: usize) -> Tensor {
-        assert!(!parts.is_empty(), "concat of zero tensors");
-        let first = parts[0].shape().dims();
-        assert!(dim < first.len(), "concat dim {dim} out of range");
-        let mut total = 0usize;
-        for p in parts {
-            let d = p.shape().dims();
-            assert_eq!(d.len(), first.len(), "concat rank mismatch");
-            for (i, (&a, &b)) in first.iter().zip(d).enumerate() {
-                if i != dim {
-                    assert_eq!(a, b, "concat off-dimension {i} mismatch: {a} vs {b}");
-                }
-            }
-            total += d[dim];
-        }
-        let mut out_dims = first.to_vec();
-        out_dims[dim] = total;
-        let out_shape = Shape::from(out_dims.clone());
-        let outer: usize = first[..dim].iter().product();
-        let inner: usize = first[dim + 1..].iter().product();
+        let mut out = Tensor::zeros(&concat_dims(parts, dim));
+        Tensor::concat_into(parts, dim, &mut out);
+        out
+    }
 
-        let mut out = vec![0.0f32; out_shape.len()];
+    /// [`Tensor::concat`] into `out`. Every element of `out` is overwritten.
+    ///
+    /// # Panics
+    ///
+    /// As [`Tensor::concat`], and if `out` has any other shape.
+    pub fn concat_into(parts: &[&Tensor], dim: usize, out: &mut Tensor) {
+        let out_dims = concat_dims(parts, dim);
+        assert_eq!(out.shape().dims(), out_dims.as_slice(), "concat destination shape");
+        let total = out_dims[dim];
+        let outer: usize = out_dims[..dim].iter().product();
+        let inner: usize = out_dims[dim + 1..].iter().product();
+        let dst = out.as_mut_slice();
         let mut offset = 0usize;
         for p in parts {
             let plen = p.dim(dim);
@@ -141,13 +141,46 @@ impl Tensor {
             for o in 0..outer {
                 let dbase = (o * total + offset) * inner;
                 let sbase = o * plen * inner;
-                out[dbase..dbase + plen * inner]
-                    .copy_from_slice(&src[sbase..sbase + plen * inner]);
+                dst[dbase..dbase + plen * inner].copy_from_slice(&src[sbase..sbase + plen * inner]);
             }
             offset += plen;
         }
-        Tensor::from_vec(out, &out_dims)
     }
+}
+
+/// The dims of `[start, start + len)` along `dim` of a `dims` tensor.
+fn sliced_dims(dims: &[usize], dim: usize, start: usize, len: usize) -> Vec<usize> {
+    assert!(dim < dims.len(), "slice dim {dim} out of range for {}", Shape::from(dims));
+    assert!(
+        start + len <= dims[dim] && len > 0,
+        "slice [{start}, {}) out of range for extent {}",
+        start + len,
+        dims[dim]
+    );
+    let mut out = dims.to_vec();
+    out[dim] = len;
+    out
+}
+
+/// The dims of `parts` joined along `dim`.
+fn concat_dims(parts: &[&Tensor], dim: usize) -> Vec<usize> {
+    assert!(!parts.is_empty(), "concat of zero tensors");
+    let first = parts[0].shape().dims();
+    assert!(dim < first.len(), "concat dim {dim} out of range");
+    let mut total = 0usize;
+    for p in parts {
+        let d = p.shape().dims();
+        assert_eq!(d.len(), first.len(), "concat rank mismatch");
+        for (i, (&a, &b)) in first.iter().zip(d).enumerate() {
+            if i != dim {
+                assert_eq!(a, b, "concat off-dimension {i} mismatch: {a} vs {b}");
+            }
+        }
+        total += d[dim];
+    }
+    let mut out = first.to_vec();
+    out[dim] = total;
+    out
 }
 
 #[cfg(test)]

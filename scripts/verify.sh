@@ -179,6 +179,12 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 # shortcut — and one SGD step over the width-0.5 ResNet-18's parameters
 # hold ceilings at ~1.25× their 1-thread medians (the shortcut's and the
 # SGD step's are the parent's: PR 24 did not move either record).
+# The page-fault gate (DESIGN.md §10): a steady-state step of the repo
+# benchmark's `train_plain` workload — the unsplit graph under one
+# MeterProvider, whose forward writes into the buffers the last step
+# wrote — takes at most 300 minor faults (0–11 measured; the fresh-buffer
+# step it replaced re-faulted ≈ 3,600 pages a step here, the allocator
+# trimming the activation table the step dropped).
 # The fork-join gates (DESIGN.md §9): a 4-task region of 50 µs tasks on
 # two threads reads 100 µs when it forks and 200 µs when it does not.
 # After 100 µs of serial work on the submitter — the gap between two
@@ -206,7 +212,7 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 # with its p99 under the 10 s interactive deadline the bench configures.
 declare -A abs_gates=(
   [kernels]="--max-median conv2d_fwd_8x16x32x32:2750000,conv2d_fwd_8x16x32x32_winograd:4500000,conv2d_bwd_8x16x32x32:4600000,matmul_512:5550000,conv2d_fwd_8x32x16x16:1135000,conv2d_bwd_8x32x16x16:2180000,conv2d_fwd_8x256x4x4:3430000,conv2d_bwd_8x256x4x4:7550000,conv2d_fwd_1x1s2_8x32x16x16:145000,sgd_step_resnet18_w05:1850000,conv2d_fwd_8x16x32x32_scalar:8100000,matmul_512_scalar:12000000,par_fork_join/gap100us:130000 --max-peak conv2d_fwd_scratch_peak:1048576,conv2d_bwd_scratch_peak:2097152 --max-ratio conv2d_fwd_8x16x32x32:conv2d_fwd_8x16x32x32_avx2:1.10,conv2d_fwd_8x16x32x32_avx2:conv2d_fwd_8x16x32x32:1.10,conv2d_fwd_8x16x32x32_winograd:conv2d_fwd_8x16x32x32:1.10,par_fork_join/gap100us:par_fork_join/hot:1.5,relu_bwd_8x32x32x32:relu_fwd_8x32x32x32:3.0"
-  [memory]="--max-peak train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,planned_device/vdnn:3300352,planned_device/hmms:3300352,planned_device/hmms_micro:2707968,capacity/max_batch/legacy:13 --min-peak train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,capacity/max_batch/micro:18"
+  [memory]="--max-peak minor_faults_per_step/vec_unsplit:300,train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,planned_device/vdnn:3300352,planned_device/hmms:3300352,planned_device/hmms_micro:2707968,capacity/max_batch/legacy:13 --min-peak train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,capacity/max_batch/micro:18"
   [serving]="--max-peak serve_pool/c1:87040,serve_pool/c8:696320,serve_pool/c64:5570560,serve_resident_peak/c1:61440,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,overload/queue_depth_peak:8 --min-peak serve_pool/c64:5570560,serve_resident_peak/c1:61440,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,capacity/max_concurrency:738,capacity/max_concurrency_r2:369,capacity/max_concurrency_r4:184,overload/shed:1 --max-p99 serve_latency/c1:24000000,serve_latency/c8:250000000,serve_latency/c64:4000000000,overload/admitted_latency:10000000000"
 )
 if [[ "${SCNN_VERIFY_SKIP_BENCH:-0}" != 1 ]]; then
