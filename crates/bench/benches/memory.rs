@@ -10,7 +10,9 @@
 //!   that plan's lifetimes (the step runs in tape order, so each strategy
 //!   reads its own figure; the share of its planned pool is printed).
 //!
-//! Device-pool and host-pool plan peaks are printed alongside for context.
+//! The plan's own figures — device pool and its workspace share
+//! (`layout.device_general_bytes` / `device_workspace_bytes`), host pool —
+//! are printed alongside for context.
 //! With `--features heap-track` the process-wide heap high-water is also
 //! printed per strategy (the allocator counter includes params, grads and
 //! kernel scratch, so it is strictly larger than the activation numbers),
@@ -43,7 +45,7 @@ use scnn_hmms::{
 use scnn_models::{resnet18, ModelOptions};
 use scnn_nn::{BnState, BufferProvider, Executor, Mode, ParamStore, Sgd};
 use scnn_rng::SplitRng;
-use scnn_runtime::{MeterProvider, PlanRuntime, StepStats};
+use scnn_runtime::{MeterProvider, PlanRuntime};
 use scnn_tensor::uniform;
 
 #[cfg(feature = "heap-track")]
@@ -134,10 +136,10 @@ fn main() {
              kernel scratch peak {} B, {} offloads / {} prefetches{}",
             plan.strategy,
             stats.resident_peak_bytes,
-            resident_over_planned(&stats),
-            stats.plan_device_peak_bytes,
+            resident_over_planned(&rt),
+            layout.device_general_bytes,
             plain.device_general_bytes,
-            stats.plan_workspace_bytes,
+            layout.device_workspace_bytes,
             layout.workspace_overlapped_bytes,
             stats.host_bytes,
             stats.scratch_peak_bytes,
@@ -204,8 +206,8 @@ fn main() {
     println!(
         "  hmms_micro: resident {} B = {:.2} × device pool {} B, kernel scratch peak {} B{}",
         stats.resident_peak_bytes,
-        resident_over_planned(&stats),
-        stats.plan_device_peak_bytes,
+        resident_over_planned(&rt),
+        rt.plan().layout.device_general_bytes,
         stats.scratch_peak_bytes,
         heap_note()
     );
@@ -306,9 +308,9 @@ fn steady_step_faults(smoke: bool, graph: &Graph, provider: &mut dyn BufferProvi
     (minor_faults() - before) / reps
 }
 
-/// How much of the pool its plan reserved a step physically filled.
-fn resident_over_planned(stats: &StepStats) -> f64 {
-    stats.resident_peak_bytes as f64 / stats.plan_device_peak_bytes as f64
+/// How much of the pool its plan reserved the last step physically filled.
+fn resident_over_planned(rt: &PlanRuntime) -> f64 {
+    rt.stats().resident_peak_bytes as f64 / rt.plan().layout.device_general_bytes as f64
 }
 
 #[cfg(feature = "heap-track")]

@@ -7,16 +7,10 @@
 //!   `p99_ns` the tail the `--max-p99` gate pins;
 //! - `serve_rps/c{N}` — requests per second over the same run (a count in
 //!   the `peak_bytes` slot, like the capacity records);
-//! - `serve_pool/c{N}` — measured pool high-water of one `N`-slot batch.
-//!   [`Engine::run_batch`] asserts it equals the planned
-//!   `N × device_general_bytes` exactly, so verify pins it from both
-//!   sides (`--max-peak` + `--min-peak` at the same value);
 //! - `serve_resident_peak/c{N}` — peak physically resident activation
-//!   bytes of that batch (deterministic: sampled at wave barriers);
-//! - `serve_pool_replicated/r{R}` — summed pool high-water of `R` engine
-//!   replicas each running a `C`-slot batch concurrently: the replica
-//!   axis of the capacity model, `R × C × pool` exactly (params are
-//!   shared and not in this number), pinned two-sided by verify;
+//!   bytes of one direct `N`-slot batch (deterministic: sampled at wave
+//!   barriers), pinned two-sided by verify; the planned pool it sits
+//!   under, `N × device_general_bytes`, is printed beside it;
 //! - `capacity/max_concurrency` — the Fig. 10-style search: the largest
 //!   concurrency whose planned footprint fits a fixed device budget;
 //! - `capacity/max_concurrency_r{R}` — the same search with `R` replicas
@@ -95,14 +89,13 @@ fn main() {
     for &c in &levels {
         assert!(c > 0, "--concurrency levels must be positive");
         // Memory accounting first: one direct batch at this concurrency.
-        // Both numbers are shape-determined, so verify can pin them.
+        // The resident peak is shape-determined, so verify can pin it.
         let batch: Vec<Tensor> = (0..c).map(|i| request(engine.graph(), 200 + i as u64)).collect();
         let (_, stats) = engine.run_batch(&batch);
-        g.record_bytes(&format!("serve_pool/c{c}"), stats.pool_high_water);
         g.record_bytes(&format!("serve_resident_peak/c{c}"), stats.resident_peak);
         println!(
-            "  c={c}: pool high-water {} B (planned {} B), resident peak {} B",
-            stats.pool_high_water, stats.planned_pool_bytes, stats.resident_peak
+            "  c={c}: resident peak {} B of {} B planned",
+            stats.resident_peak, stats.planned_pool_bytes
         );
 
         // Latency and throughput through the dynamic batcher: `c`
@@ -150,34 +143,6 @@ fn main() {
         g.record_latency(&format!("serve_latency/c{c}"), &latencies);
         g.record_bytes(&format!("serve_rps/c{c}"), rps as usize);
         println!("  c={c}: {total} requests in {wall:?} — {rps:.1} req/s");
-    }
-
-    // Replica axis of the memory model: R engines, each running its own
-    // C-slot batch concurrently. Every run_batch call asserts its own
-    // pool high-water equals the plan, so the sum is R × C × pool
-    // exactly — params are shared across replicas and not in this sum.
-    let replica_batch = 8usize;
-    for replicas in [2usize, 4] {
-        let pooled: usize = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..replicas)
-                .map(|r| {
-                    let engine = engine.clone();
-                    s.spawn(move || {
-                        let batch: Vec<Tensor> = (0..replica_batch)
-                            .map(|i| request(engine.graph(), (5_000 + r * 100 + i) as u64))
-                            .collect();
-                        engine.run_batch(&batch).1.pool_high_water
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("replica thread")).sum()
-        });
-        let planned = replicas * replica_batch * engine.plan().layout.device_general_bytes;
-        assert_eq!(pooled, planned, "replica pools must sum to the plan");
-        g.record_bytes(&format!("serve_pool_replicated/r{replicas}"), pooled);
-        println!(
-            "  r={replicas}×c{replica_batch}: summed pool high-water {pooled} B (planned {planned} B)"
-        );
     }
 
     // Overload: a burst of 8 × capacity simultaneous submissions against

@@ -73,9 +73,11 @@ pub enum Op {
         /// When `true`, models the memory-efficient in-place-ABN variant
         /// (\[6\] in the paper, §6.3): the normalized input is *recomputed*
         /// in the backward pass from the *output*, so this node's input
-        /// does not count as generated data for offloading. The flag changes
-        /// the memory model only: `scnn-nn`'s executor keeps `x̂` for such a
-        /// node, and re-reads the input of every other BN.
+        /// does not count as generated data for offloading. The flag is
+        /// simulated only — the planner and `scnn-gpusim` read it; the
+        /// executor runs every BN alike (statistics kept, `x̂` regenerated
+        /// from the input), so `scnn-runtime` refuses a training plan over
+        /// a flagged BN, which would free the input backward reads.
         recompute: bool,
     },
     /// Rectified linear unit. Computable in place (§4.2 optimization 1).

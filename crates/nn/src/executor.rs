@@ -8,14 +8,13 @@ use scnn_graph::{Graph, MicroBatchSchedule, Node, NodeId, Op, ParamId, PoolKind}
 use scnn_tensor::Tensor;
 
 use crate::kernels::{
-    add_forward_into, avg_pool_backward, avg_pool_forward_into, batch_norm_backward,
-    batch_norm_backward_from_input, batch_norm_inference_into, batch_norm_train_into,
-    batch_norm_train_stats_into, conv2d_backward_micro, conv2d_forward_micro_into,
-    dropout_apply_into, dropout_backward, dropout_mask, global_avg_pool_backward,
-    global_avg_pool_forward_into, linear_backward, linear_forward_into, max_pool_backward,
-    max_pool_forward_into, relu_backward_inplace, relu_forward_into,
-    softmax_cross_entropy_backward, softmax_cross_entropy_forward, update_running, BnSaved,
-    BnStats, ConvAttrs, PoolAttrs,
+    add_forward_into, avg_pool_backward, avg_pool_forward_into, batch_norm_backward_from_input,
+    batch_norm_inference_into, batch_norm_train_stats_into, conv2d_backward_micro,
+    conv2d_forward_micro_into, dropout_apply_into, dropout_backward, dropout_mask,
+    global_avg_pool_backward, global_avg_pool_forward_into, linear_backward, linear_forward_into,
+    max_pool_backward, max_pool_forward_into, relu_backward_inplace, relu_forward_into,
+    softmax_cross_entropy_backward, softmax_cross_entropy_forward, update_running, BnStats,
+    ConvAttrs, PoolAttrs,
 };
 use crate::params::{BnState, ParamStore};
 use crate::provider::{BufferProvider, VecProvider};
@@ -53,11 +52,8 @@ enum Aux {
     None,
     MaxMask(Vec<usize>),
     DropMask(Tensor),
-    /// The statistics of a BN whose backward re-reads its input.
+    /// A BN's statistics; backward regenerates `x̂` from its input.
     Bn(BnStats),
-    /// `x̂` too, for a `recompute: true` BN: the plan frees its input
-    /// before backward.
-    BnXhat(BnSaved),
     Probs(Tensor),
 }
 
@@ -423,11 +419,7 @@ impl Executor {
                 global_avg_pool_forward_into(input(0), y);
                 (Aux::None, None)
             }
-            Op::BatchNorm {
-                gamma,
-                beta,
-                recompute,
-            } => {
+            Op::BatchNorm { gamma, beta, .. } => {
                 let x = input(0);
                 let c = x.dim(1);
                 let gv = params.value(*gamma);
@@ -436,20 +428,14 @@ impl Executor {
                     Mode::Train => {
                         // Side-effect-free forward; the running-stat update
                         // is replayed after the wave in node-id order.
-                        let (mean, aux, var) = if *recompute {
-                            let (saved, var) = batch_norm_train_into(x, gv, bv, y);
-                            (saved.mean.clone(), Aux::BnXhat(saved), var)
-                        } else {
-                            let (stats, var) = batch_norm_train_stats_into(x, gv, bv, y);
-                            (stats.mean.clone(), Aux::Bn(stats), var)
-                        };
+                        let (stats, var) = batch_norm_train_stats_into(x, gv, bv, y);
                         let running = Deferred::BnRunning {
                             gamma: *gamma,
                             channels: c,
-                            mean,
+                            mean: stats.mean.clone(),
                             var,
                         };
-                        (aux, Some(running))
+                        (Aux::Bn(stats), Some(running))
                     }
                     Mode::Eval => {
                         let (rm, rv) = ctx.bn.get(*gamma, c);
@@ -631,13 +617,12 @@ impl Executor {
                 Op::BatchNorm { gamma, beta, .. } => {
                     let dy = grads[node.id.0].take().expect("bn has grad");
                     let gv = params.value(*gamma);
-                    let (dx, dgamma, dbeta) = match &aux[node.id.0] {
-                        Aux::Bn(stats) => {
-                            batch_norm_backward_from_input(&dy, gv, out(node.inputs[0]), stats)
-                        }
-                        Aux::BnXhat(saved) => batch_norm_backward(&dy, gv, saved),
+                    let stats = match &aux[node.id.0] {
+                        Aux::Bn(stats) => stats,
                         _ => unreachable!("bn saved stats in train mode"),
                     };
+                    let (dx, dgamma, dbeta) =
+                        batch_norm_backward_from_input(&dy, gv, out(node.inputs[0]), stats);
                     params.accumulate_grad(*gamma, &dgamma);
                     params.accumulate_grad(*beta, &dbeta);
                     push(grads, node.inputs[0], dx);
@@ -846,17 +831,18 @@ mod tests {
         }
     }
 
-    /// A BN whose backward re-reads its input keeps only the two
-    /// per-channel vectors the plan budgets (`Op::aux_saved_bytes`), not an
-    /// activation-sized `x̂`; a `recompute: true` BN keeps `x̂`.
+    /// A BN keeps only the two per-channel vectors the plan budgets
+    /// (`Op::aux_saved_bytes`), not an activation-sized `x̂` — whatever its
+    /// `recompute` flag says: the flag is a planner fact, and an executed
+    /// training plan refuses it.
     #[test]
     fn train_forward_keeps_bn_statistics_not_xhat() {
         let (n, c, hw) = (3, 4, 8);
         let mut g = Graph::new();
         let x = g.input(&[n, 2, hw, hw]);
         let c1 = g.conv2d(x, c, 3, 1, Padding2d::symmetric(1), true, "c1");
-        let stats_bn = g.batch_norm(c1, false, "bn");
-        let xhat_bn = g.batch_norm(c1, true, "bn_recompute");
+        let plain_bn = g.batch_norm(c1, false, "bn");
+        let flagged_bn = g.batch_norm(c1, true, "bn_recompute");
 
         let mut rng = SplitRng::seed_from_u64(5);
         let params = ParamStore::init(&g, &mut rng);
@@ -875,13 +861,11 @@ mod tests {
             Executor::new().forward_wave(&ctx, id..id + 1, &mut slots, &mut [&mut VecProvider]);
         }
         let f32s = |v: &[f32]| std::mem::size_of_val(v);
-        match &slots[0].aux[stats_bn.0] {
-            Aux::Bn(s) => assert_eq!(f32s(&s.mean) + f32s(&s.inv_std), 2 * 4 * c),
-            _ => panic!("a BN that re-reads its input saves statistics only"),
-        }
-        match &slots[0].aux[xhat_bn.0] {
-            Aux::BnXhat(s) => assert_eq!(f32s(s.xhat.as_slice()), 4 * n * c * hw * hw),
-            _ => panic!("a recompute BN saves x̂"),
+        for bn in [plain_bn, flagged_bn] {
+            match &slots[0].aux[bn.0] {
+                Aux::Bn(s) => assert_eq!(f32s(&s.mean) + f32s(&s.inv_std), 2 * 4 * c),
+                _ => panic!("BN node {} saves statistics only", bn.0),
+            }
         }
     }
 

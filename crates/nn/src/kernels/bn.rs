@@ -36,12 +36,12 @@ pub struct BnStats {
     pub inv_std: Vec<f32>,
 }
 
-/// [`BnStats`] plus the materialised normalized input, for a backward that
-/// may not re-read the BN's input: a `recompute: true` node, whose input
-/// the plan frees before backward (the flag models the variant of \[6\],
-/// the paper's §6.3, that recomputes `x̂` from the *output*; it changes the
-/// *memory model* in `scnn-hmms`, never the arithmetic), and callers of
-/// the tensor-level [`batch_norm_train`] / [`batch_norm_backward`] pair.
+/// [`BnStats`] plus the materialised normalized input: what the
+/// tensor-level [`batch_norm_train`] / [`batch_norm_backward`] pair hands
+/// between forward and backward. No executed graph keeps one — the
+/// executor keeps [`BnStats`] and regenerates `x̂` from the input — so
+/// only direct callers of that pair (the repo benchmark's kernel probes,
+/// the kernel benches and tests) pay for it.
 #[derive(Clone, Debug)]
 pub struct BnSaved {
     /// Per-channel batch mean.
@@ -78,19 +78,7 @@ pub fn batch_norm_forward(
 /// [`batch_norm_train_stats`] plus the materialised `x̂` — one more
 /// elementwise pass, which only this wrapper pays.
 pub fn batch_norm_train(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> (Tensor, BnSaved, Vec<f32>) {
-    let (y, (saved, var)) = fresh(x.shape().dims(), |y| batch_norm_train_into(x, gamma, beta, y));
-    (y, saved, var)
-}
-
-/// [`batch_norm_train`] with the output written into `y`; every element is
-/// overwritten. Returns the saved state and the batch variance.
-pub fn batch_norm_train_into(
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    y: &mut Tensor,
-) -> (BnSaved, Vec<f32>) {
-    let (BnStats { mean, inv_std }, var) = batch_norm_train_stats_into(x, gamma, beta, y);
+    let (y, BnStats { mean, inv_std }, var) = batch_norm_train_stats(x, gamma, beta);
     let mut xhat = Tensor::zeros(x.shape().dims());
     par_planes(x, &mut xhat, |ch, xp, out| {
         let (mu, s) = (mean[ch], inv_std[ch]);
@@ -98,14 +86,7 @@ pub fn batch_norm_train_into(
             *o = (v - mu) * s;
         }
     });
-    (
-        BnSaved {
-            mean,
-            inv_std,
-            xhat,
-        },
-        var,
-    )
+    (y, BnSaved { mean, inv_std, xhat }, var)
 }
 
 /// Training forward without the running-statistics side effect: returns

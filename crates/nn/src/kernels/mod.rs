@@ -20,8 +20,8 @@ mod pool;
 
 pub use bn::{
     batch_norm_backward, batch_norm_backward_from_input, batch_norm_forward,
-    batch_norm_inference, batch_norm_inference_into, batch_norm_train, batch_norm_train_into,
-    batch_norm_train_stats, batch_norm_train_stats_into, update_running, BnSaved, BnStats,
+    batch_norm_inference, batch_norm_inference_into, batch_norm_train, batch_norm_train_stats,
+    batch_norm_train_stats_into, update_running, BnSaved, BnStats,
 };
 pub use conv::{
     conv2d_backward, conv2d_backward_micro, conv2d_backward_with, conv2d_forward,

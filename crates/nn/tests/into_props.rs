@@ -5,7 +5,7 @@
 
 use scnn_nn::kernels::{
     add_forward_into, avg_pool_forward, avg_pool_forward_into, batch_norm_inference,
-    batch_norm_inference_into, batch_norm_train, batch_norm_train_into, batch_norm_train_stats,
+    batch_norm_inference_into, batch_norm_train_stats,
     batch_norm_train_stats_into, conv2d_forward_micro, conv2d_forward_micro_into,
     dropout_apply_into, dropout_mask, global_avg_pool_forward, global_avg_pool_forward_into,
     linear_forward, linear_forward_into, max_pool_forward, max_pool_forward_into, relu_forward,
@@ -107,10 +107,6 @@ fn batch_norm_intos_overwrite_a_nan_buffer() {
             "train statistics"
         );
 
-        let (want, want_saved, _) = batch_norm_train(&x, &gamma, &beta);
-        let mut got = nan_like(&want);
-        let (saved, _) = batch_norm_train_into(&x, &gamma, &beta, &mut got);
-        prop_assert!(same_bits(&want, &got) && same_bits(&want_saved.xhat, &saved.xhat), "train x̂");
 
         let want = batch_norm_inference(&x, &gamma, &beta, &rm, &rv);
         let mut got = nan_like(&want);

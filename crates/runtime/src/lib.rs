@@ -16,12 +16,19 @@
 //!   before their backward reader, as §4.3 schedules. The immutable half
 //!   ([`PlanTables`]) is shared, so a runtime per serving slot is cheap;
 //!   the host tier and its thread exist only for plans that offload.
-//! - [`PoolGauge`] replays the plan's addresses and verifies them live
-//!   (no overlap, no leak); its high-water mark equals the static
-//!   layout's `device_general_bytes`, which the golden tests pin.
 //! - [`MeterProvider`] (re-exported from `scnn-nn`) measures the
 //!   unmanaged Vec-per-node baseline so benchmarks can report the
 //!   runtime's actual savings.
+//!
+//! One ledger: the plan counts, the runtime holds. A plan's legality
+//! (no two live TSOs overlapping, nothing live past the step) is checked
+//! once, where it is made — `scnn_hmms::plan_layout_with` at export —
+//! and its pool size is `plan().layout.device_general_bytes`. The
+//! runtime reports the one physical meter, [`StepStats`]'
+//! `resident_peak_bytes`, which never exceeds that pool; every byte a
+//! step keeps between forward and backward is a byte the plan counts,
+//! which is why a training plan over a `recompute: true` batch norm is
+//! refused ([`RuntimeError::RecomputeBn`]).
 //!
 //! Placement is the only thing the runtime changes: training under
 //! [`PlanRuntime`] is bit-identical to the baseline at any thread count.
@@ -44,15 +51,14 @@
 //! let mut rng = scnn_rng::SplitRng::seed_from_u64(13);
 //! exec.run_with(&graph, &mut params, &mut bn, &images, &labels,
 //!               Mode::Train, &mut rng, &mut rt);
-//! println!("device peak: {} B", rt.stats().plan_device_peak_bytes);
+//! println!("resident peak: {} B of a {} B planned pool",
+//!          rt.stats().resident_peak_bytes, rt.plan().layout.device_general_bytes);
 //! # }
 //! ```
 
 pub mod host;
-pub mod pool;
 pub mod provider;
 
 pub use host::HostArena;
-pub use pool::PoolGauge;
 pub use provider::{PlanRuntime, PlanTables, RuntimeError, StepStats};
 pub use scnn_nn::MeterProvider;

@@ -8,9 +8,9 @@
 //! - every node output is written into a fresh `Vec` (the default
 //!   [`BufferProvider::output`] hook) and adopted as the kernel filled it —
 //!   counted into the resident total and handed straight back;
-//! - the plan's Alloc/Free events replay through a [`PoolGauge`] at the
-//!   planner's own addresses — the gauge's high-water mark *is* the
-//!   `device_general_bytes` the static layout promised;
+//! - Alloc events need no action: the planner's addresses were checked
+//!   for overlap when the plan was exported, and the buffer they stand
+//!   for is the one the kernel just filled;
 //! - Free events (and an eager in-place-aliasing pass) drop activation
 //!   entries from the executor's `outputs` table the moment their planned
 //!   lifetime ends, which returns the buffer to the allocator;
@@ -27,8 +27,8 @@
 //! positions and asserts each hook arrives at it, so a step's events
 //! replay the moment its node lands: buffers die where the planner freed
 //! them, an offload is issued while the next node computes, and the event
-//! order the gauge sees is exactly the order `plan_layout` validated. A
-//! caller that lands nodes out of order fails the assert instead of
+//! order the runtime replays is exactly the order `plan_layout` validated.
+//! A caller that lands nodes out of order fails the assert instead of
 //! replaying a plan that is no longer true of it.
 //!
 //! # Determinism
@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 
-use scnn_graph::Graph;
+use scnn_graph::{Graph, Op};
 use scnn_hmms::{
     export_plan, export_plan_with, ExecPlan, LayoutError, LayoutOptions, MemEvent, MemoryPlan,
     TsoAssignment,
@@ -53,17 +53,15 @@ use scnn_par::background::{Ticket, Worker};
 use scnn_tensor::Tensor;
 
 use crate::host::HostArena;
-use crate::pool::PoolGauge;
 
-/// What one step under the runtime cost, memory-wise.
+/// What one step under the runtime cost, memory-wise. What the plan
+/// reserved is not here: it is `plan().layout` (`device_general_bytes`,
+/// `device_workspace_bytes`), fixed when the plan was made.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StepStats {
-    /// High-water mark of the device general pool as the plan's events
-    /// replayed — the runtime-measured counterpart of
-    /// `StaticLayout::device_general_bytes`.
-    pub plan_device_peak_bytes: usize,
     /// Peak of physically resident activation bytes (the `outputs` table),
-    /// sampled at every lifetime hook.
+    /// sampled at every lifetime hook — at most the plan's
+    /// `device_general_bytes`.
     pub resident_peak_bytes: usize,
     /// Host arena capacity (bytes staged off-device by the plan).
     pub host_bytes: usize,
@@ -76,10 +74,6 @@ pub struct StepStats {
     /// engine's pack panels and GEMM partials. Reset at `begin_step`, so
     /// it covers exactly one step.
     pub scratch_peak_bytes: usize,
-    /// Workspace-role bytes the static layout planned for this step
-    /// (`StaticLayout::device_workspace_bytes`): the planner's counterpart
-    /// of `scratch_peak_bytes`, carved out of `plan_device_peak_bytes`.
-    pub plan_workspace_bytes: usize,
 }
 
 /// Why a [`PlanRuntime`] could not be built.
@@ -94,6 +88,16 @@ pub enum RuntimeError {
         /// Nodes in the graph it was paired with.
         graph_nodes: usize,
     },
+    /// A training plan over a graph with a `recompute: true` batch norm:
+    /// the plan frees that node's input after forward, but its backward
+    /// regenerates `x̂` from that input. (Eval-only plans, and the
+    /// unplanned providers, run such graphs unchanged.)
+    RecomputeBn {
+        /// The batch-norm node's id.
+        node: usize,
+        /// The batch-norm node's name.
+        name: String,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -103,6 +107,11 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::GraphMismatch { plan_nodes, graph_nodes } => write!(
                 f,
                 "plan covers {plan_nodes} forward nodes, graph has {graph_nodes}"
+            ),
+            RuntimeError::RecomputeBn { node, name } => write!(
+                f,
+                "node {node} ({name}) is a recompute batch norm: a training plan frees \
+                 the input its backward reads"
             ),
         }
     }
@@ -136,13 +145,20 @@ impl PlanTables {
     /// # Errors
     ///
     /// [`RuntimeError::GraphMismatch`] when `plan` was exported for a graph
-    /// of a different length.
+    /// of a different length; [`RuntimeError::RecomputeBn`] when `plan`
+    /// trains (`steps.len() > forward_len`) a graph with a
+    /// `recompute: true` batch norm.
     pub fn new(graph: &Graph, plan: ExecPlan) -> Result<Arc<Self>, RuntimeError> {
         if plan.forward_len != graph.len() {
             return Err(RuntimeError::GraphMismatch {
                 plan_nodes: plan.forward_len,
                 graph_nodes: graph.len(),
             });
+        }
+        let trains = plan.steps.len() > plan.forward_len;
+        let recompute = |op: &Op| matches!(op, Op::BatchNorm { recompute: true, .. });
+        if let Some(n) = graph.nodes().iter().find(|n| trains && recompute(&n.op)) {
+            return Err(RuntimeError::RecomputeBn { node: n.id.0, name: n.name.clone() });
         }
         let consumers: Vec<Vec<usize>> = graph
             .consumers()
@@ -175,8 +191,6 @@ pub struct PlanRuntime {
     transfer: Option<(Arc<HostArena>, Worker)>,
 
     // Per-step replay state.
-    gauge: PoolGauge,
-    instance: Vec<usize>,
     /// The tape position whose hooks come next.
     cursor: usize,
     /// Node whose output currently holds each TSO's bits (last completed
@@ -196,8 +210,7 @@ impl PlanRuntime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::GraphMismatch`] when `plan` was exported for a graph
-    /// of a different length.
+    /// As [`PlanTables::new`].
     pub fn new(graph: &Graph, plan: ExecPlan) -> Result<Self, RuntimeError> {
         Ok(PlanRuntime::from_tables(PlanTables::new(graph, plan)?))
     }
@@ -210,8 +223,6 @@ impl PlanRuntime {
         PlanRuntime {
             tables,
             transfer,
-            gauge: PoolGauge::new(),
-            instance: Vec::new(),
             cursor: 0,
             content: Vec::new(),
             pending_offload: HashMap::new(),
@@ -226,7 +237,8 @@ impl PlanRuntime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::Layout`] when the plan fails layout replay.
+    /// [`RuntimeError::Layout`] when the plan fails layout replay, else as
+    /// [`PlanTables::new`].
     pub fn from_plan(
         graph: &Graph,
         tape: &scnn_graph::Tape,
@@ -321,13 +333,8 @@ impl PlanRuntime {
         let plan = &tables.plan;
         for event in events {
             match *event {
-                MemEvent::Alloc(t) => {
-                    let inst = self.instance[t.0];
-                    self.instance[t.0] += 1;
-                    self.gauge.alloc(t.0, plan.layout.addresses[&(t, inst)], plan.sizes[t.0]);
-                }
+                MemEvent::Alloc(_) => {}
                 MemEvent::Free(t) => {
-                    self.gauge.free(t.0);
                     if plan.is_activation[t.0] {
                         for &nid in &plan.alias_nodes[t.0] {
                             self.release(nid, outputs);
@@ -406,14 +413,11 @@ impl BufferProvider for PlanRuntime {
             self.pending_offload.is_empty() && self.pending_prefetch.is_empty(),
             "previous step left transfers in flight"
         );
-        self.gauge = PoolGauge::new();
-        self.instance = vec![0; n_tso];
         self.cursor = 0;
         self.content = vec![None; n_tso];
         self.resident = 0;
         self.stats = StepStats {
             host_bytes: self.tables.plan.layout.host_pool_bytes,
-            plan_workspace_bytes: self.tables.plan.layout.device_workspace_bytes,
             ..StepStats::default()
         };
         // Scope the kernel-scratch high-water mark to this step.
@@ -464,12 +468,10 @@ impl BufferProvider for PlanRuntime {
             "the pass must cover the whole plan: forward + backward for a \
              training plan, forward alone for an inference plan"
         );
-        assert!(self.gauge.is_empty(), "plan left TSOs live past the step");
         assert!(
             self.pending_offload.is_empty() && self.pending_prefetch.is_empty(),
             "plan left transfers unsynchronized"
         );
-        self.stats.plan_device_peak_bytes = self.gauge.high_water();
         self.stats.scratch_peak_bytes = scnn_par::scratch::peak_bytes();
     }
 }

@@ -21,9 +21,9 @@ use scnn_runtime::MeterProvider;
 use scnn_tensor::{uniform, Tensor};
 
 /// The graphs under test: ResNet-18 split 2×2 and unsplit, VGG-19 with
-/// recompute BNs (the `x̂`-saving train arm), and AlexNet with its two
-/// dropouts — between them every forward arm but average pooling, which
-/// the kernel-level `_into` tests cover.
+/// recompute-flagged BNs (which unplanned providers run like any BN), and
+/// AlexNet with its two dropouts — between them every forward arm but
+/// average pooling, which the kernel-level `_into` tests cover.
 fn model_graphs() -> Vec<(&'static str, Graph)> {
     let resnet = resnet18(&ModelOptions::cifar().with_width(0.125));
     let split = plan_split(&resnet, &SplitConfig::new(0.5, 2, 2)).expect("resnet splits");

@@ -1,8 +1,11 @@
 //! End-to-end properties of the plan-executing runtime:
 //!
-//! - **Golden agreement** — the peak the runtime *measures* while
-//!   replaying a plan equals the peak the static layout *predicted*, for
-//!   every strategy, on a VGG tower and a split ResNet;
+//! - **Planned means physical, one way, on every plan** — what a step
+//!   keeps resident never exceeds the pool its plan reserved, on a VGG
+//!   tower and a split ResNet × zero / engine workspace × first-fit /
+//!   packed layout × every strategy, the host tier and transfer counts are
+//!   the plan's, and the strategies order the way their plans do: HMMS
+//!   below no-offload below the Vec-per-node baseline;
 //! - **Bit identity** — training under [`PlanRuntime`] produces the same
 //!   losses and the same parameter bits as the Vec-per-node baseline, at
 //!   any thread count;
@@ -12,14 +15,11 @@
 //!   for: `forward_complete` follows every `adopt`, in ascending node id,
 //!   so each planned event replays at its own tape position and the first
 //!   offload is in flight while later patches still compute;
-//! - **Planned means physical, one way** — what a step keeps resident
-//!   never exceeds the pool its plan reserved, for every strategy, and the
-//!   strategies order the way their plans do: HMMS below no-offload below
-//!   the Vec-per-node baseline;
 //! - **Adoption is the identity, and one meter** — `adopt` returns the
 //!   very buffer the kernel made, and `resident_bytes()` equals the bytes
 //!   in the `outputs` table after every lifetime hook;
-//! - **Failures are values** — a plan paired with the wrong graph is a
+//! - **Failures are values** — a plan paired with the wrong graph, or a
+//!   training plan over a `recompute: true` batch norm, is a
 //!   `RuntimeError`, not a panic.
 
 use scnn_core::{conv_engine_workspace, lower_unsplit, plan_split, SplitConfig};
@@ -31,7 +31,7 @@ use scnn_hmms::{
 use scnn_models::{resnet18, vgg19, ModelOptions};
 use scnn_nn::{BnState, BufferProvider, Executor, Mode, ParamStore, Sgd, VecProvider};
 use scnn_rng::SplitRng;
-use scnn_runtime::{MeterProvider, PlanRuntime, RuntimeError, StepStats};
+use scnn_runtime::{MeterProvider, PlanRuntime, RuntimeError};
 use scnn_tensor::{uniform, Tensor};
 
 fn vgg_graph(batch: usize) -> Graph {
@@ -103,32 +103,31 @@ fn step_with(
 }
 
 #[test]
-fn runtime_peak_matches_static_layout_prediction() {
-    for graph in [vgg_graph(2), split_resnet_graph(2)] {
-        let (tape, tso, plans) = plans(&graph);
-        let (images, labels) = batch_for(&graph, 11);
-        for plan in plans {
-            let exec = scnn_hmms::export_plan(&graph, &tape, &plan, &tso).expect("plan exports");
-            let predicted = exec.layout.device_general_bytes;
-            let predicted_host = exec.layout.host_pool_bytes;
-            let mut rt = PlanRuntime::new(&graph, exec).expect("runtime builds");
-            let mut params = ParamStore::init(&graph, &mut SplitRng::seed_from_u64(1));
-            let mut bn = BnState::new();
-            let mut rng = SplitRng::seed_from_u64(2);
-            step_with(&graph, &mut params, &mut bn, &mut rng, &images, &labels, &mut rt);
-            let stats = rt.stats();
-            assert_eq!(
-                stats.plan_device_peak_bytes, predicted,
-                "strategy {} measured a different device peak than planned",
-                plan.strategy
-            );
-            assert_eq!(
-                stats.host_bytes, predicted_host,
-                "strategy {} host pool mismatch",
-                plan.strategy
-            );
-            assert_eq!(stats.offloads, plan.offloaded.len());
-            assert_eq!(stats.prefetches, plan.offloaded.len());
+fn resident_stays_within_the_planned_pool_on_every_plan() {
+    let models = [("vgg19 w0.125", vgg_graph(2)), ("split resnet18 w0.25", split_resnet_graph(2))];
+    for (model, graph) in &models {
+        let (images, labels) = batch_for(graph, 11);
+        for (workspace, (tape, tso, plans)) in
+            [("zero", plans(graph)), ("engine", plans_with_workspace(graph))]
+        {
+            for (layout, opts) in [("first-fit", LayoutOptions::default()), ("packed", OVERLAP)] {
+                for plan in &plans {
+                    let at = format!("{model}, {workspace} workspace, {layout}, {}", plan.strategy);
+                    let mut rt = PlanRuntime::from_plan_with(graph, &tape, plan, &tso, opts)
+                        .unwrap_or_else(|e| panic!("{at}: {e}"));
+                    fresh_step(graph, &images, &labels, &mut rt);
+                    let (stats, planned) = (rt.stats(), &rt.plan().layout);
+                    assert!(
+                        stats.resident_peak_bytes <= planned.device_general_bytes,
+                        "{at}: {} B resident in a planned pool of {} B",
+                        stats.resident_peak_bytes,
+                        planned.device_general_bytes
+                    );
+                    assert_eq!(stats.host_bytes, planned.host_pool_bytes, "{at}: host pool");
+                    assert_eq!(stats.offloads, plan.offloaded.len(), "{at}: offloads");
+                    assert_eq!(stats.prefetches, plan.offloaded.len(), "{at}: prefetches");
+                }
+            }
         }
     }
 }
@@ -165,35 +164,6 @@ fn workspace_overlap_strictly_shrinks_planned_pool() {
                     plan.strategy
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn overlap_runtime_measures_exactly_the_packed_layout() {
-    // Golden agreement under the packed layout: the pool high-water the
-    // runtime measures while replaying the overlapped plan equals the
-    // packed layout's planned pool, for every strategy on both models.
-    for graph in [vgg_graph(2), split_resnet_graph(2)] {
-        let (tape, tso, plans) = plans_with_workspace(&graph);
-        let (images, labels) = batch_for(&graph, 11);
-        let overlap = LayoutOptions {
-            overlap_workspace: true,
-        };
-        for plan in plans {
-            let mut rt = PlanRuntime::from_plan_with(&graph, &tape, &plan, &tso, overlap)
-                .expect("plan is legal with overlap");
-            let predicted = rt.plan().layout.device_general_bytes;
-            let mut params = ParamStore::init(&graph, &mut SplitRng::seed_from_u64(1));
-            let mut bn = BnState::new();
-            let mut rng = SplitRng::seed_from_u64(2);
-            step_with(&graph, &mut params, &mut bn, &mut rng, &images, &labels, &mut rt);
-            let stats = rt.stats();
-            assert_eq!(
-                stats.plan_device_peak_bytes, predicted,
-                "strategy {} measured a different device peak than packed",
-                plan.strategy
-            );
         }
     }
 }
@@ -261,13 +231,15 @@ fn training_is_bit_identical_to_vec_baseline_at_any_thread_count() {
     }
 }
 
-/// A `recompute: true` BN may not re-read its input in backward — the
-/// plan frees it after forward — so the executor keeps `x̂` for such a
-/// node. The graph trains to the same bits under every plan as on the
-/// Vec-per-node path, and to the same bits as the graph without the flag:
-/// it changes the memory model, never the arithmetic.
+/// A `recompute: true` BN tells the planner its input is dead after
+/// forward, but the executor's BN backward regenerates `x̂` from that
+/// input and keeps nothing else: every plan that trains such a graph is
+/// refused, as a value naming the first flagged node. Off the plans the
+/// flag changes nothing — the Vec-per-node path trains the flagged graph
+/// to the unflagged graph's bits (and `serve_props` serves it to the
+/// unflagged logits).
 #[test]
-fn bn_recompute_graph_trains_bit_identically_under_every_plan() {
+fn bn_recompute_training_plan_is_refused_and_the_graph_trains_unflagged_bits() {
     let lower = |opts: ModelOptions| {
         let desc = resnet18(&opts.with_width(0.25));
         plan_split(&desc, &SplitConfig::new(0.5, 2, 2))
@@ -275,11 +247,20 @@ fn bn_recompute_graph_trains_bit_identically_under_every_plan() {
             .lower(&desc, 2)
     };
     let graph = lower(ModelOptions::cifar().with_bn_recompute());
-    assert!(
-        graph.nodes().iter().any(|n| matches!(n.op, Op::BatchNorm { recompute: true, .. })),
-        "the flag reached the lowered graph"
-    );
-    let two_steps = |graph: &Graph, provider: &mut dyn BufferProvider| {
+    let first = graph
+        .nodes()
+        .iter()
+        .find(|n| matches!(n.op, Op::BatchNorm { recompute: true, .. }))
+        .expect("the flag reached the lowered graph");
+    let (tape, tso, plans) = plans(&graph);
+    for plan in &plans {
+        let err = PlanRuntime::from_plan(&graph, &tape, plan, &tso)
+            .err()
+            .unwrap_or_else(|| panic!("{}: a training plan over a recompute BN built", plan.strategy));
+        assert_eq!(err, RuntimeError::RecomputeBn { node: first.id.0, name: first.name.clone() });
+    }
+
+    let two_steps = |graph: &Graph| {
         let mut params = ParamStore::init(graph, &mut SplitRng::seed_from_u64(7));
         let mut bn = BnState::new();
         let mut rng = SplitRng::seed_from_u64(13);
@@ -288,28 +269,18 @@ fn bn_recompute_graph_trains_bit_identically_under_every_plan() {
         for step in 0..2 {
             let (images, labels) = batch_for(graph, 100 + step);
             losses.push(step_with(
-                graph, &mut params, &mut bn, &mut rng, &images, &labels, provider,
+                graph, &mut params, &mut bn, &mut rng, &images, &labels, &mut VecProvider,
             ));
             sgd.step(&mut params);
         }
         (losses, params)
     };
-    let same = |what: &str, got: &(Vec<f32>, ParamStore), want: &(Vec<f32>, ParamStore)| {
-        assert_eq!(got.0, want.0, "losses diverged: {what}");
-        for i in 0..graph.params().len() {
-            let (a, b) = (want.1.value(ParamId(i)), got.1.value(ParamId(i)));
-            assert_eq!(a.as_slice(), b.as_slice(), "param {i} bits diverged: {what}");
-        }
-    };
-
-    let reference = two_steps(&graph, &mut VecProvider);
-    let (tape, tso, plans) = plans(&graph);
-    for (plan, name) in plans.iter().zip(["no-offload", "vDNN", "HMMS"]) {
-        let mut rt = PlanRuntime::from_plan(&graph, &tape, plan, &tso).expect("plan is legal");
-        same(name, &two_steps(&graph, &mut rt), &reference);
+    let (flagged, unflagged) = (two_steps(&graph), two_steps(&lower(ModelOptions::cifar())));
+    assert_eq!(flagged.0, unflagged.0, "losses diverged");
+    for i in 0..graph.params().len() {
+        let (a, b) = (unflagged.1.value(ParamId(i)), flagged.1.value(ParamId(i)));
+        assert_eq!(a.as_slice(), b.as_slice(), "param {i} bits diverged");
     }
-    let unflagged = lower(ModelOptions::cifar());
-    same("without the flag", &two_steps(&unflagged, &mut VecProvider), &reference);
 }
 
 #[test]
@@ -500,38 +471,27 @@ fn a_plan_for_another_graph_is_an_error_value() {
 }
 
 #[test]
-fn resident_stays_within_the_planned_pool_and_orders_like_the_plans() {
+fn resident_peaks_order_like_the_plans() {
     let graph = split_resnet_graph(2);
     let (tape, tso, plans) = plans_with_workspace(&graph);
     let (images, labels) = batch_for(&graph, 21);
-    let stats: Vec<StepStats> = plans
+    let resident: Vec<usize> = plans
         .iter()
         .map(|plan| {
             let mut rt = PlanRuntime::from_plan_with(&graph, &tape, plan, &tso, OVERLAP)
                 .expect("plan is legal with overlap");
             fresh_step(&graph, &images, &labels, &mut rt);
-            let stats = rt.stats();
-            assert!(
-                stats.resident_peak_bytes <= stats.plan_device_peak_bytes,
-                "{}: {} B resident in a planned pool of {} B",
-                plan.strategy,
-                stats.resident_peak_bytes,
-                stats.plan_device_peak_bytes
-            );
-            stats
+            rt.stats().resident_peak_bytes
         })
         .collect();
 
     let mut meter = MeterProvider::new();
     fresh_step(&graph, &images, &labels, &mut meter);
     // `plans_with_workspace` order: no_offload, vdnn, hmms.
-    let (no_offload, hmms) = (stats[0], stats[2]);
+    let (no_offload, hmms) = (resident[0], resident[2]);
     assert!(
-        hmms.resident_peak_bytes < no_offload.resident_peak_bytes
-            && no_offload.resident_peak_bytes < meter.peak_bytes(),
-        "resident peaks out of order: hmms {} B, no_offload {} B, Vec-per-node {} B",
-        hmms.resident_peak_bytes,
-        no_offload.resident_peak_bytes,
+        hmms < no_offload && no_offload < meter.peak_bytes(),
+        "resident peaks out of order: hmms {hmms} B, no_offload {no_offload} B, Vec-per-node {} B",
         meter.peak_bytes()
     );
 }

@@ -119,18 +119,6 @@ impl Default for BatchPolicy {
     }
 }
 
-/// What [`crate::Server::start`] does when `replicas × max_batch` plans
-/// more pool bytes than the configured budget allows.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OverBudget {
-    /// Refuse to start: return [`ServeError::OverBudget`].
-    Reject,
-    /// Clamp `max_batch` down to the largest per-replica concurrency that
-    /// fits, warning once on stderr. Still rejects when not even one
-    /// request per replica fits.
-    Clamp,
-}
-
 /// Configuration for [`crate::Server::start`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -146,11 +134,9 @@ pub struct ServerConfig {
     pub policy: BatchPolicy,
     /// Planned device byte budget. When `Some`, startup cross-checks that
     /// `params + replicas × max_batch × pool` fits — the serving
-    /// counterpart of the Fig. 10 capacity bound — and applies
-    /// [`ServerConfig::on_over_budget`] if it does not.
+    /// counterpart of the Fig. 10 capacity bound — and refuses to start
+    /// with [`ServeError::OverBudget`] if it does not.
     pub budget_bytes: Option<usize>,
-    /// Reject or clamp an over-budget `max_batch` (default: reject).
-    pub on_over_budget: OverBudget,
     /// Thread-count override applied inside each replica thread via
     /// [`scnn_par::with_threads`] — the overrides are thread-local, so
     /// tests sweeping `SCNN_THREADS` in-process must thread them through
@@ -165,7 +151,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             policy: BatchPolicy::default(),
             budget_bytes: None,
-            on_over_budget: OverBudget::Reject,
             worker_threads: None,
         }
     }

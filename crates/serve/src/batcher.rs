@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use scnn_tensor::Tensor;
 
-use crate::admission::{OverBudget, ServeError, ServerConfig, SloClass};
+use crate::admission::{ServeError, ServerConfig, SloClass};
 use crate::dispatch::{replica_loop, BatchRunner};
 use crate::engine::{per_replica_fit, Engine};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -106,22 +106,9 @@ pub struct Server {
     shared: Arc<Shared>,
     replicas: Vec<JoinHandle<()>>,
     request_shape: Vec<usize>,
-    /// Effective per-replica batch bound (post-clamp).
+    /// Per-replica batch bound.
     max_batch: usize,
     replica_count: usize,
-}
-
-/// Warns once per process when a server clamps an over-budget
-/// `max_batch` — repeated server starts with the same bad config should
-/// not spam stderr.
-fn warn_clamped_once(requested: usize, fits: usize) {
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    if !WARNED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "scnn-serve: max_batch {requested} exceeds the planned memory budget; \
-             clamped to {fits} (params + replicas × max_batch × pool must fit budget_bytes)"
-        );
-    }
 }
 
 impl Server {
@@ -131,8 +118,7 @@ impl Server {
     /// footprint `params + replicas × max_batch × pool` is cross-checked
     /// against it (the serving Fig. 10 bound, the formula behind
     /// [`Engine::max_concurrency_replicated`]); an over-budget
-    /// `max_batch` is rejected or clamped per
-    /// [`ServerConfig::on_over_budget`].
+    /// `max_batch` is an error, never silently shrunk.
     ///
     /// # Errors
     ///
@@ -152,25 +138,14 @@ impl Server {
     /// As [`Server::start`].
     pub fn start_with_runner(
         runner: Arc<dyn BatchRunner>,
-        mut config: ServerConfig,
+        config: ServerConfig,
     ) -> Result<Server, ServeError> {
         config.validate()?;
         if let (Some(budget), Some((params, pool))) = (config.budget_bytes, runner.planned_bytes())
         {
             let fits = per_replica_fit(budget, config.replicas, params, pool);
             if fits < config.policy.max_batch {
-                match config.on_over_budget {
-                    OverBudget::Clamp if fits >= 1 => {
-                        warn_clamped_once(config.policy.max_batch, fits);
-                        config.policy.max_batch = fits;
-                    }
-                    _ => {
-                        return Err(ServeError::OverBudget {
-                            requested: config.policy.max_batch,
-                            fits,
-                        })
-                    }
-                }
+                return Err(ServeError::OverBudget { requested: config.policy.max_batch, fits });
             }
         }
 
@@ -279,8 +254,8 @@ impl Server {
         self.shared.queue.depth()
     }
 
-    /// Effective per-replica batch bound — the configured `max_batch`,
-    /// possibly clamped by the budget cross-check at startup.
+    /// Per-replica batch bound — the configured `max_batch`, which the
+    /// budget cross-check at startup admitted.
     pub fn max_batch(&self) -> usize {
         self.max_batch
     }

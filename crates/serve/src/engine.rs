@@ -31,12 +31,11 @@
 //!
 //! # Memory accounting
 //!
-//! Every slot's runtime replays the plan's Alloc/Free events at the
-//! planner's own addresses, validating non-overlap live, and each slot's
-//! high-water mark is asserted to equal
-//! `StaticLayout::device_general_bytes` exactly — a batch's pool is
-//! `slots ×` that, a planned quantity, not an accident of scheduling.
-//! [`BatchStats::resident_peak`] is the engine's own sample: the slots'
+//! The plan counts and the runtime holds. A batch's planned pool is
+//! `slots × StaticLayout::device_general_bytes` — a planned quantity,
+//! checked once when [`Engine::new`] exported the plan (a layout whose
+//! live TSOs overlap is a [`RuntimeError::Layout`] there), not replayed
+//! per batch. [`BatchStats::resident_peak`] is the engine's own sample: the slots'
 //! [`PlanRuntime::resident_bytes`] counters summed once per wave, *after*
 //! that wave's lifetime events — what the process holds between waves.
 //! (The runtime's own peak is per node and before the drops: a training
@@ -53,15 +52,11 @@ use scnn_tensor::Tensor;
 /// Memory accounting for one executed batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Measured pool high-water: the sum over slots of each slot's mark as
-    /// its plan events replayed.
-    pub pool_high_water: usize,
     /// What the static layout planned for this concurrency:
-    /// `slots × device_general_bytes`. [`Engine::run_batch`] asserts every
-    /// slot's measured mark equals its share exactly.
+    /// `slots × device_general_bytes`.
     pub planned_pool_bytes: usize,
     /// Peak of physically resident activation bytes across all slots,
-    /// sampled after every wave.
+    /// sampled after every wave — at most `planned_pool_bytes`.
     pub resident_peak: usize,
 }
 
@@ -126,8 +121,9 @@ impl Engine {
     /// # Errors
     ///
     /// [`RuntimeError::Layout`] when the forward-only plan fails layout
-    /// replay. (The plan is exported from `graph` itself, so
-    /// [`RuntimeError::GraphMismatch`] cannot arise.)
+    /// replay. (The plan is exported from `graph` itself and trains
+    /// nothing, so neither [`RuntimeError::GraphMismatch`] nor
+    /// [`RuntimeError::RecomputeBn`] can arise.)
     ///
     /// # Panics
     ///
@@ -224,11 +220,8 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics when `requests` is empty, when a request's shape disagrees
-    /// with the graph input, or when a slot's measured pool high-water
-    /// deviates from the planned layout bytes — the latter would mean the
-    /// plan and the execution disagree, a bug this runtime must not paper
-    /// over.
+    /// Panics when `requests` is empty or a request's shape disagrees
+    /// with the graph input.
     pub fn run_batch(&self, requests: &[Tensor]) -> (Vec<Vec<f32>>, BatchStats) {
         assert!(!requests.is_empty(), "a batch holds at least one request");
         let n = self.graph.len();
@@ -260,18 +253,13 @@ impl Engine {
             resident_peak = resident_peak.max(live);
         }
 
-        let per_slot = self.plan().layout.device_general_bytes;
-        let mut pool_high_water = 0;
         let mut logits = Vec::with_capacity(requests.len());
         for (p, slot) in providers.iter_mut().zip(&mut slots) {
             p.runtime.end_step(&mut slot.outputs);
-            let high = p.runtime.stats().plan_device_peak_bytes;
-            assert_eq!(high, per_slot, "measured pool high-water must equal the planned layout bytes");
-            pool_high_water += high;
             logits.push(p.logits.take().expect("every slot computed its logits"));
         }
-        let planned_pool_bytes = requests.len() * per_slot;
-        (logits, BatchStats { pool_high_water, planned_pool_bytes, resident_peak })
+        let planned_pool_bytes = requests.len() * self.plan().layout.device_general_bytes;
+        (logits, BatchStats { planned_pool_bytes, resident_peak })
     }
 }
 

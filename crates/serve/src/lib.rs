@@ -18,9 +18,9 @@
 //!   [`scnn_nn::Schedule`] segment per wave in tape order — the one
 //!   execution order there is, a lone request's included — so the same
 //!   patch of different requests executes side by side on the `scnn-par`
-//!   pool, every slot's planned frees are true of the pass (resident ≤
-//!   planned at every `C`), and every slot's pool high-water is asserted
-//!   equal to the planned layout bytes, every batch.
+//!   pool, and every slot's planned frees are true of the pass: resident
+//!   ≤ planned at every `C`. The plan counts (its layout is checked once,
+//!   at export); the runtime holds.
 //! - [`Server`] — bounded admission in front of `R` replica dispatch
 //!   threads. Admission sheds ([`ServeError::Overloaded`]) instead of
 //!   queueing without bound; requests carry an [`SloClass`] whose window
@@ -29,7 +29,8 @@
 //!   engine panic becomes [`ServeError::EngineDown`] values, never a
 //!   cascade of client panics. Planned footprint:
 //!   `params + R × C × pool`, cross-checked against
-//!   [`ServerConfig::budget_bytes`] at startup.
+//!   [`ServerConfig::budget_bytes`] at startup; an over-budget `max_batch`
+//!   is [`ServeError::OverBudget`].
 //! - [`SocketServer`] / [`SocketClient`] — a std-only, length-prefixed
 //!   TCP/Unix-socket front-end, so external processes submit tensors and
 //!   read back logits that are bit-exactly the in-process response.
@@ -69,7 +70,7 @@ pub mod metrics;
 mod queue;
 pub mod socket;
 
-pub use admission::{BatchPolicy, ClassPolicy, OverBudget, ServeError, ServerConfig, SloClass};
+pub use admission::{BatchPolicy, ClassPolicy, ServeError, ServerConfig, SloClass};
 pub use batcher::{ResponseHandle, Server};
 pub use dispatch::BatchRunner;
 pub use engine::{BatchStats, ConcurrencySearch, Engine};

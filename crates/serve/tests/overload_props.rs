@@ -14,8 +14,8 @@
 //!   request, and [`scnn_serve::Server::shutdown`] reports the failure as
 //!   a value instead of re-throwing;
 //! - **Budget cross-check** — `params + replicas × max_batch × pool` is
-//!   validated against `budget_bytes` at startup: reject by default,
-//!   clamp-with-warning on request;
+//!   validated against `budget_bytes` at startup, and an over-budget
+//!   `max_batch` is an error value;
 //! - **A window is held only while windows pay** — a lone request on a
 //!   fresh server never waits out its window; after a batch with company
 //!   the next window is held, after a lone batch it is not; a burst that
@@ -30,7 +30,7 @@ use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use scnn_serve::{
-    BatchPolicy, BatchRunner, ClassPolicy, OverBudget, ServeError, Server, ServerConfig, SloClass,
+    BatchPolicy, BatchRunner, ClassPolicy, ServeError, Server, ServerConfig, SloClass,
 };
 use scnn_tensor::Tensor;
 
@@ -303,56 +303,25 @@ fn engine_panic_becomes_error_values_not_client_panics() {
 }
 
 #[test]
-fn over_budget_max_batch_is_rejected_by_default() {
-    // params 100, pool 10 per slot: a 175-byte budget fits 7 slots.
-    let runner = Arc::new(StubRunner::with_layout(100, 10));
-    let err = Server::start_with_runner(
-        runner,
-        ServerConfig {
-            policy: policy_of(8, None),
-            budget_bytes: Some(175),
-            ..ServerConfig::default()
-        },
-    )
-    .err()
-    .expect("8 > 7 must not start");
-    assert_eq!(err, ServeError::OverBudget { requested: 8, fits: 7 });
-}
-
-#[test]
-fn over_budget_max_batch_clamps_when_asked() {
-    let runner = Arc::new(StubRunner::with_layout(100, 10));
-    // Two replicas halve the per-replica fit: (175 − 100) / (2 × 10) = 3.
-    let server = Server::start_with_runner(
-        runner,
-        ServerConfig {
-            replicas: 2,
-            policy: policy_of(8, None),
-            budget_bytes: Some(175),
-            on_over_budget: OverBudget::Clamp,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("clamp mode starts");
-    assert_eq!(server.max_batch(), 3);
-    assert_eq!(server.replicas(), 2);
-    drop(server);
-
-    // Clamping cannot conjure capacity: when not even one request per
-    // replica fits, clamp mode still refuses to start.
-    let runner = Arc::new(StubRunner::with_layout(100, 10));
-    let err = Server::start_with_runner(
-        runner,
-        ServerConfig {
-            policy: policy_of(8, None),
-            budget_bytes: Some(105),
-            on_over_budget: OverBudget::Clamp,
-            ..ServerConfig::default()
-        },
-    )
-    .err()
-    .expect("zero-fit cannot clamp");
-    assert_eq!(err, ServeError::OverBudget { requested: 8, fits: 0 });
+fn over_budget_max_batch_is_rejected() {
+    // params 100, pool 10 per slot: a 175-byte budget fits 7 slots on one
+    // replica; two replicas halve the per-replica fit, (175 − 100) /
+    // (2 × 10) = 3; a 105-byte budget fits not even one.
+    for (replicas, budget, fits) in [(1, 175, 7), (2, 175, 3), (1, 105, 0)] {
+        let runner = Arc::new(StubRunner::with_layout(100, 10));
+        let err = Server::start_with_runner(
+            runner,
+            ServerConfig {
+                replicas,
+                policy: policy_of(8, None),
+                budget_bytes: Some(budget),
+                ..ServerConfig::default()
+            },
+        )
+        .err()
+        .expect("an over-budget max_batch must not start");
+        assert_eq!(err, ServeError::OverBudget { requested: 8, fits }, "{replicas} × {budget} B");
+    }
 }
 
 #[test]

@@ -56,18 +56,17 @@ fn main() {
         cap.device_bytes
     );
 
-    // One direct batch shows the pool accounting: the measured high-water
-    // equals slots × device_general_bytes exactly (run_batch asserts it).
-    // Every request runs patch by patch in tape order whatever the batch
-    // size, so a slot holds the same resident bytes alone as among eight —
-    // fewer than the pool planned for it.
+    // One direct batch shows the pool accounting: the plan reserves
+    // slots × device_general_bytes, checked once when the engine exported
+    // it. Every request runs patch by patch in tape order whatever the
+    // batch size, so a slot holds the same resident bytes alone as among
+    // eight — fewer than the pool planned for it.
     let (solo, solo_stats) = engine.run_batch(std::slice::from_ref(&image));
     let batch: Vec<_> = (0..8).map(|_| image.clone()).collect();
     let (outs, stats) = engine.run_batch(&batch);
     println!(
-        "batch of 8: pool high-water {} B == planned {} B, resident peak {} B \
+        "batch of 8: planned pool {} B, resident peak {} B \
          ({} B per slot; a lone request holds {} B of its {} B pool)",
-        stats.pool_high_water,
         stats.planned_pool_bytes,
         stats.resident_peak,
         stats.resident_peak / batch.len(),

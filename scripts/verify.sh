@@ -20,8 +20,35 @@ cd "$(dirname "$0")/.."
 # where activations live is `scnn_runtime::PlanRuntime` (DESIGN.md §15).
 # A file under crates/serve/src naming the kernels module or the
 # plan-event types means a second copy is coming back.
-if grep -rnE 'scnn_nn::kernels|MemEvent|PoolGauge' crates/serve/src; then
+if grep -rnE 'scnn_nn::kernels|MemEvent' crates/serve/src; then
   echo "verify: crates/serve/src must not dispatch kernels or replay plan events" >&2
+  exit 1
+fi
+
+# Ledger guard: the plan counts, the runtime holds (DESIGN.md §10). A
+# plan's legality is checked once, at export; the runtime reports one
+# physical meter (`resident_peak_bytes`) and callers read the planned
+# pool from `plan().layout`. A per-step replay of planned addresses, its
+# copies of the layout's figures, or an `x̂` kept outside every plan
+# (a BN's backward regenerates it from the input) is a second ledger
+# coming back.
+if grep -rnE 'PoolGauge|plan_device_peak_bytes|pool_high_water|BnXhat' crates/ src/ examples/ tests/; then
+  echo "verify: a second ledger (replayed pool gauge or unplanned x̂) is back" >&2
+  exit 1
+fi
+
+# Panic-site gate (ROADMAP item 11): failures on the serving and runtime
+# library paths are values. Count `.unwrap(`, `.expect(`, `panic!`,
+# `unreachable!` and `assert*!` in the non-comment lines of
+# crates/{serve,runtime}/src, each file up to its first `#[cfg(test)]`.
+# The count may only go down: 46 before the replayed pool gauge and
+# run_batch's per-slot assert went, 41 after.
+panic_ceiling=41
+panic_sites="$(awk 'FNR == 1 { stop = 0 } /#\[cfg\(test\)\]/ { stop = 1 } stop || /^[[:space:]]*\/\// { next } { print }' \
+    crates/serve/src/*.rs crates/runtime/src/*.rs \
+  | grep -oE '\.unwrap\(|\.expect\(|panic!|unreachable!|assert[a-z_]*!' | wc -l)"
+if (( panic_sites > panic_ceiling )); then
+  echo "verify: $panic_sites panic sites in crates/{serve,runtime}/src, ceiling $panic_ceiling" >&2
   exit 1
 fi
 
@@ -96,18 +123,18 @@ done
 
 # Smoke every bench binary: tiny shapes, one cold sample — proves the
 # full code path still runs and the emitted records parse. The serving
-# smoke additionally pins its deterministic memory records: the pool
-# high-water is planned (slots × device_general_bytes) and the resident
-# peak is sampled at wave barriers, so both are exact byte counts on any
-# host — pinned from both sides, they catch planner or engine drift even
-# when the timing gates below are skipped. The resident peak is pinned at
+# smoke additionally pins its deterministic memory records: the resident
+# peak is sampled at wave barriers and the capacities are a closed form
+# over the plan, so both are exact on any host — pinned from both sides,
+# they catch planner or engine drift even when the timing gates below are
+# skipped. The resident peak is pinned at
 # 1, 8 and 64 slots: every request runs patch by patch in tape order at
 # every batch size (DESIGN.md §15), so the three pins are one per-slot
 # figure × 1, 8 and 64, and a second order shows as a pin that is not.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 declare -A smoke_gates=(
-  [serving]="--max-peak serve_pool/c64:2949120,serve_resident_peak/c1:36864,serve_resident_peak/c8:294912,serve_resident_peak/c64:2359296,serve_pool_replicated/r2:737280,serve_pool_replicated/r4:1474560,overload/queue_depth_peak:8 --min-peak serve_pool/c64:2949120,serve_resident_peak/c1:36864,serve_resident_peak/c8:294912,serve_resident_peak/c64:2359296,serve_pool_replicated/r2:737280,serve_pool_replicated/r4:1474560,capacity/max_concurrency:166,capacity/max_concurrency_r2:83,capacity/max_concurrency_r4:41,overload/shed:1 --max-p99 overload/admitted_latency:10000000000"
+  [serving]="--max-peak serve_resident_peak/c1:36864,serve_resident_peak/c8:294912,serve_resident_peak/c64:2359296,overload/queue_depth_peak:8 --min-peak serve_resident_peak/c1:36864,serve_resident_peak/c8:294912,serve_resident_peak/c64:2359296,capacity/max_concurrency:166,capacity/max_concurrency_r2:83,capacity/max_concurrency_r4:41,overload/shed:1 --max-p99 overload/admitted_latency:10000000000"
 )
 for bench in kernels planning ablation memory serving; do
   SCNN_BENCH_DIR="$tmp" cargo bench -q -p scnn-bench --bench "$bench" --offline -- --smoke
@@ -197,10 +224,9 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 # stay within 3× of forward on the same tensor (≈ 1.8 committed). A
 # branch per element — the mask is a coin flip — reads ≈ 12–20×; slices
 # zipped with no index compile to a compare and a blend.
-# The serving gates (DESIGN.md §15): the full-size pool and resident
-# peaks are deterministic like the planned-device pins, so they are
-# pinned exactly — including the replica-scaled pools (R × C × pool,
-# two-sided); the capacity searches (single-engine and per-replica) at
+# The serving gates (DESIGN.md §15): the full-size resident peaks are
+# deterministic like the planned-device pins, so they are pinned exactly,
+# two-sided; the capacity searches (single-engine and per-replica) at
 # the 64 MiB budget must not shrink; and the p99 tail latencies get
 # generous ceilings (~4-10× the measured values; c1's is 4× its
 # committed p99) that catch a pathological serialization — a batcher
@@ -213,7 +239,7 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 declare -A abs_gates=(
   [kernels]="--max-median conv2d_fwd_8x16x32x32:2750000,conv2d_fwd_8x16x32x32_winograd:4500000,conv2d_bwd_8x16x32x32:4600000,matmul_512:5550000,conv2d_fwd_8x32x16x16:1135000,conv2d_bwd_8x32x16x16:2180000,conv2d_fwd_8x256x4x4:3430000,conv2d_bwd_8x256x4x4:7550000,conv2d_fwd_1x1s2_8x32x16x16:145000,sgd_step_resnet18_w05:1850000,conv2d_fwd_8x16x32x32_scalar:8100000,matmul_512_scalar:12000000,par_fork_join/gap100us:130000 --max-peak conv2d_fwd_scratch_peak:1048576,conv2d_bwd_scratch_peak:2097152 --max-ratio conv2d_fwd_8x16x32x32:conv2d_fwd_8x16x32x32_avx2:1.10,conv2d_fwd_8x16x32x32_avx2:conv2d_fwd_8x16x32x32:1.10,conv2d_fwd_8x16x32x32_winograd:conv2d_fwd_8x16x32x32:1.10,par_fork_join/gap100us:par_fork_join/hot:1.5,relu_bwd_8x32x32x32:relu_fwd_8x32x32x32:3.0"
   [memory]="--max-peak minor_faults_per_step/vec_unsplit:300,train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,planned_device/vdnn:3300352,planned_device/hmms:3300352,planned_device/hmms_micro:2707968,capacity/max_batch/legacy:13 --min-peak train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,capacity/max_batch/micro:18"
-  [serving]="--max-peak serve_pool/c1:87040,serve_pool/c8:696320,serve_pool/c64:5570560,serve_resident_peak/c1:61440,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,overload/queue_depth_peak:8 --min-peak serve_pool/c64:5570560,serve_resident_peak/c1:61440,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,serve_pool_replicated/r2:1392640,serve_pool_replicated/r4:2785280,capacity/max_concurrency:738,capacity/max_concurrency_r2:369,capacity/max_concurrency_r4:184,overload/shed:1 --max-p99 serve_latency/c1:24000000,serve_latency/c8:250000000,serve_latency/c64:4000000000,overload/admitted_latency:10000000000"
+  [serving]="--max-peak serve_resident_peak/c1:61440,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,overload/queue_depth_peak:8 --min-peak serve_resident_peak/c1:61440,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,capacity/max_concurrency:738,capacity/max_concurrency_r2:369,capacity/max_concurrency_r4:184,overload/shed:1 --max-p99 serve_latency/c1:24000000,serve_latency/c8:250000000,serve_latency/c64:4000000000,overload/admitted_latency:10000000000"
 )
 if [[ "${SCNN_VERIFY_SKIP_BENCH:-0}" != 1 ]]; then
   for spec in kernels:0.25 planning:0.60 ablation:0.60 memory:0.60 serving:0.60; do
