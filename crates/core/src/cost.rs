@@ -10,38 +10,18 @@
 //! resident at which tape position — is the HMMS planner's walk alone.
 
 use scnn_graph::{Graph, MicroBatchSchedule, Node, Op};
-use scnn_tensor::{
-    conv2d_dw_single_block, conv2d_workspace_bytes, min_micro_batch, Conv2dGeometry, Padding2d,
-};
+use scnn_tensor::{conv2d_dw_single_block, conv2d_workspace_bytes, min_micro_batch, Conv2dGeometry};
 
-/// The cropped kernel geometry, batch, and output channels of a conv node
-/// — `None` for every other op. Negative padding crops the input before
-/// the kernel runs, so the geometry carries the non-negative remainder,
-/// exactly the split the conv kernels perform.
+/// The cropped kernel geometry ([`Conv2dGeometry::cropped`], the one the
+/// conv kernels run), batch, and output channels of a conv node — `None`
+/// for every other op.
 fn conv_node_geometry(graph: &Graph, node: &Node) -> Option<(Conv2dGeometry, usize, usize)> {
-    let Op::Conv2d {
-        out_c,
-        kh,
-        kw,
-        sh,
-        sw,
-        pad,
-        ..
-    } = &node.op
-    else {
+    let Op::Conv2d { out_c, kh, kw, sh, sw, pad, .. } = node.op else {
         return None;
     };
     let xs = &graph.node(node.inputs[0]).out_shape;
-    let h = (xs[2] as i64 + pad.h_begin.min(0) + pad.h_end.min(0)) as usize;
-    let w = (xs[3] as i64 + pad.w_begin.min(0) + pad.w_end.min(0)) as usize;
-    let pos = Padding2d::new(
-        pad.h_begin.max(0),
-        pad.h_end.max(0),
-        pad.w_begin.max(0),
-        pad.w_end.max(0),
-    );
-    let g = Conv2dGeometry::new(xs[1], h, w, *kh, *kw, *sh, *sw, pos);
-    Some((g, xs[0], *out_c))
+    let (g, _) = Conv2dGeometry::cropped(xs[1], xs[2], xs[3], kh, kw, sh, sw, pad);
+    Some((g, xs[0], out_c))
 }
 
 /// Per-node planner workspace: every conv node carries the tiled engine's
@@ -142,6 +122,7 @@ mod tests {
     use super::*;
     use crate::model::ModelDesc;
     use crate::transform::{lower_unsplit, plan_split, SplitConfig};
+    use scnn_tensor::Padding2d;
 
     #[test]
     fn engine_workspace_covers_convs_and_keeps_fallback() {

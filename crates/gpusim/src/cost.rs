@@ -7,7 +7,7 @@
 //! slower than one large kernel — the source of Split-CNN's small
 //! throughput cost in Figure 10.
 
-use scnn_graph::{Graph, Node, Op, PoolKind};
+use scnn_graph::{Graph, Node, Op};
 use scnn_hmms::Profile;
 
 use crate::device::DeviceSpec;
@@ -109,25 +109,6 @@ pub fn node_bytes(graph: &Graph, node: &Node) -> f64 {
     (inputs + node.out_bytes() + params) as f64
 }
 
-/// Multiplier from forward to backward kernel time, per op kind.
-fn backward_factor(op: &Op) -> f64 {
-    match op {
-        Op::Input { .. } => 0.0,
-        // Backward convolution runs two kernels: wgrad and dgrad.
-        Op::Conv2d { .. } => 2.0,
-        Op::Linear { .. } => 2.0,
-        Op::BatchNorm { recompute: false, .. } => 1.25,
-        // The memory-efficient variant recomputes x̂ from y: extra work.
-        Op::BatchNorm { recompute: true, .. } => 1.6,
-        Op::Pool2d { kind: PoolKind::Max, .. } => 1.2,
-        Op::Pool2d { kind: PoolKind::Avg, .. } => 1.0,
-        Op::GlobalAvgPool => 1.0,
-        Op::Relu | Op::Dropout { .. } => 1.0,
-        Op::Add | Op::Concat { .. } | Op::Slice { .. } | Op::Flatten => 1.0,
-        Op::SoftmaxCrossEntropy => 0.5,
-    }
-}
-
 /// cuDNN-style workspace: the implicit-GEMM patch matrix, capped.
 fn workspace_bytes(graph: &Graph, node: &Node, cap: usize) -> usize {
     if let Op::Conv2d { kh, kw, .. } = &node.op {
@@ -166,7 +147,7 @@ pub fn profile_graph(graph: &Graph, model: &CostModel) -> Profile {
         } else {
             d.launch_overhead + compute.max(memory)
         };
-        let bf = backward_factor(&node.op);
+        let bf = node.op.desc().backward_factor;
         let bt = if bf == 0.0 {
             0.0
         } else {
@@ -189,6 +170,7 @@ pub fn profile_graph(graph: &Graph, model: &CostModel) -> Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scnn_graph::PoolKind;
     use scnn_tensor::Padding2d;
 
     fn small_graph() -> Graph {

@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-use scnn_tensor::Padding2d;
+use scnn_tensor::{Conv2dGeometry, Padding2d};
 
-use crate::op::{Op, PoolKind};
+use crate::op::{Alias, Op, PoolKind};
 
 /// Identifies a node within one [`Graph`]. Ids are dense and, by
 /// construction, topologically ordered (a node's inputs always have smaller
@@ -89,17 +89,16 @@ impl Node {
     }
 
     /// The input whose storage this node's output shares instead of owning
-    /// a buffer, if any — the one aliasing rule the planner
-    /// (`scnn_hmms::TsoAssignment`) and the split cost model
-    /// (`scnn_core::cost`) must agree on for planned == measured. Flatten
-    /// is a metadata-only reshape and always aliases; an
-    /// [in-place-capable](Op::is_inplace_capable) op aliases when `inplace`
-    /// is allowed and it is the input's sole consumer (the reference
-    /// counter of §4.2). `consumers` is [`Graph::consumers`].
+    /// a buffer, if any — the op's [`Alias`] rule applied to this node, as
+    /// the planner (`scnn_hmms::TsoAssignment`) sees it. `inplace` enables
+    /// [`Alias::SoleConsumer`]; `consumers` is [`Graph::consumers`].
     pub fn storage_alias(&self, consumers: &[Vec<NodeId>], inplace: bool) -> Option<NodeId> {
         let input = *self.inputs.first()?;
-        let shares = matches!(self.op, Op::Flatten)
-            || (inplace && self.op.is_inplace_capable() && consumers[input.0].len() == 1);
+        let shares = match self.op.desc().alias {
+            Alias::Always => true,
+            Alias::SoleConsumer => inplace && consumers[input.0].len() == 1,
+            Alias::Never => false,
+        };
         shares.then_some(input)
     }
 }
@@ -405,7 +404,7 @@ impl fmt::Display for Graph {
                 f,
                 "  %{:<4} {:<10} {:?} <- {:?} ({})",
                 n.id.0,
-                n.op.kind_name(),
+                n.op.desc().name,
                 n.out_shape,
                 n.inputs.iter().map(|i| i.0).collect::<Vec<_>>(),
                 n.name
@@ -430,29 +429,14 @@ fn infer_shape(op: &Op, inputs: &[&[usize]], name: &str) -> Vec<usize> {
             assert!(inputs.is_empty(), "{name}: input node takes no inputs");
             shape.clone()
         }
-        Op::Conv2d {
-            out_c,
-            kh,
-            kw,
-            sh,
-            sw,
-            pad,
-            ..
-        } => {
+        Op::Conv2d { kh, kw, sh, sw, pad, .. } | Op::Pool2d { kh, kw, sh, sw, pad, .. } => {
             let s = one();
-            assert_eq!(s.len(), 4, "{name}: conv input must be NCHW, got {s:?}");
-            let oh = window_out(s[2], *kh, *sh, pad.h_begin, pad.h_end, name);
-            let ow = window_out(s[3], *kw, *sw, pad.w_begin, pad.w_end, name);
-            vec![s[0], *out_c, oh, ow]
-        }
-        Op::Pool2d {
-            kh, kw, sh, sw, pad, ..
-        } => {
-            let s = one();
-            assert_eq!(s.len(), 4, "{name}: pool input must be NCHW, got {s:?}");
-            let oh = window_out(s[2], *kh, *sh, pad.h_begin, pad.h_end, name);
-            let ow = window_out(s[3], *kw, *sw, pad.w_begin, pad.w_end, name);
-            vec![s[0], s[1], oh, ow]
+            assert_eq!(s.len(), 4, "{name}: window op input must be NCHW, got {s:?}");
+            // The kernels' own geometry: a window they would reject is
+            // rejected here, when the graph is built.
+            let (g, _) = Conv2dGeometry::cropped(s[1], s[2], s[3], *kh, *kw, *sh, *sw, *pad);
+            let c = if let Op::Conv2d { out_c, .. } = op { *out_c } else { s[1] };
+            vec![s[0], c, g.out_h(), g.out_w()]
         }
         Op::GlobalAvgPool => {
             let s = one();
@@ -511,15 +495,6 @@ fn infer_shape(op: &Op, inputs: &[&[usize]], name: &str) -> Vec<usize> {
     }
 }
 
-fn window_out(extent: usize, k: usize, s: usize, pb: i64, pe: i64, name: &str) -> usize {
-    let padded = extent as i64 + pb + pe;
-    assert!(
-        padded >= k as i64,
-        "{name}: padded extent {padded} smaller than kernel {k}"
-    );
-    ((padded - k as i64) / s as i64 + 1) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,6 +520,29 @@ mod tests {
         let c = g.conv2d(x, 4, 3, 1, Padding2d::new(1, -2, 0, 0), false, "c");
         // h: 8 + 1 - 2 = 7 padded, (7-3)/1+1 = 5.
         assert_eq!(g.node(c).out_shape, vec![2, 4, 5, 8 - 2]);
+    }
+
+    /// Height 2 cropped by 3 and padded by 2: the padded extent (1) fits a
+    /// 1×1 window, but no input row is left for it to read — the kernels
+    /// reject this window, so the graph does too.
+    fn over_cropped() -> (Graph, NodeId, Padding2d) {
+        let mut g = Graph::new();
+        let x = g.input(&[1, 1, 2, 4]);
+        (g, x, Padding2d::new(-3, 2, 0, 0))
+    }
+
+    #[test]
+    #[should_panic(expected = "collapses height")]
+    fn conv_rejects_a_crop_past_the_input() {
+        let (mut g, x, pad) = over_cropped();
+        g.conv2d(x, 2, 1, 1, pad, false, "c");
+    }
+
+    #[test]
+    #[should_panic(expected = "collapses height")]
+    fn pool_rejects_a_crop_past_the_input() {
+        let (mut g, x, pad) = over_cropped();
+        g.pool2d(x, PoolKind::Max, 1, 1, pad, "p");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! This crate is that IR: a directed acyclic graph of [`Op`] nodes with shape
 //! inference, a serialized execution [`tape`](Tape) (topological
 //! forward order plus the reversed backward order, §4.1 step 2), and the
-//! per-op metadata every other layer of the system consumes:
+//! per-op facts ([`OpDesc`]) every other layer of the system consumes:
 //!
 //! - `scnn-nn` executes the graph with real tensors (CPU training),
 //! - `scnn-core` rewrites graphs into their Split-CNN form,
@@ -22,5 +22,5 @@ mod tape;
 
 pub use graph::{Graph, Node, NodeId, ParamId, ParamKind, ParamSpec};
 pub use micro::MicroBatchSchedule;
-pub use op::{Op, PoolKind};
+pub use op::{Alias, Op, OpDesc, PoolKind};
 pub use tape::{Tape, TapeEntry, TapeStep};

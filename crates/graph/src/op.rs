@@ -121,24 +121,97 @@ pub enum Op {
     SoftmaxCrossEntropy,
 }
 
+/// When a node's output shares its input's storage instead of owning a
+/// buffer (§4.2 optimization 1); [`Node::storage_alias`](crate::Node::storage_alias)
+/// applies it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Alias {
+    /// The output always owns a buffer.
+    Never,
+    /// A metadata-only reshape: the output is always its input's storage.
+    Always,
+    /// The op can run in place on its input's storage when in-place
+    /// execution is enabled and it is the input's sole consumer (the
+    /// reference counter of §4.2).
+    SoleConsumer,
+}
+
+/// What the memory planner, the tape and the cost model know about an op
+/// — the one place each fact is written ([`Op::desc`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct OpDesc {
+    /// Short human-readable kind name (timelines, tables, debug output).
+    pub name: &'static str,
+    /// Whether backward re-reads the op's *input* activations. This is
+    /// what makes an input "generated data" in the paper's Figure 1 sense:
+    /// it must stay alive (or be offloaded) until the backward pass.
+    pub backward_reads_input: bool,
+    /// Whether backward re-reads the op's *output* activations.
+    pub backward_reads_output: bool,
+    /// Whether the output may share its input's storage.
+    pub alias: Alias,
+    /// Bytes kept for backward besides input/output activations (masks,
+    /// saved statistics, softmax probabilities), per output element …
+    pub aux_bytes_per_elem: usize,
+    /// … and independent of the output size.
+    pub aux_bytes_fixed: usize,
+    /// Backward kernel time over forward kernel time; `0` for an op with
+    /// no backward kernel.
+    pub backward_factor: f64,
+}
+
 impl Op {
-    /// Short human-readable kind name (used in timelines and debug output).
-    pub fn kind_name(&self) -> &'static str {
+    /// The op's facts. The values are frozen: the HMMS plans the repo's
+    /// byte pins hold are made from them, so changing one moves a pin.
+    pub fn desc(&self) -> OpDesc {
+        use Alias::{Always, Never, SoleConsumer};
+        const F32: usize = 4;
+        // Per-channel batch mean and inverse std, budgeted at 64 channels.
+        const BN_STATS: usize = 2 * F32 * 64;
+        let row = |name, reads_input, reads_output, alias, per_elem, fixed, factor| OpDesc {
+            name,
+            backward_reads_input: reads_input,
+            backward_reads_output: reads_output,
+            alias,
+            aux_bytes_per_elem: per_elem,
+            aux_bytes_fixed: fixed,
+            backward_factor: factor,
+        };
         match self {
-            Op::Input { .. } => "input",
-            Op::Conv2d { .. } => "conv2d",
-            Op::Pool2d { kind: PoolKind::Max, .. } => "maxpool",
-            Op::Pool2d { kind: PoolKind::Avg, .. } => "avgpool",
-            Op::GlobalAvgPool => "gavgpool",
-            Op::BatchNorm { .. } => "batchnorm",
-            Op::Relu => "relu",
-            Op::Dropout { .. } => "dropout",
-            Op::Linear { .. } => "linear",
-            Op::Add => "add",
-            Op::Concat { .. } => "concat",
-            Op::Slice { .. } => "slice",
-            Op::Flatten => "flatten",
-            Op::SoftmaxCrossEntropy => "softmax_ce",
+            Op::Input { .. } => row("input", false, false, Never, 0, 0, 0.0),
+            // dW = dY ⋆ X; backward runs two kernels, wgrad and dgrad.
+            Op::Conv2d { .. } => row("conv2d", true, false, Never, 0, 0, 2.0),
+            // cuDNN's max pooling backward reads both x and y; average
+            // pooling spreads dy uniformly and reads neither.
+            Op::Pool2d { kind: PoolKind::Max, .. } => {
+                row("maxpool", true, true, Never, 0, 0, 1.2)
+            }
+            Op::Pool2d { kind: PoolKind::Avg, .. } => {
+                row("avgpool", false, false, Never, 0, 0, 1.0)
+            }
+            Op::GlobalAvgPool => row("gavgpool", false, false, Never, 0, 0, 1.0),
+            // Backward regenerates x̂ from the input and the saved
+            // statistics; the recompute variant (in-place ABN) regenerates
+            // it from the output instead, at extra cost.
+            Op::BatchNorm { recompute: false, .. } => {
+                row("batchnorm", true, false, Never, 0, BN_STATS, 1.25)
+            }
+            Op::BatchNorm { recompute: true, .. } => {
+                row("batchnorm", false, true, Never, 0, BN_STATS, 1.6)
+            }
+            // Backward needs only the output's sign: computable in place.
+            Op::Relu => row("relu", false, true, SoleConsumer, 0, 0, 1.0),
+            // Keep mask, one byte per element (the executor stores an f32
+            // scale; one byte suffices on a real device).
+            Op::Dropout { .. } => row("dropout", false, false, Never, 1, 0, 1.0),
+            // dW = dYᵀ·X.
+            Op::Linear { .. } => row("linear", true, false, Never, 0, 0, 2.0),
+            Op::Add => row("add", false, false, Never, 0, 0, 1.0),
+            Op::Concat { .. } => row("concat", false, false, Never, 0, 0, 1.0),
+            Op::Slice { .. } => row("slice", false, false, Never, 0, 0, 1.0),
+            Op::Flatten => row("flatten", false, false, Always, 0, 0, 1.0),
+            // Softmax probabilities for the whole logit matrix.
+            Op::SoftmaxCrossEntropy => row("softmax_ce", false, false, Never, F32, 0, 0.5),
         }
     }
 
@@ -155,70 +228,6 @@ impl Op {
             _ => Vec::new(),
         }
     }
-
-    /// Whether the backward pass of this op re-reads its *input*
-    /// activations. This is what makes an input tensor "generated data" in
-    /// the paper's Figure 1 sense: it must stay alive (or be offloaded)
-    /// until the backward pass.
-    pub fn backward_needs_input(&self) -> bool {
-        match self {
-            // dW = dY ⋆ X, so convolution always re-reads its input.
-            Op::Conv2d { .. } => true,
-            // cuDNN's pooling backward reads both x and y for max pooling;
-            // average pooling distributes dy uniformly and needs neither.
-            Op::Pool2d { kind: PoolKind::Max, .. } => true,
-            Op::Pool2d { kind: PoolKind::Avg, .. } => false,
-            Op::GlobalAvgPool => false,
-            // BatchNorm's backward regenerates x̂ from its input and the
-            // saved per-channel statistics; the recompute variant
-            // regenerates it from the output instead (in-place ABN).
-            Op::BatchNorm { recompute, .. } => !*recompute,
-            // ReLU's backward only needs the output sign — this is exactly
-            // why it is computable in place (§4.2).
-            Op::Relu => false,
-            Op::Dropout { .. } => false, // mask is aux
-            Op::Linear { .. } => true,   // dW = dYᵀ·X
-            Op::Add => false,
-            Op::Concat { .. } => false,
-            Op::Slice { .. } => false,
-            Op::Flatten => false,
-            Op::Input { .. } => false,
-            Op::SoftmaxCrossEntropy => false, // probs are aux
-        }
-    }
-
-    /// Whether the backward pass re-reads this op's *output* activations.
-    pub fn backward_needs_output(&self) -> bool {
-        matches!(
-            self,
-            Op::Relu
-                | Op::BatchNorm { recompute: true, .. }
-                | Op::Pool2d { kind: PoolKind::Max, .. }
-        )
-    }
-
-    /// Extra bytes the forward pass must keep alive for backward besides
-    /// input/output activations (masks, saved statistics, softmax probs),
-    /// given the op's output element count.
-    pub fn aux_saved_bytes(&self, out_elems: usize) -> usize {
-        const F32: usize = 4;
-        match self {
-            // Keep mask, one byte per element (stored as f32 scale in the
-            // executor but one byte suffices on a real device).
-            Op::Dropout { .. } => out_elems,
-            // Per-channel batch mean and inverse std. Negligible but real.
-            Op::BatchNorm { .. } => 2 * F32 * 64,
-            // Softmax probabilities for the whole logit matrix.
-            Op::SoftmaxCrossEntropy => out_elems * F32,
-            _ => 0,
-        }
-    }
-
-    /// Whether the op can run in place on its input's storage when no other
-    /// consumer references it (§4.2 optimization 1).
-    pub fn is_inplace_capable(&self) -> bool {
-        matches!(self, Op::Relu)
-    }
 }
 
 #[cfg(test)]
@@ -227,9 +236,10 @@ mod tests {
 
     #[test]
     fn relu_is_inplace_and_needs_output_only() {
-        assert!(Op::Relu.is_inplace_capable());
-        assert!(!Op::Relu.backward_needs_input());
-        assert!(Op::Relu.backward_needs_output());
+        let d = Op::Relu.desc();
+        assert_eq!(d.alias, Alias::SoleConsumer);
+        assert!(!d.backward_reads_input);
+        assert!(d.backward_reads_output);
     }
 
     #[test]
@@ -239,8 +249,8 @@ mod tests {
             beta: ParamId(1),
             recompute,
         };
-        assert!(bn(false).backward_needs_input());
-        assert!(!bn(true).backward_needs_input());
+        assert!(bn(false).desc().backward_reads_input);
+        assert!(!bn(true).desc().backward_reads_input);
     }
 
     #[test]
@@ -253,9 +263,9 @@ mod tests {
             sw: 2,
             pad: Padding2d::default(),
         };
-        assert!(p.backward_needs_input());
-        assert!(p.backward_needs_output());
-        assert_eq!(p.aux_saved_bytes(100), 0);
+        let d = p.desc();
+        assert!(d.backward_reads_input && d.backward_reads_output);
+        assert_eq!((d.aux_bytes_per_elem, d.aux_bytes_fixed), (0, 0));
         let a = Op::Pool2d {
             kind: PoolKind::Avg,
             kh: 2,
@@ -264,7 +274,7 @@ mod tests {
             sw: 2,
             pad: Padding2d::default(),
         };
-        assert!(!a.backward_needs_input());
-        assert!(!a.backward_needs_output());
+        let d = a.desc();
+        assert!(!d.backward_reads_input && !d.backward_reads_output);
     }
 }

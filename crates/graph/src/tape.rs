@@ -7,7 +7,6 @@
 //! simulate execution.
 
 use crate::graph::{Graph, NodeId};
-use crate::op::Op;
 
 /// Whether a step executes a node's forward or backward computation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -113,17 +112,14 @@ impl Tape {
     pub fn needed_in_backward(&self, graph: &Graph) -> Vec<bool> {
         let mut needed = vec![false; graph.len()];
         for node in graph.nodes() {
-            if node.op.backward_needs_output() {
+            let d = node.op.desc();
+            if d.backward_reads_output {
                 needed[node.id.0] = true;
             }
-            if node.op.backward_needs_input() {
+            if d.backward_reads_input {
                 for &i in &node.inputs {
                     needed[i.0] = true;
                 }
-            }
-            // The loss node's backward reads nothing extra (probs are aux).
-            if matches!(node.op, Op::SoftmaxCrossEntropy) {
-                continue;
             }
         }
         needed
@@ -176,8 +172,8 @@ mod tests {
         let tape = Tape::new(&g);
         let needed = tape.needed_in_backward(&g);
         // Input image feeds a conv → needed. Conv output feeds ReLU whose
-        // backward needs only its own output → conv output needed? ReLU's
-        // backward_needs_output marks the relu node itself.
+        // backward reads only its own output, so `backward_reads_output`
+        // marks the relu node itself.
         assert!(needed[ids[0].0], "conv input (image) must be kept");
         assert!(needed[ids[2].0], "relu output must be kept");
         assert!(needed[ids[3].0], "linear input (flatten output) must be kept");

@@ -59,17 +59,18 @@ fn usages(graph: &Graph, tape: &Tape, tso: &TsoAssignment) -> Vec<Option<Usage>>
 
     for node in graph.nodes() {
         let id = node.id.0;
+        let d = node.op.desc();
         // Activation: written at the node's forward step.
         acc[tso.activation[id].0].push(tape.forward_pos(node.id));
         // Read by consumers' forward steps and, when their backward
         // re-reads inputs, their backward steps.
         for &inp in &node.inputs {
             acc[tso.activation[inp.0].0].push(tape.forward_pos(node.id));
-            if node.op.backward_needs_input() {
+            if d.backward_reads_input {
                 acc[tso.activation[inp.0].0].push(tape.backward_pos(node.id));
             }
         }
-        if node.op.backward_needs_output() {
+        if d.backward_reads_output {
             acc[tso.activation[id].0].push(tape.backward_pos(node.id));
         }
         // Error tensors: written by consumers' backward, read by own

@@ -127,7 +127,8 @@ impl TsoAssignment {
         let mut aux = vec![None; n];
         let mut workspace = vec![None; n];
         for node in graph.nodes() {
-            let ab = node.op.aux_saved_bytes(node.out_elems());
+            let d = node.op.desc();
+            let ab = d.aux_bytes_per_elem * node.out_elems() + d.aux_bytes_fixed;
             if ab > 0 {
                 aux[node.id.0] = Some(fresh(ab, TsoRole::Aux(node.id)));
             }

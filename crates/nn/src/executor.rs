@@ -832,7 +832,7 @@ mod tests {
     }
 
     /// A BN keeps only the two per-channel vectors the plan budgets
-    /// (`Op::aux_saved_bytes`), not an activation-sized `x̂` — whatever its
+    /// (`OpDesc::aux_bytes_fixed`), not an activation-sized `x̂` — whatever its
     /// `recompute` flag says: the flag is a planner fact, and an executed
     /// training plan refuses it.
     #[test]

@@ -25,8 +25,9 @@ const EPS: f32 = 1e-5;
 const CH_GROUP: usize = 4;
 
 /// The per-channel statistics backward needs: all the executor keeps of a
-/// BN node between forward and backward (`2 · 4 · c` bytes — what
-/// `Op::aux_saved_bytes` budgets). Backward regenerates `x̂` from the BN's
+/// BN node between forward and backward (`2 · 4 · c` bytes; the plan
+/// budgets `2 · 4 · 64` for every BN, `OpDesc::aux_bytes_fixed` — short of
+/// this above 64 channels). Backward regenerates `x̂` from the BN's
 /// *input* with the forward's own expression, `(x − mean) · inv_std`.
 #[derive(Clone, Debug)]
 pub struct BnStats {

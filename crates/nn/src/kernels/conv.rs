@@ -11,48 +11,18 @@
 //! `im2col` + GEMM pipeline instead — the reference the engine is
 //! bit-identical to, for tests to compare against; no conv node runs it.
 
-use scnn_graph::Op;
 use scnn_tensor::{
     col2im_cols_into, conv2d_dw_tiled_acc_at, conv2d_dx_tiled, conv2d_fwd_tiled_at, im2col_into,
     matmul_a_bt_into, matmul_at_b_into, matmul_into, Conv2dGeometry, Padding2d, Tensor,
 };
 
-use super::{fresh, split_padding};
+use super::{fresh, ConvAttrs};
 
 pub use scnn_tensor::ConvAlgo;
 
 /// Square tile edge for the `[n·oh·ow, oc] ↔ NCHW` transposes; 32×32 f32
 /// tiles (4 KiB) keep both the strided and the sequential side in L1.
 const TILE: usize = 32;
-
-/// Static attributes of a convolution node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConvAttrs {
-    /// Kernel height.
-    pub kh: usize,
-    /// Kernel width.
-    pub kw: usize,
-    /// Vertical stride.
-    pub sh: usize,
-    /// Horizontal stride.
-    pub sw: usize,
-    /// Per-side padding; negative components crop.
-    pub pad: Padding2d,
-}
-
-impl ConvAttrs {
-    /// The attributes of an [`Op::Conv2d`] node.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `op` is any other op.
-    pub fn from_op(op: &Op) -> Self {
-        match *op {
-            Op::Conv2d { kh, kw, sh, sw, pad, .. } => ConvAttrs { kh, kw, sh, sw, pad },
-            _ => panic!("{} is not a convolution", op.kind_name()),
-        }
-    }
-}
 
 /// Gradients produced by [`conv2d_backward`].
 #[derive(Clone, Debug)]
@@ -78,20 +48,7 @@ struct Lowered {
 }
 
 fn lower(x: &Tensor, attrs: &ConvAttrs) -> Lowered {
-    let (crop, pos) = split_padding(attrs.pad);
-    let cropped_extent = |full: usize, begin: i64, end: i64| {
-        usize::try_from(full as i64 + begin + end).expect("padding crops away more than the input")
-    };
-    let g = Conv2dGeometry::new(
-        x.dim(1),
-        cropped_extent(x.dim(2), crop.h_begin, crop.h_end),
-        cropped_extent(x.dim(3), crop.w_begin, crop.w_end),
-        attrs.kh,
-        attrs.kw,
-        attrs.sh,
-        attrs.sw,
-        pos,
-    );
+    let (g, crop) = attrs.geometry(x.shape().dims());
     Lowered { g, crop, off_h: (-crop.h_begin) as usize, off_w: (-crop.w_begin) as usize }
 }
 

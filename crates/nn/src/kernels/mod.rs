@@ -25,8 +25,7 @@ pub use bn::{
 };
 pub use conv::{
     conv2d_backward, conv2d_backward_micro, conv2d_backward_with, conv2d_forward,
-    conv2d_forward_micro, conv2d_forward_micro_into, conv2d_forward_with, ConvAlgo, ConvAttrs,
-    ConvGrads,
+    conv2d_forward_micro, conv2d_forward_micro_into, conv2d_forward_with, ConvAlgo, ConvGrads,
 };
 pub use linear::{linear_backward, linear_forward, linear_forward_into, LinearGrads};
 pub use loss::{softmax_cross_entropy_backward, softmax_cross_entropy_forward, LossOut};
@@ -37,10 +36,54 @@ pub use pointwise::{
 pub use pool::{
     avg_pool_backward, avg_pool_forward, avg_pool_forward_into, global_avg_pool_backward,
     global_avg_pool_forward, global_avg_pool_forward_into, max_pool_backward, max_pool_forward,
-    max_pool_forward_into, PoolAttrs,
+    max_pool_forward_into,
 };
 
-use scnn_tensor::{Padding2d, Tensor};
+use scnn_graph::Op;
+use scnn_tensor::{Conv2dGeometry, Padding2d, Tensor};
+
+/// Static attributes of a window-op node. Convolution and pooling carry
+/// the same five, so [`PoolAttrs`] is this struct under its pooling name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConvAttrs {
+    /// Kernel height.
+    pub kh: usize,
+    /// Kernel width.
+    pub kw: usize,
+    /// Vertical stride.
+    pub sh: usize,
+    /// Horizontal stride.
+    pub sw: usize,
+    /// Per-side padding; negative components crop.
+    pub pad: Padding2d,
+}
+
+/// Static attributes of a pooling node: [`ConvAttrs`].
+pub type PoolAttrs = ConvAttrs;
+
+impl ConvAttrs {
+    /// The attributes of an [`Op::Conv2d`] or [`Op::Pool2d`] node.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `op` is any other op.
+    pub fn from_op(op: &Op) -> Self {
+        match *op {
+            Op::Conv2d { kh, kw, sh, sw, pad, .. } | Op::Pool2d { kh, kw, sh, sw, pad, .. } => {
+                ConvAttrs { kh, kw, sh, sw, pad }
+            }
+            _ => panic!("{} is not a window op", op.desc().name),
+        }
+    }
+
+    /// The cropped window over an NCHW input of `dims` and the crop that
+    /// cut it ([`Conv2dGeometry::cropped`]).
+    pub(crate) fn geometry(&self, dims: &[usize]) -> (Conv2dGeometry, Padding2d) {
+        assert_eq!(dims.len(), 4, "window op input must be NCHW");
+        let (kh, kw, sh, sw) = (self.kh, self.kw, self.sh, self.sw);
+        Conv2dGeometry::cropped(dims[1], dims[2], dims[3], kh, kw, sh, sw, self.pad)
+    }
+}
 
 /// Minimum elements per task of the parallel element-wise kernels (ReLU,
 /// BN inference) — a constant, so chunking depends only on tensor size.
@@ -52,27 +95,6 @@ pub(crate) fn fresh<R>(dims: &[usize], body: impl FnOnce(&mut Tensor) -> R) -> (
     let mut y = Tensor::zeros(dims);
     let r = body(&mut y);
     (y, r)
-}
-
-/// Splits a (possibly negative) padding into its cropping part (all
-/// components ≤ 0) and its zero-padding part (all components ≥ 0).
-///
-/// Window kernels apply the crop with [`scnn_tensor::Tensor::pad2d`] first
-/// and fold the positive part into the window geometry.
-pub(crate) fn split_padding(pad: Padding2d) -> (Padding2d, Padding2d) {
-    let crop = Padding2d::new(
-        pad.h_begin.min(0),
-        pad.h_end.min(0),
-        pad.w_begin.min(0),
-        pad.w_end.min(0),
-    );
-    let pos = Padding2d::new(
-        pad.h_begin.max(0),
-        pad.h_end.max(0),
-        pad.w_begin.max(0),
-        pad.w_end.max(0),
-    );
-    (crop, pos)
 }
 
 #[cfg(test)]

@@ -1,80 +1,14 @@
 //! Max/average/global-average pooling with asymmetric (and negative)
 //! padding.
 
-use scnn_graph::Op;
-use scnn_tensor::{Padding2d, Tensor};
+use scnn_tensor::Tensor;
 
-use super::{fresh, split_padding};
-
-/// Static attributes of a pooling node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PoolAttrs {
-    /// Kernel height.
-    pub kh: usize,
-    /// Kernel width.
-    pub kw: usize,
-    /// Vertical stride.
-    pub sh: usize,
-    /// Horizontal stride.
-    pub sw: usize,
-    /// Per-side padding; negative components crop.
-    pub pad: Padding2d,
-}
-
-impl PoolAttrs {
-    /// The attributes of an [`Op::Pool2d`] node.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `op` is any other op.
-    pub fn from_op(op: &Op) -> Self {
-        match *op {
-            Op::Pool2d { kh, kw, sh, sw, pad, .. } => PoolAttrs { kh, kw, sh, sw, pad },
-            _ => panic!("{} is not a pooling op", op.kind_name()),
-        }
-    }
-}
-
-struct PoolGeom {
-    crop: Padding2d,
-    h: usize,
-    w: usize,
-    oh: usize,
-    ow: usize,
-    pos: Padding2d,
-}
-
-fn geom(x: &Tensor, attrs: &PoolAttrs) -> PoolGeom {
-    geom_dims(x.shape().dims(), attrs)
-}
+use super::{fresh, PoolAttrs};
 
 /// `[n, c, oh, ow]` of the pooled output.
 fn out_dims(x: &Tensor, attrs: &PoolAttrs) -> [usize; 4] {
-    let g = geom(x, attrs);
-    [x.dim(0), x.dim(1), g.oh, g.ow]
-}
-
-fn geom_dims(x_dims: &[usize], attrs: &PoolAttrs) -> PoolGeom {
-    assert_eq!(x_dims.len(), 4, "pool input must be NCHW");
-    let (crop, pos) = split_padding(attrs.pad);
-    let h = crop.out_h(x_dims[2]);
-    let w = crop.out_w(x_dims[3]);
-    let ph = (h as i64 + pos.h_begin + pos.h_end) as usize;
-    let pw = (w as i64 + pos.w_begin + pos.w_end) as usize;
-    assert!(
-        ph >= attrs.kh && pw >= attrs.kw,
-        "pool window {}x{} larger than padded input {ph}x{pw}",
-        attrs.kh,
-        attrs.kw
-    );
-    PoolGeom {
-        crop,
-        h,
-        w,
-        oh: (ph - attrs.kh) / attrs.sh + 1,
-        ow: (pw - attrs.kw) / attrs.sw + 1,
-        pos,
-    }
+    let (g, _) = attrs.geometry(x.shape().dims());
+    [x.dim(0), x.dim(1), g.out_h(), g.out_w()]
 }
 
 /// Max-pool forward. Returns the output and the flat argmax index (into the
@@ -92,42 +26,43 @@ pub fn max_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> (Tensor, Vec<usize>) {
 /// Panics if `y`'s shape is not the pooled shape.
 pub fn max_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, y: &mut Tensor) -> Vec<usize> {
     assert_eq!(y.shape().dims(), out_dims(x, attrs), "pool output buffer shape");
-    let g = geom(x, attrs);
-    let xc = x.pad2d(g.crop);
+    let (g, crop) = attrs.geometry(x.shape().dims());
+    let (h, w, oh, ow) = (g.in_h, g.in_w, g.out_h(), g.out_w());
+    let xc = x.pad2d(crop);
     let (n, c) = (x.dim(0), x.dim(1));
-    let mut mask = vec![usize::MAX; n * c * g.oh * g.ow];
+    let mut mask = vec![usize::MAX; n * c * oh * ow];
     let src = xc.as_slice();
-    let ohw = g.oh * g.ow;
+    let ohw = oh * ow;
     // Parallel over (n, c) image planes; each plane's output and mask
     // stripes are disjoint.
     let mask_shared = scnn_par::DisjointMut::new(&mut mask);
     scnn_par::par_chunks_mut(y.as_mut_slice(), ohw, |img, dst| {
-        let base = img * g.h * g.w;
+        let base = img * h * w;
         let mplane = unsafe { mask_shared.range(img * ohw, (img + 1) * ohw) };
-        for oy in 0..g.oh {
-            let iy0 = oy as i64 * attrs.sh as i64 - g.pos.h_begin;
-            for ox in 0..g.ow {
-                let ix0 = ox as i64 * attrs.sw as i64 - g.pos.w_begin;
+        for oy in 0..oh {
+            let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
+            for ox in 0..ow {
+                let ix0 = ox as i64 * g.sw as i64 - g.pad.w_begin;
                 let mut best = f32::NEG_INFINITY;
                 let mut best_idx = usize::MAX;
-                for ky in 0..attrs.kh {
+                for ky in 0..g.kh {
                     let iy = iy0 + ky as i64;
-                    if iy < 0 || iy >= g.h as i64 {
+                    if iy < 0 || iy >= h as i64 {
                         continue;
                     }
-                    for kx in 0..attrs.kw {
+                    for kx in 0..g.kw {
                         let ix = ix0 + kx as i64;
-                        if ix < 0 || ix >= g.w as i64 {
+                        if ix < 0 || ix >= w as i64 {
                             continue;
                         }
-                        let idx = base + iy as usize * g.w + ix as usize;
+                        let idx = base + iy as usize * w + ix as usize;
                         if src[idx] > best {
                             best = src[idx];
                             best_idx = idx;
                         }
                     }
                 }
-                let o = oy * g.ow + ox;
+                let o = oy * ow + ox;
                 dst[o] = if best_idx == usize::MAX { 0.0 } else { best };
                 mplane[o] = best_idx;
             }
@@ -143,16 +78,17 @@ pub fn max_pool_backward(
     mask: &[usize],
     attrs: &PoolAttrs,
 ) -> Tensor {
-    let g = geom(x, attrs);
+    let (g, crop) = attrs.geometry(x.shape().dims());
+    let (h, w, oh, ow) = (g.in_h, g.in_w, g.out_h(), g.out_w());
     let (n, c) = (x.dim(0), x.dim(1));
-    assert_eq!(dy.shape().dims(), &[n, c, g.oh, g.ow], "pool dy shape mismatch");
-    let mut dxc = Tensor::zeros(&[n, c, g.h, g.w]);
-    let ohw = g.oh * g.ow;
+    assert_eq!(dy.shape().dims(), &[n, c, oh, ow], "pool dy shape mismatch");
+    let mut dxc = Tensor::zeros(&[n, c, h, w]);
+    let ohw = oh * ow;
     let dyv = dy.as_slice();
     // Plane-parallel: mask indices for image `img` always point into its
     // own h·w slab, so scatter writes stay disjoint.
-    scnn_par::par_chunks_mut(dxc.as_mut_slice(), g.h * g.w, |img, d| {
-        let base = img * g.h * g.w;
+    scnn_par::par_chunks_mut(dxc.as_mut_slice(), h * w, |img, d| {
+        let base = img * h * w;
         for o in img * ohw..(img + 1) * ohw {
             let m = mask[o];
             if m != usize::MAX {
@@ -160,7 +96,7 @@ pub fn max_pool_backward(
             }
         }
     });
-    dxc.pad2d(g.crop.invert())
+    dxc.pad2d(crop.invert())
 }
 
 /// Average-pool forward (divisor `kh·kw`, padding counted, matching the
@@ -176,31 +112,32 @@ pub fn avg_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> Tensor {
 /// Panics if `y`'s shape is not the pooled shape.
 pub fn avg_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, y: &mut Tensor) {
     assert_eq!(y.shape().dims(), out_dims(x, attrs), "pool output buffer shape");
-    let g = geom(x, attrs);
-    let xc = x.pad2d(g.crop);
+    let (g, crop) = attrs.geometry(x.shape().dims());
+    let (h, w, oh, ow) = (g.in_h, g.in_w, g.out_h(), g.out_w());
+    let xc = x.pad2d(crop);
     let src = xc.as_slice();
-    let scale = 1.0 / (attrs.kh * attrs.kw) as f32;
-    scnn_par::par_chunks_mut(y.as_mut_slice(), g.oh * g.ow, |img, dst| {
-        let base = img * g.h * g.w;
-        for oy in 0..g.oh {
-            let iy0 = oy as i64 * attrs.sh as i64 - g.pos.h_begin;
-            for ox in 0..g.ow {
-                let ix0 = ox as i64 * attrs.sw as i64 - g.pos.w_begin;
+    let scale = 1.0 / (g.kh * g.kw) as f32;
+    scnn_par::par_chunks_mut(y.as_mut_slice(), oh * ow, |img, dst| {
+        let base = img * h * w;
+        for oy in 0..oh {
+            let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
+            for ox in 0..ow {
+                let ix0 = ox as i64 * g.sw as i64 - g.pad.w_begin;
                 let mut acc = 0.0;
-                for ky in 0..attrs.kh {
+                for ky in 0..g.kh {
                     let iy = iy0 + ky as i64;
-                    if iy < 0 || iy >= g.h as i64 {
+                    if iy < 0 || iy >= h as i64 {
                         continue;
                     }
-                    for kx in 0..attrs.kw {
+                    for kx in 0..g.kw {
                         let ix = ix0 + kx as i64;
-                        if ix < 0 || ix >= g.w as i64 {
+                        if ix < 0 || ix >= w as i64 {
                             continue;
                         }
-                        acc += src[base + iy as usize * g.w + ix as usize];
+                        acc += src[base + iy as usize * w + ix as usize];
                     }
                 }
-                dst[oy * g.ow + ox] = acc * scale;
+                dst[oy * ow + ox] = acc * scale;
             }
         }
     });
@@ -211,35 +148,36 @@ pub fn avg_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, y: &mut Tensor) {
 /// values are never read, so the activation may already be freed by a
 /// memory-planning runtime when this runs.
 pub fn avg_pool_backward(x_dims: &[usize], dy: &Tensor, attrs: &PoolAttrs) -> Tensor {
-    let g = geom_dims(x_dims, attrs);
+    let (g, crop) = attrs.geometry(x_dims);
+    let (h, w, oh, ow) = (g.in_h, g.in_w, g.out_h(), g.out_w());
     let (n, c) = (x_dims[0], x_dims[1]);
-    assert_eq!(dy.shape().dims(), &[n, c, g.oh, g.ow], "pool dy shape mismatch");
-    let mut dxc = Tensor::zeros(&[n, c, g.h, g.w]);
+    assert_eq!(dy.shape().dims(), &[n, c, oh, ow], "pool dy shape mismatch");
+    let mut dxc = Tensor::zeros(&[n, c, h, w]);
     let s = dy.as_slice();
-    let scale = 1.0 / (attrs.kh * attrs.kw) as f32;
-    scnn_par::par_chunks_mut(dxc.as_mut_slice(), g.h * g.w, |img, d| {
-        for oy in 0..g.oh {
-            let iy0 = oy as i64 * attrs.sh as i64 - g.pos.h_begin;
-            for ox in 0..g.ow {
-                let ix0 = ox as i64 * attrs.sw as i64 - g.pos.w_begin;
-                let gval = s[(img * g.oh + oy) * g.ow + ox] * scale;
-                for ky in 0..attrs.kh {
+    let scale = 1.0 / (g.kh * g.kw) as f32;
+    scnn_par::par_chunks_mut(dxc.as_mut_slice(), h * w, |img, d| {
+        for oy in 0..oh {
+            let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
+            for ox in 0..ow {
+                let ix0 = ox as i64 * g.sw as i64 - g.pad.w_begin;
+                let gval = s[(img * oh + oy) * ow + ox] * scale;
+                for ky in 0..g.kh {
                     let iy = iy0 + ky as i64;
-                    if iy < 0 || iy >= g.h as i64 {
+                    if iy < 0 || iy >= h as i64 {
                         continue;
                     }
-                    for kx in 0..attrs.kw {
+                    for kx in 0..g.kw {
                         let ix = ix0 + kx as i64;
-                        if ix < 0 || ix >= g.w as i64 {
+                        if ix < 0 || ix >= w as i64 {
                             continue;
                         }
-                        d[iy as usize * g.w + ix as usize] += gval;
+                        d[iy as usize * w + ix as usize] += gval;
                     }
                 }
             }
         }
     });
-    dxc.pad2d(g.crop.invert())
+    dxc.pad2d(crop.invert())
 }
 
 /// Global average pooling: `[n, c, h, w]` → `[n, c, 1, 1]`.
@@ -286,7 +224,7 @@ mod tests {
     use super::*;
     use crate::kernels::gradcheck::check;
     use scnn_rng::SplitRng;
-    use scnn_tensor::uniform;
+    use scnn_tensor::{uniform, Padding2d};
 
     fn attrs(k: usize, s: usize, pad: Padding2d) -> PoolAttrs {
         PoolAttrs {

@@ -5,13 +5,17 @@
 //! segment a wave) equals `S` independent `Executor` eval passes, bit for
 //! bit; and the segments themselves are maximal chains of consecutive
 //! node ids that tile the tape — running them in index order is the one
-//! execution order there is.
+//! execution order there is. And a training step reads, in backward, only
+//! the outputs the op table (`Op::desc`, through
+//! `Tape::needed_in_backward`) says it reads.
 
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use scnn_graph::{Graph, NodeId, PoolKind};
+use scnn_graph::{Graph, NodeId, ParamId, PoolKind, Tape};
 use scnn_nn::{
     BnState, BufferProvider, Deferred, Executor, ForwardCtx, Mode, ParamStore, Schedule, Slot,
+    VecProvider,
 };
 use scnn_rng::prop::{check, Case};
 use scnn_rng::{Rng, SplitRng};
@@ -103,7 +107,7 @@ fn wave_step_equals_independent_eval_passes() {
     let mut kinds_seen = BTreeSet::new();
     check("S-slot wave step == S eval passes", 40, |rng| {
         let (g, labels) = random_graph(rng);
-        kinds_seen.extend(g.nodes().iter().map(|n| n.op.kind_name()));
+        kinds_seen.extend(g.nodes().iter().map(|n| n.op.desc().name));
         let n = g.len();
         let dims = g.node(NodeId(0)).out_shape.clone();
 
@@ -191,6 +195,70 @@ fn wave_step_equals_independent_eval_passes() {
     ] {
         assert!(kinds_seen.contains(kind), "no generated graph contained a {kind} node");
     }
+}
+
+/// Drops, at the first `before_backward`, every node output
+/// `Tape::needed_in_backward` marks unread — what a plan built from the op
+/// table frees before backward.
+struct DropUnread {
+    needed: Vec<bool>,
+    dropped: bool,
+}
+
+impl BufferProvider for DropUnread {
+    fn before_backward(&mut self, _node: usize, outputs: &mut [Option<Tensor>]) {
+        if !std::mem::replace(&mut self.dropped, true) {
+            for (out, &needed) in outputs.iter_mut().zip(&self.needed) {
+                if !needed {
+                    *out = None;
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn backward_reads_only_what_the_op_table_says() {
+    let mut dropped = 0usize;
+    check("train step without unread outputs == Vec-per-node step", 40, |rng| {
+        let (g, labels) = random_graph(rng);
+        let needed = Tape::new(&g).needed_in_backward(&g);
+        dropped += needed.iter().filter(|&&n| !n).count();
+        let params = ParamStore::init(&g, rng);
+        let images = uniform(rng, &g.node(NodeId(0)).out_shape, -1.0, 1.0);
+        let seed = rng.next_u64();
+        // Loss and every parameter gradient, as bits.
+        let step = |provider: &mut dyn BufferProvider| {
+            let mut p = params.clone();
+            let mut rng = SplitRng::seed_from_u64(seed);
+            let r = Executor::new().run_with(
+                &g, &mut p, &mut BnState::new(), &images, &labels, Mode::Train, &mut rng, provider,
+            );
+            let grads: Vec<Vec<u32>> = (0..g.params().len())
+                .map(|i| p.grad(ParamId(i)).as_slice().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (r.loss.to_bits(), grads)
+        };
+        for threads in [1usize, 4] {
+            let want = scnn_par::with_threads(threads, || step(&mut VecProvider));
+            let got = catch_unwind(AssertUnwindSafe(|| {
+                scnn_par::with_threads(threads, || {
+                    step(&mut DropUnread { needed: needed.clone(), dropped: false })
+                })
+            }));
+            match got {
+                Err(_) => {
+                    return Case::Fail(format!("threads={threads}: backward read a dropped output"))
+                }
+                Ok(got) if got != want => {
+                    return Case::Fail(format!("threads={threads}: loss or a gradient differs"))
+                }
+                Ok(_) => {}
+            }
+        }
+        Case::Pass
+    });
+    assert!(dropped > 0, "no generated graph had an output backward leaves unread");
 }
 
 #[test]

@@ -9,9 +9,11 @@ use crate::{Padding2d, Tensor};
 
 /// Static geometry of a 2-D convolution or pooling window operation.
 ///
-/// Padding here must be non-negative; negative (cropping) padding from
-/// out-of-interval split choices is applied by the caller with
-/// [`Tensor::pad2d`] before the window operation runs.
+/// Padding here must be non-negative. A layer's possibly negative padding
+/// (out-of-interval split choices crop) goes through
+/// [`Conv2dGeometry::cropped`], which describes the cropped input window
+/// — the geometry every conv and pool kernel, the graph's shape inference
+/// and the workspace planner share.
 ///
 /// # Example
 ///
@@ -81,6 +83,33 @@ impl Conv2dGeometry {
             g.padded_w()
         );
         g
+    }
+
+    /// The geometry of a window operation whose padding `pad` may be
+    /// negative, over an input of `in_c × in_h × in_w`: the negative sides
+    /// crop the input ([`Padding2d::split`]), and the geometry is the
+    /// cropped window's, with the non-negative remainder as its padding.
+    /// Returns it with the crop; the window sits at offset
+    /// `(-crop.h_begin, -crop.w_begin)` of the input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the crop removes a whole extent, or as
+    /// [`Conv2dGeometry::new`] does.
+    #[allow(clippy::too_many_arguments)]
+    pub fn cropped(
+        in_c: usize,
+        in_h: usize,
+        in_w: usize,
+        kh: usize,
+        kw: usize,
+        sh: usize,
+        sw: usize,
+        pad: Padding2d,
+    ) -> (Self, Padding2d) {
+        let (crop, pos) = pad.split();
+        let g = Conv2dGeometry::new(in_c, crop.out_h(in_h), crop.out_w(in_w), kh, kw, sh, sw, pos);
+        (g, crop)
     }
 
     fn padded_h(&self) -> usize {
@@ -346,6 +375,21 @@ mod tests {
         let lhs = m.mul(&y).sum();
         let rhs = x.mul(&folded).sum();
         assert!((lhs - rhs).abs() / lhs.abs().max(1.0) < 1e-4);
+    }
+
+    #[test]
+    fn cropped_geometry_is_the_window_inside_the_crop() {
+        let (g, crop) = Conv2dGeometry::cropped(2, 6, 6, 3, 3, 1, 1, Padding2d::new(-1, 1, 1, -2));
+        assert_eq!(crop, Padding2d::new(-1, 0, 0, -2));
+        assert_eq!((g.in_h, g.in_w, g.pad), (5, 4, Padding2d::new(0, 1, 1, 0)));
+        // The full padding's extents: 6 − 1 + 1 = 6 → 4 rows, 6 + 1 − 2 = 5 → 3 columns.
+        assert_eq!((g.out_h(), g.out_w()), (4, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "collapses width")]
+    fn cropped_rejects_a_crop_past_the_input() {
+        Conv2dGeometry::cropped(1, 4, 2, 1, 1, 1, 1, Padding2d::new(0, 0, -1, -1));
     }
 
     #[test]

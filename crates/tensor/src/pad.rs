@@ -57,6 +57,17 @@ impl Padding2d {
         *self == Padding2d::default()
     }
 
+    /// Splits a (possibly negative) padding into its crop (every side
+    /// ≤ 0) and its zero padding (every side ≥ 0); applying the crop and
+    /// then the zero padding is applying `self`.
+    pub fn split(&self) -> (Padding2d, Padding2d) {
+        let side = |f: fn(i64, i64) -> i64| {
+            let Padding2d { h_begin, h_end, w_begin, w_end } = *self;
+            Padding2d::new(f(h_begin, 0), f(h_end, 0), f(w_begin, 0), f(w_end, 0))
+        };
+        (side(i64::min), side(i64::max))
+    }
+
     /// Output height for an input of height `h`.
     ///
     /// # Panics
@@ -215,6 +226,15 @@ mod tests {
         // Last image, last channel data preserved.
         assert_eq!(y.at(&[1, 1, 1, 1]), x.at(&[1, 1, 0, 0]));
         assert_eq!(y.at(&[1, 1, 2, 2]), x.at(&[1, 1, 1, 1]));
+    }
+
+    #[test]
+    fn split_separates_crop_from_padding() {
+        let (crop, pos) = Padding2d::new(-2, 1, 0, -1).split();
+        assert_eq!(crop, Padding2d::new(-2, 0, 0, -1));
+        assert_eq!(pos, Padding2d::new(0, 1, 0, 0));
+        let x = seq(&[1, 2, 5, 4]);
+        assert_eq!(x.pad2d(crop).pad2d(pos), x.pad2d(Padding2d::new(-2, 1, 0, -1)));
     }
 
     #[test]

@@ -37,15 +37,20 @@ if grep -rnE 'PoolGauge|plan_device_peak_bytes|pool_high_water|BnXhat' crates/ s
   exit 1
 fi
 
+# The non-comment lines of the given Rust files, each file up to its
+# first `#[cfg(test)]`: the library code the panic gate and the line
+# count below read.
+code_lines() {
+  awk 'FNR == 1 { stop = 0 } /#\[cfg\(test\)\]/ { stop = 1 } stop || /^[[:space:]]*\/\// { next } { print }' "$@"
+}
+
 # Panic-site gate (ROADMAP item 11): failures on the serving and runtime
 # library paths are values. Count `.unwrap(`, `.expect(`, `panic!`,
-# `unreachable!` and `assert*!` in the non-comment lines of
-# crates/{serve,runtime}/src, each file up to its first `#[cfg(test)]`.
-# The count may only go down: 46 before the replayed pool gauge and
-# run_batch's per-slot assert went, 41 after.
+# `unreachable!` and `assert*!` in the code lines of
+# crates/{serve,runtime}/src. The count may only go down: 46 before the
+# replayed pool gauge and run_batch's per-slot assert went, 41 after.
 panic_ceiling=41
-panic_sites="$(awk 'FNR == 1 { stop = 0 } /#\[cfg\(test\)\]/ { stop = 1 } stop || /^[[:space:]]*\/\// { next } { print }' \
-    crates/serve/src/*.rs crates/runtime/src/*.rs \
+panic_sites="$(code_lines crates/serve/src/*.rs crates/runtime/src/*.rs \
   | grep -oE '\.unwrap\(|\.expect\(|panic!|unreachable!|assert[a-z_]*!' | wc -l)"
 if (( panic_sites > panic_ceiling )); then
   echo "verify: $panic_sites panic sites in crates/{serve,runtime}/src, ceiling $panic_ceiling" >&2
@@ -109,6 +114,22 @@ if grep -rn '_mm256_mul_ps' crates/tensor/src; then
   echo "verify: _mm256_mul_ps under crates/tensor/src — the chain step is _mm256_fmadd_ps" >&2
   exit 1
 fi
+
+# Op-table guard (DESIGN.md §18): what an op's backward reads, the aux
+# bytes it keeps, its alias rule and its backward/forward time are one
+# table, `Op::desc`; a window op's cropped geometry is one constructor,
+# `Conv2dGeometry::cropped`. A function of the old names is a second
+# copy of a fact coming back.
+if grep -rnE 'fn (backward_needs_input|backward_needs_output|aux_saved_bytes|is_inplace_capable|backward_factor|split_padding|window_out)\b' crates/; then
+  echo "verify: a per-op fact or window geometry outside Op::desc / Conv2dGeometry::cropped" >&2
+  exit 1
+fi
+
+# The size of the library: non-blank code lines under crates/*/src (see
+# code_lines). Printed for the record, not gated.
+# shellcheck disable=SC2046  # the file list is deliberately word-split
+src_lines="$(code_lines $(find crates/*/src -name '*.rs' | sort) | grep -c '[^[:space:]]')"
+echo "verify: $src_lines non-comment non-blank non-test lines under crates/*/src"
 
 cargo build --workspace --release --offline
 cargo test -q --workspace --offline
@@ -265,3 +286,4 @@ if [[ "${SCNN_VERIFY_SKIP_BENCH:-0}" == 1 ]]; then
 else
   echo "  ran: bench smokes + byte pins, full gated benches, benchmark/check.sh"
 fi
+echo "  code: $src_lines non-comment non-blank non-test lines under crates/*/src"
