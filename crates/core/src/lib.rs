@@ -42,7 +42,7 @@ pub mod stochastic;
 pub mod transform;
 
 pub use cost::{conv_engine_workspace, conv_micro_workspace, plan_micro_schedule};
-pub use model::{Block, LayerDesc, ModelDesc, ShapeTrace};
+pub use model::{Block, LayerDesc, ModelDesc};
 pub use scheme::{even_starts, input_starts, patch_paddings, SplitChoice, Window1d};
 pub use stochastic::stochastic_starts;
 pub use transform::{

@@ -7,6 +7,8 @@
 //! description in the same order and therefore produce *identical
 //! parameter tables* — the invariant that lets stochastic Split-CNN train
 //! with a different graph every mini-batch while updating one weight set.
+//! A description has no shape rule of its own: every extent, the split
+//! planner's included, is read off the graph it lowers to.
 
 use scnn_graph::PoolKind;
 
@@ -151,56 +153,6 @@ impl ModelDesc {
             .count()
     }
 
-    /// Computes the shape trace (see [`ShapeTrace`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on inconsistent residual branches or impossible geometry.
-    pub fn shape_trace(&self) -> ShapeTrace {
-        let mut layer_in = Vec::new();
-        let mut layer_out = Vec::new();
-        let mut block_out = Vec::new();
-        let mut cur = (self.in_shape[0], self.in_shape[1], self.in_shape[2]);
-        for block in &self.blocks {
-            match block {
-                Block::Plain(l) => {
-                    layer_in.push(cur);
-                    cur = layer_shape(l, cur);
-                    layer_out.push(cur);
-                }
-                Block::Residual {
-                    main, downsample, ..
-                } => {
-                    let entry = cur;
-                    let mut m = entry;
-                    for l in main {
-                        layer_in.push(m);
-                        m = layer_shape(l, m);
-                        layer_out.push(m);
-                    }
-                    let mut d = entry;
-                    for l in downsample {
-                        layer_in.push(d);
-                        d = layer_shape(l, d);
-                        layer_out.push(d);
-                    }
-                    assert_eq!(
-                        m, d,
-                        "residual branches disagree in {}: {m:?} vs {d:?}",
-                        self.name
-                    );
-                    cur = m;
-                }
-            }
-            block_out.push(cur);
-        }
-        ShapeTrace {
-            layer_in,
-            layer_out,
-            block_out,
-        }
-    }
-
     /// A small two-conv CNN used by tests, examples and doctests.
     pub fn tiny_cnn(classes: usize) -> ModelDesc {
         use Block::Plain;
@@ -223,51 +175,30 @@ impl ModelDesc {
     }
 }
 
-/// Per-layer and per-block `(channels, height, width)` shapes, indexed by
-/// the flat layer enumeration (block order; within a residual block, main
-/// path first, then downsample).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShapeTrace {
-    /// Input shape of each flat layer.
-    pub layer_in: Vec<(usize, usize, usize)>,
-    /// Output shape of each flat layer.
-    pub layer_out: Vec<(usize, usize, usize)>,
-    /// Output shape of each block.
-    pub block_out: Vec<(usize, usize, usize)>,
-}
-
-fn layer_shape(l: &LayerDesc, (c, h, w): (usize, usize, usize)) -> (usize, usize, usize) {
-    match l {
-        LayerDesc::Conv { out_c, .. } => {
-            let win = l.window().expect("conv has window");
-            (*out_c, win.out_len(h), win.out_len(w))
-        }
-        LayerDesc::Pool { .. } => {
-            let win = l.window().expect("pool has window");
-            (c, win.out_len(h), win.out_len(w))
-        }
-        LayerDesc::BatchNorm { .. } | LayerDesc::Relu | LayerDesc::Dropout(_) => (c, h, w),
-        LayerDesc::GlobalAvgPool => (c, 1, 1),
-        LayerDesc::Flatten => (c * h * w, 1, 1),
-        LayerDesc::Linear(out) => (*out, 1, 1),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The output shape of the lowered node named `name`.
+    fn shape(g: &scnn_graph::Graph, name: &str) -> Vec<usize> {
+        g.nodes()
+            .iter()
+            .find(|n| n.name == name)
+            .expect(name)
+            .out_shape
+            .clone()
+    }
+
     #[test]
-    fn tiny_cnn_trace() {
-        let d = ModelDesc::tiny_cnn(10);
-        let t = d.shape_trace();
-        assert_eq!(t.layer_in[0], (3, 16, 16));
-        assert_eq!(t.layer_out[0], (8, 16, 16));
+    fn tiny_cnn_shapes() {
+        let g = crate::lower_unsplit(&ModelDesc::tiny_cnn(10), 1);
+        assert_eq!(shape(&g, "input"), [1, 3, 16, 16]);
+        assert_eq!(shape(&g, "b0"), [1, 8, 16, 16]);
         // After second pool: 16 channels, 4x4.
-        assert_eq!(t.block_out[5], (16, 4, 4));
+        assert_eq!(shape(&g, "b5"), [1, 16, 4, 4]);
         // Flatten then linear.
-        assert_eq!(t.block_out[6], (256, 1, 1));
-        assert_eq!(t.block_out[7], (10, 1, 1));
+        assert_eq!(shape(&g, "b6"), [1, 256]);
+        assert_eq!(shape(&g, "b7"), [1, 10]);
     }
 
     #[test]
@@ -295,17 +226,16 @@ mod tests {
         assert!(b.is_splittable());
     }
 
-    #[test]
-    fn residual_trace_checks_branch_agreement() {
+    fn residual_desc(stride: usize) -> ModelDesc {
         use LayerDesc::*;
-        let d = ModelDesc {
+        ModelDesc {
             name: "res".into(),
             in_shape: [4, 8, 8],
             classes: 2,
             blocks: vec![
                 Block::Residual {
                     main: vec![
-                        Conv { out_c: 4, k: 3, s: 1, p: 1, bias: false },
+                        Conv { out_c: 4, k: 3, s: stride, p: 1, bias: false },
                         Relu,
                         Conv { out_c: 4, k: 3, s: 1, p: 1, bias: false },
                     ],
@@ -316,10 +246,22 @@ mod tests {
                 Block::Plain(Flatten),
                 Block::Plain(Linear(2)),
             ],
-        };
-        let t = d.shape_trace();
-        assert_eq!(t.block_out[0], (4, 8, 8));
-        assert_eq!(t.block_out[1], (4, 1, 1));
+        }
+    }
+
+    #[test]
+    fn residual_lowering_checks_branch_agreement() {
+        let d = residual_desc(1);
+        let g = crate::lower_unsplit(&d, 1);
+        assert_eq!(shape(&g, "b0prelu"), [1, 4, 8, 8]);
+        assert_eq!(shape(&g, "b1"), [1, 4, 1, 1]);
         assert_eq!(d.splittable_prefix(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "add input shape mismatch")]
+    fn residual_branches_that_disagree_do_not_lower() {
+        // A stride-2 main path beside an identity shortcut.
+        crate::lower_unsplit(&residual_desc(2), 1);
     }
 }

@@ -14,10 +14,10 @@ use std::collections::HashMap;
 use std::fmt;
 
 use scnn_rng::Rng;
-use scnn_graph::{Graph, NodeId, ParamId, ParamKind};
+use scnn_graph::{Graph, NodeId, Op};
 use scnn_tensor::Padding2d;
 
-use crate::model::{Block, LayerDesc, ModelDesc, ShapeTrace};
+use crate::model::{Block, LayerDesc, ModelDesc};
 use crate::scheme::{even_starts, input_starts, patch_paddings, SplitChoice};
 use crate::stochastic::stochastic_starts;
 
@@ -138,14 +138,14 @@ impl SplitPlan {
     /// size. The parameter table is identical to
     /// [`lower_unsplit`]`(desc, batch)`'s.
     pub fn lower(&self, desc: &ModelDesc, batch: usize) -> Graph {
-        lower_impl(desc, batch, Some(self))
+        lower_impl(desc, batch, Some(self)).g
     }
 }
 
 /// Lowers a description into a plain (unsplit) graph ending in a softmax
 /// cross-entropy loss.
 pub fn lower_unsplit(desc: &ModelDesc, batch: usize) -> Graph {
-    lower_impl(desc, batch, None)
+    lower_impl(desc, batch, None).g
 }
 
 /// Plans a deterministic split with evenly spaced boundaries at the join.
@@ -217,8 +217,13 @@ fn plan_with_scheme(
         return Err(PlanSplitError::NothingToSplit);
     }
 
-    let trace = desc.shape_trace();
-    let (_, jh, jw) = trace.block_out[region_blocks - 1];
+    // Every extent the plan reads is the unsplit graph's. Inside the
+    // region only window layers change H and W, and a residual join's
+    // branches agree, so the join point's extents are the region's last
+    // flat layer's output extents.
+    let unsplit = lower_impl(desc, 1, None);
+    let last = unsplit.starts[region_blocks] - 1;
+    let (jh, jw) = (unsplit.extents(last, 2).1, unsplit.extents(last, 3).1);
     if jh < cfg.n_h {
         return Err(PlanSplitError::TooManyPatches {
             extent: jh,
@@ -234,8 +239,8 @@ fn plan_with_scheme(
 
     let out_h = scheme(jh, cfg.n_h, 0);
     let out_w = scheme(jw, cfg.n_w, 1);
-    let h = compute_dim_plan(desc, &trace, region_blocks, out_h, true, cfg.choice)?;
-    let w = compute_dim_plan(desc, &trace, region_blocks, out_w, false, cfg.choice)?;
+    let h = compute_dim_plan(desc, &unsplit, region_blocks, out_h, 2, cfg.choice)?;
+    let w = compute_dim_plan(desc, &unsplit, region_blocks, out_w, 3, cfg.choice)?;
 
     Ok(SplitPlan {
         region_blocks,
@@ -248,90 +253,49 @@ fn plan_with_scheme(
     })
 }
 
-/// Flat layer indices for each block, mirroring [`ModelDesc::shape_trace`]'s
-/// enumeration.
-fn flat_layout(desc: &ModelDesc) -> Vec<BlockLayout> {
-    let mut idx = 0;
-    desc.blocks
-        .iter()
-        .map(|b| match b {
-            Block::Plain(_) => {
-                let i = idx;
-                idx += 1;
-                BlockLayout::Plain(i)
-            }
-            Block::Residual {
-                main, downsample, ..
-            } => {
-                let m: Vec<usize> = main.iter().map(|_| { let i = idx; idx += 1; i }).collect();
-                let d: Vec<usize> = downsample.iter().map(|_| { let i = idx; idx += 1; i }).collect();
-                BlockLayout::Residual { main: m, down: d }
-            }
-        })
-        .collect()
-}
-
-enum BlockLayout {
-    Plain(usize),
-    Residual { main: Vec<usize>, down: Vec<usize> },
-}
-
+/// Walks the region backwards along `axis` (2 = H, 3 = W) of the unsplit
+/// lowering: each window layer maps the scheme on its output to one on its
+/// input and records its per-patch pads.
 fn compute_dim_plan(
     desc: &ModelDesc,
-    trace: &ShapeTrace,
+    unsplit: &Lowering,
     region_blocks: usize,
     out_starts: Vec<usize>,
-    is_h: bool,
+    axis: usize,
     choice: SplitChoice,
 ) -> Result<DimPlan, PlanSplitError> {
-    let layout = flat_layout(desc);
-    let pick = |shape: (usize, usize, usize)| if is_h { shape.1 } else { shape.2 };
     let mut pads = HashMap::new();
-
-    // Walks one layer backwards: given the scheme on its output, record its
-    // per-patch pads and return the scheme on its input.
-    let back = |idx: usize, layer: &LayerDesc, cur: Vec<usize>,
-                    pads: &mut HashMap<usize, Vec<(i64, i64)>>| {
-        match layer.window() {
-            Some(win) => {
-                let in_len = pick(trace.layer_in[idx]);
-                let out_len = pick(trace.layer_out[idx]);
-                let ins = input_starts(&win, &cur, in_len, choice);
-                pads.insert(idx, patch_paddings(&win, &cur, out_len, &ins, in_len));
-                ins
-            }
-            None => cur,
+    let mut back = |idx: usize, layer: &LayerDesc, cur: Vec<usize>| match layer.window() {
+        Some(win) => {
+            let (in_len, out_len) = unsplit.extents(idx, axis);
+            let ins = input_starts(&win, &cur, in_len, choice);
+            pads.insert(idx, patch_paddings(&win, &cur, out_len, &ins, in_len));
+            ins
         }
+        None => cur,
     };
 
     let mut cur = out_starts;
     for (bi, block) in desc.blocks[..region_blocks].iter().enumerate().rev() {
-        match (&layout[bi], block) {
-            (BlockLayout::Plain(idx), Block::Plain(l)) => {
-                cur = back(*idx, l, cur, &mut pads);
-            }
-            (
-                BlockLayout::Residual { main, down },
-                Block::Residual {
-                    main: ml,
-                    downsample: dl,
-                    ..
-                },
-            ) => {
+        let start = unsplit.starts[bi];
+        match block {
+            Block::Plain(l) => cur = back(start, l, cur),
+            Block::Residual {
+                main, downsample, ..
+            } => {
                 let mut cm = cur.clone();
-                for (idx, l) in main.iter().zip(ml).rev() {
-                    cm = back(*idx, l, cm, &mut pads);
+                for (j, l) in main.iter().enumerate().rev() {
+                    cm = back(start + j, l, cm);
                 }
-                let mut cd = cur.clone();
-                for (idx, l) in down.iter().zip(dl).rev() {
-                    cd = back(*idx, l, cd, &mut pads);
+                let mut cd = cur;
+                for (j, l) in downsample.iter().enumerate().rev() {
+                    cd = back(start + main.len() + j, l, cd);
                 }
                 if cm != cd {
                     return Err(PlanSplitError::SchemeConflict { block: bi });
                 }
                 cur = cm;
             }
-            _ => unreachable!("layout mirrors blocks"),
         }
     }
     Ok(DimPlan {
@@ -340,140 +304,138 @@ fn compute_dim_plan(
     })
 }
 
-/// Per-layer parameter handles created in phase 1 of lowering.
-#[derive(Clone, Copy, Debug)]
-enum LayerParams {
-    None,
-    Conv { weight: ParamId, bias: Option<ParamId> },
-    Bn { gamma: ParamId, beta: ParamId },
-    Linear { weight: ParamId, bias: ParamId },
-}
-
-fn lower_impl(desc: &ModelDesc, batch: usize, plan: Option<&SplitPlan>) -> Graph {
-    let trace = desc.shape_trace();
-    let layout = flat_layout(desc);
-    let mut g = Graph::new();
-
-    // Phase 1: parameters, in flat-layer order — identical for split and
-    // unsplit lowering by construction.
-    let flat_layers: Vec<&LayerDesc> = desc
-        .blocks
-        .iter()
-        .flat_map(|b| match b {
-            Block::Plain(l) => vec![l],
+/// The one flat-layer enumeration planning and lowering share: block `b`'s
+/// layers are `starts[b]..starts[b + 1]`, in block order and, within a
+/// residual block, main path first, then downsample.
+fn flat_layout(desc: &ModelDesc) -> Vec<usize> {
+    let mut starts = vec![0];
+    for b in &desc.blocks {
+        let n = match b {
+            Block::Plain(_) => 1,
             Block::Residual {
                 main, downsample, ..
-            } => main.iter().chain(downsample.iter()).collect(),
-        })
-        .collect();
-    let mut params = Vec::with_capacity(flat_layers.len());
-    for (idx, l) in flat_layers.iter().enumerate() {
-        let (in_c, in_h, in_w) = trace.layer_in[idx];
-        params.push(match l {
-            LayerDesc::Conv { out_c, k, bias, .. } => {
-                let weight = g.add_param(&[*out_c, in_c, *k, *k], ParamKind::Weight, in_c * k * k);
-                let bias = bias.then(|| g.add_param(&[*out_c], ParamKind::Bias, 0));
-                LayerParams::Conv { weight, bias }
-            }
-            LayerDesc::BatchNorm { .. } => {
-                let gamma = g.add_param(&[in_c], ParamKind::Gamma, 0);
-                let beta = g.add_param(&[in_c], ParamKind::Beta, 0);
-                LayerParams::Bn { gamma, beta }
-            }
-            LayerDesc::Linear(out) => {
-                let in_features = in_c * in_h * in_w;
-                let weight = g.add_param(&[*out, in_features], ParamKind::Weight, in_features);
-                let bias = g.add_param(&[*out], ParamKind::Bias, 0);
-                LayerParams::Linear { weight, bias }
-            }
-            _ => LayerParams::None,
-        });
+            } => main.len() + downsample.len(),
+        };
+        starts.push(starts[starts.len() - 1] + n);
+    }
+    starts
+}
+
+/// A graph lowered from a description. `first[i]` is the node flat layer
+/// `i` (of [`flat_layout`]'s `starts`) was first lowered to. That lowering
+/// goes through the `Graph` builder, which makes the layer's parameters;
+/// every later patch of the layer adds a copy of the node's op with its
+/// own padding.
+struct Lowering {
+    g: Graph,
+    starts: Vec<usize>,
+    first: Vec<Option<NodeId>>,
+}
+
+impl Lowering {
+    fn new(desc: &ModelDesc) -> Self {
+        let starts = flat_layout(desc);
+        let first = vec![None; starts[desc.blocks.len()]];
+        Lowering {
+            g: Graph::new(),
+            starts,
+            first,
+        }
     }
 
-    // Phase 2: nodes.
-    let [c, h, w] = desc.in_shape;
-    let input = g.input(&[batch, c, h, w]);
+    /// Input and output extents along `axis` of flat layer `idx`'s first
+    /// node.
+    fn extents(&self, idx: usize, axis: usize) -> (usize, usize) {
+        let node = self
+            .g
+            .node(self.first[idx].expect("every layer is lowered"));
+        (
+            self.g.node(node.inputs[0]).out_shape[axis],
+            node.out_shape[axis],
+        )
+    }
 
-    let apply = |g: &mut Graph,
-                 x: NodeId,
-                 idx: usize,
-                 l: &LayerDesc,
-                 pad: Option<Padding2d>,
-                 name: &str|
-     -> NodeId {
-        match (l, params[idx]) {
-            (LayerDesc::Conv { out_c, k, s, p, .. }, LayerParams::Conv { weight, bias }) => {
-                let pad = pad.unwrap_or_else(|| Padding2d::symmetric(*p as i64));
-                g.conv2d_shared(x, *out_c, *k, *k, *s, *s, pad, weight, bias, name)
+    /// Lowers flat layer `idx` onto `x`; `pad` overrides a window layer's
+    /// symmetric padding.
+    fn layer(
+        &mut self,
+        x: NodeId,
+        idx: usize,
+        l: &LayerDesc,
+        pad: Option<Padding2d>,
+        name: &str,
+    ) -> NodeId {
+        let g = &mut self.g;
+        if let Some(first) = self.first[idx] {
+            let mut op = g.node(first).op.clone();
+            if let Op::Conv2d { pad: p, .. } | Op::Pool2d { pad: p, .. } = &mut op {
+                *p = pad.unwrap_or(*p);
             }
-            (LayerDesc::Pool { kind, k, s, p }, _) => {
-                let pad = pad.unwrap_or_else(|| Padding2d::symmetric(*p as i64));
-                g.pool2d(x, *kind, *k, *s, pad, name)
-            }
-            (LayerDesc::BatchNorm { recompute }, LayerParams::Bn { gamma, beta }) => g.add_node(
-                scnn_graph::Op::BatchNorm {
-                    gamma,
-                    beta,
-                    recompute: *recompute,
-                },
-                &[x],
-                name,
-            ),
-            (LayerDesc::Relu, _) => g.relu(x, name),
-            (LayerDesc::Dropout(p), _) => g.dropout(x, *p, name),
-            (LayerDesc::GlobalAvgPool, _) => g.global_avg_pool(x, name),
-            (LayerDesc::Flatten, _) => g.flatten(x, name),
-            (LayerDesc::Linear(out), LayerParams::Linear { weight, bias }) => g.add_node(
-                scnn_graph::Op::Linear {
-                    out: *out,
-                    weight,
-                    bias,
-                },
-                &[x],
-                name,
-            ),
-            _ => unreachable!("layer/params mismatch at {name}"),
+            return g.add_node(op, &[x], name);
         }
-    };
+        let pad_or = |p: usize| pad.unwrap_or_else(|| Padding2d::symmetric(p as i64));
+        let node = match *l {
+            LayerDesc::Conv {
+                out_c,
+                k,
+                s,
+                p,
+                bias,
+            } => g.conv2d(x, out_c, k, s, pad_or(p), bias, name),
+            LayerDesc::Pool { kind, k, s, p } => g.pool2d(x, kind, k, s, pad_or(p), name),
+            LayerDesc::BatchNorm { recompute } => g.batch_norm(x, recompute, name),
+            LayerDesc::Relu => g.relu(x, name),
+            LayerDesc::Dropout(p) => g.dropout(x, p, name),
+            LayerDesc::GlobalAvgPool => g.global_avg_pool(x, name),
+            LayerDesc::Flatten => g.flatten(x, name),
+            LayerDesc::Linear(out) => g.linear(x, out, name),
+        };
+        self.first[idx] = Some(node);
+        node
+    }
 
-    // Runs one block for one data stream; `pad_for` supplies per-layer
-    // padding overrides (None in the unsplit stream).
-    let run_block = |g: &mut Graph,
-                     x: NodeId,
-                     bi: usize,
-                     block: &Block,
-                     pad_for: &dyn Fn(usize) -> Option<Padding2d>,
-                     tag: &str|
-     -> NodeId {
-        match (&layout[bi], block) {
-            (BlockLayout::Plain(idx), Block::Plain(l)) => {
-                apply(g, x, *idx, l, pad_for(*idx), &format!("b{bi}{tag}"))
-            }
-            (
-                BlockLayout::Residual { main, down },
-                Block::Residual {
-                    main: ml,
-                    downsample: dl,
-                    post_relu,
-                },
-            ) => {
+    /// Lowers block `bi` for one data stream; `pad_for` supplies per-layer
+    /// padding overrides (None in the unsplit stream).
+    fn block(
+        &mut self,
+        x: NodeId,
+        bi: usize,
+        block: &Block,
+        pad_for: &dyn Fn(usize) -> Option<Padding2d>,
+        tag: &str,
+    ) -> NodeId {
+        let start = self.starts[bi];
+        match block {
+            Block::Plain(l) => self.layer(x, start, l, pad_for(start), &format!("b{bi}{tag}")),
+            Block::Residual {
+                main,
+                downsample,
+                post_relu,
+            } => {
                 let mut m = x;
-                for (j, (idx, l)) in main.iter().zip(ml).enumerate() {
-                    m = apply(g, m, *idx, l, pad_for(*idx), &format!("b{bi}m{j}{tag}"));
+                for (j, l) in main.iter().enumerate() {
+                    let idx = start + j;
+                    m = self.layer(m, idx, l, pad_for(idx), &format!("b{bi}m{j}{tag}"));
                 }
                 let mut d = x;
-                for (j, (idx, l)) in down.iter().zip(dl).enumerate() {
-                    d = apply(g, d, *idx, l, pad_for(*idx), &format!("b{bi}d{j}{tag}"));
+                for (j, l) in downsample.iter().enumerate() {
+                    let idx = start + main.len() + j;
+                    d = self.layer(d, idx, l, pad_for(idx), &format!("b{bi}d{j}{tag}"));
                 }
-                let mut out = g.add(&[m, d], &format!("b{bi}add{tag}"));
+                let mut out = self.g.add(&[m, d], &format!("b{bi}add{tag}"));
                 if *post_relu {
-                    out = g.relu(out, &format!("b{bi}prelu{tag}"));
+                    out = self.g.relu(out, &format!("b{bi}prelu{tag}"));
                 }
                 out
             }
-            _ => unreachable!("layout mirrors blocks"),
         }
-    };
+    }
+}
+
+fn lower_impl(desc: &ModelDesc, batch: usize, plan: Option<&SplitPlan>) -> Lowering {
+    let mut lw = Lowering::new(desc);
+    let [c, h, w] = desc.in_shape;
+    let input = lw.g.input(&[batch, c, h, w]);
 
     let mut cur = input;
     let mut start_block = 0;
@@ -493,9 +455,11 @@ fn lower_impl(desc: &ModelDesc, batch: usize, plan: Option<&SplitPlan>) -> Graph
             let mut row = Vec::with_capacity(plan.n_w);
             for pj in 0..plan.n_w {
                 let tag = format!("/p{pi}x{pj}");
-                let first_patch_node = g.len();
-                let sh = g.slice(input, 2, starts_h[pi], len_h(pi), &format!("sliceh{tag}"));
-                let mut x = g.slice(sh, 3, starts_w[pj], len_w(pj), &format!("slicew{tag}"));
+                let first_patch_node = lw.g.len();
+                let sh =
+                    lw.g.slice(input, 2, starts_h[pi], len_h(pi), &format!("sliceh{tag}"));
+                let mut x =
+                    lw.g.slice(sh, 3, starts_w[pj], len_w(pj), &format!("slicew{tag}"));
                 for (bi, block) in desc.blocks[..plan.region_blocks].iter().enumerate() {
                     let pad_for = |idx: usize| -> Option<Padding2d> {
                         plan.h.pads.get(&idx).map(|hp| {
@@ -503,37 +467,36 @@ fn lower_impl(desc: &ModelDesc, batch: usize, plan: Option<&SplitPlan>) -> Graph
                             Padding2d::new(hp[pi].0, hp[pi].1, wp[pj].0, wp[pj].1)
                         })
                     };
-                    x = run_block(&mut g, x, bi, block, &pad_for, &tag);
+                    x = lw.block(x, bi, block, &pad_for, &tag);
                 }
                 // Every node added for this patch forms one sibling branch;
                 // tag the whole range so the parallel executor's wave
                 // structure can be inspected patch-by-patch.
-                for nid in first_patch_node..g.len() {
-                    g.set_group(NodeId(nid), pi * plan.n_w + pj);
+                for nid in first_patch_node..lw.g.len() {
+                    lw.g.set_group(NodeId(nid), pi * plan.n_w + pj);
                 }
                 row.push(x);
             }
-            let refs = row;
-            let joined_row = if refs.len() == 1 {
-                refs[0]
+            let joined_row = if row.len() == 1 {
+                row[0]
             } else {
-                g.concat(&refs, 3, &format!("joinw/r{pi}"))
+                lw.g.concat(&row, 3, &format!("joinw/r{pi}"))
             };
             rows.push(joined_row);
         }
         cur = if rows.len() == 1 {
             rows[0]
         } else {
-            g.concat(&rows, 2, "joinh")
+            lw.g.concat(&rows, 2, "joinh")
         };
         start_block = plan.region_blocks;
     }
 
     for (bi, block) in desc.blocks.iter().enumerate().skip(start_block) {
-        cur = run_block(&mut g, cur, bi, block, &|_| None, "");
+        cur = lw.block(cur, bi, block, &|_| None, "");
     }
-    g.softmax_cross_entropy(cur, "loss");
-    g
+    lw.g.softmax_cross_entropy(cur, "loss");
+    lw
 }
 
 #[cfg(test)]

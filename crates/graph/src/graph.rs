@@ -248,7 +248,9 @@ impl Graph {
         )
     }
 
-    /// Adds a square convolution with fresh parameters.
+    /// Adds a square convolution with fresh parameters. Split patches share
+    /// one layer's weights by adding a copy of its op (with their own
+    /// padding) through [`Graph::add_node`].
     #[allow(clippy::too_many_arguments)]
     pub fn conv2d(
         &mut self,
@@ -263,39 +265,17 @@ impl Graph {
         let in_c = self.nodes[x.0].out_shape[1];
         let weight = self.add_param(&[out_c, in_c, k, k], ParamKind::Weight, in_c * k * k);
         let bias = bias.then(|| self.add_param(&[out_c], ParamKind::Bias, 0));
-        self.conv2d_shared(x, out_c, k, k, s, s, pad, weight, bias, name)
-    }
-
-    /// Adds a convolution that *shares* existing parameters — how split
-    /// patches reuse the original layer's weights.
-    #[allow(clippy::too_many_arguments)]
-    pub fn conv2d_shared(
-        &mut self,
-        x: NodeId,
-        out_c: usize,
-        kh: usize,
-        kw: usize,
-        sh: usize,
-        sw: usize,
-        pad: Padding2d,
-        weight: ParamId,
-        bias: Option<ParamId>,
-        name: &str,
-    ) -> NodeId {
-        self.add_node(
-            Op::Conv2d {
-                out_c,
-                kh,
-                kw,
-                sh,
-                sw,
-                pad,
-                weight,
-                bias,
-            },
-            &[x],
-            name,
-        )
+        let op = Op::Conv2d {
+            out_c,
+            kh: k,
+            kw: k,
+            sh: s,
+            sw: s,
+            pad,
+            weight,
+            bias,
+        };
+        self.add_node(op, &[x], name)
     }
 
     /// Adds a square pooling layer.

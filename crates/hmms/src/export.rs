@@ -65,6 +65,37 @@ impl ExecPlan {
         self
     }
 
+    /// A plan of `steps` over `graph` carrying the per-TSO tables every
+    /// export builds — sizes, alias nodes, activation flags — with nothing
+    /// offloaded and nothing to restore yet.
+    pub(crate) fn with_tables(
+        graph: &Graph,
+        tso: &TsoAssignment,
+        strategy: String,
+        steps: Vec<StepPlan>,
+        forward_len: usize,
+        layout: StaticLayout,
+    ) -> Self {
+        let mut alias_nodes: Vec<Vec<usize>> = vec![Vec::new(); tso.len()];
+        for node in graph.nodes() {
+            alias_nodes[tso.activation[node.id.0].0].push(node.id.0);
+        }
+        ExecPlan {
+            strategy,
+            steps,
+            forward_len,
+            layout,
+            host_offsets: HashMap::new(),
+            sizes: (0..tso.len()).map(|i| tso.size(TsoId(i))).collect(),
+            alias_nodes,
+            restore_nodes: vec![Vec::new(); tso.len()],
+            is_activation: (0..tso.len())
+                .map(|i| matches!(tso.role(TsoId(i)), TsoRole::Activation(_)))
+                .collect(),
+            micro: None,
+        }
+    }
+
     /// Node id executing at tape position `pos`.
     pub fn node_at(&self, pos: usize) -> usize {
         if pos < self.forward_len {
@@ -112,39 +143,28 @@ pub fn export_plan_with(
         });
     }
     let layout = plan_layout_with(graph, plan, tso, opts)?;
+    let mut exec = ExecPlan::with_tables(
+        graph,
+        tso,
+        plan.strategy.clone(),
+        plan.steps.clone(),
+        tape.forward_len(),
+        layout,
+    );
 
-    let mut host_offsets = HashMap::new();
     let mut host_cursor = 0usize;
     for &t in &plan.offloaded {
-        host_offsets.insert(t, host_cursor);
+        exec.host_offsets.insert(t, host_cursor);
         host_cursor += tso.size(t);
     }
 
     let needed = tape.needed_in_backward(graph);
-    let mut alias_nodes: Vec<Vec<usize>> = vec![Vec::new(); tso.len()];
-    let mut restore_nodes: Vec<Vec<usize>> = vec![Vec::new(); tso.len()];
     for node in graph.nodes() {
-        let t = tso.activation[node.id.0].0;
-        alias_nodes[t].push(node.id.0);
         if needed[node.id.0] {
-            restore_nodes[t].push(node.id.0);
+            exec.restore_nodes[tso.activation[node.id.0].0].push(node.id.0);
         }
     }
-
-    Ok(ExecPlan {
-        strategy: plan.strategy.clone(),
-        steps: plan.steps.clone(),
-        forward_len: tape.forward_len(),
-        layout,
-        host_offsets,
-        sizes: (0..tso.len()).map(|i| tso.size(TsoId(i))).collect(),
-        alias_nodes,
-        restore_nodes,
-        is_activation: (0..tso.len())
-            .map(|i| matches!(tso.role(TsoId(i)), TsoRole::Activation(_)))
-            .collect(),
-        micro: None,
-    })
+    Ok(exec)
 }
 
 #[cfg(test)]

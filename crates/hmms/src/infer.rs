@@ -12,7 +12,7 @@
 //! are never materialized.
 //!
 //! The resulting [`MemoryPlan`] replays through the same
-//! [`plan_layout_with`] first-fit/packing machinery as the training plans
+//! [`plan_layout`] first-fit machinery as the training plans
 //! (the layout pass is event-driven and never assumes a tape length), so
 //! an inference [`ExecPlan`] carries real addresses a serving runtime can
 //! assert against, exactly like `PlanRuntime` does for training.
@@ -20,7 +20,7 @@
 use scnn_graph::Graph;
 
 use crate::export::ExecPlan;
-use crate::layout::{plan_layout_with, LayoutError, LayoutOptions};
+use crate::layout::{plan_layout, LayoutError};
 use crate::plan::{MemEvent, MemoryPlan, StepPlan};
 use crate::tso::{TsoAssignment, TsoId, TsoRole};
 
@@ -74,19 +74,6 @@ pub fn plan_inference(graph: &Graph, tso: &TsoAssignment) -> MemoryPlan {
     }
 }
 
-/// Resolves the forward-only plan into an [`ExecPlan`] with default
-/// [`LayoutOptions`].
-///
-/// # Errors
-///
-/// See [`export_inference_plan_with`].
-pub fn export_inference_plan(
-    graph: &Graph,
-    tso: &TsoAssignment,
-) -> Result<ExecPlan, LayoutError> {
-    export_inference_plan_with(graph, tso, LayoutOptions::default())
-}
-
 /// Resolves the forward-only plan into an [`ExecPlan`].
 ///
 /// The returned plan differs from a training export in three documented
@@ -94,42 +81,23 @@ pub fn export_inference_plan(
 /// backward half for [`ExecPlan::node_at`] to mirror into), the host pool
 /// and `restore_nodes` are empty (nothing offloads), and
 /// `device_param_bytes` counts parameters once — inference never
-/// materializes gradients.
+/// materializes gradients. The layout is plain first-fit: with nothing
+/// offloaded, no [`crate::LayoutOptions`] could place it otherwise.
 ///
 /// # Errors
 ///
 /// Returns a [`LayoutError`] when first-fit replay finds the plan illegal
 /// — which would be a bug in [`plan_inference`], surfaced as a value.
-pub fn export_inference_plan_with(
+pub fn export_inference_plan(
     graph: &Graph,
     tso: &TsoAssignment,
-    opts: LayoutOptions,
 ) -> Result<ExecPlan, LayoutError> {
     let plan = plan_inference(graph, tso);
-    let mut layout = plan_layout_with(graph, &plan, tso, opts)?;
+    let mut layout = plan_layout(graph, &plan, tso)?;
     // plan_layout budgets params + grads; inference holds frozen params
     // only.
     layout.device_param_bytes = graph.param_elems() * 4;
-
-    let mut alias_nodes: Vec<Vec<usize>> = vec![Vec::new(); tso.len()];
-    for node in graph.nodes() {
-        alias_nodes[tso.activation[node.id.0].0].push(node.id.0);
-    }
-
-    Ok(ExecPlan {
-        strategy: plan.strategy.clone(),
-        forward_len: graph.len(),
-        steps: plan.steps,
-        layout,
-        host_offsets: std::collections::HashMap::new(),
-        sizes: (0..tso.len()).map(|i| tso.size(TsoId(i))).collect(),
-        alias_nodes,
-        restore_nodes: vec![Vec::new(); tso.len()],
-        is_activation: (0..tso.len())
-            .map(|i| matches!(tso.role(TsoId(i)), TsoRole::Activation(_)))
-            .collect(),
-        micro: None,
-    })
+    Ok(ExecPlan::with_tables(graph, tso, plan.strategy, plan.steps, graph.len(), layout))
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ mod profile;
 mod tso;
 
 pub use export::{export_plan, export_plan_with, ExecPlan};
-pub use infer::{export_inference_plan, export_inference_plan_with, plan_inference};
+pub use infer::{export_inference_plan, plan_inference};
 pub use layout::{plan_layout, plan_layout_with, LayoutError, LayoutOptions, StaticLayout};
 pub use offload::{
     plan_hmms, plan_no_offload, plan_vdnn, theoretical_offload_fraction, PlannerOptions,

@@ -74,14 +74,14 @@ pub fn alexnet(opts: &ModelOptions) -> ModelDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block_out;
 
     #[test]
     fn imagenet_feature_map_is_6x6() {
         let d = alexnet(&ModelOptions::imagenet());
-        let t = d.shape_trace();
         // Last pool output before the classifier (8 classifier blocks).
-        let pre = t.block_out[d.blocks.len() - 9];
-        assert_eq!(pre, (256, 6, 6));
+        let pre = &block_out(&d)[d.blocks.len() - 9];
+        assert_eq!(pre, &[1, 256, 6, 6]);
     }
 
     #[test]

@@ -145,25 +145,24 @@ pub fn resnet50(opts: &ModelOptions) -> ModelDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block_out;
 
     #[test]
     fn resnet18_cifar_stage_shapes() {
-        let d = resnet18(&ModelOptions::cifar());
-        let t = d.shape_trace();
+        let out = block_out(&resnet18(&ModelOptions::cifar()));
         // Stem (3 blocks) + 2 blocks per stage; find end of each stage.
-        assert_eq!(t.block_out[2], (64, 32, 32)); // stem
-        assert_eq!(t.block_out[4], (64, 32, 32)); // stage 1
-        assert_eq!(t.block_out[6], (128, 16, 16)); // stage 2
-        assert_eq!(t.block_out[8], (256, 8, 8)); // stage 3
-        assert_eq!(t.block_out[10], (512, 4, 4)); // stage 4
+        assert_eq!(out[2], [1, 64, 32, 32]); // stem
+        assert_eq!(out[4], [1, 64, 32, 32]); // stage 1
+        assert_eq!(out[6], [1, 128, 16, 16]); // stage 2
+        assert_eq!(out[8], [1, 256, 8, 8]); // stage 3
+        assert_eq!(out[10], [1, 512, 4, 4]); // stage 4
     }
 
     #[test]
     fn resnet50_imagenet_final_features() {
         let d = resnet50(&ModelOptions::imagenet());
-        let t = d.shape_trace();
-        let pre_gap = t.block_out[d.blocks.len() - 4];
-        assert_eq!(pre_gap, (2048, 7, 7));
+        let pre_gap = &block_out(&d)[d.blocks.len() - 4];
+        assert_eq!(pre_gap, &[1, 2048, 7, 7]);
     }
 
     #[test]
@@ -179,8 +178,7 @@ mod tests {
 
     #[test]
     fn imagenet_stem_downsamples_4x() {
-        let d = resnet18(&ModelOptions::imagenet());
-        let t = d.shape_trace();
-        assert_eq!(t.block_out[3], (64, 56, 56)); // after stem pool
+        let out = block_out(&resnet18(&ModelOptions::imagenet()));
+        assert_eq!(out[3], [1, 64, 56, 56]); // after stem pool
     }
 }

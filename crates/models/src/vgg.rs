@@ -83,22 +83,22 @@ fn vgg19_impl(opts: &ModelOptions, batch_norm: bool) -> ModelDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block_out;
 
     #[test]
     fn imagenet_trace_reaches_7x7() {
         let d = vgg19(&ModelOptions::imagenet());
-        let t = d.shape_trace();
         // Find the last pool output (the 512×7×7 feature map).
-        let pre_flatten = t.block_out[d.blocks.len() - 9]; // before Flatten+classifier (8 blocks)
-        assert_eq!(pre_flatten, (512, 7, 7));
+        // Before Flatten + classifier (8 blocks).
+        let pre_flatten = &block_out(&d)[d.blocks.len() - 9];
+        assert_eq!(pre_flatten, &[1, 512, 7, 7]);
     }
 
     #[test]
     fn cifar_trace_reaches_1x1() {
         let d = vgg19(&ModelOptions::cifar());
-        let t = d.shape_trace();
-        let pre_flatten = t.block_out[d.blocks.len() - 3];
-        assert_eq!(pre_flatten, (512, 1, 1));
+        let pre_flatten = &block_out(&d)[d.blocks.len() - 3];
+        assert_eq!(pre_flatten, &[1, 512, 1, 1]);
     }
 
     #[test]

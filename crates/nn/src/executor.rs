@@ -10,7 +10,7 @@ use scnn_tensor::Tensor;
 use crate::kernels::{
     add_forward_into, avg_pool_backward, avg_pool_forward_into, batch_norm_backward_from_input,
     batch_norm_inference_into, batch_norm_train_stats_into, conv2d_backward_micro,
-    conv2d_forward_micro_into, dropout_apply_into, dropout_backward, dropout_mask,
+    conv2d_forward_into, dropout_apply_into, dropout_backward, dropout_mask,
     global_avg_pool_backward, global_avg_pool_forward_into, linear_backward, linear_forward_into,
     max_pool_backward, max_pool_forward_into, relu_backward_inplace, relu_forward_into,
     softmax_cross_entropy_backward, softmax_cross_entropy_forward, update_running, BnStats,
@@ -401,8 +401,7 @@ impl Executor {
             Op::Conv2d { weight, bias, .. } => {
                 let w = params.value(*weight);
                 let b = bias.map(|id| params.value(id));
-                let u = self.micro_batch(node.id);
-                conv2d_forward_micro_into(input(0), w, b, &ConvAttrs::from_op(&node.op), None, u, y);
+                conv2d_forward_into(input(0), w, b, &ConvAttrs::from_op(&node.op), None, y);
                 (Aux::None, None)
             }
             Op::Pool2d { kind, .. } => {

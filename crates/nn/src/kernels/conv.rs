@@ -81,7 +81,7 @@ pub fn conv2d_forward_with(
     attrs: &ConvAttrs,
     algo: Option<ConvAlgo>,
 ) -> Tensor {
-    conv2d_forward_micro(x, w, b, attrs, algo, 0)
+    fresh(&out_dims(x, w, attrs), |y| conv2d_forward_into(x, w, b, attrs, algo, y)).0
 }
 
 /// [`conv2d_forward_with`] at micro-batch size `micro` (`0` = whole batch).
@@ -95,24 +95,23 @@ pub fn conv2d_forward_micro(
     b: Option<&Tensor>,
     attrs: &ConvAttrs,
     algo: Option<ConvAlgo>,
-    micro: usize,
+    _micro: usize,
 ) -> Tensor {
-    fresh(&out_dims(x, w, attrs), |y| conv2d_forward_micro_into(x, w, b, attrs, algo, micro, y)).0
+    conv2d_forward_with(x, w, b, attrs, algo)
 }
 
-/// [`conv2d_forward_micro`] into `y: [n, oc, oh, ow]`, whose contents on
+/// [`conv2d_forward_with`] into `y: [n, oc, oh, ow]`, whose contents on
 /// entry do not matter: every element is overwritten.
 ///
 /// # Panics
 ///
 /// Panics if shapes disagree with the attributes or `y` has another shape.
-pub fn conv2d_forward_micro_into(
+pub fn conv2d_forward_into(
     x: &Tensor,
     w: &Tensor,
     b: Option<&Tensor>,
     attrs: &ConvAttrs,
     algo: Option<ConvAlgo>,
-    _micro: usize,
     y: &mut Tensor,
 ) {
     assert_eq!(y.shape().dims(), out_dims(x, w, attrs), "conv output buffer shape");

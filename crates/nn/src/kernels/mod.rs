@@ -9,7 +9,7 @@
 //! element of an output buffer the caller hands it — the executor passes
 //! the buffer its [`crate::BufferProvider`] chose for the node, whose
 //! contents on entry are unspecified. The allocating form (`relu_forward`,
-//! `conv2d_forward_micro`, …) runs that body on a fresh zeroed tensor.
+//! `conv2d_forward_with`, …) runs that body on a fresh zeroed tensor.
 
 mod bn;
 mod conv;
@@ -25,7 +25,7 @@ pub use bn::{
 };
 pub use conv::{
     conv2d_backward, conv2d_backward_micro, conv2d_backward_with, conv2d_forward,
-    conv2d_forward_micro, conv2d_forward_micro_into, conv2d_forward_with, ConvAlgo, ConvGrads,
+    conv2d_forward_into, conv2d_forward_micro, conv2d_forward_with, ConvAlgo, ConvGrads,
 };
 pub use linear::{linear_backward, linear_forward, linear_forward_into, LinearGrads};
 pub use loss::{softmax_cross_entropy_backward, softmax_cross_entropy_forward, LossOut};

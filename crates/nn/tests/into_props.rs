@@ -6,7 +6,7 @@
 use scnn_nn::kernels::{
     add_forward_into, avg_pool_forward, avg_pool_forward_into, batch_norm_inference,
     batch_norm_inference_into, batch_norm_train_stats,
-    batch_norm_train_stats_into, conv2d_forward_micro, conv2d_forward_micro_into,
+    batch_norm_train_stats_into, conv2d_forward_into, conv2d_forward_with,
     dropout_apply_into, dropout_mask, global_avg_pool_forward, global_avg_pool_forward_into,
     linear_forward, linear_forward_into, max_pool_forward, max_pool_forward_into, relu_forward,
     relu_forward_into, ConvAlgo, ConvAttrs, PoolAttrs,
@@ -33,7 +33,7 @@ fn random_padding(rng: &mut impl Rng) -> Padding2d {
 
 #[test]
 fn conv_into_overwrites_a_nan_buffer() {
-    check("conv2d_forward_micro_into on NaN", 24, |rng| {
+    check("conv2d_forward_into on NaN", 24, |rng| {
         let (n, ic, oc) = (rng.gen_range(1..3usize), rng.gen_range(1..4usize), rng.gen_range(1..6usize));
         let (h, w) = (rng.gen_range(4..10usize), rng.gen_range(4..10usize));
         let (kh, kw) = (rng.gen_range(1..4usize), rng.gen_range(1..4usize));
@@ -47,9 +47,9 @@ fn conv_into_overwrites_a_nan_buffer() {
         let b = uniform(rng, &[oc], -0.2, 0.2);
         let bias = if rng.gen_range(0..2usize) == 0 { Some(&b) } else { None };
         for algo in [None, Some(ConvAlgo::Materialized)] {
-            let want = conv2d_forward_micro(&x, &wt, bias, &attrs, algo, 0);
+            let want = conv2d_forward_with(&x, &wt, bias, &attrs, algo);
             let mut got = nan_like(&want);
-            conv2d_forward_micro_into(&x, &wt, bias, &attrs, algo, 0, &mut got);
+            conv2d_forward_into(&x, &wt, bias, &attrs, algo, &mut got);
             prop_assert!(same_bits(&want, &got), "{algo:?}");
         }
         Case::Pass

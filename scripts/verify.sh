@@ -124,6 +124,14 @@ if grep -rnE 'fn (backward_needs_input|backward_needs_output|aux_saved_bytes|is_
   echo "verify: a per-op fact or window geometry outside Op::desc / Conv2dGeometry::cropped" >&2
   exit 1
 fi
+# The split transform keeps no model of the network of its own: it plans
+# on the unsplit graph's shapes and makes each layer's parameters through
+# the `Graph` builders. A shape trace or a parameter pre-pass is a second
+# shape or parameter rule coming back.
+if grep -rnE 'struct ShapeTrace\b|enum LayerParams\b|fn (shape_trace|layer_shape|conv2d_shared)\b' crates/; then
+  echo "verify: a second shape or parameter rule beside the graph's is back under crates/" >&2
+  exit 1
+fi
 
 # The size of the library: non-blank code lines under crates/*/src (see
 # code_lines). Printed for the record, not gated.
