@@ -12,9 +12,8 @@
 //!   barriers), pinned two-sided by verify; the planned pool it sits
 //!   under, `N × device_general_bytes`, is printed beside it;
 //! - `capacity/max_concurrency` — the Fig. 10-style search: the largest
-//!   concurrency whose planned footprint fits a fixed device budget;
-//! - `capacity/max_concurrency_r{R}` — the same search with `R` replicas
-//!   sharing the budget (`params + R × C × pool ≤ budget`);
+//!   concurrency whose planned footprint fits a fixed device budget
+//!   (`params + C × pool ≤ budget`);
 //! - `overload/shed`, `overload/admitted_latency`,
 //!   `overload/queue_depth_peak` — a burst of `8 × queue_capacity`
 //!   simultaneous submissions against a bounded queue: how many were
@@ -136,7 +135,7 @@ fn main() {
                 .collect()
         });
         let wall = started.elapsed();
-        let snapshot = server.shutdown().expect("no replica died");
+        let snapshot = server.shutdown().expect("the engine did not die");
         assert_eq!(snapshot.total_shed(), 0, "closed loop never overflows");
         let total = c * reqs_per_client;
         let rps = total as f64 / wall.as_secs_f64();
@@ -146,7 +145,7 @@ fn main() {
     }
 
     // Overload: a burst of 8 × capacity simultaneous submissions against
-    // a bounded queue and one replica. Admission must shed the overflow
+    // a bounded queue and one dispatcher. Admission must shed the overflow
     // at the door (never block), and every admitted request must still
     // complete under the interactive deadline.
     // The 10 s interactive deadline is the SLO the verify gate pins the
@@ -203,7 +202,7 @@ fn main() {
             .collect()
     });
     let server = Arc::into_inner(server).expect("burst threads joined");
-    let snapshot = server.shutdown().expect("no replica died");
+    let snapshot = server.shutdown().expect("the engine did not die");
     let shed = shed.load(Ordering::Relaxed);
     assert_eq!(snapshot.total_shed() as usize, shed);
     assert_eq!(admitted.len() + shed, burst);
@@ -223,8 +222,7 @@ fn main() {
     );
 
     // Capacity search at a fixed device budget — the serving counterpart
-    // of the memory bench's Fig. 10 `max_batch_size` records — and its
-    // replica-sharing variants (params once, R pools in the same budget).
+    // of the memory bench's Fig. 10 `max_batch_size` records.
     let budget = if smoke { 8 << 20 } else { 64 << 20 };
     let cap = engine
         .max_concurrency(budget, 4096)
@@ -236,20 +234,6 @@ fn main() {
         cap.max_concurrency,
         cap.device_bytes
     );
-    for replicas in [2usize, 4] {
-        let cap_r = engine
-            .max_concurrency_replicated(budget, replicas, 4096)
-            .expect("at least one request per replica fits the budget");
-        g.record_bytes(
-            &format!("capacity/max_concurrency_r{replicas}"),
-            cap_r.max_concurrency,
-        );
-        println!(
-            "  capacity {} MiB / {replicas} replicas: max per-replica concurrency {}",
-            budget >> 20,
-            cap_r.max_concurrency
-        );
-    }
 
     g.finish();
 }

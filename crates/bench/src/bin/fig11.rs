@@ -13,7 +13,7 @@
 
 use scnn_bench::Args;
 use scnn_core::lower_unsplit;
-use scnn_dist::{speedup_sweep, DistConfig};
+use scnn_bench::dist::{speedup_sweep, DistConfig};
 use scnn_gpusim::{profile_graph, CostModel};
 use scnn_models::{vgg19, ModelOptions};
 

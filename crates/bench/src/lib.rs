@@ -4,6 +4,7 @@
 //! EXPERIMENTS.md for recorded paper-vs-measured outcomes.
 
 pub mod args;
+pub mod dist;
 pub mod harness;
 #[cfg(feature = "heap-track")]
 pub mod heap;

@@ -188,28 +188,16 @@ mod tests {
     }
 
     #[test]
-    fn serving_bytes_scale_linearly_in_replicas_and_concurrency() {
+    fn serving_bytes_scale_linearly_in_concurrency() {
         let (g, tso) = setup();
         let exec = export_inference_plan(&g, &tso).expect("inference plan is legal");
         let layout = &exec.layout;
         let params = layout.device_param_bytes;
         let pool = layout.device_general_bytes;
         assert!(pool > 0);
-        // R=1 reduces exactly to the single-engine Fig. 10 model.
-        assert_eq!(
-            layout.serving_device_bytes(1, 7),
-            params + 7 * pool
-        );
-        // Params are shared across replicas; pools multiply out.
-        assert_eq!(
-            layout.serving_device_bytes(4, 8),
-            params + 4 * 8 * pool
-        );
-        assert_eq!(
-            layout.serving_device_bytes(4, 8),
-            layout.serving_device_bytes(8, 4)
-        );
-        assert_eq!(layout.serving_device_bytes(0, 8), params);
+        // Params are shared across slots; pools multiply out.
+        assert_eq!(layout.serving_device_bytes(7), params + 7 * pool);
+        assert_eq!(layout.serving_device_bytes(0), params);
     }
 
     #[test]

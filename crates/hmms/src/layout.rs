@@ -49,20 +49,12 @@ impl StaticLayout {
         self.device_general_bytes + self.device_param_bytes
     }
 
-    /// Planned device bytes for a serving deployment over this
-    /// (inference) layout: `replicas` engine replicas, each concurrently
-    /// running a batch of `concurrency` request slots, all sharing one
-    /// frozen copy of the parameters —
-    /// `params + replicas × concurrency × pool`.
-    ///
-    /// This is the paper's Fig. 10 capacity model
-    /// (`params + c × pool`) extended with the replica axis: slots scale
-    /// the pool *within* a batch, replicas scale the number of
-    /// simultaneously live batches, and only the parameter term is shared
-    /// across all of them. `serving_device_bytes(1, c)` is exactly the
-    /// single-engine model.
-    pub fn serving_device_bytes(&self, replicas: usize, concurrency: usize) -> usize {
-        self.device_param_bytes + replicas * concurrency * self.device_general_bytes
+    /// Planned device bytes for serving over this (inference) layout:
+    /// `concurrency` request slots in flight, each with its own general
+    /// pool, all sharing one frozen copy of the parameters —
+    /// `params + concurrency × pool`, the paper's Fig. 10 capacity model.
+    pub fn serving_device_bytes(&self, concurrency: usize) -> usize {
+        self.device_param_bytes + concurrency * self.device_general_bytes
     }
 }
 

@@ -30,7 +30,7 @@ pub use conv::{
 pub use linear::{linear_backward, linear_forward, linear_forward_into, LinearGrads};
 pub use loss::{softmax_cross_entropy_backward, softmax_cross_entropy_forward, LossOut};
 pub use pointwise::{
-    add_forward_into, dropout_apply_into, dropout_backward, dropout_forward, dropout_mask,
+    add_forward_into, dropout_apply_into, dropout_backward, dropout_mask,
     relu_backward, relu_backward_inplace, relu_forward, relu_forward_into,
 };
 pub use pool::{

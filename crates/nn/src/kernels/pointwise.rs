@@ -85,11 +85,12 @@ pub fn relu_backward_inplace(y: &Tensor, dy: &mut Tensor) {
     });
 }
 
-/// Draws an inverted-dropout keep mask (already scaled by `1/(1−p)`),
-/// consuming exactly `len` RNG draws when `p > 0` and none when `p == 0`.
-/// Split out of [`dropout_forward`] so the executor can pre-draw all masks
-/// serially in node-id order before running branches concurrently —
-/// keeping the RNG stream identical to fully serial execution.
+/// Draws an inverted-dropout keep mask (already scaled by `1/(1−p)`:
+/// zero with probability `p`), consuming exactly `len` RNG draws when
+/// `p > 0` and none when `p == 0`. Separate from [`dropout_apply_into`] so
+/// the executor can pre-draw all masks serially in node-id order before
+/// running branches concurrently — keeping the RNG stream identical to
+/// fully serial execution.
 ///
 /// # Panics
 ///
@@ -105,20 +106,6 @@ pub fn dropout_mask(dims: &[usize], p: f32, rng: &mut impl Rng) -> Tensor {
         .map(|_| if rng.gen::<f32>() < p { 0.0 } else { scale })
         .collect();
     Tensor::from_vec(mask_data, dims)
-}
-
-/// Inverted-dropout forward: zero with probability `p`, scale survivors by
-/// `1/(1−p)`. Returns the output and the keep mask (already scaled).
-///
-/// # Panics
-///
-/// Panics unless `0 ≤ p < 1`.
-pub fn dropout_forward(x: &Tensor, p: f32, rng: &mut impl Rng) -> (Tensor, Tensor) {
-    let mask = dropout_mask(x.shape().dims(), p, rng);
-    if p == 0.0 {
-        return (x.clone(), mask);
-    }
-    (fresh(x.shape().dims(), |y| dropout_apply_into(x, &mask, y)).0, mask)
 }
 
 /// Applies a keep mask from [`dropout_mask`]: `y = x · mask`; every
@@ -158,11 +145,20 @@ mod tests {
         assert_eq!(relu_backward(&y, &dy).as_slice(), &[0.0, 5.0]);
     }
 
+    /// Dropout as the executor runs it: a mask from [`dropout_mask`],
+    /// applied by [`dropout_apply_into`].
+    fn dropout(x: &Tensor, p: f32, rng: &mut SplitRng) -> (Tensor, Tensor) {
+        let mask = dropout_mask(x.shape().dims(), p, rng);
+        let mut y = Tensor::zeros(x.shape().dims());
+        dropout_apply_into(x, &mask, &mut y);
+        (y, mask)
+    }
+
     #[test]
     fn dropout_preserves_expectation() {
         let mut rng = SplitRng::seed_from_u64(1);
         let x = Tensor::ones(&[10_000]);
-        let (y, _) = dropout_forward(&x, 0.3, &mut rng);
+        let (y, _) = dropout(&x, 0.3, &mut rng);
         let mean = y.mean();
         assert!((mean - 1.0).abs() < 0.05, "dropout mean {mean} far from 1");
     }
@@ -171,7 +167,7 @@ mod tests {
     fn dropout_zero_p_is_identity() {
         let mut rng = SplitRng::seed_from_u64(2);
         let x = Tensor::from_vec(vec![1.0, -2.0], &[2]);
-        let (y, mask) = dropout_forward(&x, 0.0, &mut rng);
+        let (y, mask) = dropout(&x, 0.0, &mut rng);
         assert_eq!(y, x);
         assert_eq!(mask.as_slice(), &[1.0, 1.0]);
     }
@@ -180,7 +176,7 @@ mod tests {
     fn dropout_backward_uses_same_mask() {
         let mut rng = SplitRng::seed_from_u64(3);
         let x = Tensor::ones(&[100]);
-        let (y, mask) = dropout_forward(&x, 0.5, &mut rng);
+        let (y, mask) = dropout(&x, 0.5, &mut rng);
         let dy = Tensor::ones(&[100]);
         let dx = dropout_backward(&dy, &mask);
         // Exactly where y is zero, dx is zero; where y survives, dx = scale.

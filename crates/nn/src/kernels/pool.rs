@@ -1,7 +1,9 @@
 //! Max/average/global-average pooling with asymmetric (and negative)
-//! padding.
+//! padding. A negative pad is a crop, applied by addressing as in the
+//! conv engine: a window pool reads its input at the crop offset, and
+//! its backward writes straight into the full-size `dx`.
 
-use scnn_tensor::Tensor;
+use scnn_tensor::{Padding2d, Tensor};
 
 use super::{fresh, PoolAttrs};
 
@@ -11,9 +13,18 @@ fn out_dims(x: &Tensor, attrs: &PoolAttrs) -> [usize; 4] {
     [x.dim(0), x.dim(1), g.out_h(), g.out_w()]
 }
 
+/// Where element `(0, 0)` of the cropped window of image plane `img`
+/// sits in the flat NCHW input of `dims`: the window starts at row
+/// `-crop.h_begin`, column `-crop.w_begin` of every plane.
+fn window_origin(dims: &[usize], crop: Padding2d, img: usize) -> usize {
+    let (full_h, full_w) = (dims[2], dims[3]);
+    img * full_h * full_w + (-crop.h_begin) as usize * full_w + (-crop.w_begin) as usize
+}
+
 /// Max-pool forward. Returns the output and the flat argmax index (into the
-/// *cropped* input) per output element; `usize::MAX` marks windows that saw
-/// only padding. The mask is the aux data HMMS accounts 4 bytes/element for.
+/// uncropped input) per output element; `usize::MAX` marks windows that
+/// saw only padding. The mask is the max-pool aux the executor keeps: a
+/// `usize` (8 B) per output element, where `Op::desc` plans 0 B.
 pub fn max_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> (Tensor, Vec<usize>) {
     fresh(&out_dims(x, attrs), |y| max_pool_forward_into(x, attrs, y))
 }
@@ -26,18 +37,18 @@ pub fn max_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> (Tensor, Vec<usize>) {
 /// Panics if `y`'s shape is not the pooled shape.
 pub fn max_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, y: &mut Tensor) -> Vec<usize> {
     assert_eq!(y.shape().dims(), out_dims(x, attrs), "pool output buffer shape");
-    let (g, crop) = attrs.geometry(x.shape().dims());
-    let (h, w, oh, ow) = (g.in_h, g.in_w, g.out_h(), g.out_w());
-    let xc = x.pad2d(crop);
+    let dims = x.shape().dims();
+    let (g, crop) = attrs.geometry(dims);
+    let (h, w, oh, ow, full_w) = (g.in_h, g.in_w, g.out_h(), g.out_w(), dims[3]);
     let (n, c) = (x.dim(0), x.dim(1));
     let mut mask = vec![usize::MAX; n * c * oh * ow];
-    let src = xc.as_slice();
+    let src = x.as_slice();
     let ohw = oh * ow;
     // Parallel over (n, c) image planes; each plane's output and mask
     // stripes are disjoint.
     let mask_shared = scnn_par::DisjointMut::new(&mut mask);
     scnn_par::par_chunks_mut(y.as_mut_slice(), ohw, |img, dst| {
-        let base = img * h * w;
+        let base = window_origin(dims, crop, img);
         let mplane = unsafe { mask_shared.range(img * ohw, (img + 1) * ohw) };
         for oy in 0..oh {
             let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
@@ -55,7 +66,7 @@ pub fn max_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, y: &mut Tensor) -> V
                         if ix < 0 || ix >= w as i64 {
                             continue;
                         }
-                        let idx = base + iy as usize * w + ix as usize;
+                        let idx = base + iy as usize * full_w + ix as usize;
                         if src[idx] > best {
                             best = src[idx];
                             best_idx = idx;
@@ -78,17 +89,15 @@ pub fn max_pool_backward(
     mask: &[usize],
     attrs: &PoolAttrs,
 ) -> Tensor {
-    let (g, crop) = attrs.geometry(x.shape().dims());
-    let (h, w, oh, ow) = (g.in_h, g.in_w, g.out_h(), g.out_w());
-    let (n, c) = (x.dim(0), x.dim(1));
-    assert_eq!(dy.shape().dims(), &[n, c, oh, ow], "pool dy shape mismatch");
-    let mut dxc = Tensor::zeros(&[n, c, h, w]);
-    let ohw = oh * ow;
+    let out = out_dims(x, attrs);
+    assert_eq!(dy.shape().dims(), out, "pool dy shape mismatch");
+    let (plane, ohw) = (x.dim(2) * x.dim(3), out[2] * out[3]);
+    let mut dx = Tensor::zeros(x.shape().dims());
     let dyv = dy.as_slice();
     // Plane-parallel: mask indices for image `img` always point into its
-    // own h·w slab, so scatter writes stay disjoint.
-    scnn_par::par_chunks_mut(dxc.as_mut_slice(), h * w, |img, d| {
-        let base = img * h * w;
+    // own plane, so scatter writes stay disjoint.
+    scnn_par::par_chunks_mut(dx.as_mut_slice(), plane, |img, d| {
+        let base = img * plane;
         for o in img * ohw..(img + 1) * ohw {
             let m = mask[o];
             if m != usize::MAX {
@@ -96,7 +105,7 @@ pub fn max_pool_backward(
             }
         }
     });
-    dxc.pad2d(crop.invert())
+    dx
 }
 
 /// Average-pool forward (divisor `kh·kw`, padding counted, matching the
@@ -112,13 +121,13 @@ pub fn avg_pool_forward(x: &Tensor, attrs: &PoolAttrs) -> Tensor {
 /// Panics if `y`'s shape is not the pooled shape.
 pub fn avg_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, y: &mut Tensor) {
     assert_eq!(y.shape().dims(), out_dims(x, attrs), "pool output buffer shape");
-    let (g, crop) = attrs.geometry(x.shape().dims());
-    let (h, w, oh, ow) = (g.in_h, g.in_w, g.out_h(), g.out_w());
-    let xc = x.pad2d(crop);
-    let src = xc.as_slice();
+    let dims = x.shape().dims();
+    let (g, crop) = attrs.geometry(dims);
+    let (h, w, oh, ow, full_w) = (g.in_h, g.in_w, g.out_h(), g.out_w(), dims[3]);
+    let src = x.as_slice();
     let scale = 1.0 / (g.kh * g.kw) as f32;
     scnn_par::par_chunks_mut(y.as_mut_slice(), oh * ow, |img, dst| {
-        let base = img * h * w;
+        let base = window_origin(dims, crop, img);
         for oy in 0..oh {
             let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
             for ox in 0..ow {
@@ -134,7 +143,7 @@ pub fn avg_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, y: &mut Tensor) {
                         if ix < 0 || ix >= w as i64 {
                             continue;
                         }
-                        acc += src[base + iy as usize * w + ix as usize];
+                        acc += src[base + iy as usize * full_w + ix as usize];
                     }
                 }
                 dst[oy * ow + ox] = acc * scale;
@@ -149,13 +158,14 @@ pub fn avg_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, y: &mut Tensor) {
 /// memory-planning runtime when this runs.
 pub fn avg_pool_backward(x_dims: &[usize], dy: &Tensor, attrs: &PoolAttrs) -> Tensor {
     let (g, crop) = attrs.geometry(x_dims);
-    let (h, w, oh, ow) = (g.in_h, g.in_w, g.out_h(), g.out_w());
+    let (h, w, oh, ow, full_w) = (g.in_h, g.in_w, g.out_h(), g.out_w(), x_dims[3]);
     let (n, c) = (x_dims[0], x_dims[1]);
     assert_eq!(dy.shape().dims(), &[n, c, oh, ow], "pool dy shape mismatch");
-    let mut dxc = Tensor::zeros(&[n, c, h, w]);
+    let mut dx = Tensor::zeros(x_dims);
     let s = dy.as_slice();
     let scale = 1.0 / (g.kh * g.kw) as f32;
-    scnn_par::par_chunks_mut(dxc.as_mut_slice(), h * w, |img, d| {
+    let base = window_origin(x_dims, crop, 0);
+    scnn_par::par_chunks_mut(dx.as_mut_slice(), x_dims[2] * full_w, |img, d| {
         for oy in 0..oh {
             let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;
             for ox in 0..ow {
@@ -171,13 +181,13 @@ pub fn avg_pool_backward(x_dims: &[usize], dy: &Tensor, attrs: &PoolAttrs) -> Te
                         if ix < 0 || ix >= w as i64 {
                             continue;
                         }
-                        d[iy as usize * w + ix as usize] += gval;
+                        d[base + iy as usize * full_w + ix as usize] += gval;
                     }
                 }
             }
         }
     });
-    dxc.pad2d(crop.invert())
+    dx
 }
 
 /// Global average pooling: `[n, c, h, w]` → `[n, c, 1, 1]`.
@@ -223,8 +233,9 @@ pub fn global_avg_pool_backward(x_dims: &[usize], dy: &Tensor) -> Tensor {
 mod tests {
     use super::*;
     use crate::kernels::gradcheck::check;
-    use scnn_rng::SplitRng;
-    use scnn_tensor::{uniform, Padding2d};
+    use scnn_rng::prop::{self, Case};
+    use scnn_rng::{Rng, SplitRng};
+    use scnn_tensor::uniform;
 
     fn attrs(k: usize, s: usize, pad: Padding2d) -> PoolAttrs {
         PoolAttrs {
@@ -297,5 +308,67 @@ mod tests {
         let dy = Tensor::ones(&[2, 3, 1, 1]);
         let dx = global_avg_pool_backward(x.shape().dims(), &dy);
         check(&x, &dx, 0.05, |xx| global_avg_pool_forward(xx).sum());
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A crop is addressing, not a copy: over random geometry × crop (zero
+    /// and negative sides beside positive padding), both pools' outputs,
+    /// the mask-routed max-pool `dx` and the avg-pool `dx` are bit-equal
+    /// to crop-by-copy — pool the `pad2d`-cropped input at zero crop, then
+    /// pad the gradient back. Inputs are drawn from a few values so argmax
+    /// ties are common.
+    #[test]
+    fn crop_in_place_matches_crop_by_copy() {
+        prop::check("pool crop in place == crop by copy", 300, |rng| {
+            let (k, s) = (rng.gen_range(1usize..4), rng.gen_range(1usize..3));
+            let (h, w) = (rng.gen_range(3usize..9), rng.gen_range(3usize..9));
+            // A third of the sides neither pad nor crop; the rest crop by
+            // up to 2 or pad by up to k − 1.
+            let mut side = || match rng.gen_range(0..3usize) {
+                0 => 0,
+                _ => rng.gen_range(-2..k as i64),
+            };
+            let pad = Padding2d::new(side(), side(), side(), side());
+            let (crop, pos) = pad.split();
+            if h as i64 + pad.h_begin + pad.h_end < k as i64
+                || w as i64 + pad.w_begin + pad.w_end < k as i64
+                || h as i64 + crop.h_begin + crop.h_end <= 0
+                || w as i64 + crop.w_begin + crop.w_end <= 0
+            {
+                return Case::Discard;
+            }
+            let (n, c) = (rng.gen_range(1usize..3), rng.gen_range(1usize..3));
+            let levels = (0..n * c * h * w).map(|_| rng.gen_range(-2i32..3) as f32);
+            let x = Tensor::from_vec(levels.collect(), &[n, c, h, w]);
+            let at = attrs(k, s, pad);
+            let at_pos = PoolAttrs { pad: pos, ..at };
+            let xc = x.pad2d(crop);
+
+            let (y, mask) = max_pool_forward(&x, &at);
+            let (y_ref, mask_ref) = max_pool_forward(&xc, &at_pos);
+            let dy = uniform(rng, y.shape().dims(), -1.0, 1.0);
+            let dx = max_pool_backward(&x, &dy, &mask, &at);
+            let dx_ref = max_pool_backward(&xc, &dy, &mask_ref, &at_pos).pad2d(crop.invert());
+            let ya = avg_pool_forward(&x, &at);
+            let ya_ref = avg_pool_forward(&xc, &at_pos);
+            let da = avg_pool_backward(x.shape().dims(), &dy, &at);
+            let da_ref = avg_pool_backward(xc.shape().dims(), &dy, &at_pos).pad2d(crop.invert());
+            let pairs = [
+                ("max y", &y, &y_ref),
+                ("max dx", &dx, &dx_ref),
+                ("avg y", &ya, &ya_ref),
+                ("avg dx", &da, &da_ref),
+            ];
+            for (what, got, want) in pairs {
+                if got.shape() != want.shape() || bits(got) != bits(want) {
+                    let case = format!("pad {pad:?}, {h}x{w}, k {k} s {s}");
+                    return Case::Fail(format!("{what} differs at {case}"));
+                }
+            }
+            Case::Pass
+        });
     }
 }

@@ -378,19 +378,6 @@ where
     }
 }
 
-/// Maps `0..tasks` through `body`, preserving index order in the result.
-pub fn parallel_map<R, F>(tasks: usize, body: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let mut out: Vec<Option<R>> = (0..tasks).map(|_| None).collect();
-    par_chunks_mut(&mut out, 1, |i, slot| slot[0] = Some(body(i)));
-    out.into_iter()
-        .map(|r| r.expect("parallel_map task ran"))
-        .collect()
-}
-
 /// Splits `data` into consecutive chunks of `chunk_len` (last one short)
 /// and runs `body(chunk_index, chunk)` for each, possibly concurrently.
 /// The chunk boundaries depend only on `data.len()` and `chunk_len`.
@@ -488,12 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let out = with_threads(7, || parallel_map(100, |i| i * i));
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn chunks_are_a_function_of_size_only() {
         // The same reduction, chunked identically, must agree bitwise at
         // every thread count — the crate's foundational property.
@@ -501,10 +482,11 @@ mod tests {
         let reduce = |threads: usize| {
             with_threads(threads, || {
                 let g = grain(data.len(), 64);
-                let partials = parallel_map(data.len().div_ceil(g), |ci| {
+                let mut partials = vec![0.0f32; data.len().div_ceil(g)];
+                par_chunks_mut(&mut partials, 1, |ci, p| {
                     let s = ci * g;
                     let e = (s + g).min(data.len());
-                    data[s..e].iter().sum::<f32>()
+                    p[0] = data[s..e].iter().sum::<f32>();
                 });
                 // Fixed-order combine.
                 partials.iter().sum::<f32>()
@@ -518,15 +500,18 @@ mod tests {
 
     #[test]
     fn par_chunks_mut_writes_disjoint_chunks() {
-        let mut data = vec![0usize; 103];
-        with_threads(4, || {
-            par_chunks_mut(&mut data, 10, |ci, chunk| {
-                for (off, v) in chunk.iter_mut().enumerate() {
-                    *v = ci * 10 + off;
-                }
+        // One-element chunks are the one-task-per-index map.
+        for (threads, len) in [(4, 10), (7, 1)] {
+            let mut data = vec![0usize; 103];
+            with_threads(threads, || {
+                par_chunks_mut(&mut data, len, |ci, chunk| {
+                    for (off, v) in chunk.iter_mut().enumerate() {
+                        *v = ci * len + off;
+                    }
+                });
             });
-        });
-        assert_eq!(data, (0..103).collect::<Vec<_>>());
+            assert_eq!(data, (0..103).collect::<Vec<_>>(), "{threads} threads, chunks of {len}");
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Admission policy: SLO classes, per-class deadlines, batch-close
 //! windows, and the server configuration that binds them to a bounded
-//! queue and a replica set.
+//! queue and the dispatch thread.
 //!
 //! Every request carries an [`SloClass`]. The class decides two durations:
 //!
 //! - **window** — how long after this class's first admission a batch may
-//!   keep coalescing *while the replica holds windows at all*: a replica
+//!   keep coalescing *while the dispatcher holds windows at all*: it
 //!   holds one only if the previous batch it closed had company, so a
 //!   lone request on a quiet server never waits for nothing (see
 //!   [`crate::dispatch`]). An `Interactive` request *shrinks* the open
@@ -15,7 +15,7 @@
 //!   ([`ServerConfig::validate`]): a held window would expire the very
 //!   request that opened it.
 //! - **deadline** — the SLO target measured from submission. A request
-//!   still queued past its deadline is dead on arrival: the replica drops
+//!   still queued past its deadline is dead on arrival: the dispatcher drops
 //!   it at admission close with [`ServeError::DeadlineExceeded`] instead
 //!   of burning engine time on a response nobody is waiting for.
 //!
@@ -65,25 +65,25 @@ impl SloClass {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClassPolicy {
     /// Close the batch this long after this class's first admission
-    /// (when the replica is holding windows). Must not exceed `deadline`.
+    /// (when the dispatcher is holding windows). Must not exceed `deadline`.
     pub window: Duration,
     /// SLO deadline measured from submission; expired-in-queue requests
     /// are dropped at admission close.
     pub deadline: Duration,
 }
 
-/// When a replica closes the batch it is coalescing.
+/// When the dispatcher closes the batch it is coalescing.
 ///
 /// A batch closes when it reaches `max_batch` requests, or when the
 /// earliest class window among its members expires — whichever comes
 /// first. The window is a running minimum: admitting an `Interactive`
 /// request into a `Batch`-class window pulls the close time forward. A
-/// replica whose previous batch was a lone request holds no window: it
+/// dispatcher whose previous batch was a lone request holds no window: it
 /// drains what is queued (up to `max_batch`) and closes at once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Close as soon as this many requests are admitted. Must not exceed
-    /// the per-replica concurrency the planned memory budget allows —
+    /// the concurrency the planned memory budget allows —
     /// [`crate::Server::start`] cross-checks this against
     /// [`crate::Engine::max_concurrency`] when a budget is configured.
     pub max_batch: usize,
@@ -122,22 +122,18 @@ impl Default for BatchPolicy {
 /// Configuration for [`crate::Server::start`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Engine replicas pulling batches from the one shared queue. Each
-    /// replica owns its own planned activation pool, so the deployment's
-    /// planned footprint is `params + replicas × max_batch × pool` —
-    /// [`scnn_hmms::StaticLayout::serving_device_bytes`].
-    pub replicas: usize,
     /// Bound on queued (admitted but not yet dispatched) requests; beyond
     /// it, [`crate::Server::submit`] sheds with [`ServeError::Overloaded`].
     pub queue_capacity: usize,
     /// Batch-close policy (size + per-class windows and deadlines).
     pub policy: BatchPolicy,
     /// Planned device byte budget. When `Some`, startup cross-checks that
-    /// `params + replicas × max_batch × pool` fits — the serving
+    /// `params + max_batch × pool` fits
+    /// ([`scnn_hmms::StaticLayout::serving_device_bytes`]) — the serving
     /// counterpart of the Fig. 10 capacity bound — and refuses to start
     /// with [`ServeError::OverBudget`] if it does not.
     pub budget_bytes: Option<usize>,
-    /// Thread-count override applied inside each replica thread via
+    /// Thread-count override applied inside the dispatch thread via
     /// [`scnn_par::with_threads`] — the overrides are thread-local, so
     /// tests sweeping `SCNN_THREADS` in-process must thread them through
     /// here. `None` inherits the process default.
@@ -147,7 +143,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            replicas: 1,
             queue_capacity: 64,
             policy: BatchPolicy::default(),
             budget_bytes: None,
@@ -157,8 +152,8 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Validates the shape-independent invariants: positive replica count,
-    /// batch size and queue capacity, and no class whose window outlasts
+    /// Validates the shape-independent invariants: positive batch size
+    /// and queue capacity, and no class whose window outlasts
     /// its deadline (a held window would then expire the request that
     /// opened it — `DeadlineExceeded` for a lone request on an idle
     /// server).
@@ -167,11 +162,6 @@ impl ServerConfig {
     ///
     /// [`ServeError::InvalidConfig`] naming the violated field or class.
     pub fn validate(&self) -> Result<(), ServeError> {
-        if self.replicas == 0 {
-            return Err(ServeError::InvalidConfig(
-                "replicas must be at least 1".into(),
-            ));
-        }
         if self.policy.max_batch == 0 {
             return Err(ServeError::InvalidConfig(
                 "max_batch must be at least 1".into(),
@@ -209,23 +199,23 @@ pub enum ServeError {
     /// The request sat in the queue past its class deadline and was
     /// dropped at admission close without running.
     DeadlineExceeded,
-    /// The engine (a replica thread) panicked; this request cannot
+    /// The engine (on the dispatch thread) panicked; this request cannot
     /// complete. The server stops admitting and surfaces the panic when
     /// it is dropped or shut down.
     EngineDown,
     /// The server is shutting down and no longer admits requests.
     ShuttingDown,
-    /// [`ServerConfig`] is structurally invalid (zero replicas, zero
-    /// batch, zero queue, a class window longer than its deadline).
+    /// [`ServerConfig`] is structurally invalid (zero batch, zero queue,
+    /// a class window longer than its deadline).
     InvalidConfig(String),
-    /// `replicas × max_batch` plans more pool bytes than
+    /// `max_batch` plans more pool bytes than
     /// [`ServerConfig::budget_bytes`] allows: `requested` is the
-    /// configured per-replica batch, `fits` the largest that would fit
+    /// configured batch, `fits` the largest that would fit
     /// (0 when not even one does).
     OverBudget {
         /// Configured `max_batch`.
         requested: usize,
-        /// Largest per-replica batch the budget admits.
+        /// Largest batch the budget admits.
         fits: usize,
     },
     /// The socket peer violated the frame protocol.
@@ -242,7 +232,7 @@ impl std::fmt::Display for ServeError {
             ServeError::DeadlineExceeded => {
                 write!(f, "request expired in queue past its class deadline")
             }
-            ServeError::EngineDown => write!(f, "engine replica died; request cannot complete"),
+            ServeError::EngineDown => write!(f, "engine died; request cannot complete"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::InvalidConfig(m) => write!(f, "invalid server config: {m}"),
             ServeError::OverBudget { requested, fits } => write!(
@@ -294,11 +284,6 @@ mod tests {
     #[test]
     fn config_validation_names_the_zero_field() {
         assert!(ServerConfig::default().validate().is_ok());
-        let zero_r = ServerConfig {
-            replicas: 0,
-            ..ServerConfig::default()
-        };
-        assert!(matches!(zero_r.validate(), Err(ServeError::InvalidConfig(m)) if m.contains("replicas")));
         let zero_q = ServerConfig {
             queue_capacity: 0,
             ..ServerConfig::default()

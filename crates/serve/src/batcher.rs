@@ -1,21 +1,20 @@
-//! The server facade: bounded admission in front, `R` replica dispatch
-//! threads behind, and a `Result`-based client API in between.
+//! The server facade: bounded admission in front, one dispatch thread
+//! behind, and a `Result`-based client API in between.
 //!
 //! Requests enter through [`Server::submit`] from any number of client
 //! threads (in-process or via the [`crate::SocketServer`] front-end).
 //! Admission is bounded and non-blocking: a full queue sheds with
 //! [`ServeError::Overloaded`] instead of buffering without limit, and a
 //! shape mismatch is rejected with [`ServeError::BadRequest`] before it
-//! can panic an engine replica. Each replica coalesces admitted requests
-//! into batches under the per-class window policy and runs them on the
-//! shared engine; concurrency *within* a batch lives in the planned pool,
-//! concurrency *across* batches lives in the replicas — planned
-//! footprint `params + R × C × pool`, cross-checked against the memory
-//! budget at startup so a misconfigured `max_batch` can never silently
-//! outgrow the plan.
+//! can panic the engine. The dispatcher coalesces admitted requests into
+//! batches under the per-class window policy and runs them on the
+//! engine; concurrency lives in the planned pool — planned footprint
+//! `params + C × pool`, the paper's Fig. 10 model, cross-checked against
+//! the memory budget at startup so a misconfigured `max_batch` can never
+//! silently outgrow the plan.
 //!
 //! Every failure is a value: the PR 8 API `expect`ed the batcher thread
-//! alive and panicked every client when it was not; now a dead replica
+//! alive and panicked every client when it was not; now a dead engine
 //! surfaces as [`ServeError::EngineDown`] on each pending request, the
 //! server stops admitting, and the original panic payload re-throws when
 //! the server is dropped (or is reported by [`Server::shutdown`]).
@@ -30,18 +29,18 @@ use std::time::Instant;
 use scnn_tensor::Tensor;
 
 use crate::admission::{ServeError, ServerConfig, SloClass};
-use crate::dispatch::{replica_loop, BatchRunner};
-use crate::engine::{per_replica_fit, Engine};
+use crate::dispatch::{dispatch_loop, BatchRunner};
+use crate::engine::{fit, Engine};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{AdmissionQueue, Job};
 
-/// State shared between the admission path and the replica threads.
+/// State shared between the admission path and the dispatch thread.
 pub(crate) struct Shared {
     /// The bounded admission queue.
     pub queue: AdmissionQueue,
     /// Server-wide counters and histograms.
     pub metrics: Arc<Metrics>,
-    /// Set when a replica contained an engine panic; admission then
+    /// Set when the dispatcher contained an engine panic; admission then
     /// returns [`ServeError::EngineDown`].
     failed: AtomicBool,
     /// First contained panic payload, re-thrown when the server drops.
@@ -61,7 +60,7 @@ impl Shared {
 /// The response side of one submitted request.
 ///
 /// Dropping the handle without reading it marks the request *abandoned*:
-/// if it is still queued at its batch's admission close, the replica
+/// if it is still queued at its batch's admission close, the dispatcher
 /// skips it (counted in [`MetricsSnapshot`]) instead of computing logits
 /// for a channel nobody reads.
 pub struct ResponseHandle {
@@ -77,13 +76,13 @@ impl ResponseHandle {
     ///
     /// Whatever the server decided about this request —
     /// [`ServeError::DeadlineExceeded`] if it expired in queue,
-    /// [`ServeError::EngineDown`] if the replica running it died (also
+    /// [`ServeError::EngineDown`] if the engine running it died (also
     /// returned when the reply channel vanished without a verdict).
     pub fn recv(mut self) -> Result<Vec<f32>, ServeError> {
         self.received = true;
         match self.rx.recv() {
             Ok(verdict) => verdict,
-            // The replica died between admission and reply; its panic is
+            // The engine died between admission and reply; its panic is
             // stored on the server and re-throws at drop.
             Err(_) => Err(ServeError::EngineDown),
         }
@@ -99,25 +98,24 @@ impl Drop for ResponseHandle {
 }
 
 /// A running inference server (see module docs). Dropping it stops
-/// admission, drains in-flight work, joins every replica, and re-throws
+/// admission, drains in-flight work, joins the dispatcher, and re-throws
 /// the first contained engine panic, if any — use [`Server::shutdown`] to
 /// receive that failure as a value instead.
 pub struct Server {
     shared: Arc<Shared>,
-    replicas: Vec<JoinHandle<()>>,
+    /// The dispatch thread; `None` once joined.
+    dispatcher: Option<JoinHandle<()>>,
     request_shape: Vec<usize>,
-    /// Per-replica batch bound.
     max_batch: usize,
-    replica_count: usize,
 }
 
 impl Server {
-    /// Starts `config.replicas` dispatch threads over `engine`.
+    /// Starts the dispatch thread over `engine`.
     ///
-    /// When [`ServerConfig::budget_bytes`] is set, the planned deployment
-    /// footprint `params + replicas × max_batch × pool` is cross-checked
-    /// against it (the serving Fig. 10 bound, the formula behind
-    /// [`Engine::max_concurrency_replicated`]); an over-budget
+    /// When [`ServerConfig::budget_bytes`] is set, the planned footprint
+    /// `params + max_batch × pool` is cross-checked against it (the
+    /// serving Fig. 10 bound, the formula behind
+    /// [`Engine::max_concurrency`]); an over-budget
     /// `max_batch` is an error, never silently shrunk.
     ///
     /// # Errors
@@ -143,7 +141,7 @@ impl Server {
         config.validate()?;
         if let (Some(budget), Some((params, pool))) = (config.budget_bytes, runner.planned_bytes())
         {
-            let fits = per_replica_fit(budget, config.replicas, params, pool);
+            let fits = fit(budget, params, pool);
             if fits < config.policy.max_batch {
                 return Err(ServeError::OverBudget { requested: config.policy.max_batch, fits });
             }
@@ -157,24 +155,19 @@ impl Server {
             panic: Mutex::new(None),
         });
         let request_shape = runner.request_shape();
-        let replicas = (0..config.replicas)
-            .map(|r| {
-                let shared = shared.clone();
-                let runner = runner.clone();
-                let policy = config.policy;
-                let threads = config.worker_threads;
-                std::thread::Builder::new()
-                    .name(format!("scnn-serve-r{r}"))
-                    .spawn(move || replica_loop(&shared, &runner, &policy, threads))
-                    .expect("replica thread spawns")
-            })
-            .collect();
+        let dispatcher = {
+            let shared = shared.clone();
+            let (policy, threads) = (config.policy, config.worker_threads);
+            std::thread::Builder::new()
+                .name("scnn-serve".into())
+                .spawn(move || dispatch_loop(&shared, &runner, &policy, threads))
+                .expect("dispatch thread spawns")
+        };
         Ok(Server {
             shared,
-            replicas,
+            dispatcher: Some(dispatcher),
             request_shape,
             max_batch: config.policy.max_batch,
-            replica_count: config.replicas,
         })
     }
 
@@ -186,7 +179,7 @@ impl Server {
     ///
     /// [`ServeError::BadRequest`] on a shape mismatch,
     /// [`ServeError::Overloaded`] when the admission queue is full,
-    /// [`ServeError::EngineDown`] after a replica died,
+    /// [`ServeError::EngineDown`] after the engine died,
     /// [`ServeError::ShuttingDown`] once the server is dropping.
     pub fn submit(&self, input: Tensor, class: SloClass) -> Result<ResponseHandle, ServeError> {
         if self.shared.failed.load(Ordering::SeqCst) {
@@ -254,15 +247,10 @@ impl Server {
         self.shared.queue.depth()
     }
 
-    /// Per-replica batch bound — the configured `max_batch`, which the
-    /// budget cross-check at startup admitted.
+    /// Batch bound — the configured `max_batch`, which the budget
+    /// cross-check at startup admitted.
     pub fn max_batch(&self) -> usize {
         self.max_batch
-    }
-
-    /// Number of replica dispatch threads.
-    pub fn replicas(&self) -> usize {
-        self.replica_count
     }
 
     /// Shape every request tensor must have (the engine's input shape).
@@ -270,19 +258,25 @@ impl Server {
         &self.request_shape
     }
 
-    /// Graceful shutdown: stops admission, lets the replicas drain every
-    /// admitted request, joins them, and returns the final metrics.
+    /// Stops admission and joins the dispatcher once it has drained
+    /// every admitted request.
+    fn stop(&mut self) {
+        self.shared.queue.close();
+        if let Some(handle) = self.dispatcher.take() {
+            let _ = handle.join();
+        }
+    }
+
+    /// Graceful shutdown: stops admission, lets the dispatcher drain every
+    /// admitted request, joins it, and returns the final metrics.
     ///
     /// # Errors
     ///
-    /// [`ServeError::EngineDown`] when a replica contained an engine
+    /// [`ServeError::EngineDown`] when the dispatcher contained an engine
     /// panic during the server's lifetime — returned as a value here
     /// (the payload is discarded), where a plain drop would re-throw it.
     pub fn shutdown(mut self) -> Result<MetricsSnapshot, ServeError> {
-        self.shared.queue.close();
-        for handle in self.replicas.drain(..) {
-            let _ = handle.join();
-        }
+        self.stop();
         let failed = self.shared.failed.load(Ordering::SeqCst);
         // Taking the payload keeps Drop from re-throwing it.
         let _ = self.shared.panic.lock().unwrap().take();
@@ -296,10 +290,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.queue.close();
-        for handle in self.replicas.drain(..) {
-            let _ = handle.join();
-        }
+        self.stop();
         // A contained engine panic is the real failure; re-throw it here
         // so it cannot vanish (shutdown() reports it as a value instead).
         let payload = self.shared.panic.lock().unwrap().take();

@@ -1,36 +1,30 @@
-//! Replica dispatch: `R` engine replicas pulling batches from the one
-//! shared admission queue.
+//! Dispatch: one thread pulling batches from the admission queue and
+//! running them on the engine.
 //!
-//! Each replica is one thread running [`replica_loop`]: block for the job
-//! that opens a batch, coalesce follow-ups, filter dead work at admission
-//! close (abandoned clients, expired deadlines), run the survivors through
-//! the engine, deliver.
+//! The dispatcher is one thread running [`dispatch_loop`]: block for the
+//! job that opens a batch, coalesce follow-ups, filter dead work at
+//! admission close (abandoned clients, expired deadlines), run the
+//! survivors through the engine, deliver.
 //!
-//! **A window is held only while windows pay.** Each replica keeps one
+//! **A window is held only while windows pay.** The dispatcher keeps one
 //! bit: did the last batch it closed have company (more than one job)?
 //! While it did, a newly opened batch waits out the per-class window
 //! ([`BatchPolicy`]: running minimum over its members, or `max_batch`)
 //! for more of the same. While it did not, the batch closes at once —
 //! everything already queued is still drained into it up to `max_batch`,
-//! but the replica never sleeps waiting for company that the traffic it
-//! last saw did not send. A closed-loop client or sparse traffic therefore
-//! pays at most one unpaid window; bursty traffic, whose every batch has
-//! company, keeps the full window (and its tolerance of a generator
-//! thread descheduled mid-burst). The bit depends only on traffic the
-//! replica observed, never on a configured value; replicas keep
-//! independent bits. Why not simply "close when the queue is empty":
-//! DESIGN.md §15 records the burst-split rates that design measured.
-//! Replicas never share a batch, so each `run` call owns its own planned
-//! pool accounting — the deployment's planned footprint is
-//! `params + R × C × pool` ([`scnn_hmms::StaticLayout::serving_device_bytes`]),
-//! with the frozen parameters shared across replicas through the engine's
-//! `Arc`s. Concurrent replicas are safe by the repo's threading contract:
-//! work decomposition is a pure function of problem size, every
-//! reduction order is fixed per task, and the `scnn-par` pool accepts
-//! jobs from any number of submitting threads — so logits stay
-//! bit-identical at every replica count (pinned by test).
+//! but the dispatcher never sleeps waiting for company that the traffic
+//! it last saw did not send. A closed-loop client or sparse traffic
+//! therefore pays at most one unpaid window; bursty traffic, whose every
+//! batch has company, keeps the full window (and its tolerance of a
+//! generator thread descheduled mid-burst). The bit depends only on
+//! traffic the dispatcher observed, never on a configured value. Why not
+//! simply "close when the queue is empty": DESIGN.md §15 records the
+//! burst-split rates that design measured. One batch is live at a time,
+//! so the planned footprint is `params + C × pool`
+//! ([`scnn_hmms::StaticLayout::serving_device_bytes`]), the paper's
+//! Fig. 10 model.
 //!
-//! A panic inside the engine is contained here: the replica marks the
+//! A panic inside the engine is contained here: the dispatcher marks the
 //! server failed, drains the queue replying [`ServeError::EngineDown`] to
 //! every parked client, and stores the payload for the server to re-throw
 //! at drop — clients see an error value, never a poisoned channel panic
@@ -58,11 +52,11 @@ use crate::queue::{Job, Pop};
 pub trait BatchRunner: Send + Sync + 'static {
     /// Shape every request tensor must have; [`crate::Server::submit`]
     /// rejects mismatches with [`ServeError::BadRequest`] before
-    /// admission, so a malformed request can never panic a replica.
+    /// admission, so a malformed request can never panic the engine.
     fn request_shape(&self) -> Vec<usize>;
 
     /// Runs one batch; must return exactly one output per request, in
-    /// order. A panic here is contained by the replica loop (see module
+    /// order. A panic here is contained by the dispatch loop (see module
     /// docs).
     fn run(&self, requests: &[Tensor]) -> Vec<Vec<f32>>;
 
@@ -90,9 +84,9 @@ impl BatchRunner for Engine {
     }
 }
 
-/// Body of one replica thread (see module docs). Returns when the queue
+/// Body of the dispatch thread (see module docs). Returns when the queue
 /// closes (graceful) or after containing an engine panic (failure).
-pub(crate) fn replica_loop(
+pub(crate) fn dispatch_loop(
     shared: &Arc<Shared>,
     runner: &Arc<dyn BatchRunner>,
     policy: &BatchPolicy,
@@ -113,8 +107,8 @@ pub(crate) fn replica_loop(
 }
 
 fn drive(shared: &Shared, runner: &dyn BatchRunner, policy: &BatchPolicy) {
-    // The one-bit predictor (module docs): did the last batch this replica
-    // closed have company? A window is held only while it did.
+    // The one-bit predictor (module docs): did the last batch the
+    // dispatcher closed have company? A window is held only while it did.
     let mut holding = false;
     loop {
         let first = match shared.queue.pop_blocking() {
@@ -128,7 +122,7 @@ fn drive(shared: &Shared, runner: &dyn BatchRunner, policy: &BatchPolicy) {
         // batch-class window shortens it). While not holding, it closes
         // now: `pop_deadline` still hands over everything already queued
         // before it looks at the clock, so a burst that arrived while the
-        // replica was busy rides in one batch.
+        // dispatcher was busy rides in one batch.
         let opened = Instant::now();
         let mut close_at = if holding {
             opened + policy.class(first.class).window

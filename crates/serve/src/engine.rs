@@ -17,13 +17,13 @@
 //!
 //! # One order, any batch size
 //!
-//! A batch of `R ≥ 1` requests advances every slot in lock-step, one
+//! A batch of `C ≥ 1` requests advances every slot in lock-step, one
 //! segment per wave, in ascending segment index — tape order, the order
 //! the plan was made for. Sibling *requests* are the work units on the
 //! `scnn-par` pool (a lone request runs inline and leaves the pool to its
 //! kernels), every request runs patch by patch, and each slot's planned
-//! frees fire before its next patch allocates — a batch holds `R ×` what
-//! one request does, below its planned pool at every `R`. Each slot
+//! frees fire before its next patch allocates — a batch holds `C ×` what
+//! one request does, below its planned pool at every `C`. Each slot
 //! computes only from its own activations, and the wave step lands outputs
 //! and fires lifetime events in a fixed `(slot, node)` order, so identical
 //! request bytes produce bit-identical logits at any thread count,
@@ -75,7 +75,7 @@ pub struct ConcurrencySearch {
 ///
 /// `Engine` is `Send + Sync`; wrap it in an `Arc` and call
 /// [`Engine::run_batch`] from any thread — typically the
-/// [`crate::Server`]'s batcher thread.
+/// [`crate::Server`]'s dispatch thread.
 pub struct Engine {
     graph: Graph,
     /// The inference plan, resolved once; every slot of every batch
@@ -169,47 +169,27 @@ impl Engine {
     }
 
     /// Planned device bytes when `concurrency` slots are in flight:
-    /// frozen parameters (shared once) plus one general pool per slot.
+    /// frozen parameters (shared once) plus one general pool per slot —
+    /// `params + C × pool`
+    /// ([`scnn_hmms::StaticLayout::serving_device_bytes`]).
     pub fn device_bytes_at(&self, concurrency: usize) -> usize {
-        self.device_bytes_replicated(1, concurrency)
-    }
-
-    /// Planned device bytes for `replicas` engine replicas each running
-    /// batches of `concurrency` slots: `params + R × C × pool`
-    /// ([`scnn_hmms::StaticLayout::serving_device_bytes`]). Parameters
-    /// are shared across replicas through this engine's `Arc`s; each
-    /// replica's batch owns its own planned activation pool.
-    pub fn device_bytes_replicated(&self, replicas: usize, concurrency: usize) -> usize {
-        self.plan().layout.serving_device_bytes(replicas, concurrency)
+        self.plan().layout.serving_device_bytes(concurrency)
     }
 
     /// Largest concurrency (≤ `limit`) whose planned footprint
     /// ([`Engine::device_bytes_at`]) fits `budget_bytes` — the serving
-    /// counterpart of the Fig. 10 `max_batch_size` search. `None` when
-    /// even one request does not fit.
+    /// counterpart of the Fig. 10 `max_batch_size` search.
+    /// [`crate::Server::start`] cross-checks a configured `max_batch`
+    /// against the same closed form, so a policy can never silently plan
+    /// more pool bytes than the budget covers. `None` when even one
+    /// request does not fit.
     pub fn max_concurrency(&self, budget_bytes: usize, limit: usize) -> Option<ConcurrencySearch> {
-        self.max_concurrency_replicated(budget_bytes, 1, limit)
-    }
-
-    /// [`Engine::max_concurrency`] with the replica axis: the largest
-    /// *per-replica* batch (≤ `limit`) such that `replicas` concurrent
-    /// batches of that size fit `budget_bytes`
-    /// ([`Engine::device_bytes_replicated`]). [`crate::Server::start`]
-    /// cross-checks a configured `max_batch` against the same closed form,
-    /// so a policy can never silently plan more pool bytes than the budget
-    /// covers. `None` when even one request per replica does not fit.
-    pub fn max_concurrency_replicated(
-        &self,
-        budget_bytes: usize,
-        replicas: usize,
-        limit: usize,
-    ) -> Option<ConcurrencySearch> {
         let layout = &self.plan().layout;
         let (params, pool) = (layout.device_param_bytes, layout.device_general_bytes);
-        let fits = per_replica_fit(budget_bytes, replicas, params, pool).min(limit);
+        let fits = fit(budget_bytes, params, pool).min(limit);
         (fits > 0).then(|| ConcurrencySearch {
             max_concurrency: fits,
-            device_bytes: self.device_bytes_replicated(replicas, fits),
+            device_bytes: self.device_bytes_at(fits),
         })
     }
 
@@ -263,20 +243,15 @@ impl Engine {
     }
 }
 
-/// Largest per-replica batch `c` such that
-/// `params + replicas × c × pool ≤ budget` — the inverse of
-/// [`scnn_hmms::StaticLayout::serving_device_bytes`], usable with any
-/// [`crate::BatchRunner`] that reports its layout. `0` when not even one
-/// request a replica fits, `usize::MAX` when nothing grows with the batch.
-pub(crate) fn per_replica_fit(budget: usize, replicas: usize, params: usize, pool: usize) -> usize {
-    let Some(spare) = budget.checked_sub(params) else {
-        return 0;
-    };
-    match replicas.checked_mul(pool) {
-        Some(0) => usize::MAX,
-        Some(per_request) => spare / per_request,
-        // One request a replica is already more than a `usize` of bytes.
+/// Largest concurrency `c` such that `params + c × pool ≤ budget` — the
+/// inverse of [`scnn_hmms::StaticLayout::serving_device_bytes`], usable
+/// with any [`crate::BatchRunner`] that reports its layout. `0` when not
+/// even one request fits, `usize::MAX` when nothing grows with the batch.
+pub(crate) fn fit(budget: usize, params: usize, pool: usize) -> usize {
+    match budget.checked_sub(params) {
         None => 0,
+        Some(_) if pool == 0 => usize::MAX,
+        Some(spare) => spare / pool,
     }
 }
 
@@ -287,41 +262,28 @@ mod tests {
     use scnn_rng::prop::{check, Case};
     use scnn_rng::Rng;
 
-    #[test]
-    fn per_replica_fit_matches_the_linear_model() {
-        // params 100, pool 10: budget 175 fits 7 at R=1, 3 at R=2.
-        assert_eq!(per_replica_fit(175, 1, 100, 10), 7);
-        assert_eq!(per_replica_fit(175, 2, 100, 10), 3);
-        assert_eq!(per_replica_fit(99, 1, 100, 10), 0);
-        assert_eq!(per_replica_fit(105, 1, 100, 10), 0);
-        // Zero-pool degenerate: anything fits once params do.
-        assert_eq!(per_replica_fit(100, 4, 100, 0), usize::MAX);
-    }
-
     /// The closed form against the footprint model it inverts: a scan of
     /// `serving_device_bytes` where the arguments are small enough to
     /// scan, the model's own inequality (in `u128`, where it cannot wrap)
     /// at the result and one past it everywhere — degenerate and
     /// `usize::MAX` arguments included, which must not overflow either.
     #[test]
-    fn per_replica_fit_inverts_serving_device_bytes() {
+    fn fit_inverts_serving_device_bytes() {
         const EDGES: [usize; 4] = [0, usize::MAX / 2, usize::MAX - 1, usize::MAX];
-        check("per_replica_fit == brute-force scan", 2000, |rng| {
+        check("fit == brute-force scan", 2000, |rng| {
             let mut arg = |small: usize| match rng.gen_range(0..5usize) {
                 0 => EDGES[rng.gen_range(0..EDGES.len())],
                 _ => rng.gen_range(0..small),
             };
-            let (params, pool, budget) = (arg(40), arg(6), arg(120));
-            let (replicas, limit) = (arg(4), arg(12));
+            let (params, pool, budget, limit) = (arg(40), arg(6), arg(120), arg(12));
             let fits = |c: usize| {
-                (replicas as u128)
-                    .checked_mul(c as u128)
-                    .and_then(|rc| rc.checked_mul(pool as u128))
+                (c as u128)
+                    .checked_mul(pool as u128)
                     .and_then(|pools| pools.checked_add(params as u128))
                     .is_some_and(|bytes| bytes <= budget as u128)
             };
 
-            let got = per_replica_fit(budget, replicas, params, pool);
+            let got = fit(budget, params, pool);
             if got > 0 && !fits(got) {
                 return Case::Fail(format!("{got} does not fit"));
             }
@@ -329,7 +291,7 @@ mod tests {
                 return Case::Fail(format!("{got} fits, but so does {}", got + 1));
             }
 
-            if [params, pool, budget, replicas, limit].iter().all(|&v| v <= 120) {
+            if [params, pool, budget, limit].iter().all(|&v| v <= 120) {
                 let layout = StaticLayout {
                     device_general_bytes: pool,
                     device_workspace_bytes: 0,
@@ -339,7 +301,7 @@ mod tests {
                     workspace_overlapped_bytes: 0,
                 };
                 let scanned = (1..=limit)
-                    .take_while(|&c| layout.serving_device_bytes(replicas, c) <= budget)
+                    .take_while(|&c| layout.serving_device_bytes(c) <= budget)
                     .last();
                 let clamped = Some(got.min(limit)).filter(|&c| c > 0);
                 if clamped != scanned {

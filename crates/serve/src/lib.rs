@@ -21,14 +21,14 @@
 //!   pool, and every slot's planned frees are true of the pass: resident
 //!   ≤ planned at every `C`. The plan counts (its layout is checked once,
 //!   at export); the runtime holds.
-//! - [`Server`] — bounded admission in front of `R` replica dispatch
-//!   threads. Admission sheds ([`ServeError::Overloaded`]) instead of
+//! - [`Server`] — bounded admission in front of one dispatch thread.
+//!   Admission sheds ([`ServeError::Overloaded`]) instead of
 //!   queueing without bound; requests carry an [`SloClass`] whose window
 //!   feeds the batch-close policy and whose deadline drops
 //!   expired-in-queue work; every client API returns `Result` — one
 //!   engine panic becomes [`ServeError::EngineDown`] values, never a
 //!   cascade of client panics. Planned footprint:
-//!   `params + R × C × pool`, cross-checked against
+//!   `params + C × pool` (the paper's Fig. 10 model), cross-checked against
 //!   [`ServerConfig::budget_bytes`] at startup; an over-budget `max_batch`
 //!   is [`ServeError::OverBudget`].
 //! - [`SocketServer`] / [`SocketClient`] — a std-only, length-prefixed
@@ -39,9 +39,8 @@
 //!   [`Server::metrics`], exported by the `serving` bench and gated in
 //!   `scripts/verify.sh`.
 //! - [`Engine::max_concurrency`] — the serving counterpart of Fig. 10's
-//!   `max_batch_size` capacity search as one closed form, with a
-//!   replica-aware variant ([`Engine::max_concurrency_replicated`]) that
-//!   is also what [`Server::start`] checks a budget with.
+//!   `max_batch_size` capacity search as one closed form — the same one
+//!   [`Server::start`] checks a budget with.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -51,7 +50,7 @@
 //! let engine = Engine::new(graph, Arc::new(params), Arc::new(bn)).expect("plan is legal");
 //! let server = Server::start(
 //!     Arc::new(engine),
-//!     ServerConfig { replicas: 2, ..ServerConfig::default() },
+//!     ServerConfig { budget_bytes: Some(64 << 20), ..ServerConfig::default() },
 //! )
 //! .expect("config is legal");
 //! match server.infer(image) {

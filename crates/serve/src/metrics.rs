@@ -5,7 +5,7 @@
 //!
 //! Everything is lock-free on the hot path — atomic counters and a
 //! log₂-bucketed latency histogram — so a client thread shedding at
-//! admission or a replica completing a batch never serializes on a
+//! admission or the dispatcher completing a batch never serializes on a
 //! metrics mutex. [`Metrics::snapshot`] reads a consistent-enough view
 //! (each field individually atomic) for reporting; the `serving` bench
 //! exports a snapshot into `BENCH_serving.json` and `scripts/verify.sh`
@@ -80,7 +80,7 @@ struct ClassCounters {
     abandoned: AtomicU64,
 }
 
-/// Why a replica stopped coalescing a batch — the "batch closed" stage of
+/// Why the dispatcher stopped coalescing a batch — the "batch closed" stage of
 /// a request's lifecycle. Together with
 /// [`MetricsSnapshot::window_wait_ns`] these say whether holding windows
 /// paid on the traffic a server actually saw.
@@ -88,16 +88,16 @@ struct ClassCounters {
 pub(crate) enum BatchClose {
     /// The batch reached `max_batch`.
     Full = 0,
-    /// The replica was holding a window and it ran out (or the queue
+    /// The dispatcher was holding a window and it ran out (or the queue
     /// closed under it) before the batch filled.
     Window = 1,
-    /// The replica was not holding (its previous batch was a lone
+    /// The dispatcher was not holding (its previous batch was a lone
     /// request): it took what was queued and closed without waiting.
     Idle = 2,
 }
 
 /// Shared, internally atomic serving metrics. One instance per
-/// [`crate::Server`]; the queue, the admission path and every replica
+/// [`crate::Server`]; the queue, the admission path and the dispatcher
 /// write to it concurrently.
 pub struct Metrics {
     classes: [ClassCounters; CLASSES],
@@ -244,8 +244,8 @@ pub struct MetricsSnapshot {
     /// Batches closed by a held window running out (or the queue closing
     /// under it) before they filled.
     pub closed_window: u64,
-    /// Batches closed without waiting: the replica was not holding a window
-    /// (its previous batch was a lone request), took what was queued, and
+    /// Batches closed without waiting: the dispatcher was not holding a
+    /// window (its previous batch was a lone request), took what was queued, and
     /// ran.
     pub closed_idle: u64,
     /// Summed time batches spent open — from the admission that opened

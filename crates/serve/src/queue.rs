@@ -1,8 +1,8 @@
-//! The bounded admission queue between client threads and engine
-//! replicas.
+//! The bounded admission queue between client threads and the dispatch
+//! thread.
 //!
 //! One queue, many producers (in-process clients, socket connection
-//! threads), many consumers (the replica dispatch threads). Admission is
+//! threads), one consumer (the dispatch thread). Admission is
 //! **non-blocking**: [`AdmissionQueue::offer`] either enqueues or fails
 //! with [`ServeError::Overloaded`] right away — backpressure is returned
 //! to the caller, never absorbed as unbounded buffering. Consumers block:
@@ -10,7 +10,7 @@
 //! [`AdmissionQueue::pop_deadline`] drains follow-ups until the batch's
 //! close time. A queued job always wins over the clock — a close time
 //! already in the past still hands over everything queued, one pop at a
-//! time, and only then times out — which is how a replica that holds no
+//! time, and only then times out — which is how a dispatcher that holds no
 //! window ([`crate::dispatch`]) collects a waiting burst without sleeping.
 //!
 //! Closing the queue ([`AdmissionQueue::close`]) stops admission but lets
@@ -30,7 +30,7 @@ use scnn_tensor::Tensor;
 use crate::admission::{ServeError, SloClass};
 use crate::metrics::Metrics;
 
-/// One admitted request, parked in the queue until a replica dispatches
+/// One admitted request, parked in the queue until the dispatcher takes
 /// it.
 pub(crate) struct Job {
     /// The request tensor (shape-checked at submission).

@@ -1,5 +1,5 @@
-//! Idle is free: a [`Server`] with no traffic uses no CPU — replicas
-//! block on the admission queue, and the `scnn-par` workers their batches
+//! Idle is free: a [`Server`] with no traffic uses no CPU — its
+//! dispatcher blocks on the admission queue, and the `scnn-par` workers their batches
 //! fanned out to are parked one spin budget after the last region. One
 //! test, alone in its binary: the CPU clock is process-wide.
 
@@ -44,7 +44,6 @@ fn a_server_without_traffic_uses_no_cpu() {
     let server = Server::start_with_runner(
         Arc::new(ForkingRunner),
         ServerConfig {
-            replicas: 2,
             // One pool worker whatever SCNN_THREADS says; it polls
             // between waves wherever the host has two CPUs.
             worker_threads: Some(2),
@@ -71,5 +70,5 @@ fn a_server_without_traffic_uses_no_cpu() {
         used < Duration::from_millis(5),
         "an idle server used {used:?} of CPU in 50 ms"
     );
-    server.shutdown().expect("no replica died");
+    server.shutdown().expect("the engine did not die");
 }

@@ -2,7 +2,7 @@
 //! pinned deterministically through stub [`BatchRunner`]s (no model in
 //! the loop):
 //!
-//! - **Bounded shedding** — with the one replica wedged inside `run`, a
+//! - **Bounded shedding** — with the dispatcher wedged inside `run`, a
 //!   burst of `capacity + k` submissions admits exactly `capacity` and
 //!   sheds exactly `k` with [`ServeError::Overloaded`]; nothing blocks;
 //! - **Abandoned work is skipped** — jobs whose client dropped the
@@ -13,20 +13,18 @@
 //!   [`ServeError::EngineDown`] values on every pending and subsequent
 //!   request, and [`scnn_serve::Server::shutdown`] reports the failure as
 //!   a value instead of re-throwing;
-//! - **Budget cross-check** — `params + replicas × max_batch × pool` is
-//!   validated against `budget_bytes` at startup, and an over-budget
-//!   `max_batch` is an error value;
+//! - **Budget cross-check** — `params + max_batch × pool` is validated
+//!   against `budget_bytes` at startup, exactly at the boundary, and an
+//!   over-budget `max_batch` is an error value;
 //! - **A window is held only while windows pay** — a lone request on a
 //!   fresh server never waits out its window; after a batch with company
 //!   the next window is held, after a lone batch it is not; a burst that
-//!   queued up behind a busy replica rides in one batch in either state;
-//!   `max_batch` and the interactive pull-forward still close a held
-//!   window early; replicas keep independent predictor bits.
+//!   queued up behind a busy dispatcher rides in one batch in either
+//!   state; `max_batch` and the interactive pull-forward still close a
+//!   held window early.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use scnn_serve::{
@@ -88,7 +86,7 @@ impl Gate {
 }
 
 /// Echoes each request's payload back as its logits; optionally parks on
-/// a gate first so tests can wedge the replica deterministically.
+/// a gate first so tests can wedge the dispatcher deterministically.
 struct StubRunner {
     gate: Option<Arc<Gate>>,
     entered: AtomicUsize,
@@ -122,7 +120,7 @@ impl StubRunner {
     }
 
     /// Spins until `run` has been entered at least `n` times — the only
-    /// way a test can know the replica is wedged inside the gate.
+    /// way a test can know the dispatcher is wedged inside the gate.
     fn await_entered(&self, n: usize) {
         while self.entered.load(Ordering::SeqCst) < n {
             std::thread::sleep(Duration::from_millis(1));
@@ -164,8 +162,8 @@ impl BatchRunner for PanicRunner {
     }
 }
 
-/// One-replica server over `runner` with `max_batch` and `capacity`,
-/// tight interactive window so wedged-replica tests drain fast.
+/// A server over `runner` with `max_batch` and `capacity`,
+/// tight interactive window so wedged-dispatcher tests drain fast.
 fn server_over(
     runner: Arc<StubRunner>,
     max_batch: usize,
@@ -189,7 +187,7 @@ fn burst_beyond_capacity_sheds_exactly_the_overflow() {
     let capacity = 8;
     let server = server_over(runner.clone(), 1, capacity);
 
-    // Wedge the replica: its first batch parks inside run(), leaving the
+    // Wedge the dispatcher: its first batch parks inside run(), leaving the
     // queue entirely to us.
     let plug = server.submit(request(0.0), SloClass::Interactive).expect("admitted");
     runner.await_entered(1);
@@ -214,7 +212,7 @@ fn burst_beyond_capacity_sheds_exactly_the_overflow() {
     for handle in admitted {
         handle.recv().expect("admitted requests all complete");
     }
-    let m = server.shutdown().expect("no replica died");
+    let m = server.shutdown().expect("the engine did not die");
     assert_eq!(m.total_shed(), 3 * capacity as u64);
     assert_eq!(m.total_completed(), 1 + capacity as u64);
     assert_eq!(m.class(SloClass::Interactive).submitted, 1 + 4 * capacity as u64);
@@ -243,7 +241,7 @@ fn abandoned_requests_never_reach_the_engine() {
     assert_eq!(plug.recv().expect("plug ran"), vec![0.0; 4]);
     assert_eq!(kept.recv().expect("kept request ran"), vec![7.0; 4]);
 
-    let m = server.shutdown().expect("no replica died");
+    let m = server.shutdown().expect("the engine did not die");
     assert_eq!(m.total_abandoned(), 3);
     assert_eq!(m.total_completed(), 2);
     // The engine only ever saw the plug and the kept request.
@@ -263,7 +261,7 @@ fn queued_past_deadline_is_dropped_with_an_error_value() {
     )
     .expect("config is legal");
 
-    // Batch-class plug (lax deadline) wedges the replica…
+    // Batch-class plug (lax deadline) wedges the dispatcher…
     let plug = server.submit(request(0.0), SloClass::Batch).expect("admitted");
     runner.await_entered(1);
     // …while an interactive request ages past its 5 ms SLO in queue.
@@ -273,7 +271,7 @@ fn queued_past_deadline_is_dropped_with_an_error_value() {
 
     assert_eq!(plug.recv().expect("plug ran"), vec![0.0; 4]);
     assert_eq!(stale.recv(), Err(ServeError::DeadlineExceeded));
-    let m = server.shutdown().expect("no replica died");
+    let m = server.shutdown().expect("the engine did not die");
     assert_eq!(m.class(SloClass::Interactive).expired, 1);
     assert_eq!(runner.requests_run.load(Ordering::SeqCst), 1, "expired work never ran");
 }
@@ -304,24 +302,26 @@ fn engine_panic_becomes_error_values_not_client_panics() {
 
 #[test]
 fn over_budget_max_batch_is_rejected() {
-    // params 100, pool 10 per slot: a 175-byte budget fits 7 slots on one
-    // replica; two replicas halve the per-replica fit, (175 − 100) /
-    // (2 × 10) = 3; a 105-byte budget fits not even one.
-    for (replicas, budget, fits) in [(1, 175, 7), (2, 175, 3), (1, 105, 0)] {
-        let runner = Arc::new(StubRunner::with_layout(100, 10));
-        let err = Server::start_with_runner(
-            runner,
+    // params 100, pool 10 per slot: a 175-byte budget fits 7 slots, a
+    // 105-byte budget not even one, and `params + 8 × pool` = 180 is the
+    // exact boundary of `max_batch` 8 — one byte less fits 7.
+    let start = |budget: usize| {
+        Server::start_with_runner(
+            Arc::new(StubRunner::with_layout(100, 10)),
             ServerConfig {
-                replicas,
                 policy: policy_of(8, None),
                 budget_bytes: Some(budget),
                 ..ServerConfig::default()
             },
         )
-        .err()
-        .expect("an over-budget max_batch must not start");
-        assert_eq!(err, ServeError::OverBudget { requested: 8, fits }, "{replicas} × {budget} B");
+    };
+    for (budget, fits) in [(175, 7), (105, 0), (179, 7)] {
+        let err = start(budget).err().expect("an over-budget max_batch must not start");
+        assert_eq!(err, ServeError::OverBudget { requested: 8, fits }, "{budget} B");
     }
+    let server = start(180).expect("params + 8 × pool admits max_batch 8");
+    assert_eq!(server.max_batch(), 8);
+    server.shutdown().expect("the engine did not die");
 }
 
 #[test]
@@ -336,12 +336,12 @@ fn wrong_shape_is_rejected_before_admission() {
         Ok(_) => panic!("expected BadRequest, got an admitted handle"),
     }
     // The reject happened before admission: nothing submitted, nothing run.
-    let m = server.shutdown().expect("no replica died");
+    let m = server.shutdown().expect("the engine did not die");
     assert_eq!(m.class(SloClass::Interactive).submitted, 0);
     assert_eq!(runner.requests_run.load(Ordering::SeqCst), 0);
 }
 
-/// One replica, `max_batch` 8, behind `runner`, with the given class
+/// A server with `max_batch` 8, behind `runner`, with the given class
 /// windows (deadlines far out).
 fn windowed_server(runner: Arc<StubRunner>, interactive: Duration, batch: Duration) -> Server {
     let far = Duration::from_secs(300);
@@ -359,9 +359,9 @@ fn windowed_server(runner: Arc<StubRunner>, interactive: Duration, batch: Durati
     .expect("config is legal")
 }
 
-/// Leaves the one replica *holding*: wedges it on a plug, queues two
-/// requests behind it, lets all three finish — the last batch the replica
-/// closed had company. Needs a fresh (not holding) replica and an armed
+/// Leaves the dispatcher *holding*: wedges it on a plug, queues two
+/// requests behind it, lets all three finish — the last batch the dispatcher
+/// closed had company. Needs a fresh (not holding) dispatcher and an armed
 /// gate; leaves the gate open.
 fn make_holding(server: &Server, runner: &StubRunner, gate: &Gate) {
     let before = runner.entered.load(Ordering::SeqCst);
@@ -390,7 +390,7 @@ fn a_lone_request_on_a_fresh_server_does_not_wait_out_its_window() {
         "a lone request waited {:?} under a {window:?} window",
         t.elapsed()
     );
-    let m = server.shutdown().expect("no replica died");
+    let m = server.shutdown().expect("the engine did not die");
     assert_eq!((m.closed_idle, m.closed_window, m.closed_full), (1, 0, 0));
     assert!(m.window_wait_ns < 100_000_000);
 }
@@ -422,7 +422,7 @@ fn a_window_is_held_after_company_and_dropped_after_a_lone_batch() {
         assert!(t.elapsed() < window / 2, "a window was held after a lone batch");
     }
     assert_eq!(runner.batch_sizes(), [1, 2, 2, 1, 1, 1]);
-    let m = server.shutdown().expect("no replica died");
+    let m = server.shutdown().expect("the engine did not die");
     // plug + drained pair + the last two; the coalesced pair + the unpaid one.
     assert_eq!((m.closed_idle, m.closed_window, m.closed_full), (4, 2, 0));
     assert!(m.window_wait_ns >= 2 * window.as_nanos() as u64);
@@ -452,7 +452,7 @@ fn a_burst_queued_behind_a_busy_replica_is_one_batch_in_both_states() {
     assert_eq!(runner.batch_sizes(), [1, 8]);
 
     // Holding (the burst had company): two plugs coalesce under the held
-    // window and wedge the replica; the burst behind them closes on
+    // window and wedge the dispatcher; the burst behind them closes on
     // max_batch.
     gate.arm();
     let plugs: Vec<_> = (0..2)
@@ -465,7 +465,7 @@ fn a_burst_queued_behind_a_busy_replica_is_one_batch_in_both_states() {
         handle.recv().expect("ran");
     }
     assert_eq!(runner.batch_sizes(), [1, 8, 2, 8]);
-    let m = server.shutdown().expect("no replica died");
+    let m = server.shutdown().expect("the engine did not die");
     assert_eq!((m.closed_idle, m.closed_window, m.closed_full), (1, 1, 2));
 }
 
@@ -492,113 +492,6 @@ fn max_batch_and_the_interactive_pull_forward_still_close_a_held_window() {
     fast.recv().expect("ran");
     assert!(t.elapsed() < Duration::from_secs(10), "a 30 s window was waited out");
     assert_eq!(runner.batch_sizes(), [1, 2, 8, 2]);
-    let m = server.shutdown().expect("no replica died");
+    let m = server.shutdown().expect("the engine did not die");
     assert_eq!((m.closed_idle, m.closed_window, m.closed_full), (2, 1, 1));
-}
-
-/// Echo runner that parks every `run` call until the test grants the
-/// calling replica thread a permit, and logs which thread ran what.
-struct ReplicaGateRunner {
-    permits: Mutex<HashMap<ThreadId, usize>>,
-    cv: Condvar,
-    log: Mutex<Vec<(ThreadId, usize)>>,
-}
-
-impl ReplicaGateRunner {
-    fn release(&self, replica: ThreadId) {
-        *self.permits.lock().unwrap().entry(replica).or_insert(0) += 1;
-        self.cv.notify_all();
-    }
-
-    /// Waits until `n` batches have entered `run`; returns the log.
-    fn await_entered(&self, n: usize) -> Vec<(ThreadId, usize)> {
-        loop {
-            let log = self.log.lock().unwrap().clone();
-            if log.len() >= n {
-                return log;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-}
-
-impl BatchRunner for ReplicaGateRunner {
-    fn request_shape(&self) -> Vec<usize> {
-        SHAPE.to_vec()
-    }
-
-    fn run(&self, requests: &[Tensor]) -> Vec<Vec<f32>> {
-        let me = std::thread::current().id();
-        self.log.lock().unwrap().push((me, requests.len()));
-        let mut permits = self.permits.lock().unwrap();
-        while permits.get(&me).copied().unwrap_or(0) == 0 {
-            permits = self.cv.wait(permits).unwrap();
-        }
-        *permits.get_mut(&me).expect("checked above") -= 1;
-        requests.iter().map(|r| r.as_slice().to_vec()).collect()
-    }
-}
-
-#[test]
-fn replicas_keep_independent_predictor_bits() {
-    let runner = Arc::new(ReplicaGateRunner {
-        permits: Mutex::new(HashMap::new()),
-        cv: Condvar::new(),
-        log: Mutex::new(Vec::new()),
-    });
-    let window = Duration::from_millis(300);
-    let far = Duration::from_secs(300);
-    let server = Server::start_with_runner(
-        runner.clone(),
-        ServerConfig {
-            replicas: 2,
-            policy: BatchPolicy {
-                max_batch: 8,
-                interactive: ClassPolicy { window, deadline: far },
-                batch: ClassPolicy { window, deadline: far },
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .expect("config is legal");
-    let submit = |tag: f32| server.submit(request(tag), SloClass::Interactive).expect("admitted");
-
-    // Wedge both replicas on a lone plug each: a on the first, b on the second.
-    let plug_a = submit(0.0);
-    let a = runner.await_entered(1)[0].0;
-    let plug_b = submit(0.0);
-    let b = runner.await_entered(2)[1].0;
-    assert_ne!(a, b, "the wedged replica cannot have taken the second plug");
-
-    // a alone drains a queued trio (company: a now holds) and, still the
-    // only free replica, coalesces a pair under its held window.
-    let trio: Vec<_> = (0..3).map(|i| submit(1.0 + i as f32)).collect();
-    runner.release(a);
-    assert_eq!(runner.await_entered(3)[2], (a, 3));
-    runner.release(a);
-    plug_a.recv().expect("ran");
-    for handle in trio {
-        handle.recv().expect("ran");
-    }
-    let pair = [submit(5.0), submit(6.0)];
-    assert_eq!(runner.await_entered(4)[3], (a, 2), "a did not hold its window");
-
-    // b's last batch was its lone plug. With a wedged on the pair, b is
-    // the only free replica: a lone request must not wait out b's window,
-    // whatever a's bit says.
-    runner.release(b);
-    plug_b.recv().expect("ran");
-    runner.release(b);
-    let t = Instant::now();
-    submit(7.0).recv().expect("ran");
-    assert!(t.elapsed() < window / 2, "b held a window on a's evidence");
-    assert_eq!(runner.await_entered(5)[4], (b, 1));
-
-    runner.release(a);
-    for handle in pair {
-        handle.recv().expect("ran");
-    }
-    let m = server.shutdown().expect("no replica died");
-    // Idle: both plugs, the trio, b's lone request. Window: a's pair.
-    assert_eq!((m.closed_idle, m.closed_window, m.closed_full), (4, 1, 0));
 }

@@ -210,28 +210,26 @@ fn batcher_delivers_bit_identical_responses() {
     assert_eq!(m.total_shed(), 0, "closed-loop clients never overflow");
 }
 
-/// The replica axis must not perturb a single bit: the same request
-/// bytes produce the same logits whether one replica or four pull from
-/// the queue, at one worker thread or four — the serving extension of
-/// the repo-wide determinism contract (DESIGN.md §15).
+/// Neither the pool's width nor the batch size may perturb a single
+/// bit: ten concurrent clients get the same logits at one worker thread
+/// or four, in batches of up to 1, 3 or 8 — the serving extension of the
+/// repo-wide determinism contract (DESIGN.md §15).
 #[test]
-fn logits_bitwise_identical_across_replica_and_thread_counts() {
+fn logits_bitwise_identical_across_thread_counts_and_concurrency() {
     let (reference, engine, request) = reference_and_engine(vgg_graph, 44);
     let engine = Arc::new(engine);
-    for replicas in [1usize, 2, 4] {
-        for threads in [1usize, 4] {
+    for threads in [1usize, 4] {
+        for max_batch in [1usize, 3, 8] {
             let server = Server::start(
                 engine.clone(),
                 ServerConfig {
-                    replicas,
                     worker_threads: Some(threads),
-                    policy: quick_policy(3),
+                    policy: quick_policy(max_batch),
                     queue_capacity: 32,
                     ..ServerConfig::default()
                 },
             )
             .expect("config is legal");
-            assert_eq!(server.replicas(), replicas);
             std::thread::scope(|s| {
                 let handles: Vec<_> = (0..10)
                     .map(|_| {
@@ -244,11 +242,11 @@ fn logits_bitwise_identical_across_replica_and_thread_counts() {
                     assert_eq!(
                         h.join().expect("client thread").expect("admitted"),
                         reference,
-                        "replicas={replicas} threads={threads} changed bits"
+                        "threads={threads} max_batch={max_batch} changed bits"
                     );
                 }
             });
-            let m = server.shutdown().expect("no replica died");
+            let m = server.shutdown().expect("the engine did not die");
             assert_eq!(m.total_completed(), 10);
         }
     }

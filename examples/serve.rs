@@ -75,13 +75,12 @@ fn main() {
     );
     assert!(outs.iter().all(|o| o == &solo[0]), "concurrency changed bits");
 
-    // The hardened server: two engine replicas behind one bounded
+    // The hardened server: one dispatch thread behind a bounded
     // admission queue, a per-class window/deadline policy, and the
-    // planned footprint params + R × C × pool cross-checked against a
+    // planned footprint params + C × pool cross-checked against a
     // memory budget at startup — a misconfigured max_batch is an error
     // value here, not a silent overshoot at runtime.
     let mut config = ServerConfig {
-        replicas: 2,
         queue_capacity: 32,
         budget_bytes: Some(budget),
         ..ServerConfig::default()
@@ -90,11 +89,10 @@ fn main() {
     config.policy.interactive.window = Duration::from_millis(2);
     let server = Server::start(engine.clone(), config).expect("policy fits the budget");
     println!(
-        "server: {} replicas × max_batch {} behind a {}-slot queue ({} B planned)",
-        server.replicas(),
+        "server: max_batch {} behind a {}-slot queue ({} B planned)",
         server.max_batch(),
         32,
-        engine.device_bytes_replicated(server.replicas(), server.max_batch()),
+        engine.device_bytes_at(server.max_batch()),
     );
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..12)
@@ -117,7 +115,7 @@ fn main() {
         .enumerate()
         .fold((0, f32::MIN), |best, (i, &v)| if v > best.1 { (i, v) } else { best })
         .0;
-    let metrics = server.shutdown().expect("no replica died");
+    let metrics = server.shutdown().expect("the engine did not die");
     println!(
         "12 batched clients served; all responses bit-identical (top-1 class {top1})"
     );
@@ -128,7 +126,7 @@ fn main() {
         metrics.total_shed(),
         metrics.class(SloClass::Interactive).p99_ns.unwrap_or(0)
     );
-    // Why batches closed: a replica holds a window only while its
+    // Why batches closed: the dispatcher holds a window only while its
     // previous batch had company, so the first arrivals close idle and
     // the rest of the concurrent clients coalesce under held windows.
     println!(

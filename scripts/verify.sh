@@ -133,6 +133,16 @@ if grep -rnE 'struct ShapeTrace\b|enum LayerParams\b|fn (shape_trace|layer_shape
   exit 1
 fi
 
+# Capacity guard (DESIGN.md §15): a server is one dispatch thread over
+# one engine, and its planned footprint is the paper's Fig. 10 model,
+# `params + C × pool` — one formula, `StaticLayout::serving_device_bytes`,
+# and its inverse. A replica count in the config or a replica-aware
+# capacity function is a second deployment axis coming back.
+if grep -rnE 'fn (max_concurrency_replicated|device_bytes_replicated|per_replica_fit)\b|pub replicas:' crates/; then
+  echo "verify: a serving replica axis is back under crates/ (one dispatcher, params + C × pool)" >&2
+  exit 1
+fi
+
 # The size of the library: non-blank code lines under crates/*/src (see
 # code_lines). Printed for the record, not gated.
 # shellcheck disable=SC2046  # the file list is deliberately word-split
@@ -163,7 +173,7 @@ done
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 declare -A smoke_gates=(
-  [serving]="--max-peak serve_resident_peak/c1:36864,serve_resident_peak/c8:294912,serve_resident_peak/c64:2359296,overload/queue_depth_peak:8 --min-peak serve_resident_peak/c1:36864,serve_resident_peak/c8:294912,serve_resident_peak/c64:2359296,capacity/max_concurrency:166,capacity/max_concurrency_r2:83,capacity/max_concurrency_r4:41,overload/shed:1 --max-p99 overload/admitted_latency:10000000000"
+  [serving]="--max-peak serve_resident_peak/c1:36864,serve_resident_peak/c8:294912,serve_resident_peak/c64:2359296,overload/queue_depth_peak:8 --min-peak serve_resident_peak/c1:36864,serve_resident_peak/c8:294912,serve_resident_peak/c64:2359296,capacity/max_concurrency:166,overload/shed:1 --max-p99 overload/admitted_latency:10000000000"
 )
 for bench in kernels planning ablation memory serving; do
   SCNN_BENCH_DIR="$tmp" cargo bench -q -p scnn-bench --bench "$bench" --offline -- --smoke
@@ -255,8 +265,8 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 # zipped with no index compile to a compare and a blend.
 # The serving gates (DESIGN.md §15): the full-size resident peaks are
 # deterministic like the planned-device pins, so they are pinned exactly,
-# two-sided; the capacity searches (single-engine and per-replica) at
-# the 64 MiB budget must not shrink; and the p99 tail latencies get
+# two-sided; the capacity search (`params + C × pool`) at the 64 MiB
+# budget must not shrink; and the p99 tail latencies get
 # generous ceilings (~4-10× the measured values; c1's is 4× its
 # committed p99) that catch a pathological serialization — a batcher
 # that stops coalescing, a pool that stops sharing — without flaking on
@@ -268,7 +278,7 @@ cargo run -q --release -p scnn-bench --bin bench_check --offline -- \
 declare -A abs_gates=(
   [kernels]="--max-median conv2d_fwd_8x16x32x32:2750000,conv2d_fwd_8x16x32x32_winograd:4500000,conv2d_bwd_8x16x32x32:4600000,matmul_512:5550000,conv2d_fwd_8x32x16x16:1135000,conv2d_bwd_8x32x16x16:2180000,conv2d_fwd_8x256x4x4:3430000,conv2d_bwd_8x256x4x4:7550000,conv2d_fwd_1x1s2_8x32x16x16:145000,sgd_step_resnet18_w05:1850000,conv2d_fwd_8x16x32x32_scalar:8100000,matmul_512_scalar:12000000,par_fork_join/gap100us:130000 --max-peak conv2d_fwd_scratch_peak:1048576,conv2d_bwd_scratch_peak:2097152 --max-ratio conv2d_fwd_8x16x32x32:conv2d_fwd_8x16x32x32_avx2:1.10,conv2d_fwd_8x16x32x32_avx2:conv2d_fwd_8x16x32x32:1.10,conv2d_fwd_8x16x32x32_winograd:conv2d_fwd_8x16x32x32:1.10,par_fork_join/gap100us:par_fork_join/hot:1.5,relu_bwd_8x32x32x32:relu_fwd_8x32x32x32:3.0"
   [memory]="--max-peak minor_faults_per_step/vec_unsplit:300,train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,planned_device/vdnn:3300352,planned_device/hmms:3300352,planned_device/hmms_micro:2707968,capacity/max_batch/legacy:13 --min-peak train_step/vdnn:1179648,train_step/hmms:1572864,train_step/hmms_micro:1572864,capacity/max_batch/micro:18"
-  [serving]="--max-peak serve_resident_peak/c1:61440,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,overload/queue_depth_peak:8 --min-peak serve_resident_peak/c1:61440,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,capacity/max_concurrency:738,capacity/max_concurrency_r2:369,capacity/max_concurrency_r4:184,overload/shed:1 --max-p99 serve_latency/c1:24000000,serve_latency/c8:250000000,serve_latency/c64:4000000000,overload/admitted_latency:10000000000"
+  [serving]="--max-peak serve_resident_peak/c1:61440,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,overload/queue_depth_peak:8 --min-peak serve_resident_peak/c1:61440,serve_resident_peak/c8:491520,serve_resident_peak/c64:3932160,capacity/max_concurrency:738,overload/shed:1 --max-p99 serve_latency/c1:24000000,serve_latency/c8:250000000,serve_latency/c64:4000000000,overload/admitted_latency:10000000000"
 )
 if [[ "${SCNN_VERIFY_SKIP_BENCH:-0}" != 1 ]]; then
   for spec in kernels:0.25 planning:0.60 ablation:0.60 memory:0.60 serving:0.60; do

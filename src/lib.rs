@@ -9,13 +9,11 @@
 //! - [`tensor`], [`graph`], [`nn`] — the training-framework substrate
 //! - [`gpusim`] — the simulated GPU + NVLink device
 //! - [`models`], [`data`] — model zoo and synthetic datasets
-//! - [`dist`] — the distributed-training analytical model (§6.4)
 //! - [`runtime`] — the plan-executing memory runtime (HMMS made real)
 //! - [`serve`] — the split-pipelined inference serving runtime
 
 pub use scnn_core as core;
 pub use scnn_data as data;
-pub use scnn_dist as dist;
 pub use scnn_gpusim as gpusim;
 pub use scnn_graph as graph;
 pub use scnn_hmms as hmms;
