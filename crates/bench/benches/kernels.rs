@@ -27,7 +27,7 @@ use scnn_nn::kernels::{
 use scnn_nn::{ParamStore, Sgd};
 use scnn_rng::SplitRng;
 use scnn_tensor::{
-    col2im, conv2d_fwd_winograd, detected_level, force_level, im2col, matmul, uniform,
+    active_level, col2im, conv2d_fwd_winograd, force_level, im2col, matmul, supports, uniform,
     Conv2dGeometry, Padding2d, SimdLevel, Tensor,
 };
 
@@ -85,7 +85,7 @@ fn main() {
     let dy = Tensor::ones(y.shape().dims());
 
     heap_reset();
-    bench_with_avx2_twin(&mut g, "conv2d_fwd_8x16x32x32", || {
+    bench_with_level_twins(&mut g, "conv2d_fwd_8x16x32x32", || {
         conv2d_forward(&x, &w, None, &attrs)
     });
     heap_annotate(&mut g);
@@ -198,7 +198,7 @@ fn main() {
     let m2 = if smoke { 24 } else { 512 };
     let a2 = uniform(&mut rng, &[m2, m2], -1.0, 1.0);
     let b2 = uniform(&mut rng, &[m2, m2], -1.0, 1.0);
-    bench_with_avx2_twin(&mut g, "matmul_512", || matmul(&a2, &b2));
+    bench_with_level_twins(&mut g, "matmul_512", || matmul(&a2, &b2));
 
     // The portable bodies of the two twinned records (DESIGN.md §14), so
     // the scalar trajectory is tracked separately: verify.sh holds both
@@ -223,26 +223,41 @@ fn main() {
     g.finish();
 }
 
-/// Benches `f` forced to the AVX2 bodies as `{name}_avx2` and under auto
-/// dispatch as `name` (recorded last, so a heap annotation lands on it).
-/// On an AVX2 host the two are one code path, and verify.sh holds their
-/// medians within 1.10× of each other both ways. Their samples alternate:
-/// taken one record after the other, the two read up to 2× apart whenever
-/// the host left its cold state (below) in between. On a host without
-/// AVX2+FMA the `_avx2` record is skipped — the committed baseline assumes
-/// the ISA, so regenerate there with SCNN_VERIFY_SKIP_BENCH=1.
-fn bench_with_avx2_twin<T>(g: &mut BenchGroup, name: &str, f: impl Fn() -> T) {
-    if detected_level() != SimdLevel::Avx2 {
+/// Benches `f` under auto dispatch as `name`, twinned with
+/// `{name}_{level}` forced to the level auto resolves to: one code path,
+/// so verify.sh holds their medians within 1.10× of each other both ways.
+/// Their samples alternate: taken one record after the other, the two read
+/// up to 2× apart whenever the host left its cold state (below) in
+/// between. Each other vector level the host supports gets a forced record
+/// of its own first (`_avx2` on an AVX-512 host), and the auto record comes
+/// last, so a heap annotation lands on it. Under scalar auto dispatch
+/// there is no vector level to twin. A baseline written on an AVX-512
+/// host lists `_avx512` records a host without it does not write:
+/// regenerate it there, or run verify.sh with SCNN_VERIFY_SKIP_BENCH=1.
+fn bench_with_level_twins<T>(g: &mut BenchGroup, name: &str, f: impl Fn() -> T) {
+    let auto = active_level();
+    let forced = |level| {
+        let f = &f;
+        move || {
+            force_level(Some(level));
+            let out = f();
+            force_level(None);
+            out
+        }
+    };
+    for level in [SimdLevel::Avx2, SimdLevel::Avx512] {
+        if level != auto && supports(level) {
+            g.bench(&format!("{name}_{}", level.name()), forced(level));
+        }
+    }
+    if auto == SimdLevel::Scalar {
         g.bench(name, &f);
         return;
     }
-    let forced = || {
-        force_level(Some(SimdLevel::Avx2));
-        let out = f();
-        force_level(None);
-        out
-    };
-    g.bench_twins((&format!("{name}_avx2"), forced), (name, &f));
+    g.bench_twins(
+        (&format!("{name}_{}", auto.name()), forced(auto)),
+        (name, &f),
+    );
 }
 
 fn busy(d: Duration) {

@@ -149,8 +149,16 @@ fn fwd_task_positions(total: usize) -> usize {
 /// already streams once per 24 rows of arithmetic.
 const FWD_TILE_ROWS: usize = PANEL_ROWS;
 
-/// Per-thread byte budget of the `dx` patch-gradient tile.
-const DX_TILE_BYTES: usize = 64 * 1024;
+/// Per-thread byte budget of the `dx` patch-gradient tile: every column
+/// of the tile is one pass of the weight matrix's reduction over output
+/// channels, so a wider tile reads the weights fewer times per image.
+const DX_TILE_BYTES: usize = 256 * 1024;
+
+/// Columns a `dx` tile should reach before a map that fits it whole
+/// shares it with the next images': a 4×4 map is sixteen positions, one
+/// 16-lane register, and alone it would stream the whole weight matrix
+/// (2.4 MB at 256 → 256 channels, width 0.5) per image.
+const DX_MIN_COLS: usize = 64;
 
 /// Output positions per `dx` scratch tile: as many `plen`-float columns as
 /// [`DX_TILE_BYTES`] holds, in whole 16-column register strips of
@@ -160,6 +168,17 @@ const DX_TILE_BYTES: usize = 64 * 1024;
 fn dx_tile_cols(plen: usize, hw: usize) -> usize {
     let t = DX_TILE_BYTES / 4 / plen.max(1);
     (t - t % 16).max(16).min(hw.max(1))
+}
+
+/// Images per `dx` task of a batch of `n`: one, unless a whole image fits
+/// one tile (`tile == hw`) in fewer than [`DX_MIN_COLS`] columns — then as
+/// many as reach it, but never so many that the batch makes fewer than
+/// two tasks. Depends only on the shapes, never on the thread count.
+fn dx_task_images(tile: usize, hw: usize, n: usize) -> usize {
+    if tile < hw {
+        return 1;
+    }
+    DX_MIN_COLS.div_ceil(hw.max(1)).min(n.div_ceil(2)).max(1)
 }
 
 /// Cuts flattened output positions `[q0, q1)` at batch-image boundaries:
@@ -328,9 +347,10 @@ fn pack_strips_kw<const KW: usize>(
     }
 }
 
-/// Adds the transposed patch-row gradients `dcols_t` (`[plen, tw]`: row
-/// `(c, ky, kx)`, column = position `t0 + j` of one image) into that
-/// image's planes `img`, each tap onto the input element it read.
+/// Adds the transposed patch-row gradients of input channels `chans` into
+/// one image's planes `img`, each tap onto the input element it read:
+/// `dcols_t` holds a row per `(c, ky, kx)` with `c` in `chans`, `ld` floats
+/// apart, and the image's positions `t0 + j` at columns `col0 + j`.
 ///
 /// Every destination element receives its contributions in
 /// [`col2im_into`](crate::col2im_into)'s `(oy, ox, ky, kx)` order: output
@@ -339,16 +359,20 @@ fn pack_strips_kw<const KW: usize>(
 /// *descending*, the order of the passes below. One pass adds a whole run
 /// of positions for a fixed `(kx, c, ky)`: distinct destinations, so the
 /// adds neither wait on each other nor test a bound.
+#[allow(clippy::too_many_arguments)]
 fn scatter_strips(
     dcols_t: &[f32],
+    ld: usize,
+    col0: usize,
     g: &Conv2dGeometry,
     at: &Placement,
+    chans: std::ops::Range<usize>,
     t0: usize,
     t1: usize,
     img: &mut [f32],
 ) {
-    let (ow, tw) = (g.out_w(), t1 - t0);
-    debug_assert!(t1 <= g.patch_count() && dcols_t.len() == g.patch_len() * tw);
+    let ow = g.out_w();
+    debug_assert!(t1 <= g.patch_count() && col0 + (t1 - t0) <= ld && chans.end <= g.in_c);
     let plane = at.full_h * at.full_w;
     let (pad_t, pad_l) = (g.pad.h_begin as usize, g.pad.w_begin as usize);
     let mut t = t0;
@@ -367,14 +391,14 @@ fn scatter_strips(
                 continue;
             }
             let (ix, n) = (lo * g.sw + kx - pad_l, hi - lo);
-            for c in 0..g.in_c {
+            for c in chans.clone() {
                 for ky in 0..g.kh {
                     let Some(iy) = (oy * g.sh + ky).checked_sub(pad_t).filter(|&iy| iy < g.in_h)
                     else {
                         continue;
                     };
-                    let q = (c * g.kh + ky) * g.kw + kx;
-                    let src = &dcols_t[q * tw + (t - t0) + (lo - ox_a)..][..n];
+                    let q = ((c - chans.start) * g.kh + ky) * g.kw + kx;
+                    let src = &dcols_t[q * ld + col0 + (t - t0) + (lo - ox_a)..][..n];
                     let dst = &mut img[c * plane + (iy + at.off_h) * at.full_w + at.off_w + ix..];
                     if g.sw == 1 {
                         for (d, &v) in dst[..n].iter_mut().zip(src) {
@@ -686,13 +710,21 @@ fn fold_patch_rows(
 /// the crop-offset contract of [`col2im_into`](crate::col2im_into). For
 /// each tile of output positions the patch-row gradients reduce over
 /// output channels in ascending order (as [`matmul`](crate::matmul) does)
-/// into a zeroed, *transposed* `[plen, positions]` scratch tile — one
+/// into a zeroed, *transposed* `[rows, positions]` scratch tile — one
 /// [`gemm_acc`] whose left operand is the weight matrix read down its
-/// columns and whose rows are `dy` in place, one channel's run of
-/// positions each — then [`scatter_strips`] adds the tile's rows onto the
-/// input planes in `(oy, ox, ky, kx)` order per destination element.
-/// Parallel over whole batch images only, so every destination element
-/// sees its contributions in the same order at every thread count.
+/// columns and whose rows are `dy`, one channel's run of positions each —
+/// then [`scatter_strips`] adds the tile's rows onto the input planes in
+/// `(oy, ox, ky, kx)` order per destination element.
+///
+/// A task is one batch image, or several when a whole image fits a tile
+/// in fewer than [`DX_MIN_COLS`] positions ([`dx_task_images`]): their
+/// `dy` runs are then packed side by side, so one reduction covers every
+/// image of the task and the weight matrix streams once per task instead
+/// of once per image. A tile wider than [`DX_TILE_BYTES`] holds is cut
+/// into slices of whole input channels; a channel's taps are all in one
+/// slice, so every destination element still sees its contributions in
+/// the same order. Tasks write disjoint images, so that order holds at
+/// every thread count.
 ///
 /// # Panics
 ///
@@ -718,28 +750,56 @@ pub fn conv2d_dx_tiled(
     let plen = g.patch_len();
     let dyv = dy.as_slice();
     let wv = w.as_slice();
-    let plane = at.full_h * at.full_w;
+    let img_len = g.in_c * at.full_h * at.full_w;
     let hw = oh * ow;
     let tile = dx_tile_cols(plen, hw);
-    scnn_par::par_chunks_mut(dst.as_mut_slice(), g.in_c * plane, |b, img| {
-        scratch::with_scratch(plen * tile, |dcols_t| {
+    let imgs = dx_task_images(tile, hw, n);
+    let taps = g.kh * g.kw;
+    // Input channels per reduction: whole channels, as many as the tile
+    // budget holds at the task's full column count.
+    let slice = (DX_TILE_BYTES / 4 / (imgs * tile) / taps.max(1)).clamp(1, g.in_c.max(1));
+    let packed = if imgs > 1 { oc * imgs * tile } else { 0 };
+    scnn_par::par_chunks_mut(dst.as_mut_slice(), imgs * img_len, |task, group| {
+        let (b0, gn) = (task * imgs, group.len() / img_len);
+        scratch::with_scratch(slice * taps * gn * tile + packed, |buf| {
+            let (dcols_t, dyg) = buf.split_at_mut(slice * taps * gn * tile);
             for t0 in (0..hw).step_by(tile) {
                 let t1 = (t0 + tile).min(hw);
-                let dcols_t = &mut dcols_t[..plen * (t1 - t0)];
-                dcols_t.fill(0.0);
-                gemm_acc(
-                    plen,
-                    t1 - t0,
-                    oc,
-                    wv,
-                    1,
-                    plen,
-                    &dyv[b * oc * hw + t0..],
-                    hw,
-                    dcols_t,
-                    t1 - t0,
-                );
-                scatter_strips(dcols_t, g, &at, t0, t1, img);
+                let (tw, cols) = (t1 - t0, gn * (t1 - t0));
+                // The tile's `dy` rows: read in place for one image (one
+                // channel's positions are contiguous), packed image by
+                // image for several.
+                let (rhs, ldb) = if gn == 1 {
+                    (&dyv[b0 * oc * hw + t0..], hw)
+                } else {
+                    for (p, row) in dyg[..oc * cols].chunks_exact_mut(cols).enumerate() {
+                        for (bb, run) in row.chunks_exact_mut(tw).enumerate() {
+                            run.copy_from_slice(&dyv[((b0 + bb) * oc + p) * hw + t0..][..tw]);
+                        }
+                    }
+                    (&dyg[..oc * cols], cols)
+                };
+                for c0 in (0..g.in_c).step_by(slice) {
+                    let c1 = (c0 + slice).min(g.in_c);
+                    let rows = (c1 - c0) * taps;
+                    let dcols_t = &mut dcols_t[..rows * cols];
+                    dcols_t.fill(0.0);
+                    gemm_acc(
+                        rows,
+                        cols,
+                        oc,
+                        &wv[c0 * taps..],
+                        1,
+                        plen,
+                        rhs,
+                        ldb,
+                        dcols_t,
+                        cols,
+                    );
+                    for (bb, img) in group.chunks_exact_mut(img_len).enumerate() {
+                        scatter_strips(dcols_t, cols, bb * tw, g, &at, c0..c1, t0, t1, img);
+                    }
+                }
             }
         });
     });
@@ -751,8 +811,9 @@ pub fn conv2d_dx_tiled(
 /// [`REDUCTION_KC`] — the same constant the kernels block on, so the
 /// planner's model can never drift from the executed grid). Per-thread
 /// pack panels (bounded by [`PACK_PANEL_BYTES`] each) and the `dx`
-/// gradient tile ([`DX_TILE_BYTES`] or
-/// one 16-position strip) scale with the host's thread count, so the planner
+/// gradient tile ([`DX_TILE_BYTES`] or one channel's 16-position strip,
+/// plus the packed `dy` of a several-image task) scale with the host's
+/// thread count, so the planner
 /// leaves them out of the per-layer term — this is the number `scnn-hmms`
 /// carries per conv node in its layouts.
 pub fn conv2d_workspace_bytes(g: &Conv2dGeometry, n: usize, oc: usize) -> usize {
@@ -856,7 +917,17 @@ mod tests {
                                 dcols_t[q * tw + j] = v;
                             }
                         }
-                        scatter_strips(&dcols_t, &g, &at, t0, t1, got.as_mut_slice());
+                        scatter_strips(
+                            &dcols_t,
+                            tw,
+                            0,
+                            &g,
+                            &at,
+                            0..g.in_c,
+                            t0,
+                            t1,
+                            got.as_mut_slice(),
+                        );
                     }
                     let same = got.as_slice().iter().zip(want.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits());
                     assert!(same, "case {case} offset ({off_h}, {off_w}) tile width {tile}");

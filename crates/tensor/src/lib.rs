@@ -13,8 +13,9 @@
 //! width]`.
 //!
 //! The floating-point inner loops dispatch at runtime between portable
-//! scalar and AVX2 bodies with identical reduction order ([`simd`],
-//! forced via `SCNN_SIMD=scalar|avx2|auto`); cache blocking is three
+//! scalar, AVX2 and (for the two GEMM micro-kernels) AVX-512 bodies with
+//! identical reduction order ([`simd`], forced via
+//! `SCNN_SIMD=scalar|avx2|avx512|auto`); cache blocking is three
 //! fixed constants next to the kernels that read them, of which only
 //! [`REDUCTION_KC`] bears on bits. See DESIGN.md §14.
 //!
@@ -52,6 +53,6 @@ pub use linalg::{
 };
 pub use pad::Padding2d;
 pub use shape::Shape;
-pub use simd::{active_level, detected_level, force_level, SimdLevel};
+pub use simd::{active_level, detected_level, force_level, supports, SimdLevel};
 pub use tensor::Tensor;
 pub use winograd::{conv2d_fwd_winograd, winograd_supported};

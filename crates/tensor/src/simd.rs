@@ -7,42 +7,51 @@
 //! `matmul_at_b`, the conv `dw` fold, the `dx` channel reduction and the
 //! Winograd forward's transform-domain GEMMs, and the elementwise passes
 //! ([`add_assign`] for block folds, [`vadd`]/[`vsub`] for the Winograd
-//! transforms). Each primitive has two implementations:
+//! transforms). The implementation sets, one per [`SimdLevel`]:
 //!
-//! - a **portable scalar** body in plain Rust — the reference semantics;
-//!   and
-//! - an **AVX2+FMA** body written with `core::arch::x86_64` intrinsics,
-//!   compiled with `#[target_feature(enable = "avx2,fma")]` so it emits
-//!   256-bit vector ops even though the crate itself targets baseline
-//!   x86-64 (the old blanket `target-cpu=x86-64-v3` flag is gone).
+//! - a **portable scalar** body of every primitive in plain Rust — the
+//!   reference semantics;
+//! - an **AVX2+FMA** body of every primitive, written with
+//!   `core::arch::x86_64` intrinsics and compiled with
+//!   `#[target_feature(enable = "avx2,fma")]` so it emits 256-bit vector
+//!   ops even though the crate itself targets baseline x86-64 (the old
+//!   blanket `target-cpu=x86-64-v3` flag is gone); and
+//! - **AVX-512** bodies of the two GEMM micro-kernels, [`dot_panel`] and
+//!   [`gemm_acc`], under `#[target_feature(enable = "avx512f,avx512dq,…")]`;
+//!   the elementwise passes keep their AVX2 bodies at that level.
 //!
 //! The implementation is picked **once per call site reached**, by
 //! [`active_level`]: a relaxed atomic read resolving (in order) an
 //! in-process [`force_level`] override, the `SCNN_SIMD` environment knob
-//! (`scalar|avx2|auto`, read once), and `is_x86_feature_detected!`.
+//! (`scalar|avx2|avx512|auto`, read once), and `is_x86_feature_detected!`
+//! (the highest level the host runs; [`supports`] says which it does).
 //!
 //! # The bit-identity contract
 //!
-//! Both bodies of every primitive evaluate the **same IEEE-754 operations
-//! in the same order**, and the step of every accumulation chain is one
-//! **fused multiply-add**: `acc = fma(a, b, acc)`, the exact product plus
-//! the accumulator, rounded once.
+//! Every body of every primitive evaluates the **same IEEE-754
+//! operations in the same order**, and the step of every accumulation
+//! chain is one **fused multiply-add**: `acc = fma(a, b, acc)`, the exact
+//! product plus the accumulator, rounded once.
 //!
 //! - The 8 accumulator lanes of the dot kernels map one-to-one onto one
 //!   `__m256`; lane `l` still accumulates elements `p ≡ l (mod 8)`, the
 //!   scalar tail still folds sequentially, and the final reduction is the
-//!   same fixed [`lane_sum`] tree of plain adds.
+//!   same fixed [`lane_sum`] tree of plain adds. The AVX-512 body carries
+//!   two outputs' eight lanes in one `__m512` (columns `j` and `j + 1` in
+//!   its low and high halves, against the `a` row broadcast to both) and
+//!   splits the halves back out for that tree.
 //! - [`add_assign`], [`vadd`] and [`vsub`] are elementwise: each output
 //!   element is one add (or subtract) regardless of vector width.
 //! - [`gemm_acc`] is elementwise *per output element* too: element
 //!   `(r, j)` sees the chain `acc = fma(a[p, r], b[p, j], acc)` for `p`
-//!   ascending, whatever tile — 4×16 registers, a row/column edge, a
-//!   scalar array — happens to hold its accumulator.
-//! - **Fused on both bodies.** The AVX2 kernels issue `_mm256_fmadd_ps`
-//!   and the portable ones `f32::mul_add`: the same correctly-rounded
-//!   operation at any width, so one rounding per step costs the contract
-//!   nothing and halves the FP uops of a step. A separate multiply and
-//!   add (two roundings) appears in neither body.
+//!   ascending, whatever tile — 4×16 or 8×32 registers, a row/column
+//!   edge, a masked remainder register, a scalar array — happens to hold
+//!   its accumulator.
+//! - **Fused on every body.** The vector kernels issue `_mm512_fmadd_ps`
+//!   / `_mm256_fmadd_ps` and the portable ones `f32::mul_add`: the same
+//!   correctly-rounded operation at any width, so one rounding per step
+//!   costs the contract nothing and halves the FP uops of a step. A
+//!   separate multiply and add (two roundings) appears in no body.
 //! - **The portable body is compiled twice.** Baseline x86-64 has no FMA
 //!   instruction, so a baseline-compiled `mul_add` is a libm `fmaf` call
 //!   per element (same bits; 3.2 ns against 0.16 ns a step in an 8-lane
@@ -50,11 +59,11 @@
 //!   `#[inline(always)]` source body with two standalone instantiations
 //!   (`fused_or_baseline!`): under `#[target_feature(enable = "fma")]`,
 //!   taken whenever the host executes FMA, and for the build's baseline,
-//!   taken on an x86-64 host without FMA (where the AVX2 level does not
+//!   taken on an x86-64 host without FMA (where the vector levels do not
 //!   exist either) and on every other architecture, where `mul_add` is
 //!   native.
 //!
-//! Consequently `SCNN_SIMD=scalar` and `SCNN_SIMD=avx2` produce
+//! Consequently `SCNN_SIMD=scalar`, `avx2` and `avx512` produce
 //! bit-identical tensors at any `SCNN_THREADS` — a tested contract
 //! (`simd_props`), which is what lets the ISA choice be a pure
 //! performance decision.
@@ -63,33 +72,44 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Number of independent accumulator lanes in the blocked dot product —
-/// exactly the f32 width of one AVX2 register, which is why the scalar
-/// accumulator array maps onto a single `__m256`.
+/// exactly the f32 width of one AVX2 register (half an AVX-512 one),
+/// which is why the scalar accumulator array maps onto a single `__m256`.
 pub(crate) const LANES: usize = 8;
 
-/// Which micro-kernel implementation set is executing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Which micro-kernel implementation set is executing. The levels are
+/// ordered: a host that runs one runs every level below it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
     /// Portable scalar bodies (compile anywhere; autovectorized at the
     /// build's baseline width, or at the FMA host's where there is one).
     Scalar,
     /// Explicit AVX2 256-bit bodies (x86-64 with AVX2+FMA only).
     Avx2,
+    /// 512-bit bodies of the two GEMM micro-kernels, [`dot_panel`] and
+    /// [`gemm_acc`], over the AVX2 set (x86-64 with AVX-512 F and DQ, plus
+    /// AVX2+FMA).
+    Avx512,
 }
 
 impl SimdLevel {
-    /// Stable lowercase name — the suffix of per-ISA bench records.
+    /// Every level, lowest first.
+    pub const ALL: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
+
+    /// Stable lowercase name — the `SCNN_SIMD` value that forces the level
+    /// and the suffix of per-ISA bench records.
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx512 => "avx512",
         }
     }
 }
 
-/// In-process override: 0 = none, 1 = scalar, 2 = avx2. A process-global
-/// (not thread-local) because kernels run on pool worker threads; flipping
-/// it mid-run is safe precisely because both paths are bit-identical.
+/// In-process override: 0 = none, else `1 +` the level's index in
+/// [`SimdLevel::ALL`]. A process-global (not thread-local) because kernels
+/// run on pool worker threads; flipping it mid-run is safe precisely
+/// because every level is bit-identical.
 static FORCED: AtomicU8 = AtomicU8::new(0);
 
 /// The highest level this host can execute.
@@ -99,11 +119,22 @@ pub fn detected_level() -> SimdLevel {
         #[cfg(target_arch = "x86_64")]
         {
             if std::is_x86_feature_detected!("avx2") && host_has_fma() {
+                if std::is_x86_feature_detected!("avx512f")
+                    && std::is_x86_feature_detected!("avx512dq")
+                {
+                    return SimdLevel::Avx512;
+                }
                 return SimdLevel::Avx2;
             }
         }
         SimdLevel::Scalar
     })
+}
+
+/// `true` when this host can execute `level` — the levels the identity
+/// suites and the per-ISA benches iterate over.
+pub fn supports(level: SimdLevel) -> bool {
+    level <= detected_level()
 }
 
 /// `true` when this host executes FMA instructions — what both levels'
@@ -141,38 +172,40 @@ macro_rules! fused_or_baseline {
 }
 
 /// The `SCNN_SIMD` environment knob, read once: `Some(level)` for an
-/// explicit `scalar`/`avx2`, `None` for `auto`/unset. An unrecognized
-/// value warns once with the accepted values and degrades to auto
-/// detection: a misspelled knob must not take the process down, but it
-/// must not be silent either.
+/// explicit `scalar`/`avx2`/`avx512`, `None` for `auto`/unset. An
+/// unrecognized value warns once with the accepted values and degrades to
+/// auto detection: a misspelled knob must not take the process down, but
+/// it must not be silent either.
 ///
 /// # Panics
 ///
-/// Panics on `avx2` when the host cannot execute it — a
-/// forced-but-impossible knob must still fail loudly, not silently fall
-/// back and invalidate an A/B measurement.
+/// Panics on a level the host cannot execute — a forced-but-impossible
+/// knob must still fail loudly, not silently fall back and invalidate an
+/// A/B measurement.
 fn env_level() -> Option<SimdLevel> {
     static ENV: OnceLock<Option<SimdLevel>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("SCNN_SIMD") {
-        Ok(v) if v.eq_ignore_ascii_case("scalar") => Some(SimdLevel::Scalar),
-        Ok(v) if v.eq_ignore_ascii_case("avx2") => {
-            assert!(
-                detected_level() == SimdLevel::Avx2,
-                "SCNN_SIMD=avx2 but this host does not support AVX2+FMA"
-            );
-            Some(SimdLevel::Avx2)
+    *ENV.get_or_init(|| {
+        let v = std::env::var("SCNN_SIMD").ok()?;
+        if v.is_empty() || v.eq_ignore_ascii_case("auto") {
+            return None;
         }
-        Ok(v) if v.is_empty() || v.eq_ignore_ascii_case("auto") => None,
-        Ok(v) => {
-            // The OnceLock evaluates this arm at most once per process, so
-            // the warning cannot repeat per kernel call.
+        let Some(level) = SimdLevel::ALL
+            .into_iter()
+            .find(|l| v.eq_ignore_ascii_case(l.name()))
+        else {
+            // The OnceLock evaluates this at most once per process, so the
+            // warning cannot repeat per kernel call.
             eprintln!(
                 "scnn-tensor: ignoring unrecognized SCNN_SIMD={v:?} \
-                 (accepted: scalar|avx2|auto); using auto detection"
+                 (accepted: scalar|avx2|avx512|auto); using auto detection"
             );
-            None
-        }
-        Err(_) => None,
+            return None;
+        };
+        assert!(
+            supports(level),
+            "SCNN_SIMD={v} but this host cannot execute that level"
+        );
+        Some(level)
     })
 }
 
@@ -182,17 +215,17 @@ fn env_level() -> Option<SimdLevel> {
 ///
 /// # Panics
 ///
-/// Panics when forcing [`SimdLevel::Avx2`] on a host without it.
+/// Panics when forcing a level the host cannot execute ([`supports`]).
 pub fn force_level(level: Option<SimdLevel>) {
     let code = match level {
         None => 0,
-        Some(SimdLevel::Scalar) => 1,
-        Some(SimdLevel::Avx2) => {
+        Some(level) => {
             assert!(
-                detected_level() == SimdLevel::Avx2,
-                "cannot force AVX2 kernels: host does not support AVX2+FMA"
+                supports(level),
+                "cannot force {} kernels: host does not support them",
+                level.name()
             );
-            2
+            1 + level as u8
         }
     };
     FORCED.store(code, Ordering::Relaxed);
@@ -202,20 +235,19 @@ pub fn force_level(level: Option<SimdLevel>) {
 /// [`force_level`] override if set, else `SCNN_SIMD`, else detection.
 pub fn active_level() -> SimdLevel {
     match FORCED.load(Ordering::Relaxed) {
-        1 => SimdLevel::Scalar,
-        2 => SimdLevel::Avx2,
-        _ => env_level().unwrap_or_else(detected_level),
+        0 => env_level().unwrap_or_else(detected_level),
+        code => SimdLevel::ALL[usize::from(code - 1)],
     }
 }
 
-/// `true` when the AVX2 bodies should run — the single branch every
-/// dispatcher below evaluates.
+/// `true` when the AVX2 bodies of the elementwise passes should run — at
+/// the AVX2 level and at AVX-512, which keeps them.
 #[inline]
 fn use_avx2() -> bool {
     // On non-x86 builds the AVX2 bodies do not exist; `active_level` can
     // only ever say Scalar there (detection returns Scalar and forcing
-    // Avx2 panics), so this compiles to `false`.
-    cfg!(target_arch = "x86_64") && active_level() == SimdLevel::Avx2
+    // any other level panics), so this compiles to `false`.
+    cfg!(target_arch = "x86_64") && active_level() >= SimdLevel::Avx2
 }
 
 /// Reduces the 8 lanes with a fixed pairwise tree, then folds the scalar
@@ -367,11 +399,21 @@ pub fn dot_panel(
         assert_eq!(bias.len(), n, "dot_panel bias length");
     }
     #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // Safety: AVX2+FMA presence established; the asserts above bound
-        // every address the kernel forms in `a` and `b`.
-        unsafe { avx2::dot_panel(m, n, k, a, lda, b, ldb, bias, out, out_rs, out_cs) };
-        return;
+    match active_level() {
+        SimdLevel::Avx512 => {
+            // SAFETY: the level is only active on a host with AVX-512 F+DQ
+            // and AVX2+FMA; the asserts above bound every address the
+            // kernel forms in `a` and `b`.
+            unsafe { avx512::dot_panel(m, n, k, a, lda, b, ldb, bias, out, out_rs, out_cs) };
+            return;
+        }
+        SimdLevel::Avx2 => {
+            // SAFETY: AVX2+FMA presence established; the asserts above
+            // bound every address the kernel forms in `a` and `b`.
+            unsafe { avx2::dot_panel(m, n, k, a, lda, b, ldb, bias, out, out_rs, out_cs) };
+            return;
+        }
+        SimdLevel::Scalar => {}
     }
     dot_panel_scalar(m, n, k, a, lda, b, ldb, bias, out, out_rs, out_cs);
 }
@@ -549,10 +591,11 @@ const NR: usize = 2 * LANES;
 /// from the value already in `c`: exactly the chain a `p`-outer sequence of
 /// fused `c_row = a·b_row + c_row` updates produces, so splitting `k` across
 /// consecutive calls, or `m`/`n` across callers, cannot change a bit. What the blocking buys is
-/// that a 4×16 tile of `c` stays in registers for all `k` steps instead
-/// of crossing L1 once per step. Edges run 4×8, 1×16 and 1×8 tiles and
-/// a scalar-column remainder; the tile an element lands in never alters
-/// its chain.
+/// that a tile of `c` (4×16 at AVX2, 8×32 at AVX-512) stays in registers
+/// for all `k` steps instead of crossing L1 once per step. Edges run
+/// narrower and shorter tiles and a masked (vector) or scalar-column
+/// (portable) remainder; the tile an element lands in never alters its
+/// chain.
 ///
 /// The `(a_rs, a_ps)` stride pair addresses `a` as stored — row-major
 /// (`k`, 1), transposed (1, `m`), or an NCHW gradient read in place
@@ -595,11 +638,22 @@ pub fn gemm_acc(
     assert!((k - 1) * ldb + n <= b.len(), "gemm_acc rhs too short");
     assert!((m - 1) * ldc + n <= c.len(), "gemm_acc out too short");
     #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // Safety: AVX2+FMA presence established; the asserts above bound
-        // every address the tiles form.
-        unsafe { avx2::gemm_acc(m, n, k, a, a_rs, a_ps, b, ldb, c, ldc) };
-        return;
+    match active_level() {
+        SimdLevel::Avx512 => {
+            // SAFETY: the level is only active on a host with AVX-512 F+DQ
+            // and AVX2+FMA; the asserts above bound every address the
+            // tiles form (masked lanes are never accessed).
+            unsafe { avx512::gemm_acc(m, n, k, a, a_rs, a_ps, b, ldb, c, ldc) };
+            return;
+        }
+        SimdLevel::Avx2 => {
+            // SAFETY: AVX2+FMA presence established; the asserts above
+            // bound every address the tiles form (masked lanes are never
+            // accessed).
+            unsafe { avx2::gemm_acc(m, n, k, a, a_rs, a_ps, b, ldb, c, ldc) };
+            return;
+        }
+        SimdLevel::Scalar => {}
     }
     gemm_acc_scalar(m, n, k, a, a_rs, a_ps, b, ldb, c, ldc);
 }
@@ -721,10 +775,11 @@ fn tile_scalar<const R: usize, const W: usize>(
     }
 }
 
-/// Columns `j0..n` of [`gemm_acc`] one element at a time — the `n mod 8`
-/// remainder both bodies share. `inline(always)` is load-bearing: the
-/// `mul_add` must be compiled inside its caller's `target_feature`
-/// function, or it is a libm call per step on the hot path.
+/// Columns `j0..n` of [`gemm_acc`] one element at a time — the portable
+/// body's `n mod 8` remainder (the vector bodies run it as one masked
+/// strip). `inline(always)` is load-bearing: the `mul_add` must be
+/// compiled inside its caller's `target_feature` instantiation, or it is
+/// a libm call per step.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn gemm_acc_cols(
@@ -758,12 +813,14 @@ fn gemm_acc_cols(
 /// docs; the lane reductions and elementwise passes are plain adds.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{gemm_acc_cols, LANES, MR, NR, PANEL_KB, PANEL_ROWS};
+    use super::{LANES, MR, NR, PANEL_KB, PANEL_ROWS};
     use core::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
-        _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps,
-        _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps,
-        _mm_shuffle_ps, _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
+        __m256, __m256i, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cmpgt_epi32,
+        _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_maskload_ps,
+        _mm256_maskstore_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
+        _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32,
+        _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_shuffle_ps, _mm_storeu_ps, _mm_unpackhi_ps,
+        _mm_unpacklo_ps,
     };
 
     /// [`lane_sum`] of one accumulator register, evaluated in the vector
@@ -821,7 +878,7 @@ mod avx2 {
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn panel_cols<const W: usize>(
+    pub(super) unsafe fn panel_cols<const W: usize>(
         m: usize,
         k: usize,
         a: &[f32],
@@ -835,18 +892,12 @@ mod avx2 {
         j0: usize,
     ) {
         let k8 = k / LANES * LANES;
-        // Equal blocks of whole lane steps, none above PANEL_KB.
-        let kb = k8.div_ceil(k8.div_ceil(PANEL_KB).max(1)).next_multiple_of(LANES).max(LANES);
+        let kb = panel_block(k8);
         // SAFETY (here and below): the dispatcher checked that rows
         // `0..m` of `a` and `0..n` of `b` hold `k` elements each, and
         // `j0 + W <= n`, `r0 + rows <= m`, `p1 <= k`.
         let bp: [*const f32; W] = std::array::from_fn(|jj| unsafe { b.as_ptr().add((j0 + jj) * ldb) });
-        // The `W` rows' lane tails, transposed: one `W`-vector per tail
-        // element, so a row's tails accumulate `W` dots per step.
-        let mut btail = [[0.0f32; W]; LANES - 1];
-        for (i, ys) in btail[..k - k8].iter_mut().enumerate() {
-            *ys = std::array::from_fn(|jj| b[(j0 + jj) * ldb + k8 + i]);
-        }
+        let btail = tails_of::<W>(b, ldb, k, j0);
         let btail = &btail[..k - k8];
         let mut acc = [[_mm256_setzero_ps(); W]; PANEL_ROWS];
         for r0 in (0..m).step_by(PANEL_ROWS) {
@@ -868,50 +919,132 @@ mod avx2 {
                 }
             }
             for (r, lanes) in acc[..rows].iter().enumerate() {
-                // The sequential tail of each of the row's `W` dots: one
-                // fused step per element, `p` ascending.
-                let mut tails = [0.0f32; W];
-                for (&x, ys) in a[(r0 + r) * lda + k8..(r0 + r) * lda + k].iter().zip(btail) {
-                    for (tail, &y) in tails.iter_mut().zip(ys) {
-                        *tail = x.mul_add(y, *tail);
-                    }
-                }
-                let sums = unsafe { lane_sums(lanes, tails) };
-                for (jj, &v) in sums.iter().enumerate() {
-                    let j = j0 + jj;
-                    out[(r0 + r) * out_rs + j * out_cs] = bias.map_or(v, |bias| v + bias[j]);
-                }
+                let at = (r0 + r) * lda;
+                // SAFETY: AVX2+FMA are enabled here.
+                unsafe {
+                    finish_row(
+                        lanes,
+                        &a[at + k8..at + k],
+                        btail,
+                        bias,
+                        out,
+                        (r0 + r) * out_rs,
+                        out_cs,
+                        j0,
+                    )
+                };
             }
         }
     }
 
-    /// [`lane_sum_reg`] of `W` accumulator registers at once. Four at a
-    /// time, the halves add as in the single form, a 4×4 transpose lines
-    /// up element `i` of every sum in row `i`, and
-    /// `(row0 + row2) + (row1 + row3)` then `+ tails` is the same tree on
-    /// four dots per instruction.
+    /// Writes one row's outputs at columns `j0 .. j0 + W` of a
+    /// [`super::dot_panel`] body: the sequential tail of each of the `W`
+    /// dots — one fused step per element of `a_tail`, `p` ascending,
+    /// against `btail`'s transposed `b` tails — then [`lane_sums`] of the
+    /// row's lane accumulators and the bias add.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn lane_sums<const W: usize>(acc: &[__m256; W], tails: [f32; W]) -> [f32; W] {
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn finish_row<const W: usize>(
+        lanes: &[__m256; W],
+        a_tail: &[f32],
+        btail: &[[f32; W]],
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        row_at: usize,
+        out_cs: usize,
+        j0: usize,
+    ) {
+        let mut tails = [0.0f32; W];
+        for (&x, ys) in a_tail.iter().zip(btail) {
+            for (tail, &y) in tails.iter_mut().zip(ys) {
+                *tail = x.mul_add(y, *tail);
+            }
+        }
+        // SAFETY: AVX2+FMA are enabled here.
+        let sums = unsafe { lane_sums(lanes, tails) };
+        for (jj, &v) in sums.iter().enumerate() {
+            let j = j0 + jj;
+            out[row_at + j * out_cs] = bias.map_or(v, |bias| v + bias[j]);
+        }
+    }
+
+    /// The `W` rows' lane tails of a [`super::dot_panel`] column group
+    /// starting at `b`'s row `j0`, transposed: one `W`-vector per tail
+    /// element (`k mod 8` of them), so a row's tails accumulate `W` dots
+    /// per step.
+    pub(super) fn tails_of<const W: usize>(
+        b: &[f32],
+        ldb: usize,
+        k: usize,
+        j0: usize,
+    ) -> [[f32; W]; LANES - 1] {
+        let k8 = k / LANES * LANES;
+        let mut btail = [[0.0f32; W]; LANES - 1];
+        for (i, ys) in btail[..k - k8].iter_mut().enumerate() {
+            *ys = std::array::from_fn(|jj| b[(j0 + jj) * ldb + k8 + i]);
+        }
+        btail
+    }
+
+    /// [`dot_panel`]'s shared-dimension block for `k8` lane-step floats:
+    /// equal blocks of whole lane steps, none above [`PANEL_KB`].
+    pub(super) fn panel_block(k8: usize) -> usize {
+        k8.div_ceil(k8.div_ceil(PANEL_KB).max(1))
+            .next_multiple_of(LANES)
+            .max(LANES)
+    }
+
+    /// [`lane_sum_reg`] of `W` accumulator registers at once: four at a
+    /// time ([`lane_sums4`]) when `W` is a multiple of four, one at a time
+    /// otherwise.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn lane_sums<const W: usize>(acc: &[__m256; W], tails: [f32; W]) -> [f32; W] {
         let mut out = [0.0f32; W];
-        if W == 4 {
-            unsafe {
-                let half = |x: __m256| {
-                    _mm_add_ps(_mm256_castps256_ps128(x), _mm256_extractf128_ps::<1>(x))
-                };
-                let (s0, s1, s2, s3) = (half(acc[0]), half(acc[1]), half(acc[2]), half(acc[3]));
-                let (t0, t1) = (_mm_unpacklo_ps(s0, s1), _mm_unpackhi_ps(s0, s1));
-                let (t2, t3) = (_mm_unpacklo_ps(s2, s3), _mm_unpackhi_ps(s2, s3));
-                let (r0, r1) = (_mm_movelh_ps(t0, t2), _mm_movehl_ps(t2, t0));
-                let (r2, r3) = (_mm_movelh_ps(t1, t3), _mm_movehl_ps(t3, t1));
-                let sum = _mm_add_ps(_mm_add_ps(r0, r2), _mm_add_ps(r1, r3));
-                _mm_storeu_ps(out.as_mut_ptr(), _mm_add_ps(sum, _mm_loadu_ps(tails.as_ptr())));
+        if W.is_multiple_of(4) {
+            for ((o, x), t) in out
+                .chunks_exact_mut(4)
+                .zip(acc.chunks_exact(4))
+                .zip(tails.chunks_exact(4))
+            {
+                // SAFETY: AVX2+FMA are enabled here; the chunks are four long.
+                o.copy_from_slice(&unsafe { lane_sums4(x, t) });
             }
         } else {
             for ((o, &x), &tail) in out.iter_mut().zip(acc).zip(&tails) {
                 *o = unsafe { lane_sum_reg(x, tail) };
             }
         }
+        out
+    }
+
+    /// [`lane_sum_reg`] of four registers: the halves add as in the single
+    /// form, a 4×4 transpose lines up element `i` of every sum in row `i`,
+    /// and `(row0 + row2) + (row1 + row3)` then `+ tails` is the same tree
+    /// on four dots per instruction. `acc` and `tails` are four long.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lane_sums4(acc: &[__m256], tails: &[f32]) -> [f32; 4] {
+        assert!(
+            acc.len() == 4 && tails.len() == 4,
+            "lane_sums4 takes four dots"
+        );
+        let mut out = [0.0f32; 4];
+        let half = |x: __m256| _mm_add_ps(_mm256_castps256_ps128(x), _mm256_extractf128_ps::<1>(x));
+        let (s0, s1, s2, s3) = (half(acc[0]), half(acc[1]), half(acc[2]), half(acc[3]));
+        let (t0, t1) = (_mm_unpacklo_ps(s0, s1), _mm_unpackhi_ps(s0, s1));
+        let (t2, t3) = (_mm_unpacklo_ps(s2, s3), _mm_unpackhi_ps(s2, s3));
+        let (r0, r1) = (_mm_movelh_ps(t0, t2), _mm_movehl_ps(t2, t0));
+        let (r2, r3) = (_mm_movelh_ps(t1, t3), _mm_movehl_ps(t3, t1));
+        let sum = _mm_add_ps(_mm_add_ps(r0, r2), _mm_add_ps(r1, r3));
+        // SAFETY: `out` and `tails` hold four floats each.
+        unsafe {
+            _mm_storeu_ps(
+                out.as_mut_ptr(),
+                _mm_add_ps(sum, _mm_loadu_ps(tails.as_ptr())),
+            )
+        };
         out
     }
 
@@ -1018,26 +1151,34 @@ mod avx2 {
         let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
         let mut j = 0;
         // Column strip outer, row tile inner: the strip's `k`×16 slice of
-        // `b` stays in L1 while the rows of `a` stream past it.
+        // `b` stays in L1 while the rows of `a` stream past it. The last
+        // `n mod 8` columns are one masked strip: their chains interleave
+        // in a register like any other strip's, where one scalar chain per
+        // element waits out the FMA latency at every step.
+        // SAFETY: `j < n` at every strip, so each pointer stays inside its
+        // operand; the strips' rows and columns are in the checked extent.
         unsafe {
             while j + NR <= n {
-                strip::<2>(m, k, ap, a_rs, a_ps, bp.add(j), ldb, cp.add(j), ldc);
+                strip::<2, false>(m, k, ap, a_rs, a_ps, bp.add(j), ldb, cp.add(j), ldc, 0);
                 j += NR;
             }
             if j + LANES <= n {
-                strip::<1>(m, k, ap, a_rs, a_ps, bp.add(j), ldb, cp.add(j), ldc);
+                strip::<1, false>(m, k, ap, a_rs, a_ps, bp.add(j), ldb, cp.add(j), ldc, 0);
                 j += LANES;
             }
+            if j < n {
+                strip::<1, true>(m, k, ap, a_rs, a_ps, bp.add(j), ldb, cp.add(j), ldc, n - j);
+            }
         }
-        gemm_acc_cols(m, j, n, k, a, a_rs, a_ps, b, ldb, c, ldc);
     }
 
     /// One `V`-register-wide column strip (`b` and `c` point at its first
-    /// column): 4-row tiles, then single rows.
+    /// column): 4-row tiles, then single rows. With `MASKED` the strip's
+    /// last register holds only its first `cols` columns.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn strip<const V: usize>(
+    unsafe fn strip<const V: usize, const MASKED: bool>(
         m: usize,
         k: usize,
         a: *const f32,
@@ -1047,26 +1188,55 @@ mod avx2 {
         ldb: usize,
         c: *mut f32,
         ldc: usize,
+        cols: usize,
     ) {
+        // Lane `l` of the mask is set for `l < cols`.
+        let mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(cols as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
         let mut r = 0;
+        // SAFETY: rows `r < m` of the strip are in the caller's extent.
         unsafe {
             while r + MR <= m {
-                tile::<MR, V>(k, a.add(r * a_rs), a_rs, a_ps, b, ldb, c.add(r * ldc), ldc);
+                tile::<MR, V, MASKED>(
+                    k,
+                    a.add(r * a_rs),
+                    a_rs,
+                    a_ps,
+                    b,
+                    ldb,
+                    c.add(r * ldc),
+                    ldc,
+                    mask,
+                );
                 r += MR;
             }
             while r < m {
-                tile::<1, V>(k, a.add(r * a_rs), a_rs, a_ps, b, ldb, c.add(r * ldc), ldc);
+                tile::<1, V, MASKED>(
+                    k,
+                    a.add(r * a_rs),
+                    a_rs,
+                    a_ps,
+                    b,
+                    ldb,
+                    c.add(r * ldc),
+                    ldc,
+                    mask,
+                );
                 r += 1;
             }
         }
     }
 
     /// One `R`-row × `V`-register tile: the accumulators load from `c`
-    /// once, take all `k` fused steps in registers, and store once.
+    /// once, take all `k` fused steps in registers, and store once. With
+    /// `MASKED` the last register loads and stores only `mask`'s lanes;
+    /// the others compute on zeros and are never written.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn tile<const R: usize, const V: usize>(
+    unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(
         k: usize,
         a: *const f32,
         a_rs: usize,
@@ -1075,19 +1245,31 @@ mod avx2 {
         ldb: usize,
         c: *mut f32,
         ldc: usize,
+        mask: __m256i,
     ) {
+        let masked = |v: usize| MASKED && v + 1 == V;
+        // SAFETY: the caller passes `R` rows of `c` and `k` rows of `b`
+        // holding `V` registers of columns (the last one's masked lanes
+        // excepted), and `a` holding rows `r < R` at steps `p < k`.
         unsafe {
+            let load = |p: *const f32, v: usize| {
+                if masked(v) {
+                    _mm256_maskload_ps(p, mask)
+                } else {
+                    _mm256_loadu_ps(p)
+                }
+            };
             let mut acc = [[_mm256_setzero_ps(); V]; R];
             for (r, row) in acc.iter_mut().enumerate() {
                 for (v, x) in row.iter_mut().enumerate() {
-                    *x = _mm256_loadu_ps(c.add(r * ldc + v * LANES));
+                    *x = load(c.add(r * ldc + v * LANES), v);
                 }
             }
             for p in 0..k {
                 let brow = b.add(p * ldb);
                 let mut vb = [_mm256_setzero_ps(); V];
                 for (v, x) in vb.iter_mut().enumerate() {
-                    *x = _mm256_loadu_ps(brow.add(v * LANES));
+                    *x = load(brow.add(v * LANES), v);
                 }
                 let acol = a.add(p * a_ps);
                 for (r, row) in acc.iter_mut().enumerate() {
@@ -1099,7 +1281,465 @@ mod avx2 {
             }
             for (r, row) in acc.iter().enumerate() {
                 for (v, &x) in row.iter().enumerate() {
-                    _mm256_storeu_ps(c.add(r * ldc + v * LANES), x);
+                    if masked(v) {
+                        _mm256_maskstore_ps(c.add(r * ldc + v * LANES), mask, x);
+                    } else {
+                        _mm256_storeu_ps(c.add(r * ldc + v * LANES), x);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The AVX-512 bodies of the two GEMM micro-kernels. Every function here
+/// is `unsafe` with the same contract as the AVX2 module's, on a host with
+/// AVX-512 F and DQ besides AVX2+FMA. A chain step is `_mm512_fmadd_ps` —
+/// the portable bodies' operation at sixteen lanes — and each output
+/// element keeps the chain it has at the other levels:
+///
+/// - [`dot_panel`] carries two outputs' 8-lane accumulators in one
+///   register, columns `j` and `j + 1` in its low and high halves, against
+///   the `a` row broadcast to both: lane `l` of each half still
+///   accumulates `p ≡ l (mod 8)`. The halves are split back out and reduce
+///   through the AVX2 [`avx2::lane_sums`] tree after the same sequential
+///   tails, and an odd last column runs the AVX2 single-column sweep.
+/// - [`gemm_acc`] vectorises over columns only, sixteen per register; the
+///   `n mod 16` remainder is one masked strip.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::avx2::{finish_row, panel_block, panel_cols, tails_of};
+    use super::{LANES, PANEL_KB, PANEL_ROWS};
+    use core::arch::x86_64::{
+        __m256, __m512, __mmask16, _mm256_loadu_ps, _mm512_broadcast_f32x8, _mm512_castps256_ps512,
+        _mm512_castps512_ps256, _mm512_extractf32x8_ps, _mm512_fmadd_ps, _mm512_insertf32x8,
+        _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps,
+        _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+
+    /// f32 lanes of one 512-bit register.
+    const ZLANES: usize = 16;
+
+    /// Rows of [`dot_panel`]'s register tile.
+    const DOT_ROWS: usize = 4;
+
+    /// Column pairs of [`dot_panel`]'s register tile: four rows by four
+    /// pairs (eight columns) is sixteen accumulators fed by four
+    /// broadcasts and four pair loads a step. The `a` rows stream from L2
+    /// once per column group, so the group must be this wide for the
+    /// stream to keep up with 512-bit multiply-adds.
+    const DOT_PAIRS: usize = 4;
+
+    /// Rows of [`gemm_acc`]'s register tile: eight rows by two registers
+    /// (32 columns) is sixteen accumulators; the `a` factors are broadcast
+    /// straight from memory into the multiply-adds.
+    const ACC_ROWS: usize = 8;
+
+    /// AVX-512 body of [`super::dot_panel`]: column groups of four pairs,
+    /// then two, then one, then an odd last column on the AVX2 sweep. The
+    /// caller has bounds-checked every row of `a` and `b`; `out` is
+    /// indexed checked.
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn dot_panel(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        ldb: usize,
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_rs: usize,
+        out_cs: usize,
+    ) {
+        // One shared-dimension block of a column group's `b` rows, pair
+        // by pair in lane-step order (16 KiB), reused by every group and
+        // left uninitialised: a block's first tile writes every slot the
+        // block's other tiles read.
+        let mut packed = std::mem::MaybeUninit::<[__m512; DOT_PAIRS * PANEL_KB / LANES]>::uninit();
+        let packed = packed.as_mut_ptr().cast::<__m512>();
+        let mut j = 0;
+        // SAFETY: every column group lies inside `0..n`, the extent the
+        // dispatcher checked, and `packed` holds a block of the widest.
+        unsafe {
+            while j + 2 * DOT_PAIRS <= n {
+                panel_pairs::<DOT_PAIRS, 8>(
+                    m, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j, packed,
+                );
+                j += 2 * DOT_PAIRS;
+            }
+            if j + 4 <= n {
+                panel_pairs::<2, 4>(m, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j, packed);
+                j += 4;
+            }
+            if j + 2 <= n {
+                panel_pairs::<1, 2>(m, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j, packed);
+                j += 2;
+            }
+            if j < n {
+                panel_cols::<1>(m, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j);
+            }
+        }
+    }
+
+    /// Columns `j0 .. j0 + W` of [`dot_panel`] as `P = W / 2` pair
+    /// registers: the AVX2 `panel_cols` walk — `b` stationary, groups of
+    /// [`PANEL_ROWS`] `a` rows streaming past one shared-dimension block at
+    /// a time, accumulators resting in the group's array between blocks —
+    /// with each register holding two columns' lanes. The first tile of
+    /// each block interleaves the block's `W` `b` rows into `packed`, one
+    /// register per pair and lane step, so the block's other tiles load a
+    /// pair with one instruction.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn panel_pairs<const P: usize, const W: usize>(
+        m: usize,
+        k: usize,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        ldb: usize,
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_rs: usize,
+        out_cs: usize,
+        j0: usize,
+        packed: *mut __m512,
+    ) {
+        const { assert!(W == 2 * P && P <= DOT_PAIRS) };
+        let k8 = k / LANES * LANES;
+        let kb = panel_block(k8);
+        let btail = tails_of::<W>(b, ldb, k, j0);
+        let btail = &btail[..k - k8];
+        let mut acc = [[_mm512_setzero_ps(); P]; PANEL_ROWS];
+        for r0 in (0..m).step_by(PANEL_ROWS) {
+            let rows = PANEL_ROWS.min(m - r0);
+            acc[..rows].fill([_mm512_setzero_ps(); P]);
+            for p0 in (0..k8).step_by(kb) {
+                let p1 = (p0 + kb).min(k8);
+                // SAFETY: the dispatcher checked that rows `0..m` of `a`
+                // and `0..n` of `b` hold `k` elements, and `r0 + rows <= m`,
+                // `j0 + W <= n`; `packed` holds the block's `(p1 - p0) / 8`
+                // steps of `P` pairs, which the block's first tile writes
+                // before any other tile reads them.
+                unsafe {
+                    let (mut r, mut ap, bj) =
+                        (0, a.as_ptr().add(r0 * lda), b.as_ptr().add(j0 * ldb));
+                    while r < rows {
+                        let h = DOT_ROWS.min(rows - r);
+                        let acc = &mut acc[r..];
+                        macro_rules! tile {
+                            ($rows:expr, $pack:expr) => {
+                                dot_tile::<$rows, P, $pack>(acc, ap, lda, bj, ldb, packed, p0, p1)
+                            };
+                        }
+                        match (h, r == 0) {
+                            (DOT_ROWS, true) => tile!(DOT_ROWS, true),
+                            (DOT_ROWS, false) => tile!(DOT_ROWS, false),
+                            (3, true) => tile!(3, true),
+                            (3, false) => tile!(3, false),
+                            (2, true) => tile!(2, true),
+                            (2, false) => tile!(2, false),
+                            (_, true) => tile!(1, true),
+                            (_, false) => tile!(1, false),
+                        }
+                        (r, ap) = (r + h, ap.add(h * lda));
+                    }
+                }
+            }
+            for (r, pairs) in acc[..rows].iter().enumerate() {
+                // Column `j0 + 2q` is pair `q`'s low half, `j0 + 2q + 1`
+                // its high half.
+                let lanes: [__m256; W] = std::array::from_fn(|jj| {
+                    let x = pairs[jj / 2];
+                    if jj % 2 == 0 {
+                        _mm512_castps512_ps256(x)
+                    } else {
+                        _mm512_extractf32x8_ps::<1>(x)
+                    }
+                });
+                let at = (r0 + r) * lda;
+                // SAFETY: AVX2+FMA are enabled here.
+                unsafe {
+                    finish_row(
+                        &lanes,
+                        &a[at + k8..at + k],
+                        btail,
+                        bias,
+                        out,
+                        (r0 + r) * out_rs,
+                        out_cs,
+                        j0,
+                    )
+                };
+            }
+        }
+    }
+
+    /// One `R`-row × `P`-pair register tile of [`panel_pairs`]: lane steps
+    /// `p0..p1` of `R` consecutive `a` rows, each broadcast to both
+    /// halves, against the block's pairs of `b` rows, continuing the
+    /// accumulators in `acc`. With `PACK` — the block's first tile — the
+    /// pairs are read from the `2P` rows of `b` (`ldb` apart) and stored
+    /// into `packed` as they are used; otherwise they are read back from
+    /// `packed`. Packing in the first tile lets the reads of `b`, often
+    /// from outside L2, overlap that tile's multiply-adds.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn dot_tile<const R: usize, const P: usize, const PACK: bool>(
+        acc: &mut [[__m512; P]],
+        a: *const f32,
+        lda: usize,
+        b: *const f32,
+        ldb: usize,
+        packed: *mut __m512,
+        p0: usize,
+        p1: usize,
+    ) {
+        let mut c: [[__m512; P]; R] = std::array::from_fn(|r| acc[r]);
+        // SAFETY: the caller passes `R` rows of `a` and, with `PACK`, `2P`
+        // rows of `b` from `b`, each holding at least `p1` elements, and
+        // room for `(p1 - p0) / 8 · P` packed pairs.
+        unsafe {
+            for (s, p) in (p0..p1).step_by(LANES).enumerate() {
+                let va: [__m512; R] = std::array::from_fn(|r| {
+                    _mm512_broadcast_f32x8(_mm256_loadu_ps(a.add(r * lda + p)))
+                });
+                for q in 0..P {
+                    let slot = packed.add(s * P + q);
+                    let vb = if PACK {
+                        let lo = _mm512_castps256_ps512(_mm256_loadu_ps(b.add(2 * q * ldb + p)));
+                        let pair = _mm512_insertf32x8::<1>(
+                            lo,
+                            _mm256_loadu_ps(b.add((2 * q + 1) * ldb + p)),
+                        );
+                        slot.write(pair);
+                        pair
+                    } else {
+                        slot.read()
+                    };
+                    for (row, &x) in c.iter_mut().zip(&va) {
+                        row[q] = _mm512_fmadd_ps(x, vb, row[q]);
+                    }
+                }
+            }
+        }
+        acc[..R].copy_from_slice(&c);
+    }
+
+    /// AVX-512 body of [`super::gemm_acc`]: 32- and 16-column strips, the
+    /// `n mod 16` remainder as one masked strip, and 8-row, 4-row and
+    /// single-row bands. The walk keeps the larger operand's tile in cache
+    /// while the smaller streams past it: with `m > n` (the conv `dx`, a
+    /// tall weight matrix against a few positions) a band of `a` rows
+    /// crosses every strip before the next band is read; otherwise (the
+    /// conv `dw`, a few channels against a wide patch panel) a strip's
+    /// slice of `b` meets every band. The caller has bounds-checked every
+    /// `(r, p)` of `a`, `(p, j)` of `b` and `(r, j)` of `c`.
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn gemm_acc(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        a_rs: usize,
+        a_ps: usize,
+        b: &[f32],
+        ldb: usize,
+        c: &mut [f32],
+        ldc: usize,
+    ) {
+        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        // SAFETY: every band and strip lies inside rows `0..m` and columns
+        // `0..n`, the extent the dispatcher checked.
+        unsafe {
+            if m > n {
+                bands(m, 0, n, k, ap, a_rs, a_ps, bp, ldb, cp, ldc);
+                return;
+            }
+            let mut j = 0;
+            while j < n {
+                let w = if n - j >= 2 * ZLANES {
+                    2 * ZLANES
+                } else {
+                    (n - j).min(ZLANES)
+                };
+                bands(m, j, j + w, k, ap, a_rs, a_ps, bp, ldb, cp, ldc);
+                j += w;
+            }
+        }
+    }
+
+    /// Rows `0..m` × columns `j0..j1` of [`gemm_acc`], row band outer:
+    /// 8-row bands, one 4-row band, then single rows.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn bands(
+        m: usize,
+        j0: usize,
+        j1: usize,
+        k: usize,
+        a: *const f32,
+        a_rs: usize,
+        a_ps: usize,
+        b: *const f32,
+        ldb: usize,
+        c: *mut f32,
+        ldc: usize,
+    ) {
+        let mut r = 0;
+        // SAFETY: rows `r < m` and columns `j0..j1` are in the caller's
+        // extent.
+        unsafe {
+            while r + ACC_ROWS <= m {
+                band::<ACC_ROWS>(
+                    j0,
+                    j1,
+                    k,
+                    a.add(r * a_rs),
+                    a_rs,
+                    a_ps,
+                    b,
+                    ldb,
+                    c.add(r * ldc),
+                    ldc,
+                );
+                r += ACC_ROWS;
+            }
+            if r + 4 <= m {
+                band::<4>(
+                    j0,
+                    j1,
+                    k,
+                    a.add(r * a_rs),
+                    a_rs,
+                    a_ps,
+                    b,
+                    ldb,
+                    c.add(r * ldc),
+                    ldc,
+                );
+                r += 4;
+            }
+            while r < m {
+                band::<1>(
+                    j0,
+                    j1,
+                    k,
+                    a.add(r * a_rs),
+                    a_rs,
+                    a_ps,
+                    b,
+                    ldb,
+                    c.add(r * ldc),
+                    ldc,
+                );
+                r += 1;
+            }
+        }
+    }
+
+    /// Columns `j0..j1` of one `R`-row band (`a` and `c` point at its
+    /// first row): 32-column tiles, a 16-column one, then the remainder
+    /// as one masked tile.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn band<const R: usize>(
+        j0: usize,
+        j1: usize,
+        k: usize,
+        a: *const f32,
+        a_rs: usize,
+        a_ps: usize,
+        b: *const f32,
+        ldb: usize,
+        c: *mut f32,
+        ldc: usize,
+    ) {
+        let mut j = j0;
+        // SAFETY: columns `j..j1` are in the caller's extent; a masked
+        // tile never accesses its lanes past `j1`.
+        unsafe {
+            while j + 2 * ZLANES <= j1 {
+                tile::<R, 2, false>(k, a, a_rs, a_ps, b.add(j), ldb, c.add(j), ldc, 0);
+                j += 2 * ZLANES;
+            }
+            if j + ZLANES <= j1 {
+                tile::<R, 1, false>(k, a, a_rs, a_ps, b.add(j), ldb, c.add(j), ldc, 0);
+                j += ZLANES;
+            }
+            if j < j1 {
+                let mask = ((1u32 << (j1 - j)) - 1) as __mmask16;
+                tile::<R, 1, true>(k, a, a_rs, a_ps, b.add(j), ldb, c.add(j), ldc, mask);
+            }
+        }
+    }
+
+    /// One `R`-row × `V`-register tile: the accumulators load from `c`
+    /// once, take all `k` fused steps in registers, and store once. With
+    /// `MASKED` the last register loads and stores only `mask`'s lanes;
+    /// the others compute on zeros and are never written.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(
+        k: usize,
+        a: *const f32,
+        a_rs: usize,
+        a_ps: usize,
+        b: *const f32,
+        ldb: usize,
+        c: *mut f32,
+        ldc: usize,
+        mask: __mmask16,
+    ) {
+        let masked = |v: usize| MASKED && v + 1 == V;
+        // SAFETY: the caller passes `R` rows of `c` and `k` rows of `b`
+        // holding `V` registers of columns (the last one's masked lanes
+        // excepted, which a masked load or store never accesses), and `a`
+        // holding rows `r < R` at steps `p < k`.
+        unsafe {
+            let load = |p: *const f32, v: usize| {
+                if masked(v) {
+                    _mm512_maskz_loadu_ps(mask, p)
+                } else {
+                    _mm512_loadu_ps(p)
+                }
+            };
+            let mut acc = [[_mm512_setzero_ps(); V]; R];
+            for (r, row) in acc.iter_mut().enumerate() {
+                for (v, x) in row.iter_mut().enumerate() {
+                    *x = load(c.add(r * ldc + v * ZLANES), v);
+                }
+            }
+            for p in 0..k {
+                let brow = b.add(p * ldb);
+                let mut vb = [_mm512_setzero_ps(); V];
+                for (v, x) in vb.iter_mut().enumerate() {
+                    *x = load(brow.add(v * ZLANES), v);
+                }
+                let acol = a.add(p * a_ps);
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let va = _mm512_set1_ps(*acol.add(r * a_rs));
+                    for (x, &bv) in row.iter_mut().zip(&vb) {
+                        *x = _mm512_fmadd_ps(va, bv, *x);
+                    }
+                }
+            }
+            for (r, row) in acc.iter().enumerate() {
+                for (v, &x) in row.iter().enumerate() {
+                    if masked(v) {
+                        _mm512_mask_storeu_ps(c.add(r * ldc + v * ZLANES), mask, x);
+                    } else {
+                        _mm512_storeu_ps(c.add(r * ldc + v * ZLANES), x);
+                    }
                 }
             }
         }
@@ -1125,10 +1765,9 @@ mod tests {
     fn assert_levels_agree<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
         force_level(Some(SimdLevel::Scalar));
         let scalar = f();
-        if detected_level() == SimdLevel::Avx2 {
-            force_level(Some(SimdLevel::Avx2));
-            let avx2 = f();
-            assert_eq!(scalar, avx2, "scalar vs avx2 mismatch");
+        for level in SimdLevel::ALL.into_iter().filter(|&l| supports(l)) {
+            force_level(Some(level));
+            assert_eq!(scalar, f(), "scalar vs {} mismatch", level.name());
         }
         force_level(None);
     }

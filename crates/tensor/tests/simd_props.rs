@@ -1,17 +1,18 @@
-//! SIMD dispatch property suite (DESIGN.md §14): the scalar and AVX2
-//! micro-kernel bodies must produce **bitwise identical** results for
-//! every GEMM variant and the tiled conv engine, across awkward
+//! SIMD dispatch property suite (DESIGN.md §14): the scalar, AVX2 and
+//! AVX-512 micro-kernel bodies must produce **bitwise identical** results
+//! for every GEMM variant and the tiled conv engine, across awkward
 //! geometries and thread counts — the contract that makes the ISA choice
 //! (and the `SCNN_SIMD` knob) a pure performance decision.
 //!
-//! On a host without AVX2+FMA the comparisons degenerate to scalar vs
-//! scalar (still exercising the dispatch plumbing); the AVX2 bodies
-//! themselves are covered wherever CI has the ISA.
+//! Every level the host supports (`supports`) runs; on a host with no
+//! vector level the comparisons degenerate to scalar vs scalar (still
+//! exercising the dispatch plumbing), and each vector body is covered
+//! wherever CI has its ISA.
 
 use scnn_tensor::simd::{dot_panel, gemm_acc};
 use scnn_tensor::{
-    conv2d_dw_tiled, conv2d_dx_tiled, conv2d_fwd_tiled, detected_level, force_level,
-    matmul_a_bt_into, matmul_at_b_into, matmul_into, Conv2dGeometry, Padding2d, SimdLevel, Tensor,
+    conv2d_dw_tiled, conv2d_dx_tiled, conv2d_fwd_tiled, force_level, matmul_a_bt_into,
+    matmul_at_b_into, matmul_into, supports, Conv2dGeometry, Padding2d, SimdLevel, Tensor,
 };
 
 fn fill(dims: &[usize], seed: u32) -> Tensor {
@@ -26,8 +27,8 @@ fn fill(dims: &[usize], seed: u32) -> Tensor {
     Tensor::from_vec(data, dims)
 }
 
-/// Runs `f` under forced scalar and (when the host has it) forced AVX2,
-/// at `SCNN_THREADS` 1, 2, 4 and 7, and asserts every result's bits agree
+/// Runs `f` forced to every level the host supports, at `SCNN_THREADS`
+/// 1, 2, 4 and 7, and asserts every result's bits agree
 /// with the scalar single-thread reference. Restores auto dispatch afterwards.
 fn assert_bit_identical_across_levels_and_threads(label: &str, f: impl Fn() -> Vec<f32>) {
     force_level(Some(SimdLevel::Scalar));
@@ -35,11 +36,7 @@ fn assert_bit_identical_across_levels_and_threads(label: &str, f: impl Fn() -> V
         .iter()
         .map(|v| v.to_bits())
         .collect();
-    let mut levels = vec![SimdLevel::Scalar];
-    if detected_level() == SimdLevel::Avx2 {
-        levels.push(SimdLevel::Avx2);
-    }
-    for level in levels {
+    for level in SimdLevel::ALL.into_iter().filter(|&l| supports(l)) {
         force_level(Some(level));
         for threads in [1usize, 2, 4, 7] {
             let got: Vec<u32> = scnn_par::with_threads(threads, &f)
@@ -187,6 +184,125 @@ fn dot_panel_matches_per_element_dot8_on_every_remainder_class() {
                         out
                     });
                 }
+            }
+        }
+    }
+}
+
+/// Runs `f` forced to every vector level this host supports, one thread,
+/// and hands each result to `check` with the level's name.
+fn for_each_vector_level<T>(f: impl Fn() -> T, check: impl Fn(&str, T)) {
+    for level in SimdLevel::ALL
+        .into_iter()
+        .filter(|&l| l != SimdLevel::Scalar && supports(l))
+    {
+        force_level(Some(level));
+        let got = scnn_par::with_threads(1, &f);
+        force_level(None);
+        check(level.name(), got);
+    }
+}
+
+#[test]
+fn wide_bodies_keep_every_chain_on_every_register_edge() {
+    // The register mappings of the vector bodies, against chains written
+    // out in scalar: `dot_panel`'s paired-lane layout (two outputs' eight
+    // lanes per 512-bit register, a 256-bit broadcast of the `a` row, the
+    // halves split back out for the lane tree) and `gemm_acc`'s masked
+    // column remainders (eight lanes at AVX2, sixteen at AVX-512). `n`
+    // covers every residue mod 16 before, between and after full 32- and
+    // 16-column strips and every column-pair group; `m` sits on and off
+    // the 4-, 8- and 24-row tiles; `k` below one lane step, on it, and
+    // with every `k mod 8` tail. `dot_panel` writes row- and channel-major,
+    // with and without bias; `gemm_acc` reads `a` as the conv `dw` passes
+    // it (`(a_rs, a_ps) = (hw, 1)`, `hw > k`) and as the conv `dx` does
+    // (`(1, plen)`, `plen > m`), into an output wider than the update.
+    let ms = [1usize, 2, 3, 4, 5, 7, 8, 9, 12, 13, 23, 24, 25, 31];
+    let ks = [1usize, 2, 3, 5, 7, 8, 9, 12, 14, 16, 17, 22, 23, 41];
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for n in 1..=50usize {
+        for (mi, &m) in ms.iter().enumerate() {
+            for &k in &ks {
+                let seed = (n * 1000 + m * 50 + k) as u32;
+                // dot_panel: a is [m, k] at lda = k + 2, b is [n, k] at
+                // ldb = k + 1.
+                let (lda, ldb) = (k + 2, k + 1);
+                let (a, b, bias) = (
+                    fill(&[m * lda], seed),
+                    fill(&[n * ldb], seed + 1),
+                    fill(&[n], seed + 2),
+                );
+                let (a, b, bias) = (a.as_slice(), b.as_slice(), bias.as_slice());
+                let (row_major, with_bias) =
+                    [(true, false), (false, true), (true, true), (false, false)][(n + mi) % 4];
+                let (out_rs, out_cs) = if row_major { (n + 3, 1) } else { (1, m + 2) };
+                let len = (m - 1) * out_rs + (n - 1) * out_cs + 1;
+                let mut want = vec![-3.25f32; len];
+                for r in 0..m {
+                    for j in 0..n {
+                        let dot =
+                            dot8_reference(&a[r * lda..r * lda + k], &b[j * ldb..j * ldb + k]);
+                        want[r * out_rs + j * out_cs] = if with_bias { dot + bias[j] } else { dot };
+                    }
+                }
+                for_each_vector_level(
+                    || {
+                        let mut out = vec![-3.25f32; len];
+                        dot_panel(
+                            m,
+                            n,
+                            k,
+                            a,
+                            lda,
+                            b,
+                            ldb,
+                            with_bias.then_some(bias),
+                            &mut out,
+                            out_rs,
+                            out_cs,
+                        );
+                        out
+                    },
+                    |level, out| {
+                        assert_eq!(
+                            bits(&out),
+                            bits(&want),
+                            "dot_panel {level} m={m} n={n} k={k} row_major={row_major} bias={with_bias}"
+                        )
+                    },
+                );
+
+                // gemm_acc: the dw layout when `mi` is even, the dx one
+                // when it is odd.
+                let (a_rs, a_ps) = if mi % 2 == 0 { (k + 5, 1) } else { (1, m + 3) };
+                let a = fill(&[(k - 1) * a_ps + (m - 1) * a_rs + 1], seed + 3);
+                let (ldb, ldc) = (n + 1, n + 7);
+                let b = fill(&[(k - 1) * ldb + n], seed + 4);
+                let c0 = fill(&[(m - 1) * ldc + n], seed + 5);
+                let (a, b) = (a.as_slice(), b.as_slice());
+                let mut want = c0.as_slice().to_vec();
+                for r in 0..m {
+                    for j in 0..n {
+                        for p in 0..k {
+                            want[r * ldc + j] =
+                                a[p * a_ps + r * a_rs].mul_add(b[p * ldb + j], want[r * ldc + j]);
+                        }
+                    }
+                }
+                for_each_vector_level(
+                    || {
+                        let mut c = c0.as_slice().to_vec();
+                        gemm_acc(m, n, k, a, a_rs, a_ps, b, ldb, &mut c, ldc);
+                        c
+                    },
+                    |level, c| {
+                        assert_eq!(
+                            bits(&c),
+                            bits(&want),
+                            "gemm_acc {level} m={m} n={n} k={k} a=({a_rs}, {a_ps})"
+                        )
+                    },
+                );
             }
         }
     }

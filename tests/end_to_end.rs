@@ -264,15 +264,17 @@ fn epoch_is_bit_identical_across_thread_counts() {
 
 /// The runtime-SIMD-dispatch contract (DESIGN.md §14), end to end: a
 /// seeded training epoch must produce bit-identical losses whether the
-/// micro-kernels run their portable scalar bodies or the AVX2 ones, at
-/// any thread count — both bodies evaluate the same sequence of fused
-/// multiply-adds (`_mm256_fmadd_ps` and `f32::mul_add` are one correctly
-/// rounded operation), so the ISA is a pure speed choice.
-/// `force_level` is the in-process equivalent of `SCNN_SIMD=scalar|avx2`;
-/// on a host without AVX2 the test degenerates to scalar vs scalar.
+/// micro-kernels run their portable scalar bodies, the AVX2 ones or the
+/// AVX-512 ones, at any thread count — every body evaluates the same
+/// sequence of fused multiply-adds (`_mm512_fmadd_ps`, `_mm256_fmadd_ps`
+/// and `f32::mul_add` are one correctly rounded operation), so the ISA is
+/// a pure speed choice. `force_level` is the in-process equivalent of
+/// `SCNN_SIMD=scalar|avx2|avx512`; each level the host supports runs, and
+/// on a host with neither vector level the test degenerates to scalar vs
+/// scalar.
 #[test]
 fn epoch_is_bit_identical_across_simd_levels() {
-    use split_cnn::tensor::{detected_level, force_level, SimdLevel};
+    use split_cnn::tensor::{force_level, supports, SimdLevel};
     let epoch_loss = || {
         let desc = resnet18(&ModelOptions::cifar().with_width(0.125));
         let plan = plan_split(&desc, &SplitConfig::new(0.5, 2, 2)).unwrap();
@@ -293,11 +295,16 @@ fn epoch_is_bit_identical_across_simd_levels() {
     force_level(Some(SimdLevel::Scalar));
     let scalar_1 = split_cnn::par::with_threads(1, epoch_loss);
     let scalar_4 = split_cnn::par::with_threads(4, epoch_loss);
-    let mut results = vec![("scalar@4", scalar_4)];
-    if detected_level() == SimdLevel::Avx2 {
-        force_level(Some(SimdLevel::Avx2));
-        results.push(("avx2@1", split_cnn::par::with_threads(1, epoch_loss)));
-        results.push(("avx2@4", split_cnn::par::with_threads(4, epoch_loss)));
+    let mut results = vec![("scalar@4".to_string(), scalar_4)];
+    for level in SimdLevel::ALL
+        .into_iter()
+        .filter(|&l| l != SimdLevel::Scalar && supports(l))
+    {
+        force_level(Some(level));
+        for threads in [1, 4] {
+            let label = format!("{}@{threads}", level.name());
+            results.push((label, split_cnn::par::with_threads(threads, epoch_loss)));
+        }
     }
     force_level(None);
     for (label, bits) in results {
