@@ -18,7 +18,8 @@
 //! kernel scratch, so it is strictly larger than the activation numbers),
 //! and `heap_saved/hmms` records how far the HMMS step's high-water sits
 //! below the Vec-per-node step's — the process-level reading of "planned
-//! means physical", gated `≥ 1` by `scripts/verify.sh`.
+//! means physical", gated by `scripts/verify.sh` at no less than the smoke
+//! plan's `host_pool_bytes`, since the host tier is a file off the heap.
 //!
 //! `minor_faults_per_step/*` (a count in `peak_bytes`) is how many pages a
 //! steady-state step takes back from the kernel — the allocator trimming

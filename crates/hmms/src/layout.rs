@@ -29,7 +29,9 @@ pub struct StaticLayout {
     pub device_workspace_bytes: usize,
     /// Device parameter pool: parameters + gradients.
     pub device_param_bytes: usize,
-    /// Pinned host pool: total bytes of offloaded TSOs.
+    /// Host pool: total bytes of offloaded TSOs. `scnn-runtime` keeps it
+    /// in an unlinked file (its `HostArena`), so these bytes sit in the
+    /// kernel's page cache rather than in the process's memory.
     pub host_pool_bytes: usize,
     /// Address of every TSO *instance* (a TSO freed and re-allocated for
     /// prefetch has two instances) in the general pool.

@@ -11,11 +11,13 @@
 //!   [`scnn_nn::Executor::forward_wave`]) as a
 //!   [`scnn_nn::BufferProvider`]. Node outputs are fresh `Vec`s (the
 //!   trait's default `output` hook), are dropped at exactly the tape positions the
-//!   plan frees their TSO, and cold activations round-trip through a
-//!   host arena on a background transfer thread — prefetched back just
-//!   before their backward reader, as §4.3 schedules. The immutable half
-//!   ([`PlanTables`]) is shared, so a runtime per serving slot is cheap;
-//!   the host tier and its thread exist only for plans that offload.
+//!   plan frees their TSO, and cold activations round-trip through the
+//!   host tier ([`HostArena`], an unlinked file, so offloaded bytes leave
+//!   the process for the kernel's page cache) on a background transfer
+//!   thread — prefetched back just before their backward reader, as §4.3
+//!   schedules. The immutable half ([`PlanTables`]) is shared, so a
+//!   runtime per serving slot is cheap; the host tier and its thread
+//!   exist only for plans that offload, one per runtime.
 //! - [`MeterProvider`] (re-exported from `scnn-nn`) measures the
 //!   unmanaged Vec-per-node baseline so benchmarks can report the
 //!   runtime's actual savings.

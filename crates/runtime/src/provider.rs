@@ -16,8 +16,11 @@
 //!   lifetime ends, which returns the buffer to the allocator;
 //! - OffloadStart/PrefetchStart hand copies to a background transfer
 //!   worker; the matching Sync events block exactly where the plan says
-//!   the compute stream would. The worker and the host arena exist only
-//!   when the plan stages bytes off-device.
+//!   the compute stream would. The worker and the host tier (an unlinked
+//!   file, [`HostArena`]) exist only when the plan stages bytes off-device.
+//!   A copy the file refuses travels to its Sync event as an
+//!   [`io::Result`], and that event panics naming the TSO, the host slot
+//!   and the [`io::ErrorKind`]: the provider hooks cannot return errors.
 //!
 //! # One order
 //!
@@ -40,6 +43,8 @@
 //! `SCNN_THREADS` — the integration tests assert this.
 
 use std::collections::HashMap;
+use std::io;
+use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 
@@ -49,7 +54,7 @@ use scnn_hmms::{
     TsoAssignment,
 };
 use scnn_nn::{BufferProvider, Executor};
-use scnn_par::background::{Ticket, Worker};
+use scnn_par::background::Worker;
 use scnn_tensor::Tensor;
 
 use crate::host::HostArena;
@@ -63,7 +68,7 @@ pub struct StepStats {
     /// sampled at every lifetime hook — at most the plan's
     /// `device_general_bytes`.
     pub resident_peak_bytes: usize,
-    /// Host arena capacity (bytes staged off-device by the plan).
+    /// Host tier capacity (bytes staged off-device by the plan).
     pub host_bytes: usize,
     /// Offload transfers issued.
     pub offloads: usize,
@@ -98,6 +103,16 @@ pub enum RuntimeError {
         /// The batch-norm node's name.
         name: String,
     },
+    /// The host tier's backing file could not be created, unlinked or
+    /// sized in `dir`.
+    HostTier {
+        /// Where the file was to live (`std::env::temp_dir()`).
+        dir: PathBuf,
+        /// The plan's `host_pool_bytes`.
+        bytes: usize,
+        /// What the file system said.
+        kind: io::ErrorKind,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -113,6 +128,9 @@ impl std::fmt::Display for RuntimeError {
                 "node {node} ({name}) is a recompute batch norm: a training plan frees \
                  the input its backward reads"
             ),
+            RuntimeError::HostTier { dir, bytes, kind } => {
+                write!(f, "host tier of {bytes} B in {}: {kind}", dir.display())
+            }
         }
     }
 }
@@ -196,8 +214,8 @@ pub struct PlanRuntime {
     /// Node whose output currently holds each TSO's bits (last completed
     /// alias — the value an offload must capture).
     content: Vec<Option<usize>>,
-    pending_offload: HashMap<usize, Ticket>,
-    pending_prefetch: HashMap<usize, Receiver<Vec<f32>>>,
+    pending_offload: HashMap<usize, Transfer<()>>,
+    pending_prefetch: HashMap<usize, Transfer<Vec<f32>>>,
     /// Bytes in the `outputs` table right now: every entry enters through
     /// `adopt` or a prefetch restore and leaves through `release`.
     resident: usize,
@@ -210,17 +228,30 @@ impl PlanRuntime {
     ///
     /// # Errors
     ///
-    /// As [`PlanTables::new`].
+    /// As [`PlanTables::new`] and [`PlanRuntime::from_tables`].
     pub fn new(graph: &Graph, plan: ExecPlan) -> Result<Self, RuntimeError> {
-        Ok(PlanRuntime::from_tables(PlanTables::new(graph, plan)?))
+        PlanRuntime::from_tables(PlanTables::new(graph, plan)?)
     }
 
-    /// A fresh runtime over already-resolved `tables`.
-    pub fn from_tables(tables: Arc<PlanTables>) -> Self {
+    /// A fresh runtime over already-resolved `tables`, with a host tier of
+    /// its own when the plan stages bytes off-device.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::HostTier`] when that tier's file cannot be made.
+    /// A plan with no `host_pool_bytes` (every inference plan) builds no
+    /// tier and cannot fail.
+    pub fn from_tables(tables: Arc<PlanTables>) -> Result<Self, RuntimeError> {
         let host_bytes = tables.plan.layout.host_pool_bytes;
-        let transfer = (host_bytes > 0)
-            .then(|| (Arc::new(HostArena::with_bytes(host_bytes)), Worker::new("scnn-transfer")));
-        PlanRuntime {
+        let transfer = if host_bytes > 0 {
+            Some((
+                Arc::new(HostArena::with_bytes(host_bytes)?),
+                Worker::new("scnn-transfer"),
+            ))
+        } else {
+            None
+        };
+        Ok(PlanRuntime {
             tables,
             transfer,
             cursor: 0,
@@ -229,7 +260,7 @@ impl PlanRuntime {
             pending_prefetch: HashMap::new(),
             resident: 0,
             stats: StepStats::default(),
-        }
+        })
     }
 
     /// Convenience: export `plan` against `graph`/`tape`/`tso` and build
@@ -238,7 +269,7 @@ impl PlanRuntime {
     /// # Errors
     ///
     /// [`RuntimeError::Layout`] when the plan fails layout replay, else as
-    /// [`PlanTables::new`].
+    /// [`PlanTables::new`] and [`PlanRuntime::from_tables`].
     pub fn from_plan(
         graph: &Graph,
         tape: &scnn_graph::Tape,
@@ -328,6 +359,28 @@ impl PlanRuntime {
         }
     }
 
+    /// Queues `copy` of the `len` bytes at host offset `off` on the
+    /// transfer worker; its outcome waits for the matching Sync event.
+    fn start_transfer<T: Send + 'static>(
+        &self,
+        off: usize,
+        len: usize,
+        copy: impl FnOnce(&HostArena) -> io::Result<T> + Send + 'static,
+    ) -> Transfer<T> {
+        let (arena, worker) = self
+            .transfer
+            .as_ref()
+            .expect("offloading plans have a host tier");
+        let arena = arena.clone();
+        let (tx, rx) = channel();
+        worker.submit(move || {
+            // The runtime holds the receiver for the whole step; a closed
+            // channel means it was dropped mid-panic.
+            let _ = tx.send(copy(&arena));
+        });
+        Transfer { off, len, rx }
+    }
+
     /// Replays plan events, in order.
     fn replay(&mut self, tables: &PlanTables, events: &[MemEvent], outputs: &mut [Option<Tensor>]) {
         let plan = &tables.plan;
@@ -348,35 +401,27 @@ impl PlanRuntime {
                         .expect("offload source is resident")
                         .as_slice()
                         .to_vec();
-                    let off = plan.host_offsets[&tso];
-                    let (arena, worker) = self.transfer.as_ref().expect("offloading plans have a host tier");
-                    let arena = arena.clone();
-                    let ticket = worker.submit(move || arena.store(off, &staged));
-                    self.pending_offload.insert(tso.0, ticket);
+                    let (off, len) = (plan.host_offsets[&tso], staged.len() * 4);
+                    let copy = self.start_transfer(off, len, move |arena| arena.store(off, &staged));
+                    self.pending_offload.insert(tso.0, copy);
                     self.stats.offloads += 1;
                 }
                 MemEvent::OffloadSync { tso } => {
                     self.pending_offload
                         .remove(&tso.0)
                         .expect("offload was started")
-                        .wait();
+                        .wait("offload", tso.0);
                 }
                 MemEvent::PrefetchStart { tso, .. } => {
                     let reader = *plan.restore_nodes[tso.0]
                         .last()
                         .expect("prefetched TSO has a reader");
                     let mut buf = vec![0.0f32; tables.node_shape[reader].iter().product()];
-                    let off = plan.host_offsets[&tso];
-                    let (arena, worker) = self.transfer.as_ref().expect("offloading plans have a host tier");
-                    let arena = arena.clone();
-                    let (tx, rx) = channel();
-                    worker.submit(move || {
-                        arena.load(off, &mut buf);
-                        // The runtime holds the receiver for the whole step; a
-                        // closed channel means it was dropped mid-panic.
-                        let _ = tx.send(buf);
+                    let (off, len) = (plan.host_offsets[&tso], buf.len() * 4);
+                    let copy = self.start_transfer(off, len, move |arena| {
+                        arena.load(off, &mut buf).map(|()| buf)
                     });
-                    self.pending_prefetch.insert(tso.0, rx);
+                    self.pending_prefetch.insert(tso.0, copy);
                     self.stats.prefetches += 1;
                 }
                 MemEvent::PrefetchSync { tso } => {
@@ -384,8 +429,7 @@ impl PlanRuntime {
                         .pending_prefetch
                         .remove(&tso.0)
                         .expect("prefetch was started")
-                        .recv()
-                        .expect("transfer worker completed the prefetch");
+                        .wait("prefetch", tso.0);
                     let (&last, rest) = plan.restore_nodes[tso.0]
                         .split_last()
                         .expect("prefetched TSO has a reader");
@@ -399,6 +443,36 @@ impl PlanRuntime {
                 }
             }
         }
+    }
+}
+
+/// One copy in flight on the transfer worker: the host slot it touches
+/// and the channel its outcome arrives on.
+struct Transfer<T> {
+    off: usize,
+    len: usize,
+    rx: Receiver<io::Result<T>>,
+}
+
+impl<T> Transfer<T> {
+    /// Blocks until the copy is done — the plan's Sync event — and returns
+    /// what it produced.
+    ///
+    /// # Panics
+    ///
+    /// When the host tier's I/O failed (or the worker died): mid-step
+    /// there is no error path through the provider hooks, so the panic
+    /// names the TSO, its slot and the [`io::ErrorKind`].
+    fn wait(self, what: &str, tso: usize) -> T {
+        let Transfer { off, len, rx } = self;
+        rx.recv()
+            .unwrap_or_else(|_| Err(io::Error::other("transfer worker died")))
+            .unwrap_or_else(|e| {
+                panic!(
+                    "{what} of TSO {tso} ({len} B at host offset {off}) failed: {:?}",
+                    e.kind()
+                )
+            })
     }
 }
 
@@ -473,5 +547,32 @@ impl BufferProvider for PlanRuntime {
             "plan left transfers unsynchronized"
         );
         self.stats.scratch_peak_bytes = scnn_par::scratch::peak_bytes();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "prefetch of TSO 3 (64 B at host offset 128) failed: StorageFull")]
+    fn a_failed_copy_panics_at_its_sync_naming_tso_slot_and_kind() {
+        let (tx, rx) = channel::<io::Result<Vec<f32>>>();
+        tx.send(Err(io::ErrorKind::StorageFull.into()))
+            .expect("receiver is live");
+        Transfer {
+            off: 128,
+            len: 64,
+            rx,
+        }
+        .wait("prefetch", 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "offload of TSO 1 (4 B at host offset 0) failed: Other")]
+    fn a_dead_worker_panics_at_the_sync_too() {
+        let (tx, rx) = channel::<io::Result<()>>();
+        drop(tx);
+        Transfer { off: 0, len: 4, rx }.wait("offload", 1);
     }
 }

@@ -8,7 +8,8 @@
 //!   below no-offload below the Vec-per-node baseline;
 //! - **Bit identity** — training under [`PlanRuntime`] produces the same
 //!   losses and the same parameter bits as the Vec-per-node baseline, at
-//!   any thread count;
+//!   any thread count, and still does when two runtimes over one
+//!   [`PlanTables`] step interleaved (each has a host tier of its own);
 //! - **Savings** — the plan-driven lifetimes keep fewer activation bytes
 //!   resident than the baseline;
 //! - **Tape order** — a training step runs the order its plan was made
@@ -31,7 +32,7 @@ use scnn_hmms::{
 use scnn_models::{resnet18, vgg19, ModelOptions};
 use scnn_nn::{BnState, BufferProvider, Executor, Mode, ParamStore, Sgd, VecProvider};
 use scnn_rng::SplitRng;
-use scnn_runtime::{MeterProvider, PlanRuntime, RuntimeError};
+use scnn_runtime::{MeterProvider, PlanRuntime, PlanTables, RuntimeError};
 use scnn_tensor::{uniform, Tensor};
 
 fn vgg_graph(batch: usize) -> Graph {
@@ -227,6 +228,128 @@ fn training_is_bit_identical_to_vec_baseline_at_any_thread_count() {
                     "param {i} bits diverged at {threads} threads (provider {kind})"
                 );
             }
+        }
+    }
+}
+
+/// Forwards every hook to `runtime`; when node `at`'s forward completes —
+/// after the plan has offloaded earlier activations and before backward
+/// prefetches them — runs all of `nested` first.
+struct Interleave<'a> {
+    runtime: &'a mut PlanRuntime,
+    at: usize,
+    nested: &'a mut dyn FnMut(),
+}
+
+impl BufferProvider for Interleave<'_> {
+    fn begin_step(&mut self, n_nodes: usize) {
+        self.runtime.begin_step(n_nodes);
+    }
+
+    fn adopt(&mut self, node: usize, out: Tensor) -> Tensor {
+        self.runtime.adopt(node, out)
+    }
+
+    fn forward_complete(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
+        self.runtime.forward_complete(node, outputs);
+        if node == self.at {
+            (self.nested)();
+        }
+    }
+
+    fn before_backward(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
+        self.runtime.before_backward(node, outputs);
+    }
+
+    fn after_backward(&mut self, node: usize, outputs: &mut [Option<Tensor>]) {
+        self.runtime.after_backward(node, outputs);
+    }
+
+    fn end_step(&mut self, outputs: &mut [Option<Tensor>]) {
+        self.runtime.end_step(outputs);
+    }
+}
+
+/// Two HMMS runtimes over one shared [`PlanTables`], training different
+/// parameters on different data: each of `a`'s steps runs a whole step of
+/// `b` in the middle of its forward pass, between `a`'s offloads and its
+/// prefetches, at the same host offsets. Both still train to the
+/// Vec-per-node bits — no runtime reads another's host tier.
+#[test]
+fn two_runtimes_over_one_table_step_interleaved_to_vec_bits() {
+    let graph = split_resnet_graph(2);
+    let (tape, tso, plans) = plans(&graph);
+    let hmms = plans.last().expect("hmms plan");
+    let exec = scnn_hmms::export_plan(&graph, &tape, hmms, &tso).expect("plan exports");
+    assert!(
+        exec.layout.host_pool_bytes > 0,
+        "the hmms plan stages bytes off-device"
+    );
+    let tables = PlanTables::new(&graph, exec).expect("plan resolves");
+    let mut rt_a = PlanRuntime::from_tables(tables.clone()).expect("tier a builds");
+    let mut rt_b = PlanRuntime::from_tables(tables).expect("tier b builds");
+
+    struct Trainer {
+        params: ParamStore,
+        bn: BnState,
+        rng: SplitRng,
+        sgd: Sgd,
+        data_seed: u64,
+        losses: Vec<f32>,
+    }
+    let trainer = |seed: u64| {
+        let params = ParamStore::init(&graph, &mut SplitRng::seed_from_u64(seed));
+        let sgd = Sgd::new(&params, 0.05, 0.9, 1e-4);
+        Trainer {
+            params,
+            bn: BnState::new(),
+            rng: SplitRng::seed_from_u64(seed + 6),
+            sgd,
+            data_seed: 100 * seed,
+            losses: Vec::new(),
+        }
+    };
+    let step = |t: &mut Trainer, provider: &mut dyn BufferProvider| {
+        let (images, labels) = batch_for(&graph, t.data_seed + t.losses.len() as u64);
+        let loss = step_with(
+            &graph,
+            &mut t.params,
+            &mut t.bn,
+            &mut t.rng,
+            &images,
+            &labels,
+            provider,
+        );
+        t.sgd.step(&mut t.params);
+        t.losses.push(loss);
+    };
+
+    let (mut a, mut b) = (trainer(7), trainer(8));
+    for _ in 0..2 {
+        let mut nested = || step(&mut b, &mut rt_b);
+        let mut outer = Interleave {
+            runtime: &mut rt_a,
+            at: graph.len() / 2,
+            nested: &mut nested,
+        };
+        step(&mut a, &mut outer);
+    }
+    assert_eq!(b.losses.len(), 2, "b stepped inside each of a's steps");
+    assert!(rt_a.stats().offloads > 0, "a's step offloaded");
+
+    for (name, got, seed) in [("a", a, 7), ("b", b, 8)] {
+        let mut want = trainer(seed);
+        for _ in 0..2 {
+            step(&mut want, &mut VecProvider);
+        }
+        assert_eq!(got.losses, want.losses, "runtime {name}: losses diverged");
+        for i in 0..graph.params().len() {
+            let (x, y) = (want.params.value(ParamId(i)), got.params.value(ParamId(i)));
+            assert_eq!(
+                x.as_slice(),
+                y.as_slice(),
+                "runtime {name}: param {i} bits diverged"
+            );
         }
     }
 }

@@ -216,7 +216,8 @@ impl Engine {
         let mut providers: Vec<SlotProvider> = requests
             .iter()
             .map(|_| {
-                let mut runtime = PlanRuntime::from_tables(self.tables.clone());
+                let mut runtime = PlanRuntime::from_tables(self.tables.clone())
+                    .expect("an inference plan stages nothing, so builds no host tier");
                 runtime.begin_step(n);
                 SlotProvider { runtime, logits_node: self.logits_node, logits: None }
             })
