@@ -15,6 +15,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use scnn_bench::fma::fma_chains;
 use scnn_bench::{Args, BenchGroup};
 use scnn_core::lower_unsplit;
 use scnn_graph::ParamId;
@@ -52,8 +53,8 @@ fn heap_annotate(g: &mut BenchGroup) {
 
 fn main() {
     let smoke = Args::parse(&["smoke", "bench"]).bool("smoke");
-    // The first record is the winograd ratio gate's denominator: take it
-    // in the same warm host state as every record after it.
+    // The first record is the conv ratio gates' denominator: take it in
+    // the same warm host state as the records after it.
     if !smoke {
         wake_host();
     }
@@ -84,11 +85,39 @@ fn main() {
     let y = conv2d_forward(&x, &w, None, &attrs);
     let dy = Tensor::ones(y.shape().dims());
 
+    // The bare multiply-add reference (`scnn_bench::fma`): twelve
+    // independent chains at the active level's widest width, a fixed
+    // total of steps cut into one task per thread, so it runs on as many
+    // threads as the conv records below and, like them, takes half as long
+    // on two. The direct and Winograd forwards are gated as ratios to it
+    // in verify.sh: a host in a slow state slows the reference too, where
+    // an absolute bound reads the state and a ratio to another kernel
+    // reads that kernel.
+    let threads = scnn_par::max_threads();
+    let fma_iters = if smoke { 1_000 } else { 800_000 } / threads;
+    g.bench("fma_ref", || {
+        let level = active_level();
+        scnn_par::parallel_for(threads, |_| {
+            black_box(fma_chains(level, fma_iters));
+        })
+    });
+
     heap_reset();
     bench_with_level_twins(&mut g, "conv2d_fwd_8x16x32x32", || {
         conv2d_forward(&x, &w, None, &attrs)
     });
     heap_annotate(&mut g);
+
+    // The winograd F(2×2, 3×3) forward at the same shape. This path is
+    // epsilon-tolerant, not bitwise (DESIGN.md §16); verify.sh holds it
+    // as a ratio to `fma_ref` — a tripwire for the transform path
+    // regressing, not a claim that it wins.
+    let geo = Conv2dGeometry::new(c, hw, hw, 3, 3, 1, 1, Padding2d::symmetric(1));
+    let mut wy = vec![0.0f32; n * oc * geo.patch_count()];
+    g.bench("conv2d_fwd_8x16x32x32_winograd", || {
+        conv2d_fwd_winograd(&x, &w, None, &geo, &mut wy);
+        black_box(&mut wy);
+    });
 
     heap_reset();
     g.bench("conv2d_bwd_8x16x32x32", || {
@@ -107,17 +136,21 @@ fn main() {
     black_box(conv2d_backward(&x, &w, false, &dy, &attrs));
     g.record_bytes("conv2d_bwd_scratch_peak", scnn_par::scratch::peak_bytes());
 
-    // The shapes the repo benchmark's training workloads actually execute
-    // (ResNet-18 cifar width 0.5, batch 8, split (0.5, 2, 2); see
-    // `results/conv_layers.txt`): the 16×16 patch conv that is a third of
-    // the step, layer4's 4×4 map, and a 1×1
-    // stride-2 shortcut.
+    // The shapes the repo benchmark's workloads actually execute
+    // (ResNet-18 cifar width 0.5, batch 8, split (0.5, 2, 2) for training,
+    // width 0.25, batch 1 for serving; see `results/conv_layers.txt`): the
+    // 16×16 patch conv that is a third of the training step, layer4's 4×4
+    // map, a 1×1 stride-2 shortcut, and forward only, the serving patch
+    // conv and the serving graph's thinnest tile (one 16-position strip).
     let (wn, wc, whw) = if smoke { (1, 4, 4) } else { (8, 32, 16) };
     let (dc, dhw) = if smoke { (8, 2) } else { (256, 4) };
+    let (sc, tc) = if smoke { (4, 8) } else { (16, 128) };
     for (name, xd, oc, k, stride, with_bwd) in [
         ("8x32x16x16", [wn, wc, whw, whw], wc, 3, 1, true),
         ("8x256x4x4", [wn, dc, dhw, dhw], dc, 3, 1, true),
         ("1x1s2_8x32x16x16", [wn, wc, whw, whw], 2 * wc, 1, 2, false),
+        ("1x16x16x16", [1, sc, whw, whw], sc, 3, 1, false),
+        ("1x128x4x4", [1, tc, dhw, dhw], tc, 3, 1, false),
     ] {
         let wx = uniform(&mut rng, &xd, -1.0, 1.0);
         let ww = uniform(&mut rng, &[oc, xd[1], k, k], -0.5, 0.5);
@@ -150,7 +183,6 @@ fn main() {
     g.bench("sgd_step_resnet18_w05", || sgd.step(&mut params));
 
     // The lowering stages of the conv above, measured on their own.
-    let geo = Conv2dGeometry::new(c, hw, hw, 3, 3, 1, 1, Padding2d::symmetric(1));
     g.bench("im2col_8x16x32x32", || im2col(&x, &geo));
     let cols = im2col(&x, &geo);
     g.bench("col2im_8x16x32x32", || col2im(&cols, n, &geo));
@@ -207,16 +239,6 @@ fn main() {
     g.bench("conv2d_fwd_8x16x32x32_scalar", || conv2d_forward(&x, &w, None, &attrs));
     g.bench("matmul_512_scalar", || matmul(&a2, &b2));
     force_level(None);
-
-    // The winograd F(2×2, 3×3) forward at the same shape. This path is
-    // epsilon-tolerant, not bitwise (DESIGN.md §16); verify.sh holds its
-    // median within 1.10× of the direct forward's — a tripwire for the
-    // transform path regressing, not a claim that it wins.
-    let mut wy = vec![0.0f32; n * oc * geo.patch_count()];
-    g.bench("conv2d_fwd_8x16x32x32_winograd", || {
-        conv2d_fwd_winograd(&x, &w, None, &geo, &mut wy);
-        black_box(&mut wy);
-    });
 
     par_fork_join(&mut g, smoke);
 

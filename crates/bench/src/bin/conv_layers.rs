@@ -179,70 +179,23 @@ fn profile(name: &str, graph: &Graph, passes: usize, reps: usize) {
 /// Best of five runs of twelve independent fused multiply-add chains,
 /// `iters` steps each, at 256 and (where the host runs it) 512 bits, in
 /// GFLOP/s on the calling thread.
-#[cfg(target_arch = "x86_64")]
 fn bare_fma_gflops(iters: usize) -> Vec<(&'static str, f64)> {
-    use core::arch::x86_64::*;
+    use scnn_bench::fma::{fma_chains, fma_flops};
     use scnn_tensor::{supports, SimdLevel};
-
-    #[target_feature(enable = "avx2,fma")]
-    fn chains256(iters: usize) -> f32 {
-        let (x, y) = (_mm256_set1_ps(0.999), _mm256_set1_ps(0.001));
-        let mut acc = [_mm256_setzero_ps(); 12];
-        for _ in 0..iters {
-            for a in acc.iter_mut() {
-                *a = _mm256_fmadd_ps(*a, x, y);
-            }
-        }
-        let mut out = [0.0f32; 8];
-        // SAFETY: `out` holds eight floats.
-        unsafe {
-            _mm256_storeu_ps(
-                out.as_mut_ptr(),
-                acc.iter()
-                    .fold(_mm256_setzero_ps(), |s, &a| _mm256_add_ps(s, a)),
-            )
-        };
-        out[0]
-    }
-    #[target_feature(enable = "avx512f")]
-    fn chains512(iters: usize) -> f32 {
-        let (x, y) = (_mm512_set1_ps(0.999), _mm512_set1_ps(0.001));
-        let mut acc = [_mm512_setzero_ps(); 12];
-        for _ in 0..iters {
-            for a in acc.iter_mut() {
-                *a = _mm512_fmadd_ps(*a, x, y);
-            }
-        }
-        _mm512_reduce_add_ps(
-            acc.iter()
-                .fold(_mm512_setzero_ps(), |s, &a| _mm512_add_ps(s, a)),
-        )
-    }
-    let rate = |lanes: usize, f: &dyn Fn() -> f32| {
-        let best = (0..5)
-            .map(|_| {
-                let t = Instant::now();
-                std::hint::black_box(f());
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min);
-        (12 * lanes * 2 * iters) as f64 / best / 1e9
-    };
-    let mut rates = Vec::new();
-    if supports(SimdLevel::Avx2) {
-        // SAFETY: the host runs AVX2+FMA.
-        rates.push(("256-bit", rate(8, &|| unsafe { chains256(iters) })));
-    }
-    if supports(SimdLevel::Avx512) {
-        // SAFETY: the host runs AVX-512 F.
-        rates.push(("512-bit", rate(16, &|| unsafe { chains512(iters) })));
-    }
-    rates
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn bare_fma_gflops(_iters: usize) -> Vec<(&'static str, f64)> {
-    Vec::new()
+    [(SimdLevel::Avx2, "256-bit"), (SimdLevel::Avx512, "512-bit")]
+        .into_iter()
+        .filter(|&(level, _)| supports(level))
+        .map(|(level, width)| {
+            let best = (0..5)
+                .map(|_| {
+                    let t = Instant::now();
+                    std::hint::black_box(fma_chains(level, iters));
+                    t.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min);
+            (width, fma_flops(level, iters) / best / 1e9)
+        })
+        .collect()
 }
 
 fn main() {

@@ -54,6 +54,7 @@ pub struct CountingAlloc;
 // SAFETY: defers entirely to `System`; the atomics only observe sizes.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `alloc` contract, passed on unchanged.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             add(layout.size());
@@ -62,6 +63,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `alloc_zeroed` contract, passed on unchanged.
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             add(layout.size());
@@ -70,11 +72,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`'s.
         unsafe { System.dealloc(ptr, layout) };
         sub(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from this allocator, which is `System`'s.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
             sub(layout.size());

@@ -5,6 +5,7 @@
 
 pub mod args;
 pub mod dist;
+pub mod fma;
 pub mod harness;
 #[cfg(feature = "heap-track")]
 pub mod heap;

@@ -49,6 +49,7 @@ pub fn max_pool_forward_into(x: &Tensor, attrs: &PoolAttrs, y: &mut Tensor) -> V
     let mask_shared = scnn_par::DisjointMut::new(&mut mask);
     scnn_par::par_chunks_mut(y.as_mut_slice(), ohw, |img, dst| {
         let base = window_origin(dims, crop, img);
+        // SAFETY: mask plane `img` is written only by the task of plane `img`.
         let mplane = unsafe { mask_shared.range(img * ohw, (img + 1) * ohw) };
         for oy in 0..oh {
             let iy0 = oy as i64 * g.sh as i64 - g.pad.h_begin;

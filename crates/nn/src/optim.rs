@@ -58,7 +58,7 @@ impl Sgd {
             let vel = scnn_par::DisjointMut::new(velocity[i].as_mut_slice());
             scnn_par::par_chunks_mut(value.as_mut_slice(), chunk, |ci, w| {
                 let lo = ci * chunk;
-                // Safety: chunk `ci` of the velocity is touched only by
+                // SAFETY: chunk `ci` of the velocity is touched only by
                 // the task that owns chunk `ci` of the value.
                 let v = unsafe { vel.range(lo, lo + w.len()) };
                 let g = &grad[lo..lo + w.len()];

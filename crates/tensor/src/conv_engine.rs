@@ -9,7 +9,14 @@
 //! backward) against the weight matrix, and write results straight to
 //! their destination. What moves the data, per direction:
 //!
-//! - forward and `dw` *strip-pack* patch rows ([`pack_strips`]): tiles run
+//! - forward at the AVX-512 level, for a stride-1 conv whose output plane
+//!   equals its input plane: nothing is packed ([`position`]). A register
+//!   holds sixteen consecutive output positions; with the planes equal,
+//!   their operands for one shared-dimension element are sixteen
+//!   consecutive input elements, loaded in place under a mask that is the
+//!   padding.
+//! - every other forward, and `dw`, *strip-pack* patch rows
+//!   ([`pack_strips`]): tiles run
 //!   over the flattened `n·oh·ow` position index (a 4-wide map fills a
 //!   panel as well as a 32-wide one), and for each run of positions inside
 //!   one output row a `(c, ky)` pass copies the run's kernel rows with the
@@ -32,6 +39,9 @@
 //! - forward: every output element is `dot8(patch_row, weight_row) + bias`
 //!   — elements are independent, and `dot8`'s reduction order depends only
 //!   on the shared dimension, exactly as in [`matmul_a_bt`](crate::matmul_a_bt).
+//!   The position path runs that order with positions, not `k`, across
+//!   the register: each of an output's eight lanes is a register of its
+//!   own, one residue class of `k` after the other.
 //! - `dw`: partial sums are blocked on the same `KC` boundaries as
 //!   [`matmul_at_b`](crate::matmul_at_b), accumulate with `p` ascending
 //!   inside each block (one `gemm_acc` per packed sub-tile, `dy` read in
@@ -468,12 +478,15 @@ pub fn conv2d_fwd_tiled(
 /// crop-offset contract of [`conv2d_dx_tiled`], so a layer with negative
 /// padding never copies its cropped input.
 ///
-/// Tasks and tiles run over the flattened `n·oh·ow` position index, so a
-/// 4- or 8-wide output map fills a panel as well as a 32-wide one. Each
-/// tile is strip-packed once ([`pack_strips`]), multiplied against the
-/// whole weight matrix by one [`dot_panel`] into a channel-major
-/// `[oc, tile]` staging block, and copied out as contiguous per-channel
-/// runs of its NCHW rows.
+/// At the AVX-512 level a stride-1 conv whose output plane equals its
+/// input plane, read from planes that are its window, runs the
+/// position-vectorized path ([`position`]), which packs nothing. Every
+/// other call strip-packs: tasks and tiles run over the flattened `n·oh·ow`
+/// position index, so a 4- or 8-wide output map fills a panel as well as
+/// a 32-wide one. Each tile is strip-packed once ([`pack_strips`]),
+/// multiplied against the whole weight matrix by one [`dot_panel`] into a
+/// channel-major `[oc, tile]` staging block, and copied out as contiguous
+/// per-channel runs of its NCHW rows. Both give the same bits.
 ///
 /// # Panics
 ///
@@ -488,16 +501,31 @@ pub fn conv2d_fwd_tiled_at(
     out: &mut [f32],
 ) {
     let x = &Window::new(x, g, off_h, off_w);
-    let n = x.n;
     let oc = check_weight(w, g);
-    let plen = g.patch_len();
-    let hw = g.patch_count();
-    assert_eq!(out.len(), n * oc * hw, "conv2d_fwd_tiled out length");
+    assert_eq!(out.len(), x.n * oc * g.patch_count(), "conv2d_fwd_tiled out length");
     if let Some(b) = bias {
         assert_eq!(b.len(), oc, "conv bias length");
     }
-    let wv = w.as_slice();
-    let total = n * hw;
+    #[cfg(target_arch = "x86_64")]
+    if position::applies(g, &x.at) {
+        position::forward(x, w.as_slice(), oc, bias, g, out);
+        return;
+    }
+    fwd_strips(x, w.as_slice(), oc, bias, g, out);
+}
+
+/// The strip-packed forward of [`conv2d_fwd_tiled_at`]: every level, every
+/// geometry. `out` and `bias` are checked against `oc` by the caller.
+fn fwd_strips(
+    x: &Window,
+    wv: &[f32],
+    oc: usize,
+    bias: Option<&[f32]>,
+    g: &Conv2dGeometry,
+    out: &mut [f32],
+) {
+    let (plen, hw) = (g.patch_len(), g.patch_count());
+    let total = x.n * hw;
     let chunk = fwd_task_positions(total);
     let tile = tile_rows(plen, chunk.min(FWD_TILE_ROWS));
     let sink = DisjointMut::new(out);
@@ -516,6 +544,7 @@ pub fn conv2d_fwd_tiled_at(
                 for (b, rem, q, seg) in image_runs(t0, t0 + tw, hw) {
                     for c in 0..oc {
                         let base = (b * oc + c) * hw + rem;
+                        // SAFETY: see above.
                         let row = unsafe { sink.range(base, base + seg) };
                         row.copy_from_slice(&ytile[c * tw + (q - t0)..][..seg]);
                     }
@@ -523,6 +552,404 @@ pub fn conv2d_fwd_tiled_at(
             }
         });
     });
+}
+
+/// The position-vectorized forward of [`conv2d_fwd_tiled_at`] (DESIGN.md
+/// §11, §14): the AVX-512 level's path for a stride-1 conv whose output
+/// plane equals its input plane, read from planes that are exactly the
+/// window.
+///
+/// A register holds sixteen consecutive flattened output positions (a
+/// *strip*) of one output channel. With the output plane equal to the
+/// input plane, position `q` of an image reads its tap `(ky, kx)` of
+/// channel `c` at input element `c·hw + q + (ky - pad_t)·w + (kx - pad_l)`
+/// of the same image, so a strip's operand for one `k` is sixteen
+/// consecutive input elements: one load straight from the input, with the
+/// lanes whose tap falls in the padding — or wraps into the next row, or
+/// lies past the batch — masked off and read as 0.0, the value the pack
+/// would have stored. A strip that straddles two images loads each
+/// image's lanes under its own mask. Nothing is packed.
+///
+/// Each output element keeps [`dot_panel`]'s chain exactly: lane `l` of
+/// its eight accumulates `k ≡ l (mod 8)` by one `_mm512_fmadd_ps` per
+/// element in ascending `k` (here each of those eight is a register of
+/// sixteen positions, run one residue class after the other), then the
+/// `k mod 8` tail folds sequentially from +0.0, then `simd::lane_sum`'s
+/// tree pairs the eight, then the tail adds, then the bias. The shared
+/// dimension is cut into `KB`-float blocks with the accumulators carried
+/// between them, which changes no chain.
+///
+/// Tasks are (strip group × 16-channel group), a function of the shapes
+/// only; the register tile is 4 channels × 4 strips, 8 × 2 or 16 × 1 by
+/// the layer's strip count.
+#[cfg(target_arch = "x86_64")]
+mod position {
+    use super::{Placement, Window};
+    use crate::im2col::Conv2dGeometry;
+    use crate::simd::{active_level, supports, SimdLevel, LANES};
+    use core::arch::x86_64::{
+        __m512, _mm512_add_ps, _mm512_fmadd_ps, _mm512_mask_loadu_ps, _mm512_maskz_loadu_ps,
+        _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+    use scnn_par::DisjointMut;
+
+    /// Output positions per strip: the f32 lanes of one 512-bit register.
+    const STRIP: usize = 16;
+
+    /// Output channels per task.
+    const CHANNELS: usize = 16;
+
+    /// Most kernel taps (`kh·kw`) the path takes: a 7×7 kernel.
+    const MAX_TAPS: usize = 49;
+
+    /// Shared-dimension block, in floats of `k`: a tile's block of weight
+    /// rows and the input rows it meets stay in L1 while the eight residue
+    /// classes pass over them.
+    const KB: usize = 256;
+
+    /// Whether the position path runs this call: the AVX-512 level and a
+    /// geometry it takes ([`takes`]).
+    pub(super) fn applies(g: &Conv2dGeometry, at: &Placement) -> bool {
+        active_level() == SimdLevel::Avx512 && takes(g, at)
+    }
+
+    /// Whether the geometry is one the position path computes: stride 1,
+    /// output plane equal to the input plane (`pad_t + pad_b = kh - 1`, the
+    /// same across), planes that are the window (no crop), at most
+    /// [`MAX_TAPS`] taps.
+    pub(super) fn takes(g: &Conv2dGeometry, at: &Placement) -> bool {
+        g.sh == 1
+            && g.sw == 1
+            && (g.out_h(), g.out_w()) == (g.in_h, g.in_w)
+            && (at.full_h, at.full_w) == (g.in_h, g.in_w)
+            && g.kh * g.kw <= MAX_TAPS
+    }
+
+    /// What every tile of one call reads besides its strips and weights.
+    struct Layer<'a> {
+        x: &'a [f32],
+        in_c: usize,
+        oc: usize,
+        hw: usize,
+        total: usize,
+        k: usize,
+        taps: usize,
+        /// Per tap `(ky, kx)`, `(ky - pad_t)·w + (kx - pad_l)`.
+        tap_off: [isize; MAX_TAPS],
+        /// Per tap `t` of element `p`, the tap of element `p + 8` and how
+        /// far its operands lie from `p`'s: a residue-class chain walks
+        /// the shared dimension by table, with no division.
+        next: [usize; MAX_TAPS],
+        step: [isize; MAX_TAPS],
+    }
+
+    impl Layer<'_> {
+        /// Where shared-dimension element `p = (c, t)` reads relative to a
+        /// lane's position, and its tap `t`.
+        fn at(&self, p: usize) -> (isize, usize) {
+            let t = p % self.taps;
+            ((p / self.taps * self.hw) as isize + self.tap_off[t], t)
+        }
+    }
+
+    /// Sixteen consecutive flattened output positions `q0 ..` and where
+    /// their lanes read and write.
+    struct Strip {
+        /// Runs of lanes inside one batch image, at most one per lane.
+        segs: usize,
+        /// Per segment, its lanes.
+        lanes: [u16; STRIP],
+        /// Per segment, the input element its lane `i` reads at channel
+        /// `c`, tap offset `d` is `in_at + c·hw + d + i`.
+        in_at: [usize; STRIP],
+        /// Per segment, the output element of its lane `i` at channel `c`
+        /// is `out_at + c·hw + i`.
+        out_at: [usize; STRIP],
+        /// Per tap, the lanes (of any segment) whose tap lands inside the
+        /// input.
+        taps: [u16; MAX_TAPS],
+    }
+
+    impl Strip {
+        fn new(l: &Layer, g: &Conv2dGeometry, q0: usize) -> Self {
+            let mut st = Strip {
+                segs: 0,
+                lanes: [0; STRIP],
+                in_at: [0; STRIP],
+                out_at: [0; STRIP],
+                taps: [0; MAX_TAPS],
+            };
+            let (pad_t, pad_l) = (g.pad.h_begin as usize, g.pad.w_begin as usize);
+            // Lanes whose row (column) of tap `ky` (`kx`) is inside the
+            // input; a tap's mask is the pair's intersection.
+            let (mut rows, mut cols) = ([0u16; MAX_TAPS], [0u16; MAX_TAPS]);
+            let (mut b, mut rem) = (q0 / l.hw, q0 % l.hw);
+            let (mut oy, mut ox) = (rem / g.in_w, rem % g.in_w);
+            for i in 0..STRIP.min(l.total.saturating_sub(q0)) {
+                if i == 0 || rem == 0 {
+                    // `q0 - b·hw` is this image's position of lane 0; the
+                    // sum stays non-negative for every `b` a lane reaches.
+                    st.in_at[st.segs] = b * (l.in_c - 1) * l.hw + q0;
+                    st.out_at[st.segs] = b * (l.oc - 1) * l.hw + q0;
+                    st.segs += 1;
+                }
+                st.lanes[st.segs - 1] |= 1 << i;
+                for (ky, m) in rows[..g.kh].iter_mut().enumerate() {
+                    if (oy + ky).checked_sub(pad_t).is_some_and(|iy| iy < g.in_h) {
+                        *m |= 1 << i;
+                    }
+                }
+                for (kx, m) in cols[..g.kw].iter_mut().enumerate() {
+                    if (ox + kx).checked_sub(pad_l).is_some_and(|ix| ix < g.in_w) {
+                        *m |= 1 << i;
+                    }
+                }
+                (rem, ox) = (rem + 1, ox + 1);
+                if ox == g.in_w {
+                    (oy, ox) = (oy + 1, 0);
+                }
+                if rem == l.hw {
+                    (b, rem, oy) = (b + 1, 0, 0);
+                }
+            }
+            for (taps, &row) in st.taps.chunks_exact_mut(g.kw).zip(&rows[..g.kh]) {
+                for (tap, &col) in taps.iter_mut().zip(&cols) {
+                    *tap = row & col;
+                }
+            }
+            st
+        }
+    }
+
+    /// Position-vectorized forward; `out` and `bias` are checked against
+    /// `oc` by the caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host lacks AVX-512 or the geometry is not one the path
+    /// takes ([`takes`]).
+    pub(super) fn forward(
+        x: &Window,
+        wv: &[f32],
+        oc: usize,
+        bias: Option<&[f32]>,
+        g: &Conv2dGeometry,
+        out: &mut [f32],
+    ) {
+        assert!(supports(SimdLevel::Avx512), "the position path needs AVX-512");
+        assert!(takes(g, &x.at), "the position path does not take {g:?}");
+        let (hw, taps) = (g.patch_count(), g.kh * g.kw);
+        let mut tap_off = [0isize; MAX_TAPS];
+        for (t, off) in tap_off[..taps].iter_mut().enumerate() {
+            let dy = (t / g.kw) as isize - g.pad.h_begin as isize;
+            let dx = (t % g.kw) as isize - g.pad.w_begin as isize;
+            *off = dy * g.in_w as isize + dx;
+        }
+        let (mut next, mut step) = ([0; MAX_TAPS], [0; MAX_TAPS]);
+        for t in 0..taps {
+            let q = t + LANES;
+            next[t] = q % taps;
+            step[t] = (q / taps * hw) as isize + tap_off[next[t]] - tap_off[t];
+        }
+        let l = Layer {
+            x: x.data,
+            in_c: g.in_c,
+            oc,
+            hw,
+            total: x.n * hw,
+            k: g.patch_len(),
+            taps,
+            tap_off,
+            next,
+            step,
+        };
+        let strips = l.total.div_ceil(STRIP);
+        let per_task = match strips {
+            1 => 1,
+            2 | 3 => 2,
+            _ => 4,
+        };
+        let cgroups = oc.div_ceil(CHANNELS);
+        let sink = DisjointMut::new(out);
+        scnn_par::parallel_for(strips.div_ceil(per_task) * cgroups, |task| {
+            let (sg, cg) = (task / cgroups, task % cgroups);
+            let chans = cg * CHANNELS..((cg + 1) * CHANNELS).min(oc);
+            // SAFETY: the host runs AVX-512 F+DQ and AVX2+FMA (asserted
+            // above); a task writes only its strips' positions of its
+            // channel group, which no other task writes.
+            unsafe {
+                match per_task {
+                    1 => task_body::<16, 1>(&l, g, wv, bias, sg, chans, &sink),
+                    2 => task_body::<8, 2>(&l, g, wv, bias, sg, chans, &sink),
+                    _ => task_body::<4, 4>(&l, g, wv, bias, sg, chans, &sink),
+                }
+            }
+        });
+    }
+
+    /// One task: strip group `sg` (`S` strips) against output channels
+    /// `chans`, `C` channels per register tile.
+    ///
+    /// # Safety
+    ///
+    /// The host runs AVX-512 F+DQ and AVX2+FMA, and no other task writes
+    /// these strips' positions of `chans`.
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn task_body<const C: usize, const S: usize>(
+        l: &Layer,
+        g: &Conv2dGeometry,
+        wv: &[f32],
+        bias: Option<&[f32]>,
+        sg: usize,
+        chans: std::ops::Range<usize>,
+        sink: &DisjointMut<f32>,
+    ) {
+        let strips: [Strip; S] = std::array::from_fn(|s| Strip::new(l, g, (sg * S + s) * STRIP));
+        let multi = strips.iter().any(|st| st.segs > 1);
+        for c0 in chans.clone().step_by(C) {
+            // A tile past the group's last channel repeats it and drops
+            // the copies.
+            let live = C.min(chans.end - c0);
+            let rows: [*const f32; C] =
+                std::array::from_fn(|i| wv[(c0 + i.min(live - 1)) * l.k..][..l.k].as_ptr());
+            // SAFETY: AVX-512 F+DQ and AVX2+FMA are enabled here.
+            let sums = unsafe {
+                if multi {
+                    tile::<C, S, true>(l, &rows, &strips)
+                } else {
+                    tile::<C, S, false>(l, &rows, &strips)
+                }
+            };
+            for (i, row) in sums[..live].iter().enumerate() {
+                let c = c0 + i;
+                for (st, &v) in strips.iter().zip(row) {
+                    let v = bias.map_or(v, |b| _mm512_add_ps(v, _mm512_set1_ps(b[c])));
+                    let mut lanes = [0.0f32; STRIP];
+                    // SAFETY: `lanes` holds sixteen floats.
+                    unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), v) };
+                    for (&m, &at) in st.lanes[..st.segs].iter().zip(&st.out_at) {
+                        let lo = m.trailing_zeros() as usize;
+                        let hi = STRIP - m.leading_zeros() as usize;
+                        let at = at + c * l.hw;
+                        // SAFETY: the caller's tasks write disjoint
+                        // elements (this strip's positions of channel `c`).
+                        let dst = unsafe { sink.range(at + lo, at + hi) };
+                        dst.copy_from_slice(&lanes[lo..hi]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The operands of shared-dimension element `p` for `S` strips, `(off,
+    /// t) = l.at(p)`: each strip's sixteen input elements, masked lanes 0.0.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512 F is enabled; `(off, t)` is `l.at(p)` of a `p < k`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    unsafe fn operands<const S: usize, const MULTI: bool>(
+        l: &Layer,
+        strips: &[Strip; S],
+        off: isize,
+        t: usize,
+    ) -> [__m512; S] {
+        let base = l.x.as_ptr();
+        std::array::from_fn(|s| {
+            let st = &strips[s];
+            // SAFETY: `t` is a remainder mod `taps` (`Layer::at`,
+            // `Layer::next`), and `forward` checked `taps <= MAX_TAPS`
+            // through `takes`.
+            let m = unsafe { *st.taps.get_unchecked(t) };
+            // SAFETY: only mask-on lanes are accessed (the masked load's
+            // semantics: masked-off lanes are neither read nor faulted),
+            // and a mask-on lane `i` of a segment is a position of that
+            // segment's image whose tap lands inside the input, so its
+            // address `in_at + off + i` (`off = c·hw + tap_off`) is that tap's element
+            // of this image, inside `l.x`. The lane-0 address may lie
+            // outside `l.x`, which is why it is formed with
+            // `wrapping_offset`.
+            unsafe {
+                if !MULTI {
+                    let at = base.wrapping_offset(st.in_at[0] as isize + off);
+                    return _mm512_maskz_loadu_ps(m, at);
+                }
+                let mut v = _mm512_setzero_ps();
+                for (&lanes, &at) in st.lanes[..st.segs].iter().zip(&st.in_at) {
+                    v = _mm512_mask_loadu_ps(v, m & lanes, base.wrapping_offset(at as isize + off));
+                }
+                v
+            }
+        })
+    }
+
+    /// `C` channels × `S` strips of outputs, before the bias: the eight
+    /// residue-class chains block by block, the sequential tail, then the
+    /// `simd::lane_sum` tree and the tail add.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512 F+DQ and AVX2+FMA are enabled; `rows` are `k` long.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    unsafe fn tile<const C: usize, const S: usize, const MULTI: bool>(
+        l: &Layer,
+        rows: &[*const f32; C],
+        strips: &[Strip; S],
+    ) -> [[__m512; S]; C] {
+        let k = l.k;
+        let k8 = k / LANES * LANES;
+        let zero = [[_mm512_setzero_ps(); S]; C];
+        let mut acc = [zero; LANES];
+        for p0 in (0..k8).step_by(KB) {
+            let p1 = (p0 + KB).min(k8);
+            for (r, lane) in acc.iter_mut().enumerate() {
+                let mut a = *lane;
+                let mut p = p0 + r;
+                let (mut off, mut t) = l.at(p);
+                while p < p1 {
+                    // SAFETY: `(off, t)` is `l.at(p)`, `p < k`.
+                    let xs = unsafe { operands::<S, MULTI>(l, strips, off, t) };
+                    for (ai, row) in a.iter_mut().zip(rows) {
+                        // SAFETY: `p < k`, and each row holds `k` floats.
+                        let w = _mm512_set1_ps(unsafe { *row.add(p) });
+                        for (v, &x) in ai.iter_mut().zip(&xs) {
+                            *v = _mm512_fmadd_ps(w, x, *v);
+                        }
+                    }
+                    // SAFETY: as in `operands`, `t < taps <= MAX_TAPS`.
+                    (p, off, t) = unsafe {
+                        (p + LANES, off + l.step.get_unchecked(t), *l.next.get_unchecked(t))
+                    };
+                }
+                *lane = a;
+            }
+        }
+        let mut tail = zero;
+        for p in k8..k {
+            let (off, t) = l.at(p);
+            // SAFETY: as above.
+            let xs = unsafe { operands::<S, MULTI>(l, strips, off, t) };
+            for (ti, row) in tail.iter_mut().zip(rows) {
+                // SAFETY: as above.
+                let w = _mm512_set1_ps(unsafe { *row.add(p) });
+                for (v, &x) in ti.iter_mut().zip(&xs) {
+                    *v = _mm512_fmadd_ps(w, x, *v);
+                }
+            }
+        }
+        std::array::from_fn(|i| {
+            std::array::from_fn(|s| {
+                let a = |r: usize| acc[r][i][s];
+                let (s0, s1) = (_mm512_add_ps(a(0), a(4)), _mm512_add_ps(a(1), a(5)));
+                let (s2, s3) = (_mm512_add_ps(a(2), a(6)), _mm512_add_ps(a(3), a(7)));
+                let tree = _mm512_add_ps(_mm512_add_ps(s0, s2), _mm512_add_ps(s1, s3));
+                _mm512_add_ps(tree, tail[i][s])
+            })
+        })
+    }
 }
 
 /// Tiled weight gradient: `dw = dyᵀ · cols` without materializing either
@@ -631,7 +1058,7 @@ pub fn conv2d_dw_tiled_acc_at(
     scratch::with_scratch(nblocks * oc * plen, |partials| {
         let slots = DisjointMut::new(partials);
         scnn_par::parallel_for(nblocks, |bi| {
-            // Safety: partial slot `bi` is written only by task `bi`.
+            // SAFETY: partial slot `bi` is written only by task `bi`.
             let part = unsafe { slots.range(bi * oc * plen, (bi + 1) * oc * plen) };
             let p0 = base + bi * REDUCTION_KC;
             let p1 = (p0 + REDUCTION_KC).min(base + k);
@@ -962,6 +1389,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `len` values in `[-0.5, 0.5)` with about one in eight replaced by
+    /// +0.0, -0.0 or a subnormal of either sign.
+    fn awkward(rng: &mut scnn_rng::SplitRng, len: usize) -> Vec<f32> {
+        use scnn_rng::Rng;
+        (0..len)
+            .map(|_| match rng.gen_range(0..32u32) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+                3 => -f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+                _ => rng.gen_range(-0.5f32..0.5),
+            })
+            .collect()
+    }
+
+    /// The position path is the strip path's chain per output element, so
+    /// their outputs are bitwise equal on every geometry the path takes:
+    /// every `k mod 8` (`in_c` 1–40), 1×1, 3×3 and 5×5 taps with any split
+    /// of the padding, maps 1–33 wide so strips straddle rows and images,
+    /// one to nine images, channel counts off every register tile, with and
+    /// without bias, signed zeros and subnormals among the operands — at 1
+    /// and 4 threads.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn position_path_is_bitwise_equal_to_the_strip_path() {
+        use scnn_rng::prop::{check, Case};
+        use scnn_rng::{prop_assert, Rng};
+        if !crate::simd::supports(crate::SimdLevel::Avx512) {
+            eprintln!("position path test skipped: the host has no AVX-512");
+            return;
+        }
+        check("position path bits == strip path bits", 64, |rng| {
+            let k = [1, 3, 5][rng.gen_range(0..3usize)];
+            let (h, w) = (rng.gen_range(1..=12usize), rng.gen_range(1..=33usize));
+            let (pt, pl) = (rng.gen_range(0..k), rng.gen_range(0..k));
+            let (mut n, mut ic) = (rng.gen_range(1..=9usize), rng.gen_range(1..=40usize));
+            let oc = rng.gen_range(1..=37usize);
+            // Bounded work per case (the suite also runs unoptimized).
+            while n * h * w * oc * ic * k * k > 1 << 21 {
+                (n, ic) = if n > 1 { (n - 1, ic) } else { (n, ic.div_ceil(2)) };
+            }
+            let (pt, pl, pb, pr) = (pt as i64, pl as i64, (k - 1 - pt) as i64, (k - 1 - pl) as i64);
+            let pad = Padding2d::new(pt, pb, pl, pr);
+            let g = Conv2dGeometry::new(ic, h, w, k, k, 1, 1, pad);
+            let x = Tensor::from_vec(awkward(rng, n * ic * h * w), &[n, ic, h, w]);
+            let wt = awkward(rng, oc * g.patch_len());
+            let bias = rng.gen::<bool>().then(|| awkward(rng, oc));
+            let win = Window::new(&x, &g, 0, 0);
+            prop_assert!(position::takes(&g, &win.at), "{g:?}");
+            let len = n * oc * h * w;
+            let mut want = vec![f32::NAN; len];
+            scnn_par::with_threads(1, || fwd_strips(&win, &wt, oc, bias.as_deref(), &g, &mut want));
+            for threads in [1, 4] {
+                let mut got = vec![f32::NAN; len];
+                scnn_par::with_threads(threads, || {
+                    position::forward(&win, &wt, oc, bias.as_deref(), &g, &mut got)
+                });
+                let bad = got.iter().zip(&want).position(|(a, b)| a.to_bits() != b.to_bits());
+                prop_assert!(
+                    bad.is_none(),
+                    "{g:?} n={n} oc={oc} bias={} threads={threads}: element {bad:?} {:?} vs {:?}",
+                    bias.is_some(),
+                    bad.map(|i| got[i]),
+                    bad.map(|i| want[i])
+                );
+            }
+            Case::Pass
+        });
     }
 
     #[test]

@@ -168,7 +168,7 @@ pub fn matmul_at_b_into(av: &[f32], bv: &[f32], k: usize, m: usize, n: usize, ou
     scnn_par::scratch::with_scratch(nblocks * m * n, |partials| {
         let slots = scnn_par::DisjointMut::new(partials);
         scnn_par::parallel_for(nblocks, |bi| {
-            // Safety: slot `bi` is written only by task `bi`.
+            // SAFETY: slot `bi` is written only by task `bi`.
             let part = unsafe { slots.range(bi * m * n, (bi + 1) * m * n) };
             let p0 = bi * REDUCTION_KC;
             let p1 = (p0 + REDUCTION_KC).min(k);

@@ -520,7 +520,7 @@ pub(crate) fn add_assign(y: &mut [f32], x: &[f32]) {
     assert_eq!(x.len(), y.len(), "add_assign operand length mismatch");
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // Safety: AVX2+FMA presence established; equal lengths asserted.
+        // SAFETY: AVX2+FMA presence established; equal lengths asserted.
         unsafe { avx2::add_assign(y, x) };
         return;
     }
@@ -543,7 +543,7 @@ pub(crate) fn vadd(dst: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(b.len(), dst.len(), "vadd operand length mismatch");
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // Safety: AVX2+FMA presence established; equal lengths asserted.
+        // SAFETY: AVX2+FMA presence established; equal lengths asserted.
         unsafe { avx2::vadd(dst, a, b) };
         return;
     }
@@ -563,7 +563,7 @@ pub(crate) fn vsub(dst: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(b.len(), dst.len(), "vsub operand length mismatch");
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // Safety: AVX2+FMA presence established; equal lengths asserted.
+        // SAFETY: AVX2+FMA presence established; equal lengths asserted.
         unsafe { avx2::vsub(dst, a, b) };
         return;
     }
@@ -855,6 +855,8 @@ mod avx2 {
         out_cs: usize,
     ) {
         let mut j = 0;
+        // SAFETY: every column group lies inside `0..n`, the extent the
+        // dispatcher checked.
         unsafe {
             while j + 4 <= n {
                 panel_cols::<4>(m, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j);
@@ -905,7 +907,9 @@ mod avx2 {
             acc[..rows].fill([_mm256_setzero_ps(); W]);
             for p0 in (0..k8).step_by(kb) {
                 let p1 = (p0 + kb).min(k8);
+                // SAFETY: see above.
                 let (mut r, mut ap) = (0, unsafe { a.as_ptr().add(r0 * lda) });
+                // SAFETY: see above.
                 unsafe {
                     while r + 3 <= rows {
                         dot_tile::<3, W>(&mut acc[r..r + 3], ap, lda, bp, p0, p1);
@@ -1013,6 +1017,7 @@ mod avx2 {
             }
         } else {
             for ((o, &x), &tail) in out.iter_mut().zip(acc).zip(&tails) {
+                // SAFETY: AVX2+FMA are enabled here.
                 *o = unsafe { lane_sum_reg(x, tail) };
             }
         }
@@ -1085,6 +1090,8 @@ mod avx2 {
     pub(super) unsafe fn add_assign(y: &mut [f32], x: &[f32]) {
         let n = y.len();
         let blocks = n / LANES;
+        // SAFETY: every block `base..base + 8` lies below `n`, and the
+        // caller checked that the slices are `n` long.
         unsafe {
             for ci in 0..blocks {
                 let base = ci * LANES;
@@ -1102,6 +1109,8 @@ mod avx2 {
     pub(super) unsafe fn vadd(dst: &mut [f32], a: &[f32], b: &[f32]) {
         let n = dst.len();
         let blocks = n / LANES;
+        // SAFETY: every block `base..base + 8` lies below `n`, and the
+        // caller checked that the slices are `n` long.
         unsafe {
             for ci in 0..blocks {
                 let base = ci * LANES;
@@ -1119,6 +1128,8 @@ mod avx2 {
     pub(super) unsafe fn vsub(dst: &mut [f32], a: &[f32], b: &[f32]) {
         let n = dst.len();
         let blocks = n / LANES;
+        // SAFETY: every block `base..base + 8` lies below `n`, and the
+        // caller checked that the slices are `n` long.
         unsafe {
             for ci in 0..blocks {
                 let base = ci * LANES;

@@ -279,7 +279,7 @@ pub fn conv2d_fwd_winograd(
                             break;
                         }
                         let base = ((b * oc + k) * oh + oy0 + a) * ow + ox0;
-                        // Safety: each output element belongs to exactly
+                        // SAFETY: each output element belongs to exactly
                         // one tile, tiles to exactly one block, and the
                         // (k, tile) loops of one block never repeat a
                         // position.
