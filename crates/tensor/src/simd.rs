@@ -7,18 +7,23 @@
 //! `matmul_at_b`, the conv `dw` fold, the `dx` channel reduction and the
 //! Winograd forward's transform-domain GEMMs, and the elementwise passes
 //! ([`add_assign`] for block folds, [`vadd`]/[`vsub`] for the Winograd
-//! transforms). The implementation sets, one per [`SimdLevel`]:
+//! transforms).
 //!
-//! - a **portable scalar** body of every primitive in plain Rust — the
-//!   reference semantics;
-//! - an **AVX2+FMA** body of every primitive, written with
-//!   `core::arch::x86_64` intrinsics and compiled with
-//!   `#[target_feature(enable = "avx2,fma")]` so it emits 256-bit vector
-//!   ops even though the crate itself targets baseline x86-64 (the old
-//!   blanket `target-cpu=x86-64-v3` flag is gone); and
-//! - **AVX-512** bodies of the two GEMM micro-kernels, [`dot_panel`] and
-//!   [`gemm_acc`], under `#[target_feature(enable = "avx512f,avx512dq,…")]`;
-//!   the elementwise passes keep their AVX2 bodies at that level.
+//! Each primitive is **one body**: an `#[inline(always)]` function generic
+//! over `Lanes`, one vector register of f32 lanes. The `dispatch!` macro
+//! instantiates it once per [`SimdLevel`]:
+//!
+//! - over `__m512` under `#[target_feature(enable = "avx512f,avx512dq,…")]`;
+//! - over `__m256` under `#[target_feature(enable = "avx2,fma")]`; and
+//! - over the portable `[f32; 8]` twice — under
+//!   `#[target_feature(enable = "fma")]`, taken at the scalar level
+//!   whenever the host executes FMA, and for the build's baseline, taken
+//!   on a host without FMA and on every other architecture.
+//!
+//! The three `Lanes` impls and the `Eight` impls (the lane-sum tree of
+//! one dot output's eight lanes) are the only code here that names a
+//! `core::arch` intrinsic: the walks, the register tiles and their edges
+//! are written once. The crate itself targets baseline x86-64.
 //!
 //! The implementation is picked **once per call site reached**, by
 //! [`active_level`]: a relaxed atomic read resolving (in order) an
@@ -28,66 +33,60 @@
 //!
 //! # The bit-identity contract
 //!
-//! Every body of every primitive evaluates the **same IEEE-754
+//! Every instantiation of every body evaluates the **same IEEE-754
 //! operations in the same order**, and the step of every accumulation
 //! chain is one **fused multiply-add**: `acc = fma(a, b, acc)`, the exact
 //! product plus the accumulator, rounded once.
 //!
-//! - The 8 accumulator lanes of the dot kernels map one-to-one onto one
-//!   `__m256`; lane `l` still accumulates elements `p ≡ l (mod 8)`, the
-//!   scalar tail still folds sequentially, and the final reduction is the
-//!   same fixed [`lane_sum`] tree of plain adds. The AVX-512 body carries
-//!   two outputs' eight lanes in one `__m512` (columns `j` and `j + 1` in
-//!   its low and high halves, against the `a` row broadcast to both) and
-//!   splits the halves back out for that tree.
+//! - A [`dot_panel`] output owns eight lane accumulators: lane `l`
+//!   accumulates elements `p ≡ l (mod 8)`, the scalar tail folds
+//!   sequentially, and the final reduction is the fixed [`lane_sum`] tree
+//!   of plain adds. A register carries `N / 8` outputs' eight lanes side
+//!   by side (one at 256 bits and in the portable array, two at 512,
+//!   against the `a` row repeated in both halves), and hands each back
+//!   out for the tree.
 //! - [`add_assign`], [`vadd`] and [`vsub`] are elementwise: each output
 //!   element is one add (or subtract) regardless of vector width.
 //! - [`gemm_acc`] is elementwise *per output element* too: element
 //!   `(r, j)` sees the chain `acc = fma(a[p, r], b[p, j], acc)` for `p`
-//!   ascending, whatever tile — 4×16 or 8×32 registers, a row/column
-//!   edge, a masked remainder register, a scalar array — happens to hold
-//!   its accumulator.
-//! - **Fused on every body.** The vector kernels issue `_mm512_fmadd_ps`
-//!   / `_mm256_fmadd_ps` and the portable ones `f32::mul_add`: the same
-//!   correctly-rounded operation at any width, so one rounding per step
-//!   costs the contract nothing and halves the FP uops of a step. A
-//!   separate multiply and add (two roundings) appears in no body.
-//! - **The portable body is compiled twice.** Baseline x86-64 has no FMA
-//!   instruction, so a baseline-compiled `mul_add` is a libm `fmaf` call
-//!   per element (same bits; 3.2 ns against 0.16 ns a step in an 8-lane
-//!   dot on the development host). Each portable sweep is therefore one
-//!   `#[inline(always)]` source body with two standalone instantiations
-//!   (`fused_or_baseline!`): under `#[target_feature(enable = "fma")]`,
-//!   taken whenever the host executes FMA, and for the build's baseline,
-//!   taken on an x86-64 host without FMA (where the vector levels do not
-//!   exist either) and on every other architecture, where `mul_add` is
-//!   native.
+//!   ascending, whatever tile — 8×32 or 4×16 registers, a row/column
+//!   edge, a masked remainder register — happens to hold its accumulator.
+//! - **Fused at every width.** `_mm512_fmadd_ps`, `_mm256_fmadd_ps` and
+//!   `f32::mul_add` are the same correctly-rounded operation, so one
+//!   rounding per step costs the contract nothing and halves the FP uops
+//!   of a step. A separate multiply and add (two roundings) appears in no
+//!   body.
+//! - **Why the portable body is compiled twice.** Baseline x86-64 has no
+//!   FMA instruction, so a baseline-compiled `mul_add` is a libm `fmaf`
+//!   call per element (same bits; 3.2 ns against 0.16 ns a step in an
+//!   8-lane dot on the development host). Under `fma` the same source
+//!   vectorises at AVX width.
 //!
 //! Consequently `SCNN_SIMD=scalar`, `avx2` and `avx512` produce
 //! bit-identical tensors at any `SCNN_THREADS` — a tested contract
 //! (`simd_props`), which is what lets the ISA choice be a pure
 //! performance decision.
 
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Number of independent accumulator lanes in the blocked dot product —
-/// exactly the f32 width of one AVX2 register (half an AVX-512 one),
-/// which is why the scalar accumulator array maps onto a single `__m256`.
+/// Number of independent accumulator lanes of one dot output — exactly
+/// the f32 width of one AVX2 register (half an AVX-512 one).
 pub(crate) const LANES: usize = 8;
 
 /// Which micro-kernel implementation set is executing. The levels are
 /// ordered: a host that runs one runs every level below it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
-    /// Portable scalar bodies (compile anywhere; autovectorized at the
-    /// build's baseline width, or at the FMA host's where there is one).
+    /// The portable `[f32; 8]` instantiations (compile anywhere;
+    /// autovectorized at the build's baseline width, or at AVX width on an
+    /// FMA host).
     Scalar,
-    /// Explicit AVX2 256-bit bodies (x86-64 with AVX2+FMA only).
+    /// The 256-bit instantiations (x86-64 with AVX2+FMA only).
     Avx2,
-    /// 512-bit bodies of the two GEMM micro-kernels, [`dot_panel`] and
-    /// [`gemm_acc`], over the AVX2 set (x86-64 with AVX-512 F and DQ, plus
-    /// AVX2+FMA).
+    /// The 512-bit instantiations of every primitive, the elementwise
+    /// passes included (x86-64 with AVX-512 F and DQ, plus AVX2+FMA).
     Avx512,
 }
 
@@ -137,38 +136,17 @@ pub fn supports(level: SimdLevel) -> bool {
     level <= detected_level()
 }
 
-/// `true` when this host executes FMA instructions — what both levels'
-/// chain step needs to be one instruction: the AVX2 bodies are gated on it
-/// through [`detected_level`], and every portable sweep picks its
+/// `true` when this host executes FMA instructions — what every level's
+/// chain step needs to be one instruction: the vector levels are gated on
+/// it through [`detected_level`], and the scalar level picks its
 /// `#[target_feature(enable = "fma")]` instantiation over the baseline one
-/// with it (one cached load and one predictable branch per sweep, outside
-/// the sweep's loops).
+/// with it (one cached load and one predictable branch per call, outside
+/// the body's loops).
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn host_has_fma() -> bool {
     static FMA: OnceLock<bool> = OnceLock::new();
     *FMA.get_or_init(|| std::is_x86_feature_detected!("fma"))
-}
-
-/// Body of a standalone portable sweep: runs the `#[inline(always)]`
-/// source body `$sweep` in one of its two instantiations — a nested copy
-/// compiled under `#[target_feature(enable = "fma")]` where the host
-/// executes FMA, else the one inlined into the calling (baseline) function,
-/// where `mul_add` is libm's `fmaf` on x86-64 and native elsewhere.
-macro_rules! fused_or_baseline {
-    ($sweep:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {{
-        #[cfg(target_arch = "x86_64")]
-        if host_has_fma() {
-            #[target_feature(enable = "fma")]
-            #[allow(clippy::too_many_arguments)]
-            fn fused($($arg: $ty),*) $(-> $ret)? {
-                $sweep($($arg),*)
-            }
-            // SAFETY: the host executes FMA.
-            return unsafe { fused($($arg),*) };
-        }
-        $sweep($($arg),*)
-    }};
 }
 
 /// The `SCNN_SIMD` environment knob, read once: `Some(level)` for an
@@ -240,22 +218,11 @@ pub fn active_level() -> SimdLevel {
     }
 }
 
-/// `true` when the AVX2 bodies of the elementwise passes should run — at
-/// the AVX2 level and at AVX-512, which keeps them.
-#[inline]
-fn use_avx2() -> bool {
-    // On non-x86 builds the AVX2 bodies do not exist; `active_level` can
-    // only ever say Scalar there (detection returns Scalar and forcing
-    // any other level panics), so this compiles to `false`.
-    cfg!(target_arch = "x86_64") && active_level() >= SimdLevel::Avx2
-}
-
 /// Reduces the 8 lanes with a fixed pairwise tree, then folds the scalar
 /// tail. The evaluation order depends only on `k`, never on threads, on
-/// the executing ISA, or on which caller (octet, quad or single) produced
-/// the lanes.
-#[inline]
-pub(crate) fn lane_sum(acc: [f32; LANES], tail: f32) -> f32 {
+/// the executing ISA, or on which register carried the lanes.
+#[inline(always)]
+fn lane_sum(acc: [f32; LANES], tail: f32) -> f32 {
     let s0 = acc[0] + acc[4];
     let s1 = acc[1] + acc[5];
     let s2 = acc[2] + acc[6];
@@ -263,85 +230,383 @@ pub(crate) fn lane_sum(acc: [f32; LANES], tail: f32) -> f32 {
     ((s0 + s2) + (s1 + s3)) + tail
 }
 
-/// 8-lane blocked dot product, the reduction order of one [`dot_panel`]
-/// output element: lane `l` accumulates elements `p ≡ l (mod 8)` — one
-/// fused multiply-add per element, breaking the serial FP dependency
-/// chain — the scalar tail folds sequentially, and [`lane_sum`] reduces
-/// the lanes. The portable body runs it on column remainders; the
-/// `as_chunks` split is infallible, so a malformed length cannot panic
-/// inside the hot loop.
-#[inline(never)]
-fn dot8(a: &[f32], b: &[f32]) -> f32 {
-    fused_or_baseline!(dot8_sweep(a: &[f32], b: &[f32]) -> f32)
+/// One vector register of `N` f32 lanes — everything a kernel body knows
+/// of the ISA. The lane-wise methods treat every lane alike, so no chain
+/// can tell the width; the dot methods see the register as `COLS = N / 8`
+/// groups of eight lanes, one [`dot_panel`] output's accumulators each.
+///
+/// # Safety
+///
+/// Every method is `unsafe` with one contract: it runs inside a
+/// `dispatch!` entry whose `target_feature`s cover the impl's ISA, and
+/// every pointer it is given addresses the floats it accesses — for a
+/// masked method only the mask's lanes, which are all it touches.
+trait Lanes: Copy {
+    /// f32 lanes per register.
+    const N: usize;
+    /// Dot outputs per register.
+    const COLS: usize = Self::N / LANES;
+    /// The first few lanes of a register, as the masked methods take them.
+    type Mask: Copy;
+    /// One dot output's eight lanes.
+    type Eight: Eight;
+    unsafe fn zero() -> Self;
+    unsafe fn splat(x: f32) -> Self;
+    unsafe fn load(p: *const f32) -> Self;
+    unsafe fn store(self, p: *mut f32);
+    /// The first `cols` lanes (`cols < N`).
+    unsafe fn mask(cols: usize) -> Self::Mask;
+    /// [`Lanes::load`] of the mask's lanes; the others read 0.0.
+    unsafe fn load_masked(p: *const f32, mask: Self::Mask) -> Self;
+    unsafe fn store_masked(self, p: *mut f32, mask: Self::Mask);
+    /// The chain step: `a·b + c`, rounded once.
+    unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
+    unsafe fn add(a: Self, b: Self) -> Self;
+    unsafe fn sub(a: Self, b: Self) -> Self;
+    /// `p[..8]` in every group: one lane step of an `a` row, against
+    /// every output the register carries.
+    unsafe fn dup8(p: *const f32) -> Self;
+    /// `rows[g][p..p + 8]` in group `g`: one lane step of `COLS` `b` rows.
+    unsafe fn cols8(rows: &[*const f32], p: usize) -> Self;
+    /// Group `g < COLS`.
+    unsafe fn eight(self, g: usize) -> Self::Eight;
 }
 
-/// Source body of [`dot8`], inlined into its two instantiations.
-#[inline(always)]
-fn dot8_sweep(a: &[f32], b: &[f32]) -> f32 {
-    let (ab, at) = a.as_chunks::<LANES>();
-    let (bb, bt) = b.as_chunks::<LANES>();
-    let mut acc = [0.0f32; LANES];
-    for (ka, kb) in ab.iter().zip(bb) {
+/// One [`dot_panel`] output's eight lane accumulators, and the
+/// [`lane_sum`] tree over them — the same operand pairs in the same order
+/// at every width.
+trait Eight: Copy {
+    unsafe fn sum(self, tail: f32) -> f32;
+    /// [`Eight::sum`] of four outputs at once.
+    unsafe fn sum4(x: [Self; 4], tails: [f32; 4]) -> [f32; 4];
+}
+
+/// The portable register: a plain array the `fma` instantiation
+/// vectorises at AVX width.
+impl Lanes for [f32; LANES] {
+    const N: usize = LANES;
+    type Mask = usize;
+    type Eight = Self;
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        [0.0; LANES]
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f32) -> Self {
+        [x; LANES]
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        p.cast::<Self>().read_unaligned()
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        p.cast::<Self>().write_unaligned(self)
+    }
+    #[inline(always)]
+    unsafe fn mask(cols: usize) -> usize {
+        cols
+    }
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f32, cols: usize) -> Self {
+        let mut v = [0.0; LANES];
+        std::ptr::copy_nonoverlapping(p, v.as_mut_ptr(), cols);
+        v
+    }
+    #[inline(always)]
+    unsafe fn store_masked(self, p: *mut f32, cols: usize) {
+        std::ptr::copy_nonoverlapping(self.as_ptr(), p, cols)
+    }
+    #[inline(always)]
+    unsafe fn fma(a: Self, b: Self, mut c: Self) -> Self {
         for l in 0..LANES {
-            acc[l] = ka[l].mul_add(kb[l], acc[l]);
+            c[l] = a[l].mul_add(b[l], c[l]);
+        }
+        c
+    }
+    #[inline(always)]
+    unsafe fn add(mut a: Self, b: Self) -> Self {
+        for l in 0..LANES {
+            a[l] += b[l];
+        }
+        a
+    }
+    #[inline(always)]
+    unsafe fn sub(mut a: Self, b: Self) -> Self {
+        for l in 0..LANES {
+            a[l] -= b[l];
+        }
+        a
+    }
+    #[inline(always)]
+    unsafe fn dup8(p: *const f32) -> Self {
+        Self::load(p)
+    }
+    #[inline(always)]
+    unsafe fn cols8(rows: &[*const f32], p: usize) -> Self {
+        Self::load(rows[0].add(p))
+    }
+    #[inline(always)]
+    unsafe fn eight(self, _: usize) -> Self {
+        self
+    }
+}
+
+impl Eight for [f32; LANES] {
+    #[inline(always)]
+    unsafe fn sum(self, tail: f32) -> f32 {
+        lane_sum(self, tail)
+    }
+    #[inline(always)]
+    unsafe fn sum4(x: [Self; 4], tails: [f32; 4]) -> [f32; 4] {
+        std::array::from_fn(|i| lane_sum(x[i], tails[i]))
+    }
+}
+
+/// The x86-64 registers. Their methods carry no `target_feature` of their
+/// own: they are `#[inline(always)]` into a body that is itself inlined
+/// into a `dispatch!` entry of their ISA, where every intrinsic inlines.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{Eight, Lanes, LANES};
+    use core::arch::x86_64::*;
+
+    /// Eight lanes: one dot output per register.
+    impl Lanes for __m256 {
+        const N: usize = LANES;
+        type Mask = __m256i;
+        type Eight = Self;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm256_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm256_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn mask(cols: usize) -> __m256i {
+            _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(cols as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            )
+        }
+        #[inline(always)]
+        unsafe fn load_masked(p: *const f32, mask: __m256i) -> Self {
+            _mm256_maskload_ps(p, mask)
+        }
+        #[inline(always)]
+        unsafe fn store_masked(self, p: *mut f32, mask: __m256i) {
+            _mm256_maskstore_ps(p, mask, self)
+        }
+        #[inline(always)]
+        unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+            _mm256_fmadd_ps(a, b, c)
+        }
+        #[inline(always)]
+        unsafe fn add(a: Self, b: Self) -> Self {
+            _mm256_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: Self, b: Self) -> Self {
+            _mm256_sub_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn dup8(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn cols8(rows: &[*const f32], p: usize) -> Self {
+            _mm256_loadu_ps(rows[0].add(p))
+        }
+        #[inline(always)]
+        unsafe fn eight(self, _: usize) -> Self {
+            self
         }
     }
-    let mut tail = 0.0f32;
-    for (&x, &y) in at.iter().zip(bt) {
-        tail = x.mul_add(y, tail);
-    }
-    lane_sum(acc, tail)
-}
 
-/// Four simultaneous [`dot8`]s sharing one pass over `a` (so the A-row is
-/// loaded once per quad instead of once per dot). Bit-identical to four
-/// independent `dot8` calls.
-#[inline(never)]
-fn dot8_x4_scalar(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    fused_or_baseline!(dot8_x4_sweep(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4])
-}
-
-/// Source body of [`dot8_x4_scalar`], inlined into its two instantiations.
-#[inline(always)]
-fn dot8_x4_sweep(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    let mut acc0 = [0.0f32; LANES];
-    let mut acc1 = [0.0f32; LANES];
-    let mut acc2 = [0.0f32; LANES];
-    let mut acc3 = [0.0f32; LANES];
-    let (ab, at) = a.as_chunks::<LANES>();
-    let (b0b, b0t) = b0.as_chunks::<LANES>();
-    let (b1b, b1t) = b1.as_chunks::<LANES>();
-    let (b2b, b2t) = b2.as_chunks::<LANES>();
-    let (b3b, b3t) = b3.as_chunks::<LANES>();
-    for (ci, ka) in ab.iter().enumerate() {
-        let (k0, k1, k2, k3) = (&b0b[ci], &b1b[ci], &b2b[ci], &b3b[ci]);
-        for l in 0..LANES {
-            acc0[l] = ka[l].mul_add(k0[l], acc0[l]);
-            acc1[l] = ka[l].mul_add(k1[l], acc1[l]);
-            acc2[l] = ka[l].mul_add(k2[l], acc2[l]);
-            acc3[l] = ka[l].mul_add(k3[l], acc3[l]);
+    /// The tree in the vector unit: the 128-bit halves add to
+    /// `[s0, s1, s2, s3]` (lane `l` plus lane `l + 4`), the upper pair
+    /// folds onto the lower (`s0 + s2`, `s1 + s3`), those two add, then the
+    /// tail.
+    impl Eight for __m256 {
+        #[inline(always)]
+        unsafe fn sum(self, tail: f32) -> f32 {
+            let s = _mm_add_ps(
+                _mm256_castps256_ps128(self),
+                _mm256_extractf128_ps::<1>(self),
+            );
+            let t = _mm_add_ps(s, _mm_movehl_ps(s, s));
+            let u = _mm_add_ss(t, _mm_shuffle_ps::<1>(t, t));
+            _mm_cvtss_f32(u) + tail
+        }
+        /// The halves add as in [`Eight::sum`], a 4×4 transpose lines up
+        /// element `i` of every sum in row `i`, and
+        /// `(row0 + row2) + (row1 + row3)` then `+ tails` is the same tree
+        /// on four dots per instruction.
+        #[inline(always)]
+        unsafe fn sum4(x: [Self; 4], tails: [f32; 4]) -> [f32; 4] {
+            let half =
+                |x: __m256| _mm_add_ps(_mm256_castps256_ps128(x), _mm256_extractf128_ps::<1>(x));
+            let (s0, s1, s2, s3) = (half(x[0]), half(x[1]), half(x[2]), half(x[3]));
+            let (t0, t1) = (_mm_unpacklo_ps(s0, s1), _mm_unpackhi_ps(s0, s1));
+            let (t2, t3) = (_mm_unpacklo_ps(s2, s3), _mm_unpackhi_ps(s2, s3));
+            let (r0, r1) = (_mm_movelh_ps(t0, t2), _mm_movehl_ps(t2, t0));
+            let (r2, r3) = (_mm_movelh_ps(t1, t3), _mm_movehl_ps(t3, t1));
+            let sum = _mm_add_ps(_mm_add_ps(r0, r2), _mm_add_ps(r1, r3));
+            let mut out = [0.0f32; 4];
+            _mm_storeu_ps(
+                out.as_mut_ptr(),
+                _mm_add_ps(sum, _mm_loadu_ps(tails.as_ptr())),
+            );
+            out
         }
     }
-    let mut tails = [0.0f32; 4];
-    for (p, &x) in at.iter().enumerate() {
-        tails[0] = x.mul_add(b0t[p], tails[0]);
-        tails[1] = x.mul_add(b1t[p], tails[1]);
-        tails[2] = x.mul_add(b2t[p], tails[2]);
-        tails[3] = x.mul_add(b3t[p], tails[3]);
+
+    /// Sixteen lanes: two dot outputs per register, the first in the low
+    /// half and the second in the high half, against the `a` row
+    /// broadcast to both.
+    impl Lanes for __m512 {
+        const N: usize = 2 * LANES;
+        type Mask = __mmask16;
+        type Eight = __m256;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm512_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            _mm512_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm512_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn mask(cols: usize) -> __mmask16 {
+            ((1u32 << cols) - 1) as __mmask16
+        }
+        #[inline(always)]
+        unsafe fn load_masked(p: *const f32, mask: __mmask16) -> Self {
+            _mm512_maskz_loadu_ps(mask, p)
+        }
+        #[inline(always)]
+        unsafe fn store_masked(self, p: *mut f32, mask: __mmask16) {
+            _mm512_mask_storeu_ps(p, mask, self)
+        }
+        #[inline(always)]
+        unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+            _mm512_fmadd_ps(a, b, c)
+        }
+        #[inline(always)]
+        unsafe fn add(a: Self, b: Self) -> Self {
+            _mm512_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: Self, b: Self) -> Self {
+            _mm512_sub_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn dup8(p: *const f32) -> Self {
+            _mm512_broadcast_f32x8(_mm256_loadu_ps(p))
+        }
+        #[inline(always)]
+        unsafe fn cols8(rows: &[*const f32], p: usize) -> Self {
+            let lo = _mm512_castps256_ps512(_mm256_loadu_ps(rows[0].add(p)));
+            _mm512_insertf32x8::<1>(lo, _mm256_loadu_ps(rows[1].add(p)))
+        }
+        #[inline(always)]
+        unsafe fn eight(self, g: usize) -> __m256 {
+            if g == 0 {
+                _mm512_castps512_ps256(self)
+            } else {
+                _mm512_extractf32x8_ps::<1>(self)
+            }
+        }
     }
-    [
-        lane_sum(acc0, tails[0]),
-        lane_sum(acc1, tails[1]),
-        lane_sum(acc2, tails[2]),
-        lane_sum(acc3, tails[3]),
-    ]
 }
 
-/// Rows of `a` whose lane accumulators one group of [`dot_panel`]'s AVX2
-/// body carries between shared-dimension blocks (a multiple of the
-/// three-row register tile): 24 rows × 4 columns of 8-lane accumulators
-/// are 3 KiB of stack, and every block of `b` loaded into L1 is used 24
-/// times before the next one replaces it.
+/// Runs the generic kernel body `$body` at the active level, with the
+/// const parameters listed for it per level (AVX-512; AVX2; portable):
+/// three `#[target_feature]` entries — `__m512` under AVX-512, `__m256`
+/// under AVX2+FMA, `[f32; 8]` under FMA — and a baseline `[f32; 8]` entry
+/// for a host without FMA and for every other architecture. Each entry is
+/// a function of its own, so the dispatcher stays a few instructions. The
+/// caller has checked every extent the body addresses.
+macro_rules! dispatch {
+    ($body:ident::<$($z:literal),*; $($y:literal),*; $($p:literal),*>($($arg:ident: $ty:ty),* $(,)?)) => {{
+        #[cfg(target_arch = "x86_64")]
+        {
+            use core::arch::x86_64::{__m256, __m512};
+            #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn avx512($($arg: $ty),*) {
+                $body::<__m512, $($z),*>($($arg),*)
+            }
+            #[target_feature(enable = "avx2,fma")]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn avx2($($arg: $ty),*) {
+                $body::<__m256, $($y),*>($($arg),*)
+            }
+            #[target_feature(enable = "fma")]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn fused($($arg: $ty),*) {
+                $body::<[f32; LANES], $($p),*>($($arg),*)
+            }
+            match active_level() {
+                // SAFETY: the level is only active on a host with AVX-512
+                // F+DQ and AVX2+FMA; the caller checked every extent.
+                SimdLevel::Avx512 => return unsafe { avx512($($arg),*) },
+                // SAFETY: AVX2+FMA presence established; the caller
+                // checked every extent.
+                SimdLevel::Avx2 => return unsafe { avx2($($arg),*) },
+                // SAFETY: the host executes FMA; the caller checked every
+                // extent.
+                SimdLevel::Scalar if host_has_fma() => return unsafe { fused($($arg),*) },
+                SimdLevel::Scalar => {}
+            }
+        }
+        #[inline(never)]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn baseline($($arg: $ty),*) {
+            $body::<[f32; LANES], $($p),*>($($arg),*)
+        }
+        // SAFETY: the portable body needs no ISA; the caller checked every
+        // extent.
+        unsafe { baseline($($arg),*) }
+    }};
+}
+
+/// `(count - 1) · stride`, the offset of the last of `count ≥ 1` strided
+/// items, or `None` where it overflows: the extent checks below form
+/// every bound with checked arithmetic, so no operand can pass them by
+/// wrapping.
+fn last_at(count: usize, stride: usize) -> Option<usize> {
+    (count - 1).checked_mul(stride)
+}
+
+/// `true` when `end` exists and is at most `len`.
+fn within(end: Option<usize>, len: usize) -> bool {
+    end.is_some_and(|end| end <= len)
+}
+
+/// Rows of `a` whose lane accumulators one group of [`dot_panel`]'s walk
+/// carries between shared-dimension blocks (a multiple of every level's
+/// row tile): 24 rows × four registers are at most 6 KiB of stack, and
+/// every block of `b` loaded into L1 is used 24 times before the next one
+/// replaces it.
 pub(crate) const PANEL_ROWS: usize = 24;
 
 /// Upper bound on [`dot_panel`]'s shared-dimension block, in floats: one
@@ -351,21 +616,25 @@ pub(crate) const PANEL_ROWS: usize = 24;
 /// accumulators move through memory once per block).
 const PANEL_KB: usize = 512;
 
+/// Most registers in one [`dot_panel`] column group.
+const GROUP_REGS: usize = 4;
+
+/// Most columns in one [`dot_panel`] column group: four registers of two.
+const GROUP_COLS: usize = 8;
+
 /// The dot-form GEMM: `out[r·out_rs + j·out_cs] = dot8(a_r, b_j) (+ bias[j])`
 /// for `r < m`, `j < n`, where `a_r = a[r·lda ..][..k]` and
 /// `b_j = b[j·ldb ..][..k]` — `matmul_a_bt`, and the tiled conv forward
 /// with `a` a packed patch panel and `b` the weight matrix.
 ///
-/// Every output element is exactly [`lane_sum`] over the eight [`dot8`]
-/// lanes of its own row pair, then the sequential tail, then one bias add:
-/// lane `l` accumulates `p ≡ l (mod 8)` with `p` ascending. The loop nest
-/// around that — a few `b` rows stationary while the `a` rows stream past
-/// them three to a register tile, the shared dimension cut into L1-sized
-/// blocks with the lane accumulators carried from block to block — only
-/// decides which operand is in cache or in a register when; a lane's
-/// chain never sees it. The `(out_rs, out_cs)` stride pair lets the
-/// result land row-major (`n`, 1) or channel-major (1, rows), so neither
-/// caller transposes.
+/// `dot8` is the blocked dot product: every output element is exactly
+/// [`lane_sum`] over its eight lanes — lane `l` accumulates `a_r[p]·b_j[p]`
+/// for `p ≡ l (mod 8)`, `p` ascending, one fused step each — then the
+/// sequential `k mod 8` tail, then one bias add. The
+/// loop nest around that ([`dot_walk`]) only decides which operand is in
+/// cache or in a register when; a lane's chain never sees it. The
+/// `(out_rs, out_cs)` stride pair lets the result land row-major (`n`, 1)
+/// or channel-major (1, rows), so neither caller transposes.
 ///
 /// # Panics
 ///
@@ -389,40 +658,47 @@ pub fn dot_panel(
         return;
     }
     assert!(lda >= k && ldb >= k, "dot_panel leading dimension below k");
-    assert!((m - 1) * lda + k <= a.len(), "dot_panel lhs too short");
-    assert!((n - 1) * ldb + k <= b.len(), "dot_panel rhs too short");
+    let rows_end = |count, ld| last_at(count, ld).and_then(|at: usize| at.checked_add(k));
+    assert!(within(rows_end(m, lda), a.len()), "dot_panel lhs too short");
+    assert!(within(rows_end(n, ldb), b.len()), "dot_panel rhs too short");
+    let out_last = last_at(m, out_rs).zip(last_at(n, out_cs));
     assert!(
-        (m - 1) * out_rs + (n - 1) * out_cs < out.len(),
+        out_last
+            .and_then(|(r, c)| r.checked_add(c))
+            .is_some_and(|last| last < out.len()),
         "dot_panel out too short"
     );
     if let Some(bias) = bias {
         assert_eq!(bias.len(), n, "dot_panel bias length");
     }
-    #[cfg(target_arch = "x86_64")]
-    match active_level() {
-        SimdLevel::Avx512 => {
-            // SAFETY: the level is only active on a host with AVX-512 F+DQ
-            // and AVX2+FMA; the asserts above bound every address the
-            // kernel forms in `a` and `b`.
-            unsafe { avx512::dot_panel(m, n, k, a, lda, b, ldb, bias, out, out_rs, out_cs) };
-            return;
-        }
-        SimdLevel::Avx2 => {
-            // SAFETY: AVX2+FMA presence established; the asserts above
-            // bound every address the kernel forms in `a` and `b`.
-            unsafe { avx2::dot_panel(m, n, k, a, lda, b, ldb, bias, out, out_rs, out_cs) };
-            return;
-        }
-        SimdLevel::Scalar => {}
-    }
-    dot_panel_scalar(m, n, k, a, lda, b, ldb, bias, out, out_rs, out_cs);
+    dispatch!(dot_walk::<4; 3; 3>(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        ldb: usize,
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        out_rs: usize,
+        out_cs: usize,
+    ))
 }
 
-/// Portable body of [`dot_panel`]: the same `b`-stationary walk over the
-/// standalone multi-dot sweeps (no shared-dimension blocking — the sweeps
-/// keep their accumulators in the autovectorized loop).
+/// The one body of [`dot_panel`]. Column groups of four registers, then
+/// two, then one — `4 · COLS`, `2 · COLS` and `COLS` columns — each a
+/// `b`-stationary pass of [`dot_group`]; a short last group repeats the
+/// last column in its spare slots and drops their outputs. `ROWS` is the
+/// level's register-tile height (at most 4).
+///
+/// # Safety
+///
+/// Runs inside a `dispatch!` entry of `L`'s ISA, with arguments that
+/// passed [`dot_panel`]'s checks.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn dot_panel_scalar(
+unsafe fn dot_walk<L: Lanes, const ROWS: usize>(
     m: usize,
     n: usize,
     k: usize,
@@ -435,78 +711,188 @@ fn dot_panel_scalar(
     out_rs: usize,
     out_cs: usize,
 ) {
-    let arow = |r: usize| &a[r * lda..r * lda + k];
-    let brow = |j: usize| &b[j * ldb..j * ldb + k];
-    let mut put = |r: usize, j: usize, v: f32| {
-        out[r * out_rs + j * out_cs] = bias.map_or(v, |bias| v + bias[j]);
-    };
+    // One shared-dimension block of a column group's registers of `b`,
+    // step by step, reused by every group and left uninitialised: with
+    // `COLS > 1` a block's first tile writes every slot its other tiles
+    // read; with one column per register nothing is packed (a register
+    // is one load of one row already).
+    let mut packed = MaybeUninit::<[L; GROUP_REGS * PANEL_KB / LANES]>::uninit();
+    let packed = packed.as_mut_ptr().cast::<L>();
     let mut j = 0;
-    while j + 8 <= n {
-        let bs: [&[f32]; 8] = std::array::from_fn(|jj| brow(j + jj));
-        for r in 0..m {
-            let q = dot8_x8_scalar(arow(r), bs);
-            for (jj, &v) in q.iter().enumerate() {
-                put(r, j + jj, v);
-            }
-        }
-        j += 8;
-    }
-    while j + 4 <= n {
-        for r in 0..m {
-            let q = dot8_x4_scalar(arow(r), brow(j), brow(j + 1), brow(j + 2), brow(j + 3));
-            for (jj, &v) in q.iter().enumerate() {
-                put(r, j + jj, v);
-            }
-        }
-        j += 4;
-    }
     while j < n {
-        for r in 0..m {
-            put(r, j, dot8(arow(r), brow(j)));
+        macro_rules! group {
+            ($regs:expr) => {{
+                dot_group::<L, ROWS, { $regs }>(
+                    m, n, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j, packed,
+                );
+                $regs
+            }};
         }
-        j += 1;
+        let regs = match (n - j).div_ceil(L::COLS) {
+            1 => group!(1),
+            2 | 3 => group!(2),
+            _ => group!(GROUP_REGS),
+        };
+        j += regs * L::COLS;
     }
 }
 
-/// Eight simultaneous [`dot8`]s sharing one pass over `a`: each
-/// accumulator set is private to its B row and reduces through the same
-/// [`lane_sum`] tree, so the result is bit-identical to eight independent
-/// `dot8` calls. Taking the rows as `[&[f32]; 8]` (rather than one
-/// contiguous `8·k` slice) keeps the per-row block loads simple, and
-/// `inline(never)` is load-bearing: inlined into a large caller the sweep
-/// loses its autovectorization (measured ~2.5× slower); as a standalone
-/// function it always compiles clean, and the call cost is noise next to
-/// the `8·k` multiply-adds.
-#[inline(never)]
-fn dot8_x8_scalar(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8] {
-    fused_or_baseline!(dot8_x8_sweep(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8])
-}
-
-/// Source body of [`dot8_x8_scalar`], inlined into its two instantiations.
+/// Columns `j0 ..` of [`dot_panel`] in `G` registers, for every row of
+/// `a`: the group's rows of `b` stay put while groups of [`PANEL_ROWS`]
+/// `a` rows pass them one shared-dimension block at a time, `ROWS` rows
+/// per register tile. A row's `G` registers rest in the group's array
+/// between blocks and take each block's steps in registers, `p`
+/// ascending per lane, so a block of `b` is read into L1 once per row
+/// group, and a block of the group's `a` rows once per column group.
+/// Slot `s` of the group holds column `min(j0 + s, n - 1)`; `packed` is
+/// [`dot_walk`]'s pack block.
+///
+/// # Safety
+///
+/// As [`dot_walk`], with `j0 < n` and `packed` holding a pack block.
 #[inline(always)]
-fn dot8_x8_sweep(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8] {
-    let mut acc = [[0.0f32; LANES]; 8];
-    let (ab, at) = a.as_chunks::<LANES>();
-    for (ci, ka) in ab.iter().enumerate() {
-        for (j, b) in bs.iter().enumerate() {
-            let kb = &b.as_chunks::<LANES>().0[ci];
-            for l in 0..LANES {
-                acc[j][l] = ka[l].mul_add(kb[l], acc[j][l]);
+#[allow(clippy::too_many_arguments)]
+unsafe fn dot_group<L: Lanes, const ROWS: usize, const G: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    out_rs: usize,
+    out_cs: usize,
+    j0: usize,
+    packed: *mut L,
+) {
+    const { assert!(ROWS <= 4 && G <= GROUP_REGS && G * L::COLS <= GROUP_COLS) };
+    let slots = G * L::COLS;
+    let col = |s: usize| (j0 + s).min(n - 1);
+    let k8 = k / LANES * LANES;
+    let kb = panel_block(k8);
+    let bp: [*const f32; GROUP_COLS] = std::array::from_fn(|s| b.as_ptr().add(col(s) * ldb));
+    // The slots' lane tails, transposed: one vector of slots per tail
+    // element, so a row's tails accumulate every slot per step.
+    let mut btail = [[0.0f32; GROUP_COLS]; LANES - 1];
+    for (i, ys) in btail[..k - k8].iter_mut().enumerate() {
+        for (s, y) in ys[..slots].iter_mut().enumerate() {
+            *y = b[col(s) * ldb + k8 + i];
+        }
+    }
+    let mut acc = [[L::zero(); G]; PANEL_ROWS];
+    for r0 in (0..m).step_by(PANEL_ROWS) {
+        let rows = PANEL_ROWS.min(m - r0);
+        acc[..rows].fill([L::zero(); G]);
+        for p0 in (0..k8).step_by(kb) {
+            let p1 = (p0 + kb).min(k8);
+            let (mut r, mut ap) = (0, a.as_ptr().add(r0 * lda));
+            while r < rows {
+                let h = ROWS.min(rows - r);
+                let acc = &mut acc[r..];
+                macro_rules! tile {
+                    ($rows:literal, $pack:literal) => {
+                        dot_tile::<L, $rows, G, $pack>(acc, ap, lda, &bp, packed, p0, p1)
+                    };
+                }
+                match (h, L::COLS > 1 && r == 0) {
+                    (4, true) => tile!(4, true),
+                    (4, false) => tile!(4, false),
+                    (3, true) => tile!(3, true),
+                    (3, false) => tile!(3, false),
+                    (2, true) => tile!(2, true),
+                    (2, false) => tile!(2, false),
+                    (_, true) => tile!(1, true),
+                    (_, false) => tile!(1, false),
+                }
+                (r, ap) = (r + h, ap.add(h * lda));
+            }
+        }
+        for (r, regs) in acc[..rows].iter().enumerate() {
+            let (row, at) = (r0 + r, (r0 + r) * lda);
+            let mut tails = [0.0f32; GROUP_COLS];
+            for (&x, ys) in a[at + k8..at + k].iter().zip(&btail) {
+                for (tail, &y) in tails[..slots].iter_mut().zip(ys) {
+                    *tail = x.mul_add(y, *tail);
+                }
+            }
+            let eight = |s: usize| regs[s / L::COLS].eight(s % L::COLS);
+            let mut sums = [0.0f32; GROUP_COLS];
+            if slots.is_multiple_of(4) {
+                for s in (0..slots).step_by(4) {
+                    let four = L::Eight::sum4(
+                        std::array::from_fn(|i| eight(s + i)),
+                        std::array::from_fn(|i| tails[s + i]),
+                    );
+                    sums[s..s + 4].copy_from_slice(&four);
+                }
+            } else {
+                for (s, sum) in sums[..slots].iter_mut().enumerate() {
+                    *sum = eight(s).sum(tails[s]);
+                }
+            }
+            for (s, &v) in sums[..slots.min(n - j0)].iter().enumerate() {
+                let j = j0 + s;
+                out[row * out_rs + j * out_cs] = bias.map_or(v, |bias| v + bias[j]);
             }
         }
     }
-    let rem = ab.len() * LANES;
-    let mut tails = [0.0f32; 8];
-    for (p, &x) in at.iter().enumerate() {
-        for (j, b) in bs.iter().enumerate() {
-            tails[j] = x.mul_add(b[rem + p], tails[j]);
+}
+
+/// [`dot_panel`]'s shared-dimension block for `k8` lane-step floats:
+/// equal blocks of whole lane steps, none above [`PANEL_KB`].
+fn panel_block(k8: usize) -> usize {
+    k8.div_ceil(k8.div_ceil(PANEL_KB).max(1))
+        .next_multiple_of(LANES)
+        .max(LANES)
+}
+
+/// One `R`-row × `G`-register tile of [`dot_group`]: lane steps `p0..p1`
+/// of `R` consecutive `a` rows, each repeated across the register's
+/// groups, against the column group's registers of `b`, continuing the
+/// accumulators in `acc`. With one column per register a `b` register is
+/// one load of its row. With more, a register gathers a row per group:
+/// the block's first tile (`PACK`) gathers each and stores it into
+/// `packed` as it is used, and the block's other tiles load it whole.
+/// Packing inside the first tile lets the reads of `b`, often from
+/// outside L2, overlap that tile's multiply-adds.
+///
+/// # Safety
+///
+/// As [`dot_walk`]; `a` addresses `R` rows `lda` apart and `bp` rows of
+/// `b`, each holding at least `p1` floats, and `packed` holds
+/// `(p1 - p0) / 8 · G` registers, which the block's `PACK` tile writes
+/// before any other tile of the block reads them.
+#[inline(always)]
+unsafe fn dot_tile<L: Lanes, const R: usize, const G: usize, const PACK: bool>(
+    acc: &mut [[L; G]],
+    a: *const f32,
+    lda: usize,
+    bp: &[*const f32; GROUP_COLS],
+    packed: *mut L,
+    p0: usize,
+    p1: usize,
+) {
+    let mut c: [[L; G]; R] = std::array::from_fn(|r| acc[r]);
+    for (s, p) in (p0..p1).step_by(LANES).enumerate() {
+        let va: [L; R] = std::array::from_fn(|r| L::dup8(a.add(r * lda + p)));
+        for q in 0..G {
+            let vb = if L::COLS > 1 && !PACK {
+                packed.add(s * G + q).read()
+            } else {
+                let v = L::cols8(&bp[q * L::COLS..], p);
+                if PACK {
+                    packed.add(s * G + q).write(v);
+                }
+                v
+            };
+            for (row, &x) in c.iter_mut().zip(&va) {
+                row[q] = L::fma(x, vb, row[q]);
+            }
         }
     }
-    let mut out = [0.0f32; 8];
-    for j in 0..8 {
-        out[j] = lane_sum(acc[j], tails[j]);
-    }
-    out
+    acc[..R].copy_from_slice(&c);
 }
 
 /// `y[i] += x[i]` — the partial-block folds of `matmul_at_b` and the conv
@@ -518,15 +904,9 @@ fn dot8_x8_sweep(a: &[f32], bs: [&[f32]; 8]) -> [f32; 8] {
 #[inline]
 pub(crate) fn add_assign(y: &mut [f32], x: &[f32]) {
     assert_eq!(x.len(), y.len(), "add_assign operand length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2+FMA presence established; equal lengths asserted.
-        unsafe { avx2::add_assign(y, x) };
-        return;
-    }
-    for (o, &v) in y.iter_mut().zip(x) {
-        *o += v;
-    }
+    let (n, dst, b) = (y.len(), y.as_mut_ptr(), x.as_ptr());
+    let a = dst.cast_const();
+    dispatch!(zip::<false; false; false>(dst: *mut f32, a: *const f32, b: *const f32, n: usize))
 }
 
 /// `dst[i] = a[i] + b[i]` — the Winograd transform combinator: the
@@ -541,15 +921,8 @@ pub(crate) fn add_assign(y: &mut [f32], x: &[f32]) {
 pub(crate) fn vadd(dst: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(a.len(), dst.len(), "vadd operand length mismatch");
     assert_eq!(b.len(), dst.len(), "vadd operand length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2+FMA presence established; equal lengths asserted.
-        unsafe { avx2::vadd(dst, a, b) };
-        return;
-    }
-    for ((o, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *o = x + y;
-    }
+    let (n, dst, a, b) = (dst.len(), dst.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+    dispatch!(zip::<false; false; false>(dst: *mut f32, a: *const f32, b: *const f32, n: usize))
 }
 
 /// `dst[i] = a[i] - b[i]` — see [`vadd`].
@@ -561,23 +934,35 @@ pub(crate) fn vadd(dst: &mut [f32], a: &[f32], b: &[f32]) {
 pub(crate) fn vsub(dst: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(a.len(), dst.len(), "vsub operand length mismatch");
     assert_eq!(b.len(), dst.len(), "vsub operand length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: AVX2+FMA presence established; equal lengths asserted.
-        unsafe { avx2::vsub(dst, a, b) };
-        return;
-    }
-    for ((o, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *o = x - y;
-    }
+    let (n, dst, a, b) = (dst.len(), dst.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+    dispatch!(zip::<true; true; true>(dst: *mut f32, a: *const f32, b: *const f32, n: usize))
 }
 
-/// Register tile of [`gemm_acc`]: `MR` output rows by `NR` columns, `NR`
-/// two AVX2 registers wide. 4×16 keeps eight accumulator registers live
-/// across the whole `p` loop and leaves room for the two `b` vectors and
-/// the `a` broadcast inside AVX2's sixteen.
-const MR: usize = 4;
-const NR: usize = 2 * LANES;
+/// The one body of the elementwise passes: `dst[i] = a[i] ± b[i]` for
+/// `i < n` (a difference with `SUB`), whole registers, then the last
+/// `n mod N` elements as one masked register. `dst` may be `a`.
+///
+/// # Safety
+///
+/// Runs inside a `dispatch!` entry of `L`'s ISA; `dst`, `a` and `b`
+/// address `n` floats each.
+#[inline(always)]
+unsafe fn zip<L: Lanes, const SUB: bool>(dst: *mut f32, a: *const f32, b: *const f32, n: usize) {
+    let op = |x, y| if SUB { L::sub(x, y) } else { L::add(x, y) };
+    let mut i = 0;
+    while i + L::N <= n {
+        op(L::load(a.add(i)), L::load(b.add(i))).store(dst.add(i));
+        i += L::N;
+    }
+    if i < n {
+        let mask = L::mask(n - i);
+        let (x, y) = (
+            L::load_masked(a.add(i), mask),
+            L::load_masked(b.add(i), mask),
+        );
+        op(x, y).store_masked(dst.add(i), mask);
+    }
+}
 
 /// Register-blocked rank-`k` update, the one inner loop of every direct
 /// backward kernel (`matmul`, `matmul_at_b`, the conv `dw` fold, the conv
@@ -590,12 +975,12 @@ const NR: usize = 2 * LANES;
 /// ascending — one fused multiply-add, one rounding, per step — starting
 /// from the value already in `c`: exactly the chain a `p`-outer sequence of
 /// fused `c_row = a·b_row + c_row` updates produces, so splitting `k` across
-/// consecutive calls, or `m`/`n` across callers, cannot change a bit. What the blocking buys is
-/// that a tile of `c` (4×16 at AVX2, 8×32 at AVX-512) stays in registers
-/// for all `k` steps instead of crossing L1 once per step. Edges run
-/// narrower and shorter tiles and a masked (vector) or scalar-column
-/// (portable) remainder; the tile an element lands in never alters its
-/// chain.
+/// consecutive calls, or `m`/`n` across callers, cannot change a bit. What
+/// the blocking buys is that a tile of `c` (`ROWS` rows by two registers:
+/// 8×32 at AVX-512, 4×16 at AVX2 and in the portable body) stays in
+/// registers for all `k` steps instead of crossing L1 once per step. Edges
+/// run narrower and shorter tiles and one masked remainder register; the
+/// tile an element lands in never alters its chain.
 ///
 /// The `(a_rs, a_ps)` stride pair addresses `a` as stored — row-major
 /// (`k`, 1), transposed (1, `m`), or an NCHW gradient read in place
@@ -631,51 +1016,17 @@ pub fn gemm_acc(
         return;
     }
     assert!(ldb >= n && ldc >= n, "gemm_acc leading dimension below n");
+    let a_last = last_at(k, a_ps).zip(last_at(m, a_rs));
     assert!(
-        (k - 1) * a_ps + (m - 1) * a_rs < a.len(),
+        a_last
+            .and_then(|(p, r)| p.checked_add(r))
+            .is_some_and(|last| last < a.len()),
         "gemm_acc lhs too short"
     );
-    assert!((k - 1) * ldb + n <= b.len(), "gemm_acc rhs too short");
-    assert!((m - 1) * ldc + n <= c.len(), "gemm_acc out too short");
-    #[cfg(target_arch = "x86_64")]
-    match active_level() {
-        SimdLevel::Avx512 => {
-            // SAFETY: the level is only active on a host with AVX-512 F+DQ
-            // and AVX2+FMA; the asserts above bound every address the
-            // tiles form (masked lanes are never accessed).
-            unsafe { avx512::gemm_acc(m, n, k, a, a_rs, a_ps, b, ldb, c, ldc) };
-            return;
-        }
-        SimdLevel::Avx2 => {
-            // SAFETY: AVX2+FMA presence established; the asserts above
-            // bound every address the tiles form (masked lanes are never
-            // accessed).
-            unsafe { avx2::gemm_acc(m, n, k, a, a_rs, a_ps, b, ldb, c, ldc) };
-            return;
-        }
-        SimdLevel::Scalar => {}
-    }
-    gemm_acc_scalar(m, n, k, a, a_rs, a_ps, b, ldb, c, ldc);
-}
-
-/// Portable body of [`gemm_acc`]: the same tile walk over arrays of
-/// accumulators. Standalone (like [`dot8_x8_scalar`]) so the tiles keep
-/// their autovectorization out of the large conv closures.
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn gemm_acc_scalar(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_ps: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    fused_or_baseline!(gemm_acc_sweep(
+    let rows_end = |count, ld| last_at(count, ld).and_then(|at: usize| at.checked_add(n));
+    assert!(within(rows_end(k, ldb), b.len()), "gemm_acc rhs too short");
+    assert!(within(rows_end(m, ldc), c.len()), "gemm_acc out too short");
+    dispatch!(gemm_walk::<8; 4; 4>(
         m: usize,
         n: usize,
         k: usize,
@@ -685,14 +1036,25 @@ fn gemm_acc_scalar(
         b: &[f32],
         ldb: usize,
         c: &mut [f32],
-        ldc: usize
+        ldc: usize,
     ))
 }
 
-/// Source body of [`gemm_acc_scalar`], inlined into its two instantiations.
+/// The one body of [`gemm_acc`]: `ROWS`-row bands of `2N`- and
+/// `N`-column tiles and one masked remainder register. The walk keeps the
+/// larger operand's tile in cache while the smaller streams past it: with
+/// `m > n` (the conv `dx`, a tall weight matrix against a few positions)
+/// a band of `a` rows crosses every column before the next band is read;
+/// otherwise (the conv `dw`, a few channels against a wide patch panel) a
+/// strip of `b` columns meets every band.
+///
+/// # Safety
+///
+/// Runs inside a `dispatch!` entry of `L`'s ISA, with arguments that
+/// passed [`gemm_acc`]'s checks.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_acc_sweep(
+unsafe fn gemm_walk<L: Lanes, const ROWS: usize>(
     m: usize,
     n: usize,
     k: usize,
@@ -704,1054 +1066,172 @@ fn gemm_acc_sweep(
     c: &mut [f32],
     ldc: usize,
 ) {
+    let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
     let mut j = 0;
-    while j + NR <= n {
-        strip_scalar::<NR>(m, k, a, a_rs, a_ps, &b[j..], ldb, &mut c[j..], ldc);
-        j += NR;
+    while j < n {
+        let w = if m > n {
+            n
+        } else if n - j >= 2 * L::N {
+            2 * L::N
+        } else {
+            (n - j).min(L::N)
+        };
+        bands::<L, ROWS>(m, j, j + w, k, a, a_rs, a_ps, b, ldb, c, ldc);
+        j += w;
     }
-    if j + LANES <= n {
-        strip_scalar::<LANES>(m, k, a, a_rs, a_ps, &b[j..], ldb, &mut c[j..], ldc);
-        j += LANES;
-    }
-    gemm_acc_cols(m, j, n, k, a, a_rs, a_ps, b, ldb, c, ldc);
 }
 
-/// One `W`-column strip of [`gemm_acc_sweep`] (`b` and `c` start at the
-/// strip's first column): 4-row tiles, then single rows.
+/// Rows `0..m` × columns `j0..j1` of [`gemm_acc`], row band outer:
+/// `ROWS`-row bands, one 4-row band where `ROWS` is taller, then single
+/// rows.
+///
+/// # Safety
+///
+/// As [`gemm_walk`], with `j0 < j1 <= n` and the pointers at the
+/// operands' first elements.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn strip_scalar<const W: usize>(
+unsafe fn bands<L: Lanes, const ROWS: usize>(
     m: usize,
+    j0: usize,
+    j1: usize,
     k: usize,
-    a: &[f32],
+    a: *const f32,
     a_rs: usize,
     a_ps: usize,
-    b: &[f32],
+    b: *const f32,
     ldb: usize,
-    c: &mut [f32],
+    c: *mut f32,
     ldc: usize,
 ) {
+    macro_rules! band {
+        ($rows:expr, $r:expr) => {
+            band::<L, { $rows }>(
+                j0,
+                j1,
+                k,
+                a.add($r * a_rs),
+                a_rs,
+                a_ps,
+                b,
+                ldb,
+                c.add($r * ldc),
+                ldc,
+            )
+        };
+    }
     let mut r = 0;
-    while r + MR <= m {
-        tile_scalar::<MR, W>(k, &a[r * a_rs..], a_rs, a_ps, b, ldb, &mut c[r * ldc..], ldc);
-        r += MR;
+    while r + ROWS <= m {
+        band!(ROWS, r);
+        r += ROWS;
+    }
+    if ROWS > 4 && r + 4 <= m {
+        band!(4, r);
+        r += 4;
     }
     while r < m {
-        tile_scalar::<1, W>(k, &a[r * a_rs..], a_rs, a_ps, b, ldb, &mut c[r * ldc..], ldc);
+        band!(1, r);
         r += 1;
     }
 }
 
-/// One `R`×`W` tile: the accumulators load from `c` once, take all `k`
-/// fused steps in the array, and store once. `a`, `b` and `c` start at
-/// the tile's first row / column / element.
+/// Columns `j0..j1` of one `R`-row band (`a` and `c` at its first row):
+/// two-register tiles, a one-register one, then the remainder as one
+/// masked register.
+///
+/// # Safety
+///
+/// As [`bands`], for the band's `R` rows.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile_scalar<const R: usize, const W: usize>(
+unsafe fn band<L: Lanes, const R: usize>(
+    j0: usize,
+    j1: usize,
     k: usize,
-    a: &[f32],
+    a: *const f32,
     a_rs: usize,
     a_ps: usize,
-    b: &[f32],
+    b: *const f32,
     ldb: usize,
-    c: &mut [f32],
+    c: *mut f32,
     ldc: usize,
 ) {
-    let mut acc = [[0.0f32; W]; R];
+    macro_rules! tile {
+        ($regs:literal, $masked:literal, $j:expr, $cols:expr) => {
+            tile::<L, R, $regs, $masked>(k, a, a_rs, a_ps, b.add($j), ldb, c.add($j), ldc, $cols)
+        };
+    }
+    let mut j = j0;
+    while j + 2 * L::N <= j1 {
+        tile!(2, false, j, 0);
+        j += 2 * L::N;
+    }
+    if j + L::N <= j1 {
+        tile!(1, false, j, 0);
+        j += L::N;
+    }
+    if j < j1 {
+        tile!(1, true, j, j1 - j);
+    }
+}
+
+/// One `R`-row × `V`-register tile at `b`'s and `c`'s first column: the
+/// accumulators load from `c` once, take all `k` fused steps in
+/// registers, and store once. With `MASKED` the last register loads and
+/// stores only its first `cols` lanes; the others compute on zeros and
+/// are never written.
+///
+/// # Safety
+///
+/// As [`band`]: `R` rows of `a` and `c`, and `k` rows of `b` and `V`
+/// registers of `c`'s columns (of the last only its first `cols` lanes
+/// with `MASKED`), lie inside the checked extent.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile<L: Lanes, const R: usize, const V: usize, const MASKED: bool>(
+    k: usize,
+    a: *const f32,
+    a_rs: usize,
+    a_ps: usize,
+    b: *const f32,
+    ldb: usize,
+    c: *mut f32,
+    ldc: usize,
+    cols: usize,
+) {
+    let mask = L::mask(cols);
+    let masked = |v: usize| MASKED && v + 1 == V;
+    let load = |p: *const f32, v: usize| {
+        if masked(v) {
+            L::load_masked(p, mask)
+        } else {
+            L::load(p)
+        }
+    };
+    let mut acc = [[L::zero(); V]; R];
     for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&c[r * ldc..r * ldc + W]);
+        for (v, x) in row.iter_mut().enumerate() {
+            *x = load(c.add(r * ldc + v * L::N), v);
+        }
     }
     for p in 0..k {
-        let bp = &b[p * ldb..p * ldb + W];
+        let brow = b.add(p * ldb);
+        let vb: [L; V] = std::array::from_fn(|v| load(brow.add(v * L::N), v));
+        let acol = a.add(p * a_ps);
         for (r, row) in acc.iter_mut().enumerate() {
-            let av = a[p * a_ps + r * a_rs];
-            for l in 0..W {
-                row[l] = av.mul_add(bp[l], row[l]);
+            let va = L::splat(*acol.add(r * a_rs));
+            for (x, &bv) in row.iter_mut().zip(&vb) {
+                *x = L::fma(va, bv, *x);
             }
         }
     }
     for (r, row) in acc.iter().enumerate() {
-        c[r * ldc..r * ldc + W].copy_from_slice(row);
-    }
-}
-
-/// Columns `j0..n` of [`gemm_acc`] one element at a time — the portable
-/// body's `n mod 8` remainder (the vector bodies run it as one masked
-/// strip). `inline(always)` is load-bearing: the `mul_add` must be
-/// compiled inside its caller's `target_feature` instantiation, or it is
-/// a libm call per step.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn gemm_acc_cols(
-    m: usize,
-    j0: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_ps: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    for r in 0..m {
-        for j in j0..n {
-            let mut acc = c[r * ldc + j];
-            for p in 0..k {
-                acc = a[p * a_ps + r * a_rs].mul_add(b[p * ldb + j], acc);
-            }
-            c[r * ldc + j] = acc;
-        }
-    }
-}
-
-/// The AVX2+FMA bodies. Every function here is `unsafe` with the same
-/// contract: the caller has verified AVX2+FMA support and equal slice
-/// lengths. A chain step is `_mm256_fmadd_ps` (`f32::mul_add` in the lane
-/// tails) — the portable bodies' operation at eight lanes, see the module
-/// docs; the lane reductions and elementwise passes are plain adds.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{LANES, MR, NR, PANEL_KB, PANEL_ROWS};
-    use core::arch::x86_64::{
-        __m256, __m256i, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cmpgt_epi32,
-        _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_maskload_ps,
-        _mm256_maskstore_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
-        _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32,
-        _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_shuffle_ps, _mm_storeu_ps, _mm_unpackhi_ps,
-        _mm_unpacklo_ps,
-    };
-
-    /// [`lane_sum`] of one accumulator register, evaluated in the vector
-    /// unit: the 128-bit halves add to `[s0, s1, s2, s3]` (lane `l` plus
-    /// lane `l + 4`), the upper pair folds onto the lower
-    /// (`s0 + s2`, `s1 + s3`), those two add, then the tail — the same
-    /// operand pairs in the same order as the scalar tree.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn lane_sum_reg(acc: __m256, tail: f32) -> f32 {
-        let s = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps::<1>(acc));
-        let t = _mm_add_ps(s, _mm_movehl_ps(s, s));
-        let u = _mm_add_ss(t, _mm_shuffle_ps::<1>(t, t));
-        _mm_cvtss_f32(u) + tail
-    }
-
-    /// AVX2 body of [`super::dot_panel`]. The caller has bounds-checked
-    /// every row of `a` and `b`; `out` is indexed checked.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn dot_panel(
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        out_rs: usize,
-        out_cs: usize,
-    ) {
-        let mut j = 0;
-        // SAFETY: every column group lies inside `0..n`, the extent the
-        // dispatcher checked.
-        unsafe {
-            while j + 4 <= n {
-                panel_cols::<4>(m, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j);
-                j += 4;
-            }
-            while j < n {
-                panel_cols::<1>(m, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j);
-                j += 1;
-            }
-        }
-    }
-
-    /// Columns `j0 .. j0 + W` of [`dot_panel`] for every row of `a`: the
-    /// `W` rows of `b` stay put while groups of [`PANEL_ROWS`] `a` rows
-    /// pass them one shared-dimension block at a time, three rows per
-    /// register tile. A row's `W` lane accumulators rest in the group's
-    /// array between blocks and take each block's steps in registers —
-    /// `p` ascending per lane, as in [`super::dot8`] — so a block of `b` is read
-    /// into L1 once per group, and a block of the group's `a` rows once
-    /// per `W` columns.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn panel_cols<const W: usize>(
-        m: usize,
-        k: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        out_rs: usize,
-        out_cs: usize,
-        j0: usize,
-    ) {
-        let k8 = k / LANES * LANES;
-        let kb = panel_block(k8);
-        // SAFETY (here and below): the dispatcher checked that rows
-        // `0..m` of `a` and `0..n` of `b` hold `k` elements each, and
-        // `j0 + W <= n`, `r0 + rows <= m`, `p1 <= k`.
-        let bp: [*const f32; W] = std::array::from_fn(|jj| unsafe { b.as_ptr().add((j0 + jj) * ldb) });
-        let btail = tails_of::<W>(b, ldb, k, j0);
-        let btail = &btail[..k - k8];
-        let mut acc = [[_mm256_setzero_ps(); W]; PANEL_ROWS];
-        for r0 in (0..m).step_by(PANEL_ROWS) {
-            let rows = PANEL_ROWS.min(m - r0);
-            acc[..rows].fill([_mm256_setzero_ps(); W]);
-            for p0 in (0..k8).step_by(kb) {
-                let p1 = (p0 + kb).min(k8);
-                // SAFETY: see above.
-                let (mut r, mut ap) = (0, unsafe { a.as_ptr().add(r0 * lda) });
-                // SAFETY: see above.
-                unsafe {
-                    while r + 3 <= rows {
-                        dot_tile::<3, W>(&mut acc[r..r + 3], ap, lda, bp, p0, p1);
-                        (r, ap) = (r + 3, ap.add(3 * lda));
-                    }
-                    match rows - r {
-                        2 => dot_tile::<2, W>(&mut acc[r..], ap, lda, bp, p0, p1),
-                        1 => dot_tile::<1, W>(&mut acc[r..], ap, lda, bp, p0, p1),
-                        _ => {}
-                    }
-                }
-            }
-            for (r, lanes) in acc[..rows].iter().enumerate() {
-                let at = (r0 + r) * lda;
-                // SAFETY: AVX2+FMA are enabled here.
-                unsafe {
-                    finish_row(
-                        lanes,
-                        &a[at + k8..at + k],
-                        btail,
-                        bias,
-                        out,
-                        (r0 + r) * out_rs,
-                        out_cs,
-                        j0,
-                    )
-                };
-            }
-        }
-    }
-
-    /// Writes one row's outputs at columns `j0 .. j0 + W` of a
-    /// [`super::dot_panel`] body: the sequential tail of each of the `W`
-    /// dots — one fused step per element of `a_tail`, `p` ascending,
-    /// against `btail`'s transposed `b` tails — then [`lane_sums`] of the
-    /// row's lane accumulators and the bias add.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn finish_row<const W: usize>(
-        lanes: &[__m256; W],
-        a_tail: &[f32],
-        btail: &[[f32; W]],
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        row_at: usize,
-        out_cs: usize,
-        j0: usize,
-    ) {
-        let mut tails = [0.0f32; W];
-        for (&x, ys) in a_tail.iter().zip(btail) {
-            for (tail, &y) in tails.iter_mut().zip(ys) {
-                *tail = x.mul_add(y, *tail);
-            }
-        }
-        // SAFETY: AVX2+FMA are enabled here.
-        let sums = unsafe { lane_sums(lanes, tails) };
-        for (jj, &v) in sums.iter().enumerate() {
-            let j = j0 + jj;
-            out[row_at + j * out_cs] = bias.map_or(v, |bias| v + bias[j]);
-        }
-    }
-
-    /// The `W` rows' lane tails of a [`super::dot_panel`] column group
-    /// starting at `b`'s row `j0`, transposed: one `W`-vector per tail
-    /// element (`k mod 8` of them), so a row's tails accumulate `W` dots
-    /// per step.
-    pub(super) fn tails_of<const W: usize>(
-        b: &[f32],
-        ldb: usize,
-        k: usize,
-        j0: usize,
-    ) -> [[f32; W]; LANES - 1] {
-        let k8 = k / LANES * LANES;
-        let mut btail = [[0.0f32; W]; LANES - 1];
-        for (i, ys) in btail[..k - k8].iter_mut().enumerate() {
-            *ys = std::array::from_fn(|jj| b[(j0 + jj) * ldb + k8 + i]);
-        }
-        btail
-    }
-
-    /// [`dot_panel`]'s shared-dimension block for `k8` lane-step floats:
-    /// equal blocks of whole lane steps, none above [`PANEL_KB`].
-    pub(super) fn panel_block(k8: usize) -> usize {
-        k8.div_ceil(k8.div_ceil(PANEL_KB).max(1))
-            .next_multiple_of(LANES)
-            .max(LANES)
-    }
-
-    /// [`lane_sum_reg`] of `W` accumulator registers at once: four at a
-    /// time ([`lane_sums4`]) when `W` is a multiple of four, one at a time
-    /// otherwise.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn lane_sums<const W: usize>(acc: &[__m256; W], tails: [f32; W]) -> [f32; W] {
-        let mut out = [0.0f32; W];
-        if W.is_multiple_of(4) {
-            for ((o, x), t) in out
-                .chunks_exact_mut(4)
-                .zip(acc.chunks_exact(4))
-                .zip(tails.chunks_exact(4))
-            {
-                // SAFETY: AVX2+FMA are enabled here; the chunks are four long.
-                o.copy_from_slice(&unsafe { lane_sums4(x, t) });
-            }
-        } else {
-            for ((o, &x), &tail) in out.iter_mut().zip(acc).zip(&tails) {
-                // SAFETY: AVX2+FMA are enabled here.
-                *o = unsafe { lane_sum_reg(x, tail) };
-            }
-        }
-        out
-    }
-
-    /// [`lane_sum_reg`] of four registers: the halves add as in the single
-    /// form, a 4×4 transpose lines up element `i` of every sum in row `i`,
-    /// and `(row0 + row2) + (row1 + row3)` then `+ tails` is the same tree
-    /// on four dots per instruction. `acc` and `tails` are four long.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn lane_sums4(acc: &[__m256], tails: &[f32]) -> [f32; 4] {
-        assert!(
-            acc.len() == 4 && tails.len() == 4,
-            "lane_sums4 takes four dots"
-        );
-        let mut out = [0.0f32; 4];
-        let half = |x: __m256| _mm_add_ps(_mm256_castps256_ps128(x), _mm256_extractf128_ps::<1>(x));
-        let (s0, s1, s2, s3) = (half(acc[0]), half(acc[1]), half(acc[2]), half(acc[3]));
-        let (t0, t1) = (_mm_unpacklo_ps(s0, s1), _mm_unpackhi_ps(s0, s1));
-        let (t2, t3) = (_mm_unpacklo_ps(s2, s3), _mm_unpackhi_ps(s2, s3));
-        let (r0, r1) = (_mm_movelh_ps(t0, t2), _mm_movehl_ps(t2, t0));
-        let (r2, r3) = (_mm_movelh_ps(t1, t3), _mm_movehl_ps(t3, t1));
-        let sum = _mm_add_ps(_mm_add_ps(r0, r2), _mm_add_ps(r1, r3));
-        // SAFETY: `out` and `tails` hold four floats each.
-        unsafe {
-            _mm_storeu_ps(
-                out.as_mut_ptr(),
-                _mm_add_ps(sum, _mm_loadu_ps(tails.as_ptr())),
-            )
-        };
-        out
-    }
-
-    /// One `R`×`W` register tile of [`panel_cols`]: lane steps `p0..p1` of
-    /// `R` consecutive `a` rows against the `W` rows of `b`, continuing
-    /// the accumulators in `acc`. Three rows by four columns is twelve
-    /// accumulators fed by seven loads a step; the one-row-by-eight tile
-    /// this replaced needed nine loads for eight, and ran at the load
-    /// ports' pace, not the multipliers'.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn dot_tile<const R: usize, const W: usize>(
-        acc: &mut [[__m256; W]],
-        a: *const f32,
-        lda: usize,
-        b: [*const f32; W],
-        p0: usize,
-        p1: usize,
-    ) {
-        let mut c: [[__m256; W]; R] = std::array::from_fn(|r| acc[r]);
-        // SAFETY: the caller passes `R` rows of `a` and `W` rows of `b`
-        // that each hold at least `p1` elements.
-        unsafe {
-            for p in (p0..p1).step_by(LANES) {
-                let va: [__m256; R] = std::array::from_fn(|r| _mm256_loadu_ps(a.add(r * lda + p)));
-                for (jj, bj) in b.iter().enumerate() {
-                    let vb = _mm256_loadu_ps(bj.add(p));
-                    for r in 0..R {
-                        c[r][jj] = _mm256_fmadd_ps(va[r], vb, c[r][jj]);
-                    }
-                }
-            }
-        }
-        acc[..R].copy_from_slice(&c);
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn add_assign(y: &mut [f32], x: &[f32]) {
-        let n = y.len();
-        let blocks = n / LANES;
-        // SAFETY: every block `base..base + 8` lies below `n`, and the
-        // caller checked that the slices are `n` long.
-        unsafe {
-            for ci in 0..blocks {
-                let base = ci * LANES;
-                let vx = _mm256_loadu_ps(x.as_ptr().add(base));
-                let vy = _mm256_loadu_ps(y.as_ptr().add(base));
-                _mm256_storeu_ps(y.as_mut_ptr().add(base), _mm256_add_ps(vy, vx));
-            }
-        }
-        for p in blocks * LANES..n {
-            y[p] += x[p];
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn vadd(dst: &mut [f32], a: &[f32], b: &[f32]) {
-        let n = dst.len();
-        let blocks = n / LANES;
-        // SAFETY: every block `base..base + 8` lies below `n`, and the
-        // caller checked that the slices are `n` long.
-        unsafe {
-            for ci in 0..blocks {
-                let base = ci * LANES;
-                let va = _mm256_loadu_ps(a.as_ptr().add(base));
-                let vb = _mm256_loadu_ps(b.as_ptr().add(base));
-                _mm256_storeu_ps(dst.as_mut_ptr().add(base), _mm256_add_ps(va, vb));
-            }
-        }
-        for p in blocks * LANES..n {
-            dst[p] = a[p] + b[p];
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn vsub(dst: &mut [f32], a: &[f32], b: &[f32]) {
-        let n = dst.len();
-        let blocks = n / LANES;
-        // SAFETY: every block `base..base + 8` lies below `n`, and the
-        // caller checked that the slices are `n` long.
-        unsafe {
-            for ci in 0..blocks {
-                let base = ci * LANES;
-                let va = _mm256_loadu_ps(a.as_ptr().add(base));
-                let vb = _mm256_loadu_ps(b.as_ptr().add(base));
-                _mm256_storeu_ps(dst.as_mut_ptr().add(base), _mm256_sub_ps(va, vb));
-            }
-        }
-        for p in blocks * LANES..n {
-            dst[p] = a[p] - b[p];
-        }
-    }
-
-    /// AVX2 body of [`super::gemm_acc`]. The caller has bounds-checked
-    /// every `(r, p)` of `a`, `(p, j)` of `b` and `(r, j)` of `c`.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn gemm_acc(
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        a_rs: usize,
-        a_ps: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-    ) {
-        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-        let mut j = 0;
-        // Column strip outer, row tile inner: the strip's `k`×16 slice of
-        // `b` stays in L1 while the rows of `a` stream past it. The last
-        // `n mod 8` columns are one masked strip: their chains interleave
-        // in a register like any other strip's, where one scalar chain per
-        // element waits out the FMA latency at every step.
-        // SAFETY: `j < n` at every strip, so each pointer stays inside its
-        // operand; the strips' rows and columns are in the checked extent.
-        unsafe {
-            while j + NR <= n {
-                strip::<2, false>(m, k, ap, a_rs, a_ps, bp.add(j), ldb, cp.add(j), ldc, 0);
-                j += NR;
-            }
-            if j + LANES <= n {
-                strip::<1, false>(m, k, ap, a_rs, a_ps, bp.add(j), ldb, cp.add(j), ldc, 0);
-                j += LANES;
-            }
-            if j < n {
-                strip::<1, true>(m, k, ap, a_rs, a_ps, bp.add(j), ldb, cp.add(j), ldc, n - j);
-            }
-        }
-    }
-
-    /// One `V`-register-wide column strip (`b` and `c` point at its first
-    /// column): 4-row tiles, then single rows. With `MASKED` the strip's
-    /// last register holds only its first `cols` columns.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn strip<const V: usize, const MASKED: bool>(
-        m: usize,
-        k: usize,
-        a: *const f32,
-        a_rs: usize,
-        a_ps: usize,
-        b: *const f32,
-        ldb: usize,
-        c: *mut f32,
-        ldc: usize,
-        cols: usize,
-    ) {
-        // Lane `l` of the mask is set for `l < cols`.
-        let mask = _mm256_cmpgt_epi32(
-            _mm256_set1_epi32(cols as i32),
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        );
-        let mut r = 0;
-        // SAFETY: rows `r < m` of the strip are in the caller's extent.
-        unsafe {
-            while r + MR <= m {
-                tile::<MR, V, MASKED>(
-                    k,
-                    a.add(r * a_rs),
-                    a_rs,
-                    a_ps,
-                    b,
-                    ldb,
-                    c.add(r * ldc),
-                    ldc,
-                    mask,
-                );
-                r += MR;
-            }
-            while r < m {
-                tile::<1, V, MASKED>(
-                    k,
-                    a.add(r * a_rs),
-                    a_rs,
-                    a_ps,
-                    b,
-                    ldb,
-                    c.add(r * ldc),
-                    ldc,
-                    mask,
-                );
-                r += 1;
-            }
-        }
-    }
-
-    /// One `R`-row × `V`-register tile: the accumulators load from `c`
-    /// once, take all `k` fused steps in registers, and store once. With
-    /// `MASKED` the last register loads and stores only `mask`'s lanes;
-    /// the others compute on zeros and are never written.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(
-        k: usize,
-        a: *const f32,
-        a_rs: usize,
-        a_ps: usize,
-        b: *const f32,
-        ldb: usize,
-        c: *mut f32,
-        ldc: usize,
-        mask: __m256i,
-    ) {
-        let masked = |v: usize| MASKED && v + 1 == V;
-        // SAFETY: the caller passes `R` rows of `c` and `k` rows of `b`
-        // holding `V` registers of columns (the last one's masked lanes
-        // excepted), and `a` holding rows `r < R` at steps `p < k`.
-        unsafe {
-            let load = |p: *const f32, v: usize| {
-                if masked(v) {
-                    _mm256_maskload_ps(p, mask)
-                } else {
-                    _mm256_loadu_ps(p)
-                }
-            };
-            let mut acc = [[_mm256_setzero_ps(); V]; R];
-            for (r, row) in acc.iter_mut().enumerate() {
-                for (v, x) in row.iter_mut().enumerate() {
-                    *x = load(c.add(r * ldc + v * LANES), v);
-                }
-            }
-            for p in 0..k {
-                let brow = b.add(p * ldb);
-                let mut vb = [_mm256_setzero_ps(); V];
-                for (v, x) in vb.iter_mut().enumerate() {
-                    *x = load(brow.add(v * LANES), v);
-                }
-                let acol = a.add(p * a_ps);
-                for (r, row) in acc.iter_mut().enumerate() {
-                    let va = _mm256_set1_ps(*acol.add(r * a_rs));
-                    for (x, &bv) in row.iter_mut().zip(&vb) {
-                        *x = _mm256_fmadd_ps(va, bv, *x);
-                    }
-                }
-            }
-            for (r, row) in acc.iter().enumerate() {
-                for (v, &x) in row.iter().enumerate() {
-                    if masked(v) {
-                        _mm256_maskstore_ps(c.add(r * ldc + v * LANES), mask, x);
-                    } else {
-                        _mm256_storeu_ps(c.add(r * ldc + v * LANES), x);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The AVX-512 bodies of the two GEMM micro-kernels. Every function here
-/// is `unsafe` with the same contract as the AVX2 module's, on a host with
-/// AVX-512 F and DQ besides AVX2+FMA. A chain step is `_mm512_fmadd_ps` —
-/// the portable bodies' operation at sixteen lanes — and each output
-/// element keeps the chain it has at the other levels:
-///
-/// - [`dot_panel`] carries two outputs' 8-lane accumulators in one
-///   register, columns `j` and `j + 1` in its low and high halves, against
-///   the `a` row broadcast to both: lane `l` of each half still
-///   accumulates `p ≡ l (mod 8)`. The halves are split back out and reduce
-///   through the AVX2 [`avx2::lane_sums`] tree after the same sequential
-///   tails, and an odd last column runs the AVX2 single-column sweep.
-/// - [`gemm_acc`] vectorises over columns only, sixteen per register; the
-///   `n mod 16` remainder is one masked strip.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::avx2::{finish_row, panel_block, panel_cols, tails_of};
-    use super::{LANES, PANEL_KB, PANEL_ROWS};
-    use core::arch::x86_64::{
-        __m256, __m512, __mmask16, _mm256_loadu_ps, _mm512_broadcast_f32x8, _mm512_castps256_ps512,
-        _mm512_castps512_ps256, _mm512_extractf32x8_ps, _mm512_fmadd_ps, _mm512_insertf32x8,
-        _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps,
-        _mm512_setzero_ps, _mm512_storeu_ps,
-    };
-
-    /// f32 lanes of one 512-bit register.
-    const ZLANES: usize = 16;
-
-    /// Rows of [`dot_panel`]'s register tile.
-    const DOT_ROWS: usize = 4;
-
-    /// Column pairs of [`dot_panel`]'s register tile: four rows by four
-    /// pairs (eight columns) is sixteen accumulators fed by four
-    /// broadcasts and four pair loads a step. The `a` rows stream from L2
-    /// once per column group, so the group must be this wide for the
-    /// stream to keep up with 512-bit multiply-adds.
-    const DOT_PAIRS: usize = 4;
-
-    /// Rows of [`gemm_acc`]'s register tile: eight rows by two registers
-    /// (32 columns) is sixteen accumulators; the `a` factors are broadcast
-    /// straight from memory into the multiply-adds.
-    const ACC_ROWS: usize = 8;
-
-    /// AVX-512 body of [`super::dot_panel`]: column groups of four pairs,
-    /// then two, then one, then an odd last column on the AVX2 sweep. The
-    /// caller has bounds-checked every row of `a` and `b`; `out` is
-    /// indexed checked.
-    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn dot_panel(
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        out_rs: usize,
-        out_cs: usize,
-    ) {
-        // One shared-dimension block of a column group's `b` rows, pair
-        // by pair in lane-step order (16 KiB), reused by every group and
-        // left uninitialised: a block's first tile writes every slot the
-        // block's other tiles read.
-        let mut packed = std::mem::MaybeUninit::<[__m512; DOT_PAIRS * PANEL_KB / LANES]>::uninit();
-        let packed = packed.as_mut_ptr().cast::<__m512>();
-        let mut j = 0;
-        // SAFETY: every column group lies inside `0..n`, the extent the
-        // dispatcher checked, and `packed` holds a block of the widest.
-        unsafe {
-            while j + 2 * DOT_PAIRS <= n {
-                panel_pairs::<DOT_PAIRS, 8>(
-                    m, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j, packed,
-                );
-                j += 2 * DOT_PAIRS;
-            }
-            if j + 4 <= n {
-                panel_pairs::<2, 4>(m, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j, packed);
-                j += 4;
-            }
-            if j + 2 <= n {
-                panel_pairs::<1, 2>(m, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j, packed);
-                j += 2;
-            }
-            if j < n {
-                panel_cols::<1>(m, k, a, lda, b, ldb, bias, out, out_rs, out_cs, j);
-            }
-        }
-    }
-
-    /// Columns `j0 .. j0 + W` of [`dot_panel`] as `P = W / 2` pair
-    /// registers: the AVX2 `panel_cols` walk — `b` stationary, groups of
-    /// [`PANEL_ROWS`] `a` rows streaming past one shared-dimension block at
-    /// a time, accumulators resting in the group's array between blocks —
-    /// with each register holding two columns' lanes. The first tile of
-    /// each block interleaves the block's `W` `b` rows into `packed`, one
-    /// register per pair and lane step, so the block's other tiles load a
-    /// pair with one instruction.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn panel_pairs<const P: usize, const W: usize>(
-        m: usize,
-        k: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        out_rs: usize,
-        out_cs: usize,
-        j0: usize,
-        packed: *mut __m512,
-    ) {
-        const { assert!(W == 2 * P && P <= DOT_PAIRS) };
-        let k8 = k / LANES * LANES;
-        let kb = panel_block(k8);
-        let btail = tails_of::<W>(b, ldb, k, j0);
-        let btail = &btail[..k - k8];
-        let mut acc = [[_mm512_setzero_ps(); P]; PANEL_ROWS];
-        for r0 in (0..m).step_by(PANEL_ROWS) {
-            let rows = PANEL_ROWS.min(m - r0);
-            acc[..rows].fill([_mm512_setzero_ps(); P]);
-            for p0 in (0..k8).step_by(kb) {
-                let p1 = (p0 + kb).min(k8);
-                // SAFETY: the dispatcher checked that rows `0..m` of `a`
-                // and `0..n` of `b` hold `k` elements, and `r0 + rows <= m`,
-                // `j0 + W <= n`; `packed` holds the block's `(p1 - p0) / 8`
-                // steps of `P` pairs, which the block's first tile writes
-                // before any other tile reads them.
-                unsafe {
-                    let (mut r, mut ap, bj) =
-                        (0, a.as_ptr().add(r0 * lda), b.as_ptr().add(j0 * ldb));
-                    while r < rows {
-                        let h = DOT_ROWS.min(rows - r);
-                        let acc = &mut acc[r..];
-                        macro_rules! tile {
-                            ($rows:expr, $pack:expr) => {
-                                dot_tile::<$rows, P, $pack>(acc, ap, lda, bj, ldb, packed, p0, p1)
-                            };
-                        }
-                        match (h, r == 0) {
-                            (DOT_ROWS, true) => tile!(DOT_ROWS, true),
-                            (DOT_ROWS, false) => tile!(DOT_ROWS, false),
-                            (3, true) => tile!(3, true),
-                            (3, false) => tile!(3, false),
-                            (2, true) => tile!(2, true),
-                            (2, false) => tile!(2, false),
-                            (_, true) => tile!(1, true),
-                            (_, false) => tile!(1, false),
-                        }
-                        (r, ap) = (r + h, ap.add(h * lda));
-                    }
-                }
-            }
-            for (r, pairs) in acc[..rows].iter().enumerate() {
-                // Column `j0 + 2q` is pair `q`'s low half, `j0 + 2q + 1`
-                // its high half.
-                let lanes: [__m256; W] = std::array::from_fn(|jj| {
-                    let x = pairs[jj / 2];
-                    if jj % 2 == 0 {
-                        _mm512_castps512_ps256(x)
-                    } else {
-                        _mm512_extractf32x8_ps::<1>(x)
-                    }
-                });
-                let at = (r0 + r) * lda;
-                // SAFETY: AVX2+FMA are enabled here.
-                unsafe {
-                    finish_row(
-                        &lanes,
-                        &a[at + k8..at + k],
-                        btail,
-                        bias,
-                        out,
-                        (r0 + r) * out_rs,
-                        out_cs,
-                        j0,
-                    )
-                };
-            }
-        }
-    }
-
-    /// One `R`-row × `P`-pair register tile of [`panel_pairs`]: lane steps
-    /// `p0..p1` of `R` consecutive `a` rows, each broadcast to both
-    /// halves, against the block's pairs of `b` rows, continuing the
-    /// accumulators in `acc`. With `PACK` — the block's first tile — the
-    /// pairs are read from the `2P` rows of `b` (`ldb` apart) and stored
-    /// into `packed` as they are used; otherwise they are read back from
-    /// `packed`. Packing in the first tile lets the reads of `b`, often
-    /// from outside L2, overlap that tile's multiply-adds.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn dot_tile<const R: usize, const P: usize, const PACK: bool>(
-        acc: &mut [[__m512; P]],
-        a: *const f32,
-        lda: usize,
-        b: *const f32,
-        ldb: usize,
-        packed: *mut __m512,
-        p0: usize,
-        p1: usize,
-    ) {
-        let mut c: [[__m512; P]; R] = std::array::from_fn(|r| acc[r]);
-        // SAFETY: the caller passes `R` rows of `a` and, with `PACK`, `2P`
-        // rows of `b` from `b`, each holding at least `p1` elements, and
-        // room for `(p1 - p0) / 8 · P` packed pairs.
-        unsafe {
-            for (s, p) in (p0..p1).step_by(LANES).enumerate() {
-                let va: [__m512; R] = std::array::from_fn(|r| {
-                    _mm512_broadcast_f32x8(_mm256_loadu_ps(a.add(r * lda + p)))
-                });
-                for q in 0..P {
-                    let slot = packed.add(s * P + q);
-                    let vb = if PACK {
-                        let lo = _mm512_castps256_ps512(_mm256_loadu_ps(b.add(2 * q * ldb + p)));
-                        let pair = _mm512_insertf32x8::<1>(
-                            lo,
-                            _mm256_loadu_ps(b.add((2 * q + 1) * ldb + p)),
-                        );
-                        slot.write(pair);
-                        pair
-                    } else {
-                        slot.read()
-                    };
-                    for (row, &x) in c.iter_mut().zip(&va) {
-                        row[q] = _mm512_fmadd_ps(x, vb, row[q]);
-                    }
-                }
-            }
-        }
-        acc[..R].copy_from_slice(&c);
-    }
-
-    /// AVX-512 body of [`super::gemm_acc`]: 32- and 16-column strips, the
-    /// `n mod 16` remainder as one masked strip, and 8-row, 4-row and
-    /// single-row bands. The walk keeps the larger operand's tile in cache
-    /// while the smaller streams past it: with `m > n` (the conv `dx`, a
-    /// tall weight matrix against a few positions) a band of `a` rows
-    /// crosses every strip before the next band is read; otherwise (the
-    /// conv `dw`, a few channels against a wide patch panel) a strip's
-    /// slice of `b` meets every band. The caller has bounds-checked every
-    /// `(r, p)` of `a`, `(p, j)` of `b` and `(r, j)` of `c`.
-    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn gemm_acc(
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        a_rs: usize,
-        a_ps: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-    ) {
-        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-        // SAFETY: every band and strip lies inside rows `0..m` and columns
-        // `0..n`, the extent the dispatcher checked.
-        unsafe {
-            if m > n {
-                bands(m, 0, n, k, ap, a_rs, a_ps, bp, ldb, cp, ldc);
-                return;
-            }
-            let mut j = 0;
-            while j < n {
-                let w = if n - j >= 2 * ZLANES {
-                    2 * ZLANES
-                } else {
-                    (n - j).min(ZLANES)
-                };
-                bands(m, j, j + w, k, ap, a_rs, a_ps, bp, ldb, cp, ldc);
-                j += w;
-            }
-        }
-    }
-
-    /// Rows `0..m` × columns `j0..j1` of [`gemm_acc`], row band outer:
-    /// 8-row bands, one 4-row band, then single rows.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn bands(
-        m: usize,
-        j0: usize,
-        j1: usize,
-        k: usize,
-        a: *const f32,
-        a_rs: usize,
-        a_ps: usize,
-        b: *const f32,
-        ldb: usize,
-        c: *mut f32,
-        ldc: usize,
-    ) {
-        let mut r = 0;
-        // SAFETY: rows `r < m` and columns `j0..j1` are in the caller's
-        // extent.
-        unsafe {
-            while r + ACC_ROWS <= m {
-                band::<ACC_ROWS>(
-                    j0,
-                    j1,
-                    k,
-                    a.add(r * a_rs),
-                    a_rs,
-                    a_ps,
-                    b,
-                    ldb,
-                    c.add(r * ldc),
-                    ldc,
-                );
-                r += ACC_ROWS;
-            }
-            if r + 4 <= m {
-                band::<4>(
-                    j0,
-                    j1,
-                    k,
-                    a.add(r * a_rs),
-                    a_rs,
-                    a_ps,
-                    b,
-                    ldb,
-                    c.add(r * ldc),
-                    ldc,
-                );
-                r += 4;
-            }
-            while r < m {
-                band::<1>(
-                    j0,
-                    j1,
-                    k,
-                    a.add(r * a_rs),
-                    a_rs,
-                    a_ps,
-                    b,
-                    ldb,
-                    c.add(r * ldc),
-                    ldc,
-                );
-                r += 1;
-            }
-        }
-    }
-
-    /// Columns `j0..j1` of one `R`-row band (`a` and `c` point at its
-    /// first row): 32-column tiles, a 16-column one, then the remainder
-    /// as one masked tile.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn band<const R: usize>(
-        j0: usize,
-        j1: usize,
-        k: usize,
-        a: *const f32,
-        a_rs: usize,
-        a_ps: usize,
-        b: *const f32,
-        ldb: usize,
-        c: *mut f32,
-        ldc: usize,
-    ) {
-        let mut j = j0;
-        // SAFETY: columns `j..j1` are in the caller's extent; a masked
-        // tile never accesses its lanes past `j1`.
-        unsafe {
-            while j + 2 * ZLANES <= j1 {
-                tile::<R, 2, false>(k, a, a_rs, a_ps, b.add(j), ldb, c.add(j), ldc, 0);
-                j += 2 * ZLANES;
-            }
-            if j + ZLANES <= j1 {
-                tile::<R, 1, false>(k, a, a_rs, a_ps, b.add(j), ldb, c.add(j), ldc, 0);
-                j += ZLANES;
-            }
-            if j < j1 {
-                let mask = ((1u32 << (j1 - j)) - 1) as __mmask16;
-                tile::<R, 1, true>(k, a, a_rs, a_ps, b.add(j), ldb, c.add(j), ldc, mask);
-            }
-        }
-    }
-
-    /// One `R`-row × `V`-register tile: the accumulators load from `c`
-    /// once, take all `k` fused steps in registers, and store once. With
-    /// `MASKED` the last register loads and stores only `mask`'s lanes;
-    /// the others compute on zeros and are never written.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(
-        k: usize,
-        a: *const f32,
-        a_rs: usize,
-        a_ps: usize,
-        b: *const f32,
-        ldb: usize,
-        c: *mut f32,
-        ldc: usize,
-        mask: __mmask16,
-    ) {
-        let masked = |v: usize| MASKED && v + 1 == V;
-        // SAFETY: the caller passes `R` rows of `c` and `k` rows of `b`
-        // holding `V` registers of columns (the last one's masked lanes
-        // excepted, which a masked load or store never accesses), and `a`
-        // holding rows `r < R` at steps `p < k`.
-        unsafe {
-            let load = |p: *const f32, v: usize| {
-                if masked(v) {
-                    _mm512_maskz_loadu_ps(mask, p)
-                } else {
-                    _mm512_loadu_ps(p)
-                }
-            };
-            let mut acc = [[_mm512_setzero_ps(); V]; R];
-            for (r, row) in acc.iter_mut().enumerate() {
-                for (v, x) in row.iter_mut().enumerate() {
-                    *x = load(c.add(r * ldc + v * ZLANES), v);
-                }
-            }
-            for p in 0..k {
-                let brow = b.add(p * ldb);
-                let mut vb = [_mm512_setzero_ps(); V];
-                for (v, x) in vb.iter_mut().enumerate() {
-                    *x = load(brow.add(v * ZLANES), v);
-                }
-                let acol = a.add(p * a_ps);
-                for (r, row) in acc.iter_mut().enumerate() {
-                    let va = _mm512_set1_ps(*acol.add(r * a_rs));
-                    for (x, &bv) in row.iter_mut().zip(&vb) {
-                        *x = _mm512_fmadd_ps(va, bv, *x);
-                    }
-                }
-            }
-            for (r, row) in acc.iter().enumerate() {
-                for (v, &x) in row.iter().enumerate() {
-                    if masked(v) {
-                        _mm512_mask_storeu_ps(c.add(r * ldc + v * ZLANES), mask, x);
-                    } else {
-                        _mm512_storeu_ps(c.add(r * ldc + v * ZLANES), x);
-                    }
-                }
+        for (v, &x) in row.iter().enumerate() {
+            let p = c.add(r * ldc + v * L::N);
+            if masked(v) {
+                x.store_masked(p, mask);
+            } else {
+                x.store(p);
             }
         }
     }
@@ -1783,65 +1263,86 @@ mod tests {
         force_level(None);
     }
 
-    #[test]
-    fn multi_dot_kernels_match_single_dot() {
-        for k in [0, 1, 7, 8, 9, 40, 257] {
-            let a = fill(k, 7);
-            let bs: Vec<Vec<f32>> = (0..8).map(|j| fill(k, 100 + j)).collect();
-            let refs: [&[f32]; 8] = std::array::from_fn(|j| bs[j].as_slice());
-            let singles: Vec<u32> = bs.iter().map(|b| dot8(&a, b).to_bits()).collect();
-            let quad = dot8_x4_scalar(&a, &bs[0], &bs[1], &bs[2], &bs[3]);
-            let octet = dot8_x8_scalar(&a, refs);
-            for j in 0..4 {
-                assert_eq!(quad[j].to_bits(), singles[j], "quad lane {j} k={k}");
-            }
-            for j in 0..8 {
-                assert_eq!(octet[j].to_bits(), singles[j], "octet lane {j} k={k}");
-            }
-        }
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
     fn baseline_sweeps_match_their_dispatched_instantiations() {
-        // On an FMA host every call above takes a sweep's
-        // `target_feature(enable = "fma")` copy; this test function is
-        // compiled for baseline, so the `inline(always)` sweeps land here
-        // as the other instantiation — `fmaf` through libm on x86-64, the
-        // only one elsewhere — which is what a host without FMA runs.
-        for k in [0, 1, 7, 8, 9, 40, 257] {
-            let a = fill(k, 11);
-            let bs: Vec<Vec<f32>> = (0..8).map(|j| fill(k, 200 + j)).collect();
-            let refs: [&[f32]; 8] = std::array::from_fn(|j| bs[j].as_slice());
-            assert_eq!(dot8_sweep(&a, &bs[0]).to_bits(), dot8(&a, &bs[0]).to_bits(), "dot8 k={k}");
-            assert_eq!(
-                dot8_x4_sweep(&a, &bs[0], &bs[1], &bs[2], &bs[3]).map(f32::to_bits),
-                dot8_x4_scalar(&a, &bs[0], &bs[1], &bs[2], &bs[3]).map(f32::to_bits),
-                "dot8_x4 k={k}"
-            );
-            assert_eq!(
-                dot8_x8_sweep(&a, refs).map(f32::to_bits),
-                dot8_x8_scalar(&a, refs).map(f32::to_bits),
-                "dot8_x8 k={k}"
-            );
+        // On an FMA host every dispatched call at the scalar level takes a
+        // body's `target_feature(enable = "fma")` instantiation; this test
+        // function is compiled for baseline, so the `inline(always)` bodies
+        // called here land as the other one — `fmaf` through libm on
+        // x86-64, the only one elsewhere — which is what a host without FMA
+        // runs. Every level must give its bits.
+        type Portable = [f32; LANES];
+        // dot_panel: one-, two- and four-register column groups, with and
+        // without a repeated last column at 512 bits; row tiles of 4, 3, 2
+        // and 1 on both sides of the 24-row group; every `k mod 8` class
+        // and a two-block reduction.
+        for (m, n, k) in [
+            (1, 1, 1),
+            (2, 3, 7),
+            (3, 5, 9),
+            (4, 8, 16),
+            (25, 7, 23),
+            (26, 13, 520),
+        ] {
+            let (lda, ldb) = (k + 1, k + 2);
+            let (a, b, bias) = (fill(m * lda, 31), fill(n * ldb, 32), fill(n, 33));
+            let mut want = vec![0.5f32; m * n];
+            // SAFETY: `a` holds `m` rows of `lda ≥ k`, `b` `n` rows of
+            // `ldb ≥ k`, and `want` is `m × n` row-major.
+            unsafe {
+                dot_walk::<Portable, 3>(m, n, k, &a, lda, &b, ldb, Some(&bias), &mut want, n, 1)
+            };
+            let want = bits(&want);
+            assert_levels_agree(|| {
+                let mut out = vec![0.5f32; m * n];
+                dot_panel(m, n, k, &a, lda, &b, ldb, Some(&bias), &mut out, n, 1);
+                assert_eq!(bits(&out), want, "dot_panel m={m} n={n} k={k}");
+                bits(&out)
+            });
         }
-        // 4×16, 4×8 and 1×W tiles plus the scalar-column remainder, both
-        // `a` layouts.
-        for (m, n, k) in [(1, 1, 1), (4, 16, 9), (5, 27, 33), (9, 43, 20)] {
+        // gemm_acc: two- and one-register tiles, the masked remainder,
+        // 4-row bands and single rows, band-outer (`m > n`) and
+        // strip-outer, both `a` layouts.
+        for (m, n, k) in [(1, 1, 1), (4, 16, 9), (5, 27, 33), (9, 43, 20), (13, 7, 5)] {
             for (a_rs, a_ps) in [(k, 1), (1, m)] {
                 let a = fill(m * k, (m + n) as u32);
                 let b = fill(k * n, (n + k) as u32);
                 let c0 = fill(m * n, k as u32);
-                let mut baseline = c0.clone();
-                gemm_acc_sweep(m, n, k, &a, a_rs, a_ps, &b, n, &mut baseline, n);
-                let baseline: Vec<u32> = baseline.iter().map(|v| v.to_bits()).collect();
+                let mut want = c0.clone();
+                // SAFETY: `a` holds `m × k` floats at either stride pair,
+                // `b` `k × n` and `want` `m × n`.
+                unsafe { gemm_walk::<Portable, 4>(m, n, k, &a, a_rs, a_ps, &b, n, &mut want, n) };
+                let want = bits(&want);
                 assert_levels_agree(|| {
                     let mut c = c0.clone();
                     gemm_acc(m, n, k, &a, a_rs, a_ps, &b, n, &mut c, n);
-                    let got: Vec<u32> = c.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(got, baseline, "gemm_acc m={m} n={n} k={k} a_rs={a_rs}");
-                    got
+                    assert_eq!(bits(&c), want, "gemm_acc m={m} n={n} k={k} a_rs={a_rs}");
+                    bits(&c)
                 });
             }
+        }
+        // The elementwise loop: whole registers at every width and a
+        // masked remainder of every length.
+        for n in [0, 1, 7, 8, 9, 15, 16, 17, 31, 33] {
+            let (a, b) = (fill(n, 41), fill(n, 42));
+            let (mut sum, mut diff) = (vec![0.0f32; n], vec![0.0f32; n]);
+            // SAFETY: every slice holds `n` floats.
+            unsafe {
+                zip::<Portable, false>(sum.as_mut_ptr(), a.as_ptr(), b.as_ptr(), n);
+                zip::<Portable, true>(diff.as_mut_ptr(), a.as_ptr(), b.as_ptr(), n);
+            }
+            let want = (bits(&sum), bits(&diff));
+            assert_levels_agree(|| {
+                let (mut s, mut d) = (vec![0.0f32; n], vec![0.0f32; n]);
+                vadd(&mut s, &a, &b);
+                vsub(&mut d, &a, &b);
+                assert_eq!((bits(&s), bits(&d)), want, "vadd / vsub n={n}");
+                want.clone()
+            });
         }
     }
 
@@ -2005,6 +1506,83 @@ mod tests {
         let mut c = [0.0f32; 8];
         // a needs (k-1)·a_ps + (m-1)·a_rs + 1 = 2·4 + 1·1 + 1 = 10 floats.
         gemm_acc(2, 4, 3, &[0.0; 9], 1, 4, &[0.0; 12], 4, &mut c, 4);
+    }
+
+    // Strides whose extents wrap: `2 · 2⁶³` is 0 in `usize`, so an
+    // unchecked product would pass the check and the body would read
+    // through a wrapped pointer.
+    const WRAP: usize = 1 << 63;
+
+    #[test]
+    #[should_panic(expected = "gemm_acc lhs too short")]
+    fn gemm_acc_rejects_a_row_stride_whose_extent_wraps() {
+        gemm_acc(3, 1, 1, &[1.0], WRAP, 1, &[1.0], 1, &mut [0.0; 3], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_acc lhs too short")]
+    fn gemm_acc_rejects_a_step_stride_whose_extent_wraps() {
+        gemm_acc(1, 1, 3, &[1.0], 1, WRAP, &[1.0; 3], 1, &mut [0.0], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_acc rhs too short")]
+    fn gemm_acc_rejects_an_ldb_whose_extent_wraps() {
+        gemm_acc(1, 1, 3, &[1.0; 3], 1, 1, &[1.0], WRAP, &mut [0.0], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "dot_panel lhs too short")]
+    fn dot_panel_rejects_an_lda_whose_extent_wraps() {
+        dot_panel(
+            3,
+            1,
+            8,
+            &[1.0; 8],
+            WRAP,
+            &[1.0; 8],
+            8,
+            None,
+            &mut [0.0; 3],
+            1,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "dot_panel rhs too short")]
+    fn dot_panel_rejects_an_ldb_whose_extent_wraps() {
+        dot_panel(
+            1,
+            3,
+            8,
+            &[1.0; 8],
+            8,
+            &[1.0; 8],
+            WRAP,
+            None,
+            &mut [0.0; 3],
+            1,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "dot_panel out too short")]
+    fn dot_panel_rejects_an_out_stride_whose_extent_wraps() {
+        dot_panel(
+            3,
+            1,
+            8,
+            &[1.0; 24],
+            8,
+            &[1.0; 8],
+            8,
+            None,
+            &mut [0.0; 1],
+            WRAP,
+            1,
+        );
     }
 
     #[test]

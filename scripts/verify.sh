@@ -123,13 +123,39 @@ if grep -rnE 'InterleavedSchedule|interleave\(|plan_split_auto|split_cost' crate
 fi
 
 # Chain-step guard: the step of every GEMM accumulation chain is one
-# fused multiply-add on every body of `scnn_tensor::simd` (DESIGN.md
-# §14) — `_mm512_fmadd_ps` in the AVX-512 one, `_mm256_fmadd_ps` in the
-# AVX2 one, `f32::mul_add` in the portable one. A vector multiply under
-# crates/tensor/src is a two-rounding step (and a second FP uop per step)
-# coming back.
+# fused multiply-add at every width of `scnn_tensor::simd` (DESIGN.md
+# §14) — `Lanes::fma`, which is `_mm512_fmadd_ps` for `__m512`,
+# `_mm256_fmadd_ps` for `__m256` and `f32::mul_add` for the portable
+# `[f32; 8]` — and in the conv engine's position path. A vector multiply
+# under crates/tensor/src is a two-rounding step (and a second FP uop per
+# step) coming back.
 if grep -rnE '_mm(256|512)_mul_ps' crates/tensor/src; then
   echo "verify: a vector multiply under crates/tensor/src — the chain step is a fused multiply-add" >&2
+  exit 1
+fi
+
+# One-body guard (DESIGN.md §14): every kernel of `scnn_tensor::simd` is
+# one body generic over `Lanes`, and the only code there that names a
+# 256- or 512-bit intrinsic is the `impl Lanes for …` / `impl Eight for …`
+# blocks. An intrinsic anywhere else in the file's library code, or a
+# `fn` named after one of the per-level bodies the trait replaced (or
+# their instantiation macro), is a second copy of a kernel coming back.
+simd_rs=crates/tensor/src/simd.rs
+simd_intrinsics="$(awk '
+  /#\[cfg\(test\)\]/ { exit }
+  /^[[:space:]]*\/\// { next }
+  /^[[:space:]]*impl (Lanes|Eight) for / {
+    match($0, /^[[:space:]]*/); close_line = substr($0, 1, RLENGTH) "}"; inside = 1; next
+  }
+  inside && $0 == close_line { inside = 0; next }
+  !inside && /_mm(256|512)_/ { print FILENAME ":" FNR ": " $0 }' "$simd_rs")"
+if [[ -n "$simd_intrinsics" ]]; then
+  echo "$simd_intrinsics" >&2
+  echo "verify: a 256/512-bit intrinsic in $simd_rs outside the Lanes / Eight impls" >&2
+  exit 1
+fi
+if grep -rnE 'fn (dot8_x[48][a-z_]*|dot_panel_scalar|gemm_acc_scalar|panel_cols|panel_pairs|strip_scalar|tile_scalar)\b|macro_rules! fused_or_baseline\b' crates/; then
+  echo "verify: a per-level kernel body is back under crates/ (one body per kernel, generic over Lanes)" >&2
   exit 1
 fi
 
