@@ -7,7 +7,9 @@
 //! (fastest of `--passes` × `--reps` individually timed calls) and GFLOP/s of
 //! one forward and one backward call — the "layer profile says *where* it came from" half of the
 //! ROADMAP's perf-claim rule. Backward is `dw` + `dx`, twice the forward
-//! flops.
+//! flops; the `dw` and `dx` columns are the floors of the tile engine's two
+//! backward kernels called on their own (`conv2d_dw_tiled_acc_at`,
+//! `conv2d_dx_tiled`), so a backward change shows which half it moved.
 //!
 //! The header also prints the host's bare multiply-add rate on one thread
 //! at each vector width it runs — the ceiling the GFLOP/s columns are
@@ -27,7 +29,9 @@ use scnn_graph::{Graph, Op};
 use scnn_models::{resnet18, ModelOptions};
 use scnn_nn::kernels::{conv2d_backward_micro, conv2d_forward_micro, ConvAttrs};
 use scnn_rng::SplitRng;
-use scnn_tensor::{uniform, Padding2d, Tensor};
+use scnn_tensor::{
+    conv2d_dw_tiled_acc_at, conv2d_dx_tiled, uniform, Conv2dGeometry, Padding2d, Tensor,
+};
 
 /// What makes two conv nodes the same kernel call.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -90,6 +94,8 @@ struct Probe {
     dy: Tensor,
     fwd_ms: f64,
     bwd_ms: f64,
+    dw_ms: f64,
+    dx_ms: f64,
 }
 
 fn probes(graph: &Graph) -> Vec<Probe> {
@@ -117,6 +123,8 @@ fn probes(graph: &Graph) -> Vec<Probe> {
                 dy,
                 fwd_ms: f64::INFINITY,
                 bwd_ms: f64::INFINITY,
+                dw_ms: f64::INFINITY,
+                dx_ms: f64::INFINITY,
             }
         })
         .collect()
@@ -145,31 +153,61 @@ fn profile(name: &str, graph: &Graph, passes: usize, reps: usize) {
                     0,
                 ));
             }));
+            // The two kernels the backward runs, each on its own, on the
+            // cropped window the conv lowers to.
+            let (ic, h, w) = (p.x.dim(1), p.x.dim(2), p.x.dim(3));
+            let (g, crop) = Conv2dGeometry::cropped(ic, h, w, a.kh, a.kw, a.sh, a.sw, a.pad);
+            let (off_h, off_w) = ((-crop.h_begin) as usize, (-crop.w_begin) as usize);
+            let mut dw = vec![0.0f32; p.w.len()];
+            p.dw_ms = p.dw_ms.min(min_ms(reps, || {
+                conv2d_dw_tiled_acc_at(&p.x, off_h, off_w, &p.dy, &g, 0, p.x.dim(0), &mut dw, true);
+                std::hint::black_box(&mut dw);
+            }));
+            let mut dx = Tensor::zeros(p.x.shape().dims());
+            p.dx_ms = p.dx_ms.min(min_ms(reps, || {
+                conv2d_dx_tiled(&p.dy, &p.w, &g, &mut dx, off_h, off_w);
+                std::hint::black_box(&mut dx);
+            }));
         }
     }
     println!("\n## {name}");
     println!(
-        "{:<34} {:>3} {:>8} {:>7} {:>8} {:>7} {:>9} {:>9}",
-        "n,ic,h,w -> oc kxk/s pad", "x", "fwd ms", "GF/s", "bwd ms", "GF/s", "sum fwd", "sum bwd"
+        "{:<34} {:>3} {:>8} {:>7} {:>8} {:>7} {:>8} {:>8} {:>9} {:>9}",
+        "n,ic,h,w -> oc kxk/s pad",
+        "x",
+        "fwd ms",
+        "GF/s",
+        "bwd ms",
+        "GF/s",
+        "dw ms",
+        "dx ms",
+        "sum fwd",
+        "sum bwd"
     );
     let (mut sum_fwd, mut sum_bwd, mut sum_flops) = (0.0, 0.0, 0.0);
+    let (mut sum_dw, mut sum_dx) = (0.0, 0.0);
     for p in &probes {
         let (n, flops, fwd, bwd) = (p.row.count as f64, p.row.flops, p.fwd_ms, p.bwd_ms);
         println!(
-            "{:<34} {:>3} {fwd:>8.3} {:>7.1} {bwd:>8.3} {:>7.1} {:>9.2} {:>9.2}",
+            "{:<34} {:>3} {fwd:>8.3} {:>7.1} {bwd:>8.3} {:>7.1} {:>8.3} {:>8.3} {:>9.2} {:>9.2}",
             p.label,
             p.row.count,
             flops / fwd / 1e6,
             2.0 * flops / bwd / 1e6,
+            p.dw_ms,
+            p.dx_ms,
             n * fwd,
             n * bwd,
         );
         sum_fwd += n * fwd;
         sum_bwd += n * bwd;
+        sum_dw += n * p.dw_ms;
+        sum_dx += n * p.dx_ms;
         sum_flops += n * flops;
     }
     println!(
-        "total: {:.3} GFLOP forward; forward {sum_fwd:.2} ms ({:.1} GFLOP/s), backward {sum_bwd:.2} ms ({:.1} GFLOP/s)",
+        "total: {:.3} GFLOP forward; forward {sum_fwd:.2} ms ({:.1} GFLOP/s), \
+         backward {sum_bwd:.2} ms ({:.1} GFLOP/s) = dw {sum_dw:.2} + dx {sum_dx:.2} ms + the rest",
         sum_flops / 1e9,
         sum_flops / sum_fwd / 1e6,
         2.0 * sum_flops / sum_bwd / 1e6

@@ -456,3 +456,73 @@ fn forward_matches_the_scalar_reference_on_random_geometries() {
         Case::Pass
     });
 }
+
+/// The backward paths that read in place — at the AVX-512 level, `dx` of
+/// every stride-1 conv whose output plane is its input plane as the
+/// forward of the flipped kernel; at every level, `dw` broadcasting its
+/// patch operand from `x` with output channels across the lanes — against
+/// the materialized oracle, bit for bit, at every level the host runs and
+/// at 1, 2 and 3 threads. Geometries are seeded: 1×1, 3×3, 5×5 and 7×7
+/// kernels with every split of the padding that keeps the plane, odd
+/// widths so sixteen-position strips wrap rows, 4×4 maps at n = 3 so they
+/// straddle images, 16×16 maps whose every image is one `KC` block, and
+/// channel counts off every register tile. `dy` is ReLU-style (signed
+/// zeros, subnormals) with one NaN. `dw` also runs in every aligned
+/// micro-batch size, so later chunks continue the reduction with `init`
+/// off — in the single-block fold and across `KC` blocks.
+#[test]
+fn in_place_backward_matches_the_materialized_oracle_at_every_level_and_thread_count() {
+    use scnn_nn::kernels::conv2d_backward_micro;
+    use scnn_tensor::{force_level, micro_batch_aligned, supports, SimdLevel};
+    check("in-place backward vs materialized", 12, |rng| {
+        let k = [1usize, 3, 5, 7][rng.gen_range(0..4usize)];
+        let (h, w) = match rng.gen_range(0..4usize) {
+            0 => (4, 4),
+            // One image is one `KC` block: micro-batches of one image
+            // continue a blocked reduction.
+            1 => (16, 16),
+            _ => (rng.gen_range(k.max(2)..12usize), 2 * rng.gen_range(1..8usize) + 1),
+        };
+        let n = match (h, w) {
+            (4, 4) => 3,
+            (16, 16) => 2,
+            _ => rng.gen_range(1..4usize),
+        };
+        let (ic, oc) = (rng.gen_range(1..21usize), rng.gen_range(1..40usize));
+        let (pt, pl) = (rng.gen_range(0..k) as i64, rng.gen_range(0..k) as i64);
+        let pad = Padding2d::new(pt, k as i64 - 1 - pt, pl, k as i64 - 1 - pl);
+        let attrs = ConvAttrs { kh: k, kw: k, sh: 1, sw: 1, pad };
+        let x = uniform(rng, &[n, ic, h, w], -1.0, 1.0);
+        let wt = uniform(rng, &[oc, ic, k, k], -0.7, 0.7);
+        let mut dy = relu_style_dy(rng, &[n, oc, h, w]);
+        let nan_at = rng.gen_range(0..dy.len());
+        dy.as_mut_slice()[nan_at] = f32::NAN;
+        let want = conv2d_backward_with(&x, &wt, true, &dy, &attrs, Some(ConvAlgo::Materialized));
+        let g = Conv2dGeometry::new(ic, h, w, k, k, 1, 1, pad);
+        let micros: Vec<usize> =
+            (0..=n).filter(|&u| u == 0 || micro_batch_aligned(&g, u, n)).collect();
+        for level in SimdLevel::ALL.into_iter().filter(|&l| supports(l)) {
+            force_level(Some(level));
+            for threads in [1, 2, 3] {
+                for &micro in &micros {
+                    let tiled = Some(ConvAlgo::Tiled);
+                    let got = scnn_par::with_threads(threads, || {
+                        conv2d_backward_micro(&x, &wt, true, &dy, &attrs, tiled, micro)
+                    });
+                    let what = |t: &str| {
+                        let at = format!("{} threads {threads} micro {micro}", level.name());
+                        format!("{t} k{k} {n}x{ic}x{h}x{w} oc{oc} pad {pad:?} {at}")
+                    };
+                    for (t, a, b) in [("dx", &got.dx, &want.dx), ("dw", &got.dw, &want.dw)] {
+                        if let Err(e) = bits_match(&what(t), a, b) {
+                            force_level(None);
+                            return Case::Fail(e);
+                        }
+                    }
+                }
+            }
+        }
+        force_level(None);
+        Case::Pass
+    });
+}

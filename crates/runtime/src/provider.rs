@@ -14,13 +14,18 @@
 //! - Free events (and an eager in-place-aliasing pass) drop activation
 //!   entries from the executor's `outputs` table the moment their planned
 //!   lifetime ends, which returns the buffer to the allocator;
-//! - OffloadStart/PrefetchStart hand copies to a background transfer
-//!   worker; the matching Sync events block exactly where the plan says
-//!   the compute stream would. The worker and the host tier (an unlinked
-//!   file, [`HostArena`]) exist only when the plan stages bytes off-device.
-//!   A copy the file refuses travels to its Sync event as an
-//!   [`io::Result`], and that event panics naming the TSO, the host slot
-//!   and the [`io::ErrorKind`]: the provider hooks cannot return errors.
+//! - OffloadStart writes the source buffer into the host tier (an unlinked
+//!   file, [`HostArena`]) where it lies — one positioned write, no staging
+//!   copy, so no buffer of the step is borrowed past the event and a Free
+//!   or an eager alias drop may release it at once. PrefetchStart hands
+//!   the read to a background transfer worker, which also makes the
+//!   buffer it reads into. Each copy's outcome waits for the matching
+//!   Sync event, which blocks exactly where the plan says the compute
+//!   stream would. The worker and the tier exist only when the plan stages
+//!   bytes off-device. A copy the file refuses travels to its Sync event
+//!   as an [`io::Result`], and that event panics naming the TSO, the host
+//!   slot and the [`io::ErrorKind`]: the provider hooks cannot return
+//!   errors.
 //!
 //! # One order
 //!
@@ -359,6 +364,11 @@ impl PlanRuntime {
         }
     }
 
+    /// The host tier and its transfer worker.
+    fn tier(&self) -> &(Arc<HostArena>, Worker) {
+        self.transfer.as_ref().expect("offloading plans have a host tier")
+    }
+
     /// Queues `copy` of the `len` bytes at host offset `off` on the
     /// transfer worker; its outcome waits for the matching Sync event.
     fn start_transfer<T: Send + 'static>(
@@ -367,10 +377,7 @@ impl PlanRuntime {
         len: usize,
         copy: impl FnOnce(&HostArena) -> io::Result<T> + Send + 'static,
     ) -> Transfer<T> {
-        let (arena, worker) = self
-            .transfer
-            .as_ref()
-            .expect("offloading plans have a host tier");
+        let (arena, worker) = self.tier();
         let arena = arena.clone();
         let (tx, rx) = channel();
         worker.submit(move || {
@@ -395,15 +402,19 @@ impl PlanRuntime {
                     }
                 }
                 MemEvent::OffloadStart { tso, .. } => {
+                    // Written here, from the buffer where it lies: no
+                    // staging copy, and nothing of the step's buffers is
+                    // borrowed past this event — a Free or an eager alias
+                    // drop may release the source at once. The outcome
+                    // still waits for the plan's OffloadSync.
                     let src = self.content[tso.0].expect("offloaded TSO has computed content");
-                    let staged = outputs[src]
+                    let data = outputs[src]
                         .as_ref()
                         .expect("offload source is resident")
-                        .as_slice()
-                        .to_vec();
-                    let (off, len) = (plan.host_offsets[&tso], staged.len() * 4);
-                    let copy = self.start_transfer(off, len, move |arena| arena.store(off, &staged));
-                    self.pending_offload.insert(tso.0, copy);
+                        .as_slice();
+                    let (off, len) = (plan.host_offsets[&tso], data.len() * 4);
+                    let stored = self.tier().0.store(off, data);
+                    self.pending_offload.insert(tso.0, Transfer::done(off, len, stored));
                     self.stats.offloads += 1;
                 }
                 MemEvent::OffloadSync { tso } => {
@@ -416,9 +427,12 @@ impl PlanRuntime {
                     let reader = *plan.restore_nodes[tso.0]
                         .last()
                         .expect("prefetched TSO has a reader");
-                    let mut buf = vec![0.0f32; tables.node_shape[reader].iter().product()];
-                    let (off, len) = (plan.host_offsets[&tso], buf.len() * 4);
+                    let elems: usize = tables.node_shape[reader].iter().product();
+                    let (off, len) = (plan.host_offsets[&tso], elems * 4);
+                    // The buffer is made on the worker, so its pages are
+                    // first touched there and not on the compute thread.
                     let copy = self.start_transfer(off, len, move |arena| {
+                        let mut buf = vec![0.0f32; elems];
                         arena.load(off, &mut buf).map(|()| buf)
                     });
                     self.pending_prefetch.insert(tso.0, copy);
@@ -455,6 +469,15 @@ struct Transfer<T> {
 }
 
 impl<T> Transfer<T> {
+    /// A copy that already ran, its outcome waiting for its Sync event
+    /// like one in flight.
+    fn done(off: usize, len: usize, outcome: io::Result<T>) -> Self {
+        let (tx, rx) = channel();
+        // The receiver is alive: it is in hand.
+        let _ = tx.send(outcome);
+        Transfer { off, len, rx }
+    }
+
     /// Blocks until the copy is done — the plan's Sync event — and returns
     /// what it produced.
     ///

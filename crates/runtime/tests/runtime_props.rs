@@ -12,6 +12,10 @@
 //!   [`PlanTables`] step interleaved (each has a host tier of its own);
 //! - **Savings** — the plan-driven lifetimes keep fewer activation bytes
 //!   resident than the baseline;
+//! - **Offload from where it lies** — a plan whose Free drops an aliased
+//!   TSO's buffers between its OffloadStart and its OffloadSync still
+//!   trains to the baseline's bits: the offload borrows nothing past its
+//!   start event;
 //! - **Tape order** — a training step runs the order its plan was made
 //!   for: `forward_complete` follows every `adopt`, in ascending node id,
 //!   so each planned event replays at its own tape position and the first
@@ -617,4 +621,82 @@ fn resident_peaks_order_like_the_plans() {
         "resident peaks out of order: hmms {hmms} B, no_offload {no_offload} B, Vec-per-node {} B",
         meter.peak_bytes()
     );
+}
+
+/// `plan` with one offloaded TSO's Free moved inside its offload window:
+/// after the last forward read of its nodes, the TSO's events become
+/// OffloadStart, Free, OffloadSync. The runtime then drops the buffers the
+/// offload was written from while the plan still counts the transfer as
+/// in flight. Returns the edited plan and the TSO.
+fn free_inside_an_offload(
+    graph: &Graph,
+    plan: &scnn_hmms::ExecPlan,
+) -> Option<(scnn_hmms::ExecPlan, usize)> {
+    use scnn_hmms::{MemEvent, TsoId};
+    let consumers = graph.consumers();
+    let ours = |t: usize| {
+        move |e: &MemEvent| match *e {
+            MemEvent::OffloadStart { tso, .. } | MemEvent::OffloadSync { tso } => tso.0 == t,
+            MemEvent::Free(tso) => tso.0 == t,
+            _ => false,
+        }
+    };
+    let events = || plan.steps.iter().flat_map(|s| s.before.iter().chain(&s.after));
+    // An aliased TSO (a batch norm and the ReLU over it), so the drop
+    // releases more than one node's buffer.
+    let mut aliased = plan.alias_nodes.iter().enumerate().filter(|(_, nodes)| nodes.len() > 1);
+    let (t, stream, last_read) = aliased.find_map(|(t, nodes)| {
+        let stream = events().find_map(|e| match *e {
+            MemEvent::OffloadStart { tso, stream } if tso.0 == t => Some(stream),
+            _ => None,
+        })?;
+        let last_read = nodes.iter().flat_map(|&n| consumers[n].iter().map(|c| c.0)).max()?;
+        (last_read < plan.forward_len).then_some((t, stream, last_read))
+    })?;
+    let mut edited = plan.clone();
+    for s in &mut edited.steps {
+        s.before.retain(|e| !ours(t)(e));
+        s.after.retain(|e| !ours(t)(e));
+    }
+    let tso = TsoId(t);
+    edited.steps[last_read].after.extend([
+        MemEvent::OffloadStart { tso, stream },
+        MemEvent::Free(tso),
+        MemEvent::OffloadSync { tso },
+    ]);
+    Some((edited, t))
+}
+
+#[test]
+fn a_buffer_freed_while_its_offload_is_pending_trains_to_vec_bits() {
+    let graph = split_resnet_graph(2);
+    let (tape, tso, plans) = plans(&graph);
+    let hmms = plans.into_iter().last().expect("hmms plan");
+    let plan = scnn_hmms::export_plan(&graph, &tape, &hmms, &tso).expect("plan is legal");
+    let (plan, t) = free_inside_an_offload(&graph, &plan).expect("the HMMS plan offloads");
+    let run = |runtime: bool| {
+        let mut params = ParamStore::init(&graph, &mut SplitRng::seed_from_u64(7));
+        let (mut bn, mut rng) = (BnState::new(), SplitRng::seed_from_u64(13));
+        let mut sgd = Sgd::new(&params, 0.05, 0.9, 1e-4);
+        let mut rt = PlanRuntime::new(&graph, plan.clone()).expect("runtime builds");
+        let mut losses = Vec::new();
+        for step in 0..2 {
+            let (images, labels) = batch_for(&graph, 200 + step);
+            let provider: &mut dyn BufferProvider =
+                if runtime { &mut rt } else { &mut VecProvider };
+            let loss = step_with(&graph, &mut params, &mut bn, &mut rng, &images, &labels, provider);
+            losses.push(loss);
+            sgd.step(&mut params);
+        }
+        (losses, params)
+    };
+    let (want, want_params) = run(false);
+    let (got, got_params) = run(true);
+    assert_eq!(got, want, "losses diverged with TSO {t} freed inside its offload");
+    for i in 0..graph.params().len() {
+        let bits = |p: &ParamStore| -> Vec<u32> {
+            p.value(ParamId(i)).as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&got_params), bits(&want_params), "param {i} bits diverged");
+    }
 }

@@ -3,30 +3,35 @@
 //! The materialized path lowers convolution to `im2col` + GEMM, which
 //! allocates the full patch matrix `[n·oh·ow, ic·kh·kw]` on every call —
 //! the largest transient buffer in a training step and invisible to the
-//! HMMS planner. The kernels here never build that matrix: they stage one
-//! small tile at a time in per-thread scratch (`scnn_par::scratch`), run
-//! the same micro-kernels the GEMMs use (`dot_panel` forward, `gemm_acc`
-//! backward) against the weight matrix, and write results straight to
-//! their destination. What moves the data, per direction:
+//! HMMS planner. The kernels here never build that matrix: they read
+//! their operands where they lie, or stage one small tile at a time in
+//! per-thread scratch (`scnn_par::scratch`), run the same micro-kernels
+//! the GEMMs use (`dot_panel`, `gemm_acc` and its gathered form
+//! `gather_acc`), and write results straight to their destination. What
+//! moves the data, per direction:
 //!
-//! - forward at the AVX-512 level, for a stride-1 conv whose output plane
-//!   equals its input plane: nothing is packed ([`position`]). A register
-//!   holds sixteen consecutive output positions; with the planes equal,
-//!   their operands for one shared-dimension element are sixteen
-//!   consecutive input elements, loaded in place under a mask that is the
+//! - forward and `dx` at the AVX-512 level, for a stride-1 conv whose
+//!   output plane equals its input plane: nothing is packed
+//!   ([`position`]). A register holds sixteen consecutive positions; with
+//!   the planes equal, their operands for one shared-dimension element are
+//!   sixteen consecutive input (forward) or `dy` (`dx`, the forward of the
+//!   flipped kernel) elements, loaded in place under a mask that is the
 //!   padding.
-//! - every other forward, and `dw`, *strip-pack* patch rows
-//!   ([`pack_strips`]): tiles run
-//!   over the flattened `n·oh·ow` position index (a 4-wide map fills a
-//!   panel as well as a 32-wide one), and for each run of positions inside
-//!   one output row a `(c, ky)` pass copies the run's kernel rows with the
-//!   kernel width a compile-time constant — no per-position `memcpy`, no
-//!   per-tap bounds test away from the border.
-//! - `dx` computes a tile's patch-row gradients *transposed*
+//! - every other forward *strip-packs* patch rows ([`pack_strips`]):
+//!   tiles run over the flattened `n·oh·ow` position index (a 4-wide map
+//!   fills a panel as well as a 32-wide one), and for each run of
+//!   positions inside one output row a `(c, ky)` pass copies the run's
+//!   kernel rows with the kernel width a compile-time constant — no
+//!   per-position `memcpy`, no per-tap bounds test away from the border.
+//! - every other `dx` computes a tile's patch-row gradients *transposed*
 //!   (`[plen, positions]`, the weight matrix as `gemm_acc`'s strided left
 //!   operand, `dy` read in place as its rows), so the `col2im` scatter adds
 //!   whole runs of positions with unit stride on both sides
 //!   ([`scatter_strips`]).
+//! - `dw`, at every level, packs nothing ([`dw_blocks`]): output channels run
+//!   across the lanes, a block's `dy` is turned to `[p, o]` once, and each
+//!   patch element is one broadcast load from the input (or from a
+//!   zero-bordered copy of the block's rows when the layer pads).
 //! - a layer with negative padding reads and writes its cropped window in
 //!   place (`*_at` entry points, [`conv2d_dx_tiled`]'s offsets) instead of
 //!   through a cropped copy.
@@ -44,15 +49,17 @@
 //!   own, one residue class of `k` after the other.
 //! - `dw`: partial sums are blocked on the same `KC` boundaries as
 //!   [`matmul_at_b`](crate::matmul_at_b), accumulate with `p` ascending
-//!   inside each block (one `gemm_acc` per packed sub-tile, `dy` read in
-//!   place), and fold in ascending block order.
+//!   inside each block (one fused step per position, whichever output
+//!   channels share a register), and fold in ascending block order.
 //! - `dx`: each patch-row gradient reduces over output channels in
 //!   ascending order exactly as [`matmul`](crate::matmul) does (one
-//!   `gemm_acc` per tile of positions; transposing the tile swaps the
-//!   factors of each product, not their order), then scatters in
-//!   [`col2im_into`](crate::col2im_into)'s `(oy, ox, ky, kx)` order per
-//!   destination element, parallel per batch image only (`oy` windows
-//!   overlap inside an image).
+//!   `gemm_acc` per tile of positions, or one register chain per tap on
+//!   the position path; either swaps the factors of each product, not
+//!   their order), then adds in [`col2im_into`](crate::col2im_into)'s
+//!   `(oy, ox, ky, kx)` order per destination element — `ky` descending,
+//!   then `kx` descending, for a stride-1 conv. The strip path is
+//!   parallel per batch image only (`oy` windows overlap inside an
+//!   image); the position path owns each destination strip in one task.
 //!
 //! The weight tensor `[oc, ic, kh, kw]` is row-major contiguous, so its
 //! natural layout *is* the `[oc, plen]` panel the micro-kernels want —
@@ -61,7 +68,7 @@
 
 use crate::im2col::Conv2dGeometry;
 use crate::linalg::REDUCTION_KC;
-use crate::simd::{add_assign, dot_panel, gemm_acc, PANEL_ROWS};
+use crate::simd::{add_assign, dot_panel, gather_acc, gemm_acc, transpose, PANEL_ROWS};
 use crate::Tensor;
 use scnn_par::{scratch, DisjointMut};
 
@@ -126,20 +133,16 @@ pub fn min_micro_batch(g: &Conv2dGeometry, n: usize) -> usize {
     (REDUCTION_KC / gcd(g.patch_count(), REDUCTION_KC)).min(n.max(1))
 }
 
-/// Per-thread byte budget of a pack panel: the tiled engine's patch-row
-/// tile and `dw` pack sub-tile, and the Winograd path's transform staging.
+/// Per-thread byte budget of a pack panel: the strip-packed forward's
+/// patch-row tile, and the Winograd path's transform staging.
 pub(crate) const PACK_PANEL_BYTES: usize = 256 * 1024;
 
 /// Patch-row tile width under [`PACK_PANEL_BYTES`], at least 1, at most
-/// `cap`. The tile width only partitions independent output positions
-/// (forward) or changes packing granularity (`dw`), never a fold order.
+/// `cap`. The tile width only partitions independent output positions,
+/// never a fold order.
 fn tile_rows(plen: usize, cap: usize) -> usize {
     (PACK_PANEL_BYTES / 4 / plen.max(1)).clamp(1, cap.max(1))
 }
-
-/// Minimum output-channel rows per parallel range of a single-block `dw`
-/// fold (amortizes task-claim overhead; same role as the GEMMs' grain).
-const MIN_ROWS: usize = 8;
 
 /// Output positions per forward task: an eighth of the layer, but at
 /// least one tile and at most four (subject to `scnn_par::grain`'s chunk
@@ -586,12 +589,15 @@ fn fwd_strips(
 mod position {
     use super::{Placement, Window};
     use crate::im2col::Conv2dGeometry;
+    use crate::Padding2d;
     use crate::simd::{active_level, supports, SimdLevel, LANES};
     use core::arch::x86_64::{
-        __m512, _mm512_add_ps, _mm512_fmadd_ps, _mm512_mask_loadu_ps, _mm512_maskz_loadu_ps,
-        _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+        __m512, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_add_ps,
+        _mm512_mask_loadu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
     };
     use scnn_par::DisjointMut;
+    use std::mem::MaybeUninit;
 
     /// Output positions per strip: the f32 lanes of one 512-bit register.
     const STRIP: usize = 16;
@@ -606,6 +612,10 @@ mod position {
     /// rows and the input rows it meets stay in L1 while the eight residue
     /// classes pass over them.
     const KB: usize = 256;
+
+    /// The input gradient's block of output channels: their `dy` rows and
+    /// weights stay in L1 while every tap's chains pass over them.
+    const OB: usize = 32;
 
     /// Whether the position path runs this call: the AVX-512 level and a
     /// geometry it takes ([`takes`]).
@@ -643,7 +653,37 @@ mod position {
         step: [isize; MAX_TAPS],
     }
 
-    impl Layer<'_> {
+    impl<'a> Layer<'a> {
+        /// `g`'s layer over `x: [n, g.in_c, h, w]` with `oc` output
+        /// channels.
+        fn new(x: &'a [f32], g: &Conv2dGeometry, n: usize, oc: usize) -> Self {
+            let (hw, taps) = (g.patch_count(), g.kh * g.kw);
+            let mut tap_off = [0isize; MAX_TAPS];
+            for (t, off) in tap_off[..taps].iter_mut().enumerate() {
+                let dy = (t / g.kw) as isize - g.pad.h_begin as isize;
+                let dx = (t % g.kw) as isize - g.pad.w_begin as isize;
+                *off = dy * g.in_w as isize + dx;
+            }
+            let (mut next, mut step) = ([0; MAX_TAPS], [0; MAX_TAPS]);
+            for t in 0..taps {
+                let q = t + LANES;
+                next[t] = q % taps;
+                step[t] = (q / taps * hw) as isize + tap_off[next[t]] - tap_off[t];
+            }
+            Layer {
+                x,
+                in_c: g.in_c,
+                oc,
+                hw,
+                total: n * hw,
+                k: g.patch_len(),
+                taps,
+                tap_off,
+                next,
+                step,
+            }
+        }
+
         /// Where shared-dimension element `p = (c, t)` reads relative to a
         /// lane's position, and its tap `t`.
         fn at(&self, p: usize) -> (isize, usize) {
@@ -719,6 +759,49 @@ mod position {
             }
             st
         }
+
+        /// The strip's lanes of output channel `c`, each segment from its
+        /// own image; lanes past the batch read 0.0.
+        ///
+        /// # Safety
+        ///
+        /// AVX-512 F is enabled; no other task writes these positions of
+        /// channel `c`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+        unsafe fn read(&self, l: &Layer, c: usize, sink: &DisjointMut<f32>) -> __m512 {
+            let mut lanes = [0.0f32; STRIP];
+            for (&m, &at) in self.lanes[..self.segs].iter().zip(&self.out_at) {
+                let (lo, hi) = (m.trailing_zeros() as usize, STRIP - m.leading_zeros() as usize);
+                let at = at + c * l.hw;
+                // SAFETY: the caller's tasks touch disjoint elements (this
+                // strip's positions of channel `c`).
+                lanes[lo..hi].copy_from_slice(unsafe { sink.range(at + lo, at + hi) });
+            }
+            // SAFETY: `lanes` holds sixteen floats.
+            unsafe { _mm512_loadu_ps(lanes.as_ptr()) }
+        }
+
+        /// Stores `v`'s lanes as the strip's positions of output channel
+        /// `c`, each segment into its own image.
+        ///
+        /// # Safety
+        ///
+        /// As [`Strip::read`].
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+        unsafe fn write(&self, l: &Layer, c: usize, v: __m512, sink: &DisjointMut<f32>) {
+            let mut lanes = [0.0f32; STRIP];
+            // SAFETY: `lanes` holds sixteen floats.
+            unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), v) };
+            for (&m, &at) in self.lanes[..self.segs].iter().zip(&self.out_at) {
+                let (lo, hi) = (m.trailing_zeros() as usize, STRIP - m.leading_zeros() as usize);
+                let at = at + c * l.hw;
+                // SAFETY: as in `read`.
+                let dst = unsafe { sink.range(at + lo, at + hi) };
+                dst.copy_from_slice(&lanes[lo..hi]);
+            }
+        }
     }
 
     /// Position-vectorized forward; `out` and `bias` are checked against
@@ -738,42 +821,11 @@ mod position {
     ) {
         assert!(supports(SimdLevel::Avx512), "the position path needs AVX-512");
         assert!(takes(g, &x.at), "the position path does not take {g:?}");
-        let (hw, taps) = (g.patch_count(), g.kh * g.kw);
-        let mut tap_off = [0isize; MAX_TAPS];
-        for (t, off) in tap_off[..taps].iter_mut().enumerate() {
-            let dy = (t / g.kw) as isize - g.pad.h_begin as isize;
-            let dx = (t % g.kw) as isize - g.pad.w_begin as isize;
-            *off = dy * g.in_w as isize + dx;
-        }
-        let (mut next, mut step) = ([0; MAX_TAPS], [0; MAX_TAPS]);
-        for t in 0..taps {
-            let q = t + LANES;
-            next[t] = q % taps;
-            step[t] = (q / taps * hw) as isize + tap_off[next[t]] - tap_off[t];
-        }
-        let l = Layer {
-            x: x.data,
-            in_c: g.in_c,
-            oc,
-            hw,
-            total: x.n * hw,
-            k: g.patch_len(),
-            taps,
-            tap_off,
-            next,
-            step,
-        };
-        let strips = l.total.div_ceil(STRIP);
-        let per_task = match strips {
-            1 => 1,
-            2 | 3 => 2,
-            _ => 4,
-        };
-        let cgroups = oc.div_ceil(CHANNELS);
+        let l = Layer::new(x.data, g, x.n, oc);
         let sink = DisjointMut::new(out);
-        scnn_par::parallel_for(strips.div_ceil(per_task) * cgroups, |task| {
-            let (sg, cg) = (task / cgroups, task % cgroups);
-            let chans = cg * CHANNELS..((cg + 1) * CHANNELS).min(oc);
+        let per_task = strips_per_task(&l);
+        scnn_par::parallel_for(tasks(&l, per_task), |task| {
+            let (sg, chans) = task_at(&l, task);
             // SAFETY: the host runs AVX-512 F+DQ and AVX2+FMA (asserted
             // above); a task writes only its strips' positions of its
             // channel group, which no other task writes.
@@ -785,6 +837,205 @@ mod position {
                 }
             }
         });
+    }
+
+    /// Strips per task: one for a one-strip layer, two for two or three,
+    /// else four.
+    fn strips_per_task(l: &Layer) -> usize {
+        match l.total.div_ceil(STRIP) {
+            1 => 1,
+            2 | 3 => 2,
+            _ => 4,
+        }
+    }
+
+    /// Tasks of a call: (strip group × [`CHANNELS`]-channel group).
+    fn tasks(l: &Layer, per_task: usize) -> usize {
+        l.total.div_ceil(STRIP).div_ceil(per_task) * l.oc.div_ceil(CHANNELS)
+    }
+
+    /// Task `task`'s strip group and channels.
+    fn task_at(l: &Layer, task: usize) -> (usize, std::ops::Range<usize>) {
+        let cgroups = l.oc.div_ceil(CHANNELS);
+        let cg = task % cgroups;
+        (task / cgroups, cg * CHANNELS..((cg + 1) * CHANNELS).min(l.oc))
+    }
+
+    /// The input gradient of a conv the path takes ([`takes`]), added into
+    /// `dx: [n, g.in_c, h, w]`: the forward of the flipped kernel over
+    /// `dy`, with `col2im`'s order per destination element.
+    ///
+    /// A register holds sixteen consecutive flattened positions of one
+    /// input channel `c` (a strip of `dx`). Destination `q` collects tap
+    /// `(ky, kx)` from output position `q - (ky - pad_t)·w - (kx - pad_l)`
+    /// of the same image — with the planes equal, sixteen consecutive `dy`
+    /// elements, loaded in place under the forward's masks of the flipped
+    /// geometry (kernel rotated, padding `(pad_b, pad_t, pad_r, pad_l)`).
+    /// Taps go in [`col2im_into`](crate::col2im_into)'s order, `ky`
+    /// descending then `kx` descending (the flipped taps ascending); for
+    /// each, the register runs the patch-row gradient's chain — `o`
+    /// ascending, one `_mm512_fmadd_ps` per output channel, from +0.0 — and
+    /// then adds it into `dx` under the tap's mask. That is the strip path's
+    /// `gemm_acc` chain and scatter add, element by element, with no
+    /// scratch tile, no zero-fill and no scatter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host lacks AVX-512 or the geometry is not one the path
+    /// takes ([`takes`]).
+    pub(super) fn backward_dx(
+        dyv: &[f32],
+        wv: &[f32],
+        oc: usize,
+        g: &Conv2dGeometry,
+        n: usize,
+        dx: &mut [f32],
+    ) {
+        assert!(supports(SimdLevel::Avx512), "the position path needs AVX-512");
+        let at = Placement { full_h: g.in_h, full_w: g.in_w, off_h: 0, off_w: 0 };
+        assert!(takes(g, &at), "the position path does not take {g:?}");
+        let p = g.pad;
+        let flipped = Conv2dGeometry::new(
+            oc,
+            g.in_h,
+            g.in_w,
+            g.kh,
+            g.kw,
+            1,
+            1,
+            Padding2d::new(p.h_end, p.h_begin, p.w_end, p.w_begin),
+        );
+        let l = Layer::new(dyv, &flipped, n, g.in_c);
+        let sink = DisjointMut::new(dx);
+        let per_task = strips_per_task(&l);
+        scnn_par::parallel_for(tasks(&l, per_task), |task| {
+            let (sg, chans) = task_at(&l, task);
+            // SAFETY: as in `forward`: AVX-512 F+DQ and AVX2+FMA are
+            // present, and a task adds only into its strips' positions of
+            // its channel group.
+            unsafe {
+                match per_task {
+                    1 => dx_task::<16, 1>(&l, &flipped, wv, sg, chans, &sink),
+                    2 => dx_task::<8, 2>(&l, &flipped, wv, sg, chans, &sink),
+                    _ => dx_task::<4, 4>(&l, &flipped, wv, sg, chans, &sink),
+                }
+            }
+        });
+    }
+
+    /// One `dx` task: strip group `sg` (`S` strips) of input channels
+    /// `chans`, `C` channels per register tile; `l` and `g` are the flipped
+    /// layer over `dy`.
+    ///
+    /// # Safety
+    ///
+    /// The host runs AVX-512 F+DQ and AVX2+FMA, and no other task touches
+    /// these strips' positions of `chans`.
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    unsafe fn dx_task<const C: usize, const S: usize>(
+        l: &Layer,
+        g: &Conv2dGeometry,
+        wv: &[f32],
+        sg: usize,
+        chans: std::ops::Range<usize>,
+        sink: &DisjointMut<f32>,
+    ) {
+        let strips: [Strip; S] = std::array::from_fn(|s| Strip::new(l, g, (sg * S + s) * STRIP));
+        let multi = strips.iter().any(|st| st.segs > 1);
+        let plen = l.oc * l.taps;
+        for c0 in chans.clone().step_by(C) {
+            let live = C.min(chans.end - c0);
+            // Row `i` of the tile is input channel `c0 + i` (a tile past
+            // the group's last channel repeats it and drops the copies);
+            // its weight for output channel `o`, tap `t` is at
+            // `o·plen + c·taps + t`.
+            let rows: [*const f32; C] =
+                std::array::from_fn(|i| wv[(c0 + i.min(live - 1)) * l.taps..].as_ptr());
+            // Every tap's chains, carried across `OB`-channel blocks of
+            // `o` so that a block's `dy` rows and weights stay in L1 while
+            // all the taps pass over them. The first block starts each
+            // chain (only `taps` of the slots are ever written or read; at
+            // most 49 × 16 registers, 49 KiB of stack).
+            let mut sums = [const { MaybeUninit::<[[__m512; S]; C]>::uninit() }; MAX_TAPS];
+            for o0 in (0..l.in_c).step_by(OB) {
+                let os = o0..(o0 + OB).min(l.in_c);
+                for (t, sum) in sums[..l.taps].iter_mut().enumerate() {
+                    // SAFETY: AVX-512 F+DQ and AVX2+FMA are enabled here;
+                    // the weight rows hold `oc` taps `plen` apart; a slot
+                    // is read only after the first block wrote it.
+                    unsafe {
+                        if multi {
+                            tap_chains::<C, S, true>(l, &rows, plen, &strips, t, os.clone(), sum)
+                        } else {
+                            tap_chains::<C, S, false>(l, &rows, plen, &strips, t, os.clone(), sum)
+                        }
+                    }
+                }
+            }
+            let mut acc: [[__m512; S]; C] = std::array::from_fn(|i| {
+                std::array::from_fn(|s| strips[s].read(l, c0 + i.min(live - 1), sink))
+            });
+            for (t, sum) in sums[..l.taps].iter().enumerate() {
+                // SAFETY: the first block wrote every slot below `taps`
+                // (`in_c ≥ 1`).
+                let sum = unsafe { sum.assume_init_ref() };
+                for (a, sum) in acc.iter_mut().zip(sum) {
+                    for ((v, &x), st) in a.iter_mut().zip(sum).zip(&strips) {
+                        *v = _mm512_mask_add_ps(*v, st.taps[t], *v, x);
+                    }
+                }
+            }
+            for (i, a) in acc[..live].iter().enumerate() {
+                for (st, &v) in strips.iter().zip(a) {
+                    st.write(l, c0 + i, v, sink);
+                }
+            }
+        }
+    }
+
+    /// For flipped tap `t`, output channels `os` of each tile element's
+    /// patch-row gradient: `o` ascending, `w[o, c, taps - 1 - t] · dy` by
+    /// one fused step each, from +0.0 when `os` starts at 0 and from the
+    /// chains in `acc` otherwise.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512 F+DQ and AVX2+FMA are enabled; each row holds `l.in_c`
+    /// weights `plen` apart at offset `l.taps - 1 - t`; `os` lies in
+    /// `0..l.in_c`, and `acc` is initialized unless `os` starts at 0.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    unsafe fn tap_chains<const C: usize, const S: usize, const MULTI: bool>(
+        l: &Layer,
+        rows: &[*const f32; C],
+        plen: usize,
+        strips: &[Strip; S],
+        t: usize,
+        os: std::ops::Range<usize>,
+        acc: &mut MaybeUninit<[[__m512; S]; C]>,
+    ) {
+        let mut a = if os.start == 0 {
+            [[_mm512_setzero_ps(); S]; C]
+        } else {
+            // SAFETY: the caller's contract.
+            unsafe { acc.assume_init() }
+        };
+        let tw = l.taps - 1 - t;
+        let mut off = l.tap_off[t] + (os.start * l.hw) as isize;
+        for o in os {
+            // SAFETY: `off` is `l.at(o·taps + t)`'s offset, `o < in_c`.
+            let xs = unsafe { operands::<S, MULTI>(l, strips, off, t) };
+            for (ai, row) in a.iter_mut().zip(rows) {
+                // SAFETY: `o < in_c`, and each row holds its channel's
+                // weight for every output channel.
+                let w = _mm512_set1_ps(unsafe { *row.add(o * plen + tw) });
+                for (v, &x) in ai.iter_mut().zip(&xs) {
+                    *v = _mm512_fmadd_ps(w, x, *v);
+                }
+            }
+            off += l.hw as isize;
+        }
+        acc.write(a);
     }
 
     /// One task: strip group `sg` (`S` strips) against output channels
@@ -825,18 +1076,9 @@ mod position {
                 let c = c0 + i;
                 for (st, &v) in strips.iter().zip(row) {
                     let v = bias.map_or(v, |b| _mm512_add_ps(v, _mm512_set1_ps(b[c])));
-                    let mut lanes = [0.0f32; STRIP];
-                    // SAFETY: `lanes` holds sixteen floats.
-                    unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), v) };
-                    for (&m, &at) in st.lanes[..st.segs].iter().zip(&st.out_at) {
-                        let lo = m.trailing_zeros() as usize;
-                        let hi = STRIP - m.leading_zeros() as usize;
-                        let at = at + c * l.hw;
-                        // SAFETY: the caller's tasks write disjoint
-                        // elements (this strip's positions of channel `c`).
-                        let dst = unsafe { sink.range(at + lo, at + hi) };
-                        dst.copy_from_slice(&lanes[lo..hi]);
-                    }
+                    // SAFETY: the caller's tasks write disjoint elements
+                    // (this strip's positions of channel `c`).
+                    unsafe { st.write(l, c, v, sink) };
                 }
             }
         }
@@ -957,11 +1199,10 @@ mod position {
 ///
 /// Writes `[oc, plen]` into `dw`, overwriting every element. The shared
 /// dimension `k = n·oh·ow` is split on the same `KC` boundaries as
-/// [`matmul_at_b`](crate::matmul_at_b); each block packs sub-tiles of
-/// patch rows into a per-thread panel, accumulates its partial with `p`
-/// ascending (as the GEMM does), and the flat partial buffer folds in
-/// ascending block order — bit-identical to the materialized pipeline at
-/// every thread count.
+/// [`matmul_at_b`](crate::matmul_at_b); each block accumulates its partial
+/// with `p` ascending (as the GEMM does) and the flat partial buffer folds
+/// in ascending block order — bit-identical to the materialized pipeline
+/// at every thread count. Nothing is packed ([`dw_blocks`]).
 ///
 /// # Panics
 ///
@@ -1035,35 +1276,21 @@ pub fn conv2d_dw_tiled_acc_at(
     assert_eq!(dw.len(), oc * plen, "conv2d_dw_tiled out length");
     let dyv = dy.as_slice();
     let hw = oh * ow;
-    let base = b0 * hw;
-    let k = bn * hw;
-    let st = tile_rows(plen, REDUCTION_KC);
+    let (base, k) = (b0 * hw, bn * hw);
     if conv2d_dw_single_block(g, n) {
         // The whole batch is one sequential fold: accumulate straight into
-        // `dw` (zeroed on `init`), with no partial-block scratch. The add
-        // sequence equals what the blocked path runs inside block 0, so
+        // `dw` (from +0.0 on `init`), with no partial-block scratch. The
+        // add sequence equals what the blocked path runs inside block 0, so
         // full-batch bits are unchanged — and any chunk boundary continues
         // the fold exactly, which is what unlocks micro-batching the deep
-        // small-map layers whose `oc·plen` partials dominate workspace.
-        // With no block axis to spread over threads, the fold runs over
-        // size-derived ranges of (independent) output channels instead.
-        if init {
-            dw.fill(0.0);
-        }
-        let row_grain = scnn_par::grain(oc, MIN_ROWS);
-        fold_patch_rows(x, dyv, g, oc, st, base, base + k, dw, row_grain);
+        // small-map layers whose `oc·plen` partials would otherwise
+        // dominate workspace.
+        dw_blocks(x, dyv, oc, g, base, k, k, dw, init);
         return;
     }
     let nblocks = k.div_ceil(REDUCTION_KC).max(1);
     scratch::with_scratch(nblocks * oc * plen, |partials| {
-        let slots = DisjointMut::new(partials);
-        scnn_par::parallel_for(nblocks, |bi| {
-            // SAFETY: partial slot `bi` is written only by task `bi`.
-            let part = unsafe { slots.range(bi * oc * plen, (bi + 1) * oc * plen) };
-            let p0 = base + bi * REDUCTION_KC;
-            let p1 = (p0 + REDUCTION_KC).min(base + k);
-            fold_patch_rows(x, dyv, g, oc, st, p0, p1, part, oc);
-        });
+        dw_blocks(x, dyv, oc, g, base, k, REDUCTION_KC, partials, true);
         let start = if init {
             dw.copy_from_slice(&partials[..oc * plen]);
             1
@@ -1076,56 +1303,165 @@ pub fn conv2d_dw_tiled_acc_at(
     });
 }
 
-/// Accumulates patch rows `[p0, p1)` of the weight-gradient reduction into
-/// `acc` (`[oc·plen]`), strip-packing `st`-row panels ([`pack_strips`]): the
-/// strictly `p`-ascending add order shared by the blocked partials and the
-/// single-block direct path — panel boundaries affect only packing, never
-/// the fold sequence.
+/// `dw` tasks per call the grid aims for: the blocks, each cut into
+/// output-channel tiles until there are this many.
+const DW_TASKS: usize = 4;
+
+/// Fewest output channels a `dw` tile is cut to: two 16-lane registers.
+const DW_MIN_OC: usize = 32;
+
+/// Output channels per `dw` task for `nblocks` blocks of a layer with `oc`
+/// of them. Shapes only — and, since every element's chain lies inside
+/// one task, no bit depends on it. The padded copies of the blocks' input
+/// rows are cut the same way, by input-channel groups.
+fn dw_tile(nblocks: usize, oc: usize) -> usize {
+    let tiles = DW_TASKS.div_ceil(nblocks.max(1)).min(oc.div_ceil(DW_MIN_OC)).max(1);
+    oc.div_ceil(tiles)
+}
+
+/// The weight-gradient reduction over flattened positions `base ..
+/// base + k` in `kc`-position blocks: block `bi` accumulates the `[oc,
+/// plen]` partial at `out[bi·oc·plen ..]`, from +0.0 when `fresh` and from
+/// its contents otherwise, with output channels across the lanes and
+/// nothing packed:
 ///
-/// Each packed panel is one rank-`st` update `acc += dyᵀ · panel`. `dy` is
-/// read in place: inside one NCHW image, channel `r` at position `p` sits
-/// at `r·hw + p`, which is [`gemm_acc`]'s `(a_rs, a_ps) = (hw, 1)`; a panel
-/// spanning images splits into one call per image, which continues every
-/// element's chain unchanged. Output channels are independent, so the
-/// update runs over `row_grain`-channel ranges of `acc` — pass `oc` for a
-/// single inline range when the caller already parallelises over blocks.
+/// - each task turns its block's `dy` to `[p, o]` once, so one register
+///   loads sixteen output channels' factors of one position;
+/// - the patch operand is broadcast straight from `x` ([`gather_acc`]):
+///   patch element `(p, (c, ky, kx))` is `src[at[p] + rows[(c, ky, kx)]]`,
+///   where `src` is `x` itself for an unpadded layer and otherwise a
+///   zero-bordered copy of each block's input rows (per channel, per image
+///   run of the block, the rows its output rows read, padding included),
+///   made once per call and shared by the block's tasks.
+///
+/// One task per (block, output-channel tile) ([`dw_tile`]), each over its
+/// whole block and every patch column. Each element `(o, j)` is one
+/// chain: `p` ascending over the block, one fused step per position,
+/// padding taps included (a +0.0 operand).
 #[allow(clippy::too_many_arguments)]
-fn fold_patch_rows(
+fn dw_blocks(
     x: &Window,
     dyv: &[f32],
-    g: &Conv2dGeometry,
     oc: usize,
-    st: usize,
-    p0: usize,
-    p1: usize,
-    acc: &mut [f32],
-    row_grain: usize,
+    g: &Conv2dGeometry,
+    base: usize,
+    k: usize,
+    kc: usize,
+    out: &mut [f32],
+    fresh: bool,
 ) {
-    let hw = g.patch_count();
-    let plen = g.patch_len();
-    scratch::with_scratch(st * plen, |colpanel| {
-        for q0 in (p0..p1).step_by(st) {
-            let q1 = (q0 + st).min(p1);
-            pack_strips(x, g, q0, q1, &mut colpanel[..(q1 - q0) * plen]);
-            let colpanel = &*colpanel;
-            scnn_par::par_chunks_mut(acc, row_grain * plen, |ci, rows| {
-                let c0 = ci * row_grain;
-                for (b, rem, q, seg) in image_runs(q0, q1, hw) {
-                    gemm_acc(
-                        rows.len() / plen,
-                        plen,
-                        seg,
-                        &dyv[(b * oc + c0) * hw + rem..],
-                        hw,
-                        1,
-                        &colpanel[(q - q0) * plen..],
-                        plen,
-                        rows,
-                        plen,
-                    );
-                }
-            });
+    let (ow, hw, plen) = (g.out_w(), g.patch_count(), g.patch_len());
+    let nblocks = k.div_ceil(kc).max(1);
+    let block = |bi: usize| base + bi * kc..(base + (bi + 1) * kc).min(base + k);
+    let xp = &x.at;
+    let plane = xp.full_h * xp.full_w;
+    let padded = g.pad.h_begin + g.pad.h_end + g.pad.w_begin + g.pad.w_end != 0;
+    // A run of a block (one image's positions) reads the padded rows of
+    // its output rows `oy0 ..= oy1`: `(oy1 - oy0)·sh + kh` of them, each
+    // `pw` wide — every column some output column's kernel row reads,
+    // `pad_l` zeros first.
+    let pw = (ow - 1) * g.sw + g.kw;
+    let run_rows = |rem: usize, seg: usize| ((rem + seg - 1) / ow - rem / ow) * g.sh + g.kh;
+    // Every block's channel holds the same span, so one `rows` table
+    // serves them all: the padded rows of the block's runs, or a plane.
+    let (chan_len, pitch) = if padded {
+        let rows = (0..nblocks)
+            .map(|bi| {
+                let runs = image_runs(block(bi).start, block(bi).end, hw);
+                runs.map(|(_, rem, _, seg)| run_rows(rem, seg)).sum::<usize>()
+            })
+            .max()
+            .unwrap_or(0);
+        (rows * pw, pw)
+    } else {
+        (plane, xp.full_w)
+    };
+    // Both tables walk their indices in order: no division per entry.
+    let mut rows = Vec::with_capacity(plen);
+    for c in 0..g.in_c {
+        for ky in 0..g.kh {
+            rows.extend((0..g.kw).map(|kx| c * chan_len + ky * pitch + kx));
         }
+    }
+    // Patch origin of every position of the call, block by block.
+    let mut at = Vec::with_capacity(k);
+    for bi in 0..nblocks {
+        let mut run_at = bi * g.in_c * chan_len;
+        for (b, rem, _, seg) in image_runs(block(bi).start, block(bi).end, hw) {
+            let (oy0, origin) = if padded {
+                (rem / ow, run_at)
+            } else {
+                (0, b * g.in_c * plane + xp.off_h * xp.full_w + xp.off_w)
+            };
+            let (mut oy, mut ox) = (rem / ow, rem % ow);
+            for _ in 0..seg {
+                at.push(origin + (oy - oy0) * g.sh * pitch + ox * g.sw);
+                ox += 1;
+                if ox == ow {
+                    (oy, ox) = (oy + 1, 0);
+                }
+            }
+            run_at += run_rows(rem, seg) * pw;
+        }
+    }
+    let ot = dw_tile(nblocks, oc);
+    let tiles = oc.div_ceil(ot);
+    let out = DisjointMut::new(out);
+    let tasks = |src: &[f32]| {
+        scnn_par::parallel_for(nblocks * tiles, |task| {
+            let (bi, o0) = (task / tiles, task % tiles * ot);
+            let (ps, outs) = (block(bi), o0..(o0 + ot).min(oc));
+            let at = &at[ps.start - base..ps.end - base];
+            let first = (bi * oc + o0) * plen;
+            // SAFETY: task (block, tile) owns its tile's rows of its
+            // block's partial, which no other task touches.
+            let dw = unsafe { out.range(first, first + outs.len() * plen) };
+            let (kb, on) = (ps.len(), outs.len());
+            scratch::with_scratch(kb * on, |dyt| {
+                let mut p = 0;
+                for (b, rem, _, seg) in image_runs(ps.start, ps.end, hw) {
+                    let src = &dyv[(b * oc + outs.start) * hw + rem..];
+                    transpose(on, seg, src, hw, &mut dyt[p * on..], on);
+                    p += seg;
+                }
+                gather_acc(plen, on, kb, src, at, &rows, dyt, on, dw, plen, fresh);
+            });
+        });
+    };
+    if !padded {
+        tasks(x.data);
+        return;
+    }
+    let (pad_t, pad_l) = (g.pad.h_begin as usize, g.pad.w_begin as usize);
+    // Input columns `ix` land at padded column `ix + pad_l`, as far as a
+    // padded row reaches.
+    let n = g.in_w.min(pw.saturating_sub(pad_l));
+    let groups = DW_TASKS.div_ceil(nblocks).min(g.in_c);
+    let per_group = g.in_c.div_ceil(groups);
+    scratch::with_scratch(nblocks * g.in_c * chan_len, |xs| {
+        let rows_of = DisjointMut::new(xs);
+        scnn_par::parallel_for(nblocks * groups, |task| {
+            let (bi, c0) = (task / groups, task % groups * per_group);
+            for c in c0..(c0 + per_group).min(g.in_c) {
+                let at = (bi * g.in_c + c) * chan_len;
+                // SAFETY: task (block, channel group) fills its channels'
+                // spans of its block, which no other task touches.
+                let dst = unsafe { rows_of.range(at, at + chan_len) };
+                let mut r0 = 0;
+                for (b, rem, _, seg) in image_runs(block(bi).start, block(bi).end, hw) {
+                    let src = &x.data[(b * g.in_c + c) * plane..][..plane];
+                    for r in 0..run_rows(rem, seg) {
+                        let iy = (rem / ow * g.sh + r).checked_sub(pad_t).filter(|&iy| iy < g.in_h);
+                        if let Some(iy) = iy {
+                            let row = &src[(iy + xp.off_h) * xp.full_w + xp.off_w..][..n];
+                            dst[(r0 + r) * pw + pad_l..][..n].copy_from_slice(row);
+                        }
+                    }
+                    r0 += run_rows(rem, seg);
+                }
+            }
+        });
+        tasks(xs);
     });
 }
 
@@ -1134,8 +1470,14 @@ fn fold_patch_rows(
 ///
 /// Accumulates into `dst: [n, ic, full_h, full_w]` (zeroed by the caller),
 /// with the geometry's `in_h × in_w` window placed at `(off_h, off_w)` —
-/// the crop-offset contract of [`col2im_into`](crate::col2im_into). For
-/// each tile of output positions the patch-row gradients reduce over
+/// the crop-offset contract of [`col2im_into`](crate::col2im_into).
+///
+/// At the AVX-512 level a conv the forward position path takes, into
+/// planes that are its window, runs [`position`]'s `backward_dx`: the
+/// forward of the flipped kernel over `dy` read in place, each
+/// destination element's taps added in `col2im`'s order, with no scratch
+/// tile and no scatter. Every other call strip-scatters: for each tile of
+/// output positions the patch-row gradients reduce over
 /// output channels in ascending order (as [`matmul`](crate::matmul) does)
 /// into a zeroed, *transposed* `[rows, positions]` scratch tile — one
 /// [`gemm_acc`] whose left operand is the weight matrix read down its
@@ -1174,6 +1516,11 @@ pub fn conv2d_dx_tiled(
     );
     let (at, dst_n) = Placement::of(dst, g, off_h, off_w, "dx destination");
     assert_eq!(dst_n, n, "dx destination batch mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if position::applies(g, &at) {
+        position::backward_dx(dy.as_slice(), w.as_slice(), oc, g, n, dst.as_mut_slice());
+        return;
+    }
     let plen = g.patch_len();
     let dyv = dy.as_slice();
     let wv = w.as_slice();
@@ -1237,10 +1584,11 @@ pub fn conv2d_dx_tiled(
 /// partial buffer (`⌈n·oh·ow / KC⌉ · oc · plen` floats, `KC` =
 /// [`REDUCTION_KC`] — the same constant the kernels block on, so the
 /// planner's model can never drift from the executed grid). Per-thread
-/// pack panels (bounded by [`PACK_PANEL_BYTES`] each) and the `dx`
-/// gradient tile ([`DX_TILE_BYTES`] or one channel's 16-position strip,
-/// plus the packed `dy` of a several-image task) scale with the host's
-/// thread count, so the planner
+/// pack panels (bounded by [`PACK_PANEL_BYTES`] each), a `dw` task's
+/// turned `dy` block and zero-bordered input rows, and the strip path's
+/// `dx` gradient tile ([`DX_TILE_BYTES`] or one channel's 16-position
+/// strip, plus the packed `dy` of a several-image task) scale with the
+/// host's thread count, so the planner
 /// leaves them out of the per-layer term — this is the number `scnn-hmms`
 /// carries per conv node in its layouts.
 pub fn conv2d_workspace_bytes(g: &Conv2dGeometry, n: usize, oc: usize) -> usize {

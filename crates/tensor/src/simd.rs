@@ -4,10 +4,12 @@
 //! handful of primitives defined here: the dot-form GEMM [`dot_panel`]
 //! behind `matmul_a_bt` and the tiled conv engine's packed-panel sweep,
 //! the register-blocked rank-k update ([`gemm_acc`]) behind `matmul`,
-//! `matmul_at_b`, the conv `dw` fold, the `dx` channel reduction and the
-//! Winograd forward's transform-domain GEMMs, and the elementwise passes
-//! ([`add_assign`] for block folds, [`vadd`]/[`vsub`] for the Winograd
-//! transforms).
+//! `matmul_at_b`, the strip path's `dx` channel reduction and the
+//! Winograd forward's transform-domain GEMMs, its gathered form
+//! ([`gather_acc`]) behind the conv `dw`, the 8 × 8-blocked
+//! [`transpose`], and the elementwise passes ([`add_assign`] for block
+//! folds, [`vadd`]/[`vsub`] for the Winograd transforms). (The conv
+//! engine's AVX-512 position path has register tiles of its own.)
 //!
 //! Each primitive is **one body**: an `#[inline(always)]` function generic
 //! over `Lanes`, one vector register of f32 lanes. The `dispatch!` macro
@@ -272,13 +274,18 @@ trait Lanes: Copy {
     unsafe fn eight(self, g: usize) -> Self::Eight;
 }
 
-/// One [`dot_panel`] output's eight lane accumulators, and the
+/// Eight f32 lanes: one [`dot_panel`] output's lane accumulators and the
 /// [`lane_sum`] tree over them — the same operand pairs in the same order
-/// at every width.
+/// at every width — and the 8 × 8 block the transposing moves use (which
+/// move bits and compute nothing).
 trait Eight: Copy {
     unsafe fn sum(self, tail: f32) -> f32;
     /// [`Eight::sum`] of four outputs at once.
     unsafe fn sum4(x: [Self; 4], tails: [f32; 4]) -> [f32; 4];
+    unsafe fn load8(p: *const f32) -> Self;
+    unsafe fn store8(self, p: *mut f32);
+    /// Lane `j` of row `i` of the result is lane `i` of row `j` of `rows`.
+    unsafe fn transpose8(rows: [Self; 8]) -> [Self; 8];
 }
 
 /// The portable register: a plain array the `fma` instantiation
@@ -360,6 +367,18 @@ impl Eight for [f32; LANES] {
     #[inline(always)]
     unsafe fn sum4(x: [Self; 4], tails: [f32; 4]) -> [f32; 4] {
         std::array::from_fn(|i| lane_sum(x[i], tails[i]))
+    }
+    #[inline(always)]
+    unsafe fn load8(p: *const f32) -> Self {
+        Self::load(p)
+    }
+    #[inline(always)]
+    unsafe fn store8(self, p: *mut f32) {
+        self.store(p)
+    }
+    #[inline(always)]
+    unsafe fn transpose8(rows: [Self; 8]) -> [Self; 8] {
+        std::array::from_fn(|i| std::array::from_fn(|j| rows[j][i]))
     }
 }
 
@@ -468,6 +487,45 @@ mod x86 {
                 _mm_add_ps(sum, _mm_loadu_ps(tails.as_ptr())),
             );
             out
+        }
+        #[inline(always)]
+        unsafe fn load8(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store8(self, p: *mut f32) {
+            _mm256_storeu_ps(p, self)
+        }
+        /// Pairs of rows interleave (`unpack`), quads combine (`shuffle`),
+        /// and the 128-bit halves swap across (`permute2f128`).
+        #[inline(always)]
+        unsafe fn transpose8(r: [Self; 8]) -> [Self; 8] {
+            let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+            let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+            let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+            let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+            let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+            let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+            let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+            let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+            let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+            let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+            let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+            let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+            let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+            let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+            let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+            let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+            [
+                _mm256_permute2f128_ps::<0x20>(u0, u4),
+                _mm256_permute2f128_ps::<0x20>(u1, u5),
+                _mm256_permute2f128_ps::<0x20>(u2, u6),
+                _mm256_permute2f128_ps::<0x20>(u3, u7),
+                _mm256_permute2f128_ps::<0x31>(u0, u4),
+                _mm256_permute2f128_ps::<0x31>(u1, u5),
+                _mm256_permute2f128_ps::<0x31>(u2, u6),
+                _mm256_permute2f128_ps::<0x31>(u3, u7),
+            ]
         }
     }
 
@@ -964,9 +1022,79 @@ unsafe fn zip<L: Lanes, const SUB: bool>(dst: *mut f32, a: *const f32, b: *const
     }
 }
 
-/// Register-blocked rank-`k` update, the one inner loop of every direct
-/// backward kernel (`matmul`, `matmul_at_b`, the conv `dw` fold, the conv
-/// `dx` channel reduction):
+/// `dst[j·ldd + i] = src[i·lds + j]` for `i < rows`, `j < cols`: the
+/// conv `dw`'s `[o, p] → [p, o]` turn of a block's `dy`. Whole 8 × 8
+/// blocks move through registers ([`Eight::transpose8`]), the edges
+/// element by element; it moves bits and computes nothing.
+///
+/// # Panics
+///
+/// Panics if `lds < cols`, `ldd < rows`, or either slice is too short for
+/// the addressed extent.
+pub(crate) fn transpose(
+    rows: usize,
+    cols: usize,
+    src: &[f32],
+    lds: usize,
+    dst: &mut [f32],
+    ldd: usize,
+) {
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    assert!(lds >= cols && ldd >= rows, "transpose leading dimension too small");
+    let end = |count, ld, len: usize| last_at(count, ld).and_then(|at: usize| at.checked_add(len));
+    assert!(within(end(rows, lds, cols), src.len()), "transpose source too short");
+    assert!(within(end(cols, ldd, rows), dst.len()), "transpose destination too short");
+    let (src, dst) = (src.as_ptr(), dst.as_mut_ptr());
+    dispatch!(turn::<;;>(
+        rows: usize,
+        cols: usize,
+        src: *const f32,
+        lds: usize,
+        dst: *mut f32,
+        ldd: usize,
+    ))
+}
+
+/// The one body of [`transpose`].
+///
+/// # Safety
+///
+/// Runs inside a `dispatch!` entry of `L`'s ISA, with arguments that
+/// passed [`transpose`]'s checks.
+#[inline(always)]
+unsafe fn turn<L: Lanes>(
+    rows: usize,
+    cols: usize,
+    src: *const f32,
+    lds: usize,
+    dst: *mut f32,
+    ldd: usize,
+) {
+    for i0 in (0..rows).step_by(LANES) {
+        for j0 in (0..cols).step_by(LANES) {
+            if i0 + LANES <= rows && j0 + LANES <= cols {
+                let block: [L::Eight; 8] =
+                    std::array::from_fn(|i| L::Eight::load8(src.add((i0 + i) * lds + j0)));
+                for (j, col) in L::Eight::transpose8(block).iter().enumerate() {
+                    col.store8(dst.add((j0 + j) * ldd + i0));
+                }
+                continue;
+            }
+            for i in i0..(i0 + LANES).min(rows) {
+                for j in j0..(j0 + LANES).min(cols) {
+                    *dst.add(j * ldd + i) = *src.add(i * lds + j);
+                }
+            }
+        }
+    }
+}
+
+/// Register-blocked rank-`k` update, the one inner loop of the direct
+/// backward kernels (`matmul`, `matmul_at_b`, the strip path's conv `dx`
+/// channel reduction; the conv `dw` runs its walk through
+/// [`gather_acc`]):
 ///
 /// `c[r·ldc + j] += Σ_p a[p·a_ps + r·a_rs] · b[p·ldb + j]` for `r < m`,
 /// `j < n`, `p < k`.
@@ -1040,13 +1168,7 @@ pub fn gemm_acc(
     ))
 }
 
-/// The one body of [`gemm_acc`]: `ROWS`-row bands of `2N`- and
-/// `N`-column tiles and one masked remainder register. The walk keeps the
-/// larger operand's tile in cache while the smaller streams past it: with
-/// `m > n` (the conv `dx`, a tall weight matrix against a few positions)
-/// a band of `a` rows crosses every column before the next band is read;
-/// otherwise (the conv `dw`, a few channels against a wide patch panel) a
-/// strip of `b` columns meets every band.
+/// The one body of [`gemm_acc`]: its walk over a strided left operand.
 ///
 /// # Safety
 ///
@@ -1066,7 +1188,190 @@ unsafe fn gemm_walk<L: Lanes, const ROWS: usize>(
     c: &mut [f32],
     ldc: usize,
 ) {
-    let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let a = Strided {
+        a: a.as_ptr(),
+        rs: a_rs,
+        ps: a_ps,
+    };
+    walk::<L, ROWS, false>(m, n, k, a, b.as_ptr(), ldb, c.as_mut_ptr(), ldc, false)
+}
+
+/// [`gemm_acc`] with a *gathered* left operand and a *transposed* result:
+/// `a[p, r]` is `src[at[p] + rows[r]]`, and output element `(r, j)` lives
+/// at `c[j·ldc + r]`, so
+///
+/// `c[j·ldc + r] += Σ_p src[at[p] + rows[r]] · b[p·ldb + j]` for `r < m`,
+/// `j < n`, `p < k`,
+///
+/// with [`gemm_acc`]'s chain per output element (one fused step per `p`,
+/// ascending, from the value in `c` — or from +0.0 with `fresh`, which
+/// reads nothing of `c`) and its tiles; a tile reads its block of `c` once
+/// and writes it once, transposing on the way (the write of a tile of
+/// eight full rows as 8 × 8 blocks in registers). The
+/// conv `dw` runs on it with output channels as `j`: `src` is a
+/// zero-bordered copy of a block's input rows (or the input itself),
+/// `at[p]` the patch origin of output position `p`, `rows[r]` the offset
+/// of patch column `r` from it — one broadcast load per patch element, no
+/// pack, no bounds test — and `c` the `[oc, plen]` gradient.
+///
+/// # Panics
+///
+/// Panics if `at` is shorter than `k`, `rows` than `m`, `ldb < n`,
+/// `ldc < m`, an `at[p] + rows[r]` lies outside `src`, or `b` or `c` is too
+/// short for the addressed extent (all checked up front).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gather_acc(
+    m: usize,
+    n: usize,
+    k: usize,
+    src: &[f32],
+    at: &[usize],
+    rows: &[usize],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    fresh: bool,
+) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    assert!(at.len() >= k && rows.len() >= m, "gather_acc index tables too short");
+    assert!(ldb >= n, "gather_acc leading dimension below n");
+    let (at, rows) = (&at[..k], &rows[..m]);
+    let reach = at
+        .iter()
+        .max()
+        .zip(rows.iter().max())
+        .and_then(|(p, r)| p.checked_add(*r));
+    assert!(reach.is_some_and(|last| last < src.len()), "gather_acc lhs too short");
+    let rows_end = |count, ld| last_at(count, ld).and_then(|at: usize| at.checked_add(n));
+    assert!(ldc >= m, "gather_acc out leading dimension below m");
+    assert!(within(rows_end(k, ldb), b.len()), "gather_acc rhs too short");
+    let out_end = last_at(n, ldc).and_then(|at: usize| at.checked_add(m));
+    assert!(within(out_end, c.len()), "gather_acc out too short");
+    dispatch!(gather_walk::<8; 4; 4>(
+        m: usize,
+        n: usize,
+        k: usize,
+        src: &[f32],
+        at: &[usize],
+        rows: &[usize],
+        b: &[f32],
+        ldb: usize,
+        c: &mut [f32],
+        ldc: usize,
+        fresh: bool,
+    ))
+}
+
+/// The one body of [`gather_acc`]: [`gemm_acc`]'s walk over a gathered
+/// left operand.
+///
+/// # Safety
+///
+/// Runs inside a `dispatch!` entry of `L`'s ISA, with arguments that
+/// passed [`gather_acc`]'s checks.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gather_walk<L: Lanes, const ROWS: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+    src: &[f32],
+    at: &[usize],
+    rows: &[usize],
+    b: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    fresh: bool,
+) {
+    let a = Gathered {
+        src: src.as_ptr(),
+        rows: rows.as_ptr(),
+        at: at.as_ptr(),
+    };
+    walk::<L, ROWS, true>(m, n, k, a, b.as_ptr(), ldb, c.as_mut_ptr(), ldc, fresh)
+}
+
+/// Where a rank-`k` walk reads its left operand: element `(p, r)` is
+/// `*row(r).add(at(p))`. A tile resolves its rows once and each step's
+/// offset once, so the addressing costs the same whichever form it takes.
+///
+/// # Safety
+///
+/// Both methods are called only with `r < m` and `p < k` of a call whose
+/// extents were checked.
+trait Lhs: Copy {
+    unsafe fn row(self, r: usize) -> *const f32;
+    unsafe fn at(self, p: usize) -> usize;
+}
+
+/// `a[p·ps + r·rs]`: row-major, transposed, or an NCHW tensor in place.
+#[derive(Clone, Copy)]
+struct Strided {
+    a: *const f32,
+    rs: usize,
+    ps: usize,
+}
+
+impl Lhs for Strided {
+    #[inline(always)]
+    unsafe fn row(self, r: usize) -> *const f32 {
+        self.a.add(r * self.rs)
+    }
+    #[inline(always)]
+    unsafe fn at(self, p: usize) -> usize {
+        p * self.ps
+    }
+}
+
+/// `src[at[p] + rows[r]]` ([`gather_acc`]).
+#[derive(Clone, Copy)]
+struct Gathered {
+    src: *const f32,
+    rows: *const usize,
+    at: *const usize,
+}
+
+impl Lhs for Gathered {
+    #[inline(always)]
+    unsafe fn row(self, r: usize) -> *const f32 {
+        self.src.add(*self.rows.add(r))
+    }
+    #[inline(always)]
+    unsafe fn at(self, p: usize) -> usize {
+        *self.at.add(p)
+    }
+}
+
+/// The walk of [`gemm_acc`] and [`gather_acc`]: `ROWS`-row bands of `2N`-
+/// and `N`-column tiles and one masked remainder register. The walk keeps
+/// the larger operand's tile in cache while the smaller streams past it:
+/// with `m > n` (the conv `dx` strip path, a tall weight matrix against a
+/// few positions; the conv `dw`, many patch columns against a few output
+/// channels) a band of `a` rows crosses every column before the next band
+/// is read; otherwise (`matmul_at_b`'s blocks) a strip of `b` columns meets
+/// every band. With `T` the result is transposed ([`gather_acc`]).
+///
+/// # Safety
+///
+/// Runs inside a `dispatch!` entry of `L`'s ISA, with arguments that
+/// passed the entry point's checks.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn walk<L: Lanes, const ROWS: usize, const T: bool>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: impl Lhs,
+    b: *const f32,
+    ldb: usize,
+    c: *mut f32,
+    ldc: usize,
+    fresh: bool,
+) {
     let mut j = 0;
     while j < n {
         let w = if m > n {
@@ -1076,48 +1381,35 @@ unsafe fn gemm_walk<L: Lanes, const ROWS: usize>(
         } else {
             (n - j).min(L::N)
         };
-        bands::<L, ROWS>(m, j, j + w, k, a, a_rs, a_ps, b, ldb, c, ldc);
+        bands::<L, ROWS, T>(m, j, j + w, k, a, b, ldb, c, ldc, fresh);
         j += w;
     }
 }
 
-/// Rows `0..m` × columns `j0..j1` of [`gemm_acc`], row band outer:
-/// `ROWS`-row bands, one 4-row band where `ROWS` is taller, then single
-/// rows.
+/// Rows `0..m` × columns `j0..j1` of [`walk`], row band outer: `ROWS`-row
+/// bands, one 4-row band where `ROWS` is taller, then single rows.
 ///
 /// # Safety
 ///
-/// As [`gemm_walk`], with `j0 < j1 <= n` and the pointers at the
-/// operands' first elements.
+/// As [`walk`], with `j0 < j1 <= n` and `b` and `c` at the operands'
+/// first elements.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn bands<L: Lanes, const ROWS: usize>(
+unsafe fn bands<L: Lanes, const ROWS: usize, const T: bool>(
     m: usize,
     j0: usize,
     j1: usize,
     k: usize,
-    a: *const f32,
-    a_rs: usize,
-    a_ps: usize,
+    a: impl Lhs,
     b: *const f32,
     ldb: usize,
     c: *mut f32,
     ldc: usize,
+    fresh: bool,
 ) {
     macro_rules! band {
         ($rows:expr, $r:expr) => {
-            band::<L, { $rows }>(
-                j0,
-                j1,
-                k,
-                a.add($r * a_rs),
-                a_rs,
-                a_ps,
-                b,
-                ldb,
-                c.add($r * ldc),
-                ldc,
-            )
+            band::<L, { $rows }, T>($r, j0, j1, k, a, b, ldb, c, ldc, fresh)
         };
     }
     let mut r = 0;
@@ -1135,30 +1427,29 @@ unsafe fn bands<L: Lanes, const ROWS: usize>(
     }
 }
 
-/// Columns `j0..j1` of one `R`-row band (`a` and `c` at its first row):
-/// two-register tiles, a one-register one, then the remainder as one
-/// masked register.
+/// Columns `j0..j1` of the `R`-row band at row `r0`: two-register tiles,
+/// a one-register one, then the remainder as one masked register.
 ///
 /// # Safety
 ///
 /// As [`bands`], for the band's `R` rows.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn band<L: Lanes, const R: usize>(
+unsafe fn band<L: Lanes, const R: usize, const T: bool>(
+    r0: usize,
     j0: usize,
     j1: usize,
     k: usize,
-    a: *const f32,
-    a_rs: usize,
-    a_ps: usize,
+    a: impl Lhs,
     b: *const f32,
     ldb: usize,
     c: *mut f32,
     ldc: usize,
+    fresh: bool,
 ) {
     macro_rules! tile {
         ($regs:literal, $masked:literal, $j:expr, $cols:expr) => {
-            tile::<L, R, $regs, $masked>(k, a, a_rs, a_ps, b.add($j), ldb, c.add($j), ldc, $cols)
+            tile::<L, R, $regs, $masked, T>(k, a, r0, b.add($j), ldb, c, $j, ldc, $cols, fresh)
         };
     }
     let mut j = j0;
@@ -1175,30 +1466,37 @@ unsafe fn band<L: Lanes, const R: usize>(
     }
 }
 
-/// One `R`-row × `V`-register tile at `b`'s and `c`'s first column: the
-/// accumulators load from `c` once, take all `k` fused steps in
-/// registers, and store once. With `MASKED` the last register loads and
-/// stores only its first `cols` lanes; the others compute on zeros and
-/// are never written.
+/// Most lanes one tile spans: two registers of sixteen.
+const TILE_LANES: usize = 32;
+
+/// One `R`-row × `V`-register tile at `b`'s first column, rows `r0 ..` of
+/// `a` and columns `j0 ..` of the result: the accumulators load from `c`
+/// once, take all `k` fused steps in registers, and store once. With
+/// `MASKED` the last register loads and stores only its first `cols`
+/// lanes; the others compute on zeros and are never written. With `T`
+/// element `(r, j)` is `c[j·ldc + r]` and moves through a stack block of
+/// the tile, column by column; else it is `c[r·ldc + j]`.
 ///
 /// # Safety
 ///
-/// As [`band`]: `R` rows of `a` and `c`, and `k` rows of `b` and `V`
-/// registers of `c`'s columns (of the last only its first `cols` lanes
-/// with `MASKED`), lie inside the checked extent.
+/// As [`band`]: `R` rows of `a` and of the result, `k` rows of `b`, and
+/// the tile's `V` registers of result columns (of the last only its first
+/// `cols` lanes with `MASKED`), lie inside the checked extent.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn tile<L: Lanes, const R: usize, const V: usize, const MASKED: bool>(
+unsafe fn tile<L: Lanes, const R: usize, const V: usize, const MASKED: bool, const T: bool>(
     k: usize,
-    a: *const f32,
-    a_rs: usize,
-    a_ps: usize,
+    a: impl Lhs,
+    r0: usize,
     b: *const f32,
     ldb: usize,
     c: *mut f32,
+    j0: usize,
     ldc: usize,
     cols: usize,
+    fresh: bool,
 ) {
+    const { assert!(V * L::N <= TILE_LANES) };
     let mask = L::mask(cols);
     let masked = |v: usize| MASKED && v + 1 == V;
     let load = |p: *const f32, v: usize| {
@@ -1208,30 +1506,73 @@ unsafe fn tile<L: Lanes, const R: usize, const V: usize, const MASKED: bool>(
             L::load(p)
         }
     };
+    let width = if MASKED { (V - 1) * L::N + cols } else { V * L::N };
+    let at = |r: usize, j: usize| {
+        if T {
+            c.add((j0 + j) * ldc + r0 + r)
+        } else {
+            c.add((r0 + r) * ldc + j0 + j)
+        }
+    };
+    // A fresh tile starts from +0.0 without reading `c`; a transposed one
+    // reads through `block`, element by element. A transposed tile of
+    // eight full rows writes back as 8 × 8 blocks in registers, any other
+    // one through `block`.
+    let mut block = [[0.0f32; TILE_LANES]; R];
     let mut acc = [[L::zero(); V]; R];
-    for (r, row) in acc.iter_mut().enumerate() {
-        for (v, x) in row.iter_mut().enumerate() {
-            *x = load(c.add(r * ldc + v * L::N), v);
+    if !fresh {
+        if T {
+            for j in 0..width {
+                for (r, row) in block.iter_mut().enumerate() {
+                    row[j] = *at(r, j);
+                }
+            }
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, x) in row.iter_mut().enumerate() {
+                let p = if T { block[r].as_ptr() } else { at(r, 0).cast_const() };
+                *x = load(p.add(v * L::N), v);
+            }
         }
     }
+    let rows: [*const f32; R] = std::array::from_fn(|r| a.row(r0 + r));
     for p in 0..k {
         let brow = b.add(p * ldb);
         let vb: [L; V] = std::array::from_fn(|v| load(brow.add(v * L::N), v));
-        let acol = a.add(p * a_ps);
-        for (r, row) in acc.iter_mut().enumerate() {
-            let va = L::splat(*acol.add(r * a_rs));
+        let at = a.at(p);
+        for (row, &ar) in acc.iter_mut().zip(&rows) {
+            let va = L::splat(*ar.add(at));
             for (x, &bv) in row.iter_mut().zip(&vb) {
                 *x = L::fma(va, bv, *x);
             }
         }
     }
+    if T && R == 8 && !MASKED {
+        let regs: [[L; R]; V] = std::array::from_fn(|v| std::array::from_fn(|r| acc[r][v]));
+        for (v, reg) in regs.iter().enumerate() {
+            for g in 0..L::COLS {
+                let rows = L::Eight::transpose8(std::array::from_fn(|r| reg[r].eight(g)));
+                for (i, col) in rows.iter().enumerate() {
+                    col.store8(at(0, v * L::N + g * LANES + i));
+                }
+            }
+        }
+        return;
+    }
     for (r, row) in acc.iter().enumerate() {
         for (v, &x) in row.iter().enumerate() {
-            let p = c.add(r * ldc + v * L::N);
+            let p = if T { block[r].as_mut_ptr() } else { at(r, 0) };
             if masked(v) {
-                x.store_masked(p, mask);
+                x.store_masked(p.add(v * L::N), mask);
             } else {
-                x.store(p);
+                x.store(p.add(v * L::N));
+            }
+        }
+    }
+    if T {
+        for j in 0..width {
+            for (r, row) in block.iter().enumerate() {
+                *at(r, j) = row[j];
             }
         }
     }
@@ -1583,6 +1924,56 @@ mod tests {
             WRAP,
             1,
         );
+    }
+
+    #[test]
+    fn gather_acc_and_transpose_match_scalar_oracles_at_every_level() {
+        // Every `m mod 8` row edge and `n mod 16` column edge around full
+        // tiles, both starts (`fresh` and continuing), a gathered operand
+        // with repeated and scattered offsets; the transpose on full 8 × 8
+        // blocks and every edge.
+        for (m, n, k) in [(1, 1, 1), (3, 7, 5), (8, 16, 9), (9, 33, 17), (16, 32, 40), (27, 20, 3)] {
+            let src = fill(64 + 3 * k + 7 * m, (m * n) as u32);
+            let at: Vec<usize> = (0..k).map(|p| (p * 37) % (3 * k + 1)).collect();
+            let rows: Vec<usize> = (0..m).map(|r| 64 + (r * 5) % (7 * m)).collect();
+            let b = fill(k * (n + 3), (n + k) as u32);
+            let ldc = m + 2;
+            let c0 = fill(n * ldc, (m + k) as u32);
+            for fresh in [true, false] {
+                let mut want = c0.clone();
+                for j in 0..n {
+                    for r in 0..m {
+                        let mut acc = if fresh { 0.0 } else { c0[j * ldc + r] };
+                        for p in 0..k {
+                            acc = src[at[p] + rows[r]].mul_add(b[p * (n + 3) + j], acc);
+                        }
+                        want[j * ldc + r] = acc;
+                    }
+                }
+                let want = bits(&want);
+                assert_levels_agree(|| {
+                    let mut c = c0.clone();
+                    gather_acc(m, n, k, &src, &at, &rows, &b, n + 3, &mut c, ldc, fresh);
+                    assert_eq!(bits(&c), want, "gather_acc m={m} n={n} k={k} fresh={fresh}");
+                    bits(&c)
+                });
+            }
+        }
+        for (rows, cols) in [(1, 1), (8, 8), (9, 17), (16, 24), (5, 40)] {
+            let src = fill(rows * (cols + 1), (rows + cols) as u32);
+            let mut want = vec![0.5f32; cols * (rows + 2)];
+            for i in 0..rows {
+                for j in 0..cols {
+                    want[j * (rows + 2) + i] = src[i * (cols + 1) + j];
+                }
+            }
+            assert_levels_agree(|| {
+                let mut dst = vec![0.5f32; cols * (rows + 2)];
+                transpose(rows, cols, &src, cols + 1, &mut dst, rows + 2);
+                assert_eq!(bits(&dst), bits(&want), "transpose {rows}x{cols}");
+                bits(&dst)
+            });
+        }
     }
 
     #[test]
