@@ -6,30 +6,36 @@
 //! `scripts/verify.sh` uses it to prove each bench binary still runs and
 //! emits parseable records without paying full measurement cost.
 //!
-//! With `--features heap-track` the conv records additionally carry the
-//! process heap high-water across their timed region, and bytes-only
-//! `conv2d_*_scratch_peak` records pin the tiled engine's workspace
-//! footprint — together they prove the tiled path never materializes the
-//! full `im2col`/`dcols` matrices (`scripts/verify.sh` gates both).
+//! Every timed record is sampled in turn with a reference region of the
+//! same run — `fma_ref` for the compute-bound kernels, `copy_ref` for the
+//! memory-bound ones — and `scripts/verify.sh` gates each as a ratio to
+//! it, so a host that changes state mid-run moves numerator and
+//! denominator alike.
+//!
+//! Bytes-only `conv2d_*_scratch_peak` records pin the tiled engine's
+//! workspace footprint — the tiled path never materializes the full
+//! `im2col`/`dcols` matrices; with `--features heap-track` the two
+//! 8x16x32x32 conv records also carry the process heap high-water of one
+//! call.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use scnn_bench::fma::fma_chains;
-use scnn_bench::{Args, BenchGroup};
+use scnn_bench::{Args, BenchGroup, Turn};
 use scnn_core::lower_unsplit;
 use scnn_graph::ParamId;
 use scnn_models::{resnet18, ModelOptions};
 use scnn_nn::kernels::{
     avg_pool_forward, batch_norm_backward, batch_norm_forward, conv2d_backward, conv2d_forward,
-    linear_backward, linear_forward, max_pool_forward, relu_backward, relu_forward, ConvAttrs,
-    PoolAttrs,
+    linear_backward, linear_forward, max_pool_forward, relu_backward_inplace, relu_forward,
+    relu_forward_into, ConvAttrs, PoolAttrs,
 };
 use scnn_nn::{ParamStore, Sgd};
 use scnn_rng::SplitRng;
 use scnn_tensor::{
-    active_level, col2im, conv2d_fwd_winograd, force_level, im2col, matmul, supports, uniform,
-    Conv2dGeometry, Padding2d, SimdLevel, Tensor,
+    active_level, col2im, conv2d_dw_tiled, conv2d_fwd_winograd, force_level, im2col, matmul,
+    supports, uniform, Conv2dGeometry, Padding2d, SimdLevel, Tensor,
 };
 
 #[cfg(feature = "heap-track")]
@@ -42,19 +48,18 @@ fn heap_reset() {
     scnn_bench::heap::reset_peak();
 }
 
-/// Annotates the last record with the heap high-water since [`heap_reset`]
+/// Annotates record `name` with the heap high-water since [`heap_reset`]
 /// (no-op without `heap-track`).
-fn heap_annotate(g: &mut BenchGroup) {
+fn heap_annotate(g: &mut BenchGroup, name: &str) {
     #[cfg(feature = "heap-track")]
-    g.set_peak_bytes(scnn_bench::heap::peak_bytes());
+    g.set_peak_bytes(name, scnn_bench::heap::peak_bytes());
     #[cfg(not(feature = "heap-track"))]
-    let _ = g;
+    let _ = (g, name);
 }
 
 fn main() {
     let smoke = Args::parse(&["smoke", "bench"]).bool("smoke");
-    // The first record is the conv ratio gates' denominator: take it in
-    // the same warm host state as the records after it.
+    // Take the records in the warm host state (below).
     if !smoke {
         wake_host();
     }
@@ -80,61 +85,35 @@ fn main() {
         g.sample_size(10);
     }
 
-    // Warm the pools once so the timed region measures the steady state
-    // (arenas and the output pool hold their buffers between calls).
     let y = conv2d_forward(&x, &w, None, &attrs);
     let dy = Tensor::ones(y.shape().dims());
-
-    // The bare multiply-add reference (`scnn_bench::fma`): twelve
-    // independent chains at the active level's widest width, a fixed
-    // total of steps cut into one task per thread, so it runs on as many
-    // threads as the conv records below and, like them, takes half as long
-    // on two. The direct and Winograd forwards are gated as ratios to it
-    // in verify.sh: a host in a slow state slows the reference too, where
-    // an absolute bound reads the state and a ratio to another kernel
-    // reads that kernel.
     let threads = scnn_par::max_threads();
-    let fma_iters = if smoke { 1_000 } else { 800_000 } / threads;
-    g.bench("fma_ref", || {
-        let level = active_level();
-        scnn_par::parallel_for(threads, |_| {
-            black_box(fma_chains(level, fma_iters));
-        })
-    });
+    let auto = active_level();
 
-    heap_reset();
-    bench_with_level_twins(&mut g, "conv2d_fwd_8x16x32x32", || {
-        conv2d_forward(&x, &w, None, &attrs)
-    });
-    heap_annotate(&mut g);
-
-    // The winograd F(2×2, 3×3) forward at the same shape. This path is
-    // epsilon-tolerant, not bitwise (DESIGN.md §16); verify.sh holds it
-    // as a ratio to `fma_ref` — a tripwire for the transform path
-    // regressing, not a claim that it wins.
+    // The compute-bound records, sampled in turn with their reference,
+    // `fma_ref`: the bare multiply-add loop (`scnn_bench::fma`), twelve
+    // independent chains at a level's widest width, a fixed total of steps
+    // cut into tasks the pool's threads claim as they do the kernels' ones
+    // — so, like them, it takes half as long on two threads, and a thread
+    // that loses its CPU slows both alike. verify.sh gates
+    // each record as a ratio to the reference of the level it runs at:
+    // `fma_ref` at the level auto dispatch picks, `fma_ref_<level>` for the
+    // records forced to another one.
+    let fma_ref = |level: SimdLevel| {
+        // The scalar chains are a libm call a step where the build has no
+        // FMA: a tenth of the steps takes about as long.
+        let iters =
+            if smoke { 1_000 } else { 800_000 } / if level == SimdLevel::Scalar { 10 } else { 1 };
+        let tasks = REF_TASKS_PER_THREAD * threads;
+        move || {
+            scnn_par::parallel_for(tasks, |_| {
+                black_box(fma_chains(level, iters / tasks));
+            })
+        }
+    };
     let geo = Conv2dGeometry::new(c, hw, hw, 3, 3, 1, 1, Padding2d::symmetric(1));
     let mut wy = vec![0.0f32; n * oc * geo.patch_count()];
-    g.bench("conv2d_fwd_8x16x32x32_winograd", || {
-        conv2d_fwd_winograd(&x, &w, None, &geo, &mut wy);
-        black_box(&mut wy);
-    });
-
-    heap_reset();
-    g.bench("conv2d_bwd_8x16x32x32", || {
-        conv2d_backward(&x, &w, false, &dy, &attrs)
-    });
-    heap_annotate(&mut g);
-
-    // Scratch-arena high-water of one warm fwd/bwd pass: the tiled
-    // engine's whole transient footprint. For the 8x16x32x32 shape the
-    // full im2col matrix alone would be 4.7 MB — the gate in verify.sh
-    // pins that these stay far below that.
-    scnn_par::scratch::reset_peak();
-    black_box(conv2d_forward(&x, &w, None, &attrs));
-    g.record_bytes("conv2d_fwd_scratch_peak", scnn_par::scratch::peak_bytes());
-    scnn_par::scratch::reset_peak();
-    black_box(conv2d_backward(&x, &w, false, &dy, &attrs));
-    g.record_bytes("conv2d_bwd_scratch_peak", scnn_par::scratch::peak_bytes());
+    let mut dw_out = vec![0.0f32; w.len()];
 
     // The shapes the repo benchmark's workloads actually execute
     // (ResNet-18 cifar width 0.5, batch 8, split (0.5, 2, 2) for training,
@@ -145,13 +124,15 @@ fn main() {
     let (wn, wc, whw) = if smoke { (1, 4, 4) } else { (8, 32, 16) };
     let (dc, dhw) = if smoke { (8, 2) } else { (256, 4) };
     let (sc, tc) = if smoke { (4, 8) } else { (16, 128) };
-    for (name, xd, oc, k, stride, with_bwd) in [
+    let shapes: Vec<_> = [
         ("8x32x16x16", [wn, wc, whw, whw], wc, 3, 1, true),
         ("8x256x4x4", [wn, dc, dhw, dhw], dc, 3, 1, true),
         ("1x1s2_8x32x16x16", [wn, wc, whw, whw], 2 * wc, 1, 2, false),
         ("1x16x16x16", [1, sc, whw, whw], sc, 3, 1, false),
         ("1x128x4x4", [1, tc, dhw, dhw], tc, 3, 1, false),
-    ] {
+    ]
+    .into_iter()
+    .map(|(name, xd, oc, k, stride, with_bwd)| {
         let wx = uniform(&mut rng, &xd, -1.0, 1.0);
         let ww = uniform(&mut rng, &[oc, xd[1], k, k], -0.5, 0.5);
         let a = ConvAttrs {
@@ -162,16 +143,108 @@ fn main() {
             pad: Padding2d::symmetric((k / 2) as i64),
         };
         let wdy = Tensor::ones(conv2d_forward(&wx, &ww, None, &a).shape().dims());
-        g.bench(&format!("conv2d_fwd_{name}"), || conv2d_forward(&wx, &ww, None, &a));
-        if with_bwd {
-            g.bench(&format!("conv2d_bwd_{name}"), || {
-                conv2d_backward(&wx, &ww, false, &wdy, &a)
-            });
+        (name, wx, ww, a, wdy, with_bwd)
+    })
+    .collect();
+
+    // A classifier-head-sized linear layer: batch 128, 512 -> 256.
+    let (lb, lin, lout) = if smoke { (4, 16, 8) } else { (128, 512, 256) };
+    let lx = uniform(&mut rng, &[lb, lin], -1.0, 1.0);
+    let lw = uniform(&mut rng, &[lout, lin], -0.5, 0.5);
+    let lbias = uniform(&mut rng, &[lout], -0.1, 0.1);
+    let ldy = uniform(&mut rng, &[lb, lout], -1.0, 1.0);
+    let msz = if smoke { 16 } else { 256 };
+    let a = uniform(&mut rng, &[msz, msz], -1.0, 1.0);
+    let bm = uniform(&mut rng, &[msz, msz], -1.0, 1.0);
+    // One cache-capacity-straddling square GEMM (512³ ≈ 268 MFLOP).
+    let m2 = if smoke { 24 } else { 512 };
+    let a2 = uniform(&mut rng, &[m2, m2], -1.0, 1.0);
+    let b2 = uniform(&mut rng, &[m2, m2], -1.0, 1.0);
+
+    let mut compute = vec![Turn::new("fma_ref", fma_ref(auto))];
+    for level in [SimdLevel::Avx2, SimdLevel::Avx512, SimdLevel::Scalar] {
+        if level != auto && supports(level) {
+            compute.push(Turn::new(
+                format!("fma_ref_{}", level.name()),
+                fma_ref(level),
+            ));
         }
     }
+    compute.extend(level_twins("conv2d_fwd_8x16x32x32", || {
+        conv2d_forward(&x, &w, None, &attrs)
+    }));
+    // The winograd F(2×2, 3×3) forward at the same shape. This path is
+    // epsilon-tolerant, not bitwise (DESIGN.md §16) — a tripwire for the
+    // transform path regressing, not a claim that it wins.
+    compute.push(Turn::new("conv2d_fwd_8x16x32x32_winograd", || {
+        conv2d_fwd_winograd(&x, &w, None, &geo, &mut wy);
+        black_box(&mut wy);
+    }));
+    compute.push(Turn::new("conv2d_bwd_8x16x32x32", || {
+        conv2d_backward(&x, &w, false, &dy, &attrs)
+    }));
+    // The backward's weight gradient alone: most of the backward, and
+    // nearly all of it one kernel (`simd::gather_acc`).
+    compute.push(Turn::new("conv2d_dw_8x16x32x32", || {
+        conv2d_dw_tiled(&x, &dy, &geo, &mut dw_out);
+        black_box(&mut dw_out);
+    }));
+    for (name, wx, ww, a, wdy, with_bwd) in &shapes {
+        compute.push(Turn::new(format!("conv2d_fwd_{name}"), move || {
+            conv2d_forward(wx, ww, None, a)
+        }));
+        if *with_bwd {
+            compute.push(Turn::new(format!("conv2d_bwd_{name}"), move || {
+                conv2d_backward(wx, ww, false, wdy, a)
+            }));
+        }
+    }
+    compute.push(Turn::new("linear_fwd_128x512x256", || {
+        linear_forward(&lx, &lw, &lbias)
+    }));
+    compute.push(Turn::new("linear_bwd_128x512x256", || {
+        linear_backward(&lx, &lw, &ldy)
+    }));
+    compute.push(Turn::new("matmul_256", || matmul(&a, &bm)));
+    compute.extend(level_twins("matmul_512", || matmul(&a2, &b2)));
 
-    // One optimizer step over every parameter of that model (~2.8 M
-    // scalars), gradients present, momentum and weight decay on.
+    // The portable bodies of the two twinned records (DESIGN.md §14), held
+    // against the scalar `fma_ref`: a libm call per multiply-add, which the
+    // portable body's `target_feature(enable = "fma")` copy never makes,
+    // reads ~20× the fused step.
+    compute.push(Turn::new(
+        "conv2d_fwd_8x16x32x32_scalar",
+        forced(SimdLevel::Scalar, || conv2d_forward(&x, &w, None, &attrs)),
+    ));
+    compute.push(Turn::new(
+        "matmul_512_scalar",
+        forced(SimdLevel::Scalar, || matmul(&a2, &b2)),
+    ));
+    g.bench_in_turn(compute);
+
+    // The memory-bound records, sampled in turn with their reference,
+    // `copy_ref`: a copy of one ReLU record's tensor (1 MiB) into a fresh
+    // buffer, one chunk per thread — the way most of these kernels write
+    // their outputs. (A copy into a buffer that exists tracks a competing
+    // thread better, but its own fast and slow states spread the pooling
+    // records' ratios past the bound rule.)
+    let gamma = Tensor::ones(&[c]);
+    let beta = Tensor::zeros(&[c]);
+    let (_, saved) = batch_norm_forward(&x, &gamma, &beta, None);
+    let bdy = uniform(&mut rng, &[n, c, hw, hw], -1.0, 1.0);
+    let rx = uniform(&mut rng, &[n, 2 * c, hw, hw], -1.0, 1.0);
+    let ry = relu_forward(&rx);
+    let (mut rout, mut rdy) = (Tensor::zeros(rx.shape().dims()), Tensor::ones(rx.shape().dims()));
+    let cols = im2col(&x, &geo);
+    let pool = PoolAttrs {
+        kh: 2,
+        kw: 2,
+        sh: 2,
+        sw: 2,
+        pad: Padding2d::default(),
+    };
+    // One optimizer step over every parameter of the workloads' model
+    // (~2.8 M scalars), gradients present, momentum and weight decay on.
     let desc = resnet18(&ModelOptions::cifar().with_width(if smoke { 0.125 } else { 0.5 }));
     let graph = lower_unsplit(&desc, 1);
     let mut params = ParamStore::init(&graph, &mut rng);
@@ -180,106 +253,96 @@ fn main() {
         params.accumulate_grad(ParamId(id), &uniform(&mut rng, &dims, -0.1, 0.1));
     }
     let mut sgd = Sgd::new(&params, 0.005, 0.9, 1e-4);
-    g.bench("sgd_step_resnet18_w05", || sgd.step(&mut params));
+    let chunk = rx.len().div_ceil(threads);
+    g.bench_in_turn(vec![
+        Turn::new("copy_ref", || {
+            let (src, mut dst) = (rx.as_slice(), vec![0.0f32; rx.len()]);
+            scnn_par::par_chunks_mut(&mut dst, chunk, |ci, d| {
+                d.copy_from_slice(&src[ci * chunk..][..d.len()]);
+            });
+            dst
+        }),
+        Turn::new("sgd_step_resnet18_w05", || sgd.step(&mut params)),
+        // The lowering stages of the conv above, measured on their own.
+        Turn::new("im2col_8x16x32x32", || im2col(&x, &geo)),
+        Turn::new("col2im_8x16x32x32", || col2im(&cols, n, &geo)),
+        Turn::new("batchnorm_fwd", || {
+            batch_norm_forward(&x, &gamma, &beta, None)
+        }),
+        Turn::new("batchnorm_bwd", || {
+            batch_norm_backward(&bdy, &gamma, &saved)
+        }),
+        // ReLU over one 1 MB activation, into buffers that exist, as the
+        // executor runs it: the records time the passes themselves. The
+        // input's signs are random, so the backward mask is unpredictable:
+        // verify.sh holds backward against forward at a bound a branch per
+        // element cannot meet (it read ≈ 12×).
+        Turn::new("relu_fwd_8x32x32x32", || relu_forward_into(&rx, &mut rout)),
+        Turn::new("relu_bwd_8x32x32x32", || relu_backward_inplace(&ry, &mut rdy)),
+        Turn::new("maxpool_fwd", || max_pool_forward(&x, &pool)),
+        Turn::new("avgpool_fwd", || avg_pool_forward(&x, &pool)),
+    ]);
 
-    // The lowering stages of the conv above, measured on their own.
-    g.bench("im2col_8x16x32x32", || im2col(&x, &geo));
-    let cols = im2col(&x, &geo);
-    g.bench("col2im_8x16x32x32", || col2im(&cols, n, &geo));
-
-    let gamma = Tensor::ones(&[c]);
-    let beta = Tensor::zeros(&[c]);
-    g.bench("batchnorm_fwd", || batch_norm_forward(&x, &gamma, &beta, None));
-    let (_, saved) = batch_norm_forward(&x, &gamma, &beta, None);
-    let bdy = uniform(&mut rng, &[n, c, hw, hw], -1.0, 1.0);
-    g.bench("batchnorm_bwd", || batch_norm_backward(&bdy, &gamma, &saved));
-
-    // ReLU over one 1 MB activation. The input's signs are random, so the
-    // backward mask is unpredictable: verify.sh holds backward within 3×
-    // of forward, which a branch per element cannot meet (it read ≈ 12×).
-    let rx = uniform(&mut rng, &[n, 2 * c, hw, hw], -1.0, 1.0);
-    g.bench("relu_fwd_8x32x32x32", || relu_forward(&rx));
-    let (ry, rdy) = (relu_forward(&rx), Tensor::ones(rx.shape().dims()));
-    g.bench("relu_bwd_8x32x32x32", || relu_backward(&ry, &rdy));
-
-    let pool = PoolAttrs {
-        kh: 2,
-        kw: 2,
-        sh: 2,
-        sw: 2,
-        pad: Padding2d::default(),
-    };
-    g.bench("maxpool_fwd", || max_pool_forward(&x, &pool));
-    g.bench("avgpool_fwd", || avg_pool_forward(&x, &pool));
-
-    // A classifier-head-sized linear layer: batch 128, 512 -> 256.
-    let (lb, lin, lout) = if smoke { (4, 16, 8) } else { (128, 512, 256) };
-    let lx = uniform(&mut rng, &[lb, lin], -1.0, 1.0);
-    let lw = uniform(&mut rng, &[lout, lin], -0.5, 0.5);
-    let lbias = uniform(&mut rng, &[lout], -0.1, 0.1);
-    g.bench("linear_fwd_128x512x256", || linear_forward(&lx, &lw, &lbias));
-    let ldy = uniform(&mut rng, &[lb, lout], -1.0, 1.0);
-    g.bench("linear_bwd_128x512x256", || linear_backward(&lx, &lw, &ldy));
-
-    let msz = if smoke { 16 } else { 256 };
-    let a = uniform(&mut rng, &[msz, msz], -1.0, 1.0);
-    let bm = uniform(&mut rng, &[msz, msz], -1.0, 1.0);
-    g.bench("matmul_256", || matmul(&a, &bm));
-
-    // One cache-capacity-straddling square GEMM (512³ ≈ 268 MFLOP).
-    let m2 = if smoke { 24 } else { 512 };
-    let a2 = uniform(&mut rng, &[m2, m2], -1.0, 1.0);
-    let b2 = uniform(&mut rng, &[m2, m2], -1.0, 1.0);
-    bench_with_level_twins(&mut g, "matmul_512", || matmul(&a2, &b2));
-
-    // The portable bodies of the two twinned records (DESIGN.md §14), so
-    // the scalar trajectory is tracked separately: verify.sh holds both
-    // under ceilings a libm call per multiply-add cannot meet.
-    force_level(Some(SimdLevel::Scalar));
-    g.bench("conv2d_fwd_8x16x32x32_scalar", || conv2d_forward(&x, &w, None, &attrs));
-    g.bench("matmul_512_scalar", || matmul(&a2, &b2));
-    force_level(None);
+    // Scratch-arena high-water of one warm fwd/bwd pass: the tiled
+    // engine's whole transient footprint. For the 8x16x32x32 shape the
+    // full im2col matrix alone would be 4.7 MB — the gate in verify.sh
+    // pins that these stay far below that. With `heap-track`, the same
+    // calls' process-heap high-water annotates the conv records.
+    // Two threads, as on the host the pins were read on: each running
+    // `dw` task holds a loan of its own.
+    scnn_par::with_threads(2, || {
+        scnn_par::scratch::reset_peak();
+        heap_reset();
+        black_box(conv2d_forward(&x, &w, None, &attrs));
+        heap_annotate(&mut g, "conv2d_fwd_8x16x32x32");
+        g.record_bytes("conv2d_fwd_scratch_peak", scnn_par::scratch::peak_bytes());
+        scnn_par::scratch::reset_peak();
+        heap_reset();
+        black_box(conv2d_backward(&x, &w, false, &dy, &attrs));
+        heap_annotate(&mut g, "conv2d_bwd_8x16x32x32");
+        g.record_bytes("conv2d_bwd_scratch_peak", scnn_par::scratch::peak_bytes());
+    });
 
     par_fork_join(&mut g, smoke);
 
     g.finish();
 }
 
-/// Benches `f` under auto dispatch as `name`, twinned with
-/// `{name}_{level}` forced to the level auto resolves to: one code path,
-/// so verify.sh holds their medians within 1.10× of each other both ways.
-/// Their samples alternate: taken one record after the other, the two read
-/// up to 2× apart whenever the host left its cold state (below) in
-/// between. Each other vector level the host supports gets a forced record
-/// of its own first (`_avx2` on an AVX-512 host), and the auto record comes
-/// last, so a heap annotation lands on it. Under scalar auto dispatch
-/// there is no vector level to twin. A baseline written on an AVX-512
-/// host lists `_avx512` records a host without it does not write:
-/// regenerate it there, or run verify.sh with SCNN_VERIFY_SKIP_BENCH=1.
-fn bench_with_level_twins<T>(g: &mut BenchGroup, name: &str, f: impl Fn() -> T) {
+/// Tasks per thread of `fma_ref`: small enough that the threads balance
+/// them as they balance a kernel's tasks.
+const REF_TASKS_PER_THREAD: usize = 8;
+
+/// `f` run at `level`, auto dispatch restored after each call.
+fn forced<T>(level: SimdLevel, f: impl Fn() -> T) -> impl FnMut() -> T {
+    move || {
+        force_level(Some(level));
+        let out = f();
+        force_level(None);
+        out
+    }
+}
+
+/// `f` under auto dispatch as `name`, twinned with `{name}_{level}` forced
+/// to the level auto resolves to: one code path, so verify.sh holds their
+/// medians within 1.10× of each other both ways. Each other vector level
+/// the host supports gets a forced record of its own first (`_avx2` on an
+/// AVX-512 host). Under scalar auto dispatch there is no vector level to
+/// twin.
+fn level_twins<'a, T: 'a>(name: &str, f: impl Fn() -> T + Copy + 'a) -> Vec<Turn<'a>> {
     let auto = active_level();
-    let forced = |level| {
-        let f = &f;
-        move || {
-            force_level(Some(level));
-            let out = f();
-            force_level(None);
-            out
-        }
-    };
-    for level in [SimdLevel::Avx2, SimdLevel::Avx512] {
-        if level != auto && supports(level) {
-            g.bench(&format!("{name}_{}", level.name()), forced(level));
-        }
+    let mut turns: Vec<Turn<'a>> = [SimdLevel::Avx2, SimdLevel::Avx512]
+        .into_iter()
+        .filter(|&level| level != auto && supports(level))
+        .map(|level| Turn::new(format!("{name}_{}", level.name()), forced(level, f)))
+        .collect();
+    if auto != SimdLevel::Scalar {
+        turns.push(Turn::new(
+            format!("{name}_{}", auto.name()),
+            forced(auto, f),
+        ));
     }
-    if auto == SimdLevel::Scalar {
-        g.bench(name, &f);
-        return;
-    }
-    g.bench_twins(
-        (&format!("{name}_{}", auto.name()), forced(auto)),
-        (name, &f),
-    );
+    turns.push(Turn::new(name, f));
+    turns
 }
 
 fn busy(d: Duration) {
@@ -301,41 +364,49 @@ fn wake_host() {
     });
 }
 
-/// `par_fork_join/{hot,gap100us,gap1ms}`: wall time of one 4-task region
-/// of 50 µs tasks on 2 threads (forced, so the committed 1-thread
-/// baselines still record a fork) — back-to-back, after 100 µs of serial
-/// work on the submitter (the gap between two waves of a forward pass),
-/// and after the submitter slept 1 ms (the gap between two requests). A
-/// perfect fork reads 100 µs, no fork 200 µs. These size the pool's spin
-/// budget (DESIGN.md §9); `scripts/verify.sh` holds `gap100us` under a
-/// ceiling that a worker parking the instant a region ends cannot meet.
-/// [`wake_host`] comes first: a cold second vCPU reads 200 µs for every
-/// region whatever the pool does.
+/// `par_fork_join/{gap1ms,hot,gap100us}`: wall time of one 4-task region
+/// of 50 µs tasks on 2 threads (forced, so a 1-thread run still records a
+/// fork) — after the submitter slept 1 ms (the gap between two requests),
+/// back-to-back with that one, and after 100 µs of serial work on the
+/// submitter (the gap between two waves of a forward pass). A perfect fork
+/// reads 100 µs, no fork 200 µs: `par_fork_join/ideal` times 100 µs of
+/// work on the submitter alone, which is what a perfect fork reads on any
+/// host. One round times each once, in that order, so the four are sampled
+/// in turn. These size the pool's spin budget (DESIGN.md §9);
+/// `scripts/verify.sh` holds `gap100us` within a ratio to `ideal` that a
+/// worker parking the instant a region ends cannot meet. [`wake_host`]
+/// comes first: a cold second vCPU reads 200 µs for every region whatever
+/// the pool does.
 fn par_fork_join(g: &mut BenchGroup, smoke: bool) {
     if !smoke {
         wake_host();
     }
     let task = Duration::from_micros(50);
     let regions = if smoke { 5 } else { 300 };
-    for (name, gap) in [
-        ("hot", Duration::ZERO),
-        ("gap100us", Duration::from_micros(100)),
-        ("gap1ms", Duration::from_millis(1)),
-    ] {
-        let wall: Vec<u128> = scnn_par::with_threads(2, || {
-            (0..regions)
-                .map(|_| {
-                    if gap >= Duration::from_millis(1) {
-                        std::thread::sleep(gap);
-                    } else {
-                        busy(gap);
-                    }
-                    let t = Instant::now();
-                    scnn_par::parallel_for(4, |_| busy(task));
-                    t.elapsed().as_nanos()
-                })
-                .collect()
-        });
+    let gaps = [
+        Duration::from_millis(1),
+        Duration::from_micros(100),
+        Duration::ZERO,
+    ];
+    let mut wall: [Vec<u128>; 4] = Default::default();
+    scnn_par::with_threads(2, || {
+        for _ in 0..regions {
+            for (gap, wall) in gaps.iter().zip(&mut wall) {
+                if *gap >= Duration::from_millis(1) {
+                    std::thread::sleep(*gap);
+                } else {
+                    busy(*gap);
+                }
+                let t = Instant::now();
+                scnn_par::parallel_for(4, |_| busy(task));
+                wall.push(t.elapsed().as_nanos());
+            }
+            let t = Instant::now();
+            busy(2 * task);
+            wall[3].push(t.elapsed().as_nanos());
+        }
+    });
+    for (name, wall) in ["gap1ms", "hot", "gap100us", "ideal"].into_iter().zip(wall) {
         g.record_latency(&format!("par_fork_join/{name}"), &wall);
     }
 }

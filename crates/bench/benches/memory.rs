@@ -8,7 +8,11 @@
 //! - `train_step/{baseline,vdnn,hmms}` — the same step under
 //!   [`PlanRuntime`], peak = physically resident activation bytes under
 //!   that plan's lifetimes (the step runs in tape order, so each strategy
-//!   reads its own figure; the share of its planned pool is printed).
+//!   reads its own figure; the share of its planned pool is printed);
+//! - `train_step/hmms_micro` — the HMMS step with micro-batched convs.
+//!
+//! The steps are timed in turn, one sample of each per round, so
+//! `scripts/verify.sh` can gate each as a ratio to the step it replaces.
 //!
 //! The plan's own figures — device pool and its workspace share
 //! (`layout.device_general_bytes` / `device_workspace_bytes`), host pool —
@@ -32,7 +36,7 @@
 
 use std::sync::Arc;
 
-use scnn_bench::{Args, BenchGroup};
+use scnn_bench::{Args, BenchGroup, Turn};
 use scnn_core::{
     conv_engine_workspace, conv_micro_workspace, lower_unsplit, plan_micro_schedule, plan_split,
     SplitConfig,
@@ -60,7 +64,7 @@ fn main() {
         g.sample_size(1);
         g.warmup(0);
     } else {
-        g.sample_size(3);
+        g.sample_size(7);
         g.warmup(1);
     }
 
@@ -99,11 +103,14 @@ fn main() {
         .loss
     };
 
+    // Each strategy's peaks come from one untimed step of its own; the
+    // timed steps are sampled in turn at the end.
+    let mut peaks = Vec::new();
     #[cfg(feature = "heap-track")]
     scnn_bench::heap::reset_peak();
     let mut meter = MeterProvider::new();
-    g.bench("train_step/vec_baseline", || step(&mut meter));
-    g.set_peak_bytes(meter.peak_bytes());
+    step(&mut meter);
+    peaks.push(("train_step/vec_baseline".to_string(), meter.peak_bytes()));
     println!(
         "  vec_baseline: resident activation peak {} B{}",
         meter.peak_bytes(),
@@ -119,6 +126,7 @@ fn main() {
     let overlap = LayoutOptions {
         overlap_workspace: true,
     };
+    let mut runtimes = Vec::new();
     for plan in &plans {
         // The measured step runs on the overlapped layout; the plain
         // layout is re-planned only to print the overlap saving.
@@ -127,9 +135,9 @@ fn main() {
             .expect("plan is legal with overlap");
         #[cfg(feature = "heap-track")]
         scnn_bench::heap::reset_peak();
-        g.bench(&format!("train_step/{}", plan.strategy), || step(&mut rt));
+        step(&mut rt);
         let stats = rt.stats();
-        g.set_peak_bytes(stats.resident_peak_bytes);
+        peaks.push((format!("train_step/{}", plan.strategy), stats.resident_peak_bytes));
         let layout = &rt.plan().layout;
         println!(
             "  {}: resident {} B = {:.2} × device pool {} B (plain {} B, workspace {} B planned, \
@@ -162,6 +170,7 @@ fn main() {
         if plan.strategy == "hmms" {
             g.record_bytes("minor_faults_per_step/hmms", steady_step_faults(smoke, &graph, &mut rt));
         }
+        runtimes.push((&plan.strategy, rt));
     }
 
     let plain = lower_unsplit(&desc, batch);
@@ -187,8 +196,8 @@ fn main() {
     let exec_plan = export_plan_with(&graph, &tape, &plan_micro, &tso_micro, overlap)
         .expect("micro plan is legal with overlap")
         .with_micro_schedule(Arc::new(schedule));
-    let mut rt = scnn_runtime::PlanRuntime::new(&graph, exec_plan).expect("runtime builds");
-    let exec_micro = rt.executor();
+    let mut micro_rt = scnn_runtime::PlanRuntime::new(&graph, exec_plan).expect("runtime builds");
+    let exec_micro = micro_rt.executor();
     let micro_step = |provider: &mut dyn BufferProvider| {
         let mut params = ParamStore::init(&graph, &mut SplitRng::seed_from_u64(7));
         let mut bn = BnState::new();
@@ -201,20 +210,20 @@ fn main() {
     };
     #[cfg(feature = "heap-track")]
     scnn_bench::heap::reset_peak();
-    g.bench("train_step/hmms_micro", || micro_step(&mut rt));
-    let stats = rt.stats();
-    g.set_peak_bytes(stats.resident_peak_bytes);
+    micro_step(&mut micro_rt);
+    let stats = micro_rt.stats();
+    peaks.push(("train_step/hmms_micro".to_string(), stats.resident_peak_bytes));
     println!(
         "  hmms_micro: resident {} B = {:.2} × device pool {} B, kernel scratch peak {} B{}",
         stats.resident_peak_bytes,
-        resident_over_planned(&rt),
-        rt.plan().layout.device_general_bytes,
+        resident_over_planned(&micro_rt),
+        micro_rt.plan().layout.device_general_bytes,
         stats.scratch_peak_bytes,
         heap_note()
     );
     g.record_bytes(
         "planned_device/hmms_micro",
-        rt.plan().layout.device_general_bytes,
+        micro_rt.plan().layout.device_general_bytes,
     );
 
     // Figure-10 capacity search at a fixed device budget: how many logical
@@ -260,6 +269,21 @@ fn main() {
     );
     g.record_bytes("capacity/max_batch/legacy", legacy_cap.max_batch);
     g.record_bytes("capacity/max_batch/micro", micro_cap.max_batch);
+
+    // The steps, sampled in turn: verify.sh gates what a plan costs as a
+    // ratio to the step it replaces (the runtime to the Vec path, offload
+    // to no offload, micro-batching to full batches), each round's pair
+    // taken in one host state.
+    let mut meter = MeterProvider::new();
+    let mut turns = vec![Turn::new("train_step/vec_baseline", || step(&mut meter))];
+    for (strategy, rt) in &mut runtimes {
+        turns.push(Turn::new(format!("train_step/{strategy}"), || step(rt)));
+    }
+    turns.push(Turn::new("train_step/hmms_micro", || micro_step(&mut micro_rt)));
+    g.bench_in_turn(turns);
+    for (name, bytes) in peaks {
+        g.set_peak_bytes(&name, bytes);
+    }
 
     g.finish();
 }

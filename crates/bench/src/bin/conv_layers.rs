@@ -11,9 +11,10 @@
 //! backward kernels called on their own (`conv2d_dw_tiled_acc_at`,
 //! `conv2d_dx_tiled`), so a backward change shows which half it moved.
 //!
-//! The header also prints the host's bare multiply-add rate on one thread
-//! at each vector width it runs — the ceiling the GFLOP/s columns are
-//! read against.
+//! The header also prints the host line every bench file starts with (CPU
+//! model, SIMD level, `nproc`, and the bare multiply-add rate on one
+//! thread at each level the host runs — the ceiling the GFLOP/s columns
+//! are read against).
 //!
 //! ```text
 //! cargo run --release -p scnn-bench --bin conv_layers [--passes 4] [--reps 15] [--width 0.5] [--batch 8]
@@ -22,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use scnn_bench::Args;
+use scnn_bench::{Args, HostLine};
 use scnn_core::{lower_unsplit, plan_split, SplitConfig};
 use scnn_gpusim::node_flops;
 use scnn_graph::{Graph, Op};
@@ -214,28 +215,6 @@ fn profile(name: &str, graph: &Graph, passes: usize, reps: usize) {
     );
 }
 
-/// Best of five runs of twelve independent fused multiply-add chains,
-/// `iters` steps each, at 256 and (where the host runs it) 512 bits, in
-/// GFLOP/s on the calling thread.
-fn bare_fma_gflops(iters: usize) -> Vec<(&'static str, f64)> {
-    use scnn_bench::fma::{fma_chains, fma_flops};
-    use scnn_tensor::{supports, SimdLevel};
-    [(SimdLevel::Avx2, "256-bit"), (SimdLevel::Avx512, "512-bit")]
-        .into_iter()
-        .filter(|&(level, _)| supports(level))
-        .map(|(level, width)| {
-            let best = (0..5)
-                .map(|_| {
-                    let t = Instant::now();
-                    std::hint::black_box(fma_chains(level, iters));
-                    t.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min);
-            (width, fma_flops(level, iters) / best / 1e9)
-        })
-        .collect()
-}
-
 fn main() {
     let args = Args::parse(&["passes", "reps", "width", "batch"]);
     let passes = args.usize("passes", 4);
@@ -251,13 +230,7 @@ fn main() {
         scnn_par::max_threads(),
         scnn_tensor::active_level().name()
     );
-    let fma: Vec<String> = bare_fma_gflops(20_000_000)
-        .into_iter()
-        .map(|(width, gflops)| format!("{width} {gflops:.1} GFLOP/s"))
-        .collect();
-    if !fma.is_empty() {
-        println!("# bare FMA, one thread: {}", fma.join(", "));
-    }
+    println!("# {}", HostLine::measure());
     profile("split (0.5, 2, 2)", &split.lower(&desc, batch), passes, reps);
     profile("unsplit", &lower_unsplit(&desc, batch), passes, reps);
 }

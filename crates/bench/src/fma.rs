@@ -1,9 +1,9 @@
 //! The host's bare multiply-add rate: twelve independent fused
 //! multiply-add chains at one vector width, no memory traffic. It is the
-//! ceiling the conv GFLOP/s columns of `conv_layers` are read against, and
-//! the kernels bench's reference region (`fma_ref`), which the conv
-//! forward records are gated as ratios to: a host that runs slow runs both
-//! slow.
+//! ceiling the conv GFLOP/s columns of `conv_layers` are read against, the
+//! rate every bench file's host line records, and the kernels bench's
+//! reference region (`fma_ref`), which the compute-bound kernel records are
+//! gated as ratios to: a host that runs slow runs both slow.
 
 use scnn_tensor::SimdLevel;
 

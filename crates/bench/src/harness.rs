@@ -2,11 +2,13 @@
 //! `criterion` dev-dependency.
 //!
 //! Each benchmark group owns a `BENCH_<group>.json` file at the workspace
-//! root, written as JSON lines (one record per benchmark) so successive
-//! runs are trivially diffable and the perf trajectory can be tracked
-//! across PRs:
+//! root, written as JSON lines — a [`HostLine`] naming the machine, then
+//! one record per benchmark — so successive runs are trivially diffable
+//! and each says what host its times belong to:
 //!
 //! ```json
+//! {"host":"Intel(R) Xeon(R) Processor","simd":"avx512","nproc":2,
+//!  "fma_gflops":{"avx512":98.4,"avx2":49.3,"scalar":3.6}}
 //! {"group":"kernels","name":"conv2d_fwd_8x16x32x32","median_ns":1234567,
 //!  "min_ns":1200000,"mean_ns":1250000,"samples":7,"warmup":2}
 //! ```
@@ -52,6 +54,11 @@ pub struct BenchRecord {
     /// where `median_ns` doubles as the p50. Gated by
     /// `bench_check --max-p99`.
     pub p99_ns: Option<u128>,
+    /// Every per-call sample, in the order taken (empty for a bytes-only
+    /// record). Records sampled in turn ([`BenchGroup::bench_in_turn`])
+    /// line up round by round: `bench_check --max-ratio` divides them
+    /// sample by sample.
+    pub samples_ns: Vec<u128>,
 }
 
 impl BenchRecord {
@@ -66,9 +73,15 @@ impl BenchRecord {
             .p99_ns
             .map(|v| format!(",\"p99_ns\":{v}"))
             .unwrap_or_default();
+        let taken: Vec<String> = self.samples_ns.iter().map(u128::to_string).collect();
+        let taken = if taken.is_empty() {
+            String::new()
+        } else {
+            format!(",\"samples_ns\":[{}]", taken.join(","))
+        };
         format!(
             "{{\"group\":\"{}\",\"name\":\"{}\",\"median_ns\":{},\"min_ns\":{},\
-             \"mean_ns\":{},\"samples\":{},\"warmup\":{}{peak}{p99}}}",
+             \"mean_ns\":{},\"samples\":{},\"warmup\":{}{peak}{p99}{taken}}}",
             escape(&self.group),
             escape(&self.name),
             self.median_ns,
@@ -98,6 +111,7 @@ impl BenchRecord {
         let (mut samples, mut warmup) = (None, None);
         let mut peak_bytes = None;
         let mut p99_ns = None;
+        let mut samples_ns = Vec::new();
         loop {
             let key = p.string()?;
             p.expect(':')?;
@@ -111,6 +125,15 @@ impl BenchRecord {
                 "warmup" => warmup = Some(p.number()? as usize),
                 "peak_bytes" => peak_bytes = Some(p.number()?),
                 "p99_ns" => p99_ns = Some(p.number()?),
+                "samples_ns" => {
+                    p.expect('[')?;
+                    while !p.eat(']') {
+                        if !samples_ns.is_empty() {
+                            p.expect(',')?;
+                        }
+                        samples_ns.push(p.number()?);
+                    }
+                }
                 other => return Err(format!("unknown field `{other}`")),
             }
             if p.eat(',') {
@@ -131,12 +154,176 @@ impl BenchRecord {
             warmup: warmup.ok_or_else(|| missing("warmup"))?,
             peak_bytes,
             p99_ns,
+            samples_ns,
         })
     }
 }
 
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// The machine a bench file was measured on, written as the first line of
+/// every `BENCH_<group>.json` ([`BenchGroup::finish`]) and printed in each
+/// `conv_layers` section: times from two hosts are not comparable, and a
+/// file that names its host says which one it holds.
+#[derive(Clone, Debug, PartialEq)]
+pub struct HostLine {
+    /// CPU model (`model name` in `/proc/cpuinfo`; `unknown` without it).
+    pub cpu: String,
+    /// The SIMD level the kernels dispatch to (`scnn_tensor::active_level`).
+    pub simd: String,
+    /// Hardware threads the process may run on.
+    pub nproc: usize,
+    /// Bare fused multiply-add GFLOP/s on one thread at each level the
+    /// host runs, widest first ([`crate::fma`]).
+    pub fma_gflops: Vec<(String, f64)>,
+}
+
+impl HostLine {
+    /// Reads the CPU model, the active level and the thread count, and
+    /// times the bare multiply-add loop at every level the host runs
+    /// (best of five short runs each, a few milliseconds in all).
+    pub fn measure() -> Self {
+        use crate::fma::{fma_chains, fma_flops};
+        use scnn_tensor::{supports, SimdLevel};
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                let line = info.lines().find(|l| l.starts_with("model name"))?;
+                Some(line.split_once(':')?.1.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        let fma_gflops = [SimdLevel::Avx512, SimdLevel::Avx2, SimdLevel::Scalar]
+            .into_iter()
+            .filter(|&level| supports(level))
+            .map(|level| {
+                // The scalar chains are a libm call a step where the build
+                // has no FMA: a tenth of the steps takes about as long.
+                let iters = if level == SimdLevel::Scalar {
+                    50_000
+                } else {
+                    500_000
+                };
+                let best = (0..5)
+                    .map(|_| {
+                        let t = Instant::now();
+                        black_box(fma_chains(level, iters));
+                        t.elapsed().as_secs_f64()
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                (
+                    level.name().to_string(),
+                    fma_flops(level, iters) / best / 1e9,
+                )
+            })
+            .collect();
+        HostLine {
+            cpu,
+            simd: scnn_tensor::active_level().name().to_string(),
+            nproc: std::thread::available_parallelism().map_or(1, usize::from),
+            fma_gflops,
+        }
+    }
+
+    /// The JSON line ([`HostLine::from_json`] reads it back).
+    pub fn to_json(&self) -> String {
+        let rates: Vec<String> = self
+            .fma_gflops
+            .iter()
+            .map(|(level, g)| format!("\"{}\":{g:.1}", escape(level)))
+            .collect();
+        format!(
+            "{{\"host\":\"{}\",\"simd\":\"{}\",\"nproc\":{},\"fma_gflops\":{{{}}}}}",
+            escape(&self.cpu),
+            escape(&self.simd),
+            self.nproc,
+            rates.join(",")
+        )
+    }
+
+    /// Parses one line written by [`HostLine::to_json`]: all four fields,
+    /// any order, nothing else.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first syntax problem, unknown field,
+    /// or missing field.
+    pub fn from_json(line: &str) -> Result<Self, String> {
+        let mut p = JsonCursor::new(line);
+        p.expect('{')?;
+        let (mut cpu, mut simd, mut nproc, mut fma_gflops) = (None, None, None, None);
+        loop {
+            let key = p.string()?;
+            p.expect(':')?;
+            match key.as_str() {
+                "host" => cpu = Some(p.string()?),
+                "simd" => simd = Some(p.string()?),
+                "nproc" => nproc = Some(p.number()? as usize),
+                "fma_gflops" => {
+                    let mut rates = Vec::new();
+                    p.expect('{')?;
+                    while !p.eat('}') {
+                        if !rates.is_empty() {
+                            p.expect(',')?;
+                        }
+                        let level = p.string()?;
+                        p.expect(':')?;
+                        rates.push((level, p.decimal()?));
+                    }
+                    fma_gflops = Some(rates);
+                }
+                other => return Err(format!("unknown host field `{other}`")),
+            }
+            if p.eat(',') {
+                continue;
+            }
+            p.expect('}')?;
+            break;
+        }
+        p.end()?;
+        let missing = |f: &str| format!("missing host field `{f}`");
+        Ok(HostLine {
+            cpu: cpu.ok_or_else(|| missing("host"))?,
+            simd: simd.ok_or_else(|| missing("simd"))?,
+            nproc: nproc.ok_or_else(|| missing("nproc"))?,
+            fma_gflops: fma_gflops.ok_or_else(|| missing("fma_gflops"))?,
+        })
+    }
+}
+
+impl std::fmt::Display for HostLine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "host: {}, simd {}, nproc {}, bare FMA GFLOP/s per thread:",
+            self.cpu, self.simd, self.nproc
+        )?;
+        for (level, gflops) in &self.fma_gflops {
+            write!(f, " {level} {gflops:.1}")?;
+        }
+        Ok(())
+    }
+}
+
+/// Parses a `BENCH_<group>.json` file: its host line, where it has one,
+/// and its records, in order.
+///
+/// # Errors
+///
+/// Returns the first malformed line's number and what is wrong with it.
+pub fn parse_bench_file(text: &str) -> Result<(Option<HostLine>, Vec<BenchRecord>), String> {
+    let (mut host, mut records) = (None, Vec::new());
+    for (i, line) in text.lines().enumerate() {
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        let mut p = JsonCursor::new(line);
+        if p.eat('{') && p.string().is_ok_and(|key| key == "host") {
+            host = Some(HostLine::from_json(line).map_err(at)?);
+        } else {
+            records.push(BenchRecord::from_json(line).map_err(at)?);
+        }
+    }
+    Ok((host, records))
 }
 
 /// Byte cursor over one JSON line, with just the pieces the record shape
@@ -149,7 +336,10 @@ struct JsonCursor<'a> {
 
 impl<'a> JsonCursor<'a> {
     fn new(s: &'a str) -> Self {
-        JsonCursor { s: s.as_bytes(), i: 0 }
+        JsonCursor {
+            s: s.as_bytes(),
+            i: 0,
+        }
     }
 
     fn skip_ws(&mut self) {
@@ -218,6 +408,23 @@ impl<'a> JsonCursor<'a> {
             .map_err(|e| format!("bad number at byte {start}: {e}"))
     }
 
+    /// An unsigned decimal such as `98.4`.
+    fn decimal(&mut self) -> Result<f64, String> {
+        self.skip_ws();
+        let start = self.i;
+        while self
+            .s
+            .get(self.i)
+            .is_some_and(|b| b.is_ascii_digit() || *b == b'.')
+        {
+            self.i += 1;
+        }
+        std::str::from_utf8(&self.s[start..self.i])
+            .expect("digits are utf-8")
+            .parse()
+            .map_err(|e| format!("bad decimal at byte {start}: {e}"))
+    }
+
     fn end(&mut self) -> Result<(), String> {
         self.skip_ws();
         if self.i == self.s.len() {
@@ -235,6 +442,25 @@ fn sample<T>(f: &mut impl FnMut() -> T, batch: usize) -> u128 {
         black_box(f());
     }
     t.elapsed().as_nanos() / batch as u128
+}
+
+/// One record of [`BenchGroup::bench_in_turn`]: its name and the call it
+/// times.
+pub struct Turn<'a> {
+    name: String,
+    call: Box<dyn FnMut() + 'a>,
+}
+
+impl<'a> Turn<'a> {
+    /// Names the call `f`; its result is kept opaque to the optimizer.
+    pub fn new<T>(name: impl Into<String>, mut f: impl FnMut() -> T + 'a) -> Self {
+        Turn {
+            name: name.into(),
+            call: Box::new(move || {
+                black_box(f());
+            }),
+        }
+    }
 }
 
 /// A named group of benchmarks writing one `BENCH_<group>.json` file.
@@ -269,28 +495,38 @@ impl BenchGroup {
     }
 
     /// Times `f` and records the result under `name`.
-    pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> &mut Self {
-        let batch = self.calibrate(&mut f);
-        let per_call = (0..self.samples).map(|_| sample(&mut f, batch)).collect();
-        self.record(name, per_call)
+    pub fn bench<T>(&mut self, name: &str, f: impl FnMut() -> T) -> &mut Self {
+        self.bench_in_turn(vec![Turn::new(name, f)])
     }
 
-    /// Times two closures that should cost the same — one code path
-    /// reached two ways — with their samples taken alternately, so a host
-    /// that changes speed mid-run changes it under both records and their
-    /// ratio says something about the code. Records `a`, then `b`.
-    pub fn bench_twins<T>(
-        &mut self,
-        (name_a, mut a): (&str, impl FnMut() -> T),
-        (name_b, mut b): (&str, impl FnMut() -> T),
-    ) -> &mut Self {
-        let (batch_a, batch_b) = (self.calibrate(&mut a), self.calibrate(&mut b));
-        let (mut per_a, mut per_b) = (Vec::new(), Vec::new());
+    /// Times several calls with their samples taken in turn — one sample
+    /// of each, in the order given, then the next round — so a host that
+    /// changes state mid-run changes it under every record alike, and the
+    /// ratio of any two of them reads the code rather than the host. A
+    /// gated record goes here with the reference region it is divided by
+    /// (`fma_ref`, `copy_ref`, or its twin). Records each call once, in
+    /// the order given.
+    pub fn bench_in_turn(&mut self, mut turns: Vec<Turn<'_>>) -> &mut Self {
+        let batches: Vec<usize> = turns
+            .iter_mut()
+            .map(|t| self.calibrate(&mut t.call))
+            .collect();
+        let mut per_call = vec![Vec::with_capacity(self.samples); turns.len()];
+        let rounds = turns.len() > 1;
         for _ in 0..self.samples {
-            per_a.push(sample(&mut a, batch_a));
-            per_b.push(sample(&mut b, batch_b));
+            for ((t, &batch), samples) in turns.iter_mut().zip(&batches).zip(&mut per_call) {
+                // In a round, each sample starts from its own call's warm
+                // state, whatever call ran before it.
+                if rounds {
+                    (t.call)();
+                }
+                samples.push(sample(&mut t.call, batch));
+            }
         }
-        self.record(name_a, per_a).record(name_b, per_b)
+        for (t, samples) in turns.iter().zip(per_call) {
+            self.record(&t.name, samples);
+        }
+        self
     }
 
     /// Runs the warmup calls, then sizes the inner batch so each sample
@@ -306,7 +542,8 @@ impl BenchGroup {
     }
 
     /// Reduces one benchmark's per-call samples to a record.
-    fn record(&mut self, name: &str, mut per_call: Vec<u128>) -> &mut Self {
+    fn record(&mut self, name: &str, samples_ns: Vec<u128>) -> &mut Self {
+        let mut per_call = samples_ns.clone();
         per_call.sort_unstable();
         let median_ns = per_call[per_call.len() / 2];
         let min_ns = per_call[0];
@@ -321,6 +558,7 @@ impl BenchGroup {
             warmup: self.warmup,
             peak_bytes: None,
             p99_ns: None,
+            samples_ns,
         };
         println!(
             "{:<40} median {:>12} ns   min {:>12} ns   ({} samples)",
@@ -333,16 +571,17 @@ impl BenchGroup {
         self
     }
 
-    /// Annotates the most recent benchmark with a peak-bytes measurement
+    /// Annotates the benchmark `name` with a peak-bytes measurement
     /// (memory benchmarks report both time and bytes per record).
     ///
     /// # Panics
     ///
-    /// Panics if nothing has been benched yet.
-    pub fn set_peak_bytes(&mut self, bytes: usize) -> &mut Self {
+    /// Panics if no benchmark of that name has been recorded.
+    pub fn set_peak_bytes(&mut self, name: &str, bytes: usize) -> &mut Self {
         self.records
-            .last_mut()
-            .expect("set_peak_bytes needs a preceding bench")
+            .iter_mut()
+            .find(|r| r.name == name)
+            .expect("set_peak_bytes names a recorded bench")
             .peak_bytes = Some(bytes as u128);
         self
     }
@@ -362,6 +601,7 @@ impl BenchGroup {
             warmup: 0,
             peak_bytes: Some(bytes as u128),
             p99_ns: None,
+            samples_ns: Vec::new(),
         };
         println!(
             "{:<40} peak   {:>12} B",
@@ -373,9 +613,10 @@ impl BenchGroup {
     }
 
     /// Records a latency distribution measured *by the caller* — one
-    /// nanosecond value per observed request. `median_ns` carries the p50
-    /// and `p99_ns` the 99th percentile (nearest-rank), so serving
-    /// benchmarks report tail latency the `--max-p99` gate can pin.
+    /// nanosecond value per observed request, in the order observed.
+    /// `median_ns` carries the p50 and `p99_ns` the 99th percentile
+    /// (nearest-rank), so serving benchmarks report tail latency the
+    /// `--max-p99` gate can pin.
     ///
     /// # Panics
     ///
@@ -395,6 +636,7 @@ impl BenchGroup {
             warmup: 0,
             peak_bytes: None,
             p99_ns: Some(p99),
+            samples_ns: latencies_ns.to_vec(),
         };
         println!(
             "{:<40} p50    {:>12} ns   p99 {:>12} ns   ({} requests)",
@@ -424,11 +666,13 @@ impl BenchGroup {
         dir.join(format!("BENCH_{}.json", self.group))
     }
 
-    /// Writes `BENCH_<group>.json` (overwriting any previous run) and
-    /// prints its location.
+    /// Writes `BENCH_<group>.json` (overwriting any previous run), its
+    /// [`HostLine`] first, and prints its location.
     pub fn finish(&self) {
         let path = self.output_path();
-        let mut out = String::new();
+        let host = HostLine::measure();
+        println!("{host}");
+        let mut out = host.to_json() + "\n";
         for r in &self.records {
             out.push_str(&r.to_json());
             out.push('\n');
@@ -462,9 +706,80 @@ mod tests {
         assert!(r.median_ns > 0);
         assert!(r.min_ns <= r.median_ns);
         let j = r.to_json();
-        assert!(j.starts_with("{\"group\":\"selftest\",\"name\":\"busy_loop\""), "{j}");
+        assert!(
+            j.starts_with("{\"group\":\"selftest\",\"name\":\"busy_loop\""),
+            "{j}"
+        );
         assert!(j.contains("\"median_ns\":"), "{j}");
         assert!(j.ends_with('}'), "{j}");
+    }
+
+    #[test]
+    fn in_turn_samples_alternate_and_record_each_call_once() {
+        use std::cell::RefCell;
+        use std::time::Duration;
+        let log = RefCell::new(String::new());
+        // Each call outlasts MIN_SAMPLE_NS, so a sample is one call and the
+        // log shows the sampling order call by call.
+        let call = |tag: char| {
+            let log = &log;
+            move || {
+                let t = Instant::now();
+                while t.elapsed() < Duration::from_micros(250) {
+                    std::hint::spin_loop();
+                }
+                log.borrow_mut().push(tag);
+            }
+        };
+        let mut g = BenchGroup::new("selftest");
+        g.sample_size(4).warmup(0);
+        g.bench_in_turn(vec![
+            Turn::new("a", call('a')),
+            Turn::new("b", call('b')),
+            Turn::new("c", call('c')),
+        ]);
+        // One calibration call each, then four rounds in the order given,
+        // each sample after one untimed call of its own.
+        assert_eq!(*log.borrow(), format!("abc{}", "aabbcc".repeat(4)));
+        let names: Vec<&str> = g.records().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+        assert!(g
+            .records()
+            .iter()
+            .all(|r| r.samples == 4 && r.median_ns >= 250_000));
+    }
+
+    #[test]
+    fn host_line_round_trips_and_leads_a_bench_file() {
+        let host = HostLine {
+            cpu: "Some \"CPU\" @ 2.0GHz".into(),
+            simd: "avx512".into(),
+            nproc: 2,
+            fma_gflops: vec![
+                ("avx512".into(), 98.4),
+                ("avx2".into(), 49.3),
+                ("scalar".into(), 3.6),
+            ],
+        };
+        assert_eq!(HostLine::from_json(&host.to_json()).unwrap(), host);
+        let measured = HostLine::measure();
+        assert!(
+            measured.nproc >= 1 && !measured.fma_gflops.is_empty(),
+            "{measured}"
+        );
+        assert!(
+            measured.fma_gflops.iter().all(|(_, g)| *g > 0.0),
+            "{measured}"
+        );
+        let record = "{\"group\":\"g\",\"name\":\"n\",\"median_ns\":1,\"min_ns\":1,\
+                      \"mean_ns\":1,\"samples\":1,\"warmup\":1}";
+        let file = format!("{}\n{record}\n", host.to_json());
+        let (read_host, records) = parse_bench_file(&file).unwrap();
+        assert_eq!(read_host, Some(host));
+        assert_eq!(records.len(), 1);
+        // A file without a host line still parses; a broken one does not.
+        assert_eq!(parse_bench_file(record).unwrap().0, None);
+        assert!(parse_bench_file("{\"host\":\"x\",\"nproc\":2}").is_err());
     }
 
     #[test]
@@ -479,6 +794,7 @@ mod tests {
             warmup: 0,
             peak_bytes: None,
             p99_ns: None,
+            samples_ns: Vec::new(),
         };
         assert!(r.to_json().contains("we\\\"ird"));
     }
@@ -495,6 +811,7 @@ mod tests {
             warmup: 2,
             peak_bytes: None,
             p99_ns: None,
+            samples_ns: vec![123456789, 120000000, 125000000],
         };
         let back = BenchRecord::from_json(&r.to_json()).unwrap();
         assert_eq!(back.group, r.group);
@@ -505,6 +822,7 @@ mod tests {
         assert_eq!(back.samples, r.samples);
         assert_eq!(back.warmup, r.warmup);
         assert_eq!(back.peak_bytes, None);
+        assert_eq!(back.samples_ns, r.samples_ns);
     }
 
     #[test]
@@ -512,14 +830,13 @@ mod tests {
         let mut g = BenchGroup::new("mem");
         g.sample_size(1).warmup(0);
         g.bench("step", || 1 + 1);
-        g.set_peak_bytes(4096);
+        g.set_peak_bytes("step", 4096);
         let j = g.records()[0].to_json();
         assert!(j.contains("\"peak_bytes\":4096"), "{j}");
         let back = BenchRecord::from_json(&j).unwrap();
         assert_eq!(back.peak_bytes, Some(4096));
         // Records without the field still parse (old baselines).
-        let plain =
-            "{\"group\":\"g\",\"name\":\"n\",\"median_ns\":1,\"min_ns\":1,\
+        let plain = "{\"group\":\"g\",\"name\":\"n\",\"median_ns\":1,\"min_ns\":1,\
              \"mean_ns\":1,\"samples\":1,\"warmup\":1}";
         assert_eq!(BenchRecord::from_json(plain).unwrap().peak_bytes, None);
     }
@@ -563,7 +880,10 @@ mod tests {
                 "unknown field",
             ),
         ] {
-            assert!(BenchRecord::from_json(line).is_err(), "accepted {why}: {line}");
+            assert!(
+                BenchRecord::from_json(line).is_err(),
+                "accepted {why}: {line}"
+            );
         }
     }
 

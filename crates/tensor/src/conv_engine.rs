@@ -1312,8 +1312,7 @@ const DW_MIN_OC: usize = 32;
 
 /// Output channels per `dw` task for `nblocks` blocks of a layer with `oc`
 /// of them. Shapes only — and, since every element's chain lies inside
-/// one task, no bit depends on it. The padded copies of the blocks' input
-/// rows are cut the same way, by input-channel groups.
+/// one task, no bit depends on it.
 fn dw_tile(nblocks: usize, oc: usize) -> usize {
     let tiles = DW_TASKS.div_ceil(nblocks.max(1)).min(oc.div_ceil(DW_MIN_OC)).max(1);
     oc.div_ceil(tiles)
@@ -1330,9 +1329,13 @@ fn dw_tile(nblocks: usize, oc: usize) -> usize {
 /// - the patch operand is broadcast straight from `x` ([`gather_acc`]):
 ///   patch element `(p, (c, ky, kx))` is `src[at[p] + rows[(c, ky, kx)]]`,
 ///   where `src` is `x` itself for an unpadded layer and otherwise a
-///   zero-bordered copy of each block's input rows (per channel, per image
+///   zero-bordered copy of the block's input rows (per channel, per image
 ///   run of the block, the rows its output rows read, padding included),
-///   made once per call and shared by the block's tasks.
+///   live only while its block's tasks run — never the whole padded
+///   input. A block that is one task copies its rows into that task's own
+///   scratch loan; a block cut into several tiles (fewer blocks than
+///   [`DW_TASKS`]) is copied once, by channel groups, and the blocks run
+///   one after another.
 ///
 /// One task per (block, output-channel tile) ([`dw_tile`]), each over its
 /// whole block and every patch column. Each element `(o, j)` is one
@@ -1383,10 +1386,11 @@ fn dw_blocks(
             rows.extend((0..g.kw).map(|kx| c * chan_len + ky * pitch + kx));
         }
     }
-    // Patch origin of every position of the call, block by block.
+    // Patch origin of every position of the call, block by block: in `x`
+    // for an unpadded layer, in its block's padded copy otherwise.
     let mut at = Vec::with_capacity(k);
     for bi in 0..nblocks {
-        let mut run_at = bi * g.in_c * chan_len;
+        let mut run_at = 0;
         for (b, rem, _, seg) in image_runs(block(bi).start, block(bi).end, hw) {
             let (oy0, origin) = if padded {
                 (rem / ow, run_at)
@@ -1404,64 +1408,86 @@ fn dw_blocks(
             run_at += run_rows(rem, seg) * pw;
         }
     }
-    let ot = dw_tile(nblocks, oc);
-    let tiles = oc.div_ceil(ot);
-    let out = DisjointMut::new(out);
-    let tasks = |src: &[f32]| {
-        scnn_par::parallel_for(nblocks * tiles, |task| {
-            let (bi, o0) = (task / tiles, task % tiles * ot);
-            let (ps, outs) = (block(bi), o0..(o0 + ot).min(oc));
-            let at = &at[ps.start - base..ps.end - base];
-            let first = (bi * oc + o0) * plen;
-            // SAFETY: task (block, tile) owns its tile's rows of its
-            // block's partial, which no other task touches.
-            let dw = unsafe { out.range(first, first + outs.len() * plen) };
-            let (kb, on) = (ps.len(), outs.len());
-            scratch::with_scratch(kb * on, |dyt| {
-                let mut p = 0;
-                for (b, rem, _, seg) in image_runs(ps.start, ps.end, hw) {
-                    let src = &dyv[(b * oc + outs.start) * hw + rem..];
-                    transpose(on, seg, src, hw, &mut dyt[p * on..], on);
-                    p += seg;
-                }
-                gather_acc(plen, on, kb, src, at, &rows, dyt, on, dw, plen, fresh);
-            });
-        });
-    };
-    if !padded {
-        tasks(x.data);
-        return;
-    }
     let (pad_t, pad_l) = (g.pad.h_begin as usize, g.pad.w_begin as usize);
     // Input columns `ix` land at padded column `ix + pad_l`, as far as a
     // padded row reaches.
-    let n = g.in_w.min(pw.saturating_sub(pad_l));
-    let groups = DW_TASKS.div_ceil(nblocks).min(g.in_c);
-    let per_group = g.in_c.div_ceil(groups);
-    scratch::with_scratch(nblocks * g.in_c * chan_len, |xs| {
-        let rows_of = DisjointMut::new(xs);
-        scnn_par::parallel_for(nblocks * groups, |task| {
-            let (bi, c0) = (task / groups, task % groups * per_group);
-            for c in c0..(c0 + per_group).min(g.in_c) {
-                let at = (bi * g.in_c + c) * chan_len;
-                // SAFETY: task (block, channel group) fills its channels'
-                // spans of its block, which no other task touches.
-                let dst = unsafe { rows_of.range(at, at + chan_len) };
-                let mut r0 = 0;
-                for (b, rem, _, seg) in image_runs(block(bi).start, block(bi).end, hw) {
-                    let src = &x.data[(b * g.in_c + c) * plane..][..plane];
-                    for r in 0..run_rows(rem, seg) {
-                        let iy = (rem / ow * g.sh + r).checked_sub(pad_t).filter(|&iy| iy < g.in_h);
-                        if let Some(iy) = iy {
-                            let row = &src[(iy + xp.off_h) * xp.full_w + xp.off_w..][..n];
-                            dst[(r0 + r) * pw + pad_l..][..n].copy_from_slice(row);
-                        }
-                    }
-                    r0 += run_rows(rem, seg);
+    let cols = g.in_w.min(pw.saturating_sub(pad_l));
+    // Writes channel `c` of block `bi`'s padded rows into zeroed `dst`.
+    let fill = |bi: usize, c: usize, dst: &mut [f32]| {
+        let mut r0 = 0;
+        for (b, rem, _, seg) in image_runs(block(bi).start, block(bi).end, hw) {
+            let src = &x.data[(b * g.in_c + c) * plane..][..plane];
+            for r in 0..run_rows(rem, seg) {
+                let iy = (rem / ow * g.sh + r).checked_sub(pad_t).filter(|&iy| iy < g.in_h);
+                if let Some(iy) = iy {
+                    let row = &src[(iy + xp.off_h) * xp.full_w + xp.off_w..][..cols];
+                    dst[(r0 + r) * pw + pad_l..][..cols].copy_from_slice(row);
                 }
             }
+            r0 += run_rows(rem, seg);
+        }
+    };
+    let ot = dw_tile(nblocks, oc);
+    let tiles = oc.div_ceil(ot);
+    let copy_len = g.in_c * chan_len;
+    let out = DisjointMut::new(out);
+    // Task (block `bi`, tile from `o0`) over its whole block, reading `src`
+    // — or, with `None`, `x` where the layer is unpadded and otherwise a
+    // copy of its block's rows made in its own loan.
+    let task = |bi: usize, o0: usize, src: Option<&[f32]>| {
+        let (ps, outs) = (block(bi), o0..(o0 + ot).min(oc));
+        let at = &at[ps.start - base..ps.end - base];
+        let first = (bi * oc + o0) * plen;
+        // SAFETY: task (block, tile) owns its tile's rows of its block's
+        // partial, which no other task touches.
+        let dw = unsafe { out.range(first, first + outs.len() * plen) };
+        let (kb, on) = (ps.len(), outs.len());
+        let own = if padded && src.is_none() { copy_len } else { 0 };
+        scratch::with_scratch(kb * on + own, |buf| {
+            let (dyt, xs) = buf.split_at_mut(kb * on);
+            let mut p = 0;
+            for (b, rem, _, seg) in image_runs(ps.start, ps.end, hw) {
+                let src = &dyv[(b * oc + outs.start) * hw + rem..];
+                transpose(on, seg, src, hw, &mut dyt[p * on..], on);
+                p += seg;
+            }
+            let src = match src {
+                Some(src) => src,
+                None if padded => {
+                    for (c, dst) in xs.chunks_exact_mut(chan_len).enumerate() {
+                        fill(bi, c, dst);
+                    }
+                    xs
+                }
+                None => x.data,
+            };
+            gather_acc(plen, on, kb, src, at, &rows, dyt, on, dw, plen, fresh);
         });
-        tasks(xs);
+    };
+    if !padded || tiles == 1 {
+        scnn_par::parallel_for(nblocks * tiles, |t| task(t / tiles, t % tiles * ot, None));
+        return;
+    }
+    // Fewer blocks than tasks: each block's copy is made once, by channel
+    // groups, and read by the block's tiles while they run.
+    let groups = DW_TASKS.min(g.in_c);
+    let per_group = g.in_c.div_ceil(groups);
+    scratch::with_scratch(copy_len, |xs| {
+        for bi in 0..nblocks {
+            let spans = DisjointMut::new(&mut *xs);
+            scnn_par::parallel_for(groups, |group| {
+                for c in group * per_group..((group + 1) * per_group).min(g.in_c) {
+                    // SAFETY: a channel group fills its channels' spans,
+                    // which no other group touches.
+                    let dst = unsafe { spans.range(c * chan_len, (c + 1) * chan_len) };
+                    if bi > 0 {
+                        dst.fill(0.0);
+                    }
+                    fill(bi, c, dst);
+                }
+            });
+            scnn_par::parallel_for(tiles, |t| task(bi, t * ot, Some(xs)));
+        }
     });
 }
 
