@@ -1,5 +1,5 @@
-//! Validates a `BENCH_<group>.json` file — its host line and every record
-//! must parse — prints the host it was measured on, and checks the gates
+//! Validates a `BENCH_<group>.json` file — every record must parse —
+//! prints the host line it was measured on, and checks the gates
 //! it is given. `scripts/verify.sh` runs it on every bench file it makes:
 //!
 //! ```text
@@ -21,9 +21,9 @@
 //! gate on time is a ratio between two records of the same run, taken in
 //! turn (`BenchGroup::bench_in_turn`): their samples line up round by
 //! round, each round's quotient sees one host state, and the gate reads
-//! the median quotient. Two records not sampled in turn (different sample
-//! counts) fail the gate. Bytes and counts are exact on any host and are
-//! pinned as they are; `--max-p99` is for a bench's own deadline.
+//! the median quotient. Two records not sampled in turn (different turn
+//! ids, or none) fail the gate. Bytes and counts are exact on any host
+//! and are pinned as they are; `--max-p99` is for a bench's own deadline.
 //!
 //! Every flag takes comma-separated `name:bound` pairs (`--max-ratio`:
 //! `name_a:name_b:ratio` triples); a missing record, or one without the
@@ -53,9 +53,13 @@ fn load(path: &str) -> Vec<BenchRecord> {
 }
 
 /// The median over rounds of `a`'s sample divided by `b`'s, or `None`
-/// unless the two hold the same, non-zero number of samples.
+/// unless one call sampled both, in the same non-zero number of rounds.
 fn round_ratio(a: &BenchRecord, b: &BenchRecord) -> Option<f64> {
-    if a.samples_ns.is_empty() || a.samples_ns.len() != b.samples_ns.len() {
+    if a.turn.is_none()
+        || a.turn != b.turn
+        || a.samples_ns.is_empty()
+        || a.samples_ns.len() != b.samples_ns.len()
+    {
         return None;
     }
     let mut q: Vec<f64> = a
@@ -89,8 +93,11 @@ fn main() {
         match round_ratio(a, b) {
             None => {
                 eprintln!(
-                    "GATE: `{name_a}` ({} samples) and `{name_b}` ({}) were not sampled in turn",
+                    "GATE: `{name_a}` (turn {:?}, {} samples) and `{name_b}` (turn {:?}, {}) \
+                     were not sampled in turn",
+                    a.turn,
                     a.samples_ns.len(),
+                    b.turn,
                     b.samples_ns.len()
                 );
                 failed = true;

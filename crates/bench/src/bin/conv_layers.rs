@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use scnn_bench::{Args, HostLine};
+use scnn_bench::{host_line, Args};
 use scnn_core::{lower_unsplit, plan_split, SplitConfig};
 use scnn_gpusim::node_flops;
 use scnn_graph::{Graph, Op};
@@ -230,7 +230,7 @@ fn main() {
         scnn_par::max_threads(),
         scnn_tensor::active_level().name()
     );
-    println!("# {}", HostLine::measure());
+    println!("# {}", host_line());
     profile("split (0.5, 2, 2)", &split.lower(&desc, batch), passes, reps);
     profile("unsplit", &lower_unsplit(&desc, batch), passes, reps);
 }

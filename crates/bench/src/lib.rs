@@ -13,4 +13,4 @@ pub mod memsys;
 pub mod proxy;
 
 pub use args::Args;
-pub use harness::{parse_bench_file, BenchGroup, BenchRecord, HostLine, Turn};
+pub use harness::{host_line, parse_bench_file, BenchGroup, BenchRecord, Turn};
