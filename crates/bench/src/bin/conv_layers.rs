@@ -28,7 +28,7 @@ use scnn_core::{lower_unsplit, plan_split, SplitConfig};
 use scnn_gpusim::node_flops;
 use scnn_graph::{Graph, Op};
 use scnn_models::{resnet18, ModelOptions};
-use scnn_nn::kernels::{conv2d_backward_micro, conv2d_forward_micro, ConvAttrs};
+use scnn_nn::kernels::{conv2d_backward_micro, conv2d_forward_with, ConvAttrs};
 use scnn_rng::SplitRng;
 use scnn_tensor::{
     conv2d_dw_tiled_acc_at, conv2d_dx_tiled, uniform, Conv2dGeometry, Padding2d, Tensor,
@@ -109,7 +109,7 @@ fn probes(graph: &Graph) -> Vec<Probe> {
             let x = uniform(&mut rng, d, -1.0, 1.0);
             let w = uniform(&mut rng, &[key.oc, d[1], a.kh, a.kw], -0.5, 0.5);
             let b = key.bias.then(|| uniform(&mut rng, &[key.oc], -0.5, 0.5));
-            let y = conv2d_forward_micro(&x, &w, b.as_ref(), &a, None, 0);
+            let y = conv2d_forward_with(&x, &w, b.as_ref(), &a, None);
             let dy = uniform(&mut rng, y.shape().dims(), -1.0, 1.0);
             let Padding2d { h_begin, h_end, w_begin, w_end } = a.pad;
             Probe {
@@ -141,7 +141,7 @@ fn profile(name: &str, graph: &Graph, passes: usize, reps: usize) {
         for p in &mut probes {
             let a = p.row.attrs;
             p.fwd_ms = p.fwd_ms.min(min_ms(reps, || {
-                std::hint::black_box(conv2d_forward_micro(&p.x, &p.w, p.b.as_ref(), &a, None, 0));
+                std::hint::black_box(conv2d_forward_with(&p.x, &p.w, p.b.as_ref(), &a, None));
             }));
             p.bwd_ms = p.bwd_ms.min(min_ms(reps, || {
                 std::hint::black_box(conv2d_backward_micro(

@@ -170,6 +170,17 @@ impl Graph {
         self.nodes.is_empty()
     }
 
+    /// Per node, whether its output depends on a parameter: only then does
+    /// a gradient that reaches it flow anywhere. An input, and every slice
+    /// or concat of inputs alone, carries none.
+    pub fn depends_on_params(&self) -> Vec<bool> {
+        let mut out = vec![false; self.nodes.len()];
+        for (i, node) in self.nodes.iter().enumerate() {
+            out[i] = !node.op.params().is_empty() || node.inputs.iter().any(|p| out[p.0]);
+        }
+        out
+    }
+
     /// Consumers of each node, indexed by node id.
     pub fn consumers(&self) -> Vec<Vec<NodeId>> {
         let mut out = vec![Vec::new(); self.nodes.len()];

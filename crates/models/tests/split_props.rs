@@ -123,3 +123,30 @@ fn every_builder_splits_onto_the_unsplit_graph() {
         );
     }
 }
+
+/// No gradient flows into a split ResNet's input: the image and every
+/// slice of it depend on no parameter, so the executor computes no `dx`
+/// for the convs that read them (and those slices are never scattered
+/// back), while every conv, BN and linear output does carry one.
+#[test]
+fn split_resnet_input_and_its_slices_carry_no_gradient() {
+    let desc = resnet18(&ModelOptions::cifar().with_width(0.25));
+    let split = plan_split(&desc, &SplitConfig::new(0.5, 2, 2)).expect("resnet-18 splits");
+    let g = split.lower(&desc, 2);
+    let carries = g.depends_on_params();
+    let mut stems = 0;
+    for node in g.nodes() {
+        match node.op {
+            Op::Input { .. } | Op::Slice { .. } if node.inputs.iter().all(|i| !carries[i.0]) => {
+                assert!(!carries[node.id.0], "{:?} carries a gradient", node.op);
+            }
+            Op::Conv2d { .. } | Op::BatchNorm { .. } | Op::Linear { .. } => {
+                assert!(carries[node.id.0], "{:?} carries no gradient", node.op);
+                stems += usize::from(matches!(node.op, Op::Conv2d { .. }) && !carries[node.inputs[0].0]);
+            }
+            _ => {}
+        }
+    }
+    // One stem conv per patch of the 2 x 2 grid reads a slice of the image.
+    assert_eq!(stems, 4, "convs over a gradient-free input");
+}

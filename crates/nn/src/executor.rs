@@ -9,8 +9,8 @@ use scnn_tensor::Tensor;
 
 use crate::kernels::{
     add_forward_into, avg_pool_backward, avg_pool_forward_into, batch_norm_backward_from_input,
-    batch_norm_inference_into, batch_norm_train_stats_into, conv2d_backward_micro,
-    conv2d_forward_into, dropout_apply_into, dropout_backward, dropout_mask,
+    batch_norm_inference_into, batch_norm_train_stats_into, conv2d_forward_into, conv2d_grads,
+    dropout_apply_into, dropout_backward, dropout_mask,
     global_avg_pool_backward, global_avg_pool_forward_into, linear_backward, linear_forward_into,
     max_pool_backward, max_pool_forward_into, relu_backward_inplace, relu_forward_into,
     softmax_cross_entropy_backward, softmax_cross_entropy_forward, update_running, BnStats,
@@ -152,9 +152,10 @@ impl<'a> Slot<'a> {
 #[derive(Clone, Debug, Default)]
 pub struct Executor {
     /// Optional per-conv-node micro-batch schedule (planner's third axis).
-    /// Scheduled nodes chunk their conv kernels (`conv2d_forward_micro` /
-    /// `conv2d_backward_micro`) to shrink workspace; aligned schedules keep
-    /// training bit-identical to full-batch execution.
+    /// Scheduled nodes run their conv backward (`conv2d_backward_micro`,
+    /// without `dx` where the input carries no gradient) in micro-batches
+    /// to shrink workspace; aligned schedules keep training bit-identical
+    /// to full-batch execution. The forward has nothing to chunk.
     micro: Option<Arc<MicroBatchSchedule>>,
 }
 
@@ -521,6 +522,10 @@ impl Executor {
     ) {
         let n_nodes = graph.len();
         let mut grads: Vec<Option<Tensor>> = vec![None; n_nodes];
+        // A gradient that reaches a node no parameter feeds (an image, a
+        // slice of one) flows nowhere: a conv over one computes no `dx`, so
+        // its slices get none and fall to the dead-branch skip below.
+        let carries = graph.depends_on_params();
 
         // Reverse node-id order is exactly the tape's backward order. The
         // provider hooks fire for *every* node — even ones the dead-branch
@@ -532,7 +537,7 @@ impl Executor {
             // The loss node needs no incoming gradient; everything else
             // without one is dead w.r.t. the loss.
             if matches!(node.op, Op::SoftmaxCrossEntropy) || grads[idx].is_some() {
-                self.backward_node(node, graph, params, labels, outputs, aux, &mut grads);
+                self.backward_node(node, graph, params, labels, outputs, aux, &carries, &mut grads);
             }
             provider.after_backward(idx, outputs);
         }
@@ -540,6 +545,7 @@ impl Executor {
 
     /// One node's backward step: consumes `grads[node.id]`, accumulates
     /// parameter gradients, pushes gradients to the node's inputs.
+    /// `carries` says which nodes' outputs depend on a parameter.
     #[allow(clippy::too_many_arguments)]
     fn backward_node(
         &self,
@@ -549,6 +555,7 @@ impl Executor {
         labels: &[usize],
         outputs: &[Option<Tensor>],
         aux: &[Aux],
+        carries: &[bool],
         grads: &mut [Option<Tensor>],
     ) {
         let out = |id: scnn_graph::NodeId| outputs[id.0].as_ref().expect("forward ran");
@@ -572,7 +579,7 @@ impl Executor {
                 Op::Conv2d { weight, bias, .. } => {
                     let dy = grads[node.id.0].take().expect("conv has grad");
                     let x = out(node.inputs[0]);
-                    let g = conv2d_backward_micro(
+                    let (dx, dw, db) = conv2d_grads(
                         x,
                         params.value(*weight),
                         bias.is_some(),
@@ -580,12 +587,15 @@ impl Executor {
                         &ConvAttrs::from_op(&node.op),
                         None,
                         self.micro_batch(node.id),
+                        carries[node.inputs[0].0],
                     );
-                    params.accumulate_grad(*weight, &g.dw);
-                    if let (Some(bid), Some(db)) = (bias, g.db) {
+                    params.accumulate_grad(*weight, &dw);
+                    if let (Some(bid), Some(db)) = (bias, db) {
                         params.accumulate_grad(*bid, &db);
                     }
-                    push(grads, node.inputs[0], g.dx);
+                    if let Some(dx) = dx {
+                        push(grads, node.inputs[0], dx);
+                    }
                 }
                 Op::Pool2d { kind, .. } => {
                     let attrs = PoolAttrs::from_op(&node.op);

@@ -2,10 +2,12 @@
 //! per-patch formulation requires.
 //!
 //! Every conv runs on the tile engine (`scnn_tensor::conv_engine`,
-//! DESIGN.md §11): patch rows are strip-packed tile-by-tile into per-thread
-//! scratch panels and the full `im2col`/`dcols` matrices are never
-//! allocated. A negative padding is applied by addressing (the engine
-//! reads and writes the cropped window in place), not by copy.
+//! DESIGN.md §11): the forward and `dx` read their operands in place,
+//! position by position in registers (a strided forward through one copy
+//! of its window's phase planes), `dw` broadcasts its patch operand from
+//! the input, and the full `im2col`/`dcols` matrices are never allocated.
+//! A negative padding is applied by addressing (the engine reads and
+//! writes the cropped window in place), not by copy.
 //!
 //! Passing `Some(`[`ConvAlgo::Materialized`]`)` runs the classic whole-batch
 //! `im2col` + GEMM pipeline instead — the reference the engine is
@@ -85,10 +87,11 @@ pub fn conv2d_forward_with(
 }
 
 /// [`conv2d_forward_with`] at micro-batch size `micro` (`0` = whole batch).
-/// The forward has nothing to chunk — the engine's per-thread panels are
-/// batch-independent, and the [`ConvAlgo::Materialized`] reference always
-/// runs the whole batch — so the output is the full-batch call's for
-/// **any** `micro`; the argument mirrors [`conv2d_backward_micro`].
+/// The forward has nothing to chunk — the engine keeps no batch-sized
+/// scratch but a strided call's phase copy of its input, and the
+/// [`ConvAlgo::Materialized`] reference always runs the whole batch — so
+/// the output is the full-batch call's for **any** `micro`; the argument
+/// mirrors [`conv2d_backward_micro`].
 pub fn conv2d_forward_micro(
     x: &Tensor,
     w: &Tensor,
@@ -231,6 +234,25 @@ pub fn conv2d_backward_micro(
     algo: Option<ConvAlgo>,
     micro: usize,
 ) -> ConvGrads {
+    let (dx, dw, db) = conv2d_grads(x, w, has_bias, dy, attrs, algo, micro, true);
+    ConvGrads { dx: dx.expect("dx was asked for"), dw, db }
+}
+
+/// [`conv2d_backward_micro`]'s `(dx, dw, db)`, with `dx` only when
+/// `want_dx`: a conv whose input carries no gradient (an image, or a slice
+/// of one) computes its weight and bias gradients alone, with the same
+/// bits.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv2d_grads(
+    x: &Tensor,
+    w: &Tensor,
+    has_bias: bool,
+    dy: &Tensor,
+    attrs: &ConvAttrs,
+    algo: Option<ConvAlgo>,
+    micro: usize,
+    want_dx: bool,
+) -> (Option<Tensor>, Tensor, Option<Tensor>) {
     let Lowered { g, crop, off_h, off_w } = lower(x, attrs);
     let n = x.dim(0);
     let oc = w.dim(0);
@@ -246,7 +268,7 @@ pub fn conv2d_backward_micro(
     let mut dw = Tensor::zeros(w.shape().dims());
     // Gradients fold into the full-size dx at the crop offset: cropped-away
     // (abandoned) rows keep their single zero fill.
-    let mut dx = Tensor::zeros(x.shape().dims());
+    let mut dx = want_dx.then(|| Tensor::zeros(x.shape().dims()));
 
     match algo.unwrap_or_default() {
         ConvAlgo::Tiled => {
@@ -255,8 +277,10 @@ pub fn conv2d_backward_micro(
                 let bn = u.min(n - b0);
                 conv2d_dw_tiled_acc_at(x, off_h, off_w, dy, &g, b0, bn, dw.as_mut_slice(), b0 == 0);
             }
-            // dx scratch is one gradient tile per thread — nothing to chunk.
-            conv2d_dx_tiled(dy, w, &g, &mut dx, off_h, off_w);
+            // dx keeps no batch-sized scratch — nothing to chunk.
+            if let Some(dx) = &mut dx {
+                conv2d_dx_tiled(dy, w, &g, dx, off_h, off_w);
+            }
         }
         ConvAlgo::Materialized => {
             let xc = cropped(x, crop);
@@ -283,10 +307,12 @@ pub fn conv2d_backward_micro(
                     im2col_into(&xc, &g, cols);
                     matmul_at_b_into(dymat, cols, rows, oc, plen, dw.as_mut_slice());
                 });
-                scnn_par::scratch::with_scratch(rows * plen, |dcols| {
-                    matmul_into(dymat, w.as_slice(), rows, oc, plen, dcols);
-                    col2im_cols_into(dcols, n, &g, &mut dx, off_h, off_w);
-                });
+                if let Some(dx) = &mut dx {
+                    scnn_par::scratch::with_scratch(rows * plen, |dcols| {
+                        matmul_into(dymat, w.as_slice(), rows, oc, plen, dcols);
+                        col2im_cols_into(dcols, n, &g, dx, off_h, off_w);
+                    });
+                }
             });
         }
     }
@@ -302,7 +328,7 @@ pub fn conv2d_backward_micro(
         Tensor::from_vec(db, &[oc])
     });
 
-    ConvGrads { dx, dw, db }
+    (dx, dw, db)
 }
 
 #[cfg(test)]

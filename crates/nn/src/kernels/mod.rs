@@ -23,6 +23,7 @@ pub use bn::{
     batch_norm_inference, batch_norm_inference_into, batch_norm_train, batch_norm_train_stats,
     batch_norm_train_stats_into, update_running, BnSaved, BnStats,
 };
+pub(crate) use conv::conv2d_grads;
 pub use conv::{
     conv2d_backward, conv2d_backward_micro, conv2d_backward_with, conv2d_forward,
     conv2d_forward_into, conv2d_forward_micro, conv2d_forward_with, ConvAlgo, ConvGrads,

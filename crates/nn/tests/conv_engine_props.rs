@@ -6,17 +6,60 @@
 //! pipeline is what ties the engine's seeded training goldens to a
 //! reference that shares none of its packing code.
 //!
-//! Both algorithms' backward passes run on the same `gemm_acc`
-//! micro-kernel, so agreeing with each other cannot catch a mistake they
-//! share. The second half of this file therefore replays the loops the
-//! backward ran *before* the micro-kernel — plain `p`-outer scalar
-//! mul-add rows with the zero-skip, over `im2col`/`col2im` — and demands
-//! the engine's `dw`/`dx` bits from them.
+//! Agreeing with the materialized reference cannot catch a mistake the
+//! two share (the `gemm_acc` chain, the `dot8` tree). The second half of
+//! this file therefore replays the loops the backward ran *before* the
+//! micro-kernels — plain `p`-outer scalar mul-add rows with the zero-skip,
+//! over `im2col`/`col2im` — and a scalar `dot8` forward, and demands the
+//! engine's bits from them.
+//!
+//! Every suite runs at each SIMD level the host supports and at 1 and 4
+//! threads ([`at_every_level`]): the engine's one path is written once
+//! over `Lanes` and runs at every width.
 
 use scnn_nn::kernels::{conv2d_backward_with, conv2d_forward_with, ConvAlgo, ConvAttrs};
 use scnn_rng::prop::{check, Case};
 use scnn_rng::Rng;
-use scnn_tensor::{col2im_into, im2col, uniform, Conv2dGeometry, Padding2d, Tensor, REDUCTION_KC};
+use scnn_tensor::{
+    col2im_into, force_level, im2col, supports, uniform, Conv2dGeometry, Padding2d, SimdLevel, Tensor,
+    REDUCTION_KC,
+};
+
+/// Runs `f` at every SIMD level the host supports and at 1 and 4 threads;
+/// the first failure wins. Restores the default level.
+fn at_every_level(f: impl Fn() -> Case) -> Case {
+    for level in SimdLevel::ALL.into_iter().filter(|&l| supports(l)) {
+        force_level(Some(level));
+        for threads in [1, 4] {
+            if let Case::Fail(e) = scnn_par::with_threads(threads, &f) {
+                force_level(None);
+                return Case::Fail(format!("{} at {threads} threads: {e}", level.name()));
+            }
+        }
+    }
+    force_level(None);
+    Case::Pass
+}
+
+/// The geometries the engine's phase planes and row segments exist for,
+/// `(n, ic, oc, h, w, (kh, kw), (sh, sw), pad)`: a 3×3/2 whose last tap
+/// column reaches a whole stride past the first (`kw - 1 - pad_l >= s`),
+/// a 7×7/2 stem, AlexNet's 11×11/4 stem at pad 2, the cropped 1×1/2
+/// shortcuts of a split ResNet (each negative-pad split), and stride-1
+/// convs whose output plane is not their input plane.
+#[allow(clippy::type_complexity)] // a literal table, not an API
+const PHASE_GEOMETRIES: &[(usize, usize, usize, usize, usize, (usize, usize), (usize, usize), (i64, i64, i64, i64))] = &[
+    (2, 3, 5, 9, 9, (3, 3), (2, 2), (0, 1, 0, 1)),
+    (2, 3, 4, 16, 13, (7, 7), (2, 2), (3, 3, 3, 3)),
+    (1, 3, 5, 35, 35, (11, 11), (4, 4), (2, 2, 2, 2)),
+    (2, 4, 6, 8, 8, (1, 1), (2, 2), (0, -1, 0, -1)),
+    (2, 4, 6, 8, 8, (1, 1), (2, 2), (0, -1, 0, 0)),
+    (2, 4, 6, 8, 8, (1, 1), (2, 2), (0, 0, 0, -1)),
+    (2, 4, 6, 8, 8, (1, 1), (2, 2), (-1, 0, -1, 0)),
+    (2, 3, 5, 9, 11, (3, 3), (1, 1), (1, 0, 0, 1)),
+    (3, 4, 6, 7, 7, (3, 3), (1, 1), (0, 0, 0, 0)),
+    (2, 2, 7, 6, 10, (5, 3), (1, 1), (2, 1, 0, 0)),
+];
 
 /// Bitwise comparison; returns a description of the first mismatch.
 fn bits_match(what: &str, a: &Tensor, b: &Tensor) -> Result<(), String> {
@@ -104,7 +147,7 @@ fn tiled_matches_materialized_on_random_geometries() {
         let x = uniform(rng, &[n, ic, h, w], -1.0, 1.0);
         let wt = uniform(rng, &[oc, ic, kh, kw], -0.7, 0.7);
         let b = uniform(rng, &[oc], -0.2, 0.2);
-        algos_agree(&x, &wt, &b, &attrs)
+        at_every_level(|| algos_agree(&x, &wt, &b, &attrs))
     });
 }
 
@@ -131,13 +174,16 @@ fn tiled_matches_materialized_on_edge_geometries() {
         (1, 64, 128, 8, 8, (3, 3), (2, 2), Padding2d::symmetric(1)),
         (1, 128, 128, 4, 4, (3, 3), (1, 1), Padding2d::symmetric(1)),
     ];
+    let phase_cases = PHASE_GEOMETRIES
+        .iter()
+        .map(|&(n, ic, oc, h, w, k, s, (pt, pb, pl, pr))| (n, ic, oc, h, w, k, s, Padding2d::new(pt, pb, pl, pr)));
     let mut rng = scnn_rng::SplitRng::seed_from_u64(42);
-    for &(n, ic, oc, h, w, (kh, kw), (sh, sw), pad) in cases {
+    for (n, ic, oc, h, w, (kh, kw), (sh, sw), pad) in cases.iter().copied().chain(phase_cases) {
         let attrs = ConvAttrs { kh, kw, sh, sw, pad };
         let x = uniform(&mut rng, &[n, ic, h, w], -1.0, 1.0);
         let wt = uniform(&mut rng, &[oc, ic, kh, kw], -0.7, 0.7);
         let b = uniform(&mut rng, &[oc], -0.2, 0.2);
-        match algos_agree(&x, &wt, &b, &attrs) {
+        match at_every_level(|| algos_agree(&x, &wt, &b, &attrs)) {
             Case::Pass => {}
             Case::Fail(e) => panic!("case {n}x{ic}x{h}x{w} k{kh}x{kw} s{sh}x{sw}: {e}"),
             Case::Discard => unreachable!(),
@@ -299,7 +345,7 @@ fn backward_matches_the_pre_gemm_acc_loops_on_random_geometries() {
         let wt = uniform(rng, &[oc, ic, kh, kw], -0.7, 0.7);
         let (oh, ow) = ((full_h as usize - kh) / sh + 1, (full_w as usize - kw) / sw + 1);
         let dy = relu_style_dy(rng, &[n, oc, oh, ow]);
-        backward_matches_old_loops(&x, &wt, &dy, &attrs)
+        at_every_level(|| backward_matches_old_loops(&x, &wt, &dy, &attrs))
     });
 }
 
@@ -322,15 +368,18 @@ fn backward_matches_the_pre_gemm_acc_loops_on_edge_geometries() {
         (1, 64, 20, 6, 6, (3, 3), (1, 1), Padding2d::symmetric(1)),
         (2, 2, 17, 11, 11, (2, 2), (3, 3), Padding2d::default()),
     ];
+    let phase_cases = PHASE_GEOMETRIES
+        .iter()
+        .map(|&(n, ic, oc, h, w, k, s, (pt, pb, pl, pr))| (n, ic, oc, h, w, k, s, Padding2d::new(pt, pb, pl, pr)));
     let mut rng = scnn_rng::SplitRng::seed_from_u64(43);
-    for &(n, ic, oc, h, w, (kh, kw), (sh, sw), pad) in cases {
+    for (n, ic, oc, h, w, (kh, kw), (sh, sw), pad) in cases.iter().copied().chain(phase_cases) {
         let attrs = ConvAttrs { kh, kw, sh, sw, pad };
         let x = uniform(&mut rng, &[n, ic, h, w], -1.0, 1.0);
         let wt = uniform(&mut rng, &[oc, ic, kh, kw], -0.7, 0.7);
         let oh = ((h as i64 + pad.h_begin + pad.h_end) as usize - kh) / sh + 1;
         let ow = ((w as i64 + pad.w_begin + pad.w_end) as usize - kw) / sw + 1;
         let dy = relu_style_dy(&mut rng, &[n, oc, oh, ow]);
-        match backward_matches_old_loops(&x, &wt, &dy, &attrs) {
+        match at_every_level(|| backward_matches_old_loops(&x, &wt, &dy, &attrs)) {
             Case::Pass => {}
             Case::Fail(e) => panic!("case {n}x{ic}x{h}x{w} oc{oc} k{kh}x{kw} s{sh}x{sw}: {e}"),
             Case::Discard => unreachable!(),
@@ -380,15 +429,14 @@ fn reference_forward(x: &Tensor, w: &Tensor, b: &Tensor, attrs: &ConvAttrs) -> T
 }
 
 #[test]
-fn strip_kernels_match_the_scalar_references_for_every_kernel_width() {
-    // Every kernel-width specialisation of the strip pack and scatter
-    // (1 and 3 compile-time, 2/5/7 read from the geometry) at strides 1
-    // and 2, under asymmetric padding and under negative padding (the
-    // engine reads its window at the crop offset of the uncropped input).
-    // Batch 3 with 24-row forward tiles and 16-position `dx` tiles: tiles
-    // straddle output rows everywhere and batch images in the forward.
-    // Forward against `im2col` + scalar dot8, backward against the
-    // pre-micro-kernel loops over `im2col`/`col2im_into`, both algorithms.
+fn position_kernels_match_the_scalar_references_for_every_kernel_width() {
+    // Kernel widths 1, 2, 3, 5 and 7 at strides 1 and 2, under asymmetric
+    // padding and under negative padding (the engine reads its window at
+    // the crop offset of the uncropped input): planes equal and not, one
+    // phase and several, strips cut per image and per row. Batch 3 on a
+    // 13-wide map: strips straddle output rows and batch images. Forward
+    // against `im2col` + scalar dot8, backward against the pre-micro-kernel
+    // loops over `im2col`/`col2im_into`, both algorithms, every level.
     let pads = [
         Padding2d::new(1, 2, 0, 3),
         Padding2d::new(-1, 1, 2, -2),
@@ -405,14 +453,17 @@ fn strip_kernels_match_the_scalar_references_for_every_kernel_width() {
                 let b = uniform(&mut rng, &[oc], -0.2, 0.2);
                 let what = format!("k{kh}x{kw} s{stride} pad {pad:?}");
                 let want = reference_forward(&x, &wt, &b, &attrs);
-                for algo in [ConvAlgo::Tiled, ConvAlgo::Materialized] {
-                    let y = conv2d_forward_with(&x, &wt, Some(&b), &attrs, Some(algo));
-                    if let Err(e) = bits_match(&format!("{what}: {algo:?} y vs scalar reference"), &y, &want) {
-                        panic!("{e}");
-                    }
-                }
                 let dy = relu_style_dy(&mut rng, want.shape().dims());
-                if let Case::Fail(e) = backward_matches_old_loops(&x, &wt, &dy, &attrs) {
+                let case = at_every_level(|| {
+                    for algo in [ConvAlgo::Tiled, ConvAlgo::Materialized] {
+                        let y = conv2d_forward_with(&x, &wt, Some(&b), &attrs, Some(algo));
+                        if let Err(e) = bits_match(&format!("{algo:?} y vs scalar reference"), &y, &want) {
+                            return Case::Fail(e);
+                        }
+                    }
+                    backward_matches_old_loops(&x, &wt, &dy, &attrs)
+                });
+                if let Case::Fail(e) = case {
                     panic!("{what}: {e}");
                 }
             }
@@ -447,20 +498,21 @@ fn forward_matches_the_scalar_reference_on_random_geometries() {
         let wt = uniform(rng, &[oc, ic, kh, kw], -0.7, 0.7);
         let b = uniform(rng, &[oc], -0.2, 0.2);
         let want = reference_forward(&x, &wt, &b, &attrs);
-        for algo in [ConvAlgo::Tiled, ConvAlgo::Materialized] {
-            let y = conv2d_forward_with(&x, &wt, Some(&b), &attrs, Some(algo));
-            if let Err(e) = bits_match(&format!("{algo:?} y vs scalar reference"), &y, &want) {
-                return Case::Fail(e);
+        at_every_level(|| {
+            for algo in [ConvAlgo::Tiled, ConvAlgo::Materialized] {
+                let y = conv2d_forward_with(&x, &wt, Some(&b), &attrs, Some(algo));
+                if let Err(e) = bits_match(&format!("{algo:?} y vs scalar reference"), &y, &want) {
+                    return Case::Fail(e);
+                }
             }
-        }
-        Case::Pass
+            Case::Pass
+        })
     });
 }
 
-/// The backward paths that read in place — at the AVX-512 level, `dx` of
-/// every stride-1 conv whose output plane is its input plane as the
-/// forward of the flipped kernel; at every level, `dw` broadcasting its
-/// patch operand from `x` with output channels across the lanes — against
+/// The backward paths that read in place — `dx` as the forward of the
+/// flipped kernel over `dy`, `dw` broadcasting its patch operand from `x`
+/// with output channels across the lanes, both at every level — against
 /// the materialized oracle, bit for bit, at every level the host runs and
 /// at 1, 2 and 3 threads. Geometries are seeded: 1×1, 3×3, 5×5 and 7×7
 /// kernels with every split of the padding that keeps the plane, odd
@@ -473,7 +525,7 @@ fn forward_matches_the_scalar_reference_on_random_geometries() {
 #[test]
 fn in_place_backward_matches_the_materialized_oracle_at_every_level_and_thread_count() {
     use scnn_nn::kernels::conv2d_backward_micro;
-    use scnn_tensor::{force_level, micro_batch_aligned, supports, SimdLevel};
+    use scnn_tensor::micro_batch_aligned;
     check("in-place backward vs materialized", 12, |rng| {
         let k = [1usize, 3, 5, 7][rng.gen_range(0..4usize)];
         let (h, w) = match rng.gen_range(0..4usize) {

@@ -30,10 +30,10 @@
 //! count and SIMD level.
 //!
 //! Tile batches are staged through per-thread scratch
-//! (`scnn_par::scratch`) sized by the tiled engine's pack-panel budget; the
-//! transformed-weight buffer is a `Vec` allocated per call.
+//! (`scnn_par::scratch`) sized by a per-thread panel budget
+//! ([`PACK_PANEL_BYTES`]); the transformed-weight buffer is a `Vec`
+//! allocated per call.
 
-use crate::conv_engine::PACK_PANEL_BYTES;
 use crate::im2col::Conv2dGeometry;
 use crate::simd::{gemm_acc, vadd, vsub};
 use crate::Tensor;
@@ -41,6 +41,9 @@ use scnn_par::{scratch, DisjointMut};
 
 /// Transform-domain points per tile (4×4).
 const TP: usize = 16;
+
+/// Per-thread byte budget of the forward's transform staging.
+const PACK_PANEL_BYTES: usize = 256 * 1024;
 
 /// Whether this geometry has a Winograd F(2×2, 3×3) fast path: stride-1
 /// 3×3 kernels only (any non-negative padding and output size — partial

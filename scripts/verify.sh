@@ -122,7 +122,7 @@ fi
 # fused multiply-add at every width of `scnn_tensor::simd` (DESIGN.md
 # §14) — `Lanes::fma`, which is `_mm512_fmadd_ps` for `__m512`,
 # `_mm256_fmadd_ps` for `__m256` and `f32::mul_add` for the portable
-# `[f32; 8]` — and in the conv engine's position path. A vector multiply
+# `[f32; 8]`, the conv engine's position bodies included. A vector multiply
 # under crates/tensor/src is a two-rounding step (and a second FP uop per
 # step) coming back.
 if grep -rnE '_mm(256|512)_mul_ps' crates/tensor/src; then
@@ -152,6 +152,21 @@ if [[ -n "$simd_intrinsics" ]]; then
 fi
 if grep -rnE 'fn (dot8_x[48][a-z_]*|dot_panel_scalar|gemm_acc_scalar|panel_cols|panel_pairs|strip_scalar|tile_scalar)\b|macro_rules! fused_or_baseline\b' crates/; then
   echo "verify: a per-level kernel body is back under crates/ (one body per kernel, generic over Lanes)" >&2
+  exit 1
+fi
+# The conv engine's position bodies are written over `Lanes` too and run
+# at every level through `dispatch!`: no intrinsic and no `target_arch`
+# gate in crates/tensor/src/conv_engine.rs.
+conv_engine_rs=crates/tensor/src/conv_engine.rs
+if code_lines "$conv_engine_rs" | grep -nE '_mm(256|512)_|target_arch'; then
+  echo "verify: an intrinsic or a target_arch gate in $conv_engine_rs (its kernels are written over Lanes)" >&2
+  exit 1
+fi
+# One conv path (DESIGN.md §11): the forward and dx read in place at every
+# level, stride and crop. The strip pack, its scatter and the dx scratch
+# tile are a second path coming back.
+if grep -rnE 'fn (pack_strips|scatter_strips|fwd_strips|dx_tile_cols|dx_task_images)\b' crates/; then
+  echo "verify: the strip path (pack, scatter, dx tile) is back under crates/" >&2
   exit 1
 fi
 
