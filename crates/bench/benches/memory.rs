@@ -8,15 +8,16 @@
 //! - `train_step/{baseline,vdnn,hmms}` — the same step under
 //!   [`PlanRuntime`], peak = physically resident activation bytes under
 //!   that plan's lifetimes (the step runs in tape order, so each strategy
-//!   reads its own figure; the share of its planned pool is printed);
-//! - `train_step/hmms_micro` — the HMMS step with micro-batched convs.
+//!   reads its own figure; the share of its planned pool is printed).
 //!
 //! The steps are timed in turn, one sample of each per round, so
 //! `scripts/verify.sh` can gate each as a ratio to the step it replaces.
 //!
 //! The plan's own figures — device pool and its workspace share
 //! (`layout.device_general_bytes` / `device_workspace_bytes`), host pool —
-//! are printed alongside for context.
+//! are printed alongside for context, and `planned_device/*` records each
+//! pool. `capacity/max_batch` is the Figure-10 search: the largest batch
+//! whose HMMS plan fits a fixed device budget.
 //! With `--features heap-track` the process-wide heap high-water is also
 //! printed per strategy (the allocator counter includes params, grads and
 //! kernel scratch, so it is strictly larger than the activation numbers),
@@ -34,18 +35,13 @@
 //! forward writes into the buffers the last step wrote); `scripts/verify.sh`
 //! holds it under a ceiling in the full run.
 
-use std::sync::Arc;
-
 use scnn_bench::{Args, BenchGroup, Turn};
-use scnn_core::{
-    conv_engine_workspace, conv_micro_workspace, lower_unsplit, plan_micro_schedule, plan_split,
-    SplitConfig,
-};
+use scnn_core::{conv_engine_workspace, lower_unsplit, plan_split, SplitConfig};
 use scnn_graph::{Graph, NodeId, Tape};
 use scnn_gpusim::{max_batch_size, profile_graph, CostModel};
 use scnn_hmms::{
-    export_plan_with, plan_hmms, plan_layout, plan_no_offload, plan_vdnn, LayoutOptions,
-    MemoryPlan, PlannerOptions, TsoAssignment, TsoOptions,
+    plan_hmms, plan_layout, plan_no_offload, plan_vdnn, LayoutOptions, MemoryPlan,
+    PlannerOptions, TsoAssignment, TsoOptions,
 };
 use scnn_models::{resnet18, ModelOptions};
 use scnn_nn::{BnState, BufferProvider, Executor, Mode, ParamStore, Sgd};
@@ -176,110 +172,39 @@ fn main() {
     let plain = lower_unsplit(&desc, batch);
     let faults = steady_step_faults(smoke, &plain, &mut MeterProvider::new());
     g.record_bytes("minor_faults_per_step/vec_unsplit", faults);
-    // Micro-batched HMMS: the planner's third axis. The schedule shrinks
-    // per-conv workspace, the TSO assignment carries the shrunken sizes,
-    // and the runtime's executor chunks exactly as
-    // planned — the step's loss stays bit-identical to the full-batch runs.
-    let schedule = plan_micro_schedule(&graph);
-    println!(
-        "  micro schedule: {} of {} convs micro-batched",
-        schedule.len(),
-        graph
-            .nodes()
-            .iter()
-            .filter(|n| matches!(n.op, scnn_graph::Op::Conv2d { .. }))
-            .count()
-    );
-    let ws_micro = conv_micro_workspace(&graph, &profile.workspace_bytes, &schedule);
-    let tso_micro = TsoAssignment::new(&graph, &ws_micro, TsoOptions::default());
-    let plan_micro = plan_hmms(&graph, &tape, &tso_micro, &profile, opts);
-    let exec_plan = export_plan_with(&graph, &tape, &plan_micro, &tso_micro, overlap)
-        .expect("micro plan is legal with overlap")
-        .with_micro_schedule(Arc::new(schedule));
-    let mut micro_rt = scnn_runtime::PlanRuntime::new(&graph, exec_plan).expect("runtime builds");
-    let exec_micro = micro_rt.executor();
-    let micro_step = |provider: &mut dyn BufferProvider| {
-        let mut params = ParamStore::init(&graph, &mut SplitRng::seed_from_u64(7));
-        let mut bn = BnState::new();
-        let mut rng = SplitRng::seed_from_u64(13);
-        exec_micro
-            .run_with(
-                &graph, &mut params, &mut bn, &images, &labels, Mode::Train, &mut rng, provider,
-            )
-            .loss
-    };
-    #[cfg(feature = "heap-track")]
-    scnn_bench::heap::reset_peak();
-    micro_step(&mut micro_rt);
-    let stats = micro_rt.stats();
-    peaks.push(("train_step/hmms_micro".to_string(), stats.resident_peak_bytes));
-    println!(
-        "  hmms_micro: resident {} B = {:.2} × device pool {} B, kernel scratch peak {} B{}",
-        stats.resident_peak_bytes,
-        resident_over_planned(&micro_rt),
-        micro_rt.plan().layout.device_general_bytes,
-        stats.scratch_peak_bytes,
-        heap_note()
-    );
-    g.record_bytes(
-        "planned_device/hmms_micro",
-        micro_rt.plan().layout.device_general_bytes,
-    );
-
-    // Figure-10 capacity search at a fixed device budget: how many logical
-    // images fit, with and without the micro-batch axis. Micro-batching
-    // caps the workspace growth with batch, so the same budget trains
-    // strictly larger logical batches.
-    // Budgets sit just under the legacy plan's batch-16 device total (the
-    // parameter pool alone is ~22.4 MB at width 0.5), so the search has
-    // room to separate: the micro-batched plan's flatter workspace growth
-    // fits logical batch 16 where the full-batch plan already spills.
+    // Figure-10 capacity search at a fixed device budget: how many images
+    // fit. The budget sits just above the batch-16 device total (the
+    // parameter pool alone is ~22.4 MB at width 0.5), where the conv
+    // workspace decides the answer: 13 while `dw` held every block's
+    // partials, 18 with two (DESIGN.md §13).
     let (cap, limit) = if smoke {
         (2_621_440, 32)
     } else {
         (27 << 20, 64)
     };
     let split_plan = plan_split(&desc, &SplitConfig::new(0.5, 2, 2)).expect("resnet splits");
-    let build_legacy = |b: usize| {
+    let build = |b: usize| {
         let gb = split_plan.lower(&desc, b);
         let mut prof = profile_graph(&gb, &model);
         prof.workspace_bytes = conv_engine_workspace(&gb, &prof.workspace_bytes);
         (gb, prof)
     };
-    let build_micro = |b: usize| {
-        let gb = split_plan.lower(&desc, b);
-        let mut prof = profile_graph(&gb, &model);
-        let sched = plan_micro_schedule(&gb);
-        prof.workspace_bytes = conv_micro_workspace(&gb, &prof.workspace_bytes, &sched);
-        (gb, prof)
-    };
     let hmms_plan =
         |g: &_, t: &_, s: &_, p: &_| plan_hmms(g, t, s, p, PlannerOptions::default());
-    let legacy_cap = max_batch_size(cap, limit, build_legacy, hmms_plan)
+    let capacity = max_batch_size(cap, limit, build, hmms_plan)
         .expect("legal plans")
         .expect("fits at batch 1");
-    let micro_cap = max_batch_size(cap, limit, build_micro, hmms_plan)
-        .expect("legal plans")
-        .expect("fits at batch 1");
-    println!(
-        "  capacity {} MiB: max logical batch {} full-batch, {} micro-batched",
-        cap >> 20,
-        legacy_cap.max_batch,
-        micro_cap.max_batch
-    );
-    g.record_bytes("capacity/max_batch/legacy", legacy_cap.max_batch);
-    g.record_bytes("capacity/max_batch/micro", micro_cap.max_batch);
+    println!("  capacity {} MiB: max batch {}", cap >> 20, capacity.max_batch);
+    g.record_bytes("capacity/max_batch", capacity.max_batch);
 
     // The steps, sampled in turn: verify.sh gates what a plan costs as a
     // ratio to the step it replaces (the runtime to the Vec path, offload
-    // to no offload, micro-batching to full batches), each round's pair
-    // taken in one host state.
+    // to no offload), each round's pair taken in one host state.
     let mut meter = MeterProvider::new();
     let mut turns = vec![Turn::new("train_step/vec_baseline", || step(&mut meter))];
     for (strategy, rt) in &mut runtimes {
         turns.push(Turn::new(format!("train_step/{strategy}"), || step(rt)));
     }
-    turns.push(Turn::new("train_step/hmms_micro", || micro_step(&mut micro_rt)));
     g.bench_in_turn(turns);
     for (name, bytes) in peaks {
         g.set_peak_bytes(&name, bytes);

@@ -4,7 +4,7 @@
 
 use scnn_bench::memsys::MemsysSetup;
 use scnn_bench::{Args, BenchGroup};
-use scnn_core::{lower_unsplit, plan_micro_schedule, plan_split, SplitConfig};
+use scnn_core::{lower_unsplit, plan_split, SplitConfig};
 use scnn_gpusim::{profile_graph, CostModel};
 use scnn_graph::Tape;
 use scnn_hmms::{plan_hmms, plan_layout, plan_vdnn, PlannerOptions, TsoAssignment, TsoOptions};
@@ -52,9 +52,6 @@ fn main() {
         let plan = plan_hmms(&graph, &tape, &tso, &profile, opts);
         g.bench(&format!("first_fit_layout/{name}"), || {
             plan_layout(&graph, &plan, &tso).unwrap()
-        });
-        g.bench(&format!("plan_micro_schedule/{name}"), || {
-            plan_micro_schedule(&graph)
         });
         let s = MemsysSetup::unsplit(&desc, batch, &model);
         let p = s.plan("hmms");

@@ -10,7 +10,7 @@
 //!     # the second's must be <= the bound
 //! bench_check --file ... --max-peak 'planned_device/hmms:3300352'
 //!     # the named record must carry peak_bytes <= the bound
-//! bench_check --file ... --min-peak capacity/max_batch/micro:18
+//! bench_check --file ... --min-peak capacity/max_batch:18
 //!     # the named record must carry peak_bytes >= the bound — for
 //!     # records whose "bytes" are a count that must not shrink
 //! bench_check --file ... --max-p99 overload/admitted_latency:10000000000

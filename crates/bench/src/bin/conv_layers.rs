@@ -8,7 +8,7 @@
 //! one forward and one backward call — the "layer profile says *where* it came from" half of the
 //! ROADMAP's perf-claim rule. Backward is `dw` + `dx`, twice the forward
 //! flops; the `dw` and `dx` columns are the floors of the tile engine's two
-//! backward kernels called on their own (`conv2d_dw_tiled_acc_at`,
+//! backward kernels called on their own (`conv2d_dw_tiled_at`,
 //! `conv2d_dx_tiled`), so a backward change shows which half it moved.
 //!
 //! The header also prints the host line every bench file starts with (CPU
@@ -28,10 +28,10 @@ use scnn_core::{lower_unsplit, plan_split, SplitConfig};
 use scnn_gpusim::node_flops;
 use scnn_graph::{Graph, Op};
 use scnn_models::{resnet18, ModelOptions};
-use scnn_nn::kernels::{conv2d_backward_micro, conv2d_forward_with, ConvAttrs};
+use scnn_nn::kernels::{conv2d_backward_with, conv2d_forward_with, ConvAttrs};
 use scnn_rng::SplitRng;
 use scnn_tensor::{
-    conv2d_dw_tiled_acc_at, conv2d_dx_tiled, uniform, Conv2dGeometry, Padding2d, Tensor,
+    conv2d_dw_tiled_at, conv2d_dx_tiled, uniform, Conv2dGeometry, Padding2d, Tensor,
 };
 
 /// What makes two conv nodes the same kernel call.
@@ -144,14 +144,13 @@ fn profile(name: &str, graph: &Graph, passes: usize, reps: usize) {
                 std::hint::black_box(conv2d_forward_with(&p.x, &p.w, p.b.as_ref(), &a, None));
             }));
             p.bwd_ms = p.bwd_ms.min(min_ms(reps, || {
-                std::hint::black_box(conv2d_backward_micro(
+                std::hint::black_box(conv2d_backward_with(
                     &p.x,
                     &p.w,
                     p.b.is_some(),
                     &p.dy,
                     &a,
                     None,
-                    0,
                 ));
             }));
             // The two kernels the backward runs, each on its own, on the
@@ -161,7 +160,7 @@ fn profile(name: &str, graph: &Graph, passes: usize, reps: usize) {
             let (off_h, off_w) = ((-crop.h_begin) as usize, (-crop.w_begin) as usize);
             let mut dw = vec![0.0f32; p.w.len()];
             p.dw_ms = p.dw_ms.min(min_ms(reps, || {
-                conv2d_dw_tiled_acc_at(&p.x, off_h, off_w, &p.dy, &g, 0, p.x.dim(0), &mut dw, true);
+                conv2d_dw_tiled_at(&p.x, off_h, off_w, &p.dy, &g, &mut dw);
                 std::hint::black_box(&mut dw);
             }));
             let mut dx = Tensor::zeros(p.x.shape().dims());

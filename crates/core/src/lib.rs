@@ -41,7 +41,7 @@ pub mod scheme;
 pub mod stochastic;
 pub mod transform;
 
-pub use cost::{conv_engine_workspace, conv_micro_workspace, plan_micro_schedule};
+pub use cost::conv_engine_workspace;
 pub use model::{Block, LayerDesc, ModelDesc};
 pub use scheme::{even_starts, input_starts, patch_paddings, SplitChoice, Window1d};
 pub use stochastic::stochastic_starts;

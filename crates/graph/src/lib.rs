@@ -16,11 +16,9 @@
 //! id order *is* a topological order and serialization is trivial.
 
 mod graph;
-mod micro;
 mod op;
 mod tape;
 
 pub use graph::{Graph, Node, NodeId, ParamId, ParamKind, ParamSpec};
-pub use micro::MicroBatchSchedule;
 pub use op::{Alias, Op, OpDesc, PoolKind};
 pub use tape::{Tape, TapeEntry, TapeStep};

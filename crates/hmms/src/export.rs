@@ -11,9 +11,8 @@
 //! backward pass will re-read).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use scnn_graph::{Graph, MicroBatchSchedule, Tape};
+use scnn_graph::{Graph, Tape};
 
 use crate::layout::{plan_layout_with, LayoutError, LayoutOptions, StaticLayout};
 use crate::plan::{MemoryPlan, StepPlan};
@@ -50,21 +49,9 @@ pub struct ExecPlan {
     /// Whether the TSO stores a forward activation (the kind the runtime
     /// physically manages; error/aux/workspace TSOs are accounted only).
     pub is_activation: Vec<bool>,
-    /// Per-conv micro-batch schedule the workspace accounting assumed, if
-    /// the plan was made against micro-batched workspaces. The runtime
-    /// hands this to the executor so execution matches the plan's model.
-    pub micro: Option<Arc<MicroBatchSchedule>>,
 }
 
 impl ExecPlan {
-    /// Attaches the micro-batch `schedule` whose workspaces this plan's
-    /// TSO accounting assumed.
-    #[must_use]
-    pub fn with_micro_schedule(mut self, schedule: Arc<MicroBatchSchedule>) -> Self {
-        self.micro = Some(schedule);
-        self
-    }
-
     /// A plan of `steps` over `graph` carrying the per-TSO tables every
     /// export builds — sizes, alias nodes, activation flags — with nothing
     /// offloaded and nothing to restore yet.
@@ -92,7 +79,6 @@ impl ExecPlan {
             is_activation: (0..tso.len())
                 .map(|i| matches!(tso.role(TsoId(i)), TsoRole::Activation(_)))
                 .collect(),
-            micro: None,
         }
     }
 

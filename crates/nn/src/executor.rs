@@ -1,10 +1,9 @@
 //! Graph executor: forward and backward passes with real tensors.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use scnn_rng::Rng;
-use scnn_graph::{Graph, MicroBatchSchedule, Node, NodeId, Op, ParamId, PoolKind};
+use scnn_graph::{Graph, Node, NodeId, Op, ParamId, PoolKind};
 use scnn_tensor::Tensor;
 
 use crate::kernels::{
@@ -149,33 +148,13 @@ impl<'a> Slot<'a> {
 /// let res = exec.run(&g, &mut params, &mut bn, &images, &[1, 2], Mode::Eval, &mut rng);
 /// assert_eq!(res.n, 2);
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct Executor {
-    /// Optional per-conv-node micro-batch schedule (planner's third axis).
-    /// Scheduled nodes run their conv backward (`conv2d_backward_micro`,
-    /// without `dx` where the input carries no gradient) in micro-batches
-    /// to shrink workspace; aligned schedules keep training bit-identical
-    /// to full-batch execution. The forward has nothing to chunk.
-    micro: Option<Arc<MicroBatchSchedule>>,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Executor;
 
 impl Executor {
-    /// Creates an executor (no micro-batching).
+    /// Creates an executor.
     pub fn new() -> Self {
-        Executor { micro: None }
-    }
-
-    /// Creates an executor that runs convolutions under `schedule`. Nodes
-    /// absent from the schedule execute exactly as [`Executor::new`]'s.
-    pub fn with_micro(schedule: Arc<MicroBatchSchedule>) -> Self {
-        Executor {
-            micro: Some(schedule),
-        }
-    }
-
-    /// Images per conv kernel call for `node` (`0` = the full batch).
-    fn micro_batch(&self, node: NodeId) -> usize {
-        self.micro.as_ref().and_then(|s| s.get(node)).unwrap_or(0)
+        Executor
     }
 
     /// Runs one mini-batch through `graph`. In [`Mode::Train`] the backward
@@ -586,7 +565,6 @@ impl Executor {
                         &dy,
                         &ConvAttrs::from_op(&node.op),
                         None,
-                        self.micro_batch(node.id),
                         carries[node.inputs[0].0],
                     );
                     params.accumulate_grad(*weight, &dw);

@@ -14,7 +14,7 @@
 //! bit-identical to, for tests to compare against; no conv node runs it.
 
 use scnn_tensor::{
-    col2im_cols_into, conv2d_dw_tiled_acc_at, conv2d_dx_tiled, conv2d_fwd_tiled_at, im2col_into,
+    col2im_cols_into, conv2d_dw_tiled_at, conv2d_dx_tiled, conv2d_fwd_tiled_at, im2col_into,
     matmul_a_bt_into, matmul_at_b_into, matmul_into, Conv2dGeometry, Padding2d, Tensor,
 };
 
@@ -86,12 +86,9 @@ pub fn conv2d_forward_with(
     fresh(&out_dims(x, w, attrs), |y| conv2d_forward_into(x, w, b, attrs, algo, y)).0
 }
 
-/// [`conv2d_forward_with`] at micro-batch size `micro` (`0` = whole batch).
-/// The forward has nothing to chunk — the engine keeps no batch-sized
-/// scratch but a strided call's phase copy of its input, and the
-/// [`ConvAlgo::Materialized`] reference always runs the whole batch — so
-/// the output is the full-batch call's for **any** `micro`; the argument
-/// mirrors [`conv2d_backward_micro`].
+/// [`conv2d_forward_with`]; `micro` is ignored. It exists only for the
+/// repo benchmark's kernel probe (`benchmark/src/probes.rs`), which calls
+/// it by this name.
 pub fn conv2d_forward_micro(
     x: &Tensor,
     w: &Tensor,
@@ -210,21 +207,13 @@ pub fn conv2d_backward_with(
     attrs: &ConvAttrs,
     algo: Option<ConvAlgo>,
 ) -> ConvGrads {
-    conv2d_backward_micro(x, w, has_bias, dy, attrs, algo, 0)
+    let (dx, dw, db) = conv2d_grads(x, w, has_bias, dy, attrs, algo, true);
+    ConvGrads { dx: dx.expect("dx was asked for"), dw, db }
 }
 
-/// [`conv2d_backward_with`] executed in micro-batches of `micro` images
-/// (`0` = whole batch), shrinking the engine's batch-proportional scratch
-/// — the `dw` partials — by `n / micro` while accumulating the weight
-/// gradient across chunks in the full-batch fold order. The
-/// [`ConvAlgo::Materialized`] reference ignores `micro` and runs the whole
-/// batch.
-///
-/// Gradients are bit-identical to the full-batch call when `micro`
-/// satisfies [`scnn_tensor::micro_batch_aligned`] for this geometry: `dw`'s
-/// `KC`-blocked reduction then replays the same block grid (`dx` and `db`
-/// are bit-identical for any `micro`). The planner only emits aligned
-/// schedules; unaligned values still compute correct sums.
+/// [`conv2d_backward_with`]; `micro` is ignored. It exists only for the
+/// repo benchmark's kernel probe (`benchmark/src/probes.rs`), which calls
+/// it by this name.
 pub fn conv2d_backward_micro(
     x: &Tensor,
     w: &Tensor,
@@ -232,17 +221,15 @@ pub fn conv2d_backward_micro(
     dy: &Tensor,
     attrs: &ConvAttrs,
     algo: Option<ConvAlgo>,
-    micro: usize,
+    _micro: usize,
 ) -> ConvGrads {
-    let (dx, dw, db) = conv2d_grads(x, w, has_bias, dy, attrs, algo, micro, true);
-    ConvGrads { dx: dx.expect("dx was asked for"), dw, db }
+    conv2d_backward_with(x, w, has_bias, dy, attrs, algo)
 }
 
-/// [`conv2d_backward_micro`]'s `(dx, dw, db)`, with `dx` only when
+/// [`conv2d_backward_with`]'s `(dx, dw, db)`, with `dx` only when
 /// `want_dx`: a conv whose input carries no gradient (an image, or a slice
 /// of one) computes its weight and bias gradients alone, with the same
 /// bits.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn conv2d_grads(
     x: &Tensor,
     w: &Tensor,
@@ -250,7 +237,6 @@ pub(crate) fn conv2d_grads(
     dy: &Tensor,
     attrs: &ConvAttrs,
     algo: Option<ConvAlgo>,
-    micro: usize,
     want_dx: bool,
 ) -> (Option<Tensor>, Tensor, Option<Tensor>) {
     let Lowered { g, crop, off_h, off_w } = lower(x, attrs);
@@ -272,12 +258,7 @@ pub(crate) fn conv2d_grads(
 
     match algo.unwrap_or_default() {
         ConvAlgo::Tiled => {
-            let u = if micro == 0 { n } else { micro.min(n) };
-            for b0 in (0..n).step_by(u.max(1)) {
-                let bn = u.min(n - b0);
-                conv2d_dw_tiled_acc_at(x, off_h, off_w, dy, &g, b0, bn, dw.as_mut_slice(), b0 == 0);
-            }
-            // dx keeps no batch-sized scratch — nothing to chunk.
+            conv2d_dw_tiled_at(x, off_h, off_w, dy, &g, dw.as_mut_slice());
             if let Some(dx) = &mut dx {
                 conv2d_dx_tiled(dy, w, &g, dx, off_h, off_w);
             }

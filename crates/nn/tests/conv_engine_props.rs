@@ -519,19 +519,14 @@ fn forward_matches_the_scalar_reference_on_random_geometries() {
 /// widths so sixteen-position strips wrap rows, 4×4 maps at n = 3 so they
 /// straddle images, 16×16 maps whose every image is one `KC` block, and
 /// channel counts off every register tile. `dy` is ReLU-style (signed
-/// zeros, subnormals) with one NaN. `dw` also runs in every aligned
-/// micro-batch size, so later chunks continue the reduction with `init`
-/// off — in the single-block fold and across `KC` blocks.
+/// zeros, subnormals) with one NaN.
 #[test]
 fn in_place_backward_matches_the_materialized_oracle_at_every_level_and_thread_count() {
-    use scnn_nn::kernels::conv2d_backward_micro;
-    use scnn_tensor::micro_batch_aligned;
     check("in-place backward vs materialized", 12, |rng| {
         let k = [1usize, 3, 5, 7][rng.gen_range(0..4usize)];
         let (h, w) = match rng.gen_range(0..4usize) {
             0 => (4, 4),
-            // One image is one `KC` block: micro-batches of one image
-            // continue a blocked reduction.
+            // One image is one `KC` block.
             1 => (16, 16),
             _ => (rng.gen_range(k.max(2)..12usize), 2 * rng.gen_range(1..8usize) + 1),
         };
@@ -550,26 +545,21 @@ fn in_place_backward_matches_the_materialized_oracle_at_every_level_and_thread_c
         let nan_at = rng.gen_range(0..dy.len());
         dy.as_mut_slice()[nan_at] = f32::NAN;
         let want = conv2d_backward_with(&x, &wt, true, &dy, &attrs, Some(ConvAlgo::Materialized));
-        let g = Conv2dGeometry::new(ic, h, w, k, k, 1, 1, pad);
-        let micros: Vec<usize> =
-            (0..=n).filter(|&u| u == 0 || micro_batch_aligned(&g, u, n)).collect();
         for level in SimdLevel::ALL.into_iter().filter(|&l| supports(l)) {
             force_level(Some(level));
             for threads in [1, 2, 3] {
-                for &micro in &micros {
-                    let tiled = Some(ConvAlgo::Tiled);
-                    let got = scnn_par::with_threads(threads, || {
-                        conv2d_backward_micro(&x, &wt, true, &dy, &attrs, tiled, micro)
-                    });
-                    let what = |t: &str| {
-                        let at = format!("{} threads {threads} micro {micro}", level.name());
-                        format!("{t} k{k} {n}x{ic}x{h}x{w} oc{oc} pad {pad:?} {at}")
-                    };
-                    for (t, a, b) in [("dx", &got.dx, &want.dx), ("dw", &got.dw, &want.dw)] {
-                        if let Err(e) = bits_match(&what(t), a, b) {
-                            force_level(None);
-                            return Case::Fail(e);
-                        }
+                let tiled = Some(ConvAlgo::Tiled);
+                let got = scnn_par::with_threads(threads, || {
+                    conv2d_backward_with(&x, &wt, true, &dy, &attrs, tiled)
+                });
+                let what = |t: &str| {
+                    let at = format!("{} threads {threads}", level.name());
+                    format!("{t} k{k} {n}x{ic}x{h}x{w} oc{oc} pad {pad:?} {at}")
+                };
+                for (t, a, b) in [("dx", &got.dx, &want.dx), ("dw", &got.dw, &want.dw)] {
+                    if let Err(e) = bits_match(&what(t), a, b) {
+                        force_level(None);
+                        return Case::Fail(e);
                     }
                 }
             }
@@ -577,4 +567,41 @@ fn in_place_backward_matches_the_materialized_oracle_at_every_level_and_thread_c
         force_level(None);
         Case::Pass
     });
+}
+
+/// `dw` holds at most two `KC` blocks of partials at once: block 0
+/// accumulates in `dw`, the blocks after it run in groups that fold into
+/// `dw` in block order. Against the materialized oracle, at every level
+/// and at 1 and 4 threads, over layers whose `n·oh·ow` spans 1 block (no
+/// partial), 2 (one group), 3 (block 0 beside a full group), 5 with a
+/// short last block (a full first group, then a short one), 32 (sixteen
+/// groups), the shared-copy path (a padded layer cut into channel tiles),
+/// and split patches whose padding is negative.
+#[test]
+fn dw_block_groups_match_the_materialized_oracle() {
+    #[allow(clippy::type_complexity)] // a literal table, not an API
+    let cases: &[(usize, usize, usize, usize, usize, usize, usize, (i64, i64, i64, i64), usize)] = &[
+        // (n, ic, oc, h, w, k, s, pad, KC blocks)
+        (1, 3, 40, 16, 16, 3, 1, (1, 1, 1, 1), 1),
+        (2, 3, 40, 16, 16, 3, 1, (1, 1, 1, 1), 2),
+        (3, 5, 20, 16, 16, 1, 1, (0, 0, 0, 0), 3),
+        (5, 3, 24, 15, 15, 3, 1, (1, 1, 1, 1), 5),
+        (8, 16, 16, 32, 32, 3, 1, (1, 1, 1, 1), 32),
+        (2, 4, 64, 16, 16, 3, 1, (1, 1, 1, 1), 2),
+        (3, 4, 96, 16, 16, 3, 1, (1, 1, 1, 1), 3),
+        (8, 8, 16, 16, 16, 1, 2, (0, -1, 0, -1), 2),
+        (4, 8, 16, 18, 18, 3, 1, (1, -1, -1, 1), 4),
+    ];
+    let mut rng = scnn_rng::SplitRng::seed_from_u64(48);
+    for &(n, ic, oc, h, w, k, s, (pt, pb, pl, pr), blocks) in cases {
+        let attrs = ConvAttrs { kh: k, kw: k, sh: s, sw: s, pad: Padding2d::new(pt, pb, pl, pr) };
+        let (g, _) = Conv2dGeometry::cropped(ic, h, w, k, k, s, s, attrs.pad);
+        assert_eq!((n * g.patch_count()).div_ceil(REDUCTION_KC), blocks, "case {n}x{ic}x{h}x{w}");
+        let x = uniform(&mut rng, &[n, ic, h, w], -1.0, 1.0);
+        let wt = uniform(&mut rng, &[oc, ic, k, k], -0.7, 0.7);
+        let b = uniform(&mut rng, &[oc], -0.2, 0.2);
+        if let Case::Fail(e) = at_every_level(|| algos_agree(&x, &wt, &b, &attrs)) {
+            panic!("{blocks} blocks, case {n}x{ic}x{h}x{w} oc{oc} k{k}/{s} pad {:?}: {e}", attrs.pad);
+        }
+    }
 }

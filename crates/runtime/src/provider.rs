@@ -305,16 +305,11 @@ impl PlanRuntime {
         &self.tables.plan
     }
 
-    /// An executor matching the plan: micro-batched per the plan's
-    /// schedule when one was attached ([`scnn_hmms::ExecPlan`]'s `micro`),
-    /// the plain full-batch executor otherwise. Running the step through
-    /// any other executor is still correct — but only this one realizes
-    /// the workspace footprint the plan's TSO accounting assumed.
+    /// [`Executor::new`]: every plan runs on the one executor. It exists
+    /// only for the repo benchmark's trainer (`benchmark/src/train.rs`),
+    /// which calls it by this name.
     pub fn executor(&self) -> Executor {
-        match &self.tables.plan.micro {
-            Some(s) => Executor::with_micro(s.clone()),
-            None => Executor::new(),
-        }
+        Executor::new()
     }
 
     /// Memory statistics of the last completed step.

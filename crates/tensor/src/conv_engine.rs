@@ -76,54 +76,6 @@ pub enum ConvAlgo {
     Materialized,
 }
 
-fn gcd(mut a: usize, mut b: usize) -> usize {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
-/// Whether a conv layer's whole-batch weight-gradient reduction fits one
-/// `KC`-row block (`n·oh·ow ≤ KC`, `KC` = [`REDUCTION_KC`]).
-/// Such layers accumulate `dw` in a single sequential fold, so the kernels
-/// continue it straight into the output with **no** partial-block scratch,
-/// and any micro-batch boundary replays the fold bit-for-bit — the deep
-/// small-map layers this describes are exactly the ones whose `oc·plen`
-/// partial buffer would otherwise dominate planned workspace.
-pub fn conv2d_dw_single_block(g: &Conv2dGeometry, n: usize) -> bool {
-    n * g.patch_count() <= REDUCTION_KC
-}
-
-/// Whether running a conv layer in micro-batches of `u` images (logical
-/// batch `n`) preserves bit-identity with the full-batch kernels.
-///
-/// The weight-gradient reduction is blocked on `KC`-row boundaries of the
-/// `n·oh·ow` patch-row dimension ([`conv2d_dw_tiled`],
-/// [`matmul_at_b`](crate::matmul_at_b)). A micro-batch boundary that lands
-/// inside a block would re-shape the fold tree, so `u` is legal exactly
-/// when every `u`-image segment covers whole blocks (`u·oh·ow ≡ 0 mod
-/// KC`) — or when there is only one segment (`u ≥ n`) — or when the whole
-/// batch is one sequential fold ([`conv2d_dw_single_block`]), which any
-/// boundary continues exactly.
-pub fn micro_batch_aligned(g: &Conv2dGeometry, u: usize, n: usize) -> bool {
-    u >= n
-        || (u * g.patch_count()).is_multiple_of(REDUCTION_KC)
-        || conv2d_dw_single_block(g, n)
-}
-
-/// The smallest bit-identity-preserving micro-batch size for a conv layer
-/// at logical batch `n`: one image when the whole batch is a single
-/// sequential fold ([`conv2d_dw_single_block`]), else `KC / gcd(oh·ow,
-/// KC)` images (the shortest image run covering whole `KC` blocks), capped
-/// at `n` when even that exceeds the batch — then the layer simply runs
-/// un-chunked.
-pub fn min_micro_batch(g: &Conv2dGeometry, n: usize) -> usize {
-    if conv2d_dw_single_block(g, n) {
-        return 1;
-    }
-    (REDUCTION_KC / gcd(g.patch_count(), REDUCTION_KC)).min(n.max(1))
-}
-
 /// Where a geometry's `in_h × in_w` input window sits in the planes of the
 /// NCHW tensor that stores it: at `(off_h, off_w)` of every
 /// `full_h × full_w` plane. A layer with negative padding reads (forward,
@@ -1160,107 +1112,61 @@ mod position {
 /// Writes `[oc, plen]` into `dw`, overwriting every element. The shared
 /// dimension `k = n·oh·ow` is split on the same `KC` boundaries as
 /// [`matmul_at_b`](crate::matmul_at_b); each block accumulates its partial
-/// with `p` ascending (as the GEMM does) and the flat partial buffer folds
+/// with `p` ascending (as the GEMM does) and the partials fold into `dw`
 /// in ascending block order — bit-identical to the materialized pipeline
-/// at every thread count. Nothing is packed ([`dw_blocks`]).
+/// at every thread count. Nothing is packed, and at most
+/// [`DW_PARTIALS`] blocks of partials are held at once ([`dw_blocks`]).
 ///
 /// # Panics
 ///
 /// Panics if shapes disagree with the geometry.
 pub fn conv2d_dw_tiled(x: &Tensor, dy: &Tensor, g: &Conv2dGeometry, dw: &mut [f32]) {
-    conv2d_dw_tiled_acc(x, dy, g, 0, x.dim(0), dw, true);
-}
-
-/// Batch-range, continued-accumulation form of [`conv2d_dw_tiled`]: folds
-/// the weight-gradient contribution of images `b0 .. b0 + bn` into `dw`.
-/// With `init` the range's first partial block *overwrites* `dw` (use on
-/// the first segment); without it every block folds in, continuing the
-/// reduction of earlier segments.
-///
-/// Chaining aligned segments (see [`micro_batch_aligned`]) over the whole
-/// batch replays the full-batch call's block grid and fold order exactly —
-/// this is how micro-batched training keeps `dw` bit-identical while
-/// shrinking the partials scratch from `⌈n·oh·ow/KC⌉` to `⌈bn·oh·ow/KC⌉`
-/// blocks per call.
-///
-/// # Panics
-///
-/// Panics if shapes disagree with the geometry or the range exceeds the
-/// batch.
-pub fn conv2d_dw_tiled_acc(
-    x: &Tensor,
-    dy: &Tensor,
-    g: &Conv2dGeometry,
-    b0: usize,
-    bn: usize,
-    dw: &mut [f32],
-    init: bool,
-) {
     check_exact_input(x, g);
-    conv2d_dw_tiled_acc_at(x, 0, 0, dy, g, b0, bn, dw, init);
+    conv2d_dw_tiled_at(x, 0, 0, dy, g, dw);
 }
 
-/// [`conv2d_dw_tiled_acc`] reading the geometry's window in place at
+/// [`conv2d_dw_tiled`] reading the geometry's window in place at
 /// `(off_h, off_w)` of `x: [n, ic, full_h, full_w]` (see
 /// [`conv2d_fwd_tiled_at`]).
 ///
 /// # Panics
 ///
-/// Panics if shapes disagree, the range exceeds the batch, or the offset
-/// window hangs outside `x`.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_dw_tiled_acc_at(
+/// Panics if shapes disagree or the offset window hangs outside `x`.
+pub fn conv2d_dw_tiled_at(
     x: &Tensor,
     off_h: usize,
     off_w: usize,
     dy: &Tensor,
     g: &Conv2dGeometry,
-    b0: usize,
-    bn: usize,
     dw: &mut [f32],
-    init: bool,
 ) {
     let x = &Window::new(x, g, off_h, off_w);
-    let n = x.n;
-    assert!(bn > 0 && b0 + bn <= n, "image range {b0}+{bn} exceeds batch {n}");
     let (oh, ow) = (g.out_h(), g.out_w());
     assert_eq!(dy.rank(), 4, "conv dy must be NCHW");
     let oc = dy.dim(1);
     assert_eq!(
         (dy.dim(0), dy.dim(2), dy.dim(3)),
-        (n, oh, ow),
+        (x.n, oh, ow),
         "dy {} does not match geometry {g:?}",
         dy.shape()
     );
-    let plen = g.patch_len();
-    assert_eq!(dw.len(), oc * plen, "conv2d_dw_tiled out length");
-    let dyv = dy.as_slice();
-    let hw = oh * ow;
-    let (base, k) = (b0 * hw, bn * hw);
-    if conv2d_dw_single_block(g, n) {
-        // The whole batch is one sequential fold: accumulate straight into
-        // `dw` (from +0.0 on `init`), with no partial-block scratch. The
-        // add sequence equals what the blocked path runs inside block 0, so
-        // full-batch bits are unchanged — and any chunk boundary continues
-        // the fold exactly, which is what unlocks micro-batching the deep
-        // small-map layers whose `oc·plen` partials would otherwise
-        // dominate workspace.
-        dw_blocks(x, dyv, oc, g, base, k, k, dw, init);
-        return;
-    }
-    let nblocks = k.div_ceil(REDUCTION_KC).max(1);
-    scratch::with_scratch(nblocks * oc * plen, |partials| {
-        dw_blocks(x, dyv, oc, g, base, k, REDUCTION_KC, partials, true);
-        let start = if init {
-            dw.copy_from_slice(&partials[..oc * plen]);
-            1
-        } else {
-            0
-        };
-        for bi in start..nblocks {
-            add_assign(dw, &partials[bi * oc * plen..(bi + 1) * oc * plen]);
-        }
-    });
+    assert_eq!(dw.len(), oc * g.patch_len(), "conv2d_dw_tiled out length");
+    dw_blocks(x, dy.as_slice(), oc, g, dw);
+}
+
+/// Blocks of `dw` partials held at once. Block 0 accumulates in `dw`
+/// itself; the blocks after it run this many at a time into one scratch
+/// loan, and each group folds into `dw` before the next starts. Two is
+/// the most that keeps the benchmark's split ResNet-18 at 18 images in
+/// 27 MiB (DESIGN.md §13); no bit depends on it.
+const DW_PARTIALS: usize = 2;
+
+/// The `KC` blocks of a conv layer's weight-gradient reduction at batch
+/// `n`, and how many of them its scratch loan holds
+/// ([`DW_PARTIALS`] at most; none for a one-block layer).
+fn dw_block_counts(g: &Conv2dGeometry, n: usize) -> (usize, usize) {
+    let nblocks = (n * g.patch_count()).div_ceil(REDUCTION_KC).max(1);
+    (nblocks, (nblocks - 1).min(DW_PARTIALS))
 }
 
 /// `dw` tasks per call the grid aims for: the blocks, each cut into
@@ -1278,11 +1184,10 @@ fn dw_tile(nblocks: usize, oc: usize) -> usize {
     oc.div_ceil(tiles)
 }
 
-/// The weight-gradient reduction over flattened positions `base ..
-/// base + k` in `kc`-position blocks: block `bi` accumulates the `[oc,
-/// plen]` partial at `out[bi·oc·plen ..]`, from +0.0 when `fresh` and from
-/// its contents otherwise, with output channels across the lanes and
-/// nothing packed:
+/// The weight-gradient reduction in `KC`-position blocks: block 0
+/// accumulates its `[oc, plen]` partial straight into `out`, every later
+/// block into a slot of a [`DW_PARTIALS`]-block scratch loan, each from
+/// +0.0, with output channels across the lanes and nothing packed:
 ///
 /// - each task turns its block's `dy` to `[p, o]` once, so one register
 ///   loads sixteen output channels' factors of one position;
@@ -1297,25 +1202,19 @@ fn dw_tile(nblocks: usize, oc: usize) -> usize {
 ///   [`DW_TASKS`]) is copied once, by channel groups, and the blocks run
 ///   one after another.
 ///
-/// One task per (block, output-channel tile) ([`dw_tile`]), each over its
-/// whole block and every patch column. Each element `(o, j)` is one
-/// chain: `p` ascending over the block, one fused step per position,
-/// padding taps included (a +0.0 operand).
-#[allow(clippy::too_many_arguments)]
-fn dw_blocks(
-    x: &Window,
-    dyv: &[f32],
-    oc: usize,
-    g: &Conv2dGeometry,
-    base: usize,
-    k: usize,
-    kc: usize,
-    out: &mut [f32],
-    fresh: bool,
-) {
+/// The blocks run in groups: block 0 with the short group first, then
+/// [`DW_PARTIALS`] at a time (so an even block count forks in pairs
+/// throughout), and after each group its slots add into `out` in block
+/// order. One task per (block, output-channel tile) ([`dw_tile`]), each
+/// over its whole block and every patch column. Each element `(o, j)` is
+/// one chain: `p` ascending over the block, one fused step per position,
+/// padding taps included (a +0.0 operand); `out` is block 0's chain, then
+/// `+ b1`, `+ b2`, … in block order, whatever the grouping.
+fn dw_blocks(x: &Window, dyv: &[f32], oc: usize, g: &Conv2dGeometry, out: &mut [f32]) {
     let (ow, hw, plen) = (g.out_w(), g.patch_count(), g.patch_len());
-    let nblocks = k.div_ceil(kc).max(1);
-    let block = |bi: usize| base + bi * kc..(base + (bi + 1) * kc).min(base + k);
+    let k = x.n * hw;
+    let (nblocks, slots) = dw_block_counts(g, x.n);
+    let block = |bi: usize| bi * REDUCTION_KC..((bi + 1) * REDUCTION_KC).min(k);
     // Flattened positions `ps` cut at batch-image boundaries: `(image,
     // first position inside it, length)` per run, contiguous in NCHW.
     let runs = |ps: std::ops::Range<usize>| {
@@ -1353,8 +1252,8 @@ fn dw_blocks(
             rows.extend((0..g.kw).map(|kx| c * chan_len + ky * pitch + kx));
         }
     }
-    // Patch origin of every position of the call, block by block: in `x`
-    // for an unpadded layer, in its block's padded copy otherwise.
+    // Patch origin of every position, block by block: in `x` for an
+    // unpadded layer, in its block's padded copy otherwise.
     let mut at = Vec::with_capacity(k);
     for bi in 0..nblocks {
         let mut run_at = 0;
@@ -1397,17 +1296,18 @@ fn dw_blocks(
     let ot = dw_tile(nblocks, oc);
     let tiles = oc.div_ceil(ot);
     let copy_len = g.in_c * chan_len;
-    let out = DisjointMut::new(out);
-    // Task (block `bi`, tile from `o0`) over its whole block, reading `src`
-    // — or, with `None`, `x` where the layer is unpadded and otherwise a
-    // copy of its block's rows made in its own loan.
-    let task = |bi: usize, o0: usize, src: Option<&[f32]>| {
+    let part = oc * plen;
+    // Task (block `bi`, tile from `o0`) over its whole block into its
+    // partial at `base` of `sink`, reading `src` — or, with `None`, `x`
+    // where the layer is unpadded and otherwise a copy of its block's rows
+    // made in its own loan.
+    let task = |bi: usize, o0: usize, src: Option<&[f32]>, (sink, base): (&DisjointMut<f32>, usize)| {
         let (ps, outs) = (block(bi), o0..(o0 + ot).min(oc));
-        let at = &at[ps.start - base..ps.end - base];
-        let first = (bi * oc + o0) * plen;
+        let at = &at[ps.start..ps.end];
+        let first = base + o0 * plen;
         // SAFETY: task (block, tile) owns its tile's rows of its block's
         // partial, which no other task touches.
-        let dw = unsafe { out.range(first, first + outs.len() * plen) };
+        let dw = unsafe { sink.range(first, first + outs.len() * plen) };
         let (kb, on) = (ps.len(), outs.len());
         let own = if padded && src.is_none() { copy_len } else { 0 };
         scratch::with_scratch(kb * on + own, |buf| {
@@ -1428,33 +1328,63 @@ fn dw_blocks(
                 }
                 None => x.data,
             };
-            gather_acc(plen, on, kb, src, at, &rows, dyt, on, dw, plen, fresh);
+            gather_acc(plen, on, kb, src, at, &rows, dyt, on, dw, plen, true);
         });
     };
-    if !padded || tiles == 1 {
-        scnn_par::parallel_for(nblocks * tiles, |t| task(t / tiles, t % tiles * ot, None));
-        return;
-    }
-    // Fewer blocks than tasks: each block's copy is made once, by channel
-    // groups, and read by the block's tiles while they run.
+    // Fewer blocks than tasks and a padded layer: each block's copy is
+    // made once, by channel groups, and read by the block's tiles while
+    // they run.
+    let shared = padded && tiles > 1;
     let groups = DW_TASKS.min(g.in_c);
     let per_group = g.in_c.div_ceil(groups);
-    scratch::with_scratch(copy_len, |xs| {
-        for bi in 0..nblocks {
-            let spans = DisjointMut::new(&mut *xs);
-            scnn_par::parallel_for(groups, |group| {
-                for c in group * per_group..((group + 1) * per_group).min(g.in_c) {
-                    // SAFETY: a channel group fills its channels' spans,
-                    // which no other group touches.
-                    let dst = unsafe { spans.range(c * chan_len, (c + 1) * chan_len) };
-                    if bi > 0 {
-                        dst.fill(0.0);
+    scratch::with_scratch(slots * part, |partials| {
+        scratch::with_scratch(if shared { copy_len } else { 0 }, |xs| {
+            let rest = nblocks - 1;
+            let short = match rest % DW_PARTIALS {
+                0 => rest.min(DW_PARTIALS),
+                short => short,
+            };
+            let mut span = 0..1 + short;
+            while span.start < nblocks {
+                // The group's first block with a slot of its own.
+                let first = span.start.max(1);
+                {
+                    let (sink, slot) = (DisjointMut::new(&mut *out), DisjointMut::new(&mut *partials));
+                    let dst = |bi: usize| match bi {
+                        0 => (&sink, 0),
+                        _ => (&slot, (bi - first) * part),
+                    };
+                    if shared {
+                        for bi in span.clone() {
+                            let spans = DisjointMut::new(&mut *xs);
+                            scnn_par::parallel_for(groups, |group| {
+                                for c in group * per_group..((group + 1) * per_group).min(g.in_c) {
+                                    // SAFETY: a channel group fills its
+                                    // channels' spans, which no other group
+                                    // touches.
+                                    let dst = unsafe { spans.range(c * chan_len, (c + 1) * chan_len) };
+                                    if bi > 0 {
+                                        dst.fill(0.0);
+                                    }
+                                    fill(bi, c, dst);
+                                }
+                            });
+                            scnn_par::parallel_for(tiles, |t| task(bi, t * ot, Some(&*xs), dst(bi)));
+                        }
+                    } else {
+                        let blocks = span.start;
+                        scnn_par::parallel_for(span.len() * tiles, |t| {
+                            let bi = blocks + t / tiles;
+                            task(bi, t % tiles * ot, None, dst(bi))
+                        });
                     }
-                    fill(bi, c, dst);
                 }
-            });
-            scnn_par::parallel_for(tiles, |t| task(bi, t * ot, Some(xs)));
-        }
+                for slot in partials.chunks_exact(part).take(span.end - first) {
+                    add_assign(out, slot);
+                }
+                span = span.end..(span.end + DW_PARTIALS).min(nblocks);
+            }
+        });
     });
 }
 
@@ -1498,11 +1428,12 @@ pub fn conv2d_dx_tiled(
 }
 
 /// Planned workspace bytes for one tiled conv layer (forward + backward):
-/// the thread-count-*independent* scratch footprint, i.e. the flat `dw`
-/// partial buffer (`⌈n·oh·ow / KC⌉ · oc · plen` floats, `KC` =
-/// [`REDUCTION_KC`] — the same constant the kernels block on, so the
-/// planner's model can never drift from the executed grid). The rest of
-/// the engine's scratch stays out of the per-layer term, and this is the
+/// the thread-count-*independent* scratch footprint, i.e. `dw`'s loan of
+/// partials — `min(nblocks − 1, DW_PARTIALS)` blocks of `oc · plen`
+/// floats, `nblocks = ⌈n·oh·ow / KC⌉` (`KC` = [`REDUCTION_KC`], the
+/// constant the kernels block on), so the planner's model is the loan
+/// [`dw_blocks`] takes and a one-block layer plans none. The rest of the
+/// engine's scratch stays out of the per-layer term, and this is the
 /// number `scnn-hmms` carries per conv node in its layouts:
 ///
 /// - a `dw` task's turned `dy` block and zero-bordered input rows, which
@@ -1513,8 +1444,7 @@ pub fn conv2d_dx_tiled(
 ///
 /// The forward keeps no other scratch, and `dx` none.
 pub fn conv2d_workspace_bytes(g: &Conv2dGeometry, n: usize, oc: usize) -> usize {
-    let k = n * g.patch_count();
-    k.div_ceil(REDUCTION_KC).max(1) * oc * g.patch_len() * 4
+    dw_block_counts(g, n).1 * oc * g.patch_len() * 4
 }
 
 
@@ -1678,7 +1608,13 @@ mod tests {
     #[test]
     fn workspace_bytes_counts_dw_partials() {
         let g = Conv2dGeometry::new(16, 32, 32, 3, 3, 1, 1, Padding2d::symmetric(1));
-        // k = 8·32·32 = 8192 → 32 KC-blocks of [oc=32, plen=144] partials.
-        assert_eq!(conv2d_workspace_bytes(&g, 8, 32), 32 * 32 * 144 * 4);
+        // k = 8·32·32 = 8192 → 32 KC-blocks, of which block 0 accumulates
+        // in `dw` and two [oc=32, plen=144] partials are held at once.
+        assert_eq!(conv2d_workspace_bytes(&g, 8, 32), 2 * 32 * 144 * 4);
+        // One block (k = 1·16·16): `dw` is the whole reduction.
+        let g = Conv2dGeometry::new(16, 16, 16, 3, 3, 1, 1, Padding2d::symmetric(1));
+        assert_eq!(conv2d_workspace_bytes(&g, 1, 32), 0);
+        // Two blocks: one partial.
+        assert_eq!(conv2d_workspace_bytes(&g, 2, 32), 32 * 144 * 4);
     }
 }

@@ -41,9 +41,8 @@ mod tensor;
 pub mod winograd;
 
 pub use conv_engine::{
-    conv2d_dw_single_block, conv2d_dw_tiled, conv2d_dw_tiled_acc, conv2d_dw_tiled_acc_at,
-    conv2d_dx_tiled, conv2d_fwd_tiled, conv2d_fwd_tiled_at, conv2d_workspace_bytes,
-    micro_batch_aligned, min_micro_batch, ConvAlgo,
+    conv2d_dw_tiled, conv2d_dw_tiled_at, conv2d_dx_tiled, conv2d_fwd_tiled, conv2d_fwd_tiled_at,
+    conv2d_workspace_bytes, ConvAlgo,
 };
 pub use im2col::{col2im, col2im_cols_into, col2im_into, im2col, im2col_into, Conv2dGeometry};
 pub use init::{he_normal, uniform};

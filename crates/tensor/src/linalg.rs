@@ -22,7 +22,7 @@
 //! `add_assign`) live in [`crate::simd`] and dispatch at runtime between
 //! scalar and AVX2 bodies with identical reduction order. Blocking is
 //! fixed: the shared-dimension block [`REDUCTION_KC`] is bit-bearing (the
-//! fold trees and the micro-batch alignment rule are keyed on it), while
+//! fold trees are keyed on it), while
 //! the column tile [`MATMUL_NC`] only partitions independent outputs.
 
 use crate::simd::{add_assign, dot_panel, gemm_acc};
@@ -31,7 +31,6 @@ use crate::Tensor;
 /// The shared-dimension reduction block, in rows — the one bit-bearing
 /// blocking constant. Everything keyed on `KC` reads it, so they cannot
 /// drift apart: the [`matmul_at_b`] fold grid, the conv `dw` partials,
-/// `micro_batch_aligned` / `conv2d_dw_single_block` / `min_micro_batch`,
 /// `conv2d_workspace_bytes` and the planner's cost model.
 pub const REDUCTION_KC: usize = 256;
 
